@@ -13,90 +13,39 @@ once, optimizes it, and replays it as a flat schedule:
 * :mod:`~repro.autograd.graph.passes` — the optimization pipeline run on
   every captured program: constant folding, dead-node elimination,
   contiguous-chain op fusion and liveness-planned buffer reuse, all
-  bit-identical to the unoptimized replay (``REPRO_GRAPH_OPT=none`` turns
-  it off);
+  bit-identical to the unoptimized replay;
 * :class:`CompiledStep` — the replay executor: per-shape program cache,
   preallocated gradient buffers and forward arena, bit-identical results,
   automatic eager fallback for anything value-dependent.
 
-Since PR 8 the subsystem also captures the *loop around* the step:
-:class:`CompiledEpoch` closes a compiled batch body, the optimizer's
-update kernels and the clip kernel into a :class:`LoopNode`, replaying a
-whole training epoch (or PIT phase) as one single-node
-:class:`GraphProgram` — interpreted, or emitted as a real ``for`` loop in
-generated source.
-
 Entry points for training code: a :class:`CompileConfig` passed as
-``compile_config=`` to any trainer / search layer (the loose
-``compile_step=`` / ``graph_opt=`` / ``graph_exec=`` / ``loop_capture=``
-kwargs survive as a deprecated shim), the ``--compile`` / ``--graph-opt``
-/ ``--graph-exec`` / ``--loop-capture`` CLI flags, or the
-``REPRO_COMPILE_STEP`` / ``REPRO_GRAPH_OPT`` / ``REPRO_GRAPH_EXEC`` /
-``REPRO_LOOP_CAPTURE`` environment defaults.
+``compile_config=`` to any trainer / search layer, the ``--compile`` CLI
+flag, or the ``REPRO_COMPILE_STEP`` environment default.
 """
 
 from .capture import GraphCapture, capture
 from .executor import (
     ENV_COMPILE,
-    ENV_GRAPH_EXEC,
-    EXEC_MODES,
     CompiledStep,
     EagerStep,
     compile_step_default,
-    graph_exec_default,
-    resolve_graph_exec,
 )
-from .codegen import (
-    LoweringError,
-    SourceEpochRunner,
-    SourceRunner,
-    codegen_cache_stats,
-    recorded_sources,
-)
-from .config import ENV_LOOP_CAPTURE, CompileConfig, loop_capture_default
-from .ir import (GraphCaptureError, GraphProgram, LoopNode, build_program,
-                 epoch_program)
-from .loop import CompiledEpoch
-from .passes import (
-    ENV_GRAPH_OPT,
-    OPT_LEVELS,
-    OptStats,
-    graph_opt_default,
-    loop_carried_safety,
-    optimize_program,
-    resolve_graph_opt,
-)
+from .config import CompileConfig
+from .ir import GraphCaptureError, GraphProgram, build_program
+from .passes import OPT_LEVELS, OptStats, optimize_program
 
 __all__ = [
     "GraphCapture",
     "GraphCaptureError",
     "GraphProgram",
-    "LoopNode",
     "CompiledStep",
-    "CompiledEpoch",
     "CompileConfig",
     "EagerStep",
-    "LoweringError",
-    "SourceRunner",
-    "SourceEpochRunner",
     "build_program",
-    "epoch_program",
     "capture",
     "compile_step_default",
-    "codegen_cache_stats",
-    "recorded_sources",
     "optimize_program",
-    "graph_opt_default",
-    "resolve_graph_opt",
-    "graph_exec_default",
-    "resolve_graph_exec",
-    "loop_capture_default",
-    "loop_carried_safety",
     "OptStats",
     "ENV_COMPILE",
-    "ENV_GRAPH_OPT",
-    "ENV_GRAPH_EXEC",
-    "ENV_LOOP_CAPTURE",
     "OPT_LEVELS",
-    "EXEC_MODES",
 ]

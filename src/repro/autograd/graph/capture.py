@@ -6,8 +6,7 @@ point, records every op into :class:`~repro.autograd.graph.ir.OpNode`
 entries.  The traced execution is a fully valid training step (its loss and
 gradients are used), so capture costs one eager step, nothing more.
 
-A capture can be *poisoned* — by a legacy closure op (``Tensor._make``), or
-by code that declares itself value-dependent via
+A capture can be *poisoned* by code that declares itself value-dependent via
 :func:`repro.autograd.tensor.mark_capture_unsafe` (sampled supernet paths,
 data-dependent gathers, rescue branches).  A poisoned capture produces no
 program; the executor then permanently falls back to eager execution, which

@@ -1,148 +1,54 @@
-"""One consolidated configuration object for the graph-execution knobs.
+"""One configuration object for the graph-execution knob.
 
-Before this module, every trainer / search entry point threaded three (now
-four) loose keyword arguments — ``compile_step`` / ``graph_opt`` /
-``graph_exec`` / ``loop_capture`` — through eight layers of plumbing.
-:class:`CompileConfig` replaces that with a single frozen, picklable value
-(safe to ship to DSE pool workers) that still defers any ``None`` field to
-the corresponding ``REPRO_*`` environment variable at use time.
-
-The loose kwargs keep working everywhere as a deprecation shim:
-:meth:`CompileConfig.resolve` merges them under an explicit ``config``
-(config fields win) and warns once per process.
+Training has two execution paths: eager autograd, and the interpreted
+:class:`~repro.autograd.graph.executor.CompiledStep` replay with the pass
+pipeline always on.  :class:`CompileConfig` selects between them as a
+frozen, picklable value (safe to ship to DSE pool workers) that defers an
+unset field to ``REPRO_COMPILE_STEP`` at use time.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .executor import (ENV_COMPILE, EXEC_MODES, compile_step_default,
-                       graph_exec_default, resolve_graph_exec)
-from .passes import resolve_graph_opt
+from .executor import compile_step_default
 
-__all__ = [
-    "ENV_LOOP_CAPTURE",
-    "CompileConfig",
-    "loop_capture_default",
-]
-
-ENV_LOOP_CAPTURE = "REPRO_LOOP_CAPTURE"
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def loop_capture_default() -> bool:
-    """Process-wide default for ``loop_capture=None`` knobs.
-
-    The ``REPRO_LOOP_CAPTURE`` environment variable when set (read per
-    call so tests can flip it), else False — whole-loop capture is opt-in
-    for now, mirroring how ``REPRO_COMPILE_STEP`` was introduced.
-    """
-    return os.environ.get(ENV_LOOP_CAPTURE, "").strip().lower() in _TRUTHY
-
-
-_warned_legacy = False
-
-
-def _warn_legacy_kwargs() -> None:
-    global _warned_legacy
-    if _warned_legacy:
-        return
-    _warned_legacy = True
-    warnings.warn(
-        "the loose compile_step=/graph_opt=/graph_exec=/loop_capture= "
-        "keyword arguments are deprecated; pass a single "
-        "compile_config=CompileConfig(...) instead",
-        DeprecationWarning, stacklevel=4)
+__all__ = ["CompileConfig"]
 
 
 @dataclass(frozen=True)
 class CompileConfig:
-    """The four graph-execution knobs as one immutable, picklable value.
+    """Whether training steps are compiled, as one immutable value.
 
-    Every field defaults to None, meaning "defer to the environment at use
-    time" (``REPRO_COMPILE_STEP`` / ``REPRO_GRAPH_OPT`` /
-    ``REPRO_GRAPH_EXEC`` / ``REPRO_LOOP_CAPTURE``), so a default-constructed
-    config is behavior-identical to passing no knobs at all.
+    ``compile_step=None`` means "defer to ``REPRO_COMPILE_STEP`` at use
+    time", so a default-constructed config behaves exactly like passing no
+    knob at all.
     """
 
     compile_step: Optional[bool] = None
-    graph_opt: Optional[str] = None
-    graph_exec: Optional[str] = None
-    loop_capture: Optional[bool] = None
 
     @classmethod
-    def resolve(cls, config: Optional["CompileConfig"] = None, *,
-                compile_step: Optional[bool] = None,
-                graph_opt: Optional[str] = None,
-                graph_exec: Optional[str] = None,
-                loop_capture: Optional[bool] = None) -> "CompileConfig":
-        """Merge an explicit config with legacy loose kwargs.
-
-        Config fields win over the loose kwargs; any loose kwarg actually
-        supplied triggers a once-per-process :class:`DeprecationWarning`.
-        This is the single entry point every trainer / search layer uses to
-        normalize its knobs.
-        """
-        legacy = dict(compile_step=compile_step, graph_opt=graph_opt,
-                      graph_exec=graph_exec, loop_capture=loop_capture)
-        if any(v is not None for v in legacy.values()):
-            _warn_legacy_kwargs()
+    def resolve(cls, config: Optional["CompileConfig"] = None
+                ) -> "CompileConfig":
+        """Normalize an optional config: None becomes the default config."""
         if config is None:
-            return cls(**legacy)
+            return cls()
         if not isinstance(config, CompileConfig):
             raise TypeError(
                 f"compile_config must be a CompileConfig, got {config!r}")
-        merged = {k: v for k, v in legacy.items()
-                  if v is not None and getattr(config, k) is None}
-        return replace(config, **merged) if merged else config
-
-    # -- resolved views (environment applied) --------------------------
-
-    def _loop_flag(self) -> bool:
-        if self.loop_capture is not None:
-            return bool(self.loop_capture)
-        return loop_capture_default()
+        return config
 
     def want_compile(self) -> bool:
-        """Whether step compilation is enabled (env-defaulted).
-
-        Loop capture implies compilation — an epoch loop is built from
-        compiled step bodies — so the loop flag turns the compiler on when
-        ``compile_step`` was left *unset*.  Anything explicit about
-        compilation wins over the loop flag: a ``compile_step=False``
-        kwarg, or a ``REPRO_COMPILE_STEP`` variable actually present in
-        the environment (so ``REPRO_COMPILE_STEP=0 REPRO_LOOP_CAPTURE=1``
-        still means eager).
-        """
+        """Whether step compilation is enabled (env-defaulted)."""
         if self.compile_step is not None:
             return bool(self.compile_step)
-        if os.environ.get(ENV_COMPILE, "").strip():
-            return compile_step_default()
-        return compile_step_default() or self._loop_flag()
+        return compile_step_default()
 
     def want_loop(self) -> bool:
-        """Whether whole-loop capture is enabled (env-defaulted).
-
-        False whenever :meth:`want_compile` is False: loops replay
-        compiled bodies, so disabling compilation disables the loop too.
-        """
-        return self._loop_flag() and self.want_compile()
-
-    def resolved_opt(self) -> str:
-        """The optimization level, validated against ``OPT_LEVELS``."""
-        return resolve_graph_opt(self.graph_opt)
+        # Kept for perfbench/unit.py:resolved_config; loop capture is gone.
+        return False
 
     def resolved_exec(self) -> str:
-        """The executor mode, validated against ``EXEC_MODES``."""
-        return resolve_graph_exec(self.graph_exec)
-
-    def validate(self) -> "CompileConfig":
-        """Eagerly validate the string fields; returns self for chaining."""
-        if self.graph_opt is not None:
-            resolve_graph_opt(self.graph_opt)
-        if self.graph_exec is not None:
-            resolve_graph_exec(self.graph_exec)
-        return self
+        # Kept for perfbench/unit.py:resolved_config; one replay executor.
+        return "interp"

@@ -27,11 +27,8 @@ and ``tests/test_graph_passes.py`` lock this.
 
 Shape changes (e.g. a short final batch) transparently re-trace: programs
 are cached per ``(x.shape, y.shape, default dtype)``, so each distinct
-signature pays one eager step and replays thereafter — and with
-``graph_exec="source"`` the re-trace reuses the compiled code object from
-the process-wide codegen cache (:mod:`.codegen`), which also serves
-same-architecture steps across DSE points.  Captures that fail — legacy closure
-ops, value-dependent control flow announced via ``mark_capture_unsafe`` —
+signature pays one eager step and replays thereafter.  Captures that fail
+— value-dependent control flow announced via ``mark_capture_unsafe`` —
 poison the step permanently and it runs eagerly, which is always correct;
 see :attr:`CompiledStep.fallback_reason`.
 
@@ -50,22 +47,16 @@ import numpy as np
 from ..tensor import Tensor, get_default_dtype
 from .capture import capture
 from .ir import GraphCaptureError, GraphProgram, OpNode, build_program
-from .passes import FusedOp, OptStats, optimize_program, resolve_graph_opt
+from .passes import FusedOp, OptStats, check_opt_level, optimize_program
 
 __all__ = [
     "CompiledStep",
     "EagerStep",
     "compile_step_default",
-    "graph_exec_default",
-    "resolve_graph_exec",
     "ENV_COMPILE",
-    "ENV_GRAPH_EXEC",
-    "EXEC_MODES",
 ]
 
 ENV_COMPILE = "REPRO_COMPILE_STEP"
-ENV_GRAPH_EXEC = "REPRO_GRAPH_EXEC"
-EXEC_MODES = ("interp", "source")
 
 
 def compile_step_default() -> bool:
@@ -75,30 +66,6 @@ def compile_step_default() -> bool:
     flag (``1``/``true``/``yes``/``on``); read per call so tests can flip it.
     """
     return os.environ.get(ENV_COMPILE, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def graph_exec_default() -> str:
-    """Process-wide default for ``graph_exec=None`` knobs.
-
-    The ``REPRO_GRAPH_EXEC`` environment variable when set (read per call
-    so tests can flip it), else ``"interp"`` — the interpreted replay loop
-    stays the default; ``"source"`` lowers each optimized program to one
-    specialized generated function (:mod:`.codegen`), bit-identical and
-    faster on interpreter-bound steps.
-    """
-    return os.environ.get(ENV_GRAPH_EXEC, "").strip().lower() or "interp"
-
-
-def resolve_graph_exec(mode: Optional[str]) -> str:
-    """Normalize a ``graph_exec`` knob: None defers to the environment."""
-    if mode is None:
-        mode = graph_exec_default()
-    mode = str(mode).strip().lower()
-    if mode not in EXEC_MODES:
-        raise ValueError(
-            f"unknown graph executor {mode!r}; "
-            f"choose from {EXEC_MODES} (or set {ENV_GRAPH_EXEC})")
-    return mode
 
 
 def _scalarize(array: np.ndarray) -> Union[float, np.ndarray]:
@@ -313,37 +280,22 @@ class CompiledStep:
     optimize:
         Graph-optimization level applied to each traced program:
         ``"default"`` (fold/DCE/fuse + memory planning — bit-identical,
-        faster) or ``"none"`` (replay the trace verbatim).  None defers to
-        the ``REPRO_GRAPH_OPT`` environment variable, falling back to
-        ``"default"``.
-    graph_exec:
-        Executor for the optimized program: ``"interp"`` (default — the
-        plan-tuple replay loop) or ``"source"`` (lower each program to one
-        specialized generated Python function via :mod:`.codegen`: slots
-        as locals, kernels bound in the closure, the backward schedule
-        unrolled — bit-identical, no per-node dispatch).  None defers to
-        ``REPRO_GRAPH_EXEC``.  A program that fails to lower falls back to
-        the interpreter (see :attr:`exec_fallbacks`); correctness never
-        depends on codegen.
+        faster; what training always uses) or ``"none"`` (replay the trace
+        verbatim — the reference the pass-pipeline tests compare against).
 
     Calls return the step outputs as floats (scalars) / arrays, with
     parameter ``.grad`` populated — the same contract as
     :class:`EagerStep`.
     """
 
-    def __init__(self, step_fn: Callable, optimize: Optional[str] = None,
-                 graph_exec: Optional[str] = None):
+    def __init__(self, step_fn: Callable, optimize: str = "default"):
         self.step_fn = step_fn
-        self.optimize = resolve_graph_opt(optimize)
-        self.graph_exec = resolve_graph_exec(graph_exec)
+        self.optimize = check_opt_level(optimize)
         self._runners: Dict[Tuple, _ProgramRunner] = {}
         self._opt_stats: Dict[Tuple, OptStats] = {}
         self._buffer_mark: Optional[int] = None
         self._eager = EagerStep(step_fn)  # fallback path, built once
         self.fallback_reason: Optional[str] = None
-        # Per-program lowering failures (source executor only): key -> why
-        # that program replays through the interpreter instead.
-        self.exec_fallbacks: Dict[Tuple, str] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -389,49 +341,20 @@ class CompiledStep:
                                         else stats["persistent_buffers"] - previous)
         return stats
 
-    @property
-    def executors(self) -> Dict[Tuple, str]:
-        """Per-program executor actually in use: ``"interp"`` / ``"source"``.
-
-        With ``graph_exec="source"`` every entry should read ``"source"``;
-        an ``"interp"`` entry means that program failed to lower and its
-        reason is in :attr:`exec_fallbacks`.
-        """
-        return {key: runner.exec_mode
-                for key, runner in self._runners.items()}
-
-    def dump_source(self) -> Dict[Tuple, str]:
-        """Generated source per compiled program (source executor only).
-
-        Keys match :attr:`compiled_shapes`; programs running interpreted
-        (including every program when ``graph_exec="interp"``) are absent.
-        The text is the exact code the step replays — diffable across runs,
-        greppable for dispatch regressions, pasteable into a repro script.
-        """
-        return {key: runner.source for key, runner in self._runners.items()
-                if getattr(runner, "source", None) is not None}
-
     def diagnostics(self) -> Dict[str, object]:
         """One JSON-able report of what compilation did (CLI ``--verbose``).
 
-        Bundles the knobs in effect, per-program executor selection and
-        lowering fallbacks, the pass-pipeline statistics, the allocation
+        Bundles the optimization level, the eager-fallback reason, the
+        pass-pipeline statistics per compiled shape and the allocation
         accounting (note: reading it re-arms the steady-state marker, like
-        :attr:`alloc_stats`), and the process-wide codegen cache counters.
+        :attr:`alloc_stats`).
         """
-        from .codegen import codegen_cache_stats
         return {
             "optimize": self.optimize,
-            "graph_exec": self.graph_exec,
             "fallback_reason": self.fallback_reason,
-            "executors": {str(key): mode
-                          for key, mode in self.executors.items()},
-            "exec_fallbacks": {str(key): reason
-                               for key, reason in self.exec_fallbacks.items()},
             "opt_stats": {str(key): stats
                           for key, stats in self.opt_stats.items()},
             "alloc_stats": self.alloc_stats,
-            "codegen_cache": codegen_cache_stats(),
         }
 
     def __call__(self, x, y) -> Tuple:
@@ -443,10 +366,7 @@ class CompiledStep:
         # re-traces once per shape, and a set_default_dtype() flip re-traces
         # instead of silently replaying at the stale trace dtype.  The conv
         # backend is deliberately *not* in the key — a program keeps its
-        # trace-time kernels (locked by the executor parity suite).  Re-trace
-        # cost is amortized further by the codegen source cache, which
-        # reuses compiled code objects across shapes, dtypes and
-        # same-architecture steps (DSE points) within the process.
+        # trace-time kernels (locked by the executor parity suite).
         runner = self._runners.get((x.shape, y.shape, get_default_dtype()))
         if runner is not None:
             return runner.run((x, y))
@@ -479,20 +399,5 @@ class CompiledStep:
             return values
         key = (x.shape, y.shape, get_default_dtype())
         self._opt_stats[key] = optimize_program(program, self.optimize)
-        self._runners[key] = self._build_runner(program, key)
+        self._runners[key] = _ProgramRunner(program)
         return values
-
-    def _build_runner(self, program: GraphProgram, key: Tuple) -> _ProgramRunner:
-        """Instantiate the selected executor; lowering failures fall back.
-
-        The interpreter is always correct, so a program the source lowerer
-        cannot handle replays interpreted — recorded per key in
-        :attr:`exec_fallbacks`, never raised to the training loop.
-        """
-        if self.graph_exec == "source":
-            from .codegen import SourceRunner
-            try:
-                return SourceRunner(program)
-            except Exception as exc:  # lowering must never break training
-                self.exec_fallbacks[key] = f"{type(exc).__name__}: {exc}"
-        return _ProgramRunner(program)

@@ -84,62 +84,6 @@ class GraphCaptureError(RuntimeError):
     """A traced step cannot be turned into a replayable program."""
 
 
-class LoopNode:
-    """A symbolic loop over a captured subgraph (the Dr.Jit recorded-loop idea).
-
-    ``body`` is the :class:`GraphProgram` of one training batch; the loop
-    replays it once per ``(x, y)`` pair of an epoch.  ``epilogue`` is an
-    optional second program shape-specialized for a ragged final batch, so
-    a short tail replays compiled instead of falling back to eager.
-
-    State crosses iterations as **data**, never as Python objects:
-
-    * ``carried`` maps a role name (``"params"``, ``"adam_m"``,
-      ``"adam_v"``, ``"step_t"``, ``"bn_stats"``, ``"active"``,
-      ``"early_stop"``) to the list of numpy arrays carried across
-      iterations.  Body leaves alias these arrays directly — the program's
-      leaf slots double as the loop-carried slots, re-read each iteration.
-    * ``updates`` lists the post-batch optimizer writes
-      (:class:`~repro.optim.kernels.UpdateKernelSpec`) plus an optional
-      gradient-clip entry; they mutate carried arrays in place between
-      body replays.
-    * ``trip`` describes the data-driven trip condition: the loop runs
-      over however many batch pairs the caller binds at run time (plus the
-      epilogue pair, when present) — the count is an input, not a constant
-      baked into the program.
-    """
-
-    __slots__ = ("body", "epilogue", "updates", "carried", "trip")
-
-    def __init__(self, body: "GraphProgram", epilogue: Optional["GraphProgram"],
-                 updates: List, carried: Dict[str, List[np.ndarray]],
-                 trip: str = "epoch-batches"):
-        self.body = body
-        self.epilogue = epilogue
-        self.updates = updates
-        self.carried = carried
-        self.trip = trip
-
-    def __repr__(self) -> str:
-        n_carried = sum(len(v) for v in self.carried.values())
-        return (f"LoopNode(trip={self.trip!r}, updates={len(self.updates)}, "
-                f"carried={n_carried}, epilogue={self.epilogue is not None})")
-
-
-def epoch_program(loop: "LoopNode", dtype) -> "GraphProgram":
-    """Wrap a :class:`LoopNode` as a single-node :class:`GraphProgram`.
-
-    The resulting program's schedule is exactly ``[loop]``: one whole
-    training epoch (or PIT phase) as one replayable program.  It has no
-    slots of its own — all state lives in the loop's carried arrays and
-    the bodies' leaves.
-    """
-    return GraphProgram(
-        n_slots=0, schedule=[loop], backward_steps=[], leaves=[],
-        input_slots=[], output_slots=[], root_slot=-1, grad_leaves=[],
-        slot_meta={}, grad_slots=set(), dtype=dtype)
-
-
 class GraphProgram:
     """The finalized IR of one (forward + backward) training step."""
 
@@ -195,7 +139,7 @@ def build_program(tracer, loss, outputs) -> GraphProgram:
     for slot, t in enumerate(tensors):
         if slot in node_by_slot:
             continue
-        if t._op is not None or t._backward is not None:
+        if t._op is not None:
             raise GraphCaptureError(
                 "the step consumed a graph tensor created outside the "
                 "capture; compiled steps must build their graph from "

@@ -46,7 +46,6 @@ slots could otherwise change, which is observable in floating point).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -56,44 +55,28 @@ from ..tensor import Tensor
 from .ir import BackwardStep, EffectNode, GraphProgram, OpNode
 
 __all__ = [
-    "ENV_GRAPH_OPT",
     "OPT_LEVELS",
     "FusedOp",
     "MemoryPlan",
     "OptStats",
-    "graph_opt_default",
-    "resolve_graph_opt",
+    "check_opt_level",
     "optimize_program",
     "fold_constants",
     "eliminate_dead_nodes",
     "fuse_chains",
     "plan_memory",
-    "loop_carried_safety",
 ]
 
-ENV_GRAPH_OPT = "REPRO_GRAPH_OPT"
+# "default" runs the pipeline (what training uses); "none" replays the
+# trace verbatim, the reference the pass tests compare against.
 OPT_LEVELS = ("default", "none")
 
 
-def graph_opt_default() -> str:
-    """Process-wide default for ``graph_opt=None`` knobs.
-
-    The ``REPRO_GRAPH_OPT`` environment variable when set (read per call so
-    tests can flip it), else ``"default"`` — the optimizer is on unless
-    explicitly disabled, because optimized replay is bit-identical.
-    """
-    return os.environ.get(ENV_GRAPH_OPT, "").strip().lower() or "default"
-
-
-def resolve_graph_opt(level: Optional[str]) -> str:
-    """Normalize a ``graph_opt`` knob: None defers to the environment."""
-    if level is None:
-        level = graph_opt_default()
-    level = str(level).strip().lower()
+def check_opt_level(level: str) -> str:
+    """Return ``level`` if it names an optimization level, else raise."""
     if level not in OPT_LEVELS:
-        raise ValueError(
-            f"unknown graph optimization level {level!r}; "
-            f"choose from {OPT_LEVELS} (or set {ENV_GRAPH_OPT})")
+        raise ValueError(f"unknown graph optimization level {level!r}; "
+                         f"choose from {OPT_LEVELS}")
     return level
 
 
@@ -740,46 +723,6 @@ def plan_memory(program: GraphProgram) -> MemoryPlan:
 
 
 # ----------------------------------------------------------------------
-# Loop-carried liveness
-# ----------------------------------------------------------------------
-
-def loop_carried_safety(program: GraphProgram) -> Optional[str]:
-    """Why this body cannot replay under a :class:`~.ir.LoopNode`, or None.
-
-    A loop body's leaf slots are the loop-carried state (parameters, BN
-    buffers, masks): they must survive every iteration bit-intact until
-    the between-iteration update kernels rewrite them.  The memory planner
-    is built never to scribble on leaves — this pass *proves* it for the
-    concrete plan instead of assuming it, so carried slots are treated as
-    liveness roots across iterations rather than per-replay temporaries.
-    Everything else (op outputs, ``ctx``, gradient buffers) is recomputed
-    or overwritten by the next iteration, so arena reuse across iterations
-    is safe by construction once leaves are protected.
-    """
-    plan = program.mem_plan
-    if plan is None:
-        return None  # no buffer sharing, nothing can alias a carried slot
-    leafish = {s for s, _ in program.leaves} | set(program.input_slots)
-    groups = _AliasGroups()
-    for node in program.schedule:
-        if type(node) is OpNode and node.op.view_of is not None:
-            groups.union(node.out_slot, node.in_slots[node.op.view_of])
-    def touches_leaf(slot: int) -> bool:
-        return any(m in leafish for m in groups.members(slot))
-    for idx, p in plan.inplace.items():
-        node = program.schedule[idx]
-        if touches_leaf(node.in_slots[p]) or touches_leaf(node.out_slot):
-            return (f"in-place op {node.op.name!r} overwrites storage "
-                    "aliasing a loop-carried leaf slot")
-    for idx in plan.out_buffer:
-        if touches_leaf(program.schedule[idx].out_slot):
-            return (f"arena buffer assigned to "
-                    f"{program.schedule[idx].op.name!r} output aliasing a "
-                    "loop-carried leaf slot")
-    return None
-
-
-# ----------------------------------------------------------------------
 # Pipeline
 # ----------------------------------------------------------------------
 
@@ -787,11 +730,11 @@ def optimize_program(program: GraphProgram,
                      level: str = "default") -> OptStats:
     """Run the pass pipeline in place; returns what it did.
 
-    ``level="none"`` leaves the program untouched (verbatim PR 2 replay);
+    ``level="none"`` leaves the program untouched (verbatim replay);
     ``"default"`` runs folding → DCE → fusion → memory planning.
     """
     stats = OptStats()
-    if resolve_graph_opt(level) == "none":
+    if check_opt_level(level) == "none":
         return stats
     stats.folded = fold_constants(program)
     stats.removed = eliminate_dead_nodes(program)

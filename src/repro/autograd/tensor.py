@@ -1077,14 +1077,13 @@ class Tensor:
         Optional label used in error messages and debugging dumps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+    __slots__ = ("data", "grad", "requires_grad", "_parents",
                  "_op", "_ctx", "_attrs", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self._op: Optional[OpDef] = None
         self._ctx = None
@@ -1147,28 +1146,8 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------
-    # Graph construction
+    # Backward
     # ------------------------------------------------------------------
-    @staticmethod
-    def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Create the result tensor of an op from a backward *closure*.
-
-        Legacy construction path, kept for downstream code that has not
-        migrated to :class:`OpDef` dispatch.  Closure-taped ops cannot be
-        replayed by the graph executor, so an active capture is poisoned
-        (the compiled step then falls back to eager execution).
-        """
-        tracer = getattr(_TRACE_STATE, "tracer", None)
-        if tracer is not None:
-            tracer.poison("op recorded via the legacy closure tape (Tensor._make)")
-        out = Tensor(data)
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        return out
-
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into :attr:`grad`, allocating on first use."""
         if self.grad is None:
@@ -1211,8 +1190,6 @@ class Tensor:
                 for parent, g in zip(parents, grads):
                     if g is not None and parent.requires_grad:
                         parent._accumulate(g)
-            elif node._backward is not None:
-                node._backward(node_grad)
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

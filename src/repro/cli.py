@@ -32,24 +32,10 @@ also settable via the ``REPRO_CONV_BACKEND`` environment variable).
 
 The training commands (``train``, ``search``, ``sweep``) accept
 ``--compile``, which traces each training step once and replays it through
-the graph-capture executor (see README "Compiled training step"); the
-``REPRO_COMPILE_STEP=1`` environment variable is the equivalent default.
-``--graph-opt {default,none}`` picks the optimization level the executor
-applies to each traced program (constant folding, dead-node elimination,
-op fusion, buffer-arena planning — bit-identical results either way;
-``REPRO_GRAPH_OPT`` is the environment equivalent).
-``--graph-exec {interp,source}`` picks the replay executor: ``interp``
-walks the precomputed plan, ``source`` runs specialized generated code
-(see README "Codegen executor"; ``REPRO_GRAPH_EXEC`` is the environment
-equivalent).  ``--loop-capture`` (implies ``--compile``;
-``REPRO_LOOP_CAPTURE`` is the environment equivalent) replays each whole
-training epoch as one loop program — optimizer update kernels, gradient
-clipping and loss accounting inside, flat-packed optimizer state —
-degrading to per-step replay whenever a loop-level condition fails (see
-README "Whole-loop capture").  ``--dump-graph-source PATH`` writes the
-generated programs out for inspection and ``--verbose`` prints the
-compile diagnostics (executor selection, pass statistics, allocation
-accounting, codegen cache hits, loop replay counts and fallbacks).
+the optimized graph-capture executor (see README "Compiled training
+step"); the ``REPRO_COMPILE_STEP=1`` environment variable is the
+equivalent default.  ``--verbose`` prints the compile diagnostics (pass
+statistics, allocation accounting, eager-fallback reason).
 
 ``sweep`` additionally exposes the DSE engine knobs: ``--workers`` /
 ``--executor`` parallelize the grid, ``--stack N`` trains up to N
@@ -171,33 +157,14 @@ def _checkpoint_args(args: argparse.Namespace) -> dict:
 
 
 def _compile_config(args: argparse.Namespace):
-    """The graph-execution knobs of this invocation as one CompileConfig.
+    """The ``--compile`` flag of this invocation as a CompileConfig.
 
-    store_true flags map to True-or-None (None lets the matching REPRO_*
-    environment variable decide, same as before the flag existed).
+    The store_true flag maps to True-or-None (None lets
+    ``REPRO_COMPILE_STEP`` decide, same as before the flag existed).
     """
     from .autograd.graph import CompileConfig
     return CompileConfig(
-        compile_step=True if getattr(args, "compile", False) else None,
-        graph_opt=getattr(args, "graph_opt", None),
-        graph_exec=getattr(args, "graph_exec", None),
-        loop_capture=True if getattr(args, "loop_capture", False) else None)
-
-
-def _dump_graph_source(args: argparse.Namespace) -> None:
-    """Write every generated program of this run to --dump-graph-source."""
-    path = getattr(args, "dump_graph_source", None)
-    if not path:
-        return
-    from .autograd.graph import recorded_sources
-    sources = recorded_sources()
-    with open(path, "w") as handle:
-        if not sources:
-            handle.write("# no graph programs were lowered to source in "
-                         "this run (use --compile --graph-exec source)\n")
-        for label, source in sources.items():
-            handle.write(f"# === program {label} ===\n{source}\n\n")
-    print(f"graph source: {path} ({len(sources)} program(s))")
+        compile_step=True if getattr(args, "compile", False) else None)
 
 
 def _print_compile_stats(stats, phase: Optional[str] = None) -> None:
@@ -210,14 +177,7 @@ def _print_compile_stats(stats, phase: Optional[str] = None) -> None:
     if stats.get("fallback_reason"):
         print(f"{prefix} eager fallback: {stats['fallback_reason']}")
         return
-    print(f"{prefix} graph_opt={stats['optimize']} "
-          f"graph_exec={stats['graph_exec']}")
-    for key, mode in stats.get("executors", {}).items():
-        line = f"{prefix}   program {key}: executor={mode}"
-        reason = stats.get("exec_fallbacks", {}).get(key)
-        if reason:
-            line += f" (lowering fell back: {reason})"
-        print(line)
+    print(f"{prefix} optimize={stats['optimize']}")
     for key, opt in stats.get("opt_stats", {}).items():
         rendered = " ".join(f"{name}={value}" for name, value in opt.items())
         print(f"{prefix}   opt {key}: {rendered}")
@@ -226,24 +186,6 @@ def _print_compile_stats(stats, phase: Optional[str] = None) -> None:
         rendered = " ".join(f"{name}={value}"
                             for name, value in alloc.items())
         print(f"{prefix}   alloc: {rendered}")
-    cache = stats.get("codegen_cache", {})
-    if cache:
-        print(f"{prefix}   codegen cache: entries={cache.get('entries', 0)} "
-              f"hits={cache.get('hits', 0)} misses={cache.get('misses', 0)}")
-    loop = stats.get("loop")
-    if loop:
-        print(f"{prefix}   loop: replayed={loop.get('replayed_epochs', 0)} "
-              f"driven={loop.get('driven_epochs', 0)} "
-              f"exec={loop.get('graph_exec')}")
-        reason = loop.get("loop_fallback_reason")
-        if reason:
-            print(f"{prefix}   loop fallback: {reason}")
-        for key, mode in loop.get("executors", {}).items():
-            line = f"{prefix}   loop program {key}: executor={mode}"
-            fell = loop.get("exec_fallbacks", {}).get(key)
-            if fell:
-                line += f" (lowering fell back: {fell})"
-            print(line)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -268,7 +210,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"time      : {result.seconds:.1f} s")
     if args.verbose:
         _print_compile_stats(result.compile_stats)
-    _dump_graph_source(args)
     if args.save:
         from .nn.serialization import save_model
         save_model(model, args.save, metadata={
@@ -300,7 +241,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.verbose:
         for phase in ("warmup", "prune", "finetune"):
             _print_compile_stats(result.compile_stats.get(phase), phase=phase)
-    _dump_graph_source(args)
     if args.save:
         from .nn.serialization import save_model
         save_model(model, args.save, metadata={
@@ -365,7 +305,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         from .evaluation import format_failures
         print(f"\n{len(failed)} grid point(s) FAILED:")
         print(format_failures(failed))
-    _dump_graph_source(args)
     front = result.pareto()
     print(f"pareto front: {[(p.params, round(p.loss, 4)) for p in front]}")
     if args.hw:
@@ -486,40 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     def compile_flag(p):
         p.add_argument("--compile", action="store_true",
                        help="trace the training step once and replay it "
-                            "through the graph executor (default: "
+                            "through the optimized graph executor; results "
+                            "are bit-identical (default: "
                             "REPRO_COMPILE_STEP)")
-        p.add_argument("--graph-opt", choices=("default", "none"),
-                       default=None, dest="graph_opt",
-                       help="optimization level for compiled steps: "
-                            "'default' runs the pass pipeline (fold/DCE/"
-                            "fusion/memory planning), 'none' replays the "
-                            "trace verbatim; results are bit-identical "
-                            "(default: REPRO_GRAPH_OPT)")
-        p.add_argument("--graph-exec", choices=("interp", "source"),
-                       default=None, dest="graph_exec",
-                       help="replay executor for compiled steps: 'interp' "
-                            "walks the precomputed plan, 'source' runs "
-                            "specialized generated code (automatic interp "
-                            "fallback on lowering failure); results are "
-                            "bit-identical (default: REPRO_GRAPH_EXEC)")
-        p.add_argument("--loop-capture", action="store_true",
-                       dest="loop_capture",
-                       help="capture the whole training loop: replay each "
-                            "epoch (and each PIT phase) as one loop "
-                            "program over the compiled step body, "
-                            "optimizer update kernels included; implies "
-                            "--compile, degrades to per-step replay when "
-                            "the loop cannot capture; results are "
-                            "bit-identical (default: REPRO_LOOP_CAPTURE)")
-        p.add_argument("--dump-graph-source", type=str, default=None,
-                       dest="dump_graph_source", metavar="PATH",
-                       help="after the run, write every program the source "
-                            "executor generated to PATH (inspectable/"
-                            "diffable Python)")
         p.add_argument("--verbose", action="store_true",
                        help="print compile diagnostics after training: "
-                            "executor per program, pass statistics, "
-                            "allocation accounting, codegen cache hits")
+                            "pass statistics, allocation accounting, "
+                            "eager-fallback reason")
 
     p_train = sub.add_parser(
         "train", help="plain (no-NAS) training of a fixed-dilation network")

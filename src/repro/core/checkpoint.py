@@ -7,9 +7,8 @@ snapshots the *complete* training state at epoch boundaries:
 
 * model parameters and buffers (via ``Module.state_dict``),
 * optimizer state per ``(group, param, slot)`` — Adam moments and the 0-d
-  step counters, written back **in place** on restore so PR 8's
-  flat-packed loop buffers (``FlatParam`` views) keep aliasing the same
-  storage,
+  step counters, written back **in place** on restore so every existing
+  reference to those arrays keeps seeing the restored values,
 * every RNG stream that advances during training (dropout modules, the
   shuffling loaders), serialized through ``bit_generator.state``,
 * early-stop state (best metric, stale counter, ``best_state`` snapshot),
@@ -17,8 +16,8 @@ snapshots the *complete* training state at epoch boundaries:
 
 A run killed at any epoch boundary and resumed from its checkpoint is
 **bit-identical** — losses, params, full Adam state — to the uninterrupted
-run, across eager/compiled-step/whole-loop execution, both graph
-executors, every conv backend and the stacked trainer (which writes one
+run, across eager and compiled-step execution, every conv backend and
+the stacked trainer (which writes one
 template-shaped checkpoint per slice, so a stacked run's resume composes
 with slicing and a sequential trainer can adopt a stacked slice's file).
 
@@ -258,10 +257,9 @@ def restore_optimizer(optimizer, arrays: Mapping[str, np.ndarray],
                       slice_index: Optional[int] = None) -> None:
     """Write saved state back **in place** into the optimizer's arrays.
 
-    In-place (``arr[...] = saved``) is load-bearing: whole-loop capture
-    rebinds Adam's ``_m``/``_v`` to views of flat-packed buffers, and the
-    early-stop arrays are loop-carried — replacing the objects would
-    strand the captured program on stale storage.  Missing keys raise
+    In-place (``arr[...] = saved``) keeps the optimizer's own array
+    objects, which is what lets a stacked run restore one slice at a time
+    through ``arr[slice_index]`` views.  Missing keys raise
     :class:`CheckpointError` (the checkpoint belongs to a different
     optimizer layout).
     """

@@ -52,7 +52,7 @@ from ..autograd import (
     no_grad,
     where,
 )
-from ..autograd.graph import CompileConfig, CompiledEpoch
+from ..autograd.graph import CompileConfig
 from ..data import EpochReplayLoader
 from ..nn.losses import (
     bce_with_logits,
@@ -364,20 +364,8 @@ def clip_grad_norm_stacked(params: Sequence[Parameter], max_norm: float
     another's — matching M separate :func:`repro.optim.clip_grad_norm`
     calls.  Returns the per-model pre-clipping norms.
     """
-    grads = [p.grad for p in params if p.grad is not None]
-    if not grads:
-        return np.zeros(0)
-    m = grads[0].shape[0]
-    total = np.zeros(m)
-    for g in grads:
-        total += (g * g).reshape(m, -1).sum(axis=1)
-    norms = np.sqrt(total)
-    scales = np.where(norms > max_norm, max_norm / np.maximum(norms, 1e-300),
-                      1.0)
-    if np.any(scales < 1.0):
-        for g in grads:
-            g *= scales.reshape((m,) + (1,) * (g.ndim - 1))
-    return norms
+    return clip_grads_stacked([p.grad for p in params if p.grad is not None],
+                              max_norm)
 
 
 # ----------------------------------------------------------------------
@@ -411,10 +399,6 @@ class StackedPITTrainer:
                  finetune_patience: int = 10, regularizer: str = "size",
                  channel_lam: float = 0.0,
                  grad_clip: Optional[float] = None, verbose: bool = False,
-                 compile_step: Optional[bool] = None,
-                 graph_opt: Optional[str] = None,
-                 graph_exec: Optional[str] = None,
-                 loop_capture: Optional[bool] = None,
                  compile_config: Optional[CompileConfig] = None,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
@@ -441,19 +425,10 @@ class StackedPITTrainer:
         self.regularizer = regularizer
         self.grad_clip = grad_clip
         self.verbose = verbose
-        cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                    graph_opt=graph_opt,
-                                    graph_exec=graph_exec,
-                                    loop_capture=loop_capture)
         # Resolve once at construction so a later env flip cannot split the
-        # three phases across different executors.
-        self.compile_config = CompileConfig(
-            compile_step=cfg.want_compile(), graph_opt=cfg.resolved_opt(),
-            graph_exec=cfg.resolved_exec(), loop_capture=cfg.want_loop())
-        self.compile_step = self.compile_config.compile_step
-        self.graph_opt = self.compile_config.graph_opt
-        self.graph_exec = self.compile_config.graph_exec
-        self.loop_capture = self.compile_config.loop_capture
+        # three phases across different execution paths.
+        self.compile_step = CompileConfig.resolve(
+            compile_config).want_compile()
 
         # Per-slice checkpoint files: each slice writes a self-contained,
         # template-shaped snapshot, so a stack's resume composes with
@@ -528,23 +503,8 @@ class StackedPITTrainer:
             return loss, task_vec
 
         if self.compile_step:
-            return CompiledStep(step_fn, optimize=self.graph_opt,
-                                graph_exec=self.graph_exec)
+            return CompiledStep(step_fn)
         return EagerStep(step_fn)
-
-    def _make_epoch(self, step, optimizer) -> Optional[CompiledEpoch]:
-        """The phase's whole-loop runner, or None when capture is off.
-
-        The per-model ``task_vec`` output (``acc_index=1``) accumulates as
-        a length-M vector, and clipping uses the stacked per-model norm —
-        otherwise identical to the sequential trainer's epoch loop.
-        """
-        if not self.loop_capture:
-            return None
-        return CompiledEpoch(step, optimizer, grad_clip=self.grad_clip,
-                             clip_fn=clip_grad_norm_stacked,
-                             clip_kernel=clip_grads_stacked,
-                             vector_m=self.m, acc_index=1)
 
     # ------------------------------------------------------------------
     def _epoch_index(self, cursors: List[int], i: int, active: List[bool]) -> int:
@@ -554,34 +514,24 @@ class StackedPITTrainer:
         return cursors[i] if active[i] else max(cursors[i] - 1, 0)
 
     def _run_train_epoch(self, step, optimizer, train_view: EpochReplayLoader,
-                         cursors: List[int], active: List[bool],
-                         epoch: Optional[CompiledEpoch] = None) -> np.ndarray:
+                         cursors: List[int], active: List[bool]) -> np.ndarray:
         iters = [train_view.epoch(self._epoch_index(cursors, i, active))
                  for i in range(self.m)]
-        if epoch is not None:
-            # Whole-loop capture path: stack the per-model streams into the
-            # epoch's batch list and replay it as one loop program (the
-            # ``active`` mask is a loop-carried leaf, re-read per epoch).
-            batches = [(np.stack([part[0] for part in parts]),
-                        np.stack([part[1] for part in parts]))
-                       for parts in zip(*iters)]
-            totals = np.asarray(epoch.run_batches(batches))
-        else:
-            totals = np.zeros(self.m)
-            batches = 0
-            for parts in zip(*iters):
-                x = np.stack([part[0] for part in parts])
-                y = np.stack([part[1] for part in parts])
-                optimizer.zero_grad()
-                _, task_vec = step(x, y)
-                if self.grad_clip is not None:
-                    clip_grad_norm_stacked(optimizer.params, self.grad_clip)
-                optimizer.step()
-                totals += np.asarray(task_vec)
-                batches += 1
-            if batches == 0:
-                raise ValueError("training loader produced no batches")
-            totals = totals / batches
+        totals = np.zeros(self.m)
+        batches = 0
+        for parts in zip(*iters):
+            x = np.stack([part[0] for part in parts])
+            y = np.stack([part[1] for part in parts])
+            optimizer.zero_grad()
+            _, task_vec = step(x, y)
+            if self.grad_clip is not None:
+                clip_grad_norm_stacked(optimizer.params, self.grad_clip)
+            optimizer.step()
+            totals += np.asarray(task_vec)
+            batches += 1
+        if batches == 0:
+            raise ValueError("training loader produced no batches")
+        totals = totals / batches
         for i in range(self.m):
             if active[i]:
                 cursors[i] += 1
@@ -800,12 +750,11 @@ class StackedPITTrainer:
             if states and phase_at == 0:
                 restore_slices(optimizer)
             step = self._make_step(with_reg=False)
-            epoch = self._make_epoch(step, optimizer)
             active = [True] * m
             val = None
             for _ in range(warmup_ran, self.warmup_epochs):
                 self._run_train_epoch(step, optimizer, train_view,
-                                      train_cur, active, epoch=epoch)
+                                      train_cur, active)
                 val = self._run_validation(val_view, val_cur, active)
                 for i in range(m):
                     histories[i]["warmup_val"].append(float(val[i]))
@@ -853,12 +802,11 @@ class StackedPITTrainer:
                                         for name, arr
                                         in state.group("snap/").items()}
             step = self._make_step(with_reg=True)
-            epoch = self._make_epoch(step, optimizer)
             for _ in range(prune_epoch, self.max_prune_epochs):
                 if not any(active):
                     break
                 self._run_train_epoch(step, optimizer, train_view,
-                                      train_cur, active, epoch=epoch)
+                                      train_cur, active)
                 val = self._run_validation(val_view, val_cur, active)
                 for i in range(m):
                     if not active[i]:
@@ -919,12 +867,11 @@ class StackedPITTrainer:
         # Fresh step: freezing changed the graph (per-model masks became
         # constants the optimizer passes fold away).
         step = self._make_step(with_reg=False)
-        epoch = self._make_epoch(step, optimizer)
         for _ in range(finetune_epoch, self.finetune_epochs):
             if not any(active):
                 break
             self._run_train_epoch(step, optimizer, train_view,
-                                  train_cur, active, epoch=epoch)
+                                  train_cur, active)
             val = self._run_validation(val_view, val_cur, active)
             for i in range(m):
                 if not active[i]:

@@ -28,17 +28,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..autograd import Tensor
-from ..autograd.graph import (
-    CompileConfig,
-    CompiledEpoch,
-    CompiledStep,
-    EagerStep,
-    compile_step_default,
-)
+from ..autograd.graph import CompileConfig, CompiledStep, EagerStep
 from ..nn.eval_utils import mean_loss_over_loader
 from ..nn.module import Module
 from ..optim import Adam, EarlyStopping, clip_grad_norm
-from ..optim.kernels import clip_grads
 from ..testing import faults
 from .checkpoint import (
     TrainerCheckpoint,
@@ -56,8 +49,7 @@ from .export import effective_parameters, network_dilations
 from .regularizer import flops_regularizer, pit_layers, size_regularizer
 
 __all__ = ["PITResult", "PITTrainer", "train_plain", "evaluate",
-           "TrainResult", "DivergedError",
-           "make_training_step", "make_epoch_runner"]
+           "TrainResult", "DivergedError", "make_training_step"]
 
 LossFn = Callable[[Tensor, Tensor], Tensor]
 
@@ -107,93 +99,55 @@ def _step_function(model: Module, loss_fn: LossFn,
 
 def make_training_step(model: Module, loss_fn: LossFn,
                        extra_loss: Optional[Callable[[], Tensor]] = None,
-                       compile_step: Optional[bool] = None,
-                       graph_opt: Optional[str] = None,
-                       graph_exec: Optional[str] = None,
                        compile_config: Optional[CompileConfig] = None):
     """Build the per-batch step runner: ``step(x, y) -> (loss, task_loss)``.
 
     The runner computes the (optionally regularized) loss, backpropagates
     it into the parameters' ``.grad``, and returns both loss values as
-    floats.  ``compile_config`` carries the compilation knobs
-    (:class:`repro.autograd.graph.CompileConfig`): with compilation on the
-    step is traced on first use and replayed through the
+    floats.  ``compile_config`` (:class:`repro.autograd.graph.CompileConfig`)
+    selects the execution path: with compilation on, the step is traced on
+    first use and replayed through the optimized
     :mod:`repro.autograd.graph` executor — bit-identical results, no
-    per-batch graph construction; unset fields defer to the ``REPRO_*``
-    environment defaults.  The loose ``compile_step`` / ``graph_opt`` /
-    ``graph_exec`` kwargs survive as a deprecated shim.  All combinations
-    are bit-identical, so these knobs only affect speed.
+    per-batch graph construction; unset, it defers to
+    ``REPRO_COMPILE_STEP``.
     """
-    cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                graph_opt=graph_opt, graph_exec=graph_exec)
     step_fn = _step_function(model, loss_fn, extra_loss)
-    if cfg.want_compile():
-        return CompiledStep(step_fn, optimize=cfg.graph_opt,
-                            graph_exec=cfg.graph_exec)
+    if CompileConfig.resolve(compile_config).want_compile():
+        return CompiledStep(step_fn)
     return EagerStep(step_fn)
-
-
-def make_epoch_runner(step, optimizer, grad_clip: Optional[float] = None,
-                      compile_config: Optional[CompileConfig] = None
-                      ) -> Optional[CompiledEpoch]:
-    """The phase's whole-loop driver when loop capture is enabled, else None.
-
-    The returned :class:`~repro.autograd.graph.CompiledEpoch` replays each
-    epoch as one loop program (clip + optimizer updates captured as
-    kernels); loop-level failures degrade to driving the compiled step per
-    batch — never to eager, which stays reserved for capture failures
-    inside the step itself.
-    """
-    cfg = CompileConfig.resolve(compile_config)
-    if not cfg.want_loop():
-        return None
-    return CompiledEpoch(step, optimizer, grad_clip=grad_clip,
-                         clip_fn=clip_grad_norm, clip_kernel=clip_grads)
-
-
-def _resolve_compile(compile_step: Optional[bool]) -> bool:
-    """None means "whatever REPRO_COMPILE_STEP says"; booleans win."""
-    return compile_step_default() if compile_step is None else bool(compile_step)
 
 
 def _train_epoch(model: Module, loss_fn: LossFn, optimizer, loader,
                  extra_loss: Optional[Callable[[], Tensor]] = None,
-                 grad_clip: Optional[float] = None, step=None,
-                 epoch=None) -> float:
+                 grad_clip: Optional[float] = None, step=None) -> float:
     """One optimization epoch; returns the mean (task-only) training loss.
 
     ``step`` is a runner from :func:`make_training_step`; passing one in
     lets a compiled step persist across the epochs of a training phase.
     When None, a fresh *eager* runner is built from the other arguments —
     a per-epoch temporary would re-trace every call, so compilation is
-    only worthwhile through an explicit ``step``.  ``epoch`` is a
-    :func:`make_epoch_runner` driver; when given it owns the whole batch
-    loop (replaying it as one program once traced) and the remaining
-    arguments only describe the fallback it replicates.
+    only worthwhile through an explicit ``step``.
     """
     model.train()
-    if epoch is not None:
-        mean = epoch.run_epoch(loader)
-    else:
-        if step is None:
-            step = make_training_step(model, loss_fn, extra_loss,
-                                      compile_config=CompileConfig(
-                                          compile_step=False))
-        total, batches = 0.0, 0
-        for x, y in loader:
-            optimizer.zero_grad()
-            _, task_value = step(x, y)
-            if grad_clip is not None:
-                clip_grad_norm(optimizer.params, grad_clip)
-            optimizer.step()
-            total += task_value
-            batches += 1
-        if batches == 0:
-            raise ValueError("training loader produced no batches")
-        mean = total / batches
+    if step is None:
+        step = make_training_step(model, loss_fn, extra_loss,
+                                  compile_config=CompileConfig(
+                                      compile_step=False))
+    total, batches = 0.0, 0
+    for x, y in loader:
+        optimizer.zero_grad()
+        _, task_value = step(x, y)
+        if grad_clip is not None:
+            clip_grad_norm(optimizer.params, grad_clip)
+        optimizer.step()
+        total += task_value
+        batches += 1
+    if batches == 0:
+        raise ValueError("training loader produced no batches")
     # A NaN/Inf in any batch propagates into the epoch mean, so one guard
-    # here covers every execution tier (eager, compiled, loop capture).
-    return _guard_finite(faults.poison_loss(mean), "epoch training loss")
+    # here covers both execution paths (eager and compiled).
+    return _guard_finite(faults.poison_loss(total / batches),
+                         "epoch training loss")
 
 
 @dataclass
@@ -218,10 +172,6 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
                 epochs: int = 50, lr: float = 1e-3, patience: int = 10,
                 grad_clip: Optional[float] = None,
                 weight_decay: float = 0.0,
-                compile_step: Optional[bool] = None,
-                graph_opt: Optional[str] = None,
-                graph_exec: Optional[str] = None,
-                loop_capture: Optional[bool] = None,
                 compile_config: Optional[CompileConfig] = None,
                 checkpoint_dir: Optional[str] = None,
                 checkpoint_every: Optional[int] = None,
@@ -229,12 +179,10 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
                 checkpoint_resume: bool = True) -> TrainResult:
     """Standard training with early stopping and best-state restore.
 
-    ``compile_config`` carries the compilation knobs
-    (:class:`repro.autograd.graph.CompileConfig`): step compilation traces
-    the training step once and replays it via the graph executor
-    (bit-identical, faster); whole-loop capture additionally replays each
-    *epoch* as one loop program.  Unset fields defer to the ``REPRO_*``
-    environment defaults; the loose kwargs survive as a deprecated shim.
+    ``compile_config`` (:class:`repro.autograd.graph.CompileConfig`) turns
+    on step compilation: the training step is traced once and replayed
+    via the graph executor (bit-identical, faster); unset, it defers to
+    ``REPRO_COMPILE_STEP``.
 
     With ``checkpoint_dir`` set, the complete training state (model,
     Adam moments/counters, RNG streams, early-stop state) is snapshotted
@@ -242,9 +190,6 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
     run killed at an epoch boundary and restarted resumes from there
     bit-identically (see :mod:`repro.core.checkpoint`).
     """
-    cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                graph_opt=graph_opt, graph_exec=graph_exec,
-                                loop_capture=loop_capture)
     ckpt = TrainerCheckpoint.create(checkpoint_dir, checkpoint_tag,
                                     every=checkpoint_every,
                                     resume=checkpoint_resume)
@@ -267,13 +212,12 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
         restore_optimizer(optimizer, resume.arrays)
         restore_stopper(stopper, resume.arrays)
         restore_rngs(rng_map, meta.get("rngs", {}))
-    step = make_training_step(model, loss_fn, compile_config=cfg)
-    epoch = make_epoch_runner(step, optimizer, grad_clip, cfg)
+    step = make_training_step(model, loss_fn, compile_config=compile_config)
     for _ in range(ran, epochs):
         if stopper.should_stop:
             break  # checkpoint was taken on the converged epoch
         train_loss = _train_epoch(model, loss_fn, optimizer, train_loader,
-                                  grad_clip=grad_clip, step=step, epoch=epoch)
+                                  grad_clip=grad_clip, step=step)
         val_loss = _guard_finite(evaluate(model, loss_fn, val_loader),
                                  "validation loss")
         history.append((train_loss, val_loss))
@@ -301,23 +245,15 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
     return TrainResult(best_val=best, epochs=ran,
                        seconds=base_seconds + (time.perf_counter() - start),
                        history=history,
-                       compile_stats=_compile_stats(step, epoch),
+                       compile_stats=_compile_stats(step),
                        resumed_epochs=resumed)
 
 
-def _compile_stats(step, epoch=None) -> Optional[Dict]:
-    """Diagnostics dict for a compiled step, None otherwise (picklable).
-
-    With whole-loop capture active, the epoch driver's own report (epochs
-    replayed vs driven, loop executors, fallback ladder position) rides
-    along under the ``"loop"`` key.
-    """
+def _compile_stats(step) -> Optional[Dict]:
+    """Diagnostics dict for a compiled step, None otherwise (picklable)."""
     if not isinstance(step, CompiledStep):
         return None
-    stats = step.diagnostics()
-    if epoch is not None:
-        stats["loop"] = epoch.diagnostics()
-    return stats
+    return step.diagnostics()
 
 
 @dataclass
@@ -367,37 +303,15 @@ class PITTrainer:
         Length / early stop of phase 3.
     regularizer:
         ``"size"`` (Eq. 6, the paper's choice) or ``"flops"``.
-    compile_step:
-        True traces each phase's training step once and replays it through
-        the graph executor (:mod:`repro.autograd.graph`) — bit-identical
-        losses/gradients/masks, no per-batch graph construction.  Each
-        phase compiles its own step (the pruning phase adds the
-        regularizer; fine-tuning freezes the masks).  None defers to the
-        ``REPRO_COMPILE_STEP`` environment default.
-    graph_opt:
-        Optimization level for compiled steps: ``"default"`` runs the pass
-        pipeline (constant folding — which collapses the frozen-mask
-        subgraphs of the fine-tuning phase — dead-node elimination, op
-        fusion, buffer-arena planning) on every traced program; ``"none"``
-        replays the trace verbatim.  None defers to ``REPRO_GRAPH_OPT``.
-        Results are bit-identical either way.
-    graph_exec:
-        Replay executor for compiled steps: ``"interp"`` walks the
-        precomputed plan, ``"source"`` runs specialized generated code
-        (:mod:`repro.autograd.graph.codegen`) with an automatic interp
-        fallback on lowering failure.  None defers to
-        ``REPRO_GRAPH_EXEC``.  Bit-identical either way.
-    loop_capture:
-        True replays each phase's epochs as one loop program
-        (:class:`repro.autograd.graph.CompiledEpoch`): the compiled batch
-        body, gradient clipping and the Adam update kernels close into a
-        single :class:`~repro.autograd.graph.LoopNode` with no trainer
-        Python between batches.  Implies step compilation.  None defers to
-        ``REPRO_LOOP_CAPTURE``.  Bit-identical either way.
     compile_config:
-        All four knobs as one :class:`repro.autograd.graph.CompileConfig`;
-        the loose kwargs above survive as a deprecated shim and lose to
-        explicit config fields.
+        A :class:`repro.autograd.graph.CompileConfig`.  With
+        ``compile_step=True`` each phase's training step is traced once and
+        replayed through the optimized graph executor
+        (:mod:`repro.autograd.graph`) — bit-identical losses/gradients/
+        masks, no per-batch graph construction.  Each phase compiles its
+        own step (the pruning phase adds the regularizer; fine-tuning
+        freezes the masks, which constant folding collapses).  None defers
+        to the ``REPRO_COMPILE_STEP`` environment default.
     checkpoint_dir / checkpoint_every / checkpoint_tag / checkpoint_resume:
         With ``checkpoint_dir`` set, :meth:`fit` snapshots the complete
         training state every ``checkpoint_every`` epochs (counting
@@ -414,10 +328,6 @@ class PITTrainer:
                  finetune_patience: int = 10, regularizer: str = "size",
                  channel_lam: float = 0.0,
                  grad_clip: Optional[float] = None, verbose: bool = False,
-                 compile_step: Optional[bool] = None,
-                 graph_opt: Optional[str] = None,
-                 graph_exec: Optional[str] = None,
-                 loop_capture: Optional[bool] = None,
                  compile_config: Optional[CompileConfig] = None,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
@@ -439,19 +349,11 @@ class PITTrainer:
         self.channel_lam = channel_lam
         self.grad_clip = grad_clip
         self.verbose = verbose
-        cfg = CompileConfig.resolve(compile_config, compile_step=compile_step,
-                                    graph_opt=graph_opt,
-                                    graph_exec=graph_exec,
-                                    loop_capture=loop_capture)
-        # Environment-deferred fields resolve at construction (as the loose
-        # knobs always did), so fit() ignores later env flips.
-        self.compile_config = CompileConfig(
-            compile_step=cfg.want_compile(), graph_opt=cfg.resolved_opt(),
-            graph_exec=cfg.resolved_exec(), loop_capture=cfg.want_loop())
-        self.compile_step = self.compile_config.compile_step
-        self.graph_opt = self.compile_config.graph_opt
-        self.graph_exec = self.compile_config.graph_exec
-        self.loop_capture = self.compile_config.loop_capture
+        # The environment default resolves at construction, so fit()
+        # ignores later env flips.
+        self.compile_step = CompileConfig.resolve(
+            compile_config).want_compile()
+        self.compile_config = CompileConfig(compile_step=self.compile_step)
         self._checkpoint = TrainerCheckpoint.create(
             checkpoint_dir, checkpoint_tag, every=checkpoint_every,
             resume=checkpoint_resume)
@@ -491,8 +393,8 @@ class PITTrainer:
         """In-place restore of model / optimizer / stopper state.
 
         Parameters and the optimizer's moment arrays are written in place
-        (``arr[...] =``), so anything aliasing them — flat-packed loop
-        buffers, captured programs — keeps seeing the carried storage.
+        (``arr[...] =``), so anything aliasing them — a compiled step's
+        captured leaves — keeps seeing the same storage.
         """
         self.model.load_state_dict(resume.group("model/"))
         restore_optimizer(optimizer, resume.arrays)
@@ -582,11 +484,9 @@ class PITTrainer:
                 self._restore_into(resume, optimizer, None)
             step = make_training_step(self.model, self.loss_fn,
                                       compile_config=self.compile_config)
-            epoch = make_epoch_runner(step, optimizer, self.grad_clip,
-                                      self.compile_config)
             for _ in range(warmup_ran, self.warmup_epochs):
                 _train_epoch(self.model, self.loss_fn, optimizer, train_loader,
-                             grad_clip=self.grad_clip, step=step, epoch=epoch)
+                             grad_clip=self.grad_clip, step=step)
                 history["warmup_val"].append(_guard_finite(
                     evaluate(self.model, self.loss_fn, val_loader),
                     "warmup validation loss"))
@@ -596,7 +496,7 @@ class PITTrainer:
                     "warmup", optimizer, None, history, counters,
                     {**seconds, "warmup": warmup_base
                      + (time.perf_counter() - start)}, rng_map)
-            stats = _compile_stats(step, epoch)
+            stats = _compile_stats(step)
             if stats is not None:
                 compile_stats["warmup"] = stats
             self._log(f"warmup done, val={history['warmup_val'][-1]:.4f}")
@@ -620,14 +520,12 @@ class PITTrainer:
             step = make_training_step(self.model, self.loss_fn,
                                       extra_loss=self._regularizer_term,
                                       compile_config=self.compile_config)
-            epoch = make_epoch_runner(step, optimizer, self.grad_clip,
-                                      self.compile_config)
             for _ in range(prune_ran, self.max_prune_epochs):
                 if stopper.should_stop:
                     break  # resumed from the converged epoch's snapshot
                 _train_epoch(self.model, self.loss_fn, optimizer, train_loader,
                              extra_loss=self._regularizer_term,
-                             grad_clip=self.grad_clip, step=step, epoch=epoch)
+                             grad_clip=self.grad_clip, step=step)
                 val_loss = _guard_finite(
                     evaluate(self.model, self.loss_fn, val_loader),
                     "pruning validation loss")
@@ -643,7 +541,7 @@ class PITTrainer:
                      + (time.perf_counter() - start)}, rng_map)
                 if stopper.should_stop:
                     break
-            stats = _compile_stats(step, epoch)
+            stats = _compile_stats(step)
             if stats is not None:
                 compile_stats["prune"] = stats
             prune_seconds = prune_base + (time.perf_counter() - start)
@@ -669,13 +567,11 @@ class PITTrainer:
         # which the graph optimizer folds away entirely).
         step = make_training_step(self.model, self.loss_fn,
                                   compile_config=self.compile_config)
-        epoch = make_epoch_runner(step, optimizer, self.grad_clip,
-                                  self.compile_config)
         for _ in range(finetune_ran, self.finetune_epochs):
             if stopper.should_stop:
                 break  # resumed from the converged epoch's snapshot
             _train_epoch(self.model, self.loss_fn, optimizer, train_loader,
-                         grad_clip=self.grad_clip, step=step, epoch=epoch)
+                         grad_clip=self.grad_clip, step=step)
             val_loss = _guard_finite(
                 evaluate(self.model, self.loss_fn, val_loader),
                 "fine-tuning validation loss")
@@ -689,7 +585,7 @@ class PITTrainer:
                  + (time.perf_counter() - start)}, rng_map)
             if stopper.should_stop:
                 break
-        stats = _compile_stats(step, epoch)
+        stats = _compile_stats(step)
         if stats is not None:
             compile_stats["finetune"] = stats
         if stopper.best_state is not None:

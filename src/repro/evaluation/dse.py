@@ -591,12 +591,11 @@ def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
     under exactly the backend its cache key records, even if a spawned
     worker's import-time default differs or another thread switches
     backends mid-sweep.  ``compile_cfg`` (a picklable
-    :class:`repro.autograd.graph.CompileConfig`) selects the execution
-    tier inside the worker's :class:`PITTrainer` — step compilation,
-    optimization level, executor mode and whole-loop capture — with each
-    grid point tracing once per phase and replaying for every batch; the
-    compiled-vs-eager bit-parity guarantee is what lets cached and fresh
-    results mix freely (cache keys do not record any of these knobs).
+    :class:`repro.autograd.graph.CompileConfig`) selects eager or
+    compiled-step execution inside the worker's :class:`PITTrainer`, with
+    each compiled grid point tracing once per phase and replaying for every
+    batch; the compiled-vs-eager bit-parity guarantee is what lets cached
+    and fresh results mix freely (cache keys do not record the knob).
     ``point_evaluators`` run after training, while the trained model is
     still in hand, and merge their returned dicts into ``DSEPoint.metrics``
     — still inside the backend scope, so evaluation forward passes use the
@@ -879,27 +878,23 @@ class DSEEngine:
     trainer_kwargs:
         Extra :class:`PITTrainer` arguments shared by every grid point
         (``lam`` / ``warmup_epochs`` are stripped: the grid owns them;
-        the graph-execution knobs are stripped into ``compile_config``).
+        a ``compile_config`` there is stripped into the engine's own).
     compile_config:
-        A :class:`repro.autograd.graph.CompileConfig` selecting the
-        execution tier for every grid point — step compilation
-        (``compile_step``), optimization level (``graph_opt``), executor
-        mode (``graph_exec``) and whole-loop capture (``loop_capture``).
-        Picklable, so it ships to process-pool workers as-is; ``None``
-        fields defer to the ``REPRO_*`` environment inside each worker.
-        Deliberately *not* part of the cache key — every tier is
-        bit-identical to eager, so points trained under any of them are
-        interchangeable.  The loose ``compile_step`` / ``graph_opt`` /
-        ``graph_exec`` / ``loop_capture`` keyword arguments survive as a
-        deprecated shim (config fields win).
+        A :class:`repro.autograd.graph.CompileConfig` selecting eager or
+        compiled-step execution for every grid point.  Picklable, so it
+        ships to process-pool workers as-is; an unset ``compile_step``
+        defers to ``REPRO_COMPILE_STEP`` inside each worker.
+        Deliberately *not* part of the cache key — the compiled step is
+        bit-identical to eager, so points trained either way are
+        interchangeable.
     stack:
         Stacked-model execution width: up to ``stack`` same-warmup grid
         points train as *one* weight-stacked model
         (:class:`repro.core.StackedPITTrainer`) — one op graph, batched
         conv kernels, per-model λ and early stopping.  ``1`` (the default)
         is the exact sequential path; None defers to ``REPRO_DSE_STACK``.
-        Like ``compile_step``/``graph_opt`` this is an execution-speed
-        knob kept *out* of cache keys: stacked results match sequential
+        Like ``compile_config`` this is an execution-speed knob kept
+        *out* of cache keys: stacked results match sequential
         within floating-point reduction-order tolerance, so stacked and
         sequential sweeps resume from and write to the same entries.
         Models or loaders without a stacked path fall back to sequential
@@ -962,10 +957,6 @@ class DSEEngine:
                  cache_tag: str = "",
                  trainer_kwargs: Optional[Dict] = None,
                  verbose: bool = False,
-                 compile_step: Optional[bool] = None,
-                 graph_opt: Optional[str] = None,
-                 graph_exec: Optional[str] = None,
-                 loop_capture: Optional[bool] = None,
                  compile_config: Optional[CompileConfig] = None,
                  stack: Optional[int] = None,
                  point_evaluators: Optional[Sequence[Callable]] = None,
@@ -999,32 +990,15 @@ class DSEEngine:
         self.trainer_kwargs = dict(trainer_kwargs or {})
         self.trainer_kwargs.pop("lam", None)
         self.trainer_kwargs.pop("warmup_epochs", None)
-        # The graph-execution knobs are execution-speed knobs with
-        # bit-identical results, so all of them are stripped from
-        # trainer_kwargs and kept out of cache keys.  Engine kwargs win
-        # over trainer_kwargs spellings; an explicit CompileConfig wins
-        # over both loose layers.
+        # The compile knob is an execution-speed knob with bit-identical
+        # results, so it is stripped from trainer_kwargs and kept out of
+        # cache keys.  The engine kwarg wins over the trainer_kwargs one.
         kwargs_cfg = self.trainer_kwargs.pop("compile_config", None)
-        kwargs_compile = self.trainer_kwargs.pop("compile_step", None)
-        kwargs_opt = self.trainer_kwargs.pop("graph_opt", None)
-        kwargs_exec = self.trainer_kwargs.pop("graph_exec", None)
-        kwargs_loop = self.trainer_kwargs.pop("loop_capture", None)
-        cfg = CompileConfig.resolve(
-            compile_config if compile_config is not None else kwargs_cfg,
-            compile_step=(compile_step if compile_step is not None
-                          else kwargs_compile),
-            graph_opt=graph_opt if graph_opt is not None else kwargs_opt,
-            graph_exec=graph_exec if graph_exec is not None else kwargs_exec,
-            loop_capture=(loop_capture if loop_capture is not None
-                          else kwargs_loop))
-        self.compile_config = cfg.validate()
-        self.compile_step = cfg.compile_step
-        self.graph_opt = cfg.graph_opt
-        self.graph_exec = cfg.graph_exec
-        self.loop_capture = cfg.loop_capture
+        self.compile_config = CompileConfig.resolve(
+            compile_config if compile_config is not None else kwargs_cfg)
         # Stack width: how many same-warmup grid points train as one
         # weight-stacked model (see repro.core.StackedPITTrainer).  An
-        # execution-speed knob like compile_step/graph_opt — results match
+        # execution-speed knob like compile_config — results match
         # sequential within fp tolerance and the width never enters cache
         # keys, so stacked and sequential sweeps share entries.  None
         # defers to REPRO_DSE_STACK; 1 is the exact sequential path.
@@ -1410,10 +1384,6 @@ def run_dse(seed_factory: Callable[[], Module], loss_fn: Callable,
             executor: Optional[str] = None,
             cache_path: Optional[str] = None,
             cache_tag: str = "",
-            compile_step: Optional[bool] = None,
-            graph_opt: Optional[str] = None,
-            graph_exec: Optional[str] = None,
-            loop_capture: Optional[bool] = None,
             compile_config: Optional[CompileConfig] = None,
             stack: Optional[int] = None,
             point_evaluators: Optional[Sequence[Callable]] = None,
@@ -1435,10 +1405,7 @@ def run_dse(seed_factory: Callable[[], Module], loss_fn: Callable,
                        workers=workers, executor=executor,
                        cache_path=cache_path, cache_tag=cache_tag,
                        trainer_kwargs=trainer_kwargs,
-                       verbose=verbose, compile_step=compile_step,
-                       graph_opt=graph_opt, graph_exec=graph_exec,
-                       loop_capture=loop_capture,
-                       compile_config=compile_config,
+                       verbose=verbose, compile_config=compile_config,
                        stack=stack,
                        point_evaluators=point_evaluators,
                        retries=retries, retry_backoff=retry_backoff,

@@ -1,6 +1,6 @@
 """Optimizers, LR schedulers, gradient clipping and early stopping."""
 
-from .kernels import (UpdateKernelSpec, adam_update, sgd_update, clip_grads,
+from .kernels import (adam_update, sgd_update, clip_grads,
                       clip_grads_stacked, early_stop_update)
 from .optimizers import Optimizer, SGD, Adam
 from .schedulers import StepLR, CosineAnnealingLR, ReduceLROnPlateau, clip_grad_norm
@@ -15,7 +15,6 @@ __all__ = [
     "ReduceLROnPlateau",
     "clip_grad_norm",
     "EarlyStopping",
-    "UpdateKernelSpec",
     "adam_update",
     "sgd_update",
     "clip_grads",

@@ -7,7 +7,7 @@ the standard patience-based criterion with best-state checkpointing.
 
 The numeric bookkeeping (best / stale counter / stop flag) lives in 0-d
 numpy arrays updated by :func:`repro.optim.kernels.early_stop_update`, so
-a captured training schedule can carry the convergence state as data; the
+checkpoints can snapshot and restore the convergence state as data; the
 Python-level attributes are read-only views over those arrays.
 """
 
@@ -65,7 +65,7 @@ class EarlyStopping:
         return bool(self._stop)
 
     def carried_state(self) -> Tuple[np.ndarray, ...]:
-        """The loop-carried convergence arrays ``(best, stale, stop, seen)``."""
+        """The convergence state arrays ``(best, stale, stop, seen)``."""
         return (self._best, self._stale, self._stop, self._seen)
 
     def update(self, metric: float, state: Optional[Dict[str, np.ndarray]] = None) -> bool:

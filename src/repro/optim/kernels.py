@@ -1,154 +1,27 @@
 """Pure update kernels: optimizer steps and training bookkeeping as data.
 
-The eager :class:`~repro.optim.optimizers.Adam` / ``SGD`` loops and the
-early-stopping counter are side-effecting Python methods over object
-attributes — invisible to the graph executor.  This module re-expresses
-each of them as a *pure kernel*: a module-level function whose entire
-state is the numpy arrays passed in (parameter storage, moment buffers,
-0-d step counters).  The eager optimizers delegate to these kernels, so
-eager numerics are unchanged bit for bit — and the whole-loop capture
-path (:mod:`repro.autograd.graph.loop`) can record the very same kernel
-calls as :class:`UpdateKernelSpec` entries inside a
-:class:`~repro.autograd.graph.ir.LoopNode`, where they run once per batch
-with zero per-batch trainer Python.  State lives in data, exactly like
-the stacked trainer's ``active`` mask.
+Each kernel is a module-level function whose entire state is the numpy
+arrays passed in (parameter storage, moment buffers, 0-d step counters).
+The :class:`~repro.optim.optimizers.Adam` / ``SGD`` steps, gradient
+clipping (sequential and stacked) and the early-stopping counter delegate
+to them, so the same arithmetic serves every trainer and the state stays
+plain arrays a checkpoint can snapshot and restore in place.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "UpdateKernelSpec",
-    "FlatParam",
-    "StepCounters",
-    "FLAT_PACK_MAX_ELEMENTS",
     "adam_update",
     "sgd_update",
     "clip_grads",
     "clip_grads_stacked",
     "early_stop_update",
 ]
-
-# Parameters larger than this stay unpacked: the per-batch gradient gather
-# costs one memory pass over the parameter, which beats the per-call numpy
-# dispatch it saves only while the array is small (the dispatch-bound
-# regime whole-loop capture targets).
-FLAT_PACK_MAX_ELEMENTS = 16384
-
-
-class UpdateKernelSpec:
-    """One captured post-batch parameter update inside a loop body.
-
-    ``kernel(param.data, param.grad, *state, *hyper(group))`` must perform
-    the exact in-place update the owning optimizer's eager ``step()`` would
-    for this parameter.  ``state`` holds the loop-carried arrays (Adam
-    moments, the 0-d step counter, SGD velocity); ``hyper`` reads the
-    scalar hyperparameters out of the (mutable) param-group dict — re-read
-    once per epoch replay, so between-epoch ``set_lr`` calls stay visible.
-    """
-
-    __slots__ = ("param", "kernel", "state", "hyper", "group", "label")
-
-    def __init__(self, param, kernel: Callable, state: Tuple,
-                 hyper: Callable[[dict], Tuple], group: dict, label: str):
-        self.param = param
-        self.kernel = kernel
-        self.state = state
-        self.hyper = hyper
-        self.group = group
-        self.label = label
-
-    def __repr__(self) -> str:
-        return f"UpdateKernelSpec({self.label}, state={len(self.state)})"
-
-
-class FlatParam:
-    """Contiguous stand-in for a pack of same-group parameters.
-
-    A loop-carried epoch knows its update set is fixed, so same-group
-    parameters can share one flat storage buffer: each member's ``.data``
-    is rebound to a view of ``self.data``, and the pack then satisfies the
-    ``UpdateKernelSpec`` contract — ``.data`` is the flat array, ``.grad``
-    gathers the members' gradients (read fresh: replay may adopt a new
-    gradient array per batch) into one scratch buffer.  The update kernels
-    are elementwise over ``(data, grad, state)``, so one kernel call over
-    the pack is bit-identical to one call per member.
-    """
-
-    __slots__ = ("data", "_scratch_grad", "_members", "_views", "_spans")
-
-    def __init__(self, members: Sequence):
-        sizes = [int(p.data.size) for p in members]
-        total = sum(sizes)
-        dtype = members[0].data.dtype
-        flat = np.empty(total, dtype=dtype)
-        self._scratch_grad = np.empty(total, dtype=dtype)
-        self._members = list(members)
-        self._views = []
-        self._spans = []
-        offset = 0
-        for p, n in zip(members, sizes):
-            flat[offset:offset + n] = p.data.ravel()
-            view = flat[offset:offset + n].reshape(p.data.shape)
-            p.data = view
-            self._views.append(view)
-            self._spans.append((offset, offset + n))
-            offset += n
-        self.data = flat
-
-    @property
-    def grad(self) -> np.ndarray:
-        buf = self._scratch_grad
-        for p, (start, end) in zip(self._members, self._spans):
-            buf[start:end] = p.grad.ravel()
-        return buf
-
-    def resync(self) -> None:
-        """Re-adopt members whose ``.data`` was rebound since packing.
-
-        In-place mutation (eager steps, ``load_state_dict``) flows through
-        the views automatically; only a rebind of a member's ``.data`` to a
-        fresh array desyncs the pack.  Called once per epoch replay.
-        """
-        flat = self.data
-        for p, view, (start, end) in zip(self._members, self._views,
-                                         self._spans):
-            if p.data is not view:
-                flat[start:end] = np.asarray(p.data).ravel()
-                p.data = view
-
-    def __repr__(self) -> str:
-        return f"FlatParam({len(self._members)} params, {self.data.size} elems)"
-
-
-class StepCounters:
-    """Duck-typed ``t`` for a flat pack: every member's 0-d counter in lockstep.
-
-    :func:`adam_update` only does ``t += 1`` and ``int(t)``; this advances
-    each member's per-parameter counter (so eager ``step()`` interop stays
-    exact) while reading the shared step count from the first.  Packing
-    requires the members' counts to be equal, and replay keeps them so.
-    """
-
-    __slots__ = ("arrays",)
-
-    def __init__(self, arrays: Sequence[np.ndarray]):
-        self.arrays = list(arrays)
-
-    def __iadd__(self, other: int) -> "StepCounters":
-        for a in self.arrays:
-            a += other
-        return self
-
-    def __int__(self) -> int:
-        return int(self.arrays[0])
-
-    def __repr__(self) -> str:
-        return f"StepCounters({len(self.arrays)} at t={int(self)})"
 
 
 def adam_update(data: np.ndarray, grad: np.ndarray,
@@ -195,9 +68,7 @@ def sgd_update(data: np.ndarray, grad: np.ndarray,
 def clip_grads(grads: Sequence[np.ndarray], max_norm: float) -> float:
     """Global-L2 gradient clipping over bare arrays (in place).
 
-    The array-level core of :func:`repro.optim.clip_grad_norm`: same
-    accumulation order, same scale condition, so clipping inside a
-    replayed loop body is bit-identical to the eager per-batch call.
+    The array-level core of :func:`repro.optim.clip_grad_norm`.
     """
     total = 0.0
     for g in grads:
@@ -241,9 +112,9 @@ def early_stop_update(best: np.ndarray, stale: np.ndarray, stop: np.ndarray,
     ``sign`` is ``+1.0`` for ``mode="min"`` and ``-1.0`` for ``"max"``;
     multiplying by it folds both modes into one exact comparison
     (negation is lossless).  Returns True when ``metric`` improved the
-    best.  All counters are loop-carried data: ``best`` (float64),
-    ``stale`` (int64), ``stop`` / ``seen`` (bool) — the state a captured
-    training schedule carries across epochs.
+    best.  All counters are 0-d arrays: ``best`` (float64), ``stale``
+    (int64), ``stop`` / ``seen`` (bool) — the state a checkpoint carries
+    across epochs.
     """
     improved = (not bool(seen)
                 or sign * metric < sign * float(best) - min_delta)

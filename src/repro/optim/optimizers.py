@@ -7,20 +7,17 @@ rate and exclude it from weight decay, as is standard for DMaskingNAS.
 
 The numeric core of each ``step()`` lives in :mod:`repro.optim.kernels`
 as pure functions over the arrays they touch; the classes here only
-manage lazy state allocation and group bookkeeping.  That split is what
-lets whole-loop capture replay an optimizer step inside a compiled epoch
-(:meth:`Optimizer.capture_updates`) with bit-identical results.
+manage lazy state allocation and group bookkeeping.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..nn.module import Parameter
-from .kernels import (FLAT_PACK_MAX_ELEMENTS, FlatParam, StepCounters,
-                      UpdateKernelSpec, adam_update, sgd_update)
+from .kernels import adam_update, sgd_update
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
@@ -41,7 +38,6 @@ class Optimizer:
                 self.add_param_group(group)
         else:
             self.add_param_group({"params": params})
-        self._flat_packs: Dict[Tuple, List[UpdateKernelSpec]] = {}
 
     def add_param_group(self, group: Dict) -> None:
         group = dict(group)
@@ -69,8 +65,6 @@ class Optimizer:
     def get_lr(self) -> float:
         return self.param_groups[0]["lr"]
 
-    # -- whole-loop capture support ------------------------------------
-
     def ensure_state(self, p: Parameter, group: Dict) -> Tuple:
         """Allocate (if needed) and return this parameter's state arrays."""
         raise NotImplementedError
@@ -78,84 +72,6 @@ class Optimizer:
     def _hyper(self, group: Dict) -> Tuple:
         """Read the kernel hyperparameters out of a (mutable) group dict."""
         raise NotImplementedError
-
-    def _kernel(self):
-        raise NotImplementedError
-
-    def capture_updates(self, wanted: Set[int]) -> List[UpdateKernelSpec]:
-        """Describe one ``step()`` as per-parameter kernel specs.
-
-        ``wanted`` is the set of ``id(param)`` that will carry gradients in
-        the captured loop body (the program's grad leaves); parameters
-        outside it are skipped exactly as ``step()`` skips ``grad is None``.
-        State is allocated eagerly here so the loop carries the same arrays
-        the eager path would lazily create — state as data.
-        """
-        specs: List[UpdateKernelSpec] = []
-        kernel = self._kernel()
-        for gi, group in enumerate(self.param_groups):
-            for p in group["params"]:
-                if id(p) not in wanted:
-                    continue
-                state = self.ensure_state(p, group)
-                specs.append(UpdateKernelSpec(
-                    param=p, kernel=kernel, state=state, hyper=self._hyper,
-                    group=group,
-                    label=f"{type(self).__name__.lower()}[g{gi}]"))
-        return specs
-
-    def _pack_state(self, specs: List[UpdateKernelSpec]) -> Optional[Tuple]:
-        """Flat state tuple for a pack of same-group specs, or None to refuse.
-
-        A subclass that opts in rebinds its per-parameter state arrays to
-        views of freshly packed flat buffers (so later eager ``step()``
-        calls keep writing the carried storage) and returns the pack's
-        kernel state.  Must not mutate anything when returning None.
-        """
-        return None
-
-    def flatten_updates(self, specs: List[UpdateKernelSpec]
-                        ) -> List[UpdateKernelSpec]:
-        """Coalesce same-group specs into flat-packed specs.
-
-        The loop-carried epoch is the one caller that knows its update set
-        is fixed for a whole phase, so it can afford to repack parameter
-        storage: small same-group parameters share one contiguous
-        data/state buffer (:class:`~repro.optim.kernels.FlatParam`) and
-        the whole group updates in **one** kernel call per batch instead
-        of one per parameter.  The kernels are elementwise, so the packed
-        trajectory is bit-identical; parameters above
-        ``FLAT_PACK_MAX_ELEMENTS`` stay unpacked (the per-batch gradient
-        gather would cost more than the dispatch it saves).  Idempotent
-        per update set: repacking already-packed storage would strand the
-        previous pack's specs, so results are cached.
-        """
-        key = tuple((id(s.param), id(s.group)) for s in specs)
-        cached = self._flat_packs.get(key)
-        if cached is not None:
-            return cached
-        buckets: Dict[Tuple, List[UpdateKernelSpec]] = {}
-        rest: List[UpdateKernelSpec] = []
-        for s in specs:
-            if s.param.data.size <= FLAT_PACK_MAX_ELEMENTS:
-                buckets.setdefault((id(s.group), s.param.data.dtype),
-                                   []).append(s)
-            else:
-                rest.append(s)
-        out: List[UpdateKernelSpec] = []
-        for bucket in buckets.values():
-            state = self._pack_state(bucket) if len(bucket) > 1 else None
-            if state is None:
-                rest.extend(bucket)
-                continue
-            flat = FlatParam([s.param for s in bucket])
-            out.append(UpdateKernelSpec(
-                param=flat, kernel=bucket[0].kernel, state=state,
-                hyper=self._hyper, group=bucket[0].group,
-                label=f"{bucket[0].label}xflat{len(bucket)}"))
-        out.extend(rest)
-        self._flat_packs[key] = out
-        return out
 
 
 class SGD(Optimizer):
@@ -182,25 +98,6 @@ class SGD(Optimizer):
         return (group["lr"], group["momentum"], group["weight_decay"],
                 group["nesterov"])
 
-    def _kernel(self):
-        return sgd_update
-
-    def _pack_state(self, specs: List[UpdateKernelSpec]) -> Optional[Tuple]:
-        group = specs[0].group
-        if not group["momentum"]:
-            return (None,)
-        members = [s.param for s in specs]
-        total = sum(int(p.data.size) for p in members)
-        flat_vel = np.empty(total, dtype=members[0].data.dtype)
-        offset = 0
-        for p in members:
-            key, n = id(p), int(p.data.size)
-            flat_vel[offset:offset + n] = self._velocity[key].ravel()
-            self._velocity[key] = \
-                flat_vel[offset:offset + n].reshape(p.data.shape)
-            offset += n
-        return (flat_vel,)
-
     def step(self) -> None:
         for group in self.param_groups:
             hyper = self._hyper(group)
@@ -220,8 +117,8 @@ class Adam(Optimizer):
                                       weight_decay=weight_decay, decoupled=decoupled))
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
-        # 0-d int64 arrays (not Python ints) so the step count is
-        # loop-carried data a replayed epoch can increment in place.
+        # 0-d int64 arrays (not Python ints), incremented in place by the
+        # kernel and snapshotted/restored in place by checkpoints.
         self._t: Dict[int, np.ndarray] = {}
 
     def ensure_state(self, p: Parameter, group: Dict) -> Tuple:
@@ -236,30 +133,6 @@ class Adam(Optimizer):
         beta1, beta2 = group["betas"]
         return (group["lr"], beta1, beta2, group["eps"],
                 group["weight_decay"], group["decoupled"])
-
-    def _kernel(self):
-        return adam_update
-
-    def _pack_state(self, specs: List[UpdateKernelSpec]) -> Optional[Tuple]:
-        members = [s.param for s in specs]
-        counters = [self._t[id(p)] for p in members]
-        if any(int(t) != int(counters[0]) for t in counters[1:]):
-            # Unequal step counts (some member was stepped without the
-            # others): one shared bias correction would be wrong.
-            return None
-        total = sum(int(p.data.size) for p in members)
-        dtype = members[0].data.dtype
-        flat_m = np.empty(total, dtype=dtype)
-        flat_v = np.empty(total, dtype=dtype)
-        offset = 0
-        for p in members:
-            key, n = id(p), int(p.data.size)
-            flat_m[offset:offset + n] = self._m[key].ravel()
-            flat_v[offset:offset + n] = self._v[key].ravel()
-            self._m[key] = flat_m[offset:offset + n].reshape(p.data.shape)
-            self._v[key] = flat_v[offset:offset + n].reshape(p.data.shape)
-            offset += n
-        return (flat_m, flat_v, StepCounters(counters))
 
     def step(self) -> None:
         for group in self.param_groups:

@@ -236,13 +236,10 @@ class StreamServer:
         """Decide whether a tick can run; returns the samples to feed or
         None to wait.  Never consumes a sample it cannot feed."""
         pool = self.pool
-        active = set(pool.active_slots)
-        samples = {}
-        for slot in active:
-            session = self._sessions.get(slot)
-            if session is None or session.queue.empty():
-                return None  # barrier: an active client has nothing queued
-            samples[slot] = session.queue.get_nowait()
+        sessions = [self._sessions.get(slot) for slot in pool.active_slots]
+        if any(s is None or s.queue.empty() for s in sessions):
+            return None  # barrier: an active client has nothing queued
+        samples = {s.slot: s.queue.get_nowait() for s in sessions}
         # Pending clients join at aligned ticks; their queued first sample
         # is consumed only then (the pool refuses it otherwise).
         progress = bool(samples)

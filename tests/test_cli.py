@@ -204,14 +204,6 @@ class TestTrain:
         assert code == 0
         assert "val loss" in capsys.readouterr().out
 
-    def test_train_graph_opt_flag(self, capsys):
-        for level in ("default", "none"):
-            code = main(["train", "--benchmark", "ppg", "--width", "0.1",
-                         "--epochs", "1", "--patience", "1", "--quiet",
-                         "--compile", "--graph-opt", level])
-            assert code == 0
-            assert "val loss" in capsys.readouterr().out
-
     def test_train_saves_checkpoint(self, tmp_path):
         path = tmp_path / "plain.npz"
         main(["train", "--benchmark", "ppg", "--width", "0.1",
@@ -226,76 +218,47 @@ class TestTrain:
         assert args.compile is True
         args = build_parser().parse_args(["sweep", "--compile"])
         assert args.compile is True
+        # --compile is the only execution knob left.
+        for flag in ("--graph-opt", "--graph-exec", "--loop-capture",
+                     "--dump-graph-source"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["train", flag, "x"])
 
-    def test_graph_opt_parse(self):
-        # None lets REPRO_GRAPH_OPT decide; explicit levels pass through.
-        for command in ("train", "search", "sweep"):
-            args = build_parser().parse_args([command])
-            assert args.graph_opt is None
-            args = build_parser().parse_args([command, "--graph-opt", "none"])
-            assert args.graph_opt == "none"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--graph-opt", "O3"])
-
-    def test_graph_exec_parse(self):
-        # None lets REPRO_GRAPH_EXEC decide; explicit modes pass through.
-        for command in ("train", "search", "sweep"):
-            args = build_parser().parse_args([command])
-            assert args.graph_exec is None
-            assert args.dump_graph_source is None
-            assert args.verbose is False
-            args = build_parser().parse_args(
-                [command, "--graph-exec", "source"])
-            assert args.graph_exec == "source"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--graph-exec", "cython"])
-
-    def test_train_graph_exec_verbose_and_dump(self, capsys, tmp_path):
-        dump = tmp_path / "program.py"
+    def test_train_compile_verbose(self, capsys):
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",
                      "--epochs", "1", "--patience", "1", "--quiet",
-                     "--compile", "--graph-exec", "source", "--verbose",
-                     "--dump-graph-source", str(dump)])
+                     "--compile", "--verbose"])
         assert code == 0
         out = capsys.readouterr().out
-        # --verbose surfaces the compile diagnostics...
-        assert "graph_exec=source" in out
-        assert "executor=source" in out
-        assert "codegen cache" in out
+        # --verbose surfaces the compile diagnostics.
+        assert "optimize=default" in out
+        assert "opt (" in out
         assert "alloc:" in out
-        # ...and the dump holds compilable generated source.
-        assert dump.exists()
-        text = dump.read_text()
-        assert "def _factory(C):" in text
-        compile(text, str(dump), "exec")
 
     def test_train_verbose_without_compile_explains(self, capsys, monkeypatch):
         # An eager step has no diagnostics; --verbose must say why.
-        # REPRO_LOOP_CAPTURE implies compilation, so clear it too.
         monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
-        monkeypatch.delenv("REPRO_LOOP_CAPTURE", raising=False)
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",
                      "--epochs", "1", "--patience", "1", "--quiet",
                      "--verbose"])
         assert code == 0
         assert "step ran eagerly" in capsys.readouterr().out
 
-    def test_search_graph_exec_flag(self, capsys):
+    def test_search_compile_verbose(self, capsys):
         code = main(["search", "--benchmark", "ppg", "--width", "0.1",
                      "--lam", "0.0", "--warmup", "1", "--epochs", "1",
-                     "--finetune", "1", "--quiet", "--compile",
-                     "--graph-exec", "source", "--verbose"])
+                     "--finetune", "1", "--quiet", "--compile", "--verbose"])
         assert code == 0
         out = capsys.readouterr().out
         assert "dilations :" in out
         for phase in ("warmup", "prune", "finetune"):
             assert f"[compile:{phase}]" in out
 
-    def test_sweep_graph_exec_flag(self, capsys):
+    def test_sweep_compile_flag(self, capsys):
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",
                      "--lambdas", "0.5", "--gamma-lr", "0.1",
                      "--warmup", "0", "--epochs", "1", "--finetune", "0",
-                     "--quiet", "--compile", "--graph-exec", "source"])
+                     "--quiet", "--compile"])
         assert code == 0
         assert "pareto front" in capsys.readouterr().out
 

@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.autograd.graph import CompileConfig
 from repro.core import PITConv1d
 from repro.data import ArrayDataset, DataLoader
 from repro.evaluation import (
@@ -78,11 +79,11 @@ def _loaders(shuffle=False, seed=0):
 
 
 def _sweep(workers, cache_path=None, shuffle=False, factory=Tiny,
-           compile_step=None, graph_opt=None):
+           compile_step=None):
     train, val = _loaders(shuffle=shuffle)
     engine = DSEEngine(factory, mse_loss, train, val, workers=workers,
                        cache_path=cache_path, trainer_kwargs=dict(SCHEDULE),
-                       compile_step=compile_step, graph_opt=graph_opt)
+                       compile_config=CompileConfig(compile_step=compile_step))
     return engine.run(LAMBDAS, warmups=WARMUPS)
 
 
@@ -126,41 +127,26 @@ class TestParallelDeterminism:
         _assert_identical(eager, parallel_compiled)
 
     def test_compile_flag_accepted_via_trainer_kwargs(self):
-        """Legacy spelling: compile_step inside trainer_kwargs is stripped
-        into the engine knob (and stays out of cache keys)."""
+        """A compile_config inside trainer_kwargs is stripped into the
+        engine knob (and stays out of cache keys)."""
         train, val = _loaders()
-        engine = DSEEngine(Tiny, mse_loss, train, val,
-                           trainer_kwargs=dict(SCHEDULE, compile_step=True))
-        assert engine.compile_step is True
-        assert "compile_step" not in engine.trainer_kwargs
+        engine = DSEEngine(
+            Tiny, mse_loss, train, val,
+            trainer_kwargs=dict(SCHEDULE, compile_config=CompileConfig(
+                compile_step=True)))
+        assert engine.compile_config.compile_step is True
+        assert "compile_config" not in engine.trainer_kwargs
         _assert_identical(_sweep(workers=0),
                           engine.run(LAMBDAS, warmups=WARMUPS))
 
-    def test_graph_opt_levels_bit_identical(self):
-        """The optimizer passes must not change sweep results either way."""
-        eager = _sweep(workers=0)
-        optimized = _sweep(workers=0, compile_step=True, graph_opt="default")
-        verbatim = _sweep(workers=0, compile_step=True, graph_opt="none")
-        _assert_identical(eager, optimized)
-        _assert_identical(eager, verbatim)
-
-    def test_graph_opt_stripped_from_trainer_kwargs_and_cache_keys(self,
-                                                                   tmp_path):
-        """graph_opt is a speed knob like compile_step: stripped from
-        trainer_kwargs (whose JSON forms the cache key) so optimized and
-        unoptimized sweeps share cache entries."""
-        train, val = _loaders()
-        engine = DSEEngine(Tiny, mse_loss, train, val,
-                           trainer_kwargs=dict(SCHEDULE, graph_opt="none"))
-        assert engine.graph_opt == "none"
-        assert "graph_opt" not in engine.trainer_kwargs
-
+    def test_compile_config_stays_out_of_cache_keys(self, tmp_path):
+        """The compile knob is a speed knob: compiled and eager sweeps
+        share cache entries."""
         cache = str(tmp_path / "cache.json")
-        first = _sweep(workers=0, cache_path=cache, compile_step=True,
-                       graph_opt="none")
+        first = _sweep(workers=0, cache_path=cache, compile_step=True)
         factory = CountingFactory()
         resumed = _sweep(workers=0, cache_path=cache, factory=factory,
-                         compile_step=True, graph_opt="default")
+                         compile_step=False)
         assert factory.calls == 0  # every point came from the cache
         _assert_identical(first, resumed)
 

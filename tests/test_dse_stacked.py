@@ -41,6 +41,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, available_backends, get_default_dtype
+from repro.autograd.graph import CompileConfig
 from repro.core import PITConv1d, PITTrainer, StackedPITTrainer
 from repro.core.stacked import clip_grad_norm_stacked, per_model_loss
 from repro.data import ArrayDataset, DataLoader, EpochReplayLoader, clone_loader
@@ -103,24 +104,23 @@ def _loaders(seed=0, shuffle=True):
     return train, val
 
 
-def _sequential_results(schedule=SCHEDULE, compile_step=None, lams=LAMS,
-                        graph_exec=None):
+def _sequential_results(schedule=SCHEDULE, compile_step=None, lams=LAMS):
     train, val = _loaders()
     results = []
     for lam in lams:
-        trainer = PITTrainer(StackSeed(), mse_loss, lam=lam,
-                             compile_step=compile_step,
-                             graph_exec=graph_exec, **schedule)
+        trainer = PITTrainer(
+            StackSeed(), mse_loss, lam=lam,
+            compile_config=CompileConfig(compile_step=compile_step),
+            **schedule)
         results.append(trainer.fit(clone_loader(train), clone_loader(val)))
     return results
 
 
-def _stacked_results(schedule=SCHEDULE, compile_step=None, lams=LAMS,
-                     graph_exec=None):
+def _stacked_results(schedule=SCHEDULE, compile_step=None, lams=LAMS):
     train, val = _loaders()
-    trainer = StackedPITTrainer(StackSeed(), mse_loss, lams=lams,
-                                compile_step=compile_step,
-                                graph_exec=graph_exec, **schedule)
+    trainer = StackedPITTrainer(
+        StackSeed(), mse_loss, lams=lams,
+        compile_config=CompileConfig(compile_step=compile_step), **schedule)
     return trainer.fit(train, val)
 
 
@@ -155,13 +155,10 @@ class TestTrainerParity:
         assert len(prune_epochs) > 1, \
             f"schedule no longer diverges: {prune_epochs}"
 
-    @pytest.mark.parametrize("graph_exec", ["interp", "source"])
-    def test_compiled_stacked_parity(self, graph_exec):
-        """Stacked training through the graph-capture executor — under
-        both the interpreted replay and the codegen (source) executor."""
-        sequential = _sequential_results(compile_step=True,
-                                         graph_exec=graph_exec)
-        stacked = _stacked_results(compile_step=True, graph_exec=graph_exec)
+    def test_compiled_stacked_parity(self):
+        """Stacked training through the graph-capture executor."""
+        sequential = _sequential_results(compile_step=True)
+        stacked = _stacked_results(compile_step=True)
         _assert_result_parity(sequential, stacked)
 
     @pytest.mark.parametrize("backend", available_backends())

@@ -5,9 +5,11 @@ identical parameter gradients, identical trained weights, identical final
 γ̂ masks — over a grid of conv configurations (dilation/stride), the two
 TCN seeds, the RNN baselines, and the full three-phase PIT trainer.
 
-Also covers the executor's operational behaviour: per-shape re-tracing for
-short final batches, and the permanent eager fallback for value-dependent
-(capture-unsafe) models.
+Also covers the executor's operational behaviour: per-shape and per-dtype
+re-tracing, the permanent eager fallback for value-dependent
+(capture-unsafe) models, whole training epochs (Adam state, gradient
+clipping, early stopping, the stacked trainer), and the
+:class:`CompileConfig` knob.
 
 The env-gated perf smoke at the bottom (``REPRO_RUN_PERF=1``) records
 eager-vs-compiled step timings on a TEMPONet-sized model to
@@ -17,21 +19,33 @@ eager-vs-compiled step timings on a TEMPONet-sized model to
 import copy
 import json
 import os
+import pickle
 import time
 
 import numpy as np
 import pytest
 
 import repro
-from repro.autograd import CompiledStep, EagerStep, set_default_dtype
+from repro.autograd import (
+    CompiledStep,
+    EagerStep,
+    get_default_dtype,
+    set_default_dtype,
+    use_backend,
+)
+from repro.autograd.graph import CompileConfig
 from repro.core import PITTrainer, network_dilations, size_regularizer
 from repro.core.channel_mask import PITChannelConv1d
+from repro.core.pit_conv import PITConv1d
+from repro.core.stacked import StackedPITTrainer
 from repro.core.trainer import make_training_step, train_plain
 from repro.data import ArrayDataset, DataLoader
 from repro.models import restcn_seed, temponet_seed
 from repro.models.rnn_baselines import HeartRateGRU, MusicLSTM
 from repro.nn import (
+    BatchNorm1d,
     CausalConv1d,
+    Dropout,
     GlobalAvgPool1d,
     Linear,
     Module,
@@ -41,20 +55,11 @@ from repro.nn import (
     mse_loss,
     polyphonic_nll,
 )
-from repro.optim import Adam
+from repro.optim import Adam, clip_grad_norm
 
 
-@pytest.fixture(params=["interp", "source"], autouse=True)
-def graph_exec_leg(request, monkeypatch):
-    """Route the whole parity surface through both replay executors.
-
-    Every test in this module runs twice: once with the interpreted replay
-    and once with the codegen (generated-source) executor, selected via
-    the same REPRO_GRAPH_EXEC default the CI leg uses.  Source-mode replay
-    must be bit-identical, so no assertion changes — only the executor.
-    """
-    monkeypatch.setenv("REPRO_GRAPH_EXEC", request.param)
-    return request.param
+def compile_cfg(flag: bool) -> CompileConfig:
+    return CompileConfig(compile_step=flag)
 
 
 def batches_of(xshape, yshape, count=3, seed=0):
@@ -94,8 +99,9 @@ def run_parity(make_model, batches, loss_fn, extra_loss_fn=None, lr=1e-3,
                                        ("compiled", compiled_model, True)):
         extra = (lambda m=model: extra_loss_fn(m)) if extra_loss_fn else None
         runners[label] = (model,
-                          make_training_step(model, loss_fn, extra_loss=extra,
-                                             compile_step=compile_step),
+                          make_training_step(
+                              model, loss_fn, extra_loss=extra,
+                              compile_config=compile_cfg(compile_step)),
                           Adam(model.parameters(), lr=lr))
     losses = {"eager": [], "compiled": []}
     for x, y in batches:
@@ -111,11 +117,6 @@ def run_parity(make_model, batches, loss_fn, extra_loss_fn=None, lr=1e-3,
     if expect_compiled:
         assert compiled_step.fallback_reason is None, compiled_step.fallback_reason
         assert compiled_step.compiled_shapes
-        # Lowering must actually be in effect on the source leg — a silent
-        # interp fallback would make the parity assertions vacuous.
-        assert not compiled_step.exec_fallbacks, compiled_step.exec_fallbacks
-        assert all(mode == compiled_step.graph_exec
-                   for mode in compiled_step.executors.values())
     assert_same_grads(eager_model, compiled_model, context)
     assert_same_state(eager_model, compiled_model, context)
     return compiled_step
@@ -157,13 +158,15 @@ class TestConvGrid:
         # Replays after a backend switch reproduce the traced kernels: the
         # results must equal a run that never switched.
         model = make_model()
-        reference = make_training_step(model, mse_loss, compile_step=False)
+        reference = make_training_step(model, mse_loss,
+                                       compile_config=compile_cfg(False))
         other = "im2col" if backend == "einsum" else "einsum"
         with repro.use_backend(backend):
             expected = [reference(x, y) for x, y in batches]
         model2 = make_model()
         with repro.use_backend(backend):
-            compiled = make_training_step(model2, mse_loss, compile_step=True)
+            compiled = make_training_step(model2, mse_loss,
+                                          compile_config=compile_cfg(True))
             compiled(*batches[0])
         with repro.use_backend(other):
             replayed = [compiled(x, y) for x, y in batches[1:]]
@@ -232,7 +235,7 @@ class TestPITTrainerParity:
                                  warmup_epochs=1, max_prune_epochs=2,
                                  prune_patience=2, finetune_epochs=1,
                                  finetune_patience=1,
-                                 compile_step=compile_step)
+                                 compile_config=compile_cfg(compile_step))
             outcome = trainer.fit(train, val)
             results[compile_step] = (outcome, model)
         eager, compiled = results[False][0], results[True][0]
@@ -274,9 +277,10 @@ class TestFallbacks:
 
         eager_model = make_model()
         compiled_model = copy.deepcopy(eager_model)
-        eager = make_training_step(eager_model, mse_loss, compile_step=False)
+        eager = make_training_step(eager_model, mse_loss,
+                                   compile_config=compile_cfg(False))
         compiled = make_training_step(compiled_model, mse_loss,
-                                      compile_step=True)
+                                      compile_config=compile_cfg(True))
         for epoch in range(2):
             for x, y in loader:
                 eager_model.zero_grad()
@@ -315,11 +319,224 @@ class TestFallbacks:
                                rng=np.random.default_rng(1))
             val = DataLoader(data, 4)
             return train_plain(model, mse_loss, train, val, epochs=3,
-                               patience=2, compile_step=compile_step)
+                               patience=2,
+                               compile_config=compile_cfg(compile_step))
         eager, compiled = run(False), run(True)
         assert compiled.best_val == eager.best_val
         assert compiled.history == eager.history
         assert compiled.epochs == eager.epochs
+
+    def test_dtype_flip_retraces(self):
+        """A set_default_dtype switch must re-trace, not replay the stale
+        program (the program-cache key carries the dtype)."""
+        rng = np.random.default_rng(0)
+        model = Sequential(CausalConv1d(3, 4, kernel_size=3, rng=rng),
+                           GlobalAvgPool1d(), Linear(4, 2, rng=rng))
+        step = make_training_step(model, mse_loss,
+                                  compile_config=compile_cfg(True))
+        x, y = rng.standard_normal((4, 3, 32)), rng.standard_normal((4, 2))
+        step(x, y)
+        set_default_dtype("float32")
+        try:
+            model.zero_grad()
+            step(x, y)
+            assert len(step.compiled_shapes) == 2
+            dtypes = {key[2] for key in step.compiled_shapes}
+            assert dtypes == {np.float64, np.float32}
+        finally:
+            set_default_dtype("float64")
+
+
+# ----------------------------------------------------------------------
+# Whole epochs: optimizer state, clipping, early stopping, stacking
+# ----------------------------------------------------------------------
+
+def small_net(seed=5):
+    rng = np.random.default_rng(seed)
+    return Sequential(CausalConv1d(2, 4, kernel_size=3, rng=rng), ReLU(),
+                      GlobalAvgPool1d(), Linear(4, 1, rng=rng))
+
+
+def run_epochs(compile_step, batches, epochs=3, grad_clip=None):
+    """Train a fresh :func:`small_net` for ``epochs`` passes over
+    ``batches``; returns (model, optimizer, per-epoch mean task losses)."""
+    model = small_net()
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    step = make_training_step(model, mse_loss,
+                              compile_config=compile_cfg(compile_step))
+    losses = []
+    for _ in range(epochs):
+        total = 0.0
+        for x, y in batches:
+            optimizer.zero_grad()
+            total += step(x, y)[1]
+            if grad_clip is not None:
+                clip_grad_norm(optimizer.params, grad_clip)
+            optimizer.step()
+        losses.append(total / len(batches))
+    return model, optimizer, losses
+
+
+class TestEpochParity:
+    """Compiled epochs match eager ones in losses, weights and the full Adam
+    state (moments and step counters) — the state checkpoints persist."""
+
+    def _assert_same_run(self, ref, other, context):
+        (m1, o1, l1), (m2, o2, l2) = ref, other
+        assert l1 == l2, f"{context}: epoch losses"
+        assert_same_state(m1, m2, context)
+        for p1, p2 in zip(o1.params, o2.params):
+            for s1, s2 in zip(o1.ensure_state(p1, o1.param_groups[0]),
+                              o2.ensure_state(p2, o2.param_groups[0])):
+                assert np.array_equal(s1, s2), f"{context}: adam state"
+
+    @pytest.mark.parametrize("backend", ["einsum", "im2col"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_epochs_match_eager(self, backend, dtype):
+        prev = get_default_dtype()
+        set_default_dtype(dtype)
+        try:
+            rng = np.random.default_rng(0)
+            # Three full batches and a ragged tail (a second program shape).
+            batches = [(rng.standard_normal((n, 2, 16)),
+                        rng.standard_normal((n, 1))) for n in (6, 6, 6, 2)]
+            with use_backend(backend):
+                self._assert_same_run(run_epochs(False, batches),
+                                      run_epochs(True, batches),
+                                      f"{backend}/{dtype}")
+        finally:
+            set_default_dtype(prev)
+
+    def test_epochs_with_grad_clip_match_eager(self):
+        rng = np.random.default_rng(3)
+        batches = [(rng.standard_normal((n, 2, 16)),
+                    rng.standard_normal((n, 1))) for n in (6, 6, 6, 2)]
+        self._assert_same_run(run_epochs(False, batches, grad_clip=0.5),
+                              run_epochs(True, batches, grad_clip=0.5),
+                              "grad-clip")
+
+    def test_randomized_early_stop_grid(self):
+        """train_plain over randomized patience/epoch grids: compiled and
+        eager stop on the same epoch with bit-identical histories and
+        restored best weights."""
+        rng = np.random.default_rng(7)
+        data_rng = np.random.default_rng(11)
+        x = data_rng.standard_normal((20, 2, 16))
+        y = data_rng.standard_normal((20, 1))
+
+        def run(compile_step, epochs, patience, seed):
+            model = small_net(seed)
+            train = DataLoader(ArrayDataset(x[:14], y[:14]), 4, shuffle=True,
+                               rng=np.random.default_rng(seed + 1))
+            val = DataLoader(ArrayDataset(x[14:], y[14:]), 4)
+            result = train_plain(model, mse_loss, train, val, epochs=epochs,
+                                 patience=patience,
+                                 compile_config=compile_cfg(compile_step))
+            return model, result
+
+        for trial in range(3):
+            epochs = int(rng.integers(3, 7))
+            patience = int(rng.integers(1, 4))
+            seed = int(rng.integers(0, 100))
+            ctx = f"trial {trial}: epochs={epochs} patience={patience}"
+            (m_eager, eager), (m_comp, comp) = (
+                run(flag, epochs, patience, seed) for flag in (False, True))
+            assert comp.epochs == eager.epochs, ctx
+            assert comp.history == eager.history, ctx
+            assert comp.best_val == eager.best_val, ctx
+            assert_same_state(m_eager, m_comp, ctx)
+
+    def test_stacked_trainer_matches_eager(self):
+        """The compiled stacked trainer (BatchNorm, dropout streams, stacked
+        clipping, the ``active`` mask) is bit-identical to the eager one."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((20, 2, 12))
+        y = (x[:, :1, :] * 0.5 + 0.3 * rng.standard_normal((20, 1, 12)))
+
+        class StackSeed(Module):
+            def __init__(self):
+                super().__init__()
+                mrng = np.random.default_rng(0)
+                self.c1 = PITConv1d(2, 4, rf_max=5, rng=mrng)
+                self.bn = BatchNorm1d(4)
+                self.r1 = ReLU()
+                self.dp = Dropout(0.2, rng=mrng)
+                self.h = CausalConv1d(4, 1, 1, rng=mrng)
+
+            def forward(self, inp):
+                return self.h(self.dp(self.r1(self.bn(self.c1(inp)))))
+
+        def run(compile_step):
+            train = DataLoader(ArrayDataset(x[:16], y[:16]), 4, shuffle=True,
+                               rng=np.random.default_rng(1))
+            val = DataLoader(ArrayDataset(x[16:], y[16:]), 4)
+            trainer = StackedPITTrainer(
+                StackSeed(), mse_loss, lams=[1e-7, 1e-4], warmup_epochs=2,
+                max_prune_epochs=3, prune_patience=2, finetune_epochs=2,
+                finetune_patience=2, grad_clip=1.0,
+                compile_config=compile_cfg(compile_step))
+            results = trainer.fit(train, val)
+            states = [trainer.model_for(i).state_dict()
+                      for i in range(len(results))]
+            return results, states
+
+        (eager, eager_states), (comp, comp_states) = run(False), run(True)
+        for re_, rc in zip(eager, comp):
+            assert rc.dilations == re_.dilations
+            assert rc.best_val == re_.best_val
+            assert rc.history == re_.history
+            assert rc.prune_epochs == re_.prune_epochs
+            assert rc.finetune_epochs == re_.finetune_epochs
+        for se, sc in zip(eager_states, comp_states):
+            for key in se:
+                assert np.array_equal(se[key], sc[key]), key
+
+
+# ----------------------------------------------------------------------
+# CompileConfig: the one knob, environment default, picklable
+# ----------------------------------------------------------------------
+
+class TestCompileConfig:
+    def test_default_defers_to_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
+        cfg = CompileConfig()
+        assert not cfg.want_compile()
+        monkeypatch.setenv("REPRO_COMPILE_STEP", "1")
+        assert cfg.want_compile()
+        assert CompileConfig.resolve(None).want_compile()
+
+    def test_explicit_field_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILE_STEP", "1")
+        assert not CompileConfig(compile_step=False).want_compile()
+        monkeypatch.setenv("REPRO_COMPILE_STEP", "0")
+        assert CompileConfig(compile_step=True).want_compile()
+
+    def test_resolve_rejects_wrong_type(self):
+        with pytest.raises(TypeError, match="CompileConfig"):
+            CompileConfig.resolve({"compile_step": True})
+
+    def test_picklable(self):
+        cfg = CompileConfig(compile_step=True)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_train_plain_surfaces_diagnostics(self):
+        rng = np.random.default_rng(0)
+        data = ArrayDataset(rng.standard_normal((16, 2, 16)),
+                            rng.standard_normal((16, 1)))
+
+        def run(compile_step):
+            train = DataLoader(data, 4, shuffle=True,
+                               rng=np.random.default_rng(1))
+            return train_plain(small_net(), mse_loss, train,
+                               DataLoader(data, 4), epochs=2, patience=2,
+                               compile_config=compile_cfg(compile_step))
+
+        stats = run(True).compile_stats
+        assert stats["optimize"] == "default"
+        assert stats["fallback_reason"] is None
+        assert stats["alloc_stats"]["persistent_buffers"] > 0
+        json.dumps(stats)   # DSE results pickle/serialize it
+        assert run(False).compile_stats is None
 
 
 # ----------------------------------------------------------------------
@@ -371,10 +588,7 @@ def _time_interleaved(steps, model, x, y):
 @pytest.mark.perf
 @pytest.mark.skipif(not os.environ.get("REPRO_RUN_PERF"),
                     reason="perf smoke test; set REPRO_RUN_PERF=1 to run")
-def test_compiled_step_speedup(graph_exec_leg):
-    if graph_exec_leg != "interp":
-        pytest.skip("this bench measures the interpreted replay; the "
-                    "codegen executor has its own (BENCH_codegen.json)")
+def test_compiled_step_speedup():
     rows = []
     try:
         for dtype, backend, batch in PERF_CONFIGS:

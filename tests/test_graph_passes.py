@@ -18,20 +18,18 @@ from repro.autograd import (
     record_side_effect,
     set_default_dtype,
 )
-from repro.autograd.graph import build_program, capture
+from repro.autograd.graph import CompileConfig, build_program, capture
 from repro.autograd.graph.ir import EffectNode, OpNode
 from repro.autograd.graph.passes import (
-    ENV_GRAPH_OPT,
     FusedOp,
+    check_opt_level,
     eliminate_dead_nodes,
     fold_constants,
     fuse_chains,
-    graph_opt_default,
-    resolve_graph_opt,
 )
 from repro.core import PITTrainer, size_regularizer
 from repro.core.pit_conv import PITConv1d
-from repro.core.trainer import make_training_step
+from repro.core.trainer import _step_function, make_training_step
 from repro.data import ArrayDataset, DataLoader
 from repro.models import restcn_seed, temponet_seed
 from repro.nn import (
@@ -69,21 +67,16 @@ def op_names(program):
 # Knob resolution
 # ----------------------------------------------------------------------
 
-class TestKnobs:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(ENV_GRAPH_OPT, raising=False)
-        assert graph_opt_default() == "default"
-        assert resolve_graph_opt(None) == "default"
+COMPILED = CompileConfig(compile_step=True)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_GRAPH_OPT, "none")
-        assert resolve_graph_opt(None) == "none"
-        # An explicit argument beats the environment.
-        assert resolve_graph_opt("default") == "default"
+
+class TestKnobs:
+    def test_default_is_on(self):
+        assert CompiledStep(lambda x, y: x).optimize == "default"
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ValueError, match="graph optimization level"):
-            resolve_graph_opt("aggressive")
+            check_opt_level("aggressive")
         with pytest.raises(ValueError):
             CompiledStep(lambda x, y: x, optimize="O3")
 
@@ -162,8 +155,7 @@ class TestFoldConstants:
         model = Sequential(PITConv1d(2, 3, rf_max=9, rng=rng),
                            GlobalAvgPool1d(), Linear(3, 1, rng=rng))
         model[0].freeze()
-        step = make_training_step(model, mse_loss, compile_step=True,
-                                  graph_opt="default")
+        step = make_training_step(model, mse_loss, compile_config=COMPILED)
         x, y = rng.standard_normal((2, 2, 16)), rng.standard_normal((2, 1))
         step(x, y)
         stats = next(iter(step.opt_stats.values()))
@@ -312,8 +304,7 @@ class TestMemoryPlan:
 
     def test_alloc_stats_zero_steady_state_growth(self):
         model = self._conv_model()
-        step = make_training_step(model, mse_loss, compile_step=True,
-                                  graph_opt="default")
+        step = make_training_step(model, mse_loss, compile_config=COMPILED)
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal((4, 3, 32)), rng.standard_normal((4, 2))
         step(x, y)          # trace
@@ -371,13 +362,11 @@ class TestMemoryPlan:
 # Whole-pipeline differential: optimized == unoptimized, bit for bit
 # ----------------------------------------------------------------------
 
-def run_training(make_model, batches, loss_fn, extra_loss_fn, graph_opt,
-                 graph_exec="interp"):
+def run_training(make_model, batches, loss_fn, extra_loss_fn, optimize):
     model = make_model()
     extra = (lambda: extra_loss_fn(model)) if extra_loss_fn else None
-    step = make_training_step(model, loss_fn, extra_loss=extra,
-                              compile_step=True, graph_opt=graph_opt,
-                              graph_exec=graph_exec)
+    step = CompiledStep(_step_function(model, loss_fn, extra),
+                        optimize=optimize)
     optimizer = Adam(model.parameters(), lr=1e-3)
     losses = []
     for x, y in batches:
@@ -386,8 +375,6 @@ def run_training(make_model, batches, loss_fn, extra_loss_fn, graph_opt,
         losses.append(step(x, y))
         optimizer.step()
     assert step.fallback_reason is None, step.fallback_reason
-    assert not step.exec_fallbacks, step.exec_fallbacks
-    assert all(mode == graph_exec for mode in step.executors.values())
     return losses, model.state_dict(), step
 
 
@@ -397,22 +384,20 @@ class TestPipelineParity:
         return [(rng.standard_normal(xshape), rng.standard_normal(yshape))
                 for _ in range(count)]
 
-    @pytest.mark.parametrize("graph_exec", ["interp", "source"])
     @pytest.mark.parametrize("seed_fn,xshape,yshape,loss_fn", [
         (lambda: temponet_seed(width_mult=0.125, seed=3), (8, 4, 256),
          (8, 1), mae_loss),
         (lambda: restcn_seed(width_mult=0.05, seed=1), (4, 88, 48),
          (4, 88, 48), polyphonic_nll),
     ])
-    def test_tcn_seeds_bit_identical(self, seed_fn, xshape, yshape, loss_fn,
-                                     graph_exec):
+    def test_tcn_seeds_bit_identical(self, seed_fn, xshape, yshape, loss_fn):
         batches = self._batches(xshape, yshape)
         base, state_a, _ = run_training(
             seed_fn, batches, loss_fn,
             lambda m: size_regularizer(m, 0.02), "none")
         opt, state_b, step = run_training(
             seed_fn, batches, loss_fn,
-            lambda m: size_regularizer(m, 0.02), "default", graph_exec)
+            lambda m: size_regularizer(m, 0.02), "default")
         assert base == opt
         for key in state_a:
             assert np.array_equal(state_a[key], state_b[key]), key
@@ -420,10 +405,10 @@ class TestPipelineParity:
         assert stats["fused_groups"] >= 1
 
     def test_three_phase_pit_bit_identical(self):
+        """The compiled PIT trainer (optimized replay in every phase,
+        frozen masks folded in phase 3) matches the eager trainer."""
         outcomes = {}
-        configs = [("none", "interp"), ("default", "interp"),
-                   ("default", "source")]
-        for graph_opt, graph_exec in configs:
+        for compile_step in (False, True):
             rng = np.random.default_rng(0)
             data = ArrayDataset(rng.standard_normal((24, 4, 256)),
                                 rng.standard_normal((24, 1)))
@@ -431,28 +416,27 @@ class TestPipelineParity:
                                rng=np.random.default_rng(1))
             val = DataLoader(data, 8)
             model = temponet_seed(width_mult=0.125, seed=3)
-            trainer = PITTrainer(model, mae_loss, lam=0.5, gamma_lr=0.1,
-                                 warmup_epochs=1, max_prune_epochs=2,
-                                 prune_patience=2, finetune_epochs=1,
-                                 finetune_patience=1, compile_step=True,
-                                 graph_opt=graph_opt, graph_exec=graph_exec)
-            outcomes[(graph_opt, graph_exec)] = (trainer.fit(train, val),
-                                                 model.state_dict())
-        base = outcomes[configs[0]]
-        for config in configs[1:]:
-            opt = outcomes[config]
-            assert base[0].dilations == opt[0].dilations, config
-            assert base[0].best_val == opt[0].best_val, config
-            assert base[0].history == opt[0].history, config
-            for key in base[1]:
-                assert np.array_equal(base[1][key], opt[1][key]), (config, key)
+            trainer = PITTrainer(
+                model, mae_loss, lam=0.5, gamma_lr=0.1, warmup_epochs=1,
+                max_prune_epochs=2, prune_patience=2, finetune_epochs=1,
+                finetune_patience=1,
+                compile_config=CompileConfig(compile_step=compile_step))
+            outcomes[compile_step] = (trainer.fit(train, val),
+                                      model.state_dict())
+        base, opt = outcomes[False], outcomes[True]
+        assert base[0].dilations == opt[0].dilations
+        assert base[0].best_val == opt[0].best_val
+        assert base[0].history == opt[0].history
+        for key in base[1]:
+            assert np.array_equal(base[1][key], opt[1][key]), key
+        assert all(stats["optimize"] == "default"
+                   for stats in opt[0].compile_stats.values())
 
     def test_shape_polymorphism_optimizes_each_program(self):
         rng = np.random.default_rng(5)
         model = Sequential(CausalConv1d(2, 4, kernel_size=3, rng=rng),
                            ReLU(), GlobalAvgPool1d(), Linear(4, 1, rng=rng))
-        step = make_training_step(model, mse_loss, compile_step=True,
-                                  graph_opt="default")
+        step = make_training_step(model, mse_loss, compile_config=COMPILED)
         step(rng.standard_normal((4, 2, 16)), rng.standard_normal((4, 1)))
         step(rng.standard_normal((2, 2, 16)), rng.standard_normal((2, 1)))
         assert len(step.opt_stats) == 2

@@ -138,6 +138,30 @@ def run(coro):
 
 
 class TestStreamServer:
+    def test_partial_barrier_keeps_queued_samples(self):
+        """A tick blocked on one active client must not consume the other
+        clients' samples: slot 0's sample is fed on the next full tick."""
+        from repro.serving.server import _Session
+
+        first, second = RNG.standard_normal(2), RNG.standard_normal(2)
+
+        async def scenario():
+            server = StreamServer(make_net(), capacity=2)
+            a, b = server.pool.attach(), server.pool.attach()
+            server.pool.tick({a: np.ones(2), b: np.ones(2)})  # both active
+            for slot in (a, b):
+                server._sessions[slot] = _Session(slot, 4, writer=None)
+            server._sessions[a].queue.put_nowait(first)
+            blocked = server._collect()     # b has nothing queued yet
+            server._sessions[b].queue.put_nowait(second)
+            return (a, b), blocked, server._collect()
+
+        (a, b), blocked, samples = run(scenario())
+        assert blocked is None
+        assert samples is not None
+        assert samples[a] is first
+        assert samples[b] is second
+
     def test_single_client_round_trip(self):
         net = make_net()
         samples = RNG.standard_normal((10, 2))
