@@ -16,10 +16,10 @@ snapshots the *complete* training state at epoch boundaries:
 
 A run killed at any epoch boundary and resumed from its checkpoint is
 **bit-identical** — losses, params, full Adam state — to the uninterrupted
-run, across eager and compiled-step execution, every conv backend and
-the stacked trainer (which writes one
-template-shaped checkpoint per slice, so a stacked run's resume composes
-with slicing and a sequential trainer can adopt a stacked slice's file).
+run, across eager and compiled-step execution and every conv backend.
+The phase driver (:mod:`repro.core.driver`) writes one template-shaped
+file per lane, so a stack's resume composes with slicing and a
+sequential run can adopt any lane's file.
 
 Persistence goes through :func:`repro.nn.serialization.save_state`
 (tempfile + ``os.replace``, so a crash mid-write can't tear the archive)
@@ -28,10 +28,8 @@ truncated or checksum-failing file is quarantined to ``<path>.corrupt``
 with a warning — like ``DSECache`` — and the run restarts from scratch
 (or from an older checkpoint if the caller keeps several tags).
 
-Nothing here imports the trainers: this module only knows how to turn
-live training objects (optimizer, stopper, RNG maps) into flat array
-dicts and back, which keeps it reusable for both the sequential and the
-stacked trainer and for future schedules.
+This module only turns live training objects (optimizer, stopper, RNG
+maps) into flat array dicts and back; the driver decides what to save.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ ENV_CKPT_EVERY = "REPRO_CKPT_EVERY"
 
 #: bump when the archive layout changes; older formats are quarantined,
 #: not migrated — a checkpoint is a cache of epochs, never the only copy
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def checkpoint_dir_default() -> Optional[str]:

@@ -12,20 +12,17 @@ per-model losses are combined as::
 Model slices are mathematically independent, so the gradient of ``L``
 w.r.t. slice ``m`` equals the gradient the sequential trainer would
 compute for that grid point; the stack just executes all M of them per op
-dispatch.  The trainer reproduces sequential *semantics* exactly (up to
+dispatch.  The schedule itself is the sequential trainer's phase list run
+by :func:`repro.core.driver.run_phases` over M lanes (:class:`StackLanes`)
+instead of one, which reproduces sequential *semantics* exactly (up to
 floating-point reduction order — see ``tests/test_dse_stacked.py`` for the
-locked tolerance):
-
-* per-model early stopping: a converged model is masked out of the loss
-  (``active_m = 0``), its dropout streams stop advancing, its state is
-  snapshotted at the stop epoch and restored at the phase boundary — the
-  stack keeps training the rest at zero semantic cost to the finished one;
-* per-model data streams: each model consumes its *own* epoch sequence of
-  the training loader (via :class:`repro.data.EpochReplayLoader`), so a
-  model entering fine-tuning after an early prune stop sees exactly the
-  batches its sequential run would have;
-* per-model Adam / per-model gradient clipping / per-model BatchNorm
-  running statistics — all carried on the stacked axis.
+locked tolerance): per-lane early stopping masks a converged model out of
+the loss (``active_m = 0``) and freezes its dropout streams; each model
+consumes its *own* epoch sequence of the loaders (via
+:class:`repro.data.EpochReplayLoader`), so a model entering fine-tuning
+after an early prune stop sees exactly the batches its sequential run
+would have; Adam, gradient clipping and BatchNorm statistics are all
+per-model on the stacked axis.
 
 Stacking requires the model to be built from layers with registered
 stacked counterparts and plain :class:`repro.data.DataLoader` loaders;
@@ -35,8 +32,6 @@ training starts* and the DSE engine falls back to the sequential path.
 
 from __future__ import annotations
 
-import time
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -70,23 +65,13 @@ from ..nn.stacked import (
     register_stacked,
     stack_parameter,
 )
-from ..optim import Adam, EarlyStopping, clip_grads_stacked
-from ..testing import faults
-from .checkpoint import (
-    TrainerCheckpoint,
-    capture_rngs,
-    module_rng_map,
-    optimizer_arrays,
-    restore_optimizer,
-    restore_rngs,
-    restore_stopper,
-    stopper_arrays,
-)
-from .export import effective_parameters, network_dilations
+from ..optim import clip_grads_stacked
+from .checkpoint import TrainerCheckpoint, module_rng_map
+from .driver import Outcome, run_phases
 from .masks import TimeMask, lag_gamma_indices
 from .pit_conv import PITConv1d
 from .regularizer import gamma_size_coefficients
-from .trainer import DivergedError, PITResult
+from .trainer import PITResult, pit_phases, pit_result
 
 __all__ = [
     "StackedTimeMask",
@@ -475,12 +460,12 @@ class StackedPITTrainer:
         if self.verbose:
             print(f"[StackedPIT] {message}")
 
-    def _split_params(self):
-        gamma_params, weight_params = [], []
-        for name, p in self.stacked.net.named_parameters():
-            (gamma_params if name.endswith("gamma_hat")
-             else weight_params).append(p)
-        return weight_params, gamma_params
+    def _phase_done(self, name: str, out: Outcome) -> None:
+        if name == "warmup":
+            self._log("warmup done, val="
+                      f"{[h['warmup_val'][-1] for h in out.histories]}")
+        elif name == "prune":
+            self._log(f"pruning converged after {out.ran['prune']} epochs")
 
     def _make_step(self, with_reg: bool):
         stacked = self.stacked
@@ -498,58 +483,21 @@ class StackedPITTrainer:
                 per_total = task_vec + lam_t * reg
             # Masked (early-stopped) models contribute zero gradient; their
             # parameters only drift through optimizer momentum, which the
-            # phase-boundary snapshot restore discards.
+            # phase-end snapshot restore discards.
             loss = (per_total * active_t).sum()
             return loss, task_vec
 
-        if self.compile_step:
-            return CompiledStep(step_fn)
-        return EagerStep(step_fn)
-
-    # ------------------------------------------------------------------
-    def _epoch_index(self, cursors: List[int], i: int, active: List[bool]) -> int:
-        # Masked models re-read their last epoch (results discarded) so the
-        # zip over per-model iterators stays rectangular without advancing
-        # their stream position.
-        return cursors[i] if active[i] else max(cursors[i] - 1, 0)
-
-    def _run_train_epoch(self, step, optimizer, train_view: EpochReplayLoader,
-                         cursors: List[int], active: List[bool]) -> np.ndarray:
-        iters = [train_view.epoch(self._epoch_index(cursors, i, active))
-                 for i in range(self.m)]
-        totals = np.zeros(self.m)
-        batches = 0
-        for parts in zip(*iters):
-            x = np.stack([part[0] for part in parts])
-            y = np.stack([part[1] for part in parts])
-            optimizer.zero_grad()
-            _, task_vec = step(x, y)
-            if self.grad_clip is not None:
-                clip_grad_norm_stacked(optimizer.params, self.grad_clip)
-            optimizer.step()
-            totals += np.asarray(task_vec)
-            batches += 1
-        if batches == 0:
-            raise ValueError("training loader produced no batches")
-        totals = totals / batches
-        for i in range(self.m):
-            if active[i]:
-                cursors[i] += 1
-        return totals
+        return (CompiledStep if self.compile_step else EagerStep)(step_fn)
 
     def _run_validation(self, val_view: EpochReplayLoader,
-                        cursors: List[int], active: List[bool]) -> np.ndarray:
+                        cursors: Sequence[int], active) -> np.ndarray:
         stacked = self.stacked
         was_training = stacked.net.training
         stacked.eval()
-        iters = [val_view.epoch(self._epoch_index(cursors, i, active))
-                 for i in range(self.m)]
         totals = np.zeros(self.m)
         batches = 0
         with no_grad():
-            for parts in zip(*iters):
-                x = np.stack([part[0] for part in parts])
-                y = np.stack([part[1] for part in parts])
+            for x, y in _stacked_epoch(val_view, cursors, active):
                 vec = per_model_loss(self.loss_fn, stacked(Tensor(x)),
                                      Tensor(y))
                 totals += np.asarray(vec.data, dtype=np.float64)
@@ -558,34 +506,12 @@ class StackedPITTrainer:
             stacked.train()
         if batches == 0:
             raise ValueError("evaluation loader produced no batches")
-        for i in range(self.m):
-            if active[i]:
-                cursors[i] += 1
-        vals = totals / batches
-        if faults.fire("nan_loss") is not None:
-            # One diverged slice genuinely poisons the whole stack: the
-            # models share one summed loss, so NaN gradients reach every
-            # slice.  The injector reproduces exactly that blast radius.
-            vals = np.full_like(vals, np.nan)
-        bad = [i for i in range(self.m)
-               if active[i] and not np.isfinite(vals[i])]
-        if bad:
-            raise DivergedError(
-                "stacked validation loss is non-finite for model(s) "
-                + ", ".join(f"{i} (lam={self.lams[i]:g})" for i in bad)
-                + "; a diverged slice poisons the shared stacked loss — "
-                  "retrain the group sequentially to isolate it")
-        return vals
+        return totals / batches
 
     def _effective_params(self, index: int) -> int:
-        """Per-slice equivalent of :func:`repro.core.effective_parameters`.
-
-        Counted from the stacked masks directly — per epoch per model this
-        runs on the hot path, and a full ``sync_template`` copy just to
-        count parameters would cost M state copies per pruning epoch.
-        PIT-layer counts depend only on the masks; everything else is the
-        constant non-searchable remainder, computed once.
-        """
+        """Per-slice :func:`repro.core.effective_parameters`, counted from
+        the stacked masks plus the constant non-searchable remainder — a
+        ``sync_template`` copy per epoch per model would cost far more."""
         return self._fixed_param_count + sum(
             layer.effective_params(index) for layer in self._pit_layers)
 
@@ -597,334 +523,79 @@ class StackedPITTrainer:
         """
         return self.stacked.sync_template(index)
 
-    # ------------------------------------------------------------------
-    def _load_resume(self):
-        """All M slice checkpoints, or None (absent / torn / mismatched).
-
-        Every slice must exist and agree on (phase, global epoch): a crash
-        *between* per-slice writes leaves a torn set, which degrades to a
-        fresh start rather than resuming slices at different epochs.
-        """
-        if self._checkpoints is None:
-            return None
-        states = []
-        for i, ckpt in enumerate(self._checkpoints):
-            state = ckpt.load()
-            if state is None:
-                return None
-            meta = state.meta
-            if meta.get("trainer") != "pit" or not meta.get("stack"):
-                return None
-            info = meta["stack"]
-            if int(info.get("m", -1)) != self.m or int(info.get("index", -1)) != i:
-                return None
-            states.append(state)
-        if len({(s.meta.get("phase"), int(s.meta.get("global_epoch", -1)))
-                for s in states}) != 1:
-            warnings.warn(
-                "stacked checkpoint set is torn (slices disagree on "
-                "phase/epoch); starting fresh")
-            return None
-        return states
-
-    def _save_boundary(self, phase: str, optimizer, stoppers, histories, *,
-                       warmup_ran: int, prune_ran: List[int],
-                       finetune_ran: List[int], stack_prune_epoch: int,
-                       stack_finetune_epoch: int, seconds: Dict,
-                       active: List[bool], train_cur: List[int],
-                       val_cur: List[int], train_view, val_view,
-                       snapshots: Optional[List[Optional[Dict]]] = None
-                       ) -> None:
-        """One shared epoch boundary: write every slice's snapshot (when
-        due), then hit the ``crash@epoch=K`` fault site."""
-        self._global_epoch += 1
-        ge = self._global_epoch
-        ckpts = self._checkpoints
-        if ckpts is not None and ckpts[0].due(ge):
-            orders = {"train": len(train_view._orders),
-                      "val": len(val_view._orders)}
-            for i, ckpt in enumerate(ckpts):
-                arrays = {f"model/{name}": arr for name, arr
-                          in self.stacked.slice_state(i).items()}
-                arrays.update(optimizer_arrays(optimizer, slice_index=i))
-                if stoppers is not None:
-                    arrays.update(stopper_arrays(stoppers[i]))
-                if snapshots is not None and snapshots[i] is not None:
-                    arrays.update({f"snap/{name}": arr
-                                   for name, arr in snapshots[i].items()})
-                ckpt.save(arrays, {
-                    "trainer": "pit", "phase": phase, "global_epoch": ge,
-                    "counters": {
-                        "warmup_ran": warmup_ran,
-                        "prune_ran": int(prune_ran[i]),
-                        "finetune_ran": int(finetune_ran[i]),
-                        "stack_prune_epoch": stack_prune_epoch,
-                        "stack_finetune_epoch": stack_finetune_epoch,
-                    },
-                    "history": histories[i],
-                    "seconds": seconds,
-                    "rngs": capture_rngs(
-                        module_rng_map(self.stacked.net, slice_index=i)),
-                    "loader_epochs": {"train": int(train_cur[i]),
-                                      "val": int(val_cur[i])},
-                    "stack": {
-                        "m": self.m, "index": i,
-                        "active": bool(active[i]),
-                        "train_cur": int(train_cur[i]),
-                        "val_cur": int(val_cur[i]),
-                        "orders": orders,
-                        "has_snapshot": bool(
-                            snapshots is not None
-                            and snapshots[i] is not None),
-                    },
-                })
-        faults.crash_at_epoch(ge)
-
     def fit(self, train_loader, val_loader) -> List[PITResult]:
         """Run warmup → pruning → fine-tuning for all M grid points.
 
         With checkpointing configured (``checkpoint_dir=``), every shared
-        epoch boundary writes one template-shaped snapshot per slice and a
+        epoch boundary writes one template-shaped file per slice and a
         complete, consistent set is resumed bit-identically to the
         uninterrupted stacked run.  Slice files use the same format the
-        sequential trainer writes, so the same grid point resumes across
-        both execution strategies (within the established stacked-vs-
-        sequential floating-point tolerance).
+        sequential trainer writes, so a sequential run adopts a slice's
+        file (within the established stacked-vs-sequential tolerance).
         """
+        out = run_phases(
+            StackLanes(self, train_loader, val_loader), pit_phases(self),
+            kind="pit", checkpoints=self._checkpoints,
+            grad_clip=self.grad_clip, log=self._log,
+            on_phase_end=self._phase_done)
+        self._log(f"fine-tuning done, best val={out.best}")
+        return [pit_result(out, i, self.stacked.sync_template(i))
+                for i in range(self.m)]
+
+
+def _stacked_epoch(view: EpochReplayLoader, cursors: Sequence[int],
+                   active):
+    """One epoch of every lane's own stream, stacked to ``(M, N, ...)``.
+
+    A stopped lane re-reads its last epoch (its results are discarded), so
+    the zip over per-lane iterators stays rectangular without advancing
+    its stream position.
+    """
+    iters = [view.epoch(cursor if flag else max(cursor - 1, 0))
+             for cursor, flag in zip(cursors, active)]
+    for parts in zip(*iters):
+        yield (np.stack([part[0] for part in parts]),
+               np.stack([part[1] for part in parts]))
+
+
+class StackLanes:
+    """The M lanes of a :class:`StackedPITTrainer` for
+    :func:`repro.core.driver.run_phases`: its :class:`StackedModel` on
+    per-lane :class:`EpochReplayLoader` views of the loaders."""
+    sliced = True
+    loaders: Dict = {}   # the views replay any epoch: no stream to restore
+    clip = staticmethod(clip_grad_norm_stacked)
+
+    def __init__(self, trainer: StackedPITTrainer, train_loader, val_loader):
         try:
-            train_view = EpochReplayLoader(train_loader)
-            val_view = EpochReplayLoader(val_loader)
+            self.train_view = EpochReplayLoader(train_loader)
+            self.val_view = EpochReplayLoader(val_loader)
         except TypeError as exc:
             raise StackingUnsupported(str(exc)) from exc
+        self.trainer = trainer
+        self.stacked = trainer.stacked
+        self.net = trainer.stacked.net
+        self.active = trainer.stacked.active
+        self.m = trainer.m
+        self.searchable = trainer._pit_layers
 
-        m = self.m
-        stacked = self.stacked
-        states = self._load_resume()
-        meta0 = states[0].meta if states else {}
-        phases = ("warmup", "prune", "finetune")
-        phase_at = (phases.index(meta0["phase"])
-                    if meta0.get("phase") in phases else -1)
-        shared = meta0.get("counters", {})
-        seconds = {k: float(v) for k, v in meta0.get("seconds", {}).items()}
-        self._global_epoch = int(meta0.get("global_epoch", 0))
-        resumed_epochs = self._global_epoch
-        if states:
-            histories = [dict(s.meta["history"]) for s in states]
-            train_cur = [int(s.meta["stack"]["train_cur"]) for s in states]
-            val_cur = [int(s.meta["stack"]["val_cur"]) for s in states]
-            # Regenerate the views' memoized epoch orders: the loaders
-            # passed in are pristine, so replaying the shuffle stream
-            # reproduces exactly the orders the interrupted run drew.
-            orders = meta0["stack"].get("orders", {})
-            if int(orders.get("train", 0)) > 0:
-                train_view._order(int(orders["train"]) - 1)
-            if int(orders.get("val", 0)) > 0:
-                val_view._order(int(orders["val"]) - 1)
-            self._log(f"resumed {m} slices at phase {meta0.get('phase')!r}, "
-                      f"global epoch {self._global_epoch}")
-        else:
-            histories = [
-                {"warmup_val": [], "prune_val": [], "finetune_val": [],
-                 "prune_params": []}
-                for _ in range(m)]
-            train_cur = [0] * m
-            val_cur = [0] * m
-        weight_params, gamma_params = self._split_params()
+    def make_step(self, regularized: bool):
+        return self.trainer._make_step(regularized)
 
-        def restore_slices(optimizer, stoppers=None):
-            for i, state in enumerate(states):
-                stacked.load_slice_state(i, state.group("model/"))
-                restore_optimizer(optimizer, state.arrays, slice_index=i)
-                if stoppers is not None:
-                    restore_stopper(stoppers[i], state.arrays)
-                restore_rngs(module_rng_map(stacked.net, slice_index=i),
-                             state.meta.get("rngs", {}))
+    def batches(self, cursors, active):
+        return _stacked_epoch(self.train_view, cursors, active)
 
-        # ---------------- Phase 1: warmup (weights only) ----------------
-        start = time.perf_counter()
-        warmup_base = seconds.get("warmup", 0.0)
-        warmup_ran = int(shared.get("warmup_ran", 0))
-        warmup_seconds = warmup_base
-        if self.warmup_epochs > 0 and phase_at <= 0:
-            optimizer = Adam(weight_params, lr=self.lr)
-            if states and phase_at == 0:
-                restore_slices(optimizer)
-            step = self._make_step(with_reg=False)
-            active = [True] * m
-            val = None
-            for _ in range(warmup_ran, self.warmup_epochs):
-                self._run_train_epoch(step, optimizer, train_view,
-                                      train_cur, active)
-                val = self._run_validation(val_view, val_cur, active)
-                for i in range(m):
-                    histories[i]["warmup_val"].append(float(val[i]))
-                warmup_ran += 1
-                self._save_boundary(
-                    "warmup", optimizer, None, histories,
-                    warmup_ran=warmup_ran, prune_ran=[0] * m,
-                    finetune_ran=[0] * m, stack_prune_epoch=0,
-                    stack_finetune_epoch=0,
-                    seconds={**seconds, "warmup": warmup_base
-                             + (time.perf_counter() - start)},
-                    active=active, train_cur=train_cur, val_cur=val_cur,
-                    train_view=train_view, val_view=val_view)
-            if val is not None:
-                self._log(f"warmup done, val={val}")
-            warmup_seconds = warmup_base + (time.perf_counter() - start)
-        seconds["warmup"] = warmup_seconds
+    def validate(self, cursors, active) -> np.ndarray:
+        return self.trainer._run_validation(self.val_view, cursors, active)
 
-        # ---------------- Phase 2: pruning (weights + γ) ----------------
-        start = time.perf_counter()
-        prune_base = seconds.get("prune", 0.0)
-        prune_ran = ([int(s.meta["counters"].get("prune_ran", 0))
-                      for s in states] if states else [0] * m)
-        prune_epoch = int(shared.get("stack_prune_epoch", 0))
-        snapshots: List[Optional[Dict]] = [None] * m
-        prune_seconds = prune_base
-        if phase_at <= 1:
-            groups = [{"params": weight_params, "lr": self.lr}]
-            if gamma_params:
-                groups.append({"params": gamma_params, "lr": self.gamma_lr,
-                               "weight_decay": 0.0})
-            optimizer = Adam(groups, lr=self.lr)
-            stoppers = [EarlyStopping(patience=self.prune_patience,
-                                      mode="min") for _ in range(m)]
-            active = [True] * m
-            stacked.set_all_active()
-            if states and phase_at == 1:
-                restore_slices(optimizer, stoppers)
-                for i, state in enumerate(states):
-                    info = state.meta["stack"]
-                    active[i] = bool(info.get("active", True))
-                    stacked.set_active(i, active[i])
-                    if info.get("has_snapshot"):
-                        snapshots[i] = {name: np.array(arr, copy=True)
-                                        for name, arr
-                                        in state.group("snap/").items()}
-            step = self._make_step(with_reg=True)
-            for _ in range(prune_epoch, self.max_prune_epochs):
-                if not any(active):
-                    break
-                self._run_train_epoch(step, optimizer, train_view,
-                                      train_cur, active)
-                val = self._run_validation(val_view, val_cur, active)
-                for i in range(m):
-                    if not active[i]:
-                        continue
-                    histories[i]["prune_val"].append(float(val[i]))
-                    histories[i]["prune_params"].append(
-                        float(self._effective_params(i)))
-                    prune_ran[i] += 1
-                    stoppers[i].update(float(val[i]))
-                    if stoppers[i].should_stop:
-                        # Freeze this grid point where its sequential run
-                        # would have stopped; the stack keeps going for
-                        # the others.
-                        active[i] = False
-                        stacked.set_active(i, False)
-                        snapshots[i] = stacked.slice_state(i)
-                prune_epoch += 1
-                self._save_boundary(
-                    "prune", optimizer, stoppers, histories,
-                    warmup_ran=warmup_ran, prune_ran=prune_ran,
-                    finetune_ran=[0] * m, stack_prune_epoch=prune_epoch,
-                    stack_finetune_epoch=0,
-                    seconds={**seconds, "prune": prune_base
-                             + (time.perf_counter() - start)},
-                    active=active, train_cur=train_cur, val_cur=val_cur,
-                    train_view=train_view, val_view=val_view,
-                    snapshots=snapshots)
-            for i in range(m):
-                if snapshots[i] is None:          # ran to the epoch cap
-                    snapshots[i] = stacked.slice_state(i)
-            for i in range(m):
-                stacked.load_slice_state(i, snapshots[i])
-            prune_seconds = prune_base + (time.perf_counter() - start)
-        seconds["prune"] = prune_seconds
-        self._log(f"pruning converged after {prune_ran} epochs")
+    def state(self, i: int) -> Dict[str, np.ndarray]:
+        return self.stacked.slice_state(i)
 
-        # ---------------- Phase 3: freeze + fine-tune --------------------
-        start = time.perf_counter()
-        finetune_base = seconds.get("finetune", 0.0)
-        finetune_ran = ([int(s.meta["counters"].get("finetune_ran", 0))
-                         for s in states] if states else [0] * m)
-        finetune_epoch = int(shared.get("stack_finetune_epoch", 0))
-        stacked.set_all_active()
-        for layer in self._pit_layers:
-            layer.freeze()
-        optimizer = Adam(weight_params, lr=self.lr)
-        stoppers = [EarlyStopping(patience=self.finetune_patience, mode="min")
-                    for _ in range(m)]
-        active = [True] * m
-        if states and phase_at == 2:
-            # freeze() first (it shapes the stacked frozen-mask buffers),
-            # restore second: the snapshots carry the exact masks of the
-            # original pruning outcome for every slice.
-            restore_slices(optimizer, stoppers)
-            for i, state in enumerate(states):
-                active[i] = bool(state.meta["stack"].get("active", True))
-                stacked.set_active(i, active[i])
-        # Fresh step: freezing changed the graph (per-model masks became
-        # constants the optimizer passes fold away).
-        step = self._make_step(with_reg=False)
-        for _ in range(finetune_epoch, self.finetune_epochs):
-            if not any(active):
-                break
-            self._run_train_epoch(step, optimizer, train_view,
-                                  train_cur, active)
-            val = self._run_validation(val_view, val_cur, active)
-            for i in range(m):
-                if not active[i]:
-                    continue
-                histories[i]["finetune_val"].append(float(val[i]))
-                finetune_ran[i] += 1
-                stoppers[i].update(float(val[i]),
-                                   state=stacked.slice_state(i))
-                if stoppers[i].should_stop:
-                    active[i] = False
-                    stacked.set_active(i, False)
-            finetune_epoch += 1
-            self._save_boundary(
-                "finetune", optimizer, stoppers, histories,
-                warmup_ran=warmup_ran, prune_ran=prune_ran,
-                finetune_ran=finetune_ran, stack_prune_epoch=prune_epoch,
-                stack_finetune_epoch=finetune_epoch,
-                seconds={**seconds, "finetune": finetune_base
-                         + (time.perf_counter() - start)},
-                active=active, train_cur=train_cur, val_cur=val_cur,
-                train_view=train_view, val_view=val_view)
-        for i in range(m):
-            if stoppers[i].best_state is not None:
-                stacked.load_slice_state(i, stoppers[i].best_state)
-        stacked.set_all_active()
-        finetune_seconds = finetune_base + (time.perf_counter() - start)
+    def load_state(self, i: int, state: Dict[str, np.ndarray]) -> None:
+        self.stacked.load_slice_state(i, state)
 
-        best_vals = [None if stoppers[i].best is None else float(stoppers[i].best)
-                     for i in range(m)]
-        if any(v is None for v in best_vals):
-            # No fine-tune epoch ran (finetune_epochs=0): evaluate once,
-            # per model, like the sequential fallback path does.
-            needs = [best_vals[i] is None for i in range(m)]
-            val = self._run_validation(val_view, val_cur, needs)
-            for i in range(m):
-                if best_vals[i] is None:
-                    best_vals[i] = float(val[i])
-        self._log(f"fine-tuning done, best val={best_vals}")
+    def rng_map(self, i: int) -> Dict[str, np.random.Generator]:
+        return module_rng_map(self.net, slice_index=i)
 
-        results = []
-        for i in range(m):
-            template = self.stacked.sync_template(i)
-            results.append(PITResult(
-                dilations=network_dilations(template),
-                best_val=best_vals[i],
-                effective_params=effective_parameters(template),
-                warmup_seconds=warmup_seconds,
-                prune_seconds=prune_seconds,
-                finetune_seconds=finetune_seconds,
-                warmup_epochs=warmup_ran,
-                prune_epochs=prune_ran[i],
-                finetune_epochs=finetune_ran[i],
-                history=histories[i],
-                resumed_epochs=resumed_epochs,
-            ))
-        return results
+    def effective_params(self, i: int) -> int:
+        return self.trainer._effective_params(i)

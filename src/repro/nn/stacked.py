@@ -403,7 +403,10 @@ class StackedModel(Module):
     ``forward`` maps a stacked input ``(M, N, ...)`` — per-model batches —
     to stacked outputs; :meth:`tile_input` lifts a shared batch.  The
     template is kept (unregistered, so its parameters stay out of this
-    module's) as the slice target for :meth:`sync_template`.
+    module's) as the slice target for :meth:`sync_template`.  ``active``
+    is the per-model training mask (1.0 trains, 0.0 masks): masked models
+    ride along at zero gradient cost — the trainer multiplies their loss
+    contribution by it and stacked dropout skips their draws.
     """
 
     def __init__(self, template: Module, m: int):
@@ -421,21 +424,6 @@ class StackedModel(Module):
     def tile_input(self, x: np.ndarray) -> np.ndarray:
         """Broadcast one shared batch to the stack: ``(N, ...) -> (M, N, ...)``."""
         return np.broadcast_to(x, (self.stack_size,) + x.shape).copy()
-
-    # ------------------------------------------------------------------
-    # Per-model masking
-    # ------------------------------------------------------------------
-    def set_active(self, index: int, flag: bool) -> None:
-        """Mark model ``index`` as training (True) or masked (False).
-
-        Masked models ride along in the stack at zero gradient cost: the
-        trainer multiplies their loss contribution by this array and
-        stacked dropout skips their draws.
-        """
-        self.active[index] = 1.0 if flag else 0.0
-
-    def set_all_active(self) -> None:
-        self.active[...] = 1.0
 
     # ------------------------------------------------------------------
     # Per-model state slicing

@@ -75,7 +75,7 @@ __all__ = [
     "Fault", "FaultError", "TransientFault", "InjectedWorkerCrash",
     "parse_faults", "active_faults", "fire", "reset",
     "point_scope", "current_points",
-    "inject_point_faults", "poison_loss", "corrupt_cache_file",
+    "inject_point_faults", "corrupt_cache_file",
     "drop_connection", "crash_at_epoch", "corrupt_checkpoint_file",
 ]
 
@@ -297,13 +297,6 @@ def inject_point_faults() -> None:
             "injected fault: worker_crash (in-process)")
     if fire("transient") is not None:
         raise TransientFault("injected fault: transient")
-
-
-def poison_loss(value: float) -> float:
-    """Trainer epoch-loss site: NaN when a ``nan_loss`` fault is armed."""
-    if fire("nan_loss") is not None:
-        return float("nan")
-    return value
 
 
 def corrupt_cache_file(path: str) -> bool:

@@ -243,6 +243,44 @@ class TestStackedResume:
         assert all(r.resumed_epochs == 0 for r in results)
         assert _stacked_fingerprint(results, trainer)[0] == ref[0]
 
+    def test_sequential_adopts_early_stopped_slice(self, tmp_path,
+                                                   monkeypatch):
+        """A sequential run adopting a stack lane that stopped pruning
+        before the crash fine-tunes from the lane's stop-epoch weights —
+        not from the weights Adam momentum kept moving after the stop —
+        and so matches the uninterrupted sequential run."""
+        from test_dse_stacked import SCHEDULE, TOL, StackSeed
+        from test_dse_stacked import _loaders as stack_loaders
+
+        def sequential(**kw):
+            train, val = stack_loaders()
+            return PITTrainer(StackSeed(), mse_loss, lam=5.0, **SCHEDULE,
+                              **kw).fit(train, val)
+
+        ref = sequential()
+        assert ref.warmup_epochs + ref.prune_epochs < 6  # stopped pre-crash
+        monkeypatch.setenv(faults.ENV_FAULTS, "crash@epoch=6")
+        train, val = stack_loaders()
+        with pytest.raises(faults.InjectedWorkerCrash):
+            StackedPITTrainer(StackSeed(), mse_loss, [0.0, 5.0],
+                              checkpoint_dir=str(tmp_path),
+                              **SCHEDULE).fit(train, val)
+        monkeypatch.delenv(faults.ENV_FAULTS)
+        faults.reset()
+        out = sequential(checkpoint_dir=str(tmp_path),
+                         checkpoint_tag="stack1")
+        assert out.resumed_epochs == 6
+        assert (out.dilations, out.effective_params, out.warmup_epochs,
+                out.prune_epochs, out.finetune_epochs) == (
+                    ref.dilations, ref.effective_params, ref.warmup_epochs,
+                    ref.prune_epochs, ref.finetune_epochs)
+        assert np.allclose(out.best_val, ref.best_val, **TOL)
+        assert out.history.keys() == ref.history.keys()
+        for key in ref.history:
+            assert len(out.history[key]) == len(ref.history[key]), key
+            assert np.allclose(out.history[key], ref.history[key],
+                               **TOL), key
+
     def test_tag_count_must_match_width(self):
         train, val = _loaders()
         with pytest.raises(ValueError, match="slices"):

@@ -129,6 +129,45 @@ class TestSearch:
         assert "dilations" in metadata
 
 
+    def test_search_log_lines(self, tmp_path, capsys, monkeypatch):
+        """Without --quiet, search narrates the phases; a resumed run says
+        where it resumed and ends on the same pruning/fine-tuning lines."""
+        import re
+        from repro.testing import faults
+        argv = ["search", "--benchmark", "ppg", "--width", "0.1",
+                "--lam", "0.5", "--gamma-lr", "0.1", "--warmup", "1",
+                "--epochs", "2", "--finetune", "1", "--patience", "2"]
+        pruned = r"\[PIT\] pruning converged after 2 epochs, dilations=\(.*\)"
+        tuned = r"\[PIT\] fine-tuning done, best val=\d+\.\d{4}"
+
+        def log_lines():
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines()
+                    if line.startswith("[PIT]")]
+
+        assert main(argv) == 0
+        fresh = log_lines()
+        assert len(fresh) == 3
+        for line, pattern in zip(fresh, [
+                r"\[PIT\] warmup done, val=\d+\.\d{4}", pruned, tuned]):
+            assert re.fullmatch(pattern, line), line
+
+        ckpt = ["--checkpoint-dir", str(tmp_path)]
+        faults.reset()
+        monkeypatch.setenv(faults.ENV_FAULTS, "crash@epoch=2")
+        with pytest.raises(faults.InjectedWorkerCrash):
+            main(argv + ckpt)
+        monkeypatch.delenv(faults.ENV_FAULTS)
+        faults.reset()
+        capsys.readouterr()
+        assert main(argv + ckpt + ["--resume"]) == 0
+        resumed = log_lines()
+        assert len(resumed) == 3
+        assert re.fullmatch(r"\[PIT\] resumed from .*search\.ckpt\.npz at "
+                            r"phase 'prune', global epoch 2", resumed[0])
+        assert resumed[1:] == fresh[1:]
+
+
 class TestSweep:
     def test_sweep_prints_front(self, capsys):
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",

@@ -29,7 +29,7 @@ from repro.autograd.graph.passes import (
 )
 from repro.core import PITTrainer, size_regularizer
 from repro.core.pit_conv import PITConv1d
-from repro.core.trainer import _step_function, make_training_step
+from repro.core.driver import _step_function, make_training_step
 from repro.data import ArrayDataset, DataLoader
 from repro.models import restcn_seed, temponet_seed
 from repro.nn import (
