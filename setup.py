@@ -1,10 +1,16 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Minimal packaging for the ``repro`` library under ``src/``.
 
-``pyproject.toml`` is the single source of metadata; this file only enables
-``pip install -e . --no-use-pep517`` (legacy editable installs) on offline
-machines where PEP-517 wheel building is unavailable.
+Nothing needs installing to run the code: the CLI, tests and benchmarks
+run from the repository root with ``PYTHONPATH=src``.  This file exists so
+``pip install -e .`` also works; the only runtime dependency is numpy
+(the test suite additionally needs pytest and hypothesis).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    packages=find_packages("src"),
+    package_dir={"": "src"},
+    install_requires=["numpy"],
+)

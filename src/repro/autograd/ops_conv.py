@@ -35,52 +35,25 @@ from typing import Optional
 import numpy as np
 
 from .backends import get_backend
-from .tensor import OpDef, Tensor, apply_op
+from .backends.base import scratch_buffer
+from .tensor import OpDef, Tensor, _unbroadcast, apply_op
 
-__all__ = ["conv1d_causal", "conv1d_causal_stacked", "avg_pool1d",
-           "max_pool1d", "global_avg_pool1d"]
-
-
-def _conv_fwd(ins, attrs):
-    x, w = ins[0], ins[1]
-    dilation, stride = attrs["dilation"], attrs["stride"]
-    kernels = attrs["kernels"]
-    t = x.shape[2]
-    pad = (w.shape[2] - 1) * dilation
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, 0)))
-    out = kernels.forward(xp, w, dilation, stride, t)
-    if len(ins) == 3:
-        out += ins[2][None, :, None]  # backends return owned buffers
-    # The padded input is the forward byproduct both adjoints need.
-    return out, xp
+__all__ = ["conv1d_causal", "conv1d_causal_masked", "conv1d_causal_stacked",
+           "avg_pool1d", "max_pool1d", "global_avg_pool1d"]
 
 
-def _conv_bwd(g, ins, out, xp, attrs, needs):
-    x, w = ins[0], ins[1]
-    dilation, stride = attrs["dilation"], attrs["stride"]
-    kernels = attrs["kernels"]
-    t = x.shape[2]
-    pad = (w.shape[2] - 1) * dilation
-    gx = gw = gb = None
-    if needs[0]:
-        gxp = kernels.grad_input(g, w, xp.shape, dilation, stride, t)
-        gx = gxp[:, :, pad:]
-    if needs[1]:
-        gw = kernels.grad_weight(g, xp, w.shape, dilation, stride, t)
-    if len(ins) == 3 and needs[2]:
-        gb = g.sum(axis=(0, 2))
-    return (gx, gw) if len(ins) == 2 else (gx, gw, gb)
-
-
-def _kernel_scratch(kernels, scratch):
-    """The scratch dict to hand this backend, or None if it predates the
+def _kernel_kwargs(kernels, scratch):
+    """Keyword arguments handing a backend its persistent buffers: none
+    eagerly (``scratch`` None), nor for a backend that predates the
     ``scratch=`` parameter.
 
-    External backends registered against the original three-argument-kernel
-    interface must keep working under compiled replay — they simply fall
-    back to allocating fresh buffers like eager dispatch does.  The
-    signature check runs once per node and is cached in the scratch dict.
+    External backends registered against the original kernel interface
+    must keep working under compiled replay — they simply fall back to
+    allocating fresh buffers like eager dispatch does.  The signature
+    check runs once per node and is cached in the scratch dict.
     """
+    if scratch is None:
+        return {}
     accepts = scratch.get("_kernels_accept_scratch")
     if accepts is None:
         import inspect
@@ -90,73 +63,83 @@ def _kernel_scratch(kernels, scratch):
         except (TypeError, ValueError):
             accepts = False
         scratch["_kernels_accept_scratch"] = accepts
-    return scratch if accepts else None
+    return {"scratch": scratch} if accepts else {}
+
+
+def _padded(x, pad, scratch):
+    """``x`` left-padded with ``pad`` zeros along time.
+
+    Under replay (``scratch`` set) the buffer persists: its zero margin is
+    written once and only the payload is refreshed each call — the values
+    of a fresh ``np.pad``, without the allocation.
+    """
+    shape = (x.shape[0], x.shape[1], x.shape[2] + pad)
+    xp = None if scratch is None else scratch.get("xp")
+    if xp is None or xp.shape != shape or xp.dtype != x.dtype:
+        xp = np.zeros(shape, dtype=x.dtype)
+        if scratch is not None:
+            scratch["xp"] = xp
+    xp[:, :, pad:] = x
+    return xp
 
 
 def _conv_fwd_scratch(ins, attrs, scratch):
-    """Replay variant: reuse preallocated input/output buffers.
-
-    ``np.pad`` zero-fills and copies into a fresh allocation every call;
-    here the zero left margin is written once and only the payload region
-    is refreshed — identical values, no allocation.  The scratch dict is
-    also handed to the backend so its GEMM outputs persist across replays.
-    """
+    """Forward kernel; ``scratch`` is None eagerly and a per-node dict
+    under compiled replay, where the padded input and the backend's GEMM
+    outputs persist across replays (identical bits, no allocation)."""
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
     kernels = attrs["kernels"]
-    t = x.shape[2]
-    pad = (w.shape[2] - 1) * dilation
-    xp = scratch.get("xp")
-    if xp is None or xp.shape != (x.shape[0], x.shape[1], t + pad) or xp.dtype != x.dtype:
-        xp = np.zeros((x.shape[0], x.shape[1], t + pad), dtype=x.dtype)
-        scratch["xp"] = xp
-    xp[:, :, pad:] = x
-    kscratch = _kernel_scratch(kernels, scratch)
-    if kscratch is None:
-        out = kernels.forward(xp, w, dilation, stride, t)
-    else:
-        out = kernels.forward(xp, w, dilation, stride, t, scratch=kscratch)
+    xp = _padded(x, (w.shape[2] - 1) * dilation, scratch)
+    out = kernels.forward(xp, w, dilation, stride, x.shape[2],
+                          **_kernel_kwargs(kernels, scratch))
     if len(ins) == 3:
-        out += ins[2][None, :, None]
+        out += ins[2][None, :, None]  # backends return owned buffers
+    # The padded input is the forward byproduct both adjoints need.
     return out, xp
 
 
-def _conv_bwd_scratch(g, ins, out, xp, attrs, needs, scratch):
-    """Replay variant of the adjoints: backend work buffers persist.
+def _conv_fwd(ins, attrs):
+    return _conv_fwd_scratch(ins, attrs, None)
 
-    Same kernels as :func:`_conv_bwd`, with the backend's accumulator /
-    GEMM-output arrays (and memoized einsum paths) kept in ``scratch``
-    across replays — identical bits, no steady-state allocations.
-    Backends without the ``scratch=`` parameter run their plain kernels.
-    """
+
+def _conv_bwd_scratch(g, ins, out, xp, attrs, needs, scratch):
+    """Adjoint kernels; under replay the backend's accumulator /
+    GEMM-output arrays (and memoized einsum paths) persist in
+    ``scratch`` — identical bits, no steady-state allocations."""
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
     kernels = attrs["kernels"]
     t = x.shape[2]
-    pad = (w.shape[2] - 1) * dilation
-    kscratch = _kernel_scratch(kernels, scratch)
+    kw = _kernel_kwargs(kernels, scratch)
     gx = gw = gb = None
     if needs[0]:
-        if kscratch is None:
-            gxp = kernels.grad_input(g, w, xp.shape, dilation, stride, t)
-        else:
-            gxp = kernels.grad_input(g, w, xp.shape, dilation, stride, t,
-                                     scratch=kscratch)
-        gx = gxp[:, :, pad:]
+        gxp = kernels.grad_input(g, w, xp.shape, dilation, stride, t, **kw)
+        gx = gxp[:, :, (w.shape[2] - 1) * dilation:]
     if needs[1]:
-        if kscratch is None:
-            gw = kernels.grad_weight(g, xp, w.shape, dilation, stride, t)
-        else:
-            gw = kernels.grad_weight(g, xp, w.shape, dilation, stride, t,
-                                     scratch=kscratch)
+        gw = kernels.grad_weight(g, xp, w.shape, dilation, stride, t, **kw)
     if len(ins) == 3 and needs[2]:
         gb = g.sum(axis=(0, 2))
     return (gx, gw) if len(ins) == 2 else (gx, gw, gb)
 
 
+def _conv_bwd(g, ins, out, xp, attrs, needs):
+    return _conv_bwd_scratch(g, ins, out, xp, attrs, needs, None)
+
+
 _CONV1D = OpDef("conv1d_causal", _conv_fwd, _conv_bwd,
                 fwd_scratch=_conv_fwd_scratch,
                 bwd_scratch=_conv_bwd_scratch, bwd_uses=("ins",))
+
+
+def _check_shapes(x: Tensor, w: Tensor) -> None:
+    if x.ndim != 3:
+        raise ValueError(f"expected input (N, C_in, T), got shape {x.shape}")
+    if w.ndim != 3:
+        raise ValueError(f"expected weight (C_out, C_in, K), got shape {w.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ValueError(
+            f"input channels {x.shape[1]} do not match weight channels {w.shape[1]}")
 
 
 def conv1d_causal(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -191,13 +174,7 @@ def conv1d_causal(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         replay always run the same kernels even if the default is switched
         mid-graph.
     """
-    if x.ndim != 3:
-        raise ValueError(f"expected input (N, C_in, T), got shape {x.shape}")
-    if w.ndim != 3:
-        raise ValueError(f"expected weight (C_out, C_in, K), got shape {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(
-            f"input channels {x.shape[1]} do not match weight channels {w.shape[1]}")
+    _check_shapes(x, w)
     if dilation < 1 or stride < 1:
         raise ValueError("dilation and stride must be >= 1")
 
@@ -205,6 +182,142 @@ def conv1d_causal(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
              "kernels": get_backend(backend)}
     inputs = (x, w) if b is None else (x, w, b)
     return apply_op(_CONV1D, inputs, attrs)
+
+
+# ----------------------------------------------------------------------
+# Tap-masked convolution (PIT layers, paper Eq. 5)
+# ----------------------------------------------------------------------
+
+def _live_taps(mask: np.ndarray):
+    """``(off, d)`` when the nonzero taps of ``mask`` are exactly
+    ``off, off+d, ..., K-1`` — a dilation-``d`` kernel of the last
+    ``K - off`` taps — else ``(0, 1)``, which computes every tap."""
+    k = mask.shape[0]
+    live = np.flatnonzero(mask)
+    if live.size == 0 or live[-1] != k - 1:
+        return 0, 1
+    if live.size == 1:
+        return k - 1, 1
+    step = np.diff(live)
+    if (step != step[0]).any():
+        return 0, 1
+    return int(live[0]), int(step[0])
+
+
+def _rounded(a, dtype, scratch, key):
+    """``a`` in ``dtype``, rounded as storing it as a tensor's gradient
+    would round it (a backend may return float64 under float32)."""
+    if a.dtype == dtype:
+        return a
+    buf, _ = scratch_buffer(scratch, key, a.shape, dtype)
+    if buf is None:
+        return a.astype(dtype)
+    np.copyto(buf, a, casting="same_kind")
+    return buf
+
+
+def _masked_fwd_scratch(ins, attrs, scratch):
+    """Forward of :func:`conv1d_causal_masked`; ``scratch`` is None eagerly.
+
+    Pads for the full ``K``-tap kernel, then runs the backend's ordinary
+    dilated forward on the live taps only: ``(w*mask)[..., off::d]`` over
+    ``xp[..., off:]``.  The padded input and masked weight are the ctx the
+    backward reuses, together with the live-tap pattern it must match.
+    """
+    x, w, mask = ins[0], ins[1], ins[2]
+    stride, kernels = attrs["stride"], attrs["kernels"]
+    xp = _padded(x, w.shape[2] - 1, scratch)
+    wm, _ = scratch_buffer(scratch, "wm", w.shape, np.result_type(w, mask))
+    wm = np.multiply(w, mask, out=wm)
+    off, d = _live_taps(mask)
+    out = kernels.forward(xp[:, :, off:], wm[:, :, off::d], d, stride,
+                          x.shape[2], **_kernel_kwargs(kernels, scratch))
+    if len(ins) == 4:
+        out += ins[3][None, :, None]
+    return out, (xp, wm, off, d)
+
+
+def _masked_fwd(ins, attrs):
+    return _masked_fwd_scratch(ins, attrs, None)
+
+
+def _masked_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
+    """Adjoints of :func:`conv1d_causal_masked`; ``scratch`` is None eagerly.
+
+    ``grad_input`` runs over the live taps.  The masked kernel's gradient
+    ``G`` covers every tap when the mask needs a gradient — the
+    straight-through γ gradient (paper Eq. 2) flows through dead taps —
+    and the live taps otherwise.  Then ``gw = G·mask`` and
+    ``gmask = Σ G·w``, reduced as the ``mul`` op reduces them.
+    """
+    x, w, mask = ins[0], ins[1], ins[2]
+    xp, wm, off, d = ctx
+    stride, kernels = attrs["stride"], attrs["kernels"]
+    t = x.shape[2]
+    kw = _kernel_kwargs(kernels, scratch)
+    live = wm[:, :, off::d]
+    gx = gw = gmask = gb = None
+    if needs[0]:
+        gxp = kernels.grad_input(g, live, xp[:, :, off:].shape, d, stride, t,
+                                 **kw)
+        gx = gxp[:, :, w.shape[2] - 1 - off:]
+    if needs[2]:
+        gwm = kernels.grad_weight(g, xp, w.shape, 1, stride, t, **kw)
+        gwm = _rounded(gwm, wm.dtype, scratch, "gwm")
+        if needs[1]:
+            gw, _ = scratch_buffer(scratch, "gw_masked", w.shape, wm.dtype)
+            gw = np.multiply(gwm, mask, out=gw)
+        prod, _ = scratch_buffer(scratch, "gmask_prod", w.shape, wm.dtype)
+        gmask = _unbroadcast(np.multiply(gwm, w, out=prod), mask.shape)
+    elif needs[1]:
+        gwl = kernels.grad_weight(g, xp[:, :, off:], live.shape, d, stride, t,
+                                  **kw)
+        gwl = _rounded(gwl, wm.dtype, scratch, "gwl")
+        gw, _ = scratch_buffer(scratch, "gw_masked", w.shape, wm.dtype,
+                               zero=True)
+        if gw is None:
+            gw = np.zeros(w.shape, wm.dtype)
+        np.multiply(gwl, mask[off::d], out=gw[:, :, off::d])
+    if len(ins) == 4 and needs[3]:
+        gb = g.sum(axis=(0, 2))
+    return (gx, gw, gmask) if len(ins) == 3 else (gx, gw, gmask, gb)
+
+
+def _masked_bwd(g, ins, out, ctx, attrs, needs):
+    return _masked_bwd_scratch(g, ins, out, ctx, attrs, needs, None)
+
+
+_CONV1D_MASKED = OpDef("conv1d_causal_masked", _masked_fwd, _masked_bwd,
+                       fwd_scratch=_masked_fwd_scratch,
+                       bwd_scratch=_masked_bwd_scratch, bwd_uses=("ins",))
+
+
+def conv1d_causal_masked(x: Tensor, w: Tensor, tap_mask: Tensor,
+                         b: Optional[Tensor] = None, stride: int = 1,
+                         backend: Optional[str] = None) -> Tensor:
+    """``conv1d_causal(x, w * tap_mask, b, dilation=1)`` over live taps only.
+
+    ``tap_mask`` has shape ``(K,)`` in kernel order.  The op reads its
+    zero pattern on every call: when the nonzero taps are
+    ``off, off+d, ..., K-1`` — always the case for a PIT layer's
+    :class:`repro.core.TimeMask` — forward, input gradient and (with a
+    gradient-free mask) weight gradient run as a ``d``-dilated conv over
+    those taps, so a layer costs what its exported dilated conv costs.
+    Any other mask computes every tap.  Dead taps contribute exact zeros,
+    so the result equals the full masked conv up to the backend's
+    summation order.  Reading the pattern from an input, not a static
+    attribute, keeps graph-captured replay correct while the mask moves.
+    """
+    _check_shapes(x, w)
+    if tap_mask.shape != (w.shape[2],):
+        raise ValueError(f"expected tap mask ({w.shape[2]},), "
+                         f"got shape {tap_mask.shape}")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+
+    attrs = {"stride": stride, "kernels": get_backend(backend)}
+    inputs = (x, w, tap_mask) if b is None else (x, w, tap_mask, b)
+    return apply_op(_CONV1D_MASKED, inputs, attrs)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .regularizer import (
     pit_layers,
 )
 from .export import (
+    NotDeployableError,
     export_conv,
     export_network,
     deployable_network,
@@ -99,6 +100,7 @@ __all__ = [
     "export_conv",
     "export_network",
     "deployable_network",
+    "NotDeployableError",
     "network_dilations",
     "network_summary",
     "effective_parameters",

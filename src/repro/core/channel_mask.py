@@ -30,7 +30,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..autograd import Tensor, binarize_ste, conv1d_causal, mark_capture_unsafe
+from ..autograd import (Tensor, binarize_ste, conv1d_causal_masked,
+                        mark_capture_unsafe)
 from ..nn import init
 from ..nn.module import Module, Parameter
 from .masks import TimeMask, kept_lags
@@ -151,10 +152,8 @@ class PITChannelConv1d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         time = self.time_mask()[self._flip_index]
-        masked_weight = self.weight * time
-        out = conv1d_causal(x, masked_weight, self.bias,
-                            dilation=1, stride=self.stride,
-                            backend=self.backend)
+        out = conv1d_causal_masked(x, self.weight, time, self.bias,
+                                   stride=self.stride, backend=self.backend)
         channels = self.channel_mask()
         return out * channels.reshape(1, self.out_channels, 1)
 

@@ -28,9 +28,33 @@ from ..nn.module import Module
 from .masks import kept_lags
 from .pit_conv import PITConv1d
 
-__all__ = ["export_conv", "export_network", "deployable_network",
-           "network_dilations", "network_receptive_field",
+__all__ = ["NotDeployableError", "export_conv", "export_network",
+           "deployable_network", "require_exported", "network_dilations", "network_receptive_field",
            "network_total_stride", "network_summary"]
+
+
+class NotDeployableError(ValueError):
+    """A searchable layer reached a flow that needs a fixed-dilation network."""
+
+
+def require_exported(model: Module, consumer: str) -> None:
+    """Raise :class:`NotDeployableError` if ``model`` has a searchable layer.
+
+    Searchable layers compute every ``rf_max`` tap and carry γ̂ masks, so
+    any cost or serving figure derived from them would describe the
+    supernet rather than the deployed TCN.
+    """
+    from .channel_mask import PITChannelConv1d
+    from .stacked import StackedPITConv1d
+
+    for name, module in model.named_modules():
+        if isinstance(module, (PITConv1d, PITChannelConv1d, StackedPITConv1d)):
+            raise NotDeployableError(
+                f"{consumer} requires an exported network, but layer "
+                f"{name or '<root>'!r} is a searchable "
+                f"{type(module).__name__}; export it first "
+                "(repro.core.export_network, or export_channel_conv for "
+                "channel-searched layers)")
 
 
 def export_conv(layer: PITConv1d) -> CausalConv1d:
@@ -72,10 +96,14 @@ def deployable_network(model: Module) -> Module:
     Searchable models (any :class:`PITConv1d` left) are exported into a
     compact copy; already-fixed networks pass through untouched — the one
     dispatch point the GAP8 flow and the DSE hardware evaluators share, so
-    both accept either kind of model.
+    both accept either kind of model.  A searchable layer this export
+    cannot collapse (channel-searched or stacked) raises
+    :class:`NotDeployableError`.
     """
     from .regularizer import pit_layers
-    return export_network(model) if pit_layers(model) else model
+    network = export_network(model) if pit_layers(model) else model
+    require_exported(network, "deployable_network")
+    return network
 
 
 def network_dilations(model: Module) -> Tuple[int, ...]:

@@ -6,6 +6,14 @@ the differentiable mask ``M`` produced by :class:`repro.core.masks.TimeMask`::
 
     y[m, t] = Σ_{i=0..rf_max-1} Σ_l  x[l, t - i] * (M_i ⊙ W[l, m, i])
 
+The layer never materializes that full-tap product:
+:func:`repro.autograd.conv1d_causal_masked` reads the mask on every call
+and runs forward and input gradient as a dilation-``d`` conv over the
+``(rf_max-1)/d + 1`` live taps only.  The weight gradient covers every
+tap while γ trains (the straight-through gradient of Eq. 2 flows through
+the dead ones) and only the live taps once the mask is frozen, so
+fine-tuning and evaluation cost what the exported layer costs.
+
 During the search the mask changes with γ; after export the layer collapses
 into a plain :class:`repro.nn.CausalConv1d` with the learned power-of-two
 dilation and a ``(rf_max-1)/d + 1``-tap kernel (see
@@ -18,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor, conv1d_causal
+from ..autograd import Tensor, conv1d_causal_masked
 from ..nn import init
 from ..nn.module import Module, Parameter
 from .masks import TimeMask, kept_lags
@@ -73,9 +81,8 @@ class PITConv1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         mask_lags = self.mask()                       # (rf_max,) in lag order
         mask_kernel = mask_lags[self._flip_index]     # kernel order
-        masked_weight = self.weight * mask_kernel     # broadcast over taps
-        out = conv1d_causal(x, masked_weight, self.bias, dilation=1,
-                            stride=self.stride, backend=self.backend)
+        out = conv1d_causal_masked(x, self.weight, mask_kernel, self.bias,
+                                   stride=self.stride, backend=self.backend)
         self._last_t_out = out.shape[-1]
         return out
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..autograd import Tensor, no_grad
 from ..nn import AvgPool1d, BatchNorm1d, CausalConv1d, Linear, MaxPool1d, Module
-from ..core.pit_conv import PITConv1d
+from ..core.export import require_exported
 
 __all__ = ["GAP8Config", "LayerCost", "GAP8Report", "GAP8Model"]
 
@@ -125,11 +125,7 @@ class GAP8Model:
     # ------------------------------------------------------------------
     def estimate(self, network: Module, input_shape: Tuple[int, ...]) -> GAP8Report:
         """Trace one forward pass and price every layer."""
-        for module in network.modules():
-            if isinstance(module, PITConv1d):
-                raise ValueError(
-                    "GAP8Model requires an exported network; call "
-                    "repro.core.export_network first")
+        require_exported(network, "GAP8Model")
         self._trace(network, input_shape)
         total_weight_bytes = self._network_weight_bytes(network)
         fits_l2 = total_weight_bytes <= self.config.l2_bytes

@@ -19,6 +19,7 @@ from repro.autograd import (
     available_backends,
     check_gradients,
     conv1d_causal,
+    conv1d_causal_masked,
     current_backend,
     get_backend,
     set_backend,
@@ -370,3 +371,171 @@ class TestLayerIntegration:
         layer = PITConv1d(2, 2, rf_max=5, rng=np.random.default_rng(0),
                           backend="im2col")
         assert export_conv(layer).backend == "im2col"
+
+
+# ----------------------------------------------------------------------
+# Tap-masked convolution: the PIT layers' live-taps-only op
+# ----------------------------------------------------------------------
+
+def _dilation_masks():
+    """Kernel-order tap masks of every dilation a PIT layer can reach."""
+    from repro.core.masks import mask_from_dilation, num_gamma
+    cases = []
+    # rf_max = 2^k + 1 keeps tap 0 live; rf_max = 12 starts the live taps
+    # at an offset (d=4 keeps taps 3, 7, 11).
+    for rf_max in (2, 3, 5, 9, 12, 17, 33):
+        for exponent in range(num_gamma(rf_max)):
+            d = 2 ** exponent
+            cases.append((f"rf{rf_max}-d{d}",
+                          mask_from_dilation(rf_max, d)[::-1].copy()))
+    # Taps 0, 3, 4, 6, 8 live: not a dilation, so every tap is computed.
+    cases.append(("irregular", np.array([1., 0, 0, 1, 1, 0, 1, 0, 1])))
+    return cases
+
+
+MASKS = _dilation_masks()
+MASK_IDS = [name for name, _ in MASKS]
+
+
+def _masked_inputs(mask, seed=0, t=37):
+    rng = np.random.default_rng(seed + mask.size)
+    x = Tensor(rng.standard_normal((N, C_IN, t)), requires_grad=True)
+    w = Tensor(rng.standard_normal((C_OUT, C_IN, mask.size)),
+               requires_grad=True)
+    b = Tensor(rng.standard_normal(C_OUT), requires_grad=True)
+    return x, w, b
+
+
+def _masked_run(op, mask_array, stride, bias, mask_grad, backend):
+    """Forward + backward of ``op``; returns output and every gradient."""
+    x, w, b = _masked_inputs(mask_array)
+    mask = Tensor(mask_array, requires_grad=mask_grad)
+    b = b if bias else None
+    if op == "masked":
+        out = conv1d_causal_masked(x, w, mask, b, stride=stride,
+                                   backend=backend)
+    else:
+        out = conv1d_causal(x, w * mask, b, stride=stride, backend=backend)
+    # A non-uniform upstream gradient, so every output sample counts.
+    out.backward(np.cos(np.arange(out.data.size)).reshape(out.shape))
+    return [out.data, x.grad, w.grad, mask.grad,
+            None if b is None else b.grad]
+
+
+class TestMaskedConvParity:
+    """``conv1d_causal_masked(x, w, m, b)`` against the full-tap reference
+    ``conv1d_causal(x, w * m, b)``: bit-equal on einsum, whose dead taps
+    only ever add exact zeros, and within tolerance on every backend."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("name,mask", MASKS, ids=MASK_IDS)
+    def test_matches_full_tap_reference(self, backend, stride, name, mask):
+        for bias in (True, False):
+            for mask_grad in (True, False):
+                got = _masked_run("masked", mask, stride, bias, mask_grad,
+                                  backend)
+                ref = _masked_run("full", mask, stride, bias, mask_grad,
+                                  "einsum")
+                for label, a, r in zip(("out", "x", "w", "mask", "b"),
+                                       got, ref):
+                    where = f"{label} (bias={bias}, mask_grad={mask_grad})"
+                    assert (a is None) == (r is None), where
+                    if a is None:
+                        continue
+                    if backend == "einsum":
+                        assert np.array_equal(a, r), where
+                    else:
+                        assert np.allclose(a, r, **TOL), where
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("name,mask", MASKS[::4] + MASKS[-1:],
+                             ids=MASK_IDS[::4] + MASK_IDS[-1:])
+    def test_gradcheck(self, backend, name, mask):
+        """Float64 finite differences over a sample of the grid, with and
+        without a mask gradient."""
+        for mask_grad in (True, False):
+            x, w, b = _masked_inputs(mask, seed=3, t=12)
+            m = Tensor(mask, requires_grad=mask_grad)
+            check_gradients(
+                lambda x, w, m, b: conv1d_causal_masked(
+                    x, w, m, b, stride=2, backend=backend),
+                [x, w, m, b])
+
+    def test_live_tap_pattern(self):
+        from repro.autograd.ops_conv import _live_taps
+        assert _live_taps(np.array([0., 1, 0, 1, 0, 1])) == (1, 2)
+        assert _live_taps(np.array([1., 0, 0, 0, 1])) == (0, 4)
+        assert _live_taps(np.array([0., 0, 0.5])) == (2, 1)
+        assert _live_taps(np.ones(4)) == (0, 1)
+        # Irregular, last tap dead, all dead: every tap is computed.
+        assert _live_taps(np.array([1., 1, 0, 1])) == (0, 1)
+        assert _live_taps(np.array([1., 0, 1, 0])) == (0, 1)
+        assert _live_taps(np.zeros(3)) == (0, 1)
+
+    def test_validates_mask_shape(self):
+        x, w, _ = _masked_inputs(np.ones(3))
+        with pytest.raises(ValueError, match="tap mask"):
+            conv1d_causal_masked(x, w, Tensor(np.ones(4)))
+
+
+class TestMaskedConvCompiled:
+    """A compiled PIT step replays the live-tap pattern the mask has *now*:
+    eager-equal through warmup, pruning with a moving dilation and
+    frozen fine-tuning, and allocation-free in every phase's steady
+    state."""
+
+    def _model(self):
+        from repro.core import PITConv1d
+        from repro.nn import GlobalAvgPool1d, Linear, ReLU, Sequential
+        rng = np.random.default_rng(4)
+        return Sequential(PITConv1d(3, 4, rf_max=9, rng=rng), ReLU(),
+                          PITConv1d(4, 4, rf_max=17, stride=2, rng=rng),
+                          GlobalAvgPool1d(), Linear(4, 1, rng=rng))
+
+    def test_three_phase_replay(self):
+        import copy
+        from repro.autograd import CompiledStep, EagerStep
+        from repro.core import pit_layers, size_regularizer
+        from repro.nn import mse_loss
+
+        compiled_model = self._model()
+        eager_model = copy.deepcopy(compiled_model)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((4, 3, 40)), rng.standard_normal((4, 1))
+        # Each phase: (regularized, freeze, dilations per replay).
+        phases = [(False, False, [(1, 1)] * 4),
+                  (True, False, [(1, 1), (2, 4), (4, 2), (8, 16), (1, 1),
+                                 (2, 4)]),
+                  (True, True, [None] * 4)]
+        for regularized, freeze, schedule in phases:
+            steps = []
+            for model, runner in ((compiled_model, CompiledStep),
+                                  (eager_model, EagerStep)):
+                if freeze:
+                    for layer in pit_layers(model):
+                        layer.freeze()
+
+                def step_fn(tx, ty, model=model, regularized=regularized):
+                    loss = mse_loss(model(tx), ty)
+                    if regularized:
+                        loss = loss + size_regularizer(model, 1e-3)
+                    return loss
+                steps.append(runner(step_fn))
+            compiled, eager = steps
+            for i, dilations in enumerate(schedule):
+                if i == 2:      # traced and replayed once: scratch is warm
+                    compiled.alloc_stats
+                for model in (compiled_model, eager_model):
+                    model.zero_grad()
+                    if dilations is not None:
+                        for layer, d in zip(pit_layers(model), dilations):
+                            layer.set_dilation(d)
+                assert compiled(x, y) == eager(x, y)
+                for (name, p), q in zip(compiled_model.named_parameters(),
+                                        eager_model.parameters()):
+                    assert (p.grad is None) == (q.grad is None), name
+                    if p.grad is not None:
+                        assert np.array_equal(p.grad, q.grad), name
+            assert compiled.fallback_reason is None
+            assert compiled.alloc_stats["steady_state_growth"] == 0

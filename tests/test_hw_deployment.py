@@ -73,6 +73,17 @@ class TestDeployableNetwork:
         model = TinyFixed()
         assert deployable_network(model) is model
 
+    def test_channel_searched_model_is_rejected(self):
+        # export_network collapses PITConv1d only; a PITChannelConv1d left
+        # in the "deployable" network would still be a supernet layer.
+        from repro.core import NotDeployableError, PITChannelConv1d
+        from repro.nn import Sequential
+        rng = np.random.default_rng(0)
+        model = Sequential(PITChannelConv1d(2, 4, rf_max=9, rng=rng),
+                           CausalConv1d(4, 3, 3, rng=rng))
+        with pytest.raises(NotDeployableError, match="'m0'"):
+            deployable_network(model)
+
     def test_matches_explicit_export(self):
         model = Tiny()
         a = deployable_network(model)
