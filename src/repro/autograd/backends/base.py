@@ -20,11 +20,11 @@ the einsum reference on forward values and all gradients.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["ConvBackend", "conv_out_length", "scratch_buffer"]
+__all__ = ["ConvBackend", "conv_out_length"]
 
 
 def conv_out_length(t: int, stride: int) -> int:
@@ -33,22 +33,13 @@ def conv_out_length(t: int, stride: int) -> int:
 
 
 class ConvBackend:
-    """Abstract numerical kernel set for ``conv1d_causal``.
-
-    Every kernel takes an optional ``scratch`` dict.  Eager dispatch passes
-    None; the compiled-step executor passes a per-node dict that persists
-    across replays, letting a backend keep its output / work buffers alive
-    instead of reallocating them each batch (the returned array may then be
-    the same buffer every call).  Results must be bit-identical with and
-    without ``scratch`` — the graph-executor parity suite runs both paths.
-    """
+    """Abstract numerical kernel set for ``conv1d_causal``."""
 
     #: Registry name; subclasses must override.
     name: str = "abstract"
 
     def forward(self, xp: np.ndarray, w: np.ndarray,
-                dilation: int, stride: int, t: int,
-                scratch: Optional[dict] = None) -> np.ndarray:
+                dilation: int, stride: int, t: int) -> np.ndarray:
         """Convolve the padded input with the kernel.
 
         Parameters
@@ -61,29 +52,24 @@ class ConvBackend:
             Temporal dilation / output stride.
         t:
             Unpadded temporal length ``T``.
-        scratch:
-            Optional persistent buffer dict (see class docstring).
 
         Returns
         -------
-        ``(N, C_out, ceil(T / stride))`` output (no bias).  Must be an
-        array the caller may mutate — the op adds the bias into it in
-        place (a fresh allocation, or the caller's private scratch
-        buffer).
+        ``(N, C_out, ceil(T / stride))`` output (no bias).  Must be a
+        fresh array the caller may mutate — the op adds the bias into it
+        in place.
         """
         raise NotImplementedError
 
     def grad_input(self, grad: np.ndarray, w: np.ndarray,
                    xp_shape: Tuple[int, int, int],
-                   dilation: int, stride: int, t: int,
-                   scratch: Optional[dict] = None) -> np.ndarray:
+                   dilation: int, stride: int, t: int) -> np.ndarray:
         """Adjoint w.r.t. the *padded* input; shape ``xp_shape``."""
         raise NotImplementedError
 
     def grad_weight(self, grad: np.ndarray, xp: np.ndarray,
                     w_shape: Tuple[int, int, int],
-                    dilation: int, stride: int, t: int,
-                    scratch: Optional[dict] = None) -> np.ndarray:
+                    dilation: int, stride: int, t: int) -> np.ndarray:
         """Adjoint w.r.t. the kernel; shape ``w_shape``."""
         raise NotImplementedError
 
@@ -91,8 +77,7 @@ class ConvBackend:
     # Streaming kernel (one output sample per call)
     # ------------------------------------------------------------------
 
-    def forward_step(self, window: np.ndarray, w: np.ndarray,
-                     scratch: Optional[dict] = None) -> np.ndarray:
+    def forward_step(self, window: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Advance the convolution by one tick: ``(N, C_in, K) x
         (C_out, C_in, K) -> (N, C_out, 1)`` (no bias).
 
@@ -113,10 +98,6 @@ class ConvBackend:
         c_out, c_in, k = w.shape
         wmat = w.reshape(c_out, c_in * k)
         cols = np.ascontiguousarray(window).reshape(n, c_in * k, 1)
-        out, _ = scratch_buffer(scratch, "step_out", (n, c_out, 1),
-                                np.result_type(w, window))
-        if out is not None:
-            return np.matmul(wmat, cols, out=out)
         return np.matmul(wmat, cols)
 
     # ------------------------------------------------------------------
@@ -133,8 +114,7 @@ class ConvBackend:
     # ------------------------------------------------------------------
 
     def forward_stacked(self, xp: np.ndarray, w: np.ndarray,
-                        dilation: int, stride: int, t: int,
-                        scratch: Optional[dict] = None) -> np.ndarray:
+                        dilation: int, stride: int, t: int) -> np.ndarray:
         """Stacked forward: ``(M, N, C_in, L) x (M, C_out, C_in, K) ->
         (M, N, C_out, ceil(T / stride))`` (no bias).  Default: per-model
         loop over :meth:`forward`."""
@@ -148,8 +128,7 @@ class ConvBackend:
 
     def grad_input_stacked(self, grad: np.ndarray, w: np.ndarray,
                            xp_shape: Tuple[int, int, int, int],
-                           dilation: int, stride: int, t: int,
-                           scratch: Optional[dict] = None) -> np.ndarray:
+                           dilation: int, stride: int, t: int) -> np.ndarray:
         """Stacked adjoint w.r.t. the padded input; shape ``xp_shape``."""
         gxp = None
         for m in range(grad.shape[0]):
@@ -162,8 +141,7 @@ class ConvBackend:
 
     def grad_weight_stacked(self, grad: np.ndarray, xp: np.ndarray,
                             w_shape: Tuple[int, int, int, int],
-                            dilation: int, stride: int, t: int,
-                            scratch: Optional[dict] = None) -> np.ndarray:
+                            dilation: int, stride: int, t: int) -> np.ndarray:
         """Stacked adjoint w.r.t. the kernels; shape ``w_shape``."""
         gw = None
         for m in range(grad.shape[0]):
@@ -178,30 +156,10 @@ class ConvBackend:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def scratch_buffer(scratch: Optional[dict], key: str,
-                   shape: Tuple[int, ...], dtype, zero: bool = False
-                   ) -> Tuple[Optional[np.ndarray], bool]:
-    """Fetch-or-create a persistent work buffer; ``(None, False)`` when no
-    scratch dict is in play (eager call — the backend allocates fresh).
-
-    Returns ``(buffer, created)``; with ``zero=True`` an existing buffer is
-    zero-filled, matching a fresh ``np.zeros`` bit for bit.
-    """
-    if scratch is None:
-        return None, False
-    buf = scratch.get(key)
-    if buf is None or buf.shape != shape or buf.dtype != np.dtype(dtype):
-        scratch[key] = buf = (np.zeros if zero else np.empty)(shape, dtype)
-        return buf, True
-    if zero:
-        buf.fill(0)
-    return buf, False
-
-
 _EINSUM_PATHS: dict = {}
 
 
-def einsum_cached(subscripts: str, *operands: np.ndarray, out=None):
+def einsum_cached(subscripts: str, *operands: np.ndarray):
     """``np.einsum`` with the contraction path memoized per operand shape.
 
     ``optimize=True`` re-runs the path search on every call — measurable
@@ -214,6 +172,4 @@ def einsum_cached(subscripts: str, *operands: np.ndarray, out=None):
     if path is None:
         path = _EINSUM_PATHS[key] = np.einsum_path(
             subscripts, *operands, optimize=True)[0]
-    if out is None:
-        return np.einsum(subscripts, *operands, optimize=path)
-    return np.einsum(subscripts, *operands, optimize=path, out=out)
+    return np.einsum(subscripts, *operands, optimize=path)

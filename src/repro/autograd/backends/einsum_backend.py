@@ -4,19 +4,15 @@ This is the original implementation of :func:`repro.autograd.conv1d_causal`,
 kept verbatim as the numerical reference all other backends are checked
 against.  It is simple, allocation-light and fast for the small tap counts
 TCNs use, but issues ``K`` separate GEMM-shaped contractions per call.
-
-Under a compiled step the accumulator arrays live in the per-node
-``scratch`` dict across replays (zero-filled instead of freshly
-``np.zeros``-allocated — bit-identical, no steady-state allocations).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .base import ConvBackend, conv_out_length, einsum_cached, scratch_buffer
+from .base import ConvBackend, conv_out_length, einsum_cached
 
 __all__ = ["EinsumBackend"]
 
@@ -27,14 +23,11 @@ class EinsumBackend(ConvBackend):
     name = "einsum"
 
     def forward(self, xp: np.ndarray, w: np.ndarray,
-                dilation: int, stride: int, t: int,
-                scratch: Optional[dict] = None) -> np.ndarray:
+                dilation: int, stride: int, t: int) -> np.ndarray:
         n = xp.shape[0]
         c_out, _, k = w.shape
         shape = (n, c_out, conv_out_length(t, stride))
-        out, _ = scratch_buffer(scratch, "out", shape, np.float64, zero=True)
-        if out is None:
-            out = np.zeros(shape)
+        out = np.zeros(shape)
         for tap in range(k):
             # Tap `tap` reads xp at offsets tap*dilation .. tap*dilation + t - 1,
             # subsampled by the stride.
@@ -44,13 +37,9 @@ class EinsumBackend(ConvBackend):
 
     def grad_input(self, grad: np.ndarray, w: np.ndarray,
                    xp_shape: Tuple[int, int, int],
-                   dilation: int, stride: int, t: int,
-                   scratch: Optional[dict] = None) -> np.ndarray:
+                   dilation: int, stride: int, t: int) -> np.ndarray:
         k = w.shape[2]
-        gxp, _ = scratch_buffer(scratch, "gxp", tuple(xp_shape), np.float64,
-                                zero=True)
-        if gxp is None:
-            gxp = np.zeros(xp_shape)
+        gxp = np.zeros(xp_shape)
         for tap in range(k):
             gxp[:, :, tap * dilation: tap * dilation + t: stride] += einsum_cached(
                 "oc,not->nct", w[:, :, tap], grad)
@@ -58,13 +47,9 @@ class EinsumBackend(ConvBackend):
 
     def grad_weight(self, grad: np.ndarray, xp: np.ndarray,
                     w_shape: Tuple[int, int, int],
-                    dilation: int, stride: int, t: int,
-                    scratch: Optional[dict] = None) -> np.ndarray:
+                    dilation: int, stride: int, t: int) -> np.ndarray:
         k = w_shape[2]
-        gw, _ = scratch_buffer(scratch, "gw", tuple(w_shape), np.float64,
-                               zero=True)
-        if gw is None:
-            gw = np.zeros(w_shape)
+        gw = np.zeros(w_shape)
         for tap in range(k):
             segment = xp[:, :, tap * dilation: tap * dilation + t: stride]
             gw[:, :, tap] = einsum_cached("not,nct->oc", grad, segment)
@@ -74,15 +59,12 @@ class EinsumBackend(ConvBackend):
     # contraction covering all M models at once --------------------------
 
     def forward_stacked(self, xp: np.ndarray, w: np.ndarray,
-                        dilation: int, stride: int, t: int,
-                        scratch: Optional[dict] = None) -> np.ndarray:
+                        dilation: int, stride: int, t: int) -> np.ndarray:
         m, n = xp.shape[0], xp.shape[1]
         c_out, k = w.shape[1], w.shape[3]
         shape = (m, n, c_out, conv_out_length(t, stride))
         dtype = np.result_type(xp, w)
-        out, _ = scratch_buffer(scratch, "out", shape, dtype, zero=True)
-        if out is None:
-            out = np.zeros(shape, dtype)
+        out = np.zeros(shape, dtype)
         for tap in range(k):
             segment = xp[:, :, :, tap * dilation: tap * dilation + t: stride]
             out += einsum_cached("moc,mnct->mnot", w[:, :, :, tap], segment)
@@ -90,14 +72,10 @@ class EinsumBackend(ConvBackend):
 
     def grad_input_stacked(self, grad: np.ndarray, w: np.ndarray,
                            xp_shape: Tuple[int, int, int, int],
-                           dilation: int, stride: int, t: int,
-                           scratch: Optional[dict] = None) -> np.ndarray:
+                           dilation: int, stride: int, t: int) -> np.ndarray:
         k = w.shape[3]
         dtype = np.result_type(grad, w)
-        gxp, _ = scratch_buffer(scratch, "gxp", tuple(xp_shape), dtype,
-                                zero=True)
-        if gxp is None:
-            gxp = np.zeros(xp_shape, dtype)
+        gxp = np.zeros(xp_shape, dtype)
         for tap in range(k):
             gxp[:, :, :, tap * dilation: tap * dilation + t: stride] += \
                 einsum_cached("moc,mnot->mnct", w[:, :, :, tap], grad)
@@ -105,14 +83,10 @@ class EinsumBackend(ConvBackend):
 
     def grad_weight_stacked(self, grad: np.ndarray, xp: np.ndarray,
                             w_shape: Tuple[int, int, int, int],
-                            dilation: int, stride: int, t: int,
-                            scratch: Optional[dict] = None) -> np.ndarray:
+                            dilation: int, stride: int, t: int) -> np.ndarray:
         k = w_shape[3]
         dtype = np.result_type(grad, xp)
-        gw, _ = scratch_buffer(scratch, "gw", tuple(w_shape), dtype,
-                               zero=True)
-        if gw is None:
-            gw = np.zeros(w_shape, dtype)
+        gw = np.zeros(w_shape, dtype)
         for tap in range(k):
             segment = xp[:, :, :, tap * dilation: tap * dilation + t: stride]
             gw[:, :, :, tap] = einsum_cached("mnot,mnct->moc", grad, segment)

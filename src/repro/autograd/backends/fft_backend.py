@@ -26,7 +26,7 @@ positions.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -77,9 +77,7 @@ class FFTBackend(ConvBackend):
     name = "fft"
 
     def forward(self, xp: np.ndarray, w: np.ndarray,
-                dilation: int, stride: int, t: int,
-                scratch: Optional[dict] = None) -> np.ndarray:
-        # scratch unused: numpy's pocketfft allocates internally anyway.
+                dilation: int, stride: int, t: int) -> np.ndarray:
         length = xp.shape[2]  # t + (k-1)*dilation
         wd = _dilated_kernel(w, dilation)
         # y[n,o,j] = Σ_c Σ_m xp[n,c,j+m] wd[o,c,m]  (cross-correlation):
@@ -94,8 +92,7 @@ class FFTBackend(ConvBackend):
 
     def grad_input(self, grad: np.ndarray, w: np.ndarray,
                    xp_shape: Tuple[int, int, int],
-                   dilation: int, stride: int, t: int,
-                   scratch: Optional[dict] = None) -> np.ndarray:
+                   dilation: int, stride: int, t: int) -> np.ndarray:
         length = xp_shape[2]
         wd = _dilated_kernel(w, dilation)
         gu = _upsampled_grad(grad, stride, t)
@@ -109,8 +106,7 @@ class FFTBackend(ConvBackend):
 
     def grad_weight(self, grad: np.ndarray, xp: np.ndarray,
                     w_shape: Tuple[int, int, int],
-                    dilation: int, stride: int, t: int,
-                    scratch: Optional[dict] = None) -> np.ndarray:
+                    dilation: int, stride: int, t: int) -> np.ndarray:
         k = w_shape[2]
         length = xp.shape[2]
         gu = _upsampled_grad(grad, stride, t)
@@ -127,8 +123,7 @@ class FFTBackend(ConvBackend):
     # models, one frequency-domain contraction carrying the m index -------
 
     def forward_stacked(self, xp: np.ndarray, w: np.ndarray,
-                        dilation: int, stride: int, t: int,
-                        scratch: Optional[dict] = None) -> np.ndarray:
+                        dilation: int, stride: int, t: int) -> np.ndarray:
         length = xp.shape[3]
         wd = _dilated_kernel_stacked(w, dilation)
         xf = np.fft.rfft(xp, n=length, axis=-1)
@@ -139,8 +134,7 @@ class FFTBackend(ConvBackend):
 
     def grad_input_stacked(self, grad: np.ndarray, w: np.ndarray,
                            xp_shape: Tuple[int, int, int, int],
-                           dilation: int, stride: int, t: int,
-                           scratch: Optional[dict] = None) -> np.ndarray:
+                           dilation: int, stride: int, t: int) -> np.ndarray:
         length = xp_shape[3]
         wd = _dilated_kernel_stacked(w, dilation)
         gu = _upsampled_grad_stacked(grad, stride, t)
@@ -151,8 +145,7 @@ class FFTBackend(ConvBackend):
 
     def grad_weight_stacked(self, grad: np.ndarray, xp: np.ndarray,
                             w_shape: Tuple[int, int, int, int],
-                            dilation: int, stride: int, t: int,
-                            scratch: Optional[dict] = None) -> np.ndarray:
+                            dilation: int, stride: int, t: int) -> np.ndarray:
         k = w_shape[3]
         length = xp.shape[3]
         gu = _upsampled_grad_stacked(grad, stride, t)

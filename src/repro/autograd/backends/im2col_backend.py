@@ -19,22 +19,16 @@ rather than a pure view write).
 The patch view never materializes until a GEMM consumes it, so peak extra
 memory is the ``(N, C_in*K, T_out)`` im2col buffer — the classic
 space-for-speed trade of im2col convolutions.
-
-Under a compiled step the kernels receive a persistent ``scratch`` dict:
-the GEMM outputs, the col2im accumulator and the ``einsum`` contraction
-path are then kept across replays instead of being reallocated (or, for
-the path, re-searched) every batch — same operations, same bits, no
-steady-state allocations.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .base import ConvBackend, conv_out_length, einsum_cached, scratch_buffer
+from .base import ConvBackend, conv_out_length, einsum_cached
 
 __all__ = ["Im2colBackend"]
 
@@ -73,8 +67,7 @@ class Im2colBackend(ConvBackend):
     name = "im2col"
 
     def forward(self, xp: np.ndarray, w: np.ndarray,
-                dilation: int, stride: int, t: int,
-                scratch: Optional[dict] = None) -> np.ndarray:
+                dilation: int, stride: int, t: int) -> np.ndarray:
         n, c_in, _ = xp.shape
         c_out, _, k = w.shape
         patches = _patch_view(xp, k, dilation, stride, t)
@@ -82,14 +75,9 @@ class Im2colBackend(ConvBackend):
         # (C_out, C_in*K) @ (N, C_in*K, T_out) -> (N, C_out, T_out)
         wmat = w.reshape(c_out, c_in * k)
         pmat = patches.reshape(n, c_in * k, t_out)
-        dtype = np.result_type(wmat, pmat)
-        out, _ = scratch_buffer(scratch, "out", (n, c_out, t_out), dtype)
-        if out is None:
-            return np.matmul(wmat, pmat)
-        return np.matmul(wmat, pmat, out=out)
+        return np.matmul(wmat, pmat)
 
-    def forward_step(self, window: np.ndarray, w: np.ndarray,
-                     scratch: Optional[dict] = None) -> np.ndarray:
+    def forward_step(self, window: np.ndarray, w: np.ndarray) -> np.ndarray:
         n, c_in, k = window.shape
         c_out = w.shape[0]
         # The one-tick analogue of the forward lowering: the gathered
@@ -97,16 +85,11 @@ class Im2colBackend(ConvBackend):
         # per stream — (C_out, C_in*K) @ (N, C_in*K, 1).
         wmat = w.reshape(c_out, c_in * k)
         cmat = window.reshape(n, c_in * k, 1)
-        dtype = np.result_type(wmat, cmat)
-        out, _ = scratch_buffer(scratch, "step_out", (n, c_out, 1), dtype)
-        if out is None:
-            return np.matmul(wmat, cmat)
-        return np.matmul(wmat, cmat, out=out)
+        return np.matmul(wmat, cmat)
 
     def grad_input(self, grad: np.ndarray, w: np.ndarray,
                    xp_shape: Tuple[int, int, int],
-                   dilation: int, stride: int, t: int,
-                   scratch: Optional[dict] = None) -> np.ndarray:
+                   dilation: int, stride: int, t: int) -> np.ndarray:
         n, c_in, length = xp_shape
         c_out, _, k = w.shape
         pad = (k - 1) * dilation
@@ -118,42 +101,30 @@ class Im2colBackend(ConvBackend):
         # patch-view + single-GEMM lowering as the forward pass, instead
         # of a K-pass overlapping col2im fold.
         dtype = np.result_type(w, grad)
-        gpad, _ = scratch_buffer(scratch, "gpad", (n, c_out, t + 2 * pad),
-                                 dtype, zero=True)
-        if gpad is None:
-            gpad = np.zeros((n, c_out, t + 2 * pad), dtype)
+        gpad = np.zeros((n, c_out, t + 2 * pad), dtype)
         gpad[:, :, pad: pad + t: stride] = grad
         patches = _patch_view(gpad, k, dilation, 1, length)
         wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
         pmat = patches.reshape(n, c_out * k, length)
-        gxp, _ = scratch_buffer(scratch, "gxp", tuple(xp_shape), dtype)
-        if gxp is None:
-            return np.matmul(wflip, pmat)
-        return np.matmul(wflip, pmat, out=gxp)
+        return np.matmul(wflip, pmat)
 
     def grad_weight(self, grad: np.ndarray, xp: np.ndarray,
                     w_shape: Tuple[int, int, int],
-                    dilation: int, stride: int, t: int,
-                    scratch: Optional[dict] = None) -> np.ndarray:
+                    dilation: int, stride: int, t: int) -> np.ndarray:
         k = w_shape[2]
         patches = _patch_view(xp, k, dilation, stride, t)
         # One contraction over the strided view (gw[o,c,i] = Σ_{n,t}
         # grad[n,o,t] * patches[n,c,i,t]); einsum materializes at most one
         # im2col buffer internally, where an explicit reshape+transpose
         # GEMM would copy it twice.
-        if scratch is None:
-            return einsum_cached("not,ncit->oci", grad, patches)
-        dtype = np.result_type(grad, patches)
-        gw, _ = scratch_buffer(scratch, "gw", tuple(w_shape), dtype)
-        return einsum_cached("not,ncit->oci", grad, patches, out=gw)
+        return einsum_cached("not,ncit->oci", grad, patches)
 
     # -- stacked (leading model axis M) kernels: the same lowering, with
     # the model axis folded into numpy's batched-matmul loop, so M small
     # per-model GEMMs become one batched GEMM call ------------------------
 
     def forward_stacked(self, xp: np.ndarray, w: np.ndarray,
-                        dilation: int, stride: int, t: int,
-                        scratch: Optional[dict] = None) -> np.ndarray:
+                        dilation: int, stride: int, t: int) -> np.ndarray:
         m, n, c_in, _ = xp.shape
         c_out, k = w.shape[1], w.shape[3]
         patches = _patch_view_stacked(xp, k, dilation, stride, t)
@@ -161,44 +132,28 @@ class Im2colBackend(ConvBackend):
         # (M, 1, C_out, C_in*K) @ (M, N, C_in*K, T_out) -> (M, N, C_out, T_out)
         wmat = w.reshape(m, 1, c_out, c_in * k)
         pmat = patches.reshape(m, n, c_in * k, t_out)
-        dtype = np.result_type(wmat, pmat)
-        out, _ = scratch_buffer(scratch, "out", (m, n, c_out, t_out), dtype)
-        if out is None:
-            return np.matmul(wmat, pmat)
-        return np.matmul(wmat, pmat, out=out)
+        return np.matmul(wmat, pmat)
 
     def grad_input_stacked(self, grad: np.ndarray, w: np.ndarray,
                            xp_shape: Tuple[int, int, int, int],
-                           dilation: int, stride: int, t: int,
-                           scratch: Optional[dict] = None) -> np.ndarray:
+                           dilation: int, stride: int, t: int) -> np.ndarray:
         m, n, c_in, length = xp_shape
         c_out, k = w.shape[1], w.shape[3]
         pad = (k - 1) * dilation
         # Same correlation-with-flipped-kernel trick as the per-model
         # adjoint, batched over M by matmul.
         dtype = np.result_type(w, grad)
-        gpad, _ = scratch_buffer(scratch, "gpad", (m, n, c_out, t + 2 * pad),
-                                 dtype, zero=True)
-        if gpad is None:
-            gpad = np.zeros((m, n, c_out, t + 2 * pad), dtype)
+        gpad = np.zeros((m, n, c_out, t + 2 * pad), dtype)
         gpad[:, :, :, pad: pad + t: stride] = grad
         patches = _patch_view_stacked(gpad, k, dilation, 1, length)
         wflip = (w[:, :, :, ::-1].transpose(0, 2, 1, 3)
                  .reshape(m, 1, c_in, c_out * k))
         pmat = patches.reshape(m, n, c_out * k, length)
-        gxp, _ = scratch_buffer(scratch, "gxp", tuple(xp_shape), dtype)
-        if gxp is None:
-            return np.matmul(wflip, pmat)
-        return np.matmul(wflip, pmat, out=gxp)
+        return np.matmul(wflip, pmat)
 
     def grad_weight_stacked(self, grad: np.ndarray, xp: np.ndarray,
                             w_shape: Tuple[int, int, int, int],
-                            dilation: int, stride: int, t: int,
-                            scratch: Optional[dict] = None) -> np.ndarray:
+                            dilation: int, stride: int, t: int) -> np.ndarray:
         k = w_shape[3]
         patches = _patch_view_stacked(xp, k, dilation, stride, t)
-        if scratch is None:
-            return einsum_cached("mnot,mncit->moci", grad, patches)
-        dtype = np.result_type(grad, patches)
-        gw, _ = scratch_buffer(scratch, "gw", tuple(w_shape), dtype)
-        return einsum_cached("mnot,mncit->moci", grad, patches, out=gw)
+        return einsum_cached("mnot,mncit->moci", grad, patches)

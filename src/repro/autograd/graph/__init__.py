@@ -3,20 +3,17 @@
 Eager autograd rebuilds the op graph in Python for every batch.  For the
 static networks of this reproduction (TCNs, PIT supernets, unrolled RNNs)
 that graph is identical batch after batch, so this subsystem records it
-once, optimizes it, and replays it as a flat schedule:
+once and replays it as a flat schedule:
 
 * :class:`GraphCapture` — thread-local tracer observing every
   :func:`repro.autograd.apply_op` dispatch during one eager step;
 * :mod:`~repro.autograd.graph.ir` — the frozen program: topo-ordered nodes
   carrying op kind, static attrs (including the conv backend handle
   resolved at trace time) and input/output buffer slots;
-* :mod:`~repro.autograd.graph.passes` — the optimization pipeline run on
-  every captured program: constant folding, dead-node elimination,
-  contiguous-chain op fusion and liveness-planned buffer reuse, all
-  bit-identical to the unoptimized replay;
 * :class:`CompiledStep` — the replay executor: per-shape program cache,
-  preallocated gradient buffers and forward arena, bit-identical results,
-  automatic eager fallback for anything value-dependent.
+  verbatim replay through the same ``OpDef.fwd``/``OpDef.bwd`` kernels
+  eager dispatch calls, preallocated gradient buffers, bit-identical
+  results, automatic eager fallback for anything value-dependent.
 
 Entry points for training code: a :class:`CompileConfig` passed as
 ``compile_config=`` to any trainer / search layer, the ``--compile`` CLI
@@ -32,7 +29,6 @@ from .executor import (
 )
 from .config import CompileConfig
 from .ir import GraphCaptureError, GraphProgram, build_program
-from .passes import OPT_LEVELS, OptStats, optimize_program
 
 __all__ = [
     "GraphCapture",
@@ -44,8 +40,5 @@ __all__ = [
     "build_program",
     "capture",
     "compile_step_default",
-    "optimize_program",
-    "OptStats",
     "ENV_COMPILE",
-    "OPT_LEVELS",
 ]

@@ -1,8 +1,8 @@
 """One configuration object for the graph-execution knob.
 
-Training has two execution paths: eager autograd, and the interpreted
-:class:`~repro.autograd.graph.executor.CompiledStep` replay with the pass
-pipeline always on.  :class:`CompileConfig` selects between them as a
+Training has two execution paths: eager autograd, and the verbatim
+:class:`~repro.autograd.graph.executor.CompiledStep` replay of a traced
+step.  :class:`CompileConfig` selects between them as a
 frozen, picklable value (safe to ship to DSE pool workers) that defers an
 unset field to ``REPRO_COMPILE_STEP`` at use time.
 """

@@ -3,27 +3,19 @@
 :class:`CompiledStep` wraps a step function ``step_fn(x, y) -> (loss, ...)``
 (tensors in, tensors out).  The first call per input shape *traces*: the
 step runs eagerly under a :class:`GraphCapture` — producing real losses and
-gradients — and is frozen into a :class:`GraphProgram`.  The program is then
-rewritten by the optimization pass pipeline (:mod:`.passes`: constant
-folding, dead-node elimination, op fusion, liveness-planned buffer reuse)
-unless ``optimize="none"``.  Every later call with that shape *replays* the
-optimized program: a flat loop over recorded kernels on slot-indexed numpy
-buffers, with
+gradients — and is frozen into a :class:`GraphProgram`.  Every later call
+with that shape *replays* the program verbatim: a flat loop over the
+recorded ops on slot-indexed numpy buffers, with
 
 * no ``Tensor`` objects, no parent tuples, no per-op bookkeeping;
 * no topological sort — the backward schedule was precomputed from the same
   topo order the eager engine uses;
-* preallocated gradient buffers and a shared forward buffer *arena*
-  (liveness-disjoint intermediates reuse one buffer; safe ops write over a
-  dying input in place), so steady-state replay performs no arena
-  allocations — :attr:`CompiledStep.alloc_stats` proves it.
+* gradient buffers allocated once per program and reused.
 
-Because replay invokes the *same* kernels in the *same* order on the same
-values as eager execution would — fused regions run their member kernels
-internally, folded constants were produced by those very kernels at trace
-time — results (losses, every parameter gradient, entire training
-trajectories) are bit-identical to eager mode; ``tests/test_graph_executor.py``
-and ``tests/test_graph_passes.py`` lock this.
+Because replay calls the *same* ``OpDef.fwd``/``OpDef.bwd`` kernels eager
+dispatch calls, in the *same* order on the same values, results (losses,
+every parameter gradient, entire training trajectories) are bit-identical
+to eager mode; ``tests/test_graph_executor.py`` locks this.
 
 Shape changes (e.g. a short final batch) transparently re-trace: programs
 are cached per ``(x.shape, y.shape, default dtype)``, so each distinct
@@ -32,9 +24,9 @@ signature pays one eager step and replays thereafter.  Captures that fail
 poison the step permanently and it runs eagerly, which is always correct;
 see :attr:`CompiledStep.fallback_reason`.
 
-A ``CompiledStep`` is single-threaded (per-replay scratch lives in the
-program nodes); concurrent trainers — e.g. parallel DSE workers — each
-compile their own step.
+A ``CompiledStep`` is single-threaded (each replay's forward byproducts
+live in the program nodes); concurrent trainers — e.g. parallel DSE
+workers — each compile their own step.
 """
 
 from __future__ import annotations
@@ -47,7 +39,6 @@ import numpy as np
 from ..tensor import Tensor, get_default_dtype
 from .capture import capture
 from .ir import GraphCaptureError, GraphProgram, OpNode, build_program
-from .passes import FusedOp, OptStats, check_opt_level, optimize_program
 
 __all__ = [
     "CompiledStep",
@@ -91,21 +82,12 @@ class EagerStep:
         return tuple(_scalarize(o.data) for o in outs)
 
 
-# Forward-plan entry kinds (first tuple element), chosen so the replay loop
-# is one integer compare away from the right call shape.
-_K_FWD, _K_OUT, _K_SCRATCH, _K_EFFECT, _K_INPLACE = 0, 1, 2, 3, 4
-
-
 class _ProgramRunner:
-    """Replays one :class:`GraphProgram` with preallocated buffers.
+    """Replays one :class:`GraphProgram` with preallocated gradient buffers.
 
     The program is flattened further at construction into plain-tuple
     *plans* (no attribute lookups, no isinstance checks in the replay
-    loop); all per-replay scratch — gradient buffers, the forward buffer
-    arena, op scratch dicts — is allocated here once.  When the program
-    carries a memory plan (optimizer on), ``fwd_out``-capable ops write
-    into liveness-shared arena buffers or, for planner-approved in-place
-    ops, straight over a dying input.
+    loop); the gradient buffers are allocated here once.
     """
 
     def __init__(self, program: GraphProgram):
@@ -116,75 +98,19 @@ class _ProgramRunner:
         meta = program.slot_meta
         self.grad_bufs = {slot: np.empty(*meta[slot])
                           for slot in program.grad_slots}
-        plan = program.mem_plan
-        self.arena = ([np.empty(shape, dtype) for shape, dtype in plan.buffers]
-                      if plan is not None else [])
-
-        fwd_plan = []
-        for idx, node in enumerate(program.schedule):
-            if type(node) is not OpNode:
-                fwd_plan.append((_K_EFFECT, node.fn, None,
-                                 node.in_slots, -1, None, None))
-                continue
-            op = node.op
-            if plan is not None and idx in plan.inplace:
-                fwd_plan.append((_K_INPLACE, op.fwd_out, node.attrs,
-                                 node.in_slots, node.out_slot, node,
-                                 plan.inplace[idx]))
-            elif op.fwd_out is not None:
-                if plan is not None and idx in plan.out_buffer:
-                    buf = self.arena[plan.out_buffer[idx]]
-                else:
-                    buf = np.empty(*meta[node.out_slot])
-                fwd_plan.append((_K_OUT, op.fwd_out, node.attrs,
-                                 node.in_slots, node.out_slot, node, buf))
-            elif op.fwd_scratch is not None:
-                fwd_plan.append((_K_SCRATCH, op.fwd_scratch, node.attrs,
-                                 node.in_slots, node.out_slot, node, {}))
-            else:
-                fwd_plan.append((_K_FWD, op.fwd, node.attrs,
-                                 node.in_slots, node.out_slot, node, None))
-        self._fwd_plan = fwd_plan
-        # Steps whose op has a scratch-aware backward get a persistent
-        # work-buffer dict (conv adjoints, reduction broadcasts).
+        # One entry per recorded node, in program order; an effect node
+        # carries node=None.
+        self._fwd_plan = [
+            (node.fn, None, node.in_slots, -1, None)
+            if type(node) is not OpNode else
+            (node.op.fwd, node.attrs, node.in_slots, node.out_slot, node)
+            for node in program.schedule]
         self._bwd_plan = [
-            (step.node.op.bwd_scratch or step.node.op.bwd,
-             step.node.attrs, step.node.in_slots,
-             step.node.out_slot, step.node, step.needs, step.acc,
-             {} if step.node.op.bwd_scratch is not None else None)
+            (step.node.op.bwd, step.node.attrs, step.node.in_slots,
+             step.node.out_slot, step.node, step.needs, step.acc)
             for step in program.backward_steps]
         self._out_plan = [(slot, int(np.prod(meta[slot][0], dtype=np.int64)) == 1)
                           for slot in program.output_slots]
-
-    # ------------------------------------------------------------------
-    def persistent_buffers(self) -> int:
-        """Count of long-lived replay buffers (arena, grads, op scratch).
-
-        Re-counted on demand; a steady-state replay must not grow it —
-        ``CompiledStep.alloc_stats`` exposes the delta between calls.
-        """
-        count = len(self.arena) + len(self.grad_bufs)
-        for kind, _fn, _attrs, _ins, _out, node, extra in self._fwd_plan:
-            if kind == _K_OUT:
-                count += 1
-            elif kind == _K_SCRATCH:
-                op = node.op
-                if isinstance(op, FusedOp):
-                    for skind, _f, _a, _g, sextra in op._fwd_plan:
-                        if skind == FusedOp._F_OUT:
-                            count += 1
-                        elif skind == FusedOp._F_SCRATCH:
-                            count += len(sextra)
-                    count += len(op._igbufs) + len(op._xbufs)
-                    for entry in op.bwd_plan:
-                        if entry[-1] is not None:
-                            count += len(entry[-1])
-                else:                  # plain op scratch (e.g. conv xp)
-                    count += len(extra)
-        for *_rest, scratch in self._bwd_plan:
-            if scratch is not None:
-                count += len(scratch)
-        return count
 
     def run(self, inputs: Tuple[np.ndarray, ...]) -> Tuple:
         program = self.program
@@ -201,43 +127,24 @@ class _ProgramRunner:
             values[slot] = array
 
         # Forward sweep in recorded program order (effects interleaved).
-        for kind, fn, attrs, in_slots, out_slot, node, extra in self._fwd_plan:
+        for fn, attrs, in_slots, out_slot, node in self._fwd_plan:
             ins = [values[s] for s in in_slots]
-            if kind == _K_FWD:
-                out, node.ctx = fn(ins, attrs)
-                # Mirror the Tensor() dtype coercion of eager dispatch.
-                if not isinstance(out, np.ndarray) or out.dtype != dtype:
-                    out = np.asarray(out, dtype=dtype)
-                values[out_slot] = out
-            elif kind == _K_OUT:
-                node.ctx = fn(ins, attrs, extra)
-                values[out_slot] = extra
-            elif kind == _K_SCRATCH:
-                out, node.ctx = fn(ins, attrs, extra)
-                if not isinstance(out, np.ndarray) or out.dtype != dtype:
-                    out = np.asarray(out, dtype=dtype)
-                values[out_slot] = out
-            elif kind == _K_INPLACE:
-                # Planner-approved: the overwritten input is dead and the
-                # op's backward is alias-tolerant for it.
-                buf = ins[extra]
-                node.ctx = fn(ins, attrs, buf)
-                values[out_slot] = buf
-            else:
+            if node is None:
                 fn(*ins)
+                continue
+            out, node.ctx = fn(ins, attrs)
+            # Mirror the Tensor() dtype coercion of eager dispatch.
+            if not isinstance(out, np.ndarray) or out.dtype != dtype:
+                out = np.asarray(out, dtype=dtype)
+            values[out_slot] = out
 
         # Backward sweep: precomputed schedule, preallocated buffers.
         grad_bufs = self.grad_bufs
         grad_bufs[program.root_slot].fill(1.0)
-        for bwd, attrs, in_slots, out_slot, node, needs, acc, scratch \
-                in self._bwd_plan:
+        for bwd, attrs, in_slots, out_slot, node, needs, acc in self._bwd_plan:
             gsrc = grad_bufs[out_slot]
             ins = [values[s] for s in in_slots]
-            if scratch is None:
-                grads = bwd(gsrc, ins, values[out_slot], node.ctx, attrs, needs)
-            else:
-                grads = bwd(gsrc, ins, values[out_slot], node.ctx, attrs,
-                            needs, scratch)
+            grads = bwd(gsrc, ins, values[out_slot], node.ctx, attrs, needs)
             for target, g in zip(acc, grads):
                 if target is None or g is None:
                     continue
@@ -277,23 +184,15 @@ class CompiledStep:
         value-dependent must call
         :func:`repro.autograd.mark_capture_unsafe`, which turns this step
         into a permanent (correct) eager fallback.
-    optimize:
-        Graph-optimization level applied to each traced program:
-        ``"default"`` (fold/DCE/fuse + memory planning — bit-identical,
-        faster; what training always uses) or ``"none"`` (replay the trace
-        verbatim — the reference the pass-pipeline tests compare against).
 
     Calls return the step outputs as floats (scalars) / arrays, with
     parameter ``.grad`` populated — the same contract as
     :class:`EagerStep`.
     """
 
-    def __init__(self, step_fn: Callable, optimize: str = "default"):
+    def __init__(self, step_fn: Callable):
         self.step_fn = step_fn
-        self.optimize = check_opt_level(optimize)
         self._runners: Dict[Tuple, _ProgramRunner] = {}
-        self._opt_stats: Dict[Tuple, OptStats] = {}
-        self._buffer_mark: Optional[int] = None
         self._eager = EagerStep(step_fn)  # fallback path, built once
         self.fallback_reason: Optional[str] = None
 
@@ -303,58 +202,14 @@ class CompiledStep:
         """Input-shape keys with a compiled program (introspection/tests)."""
         return tuple(self._runners)
 
-    @property
-    def opt_stats(self) -> Dict[Tuple, Dict[str, int]]:
-        """Per-shape pass-pipeline statistics (folded/removed/fused/...)."""
-        return {key: stats.as_dict() for key, stats in self._opt_stats.items()}
-
-    @property
-    def alloc_stats(self) -> Dict[str, int]:
-        """Replay allocation accounting across all compiled shapes.
-
-        ``persistent_buffers`` counts every long-lived buffer (gradient
-        buffers, the forward arena, fused/conv scratch);
-        ``steady_state_growth`` is the change since the previous
-        ``alloc_stats`` read — after a warm-up replay per shape it must be
-        zero, which is the "replay allocates nothing" guarantee the perf
-        smoke asserts.
-        """
-        stats = {
-            "programs": len(self._runners),
-            "arena_buffers": 0,
-            "arena_bytes": 0,
-            "grad_buffers": 0,
-            "inplace_ops": 0,
-            "persistent_buffers": 0,
-        }
-        for key, runner in self._runners.items():
-            plan = runner.program.mem_plan
-            if plan is not None:
-                stats["arena_buffers"] += len(plan.buffers)
-                stats["arena_bytes"] += plan.arena_bytes
-                stats["inplace_ops"] += len(plan.inplace)
-            stats["grad_buffers"] += len(runner.grad_bufs)
-            stats["persistent_buffers"] += runner.persistent_buffers()
-        previous = self._buffer_mark
-        self._buffer_mark = stats["persistent_buffers"]
-        stats["steady_state_growth"] = (0 if previous is None
-                                        else stats["persistent_buffers"] - previous)
-        return stats
-
     def diagnostics(self) -> Dict[str, object]:
-        """One JSON-able report of what compilation did (CLI ``--verbose``).
-
-        Bundles the optimization level, the eager-fallback reason, the
-        pass-pipeline statistics per compiled shape and the allocation
-        accounting (note: reading it re-arms the steady-state marker, like
-        :attr:`alloc_stats`).
-        """
+        """One JSON-able report of what compilation did (CLI ``--verbose``):
+        the eager-fallback reason and the ``(x, y)`` shapes with a
+        compiled program."""
         return {
-            "optimize": self.optimize,
             "fallback_reason": self.fallback_reason,
-            "opt_stats": {str(key): stats
-                          for key, stats in self.opt_stats.items()},
-            "alloc_stats": self.alloc_stats,
+            "compiled_shapes": [[list(x_shape), list(y_shape)]
+                                for x_shape, y_shape, _ in self._runners],
         }
 
     def __call__(self, x, y) -> Tuple:
@@ -378,8 +233,7 @@ class CompiledStep:
 
         The traced execution is itself a valid step (real loss, real
         gradients), so tracing never wastes a batch — and a failed capture
-        simply leaves its eager results as the step's results.  The frozen
-        program is optimized before its first replay.
+        simply leaves its eager results as the step's results.
         """
         with capture() as tracer:
             tx, ty = Tensor(x), Tensor(y)
@@ -398,6 +252,5 @@ class CompiledStep:
             self.fallback_reason = str(exc)
             return values
         key = (x.shape, y.shape, get_default_dtype())
-        self._opt_stats[key] = optimize_program(program, self.optimize)
         self._runners[key] = _ProgramRunner(program)
         return values

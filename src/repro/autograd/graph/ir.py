@@ -89,7 +89,7 @@ class GraphProgram:
 
     __slots__ = ("n_slots", "schedule", "backward_steps", "leaves",
                  "input_slots", "output_slots", "root_slot", "grad_leaves",
-                 "slot_meta", "grad_slots", "dtype", "mem_plan")
+                 "slot_meta", "grad_slots", "dtype")
 
     def __init__(self, n_slots: int, schedule: List, backward_steps: List[BackwardStep],
                  leaves: List[Tuple[int, object]], input_slots: List[int],
@@ -108,7 +108,6 @@ class GraphProgram:
         self.slot_meta = slot_meta            # slot -> (shape, dtype), every slot
         self.grad_slots = grad_slots          # slots receiving gradient buffers
         self.dtype = dtype                    # default dtype at capture time
-        self.mem_plan = None                  # set by the optimizer passes
 
     def __repr__(self) -> str:
         ops = sum(1 for n in self.schedule if isinstance(n, OpNode))
@@ -193,9 +192,8 @@ def build_program(tracer, loss, outputs) -> GraphProgram:
 
     grad_leaves = [(slot, t) for slot, t in leaves
                    if t.requires_grad and slot in touched]
-    # Shapes/dtypes of every slot: the memory planner sizes forward buffers
-    # from these; ``touched`` (separately) names the slots that need
-    # gradient buffers.
+    # Shapes/dtypes of every slot: gradient buffers are sized from these;
+    # ``touched`` names the slots that need one.
     slot_meta = {slot: (t.data.shape, t.data.dtype)
                  for slot, t in enumerate(tensors)}
 

@@ -35,101 +35,48 @@ from typing import Optional
 import numpy as np
 
 from .backends import get_backend
-from .backends.base import scratch_buffer
 from .tensor import OpDef, Tensor, _unbroadcast, apply_op
 
 __all__ = ["conv1d_causal", "conv1d_causal_masked", "conv1d_causal_stacked",
            "avg_pool1d", "max_pool1d", "global_avg_pool1d"]
 
 
-def _kernel_kwargs(kernels, scratch):
-    """Keyword arguments handing a backend its persistent buffers: none
-    eagerly (``scratch`` None), nor for a backend that predates the
-    ``scratch=`` parameter.
-
-    External backends registered against the original kernel interface
-    must keep working under compiled replay — they simply fall back to
-    allocating fresh buffers like eager dispatch does.  The signature
-    check runs once per node and is cached in the scratch dict.
-    """
-    if scratch is None:
-        return {}
-    accepts = scratch.get("_kernels_accept_scratch")
-    if accepts is None:
-        import inspect
-        try:
-            params = inspect.signature(kernels.forward).parameters
-            accepts = "scratch" in params
-        except (TypeError, ValueError):
-            accepts = False
-        scratch["_kernels_accept_scratch"] = accepts
-    return {"scratch": scratch} if accepts else {}
-
-
-def _padded(x, pad, scratch):
-    """``x`` left-padded with ``pad`` zeros along time.
-
-    Under replay (``scratch`` set) the buffer persists: its zero margin is
-    written once and only the payload is refreshed each call — the values
-    of a fresh ``np.pad``, without the allocation.
-    """
-    shape = (x.shape[0], x.shape[1], x.shape[2] + pad)
-    xp = None if scratch is None else scratch.get("xp")
-    if xp is None or xp.shape != shape or xp.dtype != x.dtype:
-        xp = np.zeros(shape, dtype=x.dtype)
-        if scratch is not None:
-            scratch["xp"] = xp
+def _padded(x, pad):
+    """``x`` left-padded with ``pad`` zeros along time."""
+    xp = np.zeros((x.shape[0], x.shape[1], x.shape[2] + pad), dtype=x.dtype)
     xp[:, :, pad:] = x
     return xp
 
 
-def _conv_fwd_scratch(ins, attrs, scratch):
-    """Forward kernel; ``scratch`` is None eagerly and a per-node dict
-    under compiled replay, where the padded input and the backend's GEMM
-    outputs persist across replays (identical bits, no allocation)."""
+def _conv_fwd(ins, attrs):
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
     kernels = attrs["kernels"]
-    xp = _padded(x, (w.shape[2] - 1) * dilation, scratch)
-    out = kernels.forward(xp, w, dilation, stride, x.shape[2],
-                          **_kernel_kwargs(kernels, scratch))
+    xp = _padded(x, (w.shape[2] - 1) * dilation)
+    out = kernels.forward(xp, w, dilation, stride, x.shape[2])
     if len(ins) == 3:
         out += ins[2][None, :, None]  # backends return owned buffers
     # The padded input is the forward byproduct both adjoints need.
     return out, xp
 
 
-def _conv_fwd(ins, attrs):
-    return _conv_fwd_scratch(ins, attrs, None)
-
-
-def _conv_bwd_scratch(g, ins, out, xp, attrs, needs, scratch):
-    """Adjoint kernels; under replay the backend's accumulator /
-    GEMM-output arrays (and memoized einsum paths) persist in
-    ``scratch`` — identical bits, no steady-state allocations."""
+def _conv_bwd(g, ins, out, xp, attrs, needs):
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
     kernels = attrs["kernels"]
     t = x.shape[2]
-    kw = _kernel_kwargs(kernels, scratch)
     gx = gw = gb = None
     if needs[0]:
-        gxp = kernels.grad_input(g, w, xp.shape, dilation, stride, t, **kw)
+        gxp = kernels.grad_input(g, w, xp.shape, dilation, stride, t)
         gx = gxp[:, :, (w.shape[2] - 1) * dilation:]
     if needs[1]:
-        gw = kernels.grad_weight(g, xp, w.shape, dilation, stride, t, **kw)
+        gw = kernels.grad_weight(g, xp, w.shape, dilation, stride, t)
     if len(ins) == 3 and needs[2]:
         gb = g.sum(axis=(0, 2))
     return (gx, gw) if len(ins) == 2 else (gx, gw, gb)
 
 
-def _conv_bwd(g, ins, out, xp, attrs, needs):
-    return _conv_bwd_scratch(g, ins, out, xp, attrs, needs, None)
-
-
-_CONV1D = OpDef("conv1d_causal", _conv_fwd, _conv_bwd,
-                fwd_scratch=_conv_fwd_scratch,
-                bwd_scratch=_conv_bwd_scratch, bwd_uses=("ins",))
+_CONV1D = OpDef("conv1d_causal", _conv_fwd, _conv_bwd)
 
 
 def _check_shapes(x: Tensor, w: Tensor) -> None:
@@ -204,20 +151,14 @@ def _live_taps(mask: np.ndarray):
     return int(live[0]), int(step[0])
 
 
-def _rounded(a, dtype, scratch, key):
+def _rounded(a, dtype):
     """``a`` in ``dtype``, rounded as storing it as a tensor's gradient
     would round it (a backend may return float64 under float32)."""
-    if a.dtype == dtype:
-        return a
-    buf, _ = scratch_buffer(scratch, key, a.shape, dtype)
-    if buf is None:
-        return a.astype(dtype)
-    np.copyto(buf, a, casting="same_kind")
-    return buf
+    return a if a.dtype == dtype else a.astype(dtype)
 
 
-def _masked_fwd_scratch(ins, attrs, scratch):
-    """Forward of :func:`conv1d_causal_masked`; ``scratch`` is None eagerly.
+def _masked_fwd(ins, attrs):
+    """Forward of :func:`conv1d_causal_masked`.
 
     Pads for the full ``K``-tap kernel, then runs the backend's ordinary
     dilated forward on the live taps only: ``(w*mask)[..., off::d]`` over
@@ -226,23 +167,18 @@ def _masked_fwd_scratch(ins, attrs, scratch):
     """
     x, w, mask = ins[0], ins[1], ins[2]
     stride, kernels = attrs["stride"], attrs["kernels"]
-    xp = _padded(x, w.shape[2] - 1, scratch)
-    wm, _ = scratch_buffer(scratch, "wm", w.shape, np.result_type(w, mask))
-    wm = np.multiply(w, mask, out=wm)
+    xp = _padded(x, w.shape[2] - 1)
+    wm = w * mask
     off, d = _live_taps(mask)
     out = kernels.forward(xp[:, :, off:], wm[:, :, off::d], d, stride,
-                          x.shape[2], **_kernel_kwargs(kernels, scratch))
+                          x.shape[2])
     if len(ins) == 4:
         out += ins[3][None, :, None]
     return out, (xp, wm, off, d)
 
 
-def _masked_fwd(ins, attrs):
-    return _masked_fwd_scratch(ins, attrs, None)
-
-
-def _masked_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
-    """Adjoints of :func:`conv1d_causal_masked`; ``scratch`` is None eagerly.
+def _masked_bwd(g, ins, out, ctx, attrs, needs):
+    """Adjoints of :func:`conv1d_causal_masked`.
 
     ``grad_input`` runs over the live taps.  The masked kernel's gradient
     ``G`` covers every tap when the mask needs a gradient — the
@@ -254,42 +190,28 @@ def _masked_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
     xp, wm, off, d = ctx
     stride, kernels = attrs["stride"], attrs["kernels"]
     t = x.shape[2]
-    kw = _kernel_kwargs(kernels, scratch)
     live = wm[:, :, off::d]
     gx = gw = gmask = gb = None
     if needs[0]:
-        gxp = kernels.grad_input(g, live, xp[:, :, off:].shape, d, stride, t,
-                                 **kw)
+        gxp = kernels.grad_input(g, live, xp[:, :, off:].shape, d, stride, t)
         gx = gxp[:, :, w.shape[2] - 1 - off:]
     if needs[2]:
-        gwm = kernels.grad_weight(g, xp, w.shape, 1, stride, t, **kw)
-        gwm = _rounded(gwm, wm.dtype, scratch, "gwm")
+        gwm = _rounded(kernels.grad_weight(g, xp, w.shape, 1, stride, t),
+                       wm.dtype)
         if needs[1]:
-            gw, _ = scratch_buffer(scratch, "gw_masked", w.shape, wm.dtype)
-            gw = np.multiply(gwm, mask, out=gw)
-        prod, _ = scratch_buffer(scratch, "gmask_prod", w.shape, wm.dtype)
-        gmask = _unbroadcast(np.multiply(gwm, w, out=prod), mask.shape)
+            gw = gwm * mask
+        gmask = _unbroadcast(gwm * w, mask.shape)
     elif needs[1]:
-        gwl = kernels.grad_weight(g, xp[:, :, off:], live.shape, d, stride, t,
-                                  **kw)
-        gwl = _rounded(gwl, wm.dtype, scratch, "gwl")
-        gw, _ = scratch_buffer(scratch, "gw_masked", w.shape, wm.dtype,
-                               zero=True)
-        if gw is None:
-            gw = np.zeros(w.shape, wm.dtype)
+        gwl = _rounded(kernels.grad_weight(g, xp[:, :, off:], live.shape, d,
+                                           stride, t), wm.dtype)
+        gw = np.zeros(w.shape, wm.dtype)
         np.multiply(gwl, mask[off::d], out=gw[:, :, off::d])
     if len(ins) == 4 and needs[3]:
         gb = g.sum(axis=(0, 2))
     return (gx, gw, gmask) if len(ins) == 3 else (gx, gw, gmask, gb)
 
 
-def _masked_bwd(g, ins, out, ctx, attrs, needs):
-    return _masked_bwd_scratch(g, ins, out, ctx, attrs, needs, None)
-
-
-_CONV1D_MASKED = OpDef("conv1d_causal_masked", _masked_fwd, _masked_bwd,
-                       fwd_scratch=_masked_fwd_scratch,
-                       bwd_scratch=_masked_bwd_scratch, bwd_uses=("ins",))
+_CONV1D_MASKED = OpDef("conv1d_causal_masked", _masked_fwd, _masked_bwd)
 
 
 def conv1d_causal_masked(x: Tensor, w: Tensor, tap_mask: Tensor,
@@ -354,49 +276,8 @@ def _conv_stacked_bwd(g, ins, out, xp, attrs, needs):
     return (gx, gw) if len(ins) == 2 else (gx, gw, gb)
 
 
-def _conv_stacked_fwd_scratch(ins, attrs, scratch):
-    """Replay variant: the padded-input buffer and the backend's stacked
-    work buffers persist across replays (see :func:`_conv_fwd_scratch`)."""
-    x, w = ins[0], ins[1]
-    dilation, stride = attrs["dilation"], attrs["stride"]
-    kernels = attrs["kernels"]
-    t = x.shape[3]
-    pad = (w.shape[3] - 1) * dilation
-    shape = x.shape[:3] + (t + pad,)
-    xp = scratch.get("xp")
-    if xp is None or xp.shape != shape or xp.dtype != x.dtype:
-        xp = scratch["xp"] = np.zeros(shape, dtype=x.dtype)
-    xp[:, :, :, pad:] = x
-    out = kernels.forward_stacked(xp, w, dilation, stride, t, scratch=scratch)
-    if len(ins) == 3:
-        out += ins[2][:, None, :, None]
-    return out, xp
-
-
-def _conv_stacked_bwd_scratch(g, ins, out, xp, attrs, needs, scratch):
-    x, w = ins[0], ins[1]
-    dilation, stride = attrs["dilation"], attrs["stride"]
-    kernels = attrs["kernels"]
-    t = x.shape[3]
-    pad = (w.shape[3] - 1) * dilation
-    gx = gw = gb = None
-    if needs[0]:
-        gxp = kernels.grad_input_stacked(g, w, xp.shape, dilation, stride, t,
-                                         scratch=scratch)
-        gx = gxp[:, :, :, pad:]
-    if needs[1]:
-        gw = kernels.grad_weight_stacked(g, xp, w.shape, dilation, stride, t,
-                                         scratch=scratch)
-    if len(ins) == 3 and needs[2]:
-        gb = g.sum(axis=(1, 3))
-    return (gx, gw) if len(ins) == 2 else (gx, gw, gb)
-
-
 _CONV1D_STACKED = OpDef("conv1d_causal_stacked", _conv_stacked_fwd,
-                        _conv_stacked_bwd,
-                        fwd_scratch=_conv_stacked_fwd_scratch,
-                        bwd_scratch=_conv_stacked_bwd_scratch,
-                        bwd_uses=("ins",))
+                        _conv_stacked_bwd)
 
 
 def conv1d_causal_stacked(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -462,23 +343,7 @@ def _avg_pool_bwd(g, ins, out, ctx, attrs, needs):
     return (gx,)
 
 
-def _avg_pool_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
-    x = ins[0]
-    kernel_size, stride = attrs["kernel_size"], attrs["stride"]
-    t_out = (x.shape[2] - kernel_size) // stride + 1
-    gx = scratch.get("gx")
-    if gx is None or gx.shape != x.shape or gx.dtype != x.dtype:
-        gx = scratch["gx"] = np.zeros_like(x)
-    else:
-        gx.fill(0)
-    scaled = g / kernel_size
-    for offset in range(kernel_size):
-        gx[:, :, offset: offset + stride * t_out: stride] += scaled
-    return (gx,)
-
-
-_AVG_POOL = OpDef("avg_pool1d", _avg_pool_fwd, _avg_pool_bwd,
-                  bwd_scratch=_avg_pool_bwd_scratch, bwd_uses=())
+_AVG_POOL = OpDef("avg_pool1d", _avg_pool_fwd, _avg_pool_bwd)
 
 
 def avg_pool1d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
@@ -522,8 +387,7 @@ def _max_pool_bwd(g, ins, out, argmax, attrs, needs):
     return (gx,)
 
 
-# bwd scatters through the ctx argmax; it only reads input shapes.
-_MAX_POOL = OpDef("max_pool1d", _max_pool_fwd, _max_pool_bwd, bwd_uses=())
+_MAX_POOL = OpDef("max_pool1d", _max_pool_fwd, _max_pool_bwd)
 
 
 def max_pool1d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:

@@ -37,22 +37,13 @@ def _softmax_fwd(ins, attrs):
     return exp / exp.sum(axis=attrs["axis"], keepdims=True), None
 
 
-def _softmax_out(ins, attrs, out):
-    x = ins[0]
-    shifted = x - x.max(axis=attrs["axis"], keepdims=True)
-    exp = np.exp(shifted)
-    np.divide(exp, exp.sum(axis=attrs["axis"], keepdims=True), out=out)
-    return None
-
-
 def _softmax_bwd(g, ins, out, ctx, attrs, needs):
     # J^T g = s * (g - sum(g * s))
     dot = (g * out).sum(axis=attrs["axis"], keepdims=True)
     return (out * (g - dot),)
 
 
-_SOFTMAX = OpDef("softmax", _softmax_fwd, _softmax_bwd, _softmax_out,
-                 bwd_uses=("out",), inplace={0: ()})
+_SOFTMAX = OpDef("softmax", _softmax_fwd, _softmax_bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -67,21 +58,12 @@ def _log_softmax_fwd(ins, attrs):
     return shifted - lse, None
 
 
-def _log_softmax_out(ins, attrs, out):
-    x = ins[0]
-    shifted = x - x.max(axis=attrs["axis"], keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=attrs["axis"], keepdims=True))
-    np.subtract(shifted, lse, out=out)
-    return None
-
-
 def _log_softmax_bwd(g, ins, out, ctx, attrs, needs):
     soft = np.exp(out)
     return (g - soft * g.sum(axis=attrs["axis"], keepdims=True),)
 
 
-_LOG_SOFTMAX = OpDef("log_softmax", _log_softmax_fwd, _log_softmax_bwd,
-                     _log_softmax_out, bwd_uses=("out",), inplace={0: ()})
+_LOG_SOFTMAX = OpDef("log_softmax", _log_softmax_fwd, _log_softmax_bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -108,8 +90,7 @@ def _logsumexp_bwd(g, ins, out, ctx, attrs, needs):
     return (g * soft,)
 
 
-_LOGSUMEXP = OpDef("logsumexp", _logsumexp_fwd, _logsumexp_bwd,
-                   bwd_uses=("ins", "out"))
+_LOGSUMEXP = OpDef("logsumexp", _logsumexp_fwd, _logsumexp_bwd)
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -126,7 +107,7 @@ def _binarize_bwd(g, ins, out, ctx, attrs, needs):
     return (g,)
 
 
-_BINARIZE = OpDef("binarize_ste", _binarize_fwd, _binarize_bwd, bwd_uses=())
+_BINARIZE = OpDef("binarize_ste", _binarize_fwd, _binarize_bwd)
 
 
 def binarize_ste(x: Tensor, threshold: float = 0.5) -> Tensor:
@@ -154,10 +135,9 @@ def _dropout_bwd(g, ins, out, keep, attrs, needs):
     return (g * keep,)
 
 
-# bwd reads the keep-mask from ctx, not the forward values.  The "rng"
-# attribute marks the op stateful: the graph optimizer must never
-# constant-fold it (every replay draws fresh masks in program order).
-_DROPOUT = OpDef("dropout", _dropout_fwd, _dropout_bwd, bwd_uses=())
+# The "rng" attribute is the generator itself: every replay of a captured
+# step draws fresh masks from it in program order.
+_DROPOUT = OpDef("dropout", _dropout_fwd, _dropout_bwd)
 
 
 def dropout(x: Tensor, p: float, training: bool,
@@ -199,11 +179,10 @@ def _dropout_stacked_bwd(g, ins, out, keep, attrs, needs):
     return (g * keep,)
 
 
-# Like _DROPOUT, the "rng" attribute (here a tuple of per-model generators)
-# marks the op stateful so the graph optimizer never constant-folds it; the
-# "active" array is read live on every (re)play.
+# Like _DROPOUT, "rng" holds the per-model generators; the "active" array
+# is read live on every (re)play.
 _DROPOUT_STACKED = OpDef("dropout_stacked", _dropout_stacked_fwd,
-                         _dropout_stacked_bwd, bwd_uses=())
+                         _dropout_stacked_bwd)
 
 
 def dropout_stacked(x: Tensor, p: float, training: bool,

@@ -212,45 +212,6 @@ class OpDef:
         ``bwd(grad, ins, out, ctx, attrs, needs) -> grads`` returning one
         gradient (or None) per input; ``needs[i]`` tells whether input ``i``
         requires a gradient.
-    fwd_out:
-        Optional ``fwd_out(ins, attrs, out) -> ctx`` variant writing the
-        result into a preallocated buffer — used by the compiled-step
-        executor for allocation-free replay of elementwise ops.  Must be
-        bit-identical to ``fwd``.
-    fwd_scratch:
-        Optional ``fwd_scratch(ins, attrs, scratch) -> (out, ctx)`` variant
-        receiving a per-node dict that persists across replays, letting the
-        op keep private work buffers (e.g. the conv's padded input) instead
-        of reallocating them.  Must be bit-identical to ``fwd``.
-    bwd_scratch:
-        Optional ``bwd_scratch(grad, ins, out, ctx, attrs, needs, scratch)``
-        variant of ``bwd`` with a per-step persistent dict, used by the
-        compiled-step executor so backward intermediates (conv adjoint
-        buffers, reduction broadcasts) live in reusable buffers instead of
-        fresh allocations every replay.  Must be bit-identical to ``bwd``.
-        Returned buffers may be handed out every replay — the runner's
-        gradient adoption then reuses them as the slot's gradient storage.
-    bwd_uses:
-        Which forward *values* ``bwd`` actually reads: a subset of
-        ``("ins", "out")``.  Ops whose backward only needs shapes/dtypes
-        (``add``, ``sum``, ``reshape``, ...) declare ``()``; ops that read
-        their output (``exp``, ``tanh``) declare ``("out",)``.  The graph
-        optimizer's liveness analysis uses this to recycle forward buffers
-        that nothing will read again; the conservative default keeps
-        everything alive through the backward pass.
-    view_of:
-        Index of an input the output may *alias* (``reshape``, ``transpose``,
-        ``getitem`` on basic slices return numpy views).  The memory planner
-        unions aliased slots so a shared buffer is never recycled while a
-        view of it is still live.  None for ops returning owned arrays.
-    inplace:
-        In-place safety map for the memory planner: ``{input_index:
-        (other_operand_indices_that_must_not_need_grad,)}``.  An entry means
-        ``fwd_out`` may write the output over ``ins[input_index]`` (same
-        shape/dtype, input dead afterwards) without changing ``bwd``'s
-        results, provided the listed other operands receive no gradient.
-        ``relu`` is the canonical unconditional case: ``max(x, 0) > 0``
-        equals ``x > 0`` elementwise, so its backward is alias-tolerant.
 
     Kernels must be *pure* in the buffers: they may close over static
     configuration but never over arrays of a particular call — this is the
@@ -258,25 +219,12 @@ class OpDef:
     batch data.
     """
 
-    __slots__ = ("name", "fwd", "bwd", "fwd_out", "fwd_scratch",
-                 "bwd_scratch", "bwd_uses", "view_of", "inplace")
+    __slots__ = ("name", "fwd", "bwd")
 
-    def __init__(self, name: str, fwd: Callable, bwd: Callable,
-                 fwd_out: Optional[Callable] = None,
-                 fwd_scratch: Optional[Callable] = None,
-                 bwd_scratch: Optional[Callable] = None,
-                 bwd_uses: Tuple[str, ...] = ("ins", "out"),
-                 view_of: Optional[int] = None,
-                 inplace: Optional[Dict[int, Tuple[int, ...]]] = None):
+    def __init__(self, name: str, fwd: Callable, bwd: Callable):
         self.name = name
         self.fwd = fwd
         self.bwd = bwd
-        self.fwd_out = fwd_out
-        self.fwd_scratch = fwd_scratch
-        self.bwd_scratch = bwd_scratch
-        self.bwd_uses = bwd_uses
-        self.view_of = view_of
-        self.inplace = inplace or {}
 
     def __repr__(self) -> str:
         return f"OpDef({self.name!r})"
@@ -395,13 +343,7 @@ def _add_bwd(g, ins, out, ctx, attrs, needs):
             _unbroadcast(g, ins[1].shape) if needs[1] else None)
 
 
-def _add_out(ins, attrs, out):
-    np.add(ins[0], ins[1], out=out)
-    return None
-
-
-_ADD = OpDef("add", _add_fwd, _add_bwd, _add_out, bwd_uses=(),
-             inplace={0: (), 1: ()})
+_ADD = OpDef("add", _add_fwd, _add_bwd)
 
 
 def _sub_fwd(ins, attrs):
@@ -413,23 +355,7 @@ def _sub_bwd(g, ins, out, ctx, attrs, needs):
             _unbroadcast(-g, ins[1].shape) if needs[1] else None)
 
 
-def _sub_out(ins, attrs, out):
-    np.subtract(ins[0], ins[1], out=out)
-    return None
-
-
-def _sub_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
-    gb = None
-    if needs[1]:
-        neg = _scratch_array(scratch, "neg", g.shape, g.dtype)
-        np.negative(g, out=neg)
-        gb = _unbroadcast(neg, ins[1].shape)
-    return (_unbroadcast(g, ins[0].shape) if needs[0] else None, gb)
-
-
-_SUB = OpDef("sub", _sub_fwd, _sub_bwd, _sub_out,
-             bwd_scratch=_sub_bwd_scratch, bwd_uses=(),
-             inplace={0: (), 1: ()})
+_SUB = OpDef("sub", _sub_fwd, _sub_bwd)
 
 
 def _mul_fwd(ins, attrs):
@@ -442,28 +368,7 @@ def _mul_bwd(g, ins, out, ctx, attrs, needs):
             _unbroadcast(g * a, b.shape) if needs[1] else None)
 
 
-def _mul_out(ins, attrs, out):
-    np.multiply(ins[0], ins[1], out=out)
-    return None
-
-
-def _mul_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
-    a, b = ins
-    ga = gb = None
-    if needs[0]:
-        prod = _scratch_array(scratch, "ga", g.shape, np.result_type(g, b))
-        np.multiply(g, b, out=prod)
-        ga = _unbroadcast(prod, a.shape)
-    if needs[1]:
-        prod = _scratch_array(scratch, "gb", g.shape, np.result_type(g, a))
-        np.multiply(g, a, out=prod)
-        gb = _unbroadcast(prod, b.shape)
-    return ga, gb
-
-
-_MUL = OpDef("mul", _mul_fwd, _mul_bwd, _mul_out,
-             bwd_scratch=_mul_bwd_scratch, bwd_uses=("ins",),
-             inplace={0: (1,), 1: (0,)})
+_MUL = OpDef("mul", _mul_fwd, _mul_bwd)
 
 
 def _div_fwd(ins, attrs):
@@ -476,39 +381,7 @@ def _div_bwd(g, ins, out, ctx, attrs, needs):
             _unbroadcast(-g * a / (b ** 2), b.shape) if needs[1] else None)
 
 
-def _div_out(ins, attrs, out):
-    np.divide(ins[0], ins[1], out=out)
-    return None
-
-
-def _div_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
-    a, b = ins
-    ga = gb = None
-    if needs[0]:
-        quot = _scratch_array(scratch, "ga", g.shape, np.result_type(g, b))
-        np.divide(g, b, out=quot)
-        ga = _unbroadcast(quot, a.shape)
-    if needs[1]:
-        # Same expression as _div_bwd (-g * a / b**2), each product into a
-        # persistent buffer.
-        dtype = np.result_type(g, a, b)
-        buf = _scratch_array(scratch, "gb", g.shape, dtype)
-        np.negative(g, out=buf)
-        np.multiply(buf, a, out=buf)
-        sq = _scratch_array(scratch, "b2", b.shape, b.dtype) \
-            if b.size > 1 else None
-        if sq is None:
-            gb = _unbroadcast(buf / b ** 2, b.shape)
-        else:
-            np.power(b, 2, out=sq)
-            np.divide(buf, sq, out=buf)
-            gb = _unbroadcast(buf, b.shape)
-    return ga, gb
-
-
-_DIV = OpDef("div", _div_fwd, _div_bwd, _div_out,
-             bwd_scratch=_div_bwd_scratch, bwd_uses=("ins",),
-             inplace={0: (1,)})
+_DIV = OpDef("div", _div_fwd, _div_bwd)
 
 
 def _neg_fwd(ins, attrs):
@@ -519,13 +392,7 @@ def _neg_bwd(g, ins, out, ctx, attrs, needs):
     return (-g,)
 
 
-def _neg_out(ins, attrs, out):
-    np.negative(ins[0], out=out)
-    return None
-
-
-_NEG = OpDef("neg", _neg_fwd, _neg_bwd, _neg_out, bwd_uses=(),
-             inplace={0: ()})
+_NEG = OpDef("neg", _neg_fwd, _neg_bwd)
 
 
 def _pow_fwd(ins, attrs):
@@ -537,12 +404,7 @@ def _pow_bwd(g, ins, out, ctx, attrs, needs):
     return (g * exponent * ins[0] ** (exponent - 1),)
 
 
-def _pow_out(ins, attrs, out):
-    np.power(ins[0], attrs["exponent"], out=out)
-    return None
-
-
-_POW = OpDef("pow", _pow_fwd, _pow_bwd, _pow_out, bwd_uses=("ins",))
+_POW = OpDef("pow", _pow_fwd, _pow_bwd)
 
 
 def _abs_fwd(ins, attrs):
@@ -553,12 +415,7 @@ def _abs_bwd(g, ins, out, ctx, attrs, needs):
     return (g * np.sign(ins[0]),)
 
 
-def _abs_out(ins, attrs, out):
-    np.absolute(ins[0], out=out)
-    return None
-
-
-_ABS = OpDef("abs", _abs_fwd, _abs_bwd, _abs_out, bwd_uses=("ins",))
+_ABS = OpDef("abs", _abs_fwd, _abs_bwd)
 
 
 def _exp_fwd(ins, attrs):
@@ -569,13 +426,7 @@ def _exp_bwd(g, ins, out, ctx, attrs, needs):
     return (g * out,)
 
 
-def _exp_out(ins, attrs, out):
-    np.exp(ins[0], out=out)
-    return None
-
-
-_EXP = OpDef("exp", _exp_fwd, _exp_bwd, _exp_out, bwd_uses=("out",),
-             inplace={0: ()})
+_EXP = OpDef("exp", _exp_fwd, _exp_bwd)
 
 
 def _log_fwd(ins, attrs):
@@ -586,12 +437,7 @@ def _log_bwd(g, ins, out, ctx, attrs, needs):
     return (g / ins[0],)
 
 
-def _log_out(ins, attrs, out):
-    np.log(ins[0], out=out)
-    return None
-
-
-_LOG = OpDef("log", _log_fwd, _log_bwd, _log_out, bwd_uses=("ins",))
+_LOG = OpDef("log", _log_fwd, _log_bwd)
 
 
 def _sqrt_fwd(ins, attrs):
@@ -602,13 +448,7 @@ def _sqrt_bwd(g, ins, out, ctx, attrs, needs):
     return (g * 0.5 / out,)
 
 
-def _sqrt_out(ins, attrs, out):
-    np.sqrt(ins[0], out=out)
-    return None
-
-
-_SQRT = OpDef("sqrt", _sqrt_fwd, _sqrt_bwd, _sqrt_out, bwd_uses=("out",),
-              inplace={0: ()})
+_SQRT = OpDef("sqrt", _sqrt_fwd, _sqrt_bwd)
 
 
 def _clip_fwd(ins, attrs):
@@ -621,12 +461,7 @@ def _clip_bwd(g, ins, out, ctx, attrs, needs):
     return (g * inside,)
 
 
-def _clip_out(ins, attrs, out):
-    np.clip(ins[0], attrs["low"], attrs["high"], out=out)
-    return None
-
-
-_CLIP = OpDef("clip", _clip_fwd, _clip_bwd, _clip_out, bwd_uses=("ins",))
+_CLIP = OpDef("clip", _clip_fwd, _clip_bwd)
 
 
 # -- comparisons (detached float masks) ---------------------------------
@@ -635,14 +470,10 @@ def _no_grads_2(g, ins, out, ctx, attrs, needs):
     return (None, None)
 
 
-_GT = OpDef("gt", lambda ins, attrs: (ins[0] > ins[1], None), _no_grads_2,
-            bwd_uses=())
-_LT = OpDef("lt", lambda ins, attrs: (ins[0] < ins[1], None), _no_grads_2,
-            bwd_uses=())
-_GE = OpDef("ge", lambda ins, attrs: (ins[0] >= ins[1], None), _no_grads_2,
-            bwd_uses=())
-_LE = OpDef("le", lambda ins, attrs: (ins[0] <= ins[1], None), _no_grads_2,
-            bwd_uses=())
+_GT = OpDef("gt", lambda ins, attrs: (ins[0] > ins[1], None), _no_grads_2)
+_LT = OpDef("lt", lambda ins, attrs: (ins[0] < ins[1], None), _no_grads_2)
+_GE = OpDef("ge", lambda ins, attrs: (ins[0] >= ins[1], None), _no_grads_2)
+_LE = OpDef("le", lambda ins, attrs: (ins[0] <= ins[1], None), _no_grads_2)
 
 
 # -- matrix multiplication ----------------------------------------------
@@ -673,7 +504,7 @@ def _matmul_bwd(g, ins, out, ctx, attrs, needs):
     return grad_a, grad_b
 
 
-_MATMUL = OpDef("matmul", _matmul_fwd, _matmul_bwd, bwd_uses=("ins",))
+_MATMUL = OpDef("matmul", _matmul_fwd, _matmul_bwd)
 
 
 # -- reductions ----------------------------------------------------------
@@ -690,39 +521,7 @@ def _sum_bwd(g, ins, out, ctx, attrs, needs):
     return (np.broadcast_to(g, a.shape).copy(),)
 
 
-def _scratch_array(scratch: Dict, key: str, shape: Tuple[int, ...],
-                   dtype) -> np.ndarray:
-    """Fetch-or-create a replay-persistent work buffer.
-
-    The in-module counterpart of
-    :func:`repro.autograd.backends.base.scratch_buffer` (which additionally
-    handles the eager ``scratch=None`` convention and zero-filling); kept
-    here because this bottom-of-the-stack module must not import the
-    backends package.
-    """
-    buf = scratch.get(key)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = scratch[key] = np.empty(shape, dtype)
-    return buf
-
-
-def _bcast_buf(scratch, g, shape):
-    """Broadcast-copy ``g`` to ``shape`` into a replay-persistent buffer."""
-    buf = _scratch_array(scratch, "g", shape, g.dtype)
-    np.copyto(buf, g)
-    return buf
-
-
-def _sum_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
-    a = ins[0]
-    axis = attrs["axis"]
-    if axis is not None and not attrs["keepdims"]:
-        g = np.expand_dims(g, axis=_normalize_axes(axis, a.ndim))
-    return (_bcast_buf(scratch, g, a.shape),)
-
-
-_SUM = OpDef("sum", _sum_fwd, _sum_bwd, bwd_scratch=_sum_bwd_scratch,
-             bwd_uses=())
+_SUM = OpDef("sum", _sum_fwd, _sum_bwd)
 
 
 def _mean_fwd(ins, attrs):
@@ -739,18 +538,7 @@ def _mean_bwd(g, ins, out, ctx, attrs, needs):
     return (np.broadcast_to(g, a.shape).copy(),)
 
 
-def _mean_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
-    a = ins[0]
-    axis = attrs["axis"]
-    count = a.size if axis is None else _axis_size(a.shape, axis)
-    g = g / count
-    if axis is not None and not attrs["keepdims"]:
-        g = np.expand_dims(g, axis=_normalize_axes(axis, a.ndim))
-    return (_bcast_buf(scratch, g, a.shape),)
-
-
-_MEAN = OpDef("mean", _mean_fwd, _mean_bwd, bwd_scratch=_mean_bwd_scratch,
-              bwd_uses=())
+_MEAN = OpDef("mean", _mean_fwd, _mean_bwd)
 
 
 def _max_fwd(ins, attrs):
@@ -772,7 +560,7 @@ def _max_bwd(g, ins, out, ctx, attrs, needs):
     return (mask * (g / counts),)
 
 
-_MAX = OpDef("max", _max_fwd, _max_bwd, bwd_uses=("ins", "out"))
+_MAX = OpDef("max", _max_fwd, _max_bwd)
 
 
 def _prod_fwd(ins, attrs):
@@ -793,7 +581,7 @@ def _prod_bwd(g, ins, out, ctx, attrs, needs):
     return ((g.reshape(()) * partial).reshape(a.shape),)
 
 
-_PROD = OpDef("prod", _prod_fwd, _prod_bwd, bwd_uses=("ins",))
+_PROD = OpDef("prod", _prod_fwd, _prod_bwd)
 
 
 # -- shape manipulation --------------------------------------------------
@@ -806,8 +594,7 @@ def _reshape_bwd(g, ins, out, ctx, attrs, needs):
     return (g.reshape(ins[0].shape),)
 
 
-_RESHAPE = OpDef("reshape", _reshape_fwd, _reshape_bwd, bwd_uses=(),
-                 view_of=0)
+_RESHAPE = OpDef("reshape", _reshape_fwd, _reshape_bwd)
 
 
 def _transpose_fwd(ins, attrs):
@@ -818,8 +605,7 @@ def _transpose_bwd(g, ins, out, ctx, attrs, needs):
     return (g.transpose(tuple(np.argsort(attrs["axes"]))),)
 
 
-_TRANSPOSE = OpDef("transpose", _transpose_fwd, _transpose_bwd, bwd_uses=(),
-                   view_of=0)
+_TRANSPOSE = OpDef("transpose", _transpose_fwd, _transpose_bwd)
 
 
 def _getitem_fwd(ins, attrs):
@@ -832,10 +618,7 @@ def _getitem_bwd(g, ins, out, ctx, attrs, needs):
     return (full,)
 
 
-# Basic-slice indexing returns numpy views, so the output may alias the
-# input storage; fancy indexing copies, but the planner stays conservative.
-_GETITEM = OpDef("getitem", _getitem_fwd, _getitem_bwd, bwd_uses=(),
-                 view_of=0)
+_GETITEM = OpDef("getitem", _getitem_fwd, _getitem_bwd)
 
 
 def _pad1d_fwd(ins, attrs):
@@ -851,7 +634,7 @@ def _pad1d_bwd(g, ins, out, ctx, attrs, needs):
     return (g[tuple(sl)],)
 
 
-_PAD1D = OpDef("pad1d", _pad1d_fwd, _pad1d_bwd, bwd_uses=())
+_PAD1D = OpDef("pad1d", _pad1d_fwd, _pad1d_bwd)
 
 
 def _squeeze_fwd(ins, attrs):
@@ -862,16 +645,14 @@ def _reshape_to_input_bwd(g, ins, out, ctx, attrs, needs):
     return (g.reshape(ins[0].shape),)
 
 
-_SQUEEZE = OpDef("squeeze", _squeeze_fwd, _reshape_to_input_bwd, bwd_uses=(),
-                 view_of=0)
+_SQUEEZE = OpDef("squeeze", _squeeze_fwd, _reshape_to_input_bwd)
 
 
 def _unsqueeze_fwd(ins, attrs):
     return np.expand_dims(ins[0], axis=attrs["axis"]), None
 
 
-_UNSQUEEZE = OpDef("unsqueeze", _unsqueeze_fwd, _reshape_to_input_bwd,
-                   bwd_uses=(), view_of=0)
+_UNSQUEEZE = OpDef("unsqueeze", _unsqueeze_fwd, _reshape_to_input_bwd)
 
 
 def _flip_fwd(ins, attrs):
@@ -882,7 +663,7 @@ def _flip_bwd(g, ins, out, ctx, attrs, needs):
     return (np.flip(g, axis=attrs["axis"]),)
 
 
-_FLIP = OpDef("flip", _flip_fwd, _flip_bwd, bwd_uses=())
+_FLIP = OpDef("flip", _flip_fwd, _flip_bwd)
 
 
 def _repeat_fwd(ins, attrs):
@@ -901,7 +682,7 @@ def _repeat_bwd(g, ins, out, ctx, attrs, needs):
     return (total,)
 
 
-_REPEAT = OpDef("repeat", _repeat_fwd, _repeat_bwd, bwd_uses=())
+_REPEAT = OpDef("repeat", _repeat_fwd, _repeat_bwd)
 
 
 # -- activations ---------------------------------------------------------
@@ -910,17 +691,11 @@ def _sigmoid_fwd(ins, attrs):
     return _stable_sigmoid(ins[0]), None
 
 
-def _sigmoid_out(ins, attrs, out):
-    _stable_sigmoid(ins[0], out=out)
-    return None
-
-
 def _sigmoid_bwd(g, ins, out, ctx, attrs, needs):
     return (g * out * (1.0 - out),)
 
 
-_SIGMOID = OpDef("sigmoid", _sigmoid_fwd, _sigmoid_bwd, _sigmoid_out,
-                 bwd_uses=("out",), inplace={0: ()})
+_SIGMOID = OpDef("sigmoid", _sigmoid_fwd, _sigmoid_bwd)
 
 
 def _tanh_fwd(ins, attrs):
@@ -931,13 +706,7 @@ def _tanh_bwd(g, ins, out, ctx, attrs, needs):
     return (g * (1.0 - out ** 2),)
 
 
-def _tanh_out(ins, attrs, out):
-    np.tanh(ins[0], out=out)
-    return None
-
-
-_TANH = OpDef("tanh", _tanh_fwd, _tanh_bwd, _tanh_out, bwd_uses=("out",),
-              inplace={0: ()})
+_TANH = OpDef("tanh", _tanh_fwd, _tanh_bwd)
 
 
 def _relu_fwd(ins, attrs):
@@ -948,24 +717,7 @@ def _relu_bwd(g, ins, out, ctx, attrs, needs):
     return (g * (ins[0] > 0.0),)
 
 
-def _relu_out(ins, attrs, out):
-    np.maximum(ins[0], 0.0, out=out)
-    return None
-
-
-def _relu_bwd_scratch(g, ins, out, ctx, attrs, needs, scratch):
-    mask = _scratch_array(scratch, "mask", ins[0].shape, np.dtype(bool))
-    np.greater(ins[0], 0.0, out=mask)
-    res = _scratch_array(scratch, "g", g.shape, np.result_type(g, ins[0]))
-    np.multiply(g, mask, out=res)
-    return (res,)
-
-
-# In-place relu is safe even though bwd reads ins[0]: the mask
-# (max(x, 0) > 0) is elementwise identical to (x > 0).
-_RELU = OpDef("relu", _relu_fwd, _relu_bwd, _relu_out,
-              bwd_scratch=_relu_bwd_scratch, bwd_uses=("ins",),
-              inplace={0: ()})
+_RELU = OpDef("relu", _relu_fwd, _relu_bwd)
 
 
 # -- variadic / free-function ops ---------------------------------------
@@ -989,7 +741,7 @@ def _concat_bwd(g, ins, out, ctx, attrs, needs):
     return tuple(grads)
 
 
-_CONCAT = OpDef("concatenate", _concat_fwd, _concat_bwd, bwd_uses=())
+_CONCAT = OpDef("concatenate", _concat_fwd, _concat_bwd)
 
 
 def _stack_fwd(ins, attrs):
@@ -1001,7 +753,7 @@ def _stack_bwd(g, ins, out, ctx, attrs, needs):
     return tuple(moved[i] if need else None for i, need in enumerate(needs))
 
 
-_STACK = OpDef("stack", _stack_fwd, _stack_bwd, bwd_uses=())
+_STACK = OpDef("stack", _stack_fwd, _stack_bwd)
 
 
 def _where_fwd(ins, attrs):
@@ -1015,7 +767,7 @@ def _where_bwd(g, ins, out, ctx, attrs, needs):
             _unbroadcast(g * ~cond, ins[2].shape) if needs[2] else None)
 
 
-_WHERE = OpDef("where", _where_fwd, _where_bwd, bwd_uses=("ins",))
+_WHERE = OpDef("where", _where_fwd, _where_bwd)
 
 
 def _maximum_fwd(ins, attrs):
@@ -1029,13 +781,7 @@ def _maximum_bwd(g, ins, out, ctx, attrs, needs):
             _unbroadcast(g * ~take_a, b.shape) if needs[1] else None)
 
 
-def _maximum_out(ins, attrs, out):
-    np.maximum(ins[0], ins[1], out=out)
-    return None
-
-
-_MAXIMUM = OpDef("maximum", _maximum_fwd, _maximum_bwd, _maximum_out,
-                 bwd_uses=("ins",))
+_MAXIMUM = OpDef("maximum", _maximum_fwd, _maximum_bwd)
 
 
 def _minimum_fwd(ins, attrs):
@@ -1049,13 +795,7 @@ def _minimum_bwd(g, ins, out, ctx, attrs, needs):
             _unbroadcast(g * ~take_a, b.shape) if needs[1] else None)
 
 
-def _minimum_out(ins, attrs, out):
-    np.minimum(ins[0], ins[1], out=out)
-    return None
-
-
-_MINIMUM = OpDef("minimum", _minimum_fwd, _minimum_bwd, _minimum_out,
-                 bwd_uses=("ins",))
+_MINIMUM = OpDef("minimum", _minimum_fwd, _minimum_bwd)
 
 
 # ----------------------------------------------------------------------
@@ -1397,9 +1137,8 @@ def _axis_size(shape: Tuple[int, ...], axis) -> int:
     return size
 
 
-def _stable_sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    if out is None:
-        out = np.empty_like(x)
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
     positive = x >= 0
     out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
     expx = np.exp(x[~positive])

@@ -31,11 +31,11 @@ convolution kernels (``einsum`` reference or ``im2col`` GEMM fast path;
 also settable via the ``REPRO_CONV_BACKEND`` environment variable).
 
 The training commands (``train``, ``search``, ``sweep``) accept
-``--compile``, which traces each training step once and replays it through
-the optimized graph-capture executor (see README "Compiled training
+``--compile``, which traces each training step once and replays it
+verbatim through the graph-capture executor (see README "Compiled training
 step"); the ``REPRO_COMPILE_STEP=1`` environment variable is the
-equivalent default.  ``--verbose`` prints the compile diagnostics (pass
-statistics, allocation accounting, eager-fallback reason).
+equivalent default.  ``--verbose`` prints the compile diagnostics (the
+eager-fallback reason, or the input shapes with a compiled program).
 
 ``sweep`` additionally exposes the DSE engine knobs: ``--workers`` /
 ``--executor`` parallelize the grid, ``--stack N`` trains up to N
@@ -174,18 +174,11 @@ def _print_compile_stats(stats, phase: Optional[str] = None) -> None:
         print(f"{prefix} step ran eagerly (pass --compile or set "
               "REPRO_COMPILE_STEP=1)")
         return
-    if stats.get("fallback_reason"):
+    if stats["fallback_reason"]:
         print(f"{prefix} eager fallback: {stats['fallback_reason']}")
         return
-    print(f"{prefix} optimize={stats['optimize']}")
-    for key, opt in stats.get("opt_stats", {}).items():
-        rendered = " ".join(f"{name}={value}" for name, value in opt.items())
-        print(f"{prefix}   opt {key}: {rendered}")
-    alloc = stats.get("alloc_stats", {})
-    if alloc:
-        rendered = " ".join(f"{name}={value}"
-                            for name, value in alloc.items())
-        print(f"{prefix}   alloc: {rendered}")
+    for x_shape, y_shape in stats["compiled_shapes"]:
+        print(f"{prefix} replaying x={tuple(x_shape)} y={tuple(y_shape)}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -425,13 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     def compile_flag(p):
         p.add_argument("--compile", action="store_true",
                        help="trace the training step once and replay it "
-                            "through the optimized graph executor; results "
-                            "are bit-identical (default: "
-                            "REPRO_COMPILE_STEP)")
+                            "through the graph executor; results are "
+                            "bit-identical (default: REPRO_COMPILE_STEP)")
         p.add_argument("--verbose", action="store_true",
                        help="print compile diagnostics after training: "
-                            "pass statistics, allocation accounting, "
-                            "eager-fallback reason")
+                            "eager-fallback reason or compiled shapes")
 
     p_train = sub.add_parser(
         "train", help="plain (no-NAS) training of a fixed-dilation network")

@@ -106,8 +106,8 @@ def make_training_step(model: Module, loss_fn: LossFn,
     it into the parameters' ``.grad``, and returns both loss values as
     floats.  ``compile_config`` (:class:`repro.autograd.graph.CompileConfig`)
     selects the execution path: with compilation on, the step is traced on
-    first use and replayed through the optimized
-    :mod:`repro.autograd.graph` executor — bit-identical results, no
+    first use and replayed through the :mod:`repro.autograd.graph`
+    executor — bit-identical results, no
     per-batch graph construction; unset, it defers to
     ``REPRO_COMPILE_STEP``.
     """
@@ -214,6 +214,14 @@ class SingleLane:
 
     def effective_params(self, i: int) -> int:
         return effective_parameters(self.net)
+
+
+def phase_end(ran: int, cap: int) -> str:
+    """How an early-stopping phase ended after ``ran`` of its ``cap``
+    epochs, for the trainers' logs: only a stop before the cap is
+    convergence."""
+    return (f"converged after {ran} epochs" if ran < cap
+            else f"reached the {cap}-epoch cap")
 
 
 def _optimizer(lanes, phase: Phase) -> Adam:

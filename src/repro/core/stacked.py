@@ -67,7 +67,7 @@ from ..nn.stacked import (
 )
 from ..optim import clip_grads_stacked
 from .checkpoint import TrainerCheckpoint, module_rng_map
-from .driver import Outcome, run_phases
+from .driver import Outcome, phase_end, run_phases
 from .masks import TimeMask, lag_gamma_indices
 from .pit_conv import PITConv1d
 from .regularizer import gamma_size_coefficients
@@ -465,7 +465,9 @@ class StackedPITTrainer:
             self._log("warmup done, val="
                       f"{[h['warmup_val'][-1] for h in out.histories]}")
         elif name == "prune":
-            self._log(f"pruning converged after {out.ran['prune']} epochs")
+            self._log("pruning: " + "; ".join(
+                f"lane {i} {phase_end(ran, self.max_prune_epochs)}"
+                for i, ran in enumerate(out.ran["prune"])))
 
     def _make_step(self, with_reg: bool):
         stacked = self.stacked

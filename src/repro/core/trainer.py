@@ -38,6 +38,7 @@ from .driver import (
     SingleLane,
     evaluate,
     make_training_step,
+    phase_end,
     run_phases,
 )
 from .export import effective_parameters, network_dilations
@@ -186,11 +187,11 @@ class PITTrainer:
     compile_config:
         A :class:`repro.autograd.graph.CompileConfig`.  With
         ``compile_step=True`` each phase's training step is traced once and
-        replayed through the optimized graph executor
+        replayed through the graph executor
         (:mod:`repro.autograd.graph`) — bit-identical losses/gradients/
         masks, no per-batch graph construction.  Each phase compiles its
         own step (the pruning phase adds the regularizer; fine-tuning
-        freezes the masks, which constant folding collapses).  None defers
+        freezes the masks).  None defers
         to the ``REPRO_COMPILE_STEP`` environment default.
     checkpoint_dir / checkpoint_every / checkpoint_tag / checkpoint_resume:
         With ``checkpoint_dir`` set, :meth:`fit` snapshots the complete
@@ -264,7 +265,8 @@ class PITTrainer:
             val = out.histories[0]["warmup_val"][-1]
             self._log(f"warmup done, val={val:.4f}")
         elif name == "prune":
-            self._log(f"pruning converged after {out.ran['prune'][0]} epochs, "
+            ended = phase_end(out.ran["prune"][0], self.max_prune_epochs)
+            self._log(f"pruning {ended}, "
                       f"dilations={network_dilations(self.model)}")
 
     def fit(self, train_loader, val_loader) -> PITResult:

@@ -174,16 +174,14 @@ class TestStackedKernelParity:
             name = "minimal-test"
             _ref = EinsumBackend()
 
-            def forward(self, xp, w, dilation, stride, t, scratch=None):
+            def forward(self, xp, w, dilation, stride, t):
                 return self._ref.forward(xp, w, dilation, stride, t)
 
-            def grad_input(self, grad, w, xp_shape, dilation, stride, t,
-                           scratch=None):
+            def grad_input(self, grad, w, xp_shape, dilation, stride, t):
                 return self._ref.grad_input(grad, w, xp_shape, dilation,
                                             stride, t)
 
-            def grad_weight(self, grad, xp, w_shape, dilation, stride, t,
-                            scratch=None):
+            def grad_weight(self, grad, xp, w_shape, dilation, stride, t):
                 return self._ref.grad_weight(grad, xp, w_shape, dilation,
                                              stride, t)
 
@@ -296,9 +294,9 @@ class TestBackendSelection:
 
 class TestLegacyBackendSignature:
     def test_scratchless_backend_survives_compiled_replay(self):
-        """Backends written against the pre-scratch kernel interface must
-        keep working under the compiled step (they just allocate fresh
-        buffers like eager dispatch does)."""
+        """A user-registered backend overriding the three kernels runs
+        under the compiled step: replay calls its kernels exactly as
+        eager dispatch does."""
         from repro.autograd import register_backend
         from repro.autograd.backends import _REGISTRY, EinsumBackend
         from repro.autograd.graph import CompileConfig
@@ -331,8 +329,8 @@ class TestLegacyBackendSignature:
                 model, mse_loss,
                 compile_config=CompileConfig(compile_step=True))
             x, y = rng.standard_normal((2, 2, 12)), rng.standard_normal((2, 1))
-            first = step(x, y)    # trace (eager kernels, no scratch)
-            second = step(x, y)   # replay goes through the scratch path
+            first = step(x, y)    # trace
+            second = step(x, y)   # replay
             assert step.fallback_reason is None
             # No parameter updates between calls: replay == trace exactly.
             assert first == second
@@ -482,8 +480,7 @@ class TestMaskedConvParity:
 class TestMaskedConvCompiled:
     """A compiled PIT step replays the live-tap pattern the mask has *now*:
     eager-equal through warmup, pruning with a moving dilation and
-    frozen fine-tuning, and allocation-free in every phase's steady
-    state."""
+    frozen fine-tuning."""
 
     def _model(self):
         from repro.core import PITConv1d
@@ -523,9 +520,7 @@ class TestMaskedConvCompiled:
                     return loss
                 steps.append(runner(step_fn))
             compiled, eager = steps
-            for i, dilations in enumerate(schedule):
-                if i == 2:      # traced and replayed once: scratch is warm
-                    compiled.alloc_stats
+            for dilations in schedule:
                 for model in (compiled_model, eager_model):
                     model.zero_grad()
                     if dilations is not None:
@@ -538,4 +533,3 @@ class TestMaskedConvCompiled:
                     if p.grad is not None:
                         assert np.array_equal(p.grad, q.grad), name
             assert compiled.fallback_reason is None
-            assert compiled.alloc_stats["steady_state_growth"] == 0
