@@ -21,8 +21,8 @@ numbers further:
 * ``REPRO_DSE_CACHE_DIR`` — directory for JSON sweep caches; completed
   (λ, warmup) points are skipped when a bench session is re-run.
 
-The conv kernels honour ``REPRO_CONV_BACKEND`` (``einsum`` / ``im2col``)
-process-wide — see ``repro.autograd.backends``.
+Every conv runs the one im2col kernel set (``repro.autograd.backends``);
+there is no kernel knob.
 """
 
 from __future__ import annotations

@@ -33,12 +33,8 @@ Quickstart::
 
 from .autograd import (
     CompiledStep,
-    available_backends,
-    current_backend,
     get_default_dtype,
-    set_backend,
     set_default_dtype,
-    use_backend,
 )
 from .core import (
     PITConv1d,
@@ -61,12 +57,8 @@ __version__ = "1.1.0"
 
 __all__ = [
     "CompiledStep",
-    "available_backends",
-    "current_backend",
     "get_default_dtype",
-    "set_backend",
     "set_default_dtype",
-    "use_backend",
     "make_training_step",
     "PITConv1d",
     "PITTrainer",

@@ -29,15 +29,7 @@ from .tensor import (
     maximum,
     minimum,
 )
-from .backends import (
-    ConvBackend,
-    available_backends,
-    register_backend,
-    get_backend,
-    set_backend,
-    current_backend,
-    use_backend,
-)
+from .backends import current_backend
 from .ops_conv import (
     conv1d_causal,
     conv1d_causal_masked,
@@ -76,13 +68,7 @@ __all__ = [
     "GraphCapture",
     "GraphCaptureError",
     "compile_step_default",
-    "ConvBackend",
-    "available_backends",
-    "register_backend",
-    "get_backend",
-    "set_backend",
     "current_backend",
-    "use_backend",
     "Tensor",
     "no_grad",
     "is_grad_enabled",

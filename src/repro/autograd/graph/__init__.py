@@ -8,8 +8,7 @@ once and replays it as a flat schedule:
 * :class:`GraphCapture` — thread-local tracer observing every
   :func:`repro.autograd.apply_op` dispatch during one eager step;
 * :mod:`~repro.autograd.graph.ir` — the frozen program: topo-ordered nodes
-  carrying op kind, static attrs (including the conv backend handle
-  resolved at trace time) and input/output buffer slots;
+  carrying op kind, static attrs and input/output buffer slots;
 * :class:`CompiledStep` — the replay executor: per-shape program cache,
   verbatim replay through the same ``OpDef.fwd``/``OpDef.bwd`` kernels
   eager dispatch calls, preallocated gradient buffers, bit-identical

@@ -219,9 +219,7 @@ class CompiledStep:
         y = np.asarray(y)
         # Programs are cached per (shapes, dtype): a short final batch
         # re-traces once per shape, and a set_default_dtype() flip re-traces
-        # instead of silently replaying at the stale trace dtype.  The conv
-        # backend is deliberately *not* in the key — a program keeps its
-        # trace-time kernels (locked by the executor parity suite).
+        # instead of silently replaying at the stale trace dtype.
         runner = self._runners.get((x.shape, y.shape, get_default_dtype()))
         if runner is not None:
             return runner.run((x, y))

@@ -7,18 +7,11 @@ is the *causal dilated 1-D convolution* (paper Eq. 1):
 
 Causality is obtained by padding only the left side of the time axis so that
 an output sample never reads inputs from the future.  The numerical kernels
-(forward and both adjoints) are pluggable — see
-:mod:`repro.autograd.backends` — with a per-tap einsum reference backend and
-an im2col/``as_strided`` single-GEMM fast path, selectable per call, via
-``repro.set_backend()``, or through the ``REPRO_CONV_BACKEND`` environment
-variable.  This module owns everything backend-independent: validation,
-causal padding, bias, and the autograd dispatch.
-
-The backend is resolved *at dispatch time* and stored as a static attribute
-of the recorded op, so a graph-captured training step keeps replaying the
-kernels it was traced with even if the process-wide default is switched
-mid-run — and, symmetrically, an eager graph always runs forward and
-backward through the same kernels.
+(forward and both adjoints) are the im2col / ``as_strided`` single-GEMM
+lowering of :mod:`repro.autograd.backends`; this module owns everything
+else: validation, causal padding, bias, and the autograd dispatch.  The
+ops call the methods of the one :data:`repro.autograd.backends.KERNELS`
+instance, so a profiler that wraps them there sees every call.
 
 Shapes follow the PyTorch convention:
 
@@ -34,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backends import get_backend
+from .backends import KERNELS
 from .tensor import OpDef, Tensor, _unbroadcast, apply_op
 
 __all__ = ["conv1d_causal", "conv1d_causal_masked", "conv1d_causal_stacked",
@@ -51,11 +44,10 @@ def _padded(x, pad):
 def _conv_fwd(ins, attrs):
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
-    kernels = attrs["kernels"]
     xp = _padded(x, (w.shape[2] - 1) * dilation)
-    out = kernels.forward(xp, w, dilation, stride, x.shape[2])
+    out = KERNELS.forward(xp, w, dilation, stride, x.shape[2])
     if len(ins) == 3:
-        out += ins[2][None, :, None]  # backends return owned buffers
+        out += ins[2][None, :, None]  # the kernels return owned buffers
     # The padded input is the forward byproduct both adjoints need.
     return out, xp
 
@@ -63,14 +55,13 @@ def _conv_fwd(ins, attrs):
 def _conv_bwd(g, ins, out, xp, attrs, needs):
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
-    kernels = attrs["kernels"]
     t = x.shape[2]
     gx = gw = gb = None
     if needs[0]:
-        gxp = kernels.grad_input(g, w, xp.shape, dilation, stride, t)
+        gxp = KERNELS.grad_input(g, w, xp.shape, dilation, stride, t)
         gx = gxp[:, :, (w.shape[2] - 1) * dilation:]
     if needs[1]:
-        gw = kernels.grad_weight(g, xp, w.shape, dilation, stride, t)
+        gw = KERNELS.grad_weight(g, xp, w.shape, dilation, stride, t)
     if len(ins) == 3 and needs[2]:
         gb = g.sum(axis=(0, 2))
     return (gx, gw) if len(ins) == 2 else (gx, gw, gb)
@@ -90,8 +81,7 @@ def _check_shapes(x: Tensor, w: Tensor) -> None:
 
 
 def conv1d_causal(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-                  dilation: int = 1, stride: int = 1,
-                  backend: Optional[str] = None) -> Tensor:
+                  dilation: int = 1, stride: int = 1) -> Tensor:
     """Causal dilated 1-D convolution.
 
     The input is left-padded with ``(K - 1) * dilation`` zeros, so the output
@@ -114,19 +104,12 @@ def conv1d_causal(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         paper Eq. 1).
     stride:
         Temporal output stride.
-    backend:
-        Conv-backend name (see :mod:`repro.autograd.backends`); None uses
-        the process-wide default.  The backend resolved here is recorded as
-        a static op attribute, so forward, backward and any graph-captured
-        replay always run the same kernels even if the default is switched
-        mid-graph.
     """
     _check_shapes(x, w)
     if dilation < 1 or stride < 1:
         raise ValueError("dilation and stride must be >= 1")
 
-    attrs = {"dilation": dilation, "stride": stride,
-             "kernels": get_backend(backend)}
+    attrs = {"dilation": dilation, "stride": stride}
     inputs = (x, w) if b is None else (x, w, b)
     return apply_op(_CONV1D, inputs, attrs)
 
@@ -151,26 +134,20 @@ def _live_taps(mask: np.ndarray):
     return int(live[0]), int(step[0])
 
 
-def _rounded(a, dtype):
-    """``a`` in ``dtype``, rounded as storing it as a tensor's gradient
-    would round it (a backend may return float64 under float32)."""
-    return a if a.dtype == dtype else a.astype(dtype)
-
-
 def _masked_fwd(ins, attrs):
     """Forward of :func:`conv1d_causal_masked`.
 
-    Pads for the full ``K``-tap kernel, then runs the backend's ordinary
+    Pads for the full ``K``-tap kernel, then runs the ordinary
     dilated forward on the live taps only: ``(w*mask)[..., off::d]`` over
     ``xp[..., off:]``.  The padded input and masked weight are the ctx the
     backward reuses, together with the live-tap pattern it must match.
     """
     x, w, mask = ins[0], ins[1], ins[2]
-    stride, kernels = attrs["stride"], attrs["kernels"]
+    stride = attrs["stride"]
     xp = _padded(x, w.shape[2] - 1)
     wm = w * mask
     off, d = _live_taps(mask)
-    out = kernels.forward(xp[:, :, off:], wm[:, :, off::d], d, stride,
+    out = KERNELS.forward(xp[:, :, off:], wm[:, :, off::d], d, stride,
                           x.shape[2])
     if len(ins) == 4:
         out += ins[3][None, :, None]
@@ -188,22 +165,21 @@ def _masked_bwd(g, ins, out, ctx, attrs, needs):
     """
     x, w, mask = ins[0], ins[1], ins[2]
     xp, wm, off, d = ctx
-    stride, kernels = attrs["stride"], attrs["kernels"]
+    stride = attrs["stride"]
     t = x.shape[2]
     live = wm[:, :, off::d]
     gx = gw = gmask = gb = None
     if needs[0]:
-        gxp = kernels.grad_input(g, live, xp[:, :, off:].shape, d, stride, t)
+        gxp = KERNELS.grad_input(g, live, xp[:, :, off:].shape, d, stride, t)
         gx = gxp[:, :, w.shape[2] - 1 - off:]
     if needs[2]:
-        gwm = _rounded(kernels.grad_weight(g, xp, w.shape, 1, stride, t),
-                       wm.dtype)
+        gwm = KERNELS.grad_weight(g, xp, w.shape, 1, stride, t)
         if needs[1]:
             gw = gwm * mask
         gmask = _unbroadcast(gwm * w, mask.shape)
     elif needs[1]:
-        gwl = _rounded(kernels.grad_weight(g, xp[:, :, off:], live.shape, d,
-                                           stride, t), wm.dtype)
+        gwl = KERNELS.grad_weight(g, xp[:, :, off:], live.shape, d,
+                                  stride, t)
         gw = np.zeros(w.shape, wm.dtype)
         np.multiply(gwl, mask[off::d], out=gw[:, :, off::d])
     if len(ins) == 4 and needs[3]:
@@ -215,8 +191,8 @@ _CONV1D_MASKED = OpDef("conv1d_causal_masked", _masked_fwd, _masked_bwd)
 
 
 def conv1d_causal_masked(x: Tensor, w: Tensor, tap_mask: Tensor,
-                         b: Optional[Tensor] = None, stride: int = 1,
-                         backend: Optional[str] = None) -> Tensor:
+                         b: Optional[Tensor] = None,
+                         stride: int = 1) -> Tensor:
     """``conv1d_causal(x, w * tap_mask, b, dilation=1)`` over live taps only.
 
     ``tap_mask`` has shape ``(K,)`` in kernel order.  The op reads its
@@ -226,7 +202,7 @@ def conv1d_causal_masked(x: Tensor, w: Tensor, tap_mask: Tensor,
     gradient-free mask) weight gradient run as a ``d``-dilated conv over
     those taps, so a layer costs what its exported dilated conv costs.
     Any other mask computes every tap.  Dead taps contribute exact zeros,
-    so the result equals the full masked conv up to the backend's
+    so the result equals the full masked conv up to the kernels'
     summation order.  Reading the pattern from an input, not a static
     attribute, keeps graph-captured replay correct while the mask moves.
     """
@@ -237,7 +213,7 @@ def conv1d_causal_masked(x: Tensor, w: Tensor, tap_mask: Tensor,
     if stride < 1:
         raise ValueError("stride must be >= 1")
 
-    attrs = {"stride": stride, "kernels": get_backend(backend)}
+    attrs = {"stride": stride}
     inputs = (x, w, tap_mask) if b is None else (x, w, tap_mask, b)
     return apply_op(_CONV1D_MASKED, inputs, attrs)
 
@@ -249,11 +225,10 @@ def conv1d_causal_masked(x: Tensor, w: Tensor, tap_mask: Tensor,
 def _conv_stacked_fwd(ins, attrs):
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
-    kernels = attrs["kernels"]
     t = x.shape[3]
     pad = (w.shape[3] - 1) * dilation
     xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (pad, 0)))
-    out = kernels.forward_stacked(xp, w, dilation, stride, t)
+    out = KERNELS.forward_stacked(xp, w, dilation, stride, t)
     if len(ins) == 3:
         out += ins[2][:, None, :, None]  # per-model bias (M, C_out)
     return out, xp
@@ -262,15 +237,14 @@ def _conv_stacked_fwd(ins, attrs):
 def _conv_stacked_bwd(g, ins, out, xp, attrs, needs):
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
-    kernels = attrs["kernels"]
     t = x.shape[3]
     pad = (w.shape[3] - 1) * dilation
     gx = gw = gb = None
     if needs[0]:
-        gxp = kernels.grad_input_stacked(g, w, xp.shape, dilation, stride, t)
+        gxp = KERNELS.grad_input_stacked(g, w, xp.shape, dilation, stride, t)
         gx = gxp[:, :, :, pad:]
     if needs[1]:
-        gw = kernels.grad_weight_stacked(g, xp, w.shape, dilation, stride, t)
+        gw = KERNELS.grad_weight_stacked(g, xp, w.shape, dilation, stride, t)
     if len(ins) == 3 and needs[2]:
         gb = g.sum(axis=(1, 3))
     return (gx, gw) if len(ins) == 2 else (gx, gw, gb)
@@ -281,8 +255,7 @@ _CONV1D_STACKED = OpDef("conv1d_causal_stacked", _conv_stacked_fwd,
 
 
 def conv1d_causal_stacked(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-                          dilation: int = 1, stride: int = 1,
-                          backend: Optional[str] = None) -> Tensor:
+                          dilation: int = 1, stride: int = 1) -> Tensor:
     """Causal dilated conv over a *stack* of M weight-sharing-free models.
 
     The stacked executor (see :mod:`repro.nn.stacked`) trains M clones of
@@ -295,9 +268,11 @@ def conv1d_causal_stacked(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     * output:      ``(M, N, C_out, T_out)``.
 
     Model slices never mix: output slice ``m`` depends only on ``x[m]`` /
-    ``w[m]`` / ``b[m]``, exactly as if M independent convs had run — but the
-    whole stack is a single dispatch into batched backend kernels
-    (``forward_stacked`` etc.), turning M small GEMMs into one large one.
+    ``w[m]`` / ``b[m]``, exactly as if M independent convs had run.  The
+    whole stack is a single autograd dispatch; the stacked kernels
+    (``forward_stacked`` etc.) run the 2-D kernels model by model, so slice
+    ``m`` is bit-identical to :func:`conv1d_causal` on model ``m``'s
+    slice.
     """
     if x.ndim != 4:
         raise ValueError(f"expected input (M, N, C_in, T), got shape {x.shape}")
@@ -314,8 +289,7 @@ def conv1d_causal_stacked(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     if dilation < 1 or stride < 1:
         raise ValueError("dilation and stride must be >= 1")
 
-    attrs = {"dilation": dilation, "stride": stride,
-             "kernels": get_backend(backend)}
+    attrs = {"dilation": dilation, "stride": stride}
     inputs = (x, w) if b is None else (x, w, b)
     return apply_op(_CONV1D_STACKED, inputs, attrs)
 

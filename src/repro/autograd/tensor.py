@@ -141,7 +141,7 @@ def set_default_dtype(dtype) -> None:
 
     Affects tensors created afterwards; existing tensors keep their storage.
     Mixed graphs work (numpy promotes), but for the compiled-step and
-    backend parity guarantees switch dtypes between runs, not mid-graph.
+    conv-kernel parity guarantees switch dtypes between runs, not mid-graph.
     """
     global _DTYPE_NAME, _DTYPE_RESOLVED
     _DTYPE_RESOLVED = _resolve_dtype(dtype)

@@ -25,10 +25,10 @@ Subcommands::
   sample streams over TCP (see README "Streaming inference serving").
 
 Every command accepts ``--benchmark {music, ppg}`` selecting the
-ResTCN/Nottingham or TEMPONet/PPG-Dalia pairing, ``--width`` to scale the
-experiment (1.0 = paper width), and ``--conv-backend`` to pick the
-convolution kernels (``einsum`` reference or ``im2col`` GEMM fast path;
-also settable via the ``REPRO_CONV_BACKEND`` environment variable).
+ResTCN/Nottingham or TEMPONet/PPG-Dalia pairing and ``--width`` to scale
+the experiment (1.0 = paper width).  Numeric flags are range-checked by
+the parser: an out-of-range value (``--width 0``, ``--stack 0``,
+``--bits 1``, …) is a one-line usage error with exit code 2.
 
 The training commands (``train``, ``search``, ``sweep``) accept
 ``--compile``, which traces each training step once and replays it
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
+import math
 import sys
 from typing import List, Optional
 
@@ -365,35 +365,60 @@ def cmd_serve(args: argparse.Namespace) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
+def _ranged(kind, low, high=None, strict=False):
+    """An argparse ``type`` accepting a finite ``kind`` value ``>= low``
+    (``> low`` when ``strict``) and ``<= high``; anything else is a usage
+    error naming the flag, exit code 2."""
+    bound = f"{'>' if strict else '>='} {low}"
+    if high is not None:
+        bound += f" and <= {high}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {'an integer' if kind is int else 'a number'}, "
+                f"got {text!r}") from None
+        if (not math.isfinite(value) or value < low
+                or (strict and value == low)
+                or (high is not None and value > high)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    return parse
+
+
+_POSITIVE = _ranged(float, 0, strict=True)
+_NON_NEGATIVE = _ranged(float, 0)
+_COUNT = _ranged(int, 0)
+_AT_LEAST_ONE = _ranged(int, 1)
+# quantize_array's supported bit widths.
+_BITS = _ranged(int, 2, 16)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="PIT (DAC 2021) reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    from .autograd import available_backends
-
     def common(p):
         p.add_argument("--benchmark", choices=("music", "ppg"), default="ppg")
-        p.add_argument("--width", type=float, default=0.25,
+        p.add_argument("--width", type=_POSITIVE, default=0.25,
                        help="width multiplier (1.0 = paper scale)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_COUNT, default=0)
         p.add_argument("--quiet", action="store_true")
-        p.add_argument("--conv-backend", choices=available_backends(),
-                       default=None,
-                       help="convolution kernel backend (default: "
-                            "REPRO_CONV_BACKEND or 'einsum')")
 
     p_info = sub.add_parser("info", help="seed and search-space statistics")
     common(p_info)
     p_info.set_defaults(func=cmd_info)
 
     def training(p):
-        p.add_argument("--gamma-lr", type=float, default=0.03)
-        p.add_argument("--warmup", type=int, default=2)
-        p.add_argument("--epochs", type=int, default=6,
+        p.add_argument("--gamma-lr", type=_POSITIVE, default=0.03)
+        p.add_argument("--warmup", type=_COUNT, default=2)
+        p.add_argument("--epochs", type=_COUNT, default=6,
                        help="max pruning epochs")
-        p.add_argument("--finetune", type=int, default=4)
-        p.add_argument("--patience", type=int, default=4)
+        p.add_argument("--finetune", type=_COUNT, default=4)
+        p.add_argument("--patience", type=_AT_LEAST_ONE, default=4)
         compile_flag(p)
 
     def checkpoint_flags(p, resumable=False):
@@ -404,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "this directory, so a killed run can continue "
                             "bit-exactly (default: REPRO_CKPT_DIR; unset = "
                             "no checkpointing)")
-        p.add_argument("--checkpoint-every", type=int, default=None,
+        p.add_argument("--checkpoint-every", type=_AT_LEAST_ONE, default=None,
                        dest="checkpoint_every", metavar="N",
                        help="snapshot every Nth epoch boundary (default: "
                             "REPRO_CKPT_EVERY or 1)")
@@ -428,11 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
         "train", help="plain (no-NAS) training of a fixed-dilation network")
     common(p_train)
     compile_flag(p_train)
-    p_train.add_argument("--dilations", type=int, nargs="+", default=None,
+    p_train.add_argument("--dilations", type=_AT_LEAST_ONE, nargs="+",
+                         default=None,
                          help="per-layer dilations (default: all 1)")
-    p_train.add_argument("--epochs", type=int, default=6)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--patience", type=int, default=4)
+    p_train.add_argument("--epochs", type=_COUNT, default=6)
+    p_train.add_argument("--lr", type=_POSITIVE, default=1e-3)
+    p_train.add_argument("--patience", type=_AT_LEAST_ONE, default=4)
     p_train.add_argument("--save", type=str, default=None,
                          help="write an npz checkpoint here")
     checkpoint_flags(p_train, resumable=True)
@@ -441,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="run one PIT search")
     common(p_search)
     training(p_search)
-    p_search.add_argument("--lam", type=float, default=0.02)
+    p_search.add_argument("--lam", type=_NON_NEGATIVE, default=0.02)
     p_search.add_argument("--save", type=str, default=None,
                           help="write an npz checkpoint here")
     checkpoint_flags(p_search, resumable=True)
@@ -450,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="λ design-space exploration")
     common(p_sweep)
     training(p_sweep)
-    p_sweep.add_argument("--lambdas", type=float, nargs="+",
+    p_sweep.add_argument("--lambdas", type=_NON_NEGATIVE, nargs="+",
                          default=[0.0, 0.02, 0.2])
-    p_sweep.add_argument("--warmups", type=int, nargs="+", default=[2])
-    p_sweep.add_argument("--workers", type=int, default=None,
+    p_sweep.add_argument("--warmups", type=_COUNT, nargs="+", default=[2])
+    p_sweep.add_argument("--workers", type=_COUNT, default=None,
                          help="DSE worker pool size (0/1 = serial; default: "
                               "REPRO_DSE_WORKERS or 0)")
     p_sweep.add_argument("--executor", choices=("thread", "process"),
@@ -463,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cache", type=str, default=None,
                          help="JSON results cache; completed (lambda, warmup) "
                               "points are skipped on re-runs")
-    p_sweep.add_argument("--stack", type=int, default=None,
+    p_sweep.add_argument("--stack", type=_AT_LEAST_ONE, default=None,
                          help="stacked-model execution: train up to N "
                               "same-warmup grid points as one weight-stacked "
                               "model (1 = sequential; default: "
@@ -475,13 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "trains, export + int8-quantize it and "
                               "annotate the point with GAP8 latency/energy/"
                               "quantized-loss metrics")
-    p_sweep.add_argument("--bits", type=int, default=8,
+    p_sweep.add_argument("--bits", type=_BITS, default=8,
                          help="quantization bit width for --hw")
-    p_sweep.add_argument("--retries", type=int, default=0,
+    p_sweep.add_argument("--retries", type=_COUNT, default=0,
                          help="retry a failing grid point up to N times with "
                               "exponential backoff before marking it failed "
                               "(diverged points are never retried)")
-    p_sweep.add_argument("--point-timeout", type=float, default=None,
+    p_sweep.add_argument("--point-timeout", type=_POSITIVE, default=None,
                          help="per-point training budget in seconds; a chunk "
                               "that exceeds it is cancelled and its points "
                               "marked failed (default: no timeout)")
@@ -494,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
         "deploy", help="full deployment flow of a fixed network: int8 "
                        "quantization + GAP8 cost (a Table III row)")
     common(p_deploy)
-    p_deploy.add_argument("--dilations", type=int, nargs="+", default=None)
+    p_deploy.add_argument("--dilations", type=_AT_LEAST_ONE, nargs="+",
+                          default=None)
     p_deploy.add_argument("--load", type=str, default=None,
                           help="npz checkpoint from `train --save` to load "
                                "into the network; --dilations/--width must "
@@ -502,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "hold the searchable supernet and do not "
                                "fit — retrain the found dilations with "
                                "`train --dilations ... --save` first)")
-    p_deploy.add_argument("--bits", type=int, default=8,
+    p_deploy.add_argument("--bits", type=_BITS, default=8,
                           help="quantization bit width")
     p_deploy.add_argument("--no-quantize", action="store_true",
                           help="skip int8 fake-quantization (float estimate)")
@@ -514,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="multi-tenant streaming inference server (ring-buffer "
                       "O(K)-per-tick execution over TCP)")
     common(p_serve)
-    p_serve.add_argument("--dilations", type=int, nargs="+", default=None)
+    p_serve.add_argument("--dilations", type=_AT_LEAST_ONE, nargs="+",
+                         default=None)
     p_serve.add_argument("--load", type=str, default=None,
                          help="npz checkpoint from `train --save` to load "
                               "into the network before serving")
@@ -522,20 +550,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve the int8 fake-quantized network "
                               "(activation ranges calibrated on the "
                               "benchmark's validation split)")
-    p_serve.add_argument("--bits", type=int, default=8,
+    p_serve.add_argument("--bits", type=_BITS, default=8,
                          help="quantization bit width for --quantize")
     p_serve.add_argument("--host", type=str, default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
+    p_serve.add_argument("--port", type=_ranged(int, 0, 65535), default=0,
                          help="TCP port (0 = pick a free one, printed on "
                               "startup)")
-    p_serve.add_argument("--capacity", type=int, default=8,
+    p_serve.add_argument("--capacity", type=_AT_LEAST_ONE, default=8,
                          help="batch rows = maximum concurrent clients")
-    p_serve.add_argument("--queue-size", type=int, default=64,
+    p_serve.add_argument("--queue-size", type=_AT_LEAST_ONE, default=64,
                          help="per-client sample buffer (backpressure bound)")
-    p_serve.add_argument("--max-sessions", type=int, default=None,
+    p_serve.add_argument("--max-sessions", type=_AT_LEAST_ONE, default=None,
                          help="stop after this many sessions have detached "
                               "(default: serve forever)")
-    p_serve.add_argument("--client-timeout", type=float, default=None,
+    p_serve.add_argument("--client-timeout", type=_POSITIVE, default=None,
                          help="disconnect a client whose socket stays idle "
                               "for this many seconds, freeing its pool slot "
                               "(an idle active client stalls the barrier "
@@ -546,13 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "conv_backend", None):
-        from .autograd import set_backend
-        from .autograd.backends import ENV_VAR
-        set_backend(args.conv_backend)
-        # Also export the choice so worker *processes* (spawn start method
-        # re-imports the backends module) inherit it, not just this process.
-        os.environ[ENV_VAR] = args.conv_backend
     return args.func(args)
 
 

@@ -129,8 +129,7 @@ class PITChannelConv1d(Module):
     def __init__(self, in_channels: int, out_channels: int, rf_max: int,
                  stride: int = 1, bias: bool = True, threshold: float = 0.5,
                  min_channels: int = 1,
-                 rng: Optional[np.random.Generator] = None,
-                 backend: Optional[str] = None):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         if rf_max < 2:
             raise ValueError("rf_max must be >= 2")
@@ -139,7 +138,6 @@ class PITChannelConv1d(Module):
         self.out_channels = out_channels
         self.rf_max = rf_max
         self.stride = stride
-        self.backend = backend
         self.weight = Parameter(
             init.kaiming_uniform((out_channels, in_channels, rf_max), rng),
             name="pitchconv.weight")
@@ -153,7 +151,7 @@ class PITChannelConv1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         time = self.time_mask()[self._flip_index]
         out = conv1d_causal_masked(x, self.weight, time, self.bias,
-                                   stride=self.stride, backend=self.backend)
+                                   stride=self.stride)
         channels = self.channel_mask()
         return out * channels.reshape(1, self.out_channels, 1)
 

@@ -16,7 +16,7 @@ snapshots the *complete* training state at epoch boundaries:
 
 A run killed at any epoch boundary and resumed from its checkpoint is
 **bit-identical** — losses, params, full Adam state — to the uninterrupted
-run, across eager and compiled-step execution and every conv backend.
+run, across eager and compiled-step execution.
 The phase driver (:mod:`repro.core.driver`) writes one template-shaped
 file per lane, so a stack's resume composes with slicing and a
 sequential run can adopt any lane's file.
@@ -78,14 +78,19 @@ def checkpoint_dir_default() -> Optional[str]:
 
 
 def checkpoint_every_default() -> int:
-    """``REPRO_CKPT_EVERY`` (min 1) or 1: checkpoint every epoch."""
+    """``REPRO_CKPT_EVERY`` or 1: checkpoint every epoch.  A value that is
+    not an integer >= 1 raises ValueError naming the variable."""
     value = os.environ.get(ENV_CKPT_EVERY, "").strip()
     if not value:
         return 1
     try:
-        return max(1, int(value))
+        every = int(value)
     except ValueError:
-        return 1
+        every = 0
+    if every < 1:
+        raise ValueError(
+            f"{ENV_CKPT_EVERY} must be an integer >= 1, got {value!r}")
+    return every
 
 
 def key_tag(key: str) -> str:
@@ -365,8 +370,10 @@ class TrainerCheckpoint:
 
     def __init__(self, path: Union[str, Path], every: int = 1,
                  resume: bool = True):
+        if int(every) < 1:
+            raise ValueError(f"checkpoint cadence must be >= 1, got {every}")
         self.path = Path(path)
-        self.every = max(1, int(every))
+        self.every = int(every)
         self.resume = bool(resume)
 
     @classmethod

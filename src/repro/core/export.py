@@ -64,7 +64,7 @@ def export_conv(layer: PITConv1d) -> CausalConv1d:
     kernel_size = len(lags)
     conv = CausalConv1d(layer.in_channels, layer.out_channels, kernel_size,
                         dilation=dilation, stride=layer.stride,
-                        bias=layer.bias is not None, backend=layer.backend)
+                        bias=layer.bias is not None)
     # Kernel index i of the full layer corresponds to lag rf_max-1-i; the
     # compact kernel index j corresponds to lag (kernel_size-1-j)*dilation.
     for j in range(kernel_size):

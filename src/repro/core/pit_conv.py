@@ -49,15 +49,11 @@ class PITConv1d(Module):
         Temporal stride (kept fixed by the search).
     threshold:
         Binarization threshold δ of Eq. 2 (paper uses 0.5).
-    backend:
-        Conv-backend name (see :mod:`repro.autograd.backends`); None uses
-        the process-wide default.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rf_max: int,
                  stride: int = 1, bias: bool = True, threshold: float = 0.5,
-                 rng: Optional[np.random.Generator] = None,
-                 backend: Optional[str] = None):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         if rf_max < 2:
             raise ValueError("rf_max must be >= 2 for a searchable layer")
@@ -66,7 +62,6 @@ class PITConv1d(Module):
         self.out_channels = out_channels
         self.rf_max = rf_max
         self.stride = stride
-        self.backend = backend
         self.weight = Parameter(
             init.kaiming_uniform((out_channels, in_channels, rf_max), rng),
             name="pitconv.weight")
@@ -82,7 +77,7 @@ class PITConv1d(Module):
         mask_lags = self.mask()                       # (rf_max,) in lag order
         mask_kernel = mask_lags[self._flip_index]     # kernel order
         out = conv1d_causal_masked(x, self.weight, mask_kernel, self.bias,
-                                   stride=self.stride, backend=self.backend)
+                                   stride=self.stride)
         self._last_t_out = out.shape[-1]
         return out
 

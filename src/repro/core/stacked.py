@@ -172,7 +172,6 @@ class StackedPITConv1d(Module):
         self.out_channels = template.out_channels
         self.rf_max = template.rf_max
         self.stride = template.stride
-        self.backend = template.backend
         self.weight = Parameter(stack_parameter(template.weight.data, ctx.m),
                                 name="stacked.pitconv.weight")
         self.bias = (Parameter(stack_parameter(template.bias.data, ctx.m),
@@ -188,7 +187,7 @@ class StackedPITConv1d(Module):
         masked_weight = self.weight * mask_kernel.reshape(
             self.m, 1, 1, self.rf_max)
         out = conv1d_causal_stacked(x, masked_weight, self.bias, dilation=1,
-                                    stride=self.stride, backend=self.backend)
+                                    stride=self.stride)
         self._last_t_out = out.shape[-1]
         return out
 

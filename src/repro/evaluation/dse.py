@@ -78,7 +78,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import current_backend, use_backend
 from ..autograd.graph import CompileConfig
 from ..core.checkpoint import (
     checkpoint_dir_default,
@@ -288,11 +287,13 @@ class DSECache:
     existing quarantine file is overwritten), a warning names both paths,
     and the cache starts fresh.
 
-    Keys encode (tag, conv backend, λ, warmup, trainer settings, and the
-    point evaluators that annotated the entry), so a cache file is never
-    allowed to return a point trained under different hyper-parameters —
-    or under a different conv backend, whose ~1e-12 per-call differences
-    training can amplify into different dilations.  λ and warmup are
+    Keys encode (tag, λ, warmup, trainer settings, and the point
+    evaluators that annotated the entry), so a cache file is never allowed
+    to return a point trained under different hyper-parameters.  Keys
+    written when the conv kernels were selectable carry a ``backend``
+    field; they no longer match any lookup, so those points retrain (their
+    kernels' rounding could have led training elsewhere), while the
+    entries themselves stay in the file.  λ and warmup are
     normalized to native ``float``/``int`` first: a ``np.linspace`` grid
     (numpy scalars) must key identically to the same values spelled as
     Python floats, or resumed sweeps would silently retrain everything.
@@ -354,8 +355,7 @@ class DSECache:
 
     @staticmethod
     def key(lam: float, warmup: int, trainer_kwargs: Dict,
-            tag: str = "", backend: Optional[str] = None,
-            evaluators: Sequence[str] = ()) -> str:
+            tag: str = "", evaluators: Sequence[str] = ()) -> str:
         try:
             settings = json.dumps(trainer_kwargs, sort_keys=True)
         except TypeError as exc:
@@ -366,17 +366,16 @@ class DSECache:
             raise ValueError(
                 "DSE caching requires JSON-serializable trainer settings; "
                 f"got {trainer_kwargs!r}") from exc
-        backend = backend if backend is not None else current_backend()
         # float()/int() so numpy scalars (np.linspace grids) and Python
         # numbers produce one key; !r on the *native* float keeps the full
         # precision the old format relied on.
-        key = (f"tag={tag}|backend={backend}|lam={float(lam)!r}"
+        key = (f"tag={tag}|lam={float(lam)!r}"
                f"|warmup={int(warmup)}|trainer={settings}")
         if evaluators:
             # Sweeps with different evaluator stacks do not share entries:
             # a point cached without hw metrics cannot satisfy an --hw
             # resume (the trained weights needed to compute them are gone).
-            # Evaluator-less keys keep the legacy format so v1 files hit.
+            # Evaluator-less keys keep the pre-evaluator format.
             # The name list is JSON-encoded, not bare-joined: names carry
             # arbitrary configuration strings (commas, pipes), and a
             # delimiter collision between different stacks would serve one
@@ -574,7 +573,7 @@ def _worker_loader(template, role: str = "train") -> "DataLoader":
 
 def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
                       train_loader, val_loader, lam: float, warmup: int,
-                      trainer_kwargs: Dict, backend: str,
+                      trainer_kwargs: Dict,
                       compile_cfg: Optional[CompileConfig] = None,
                       point_evaluators: Optional[Sequence[Callable]] = None,
                       ckpt_dir: Optional[str] = None,
@@ -585,21 +584,15 @@ def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
     Module-level (not a closure) so a ``ProcessPoolExecutor`` can pickle it.
     Each point gets private loader copies so it consumes its own shuffle
     RNG stream — this is what makes parallel sweeps bit-identical to
-    serial ones regardless of completion order.  ``backend`` is the conv
-    backend captured by the engine at sweep start; it is applied as a
-    thread-local :func:`use_backend` scope so the whole grid point trains
-    under exactly the backend its cache key records, even if a spawned
-    worker's import-time default differs or another thread switches
-    backends mid-sweep.  ``compile_cfg`` (a picklable
+    serial ones regardless of completion order.  ``compile_cfg`` (a picklable
     :class:`repro.autograd.graph.CompileConfig`) selects eager or
     compiled-step execution inside the worker's :class:`PITTrainer`, with
     each compiled grid point tracing once per phase and replaying for every
     batch; the compiled-vs-eager bit-parity guarantee is what lets cached
     and fresh results mix freely (cache keys do not record the knob).
     ``point_evaluators`` run after training, while the trained model is
-    still in hand, and merge their returned dicts into ``DSEPoint.metrics``
-    — still inside the backend scope, so evaluation forward passes use the
-    same kernels the cache key records.  ``ckpt_dir``/``ckpt_every``/
+    still in hand, and merge their returned dicts into ``DSEPoint.metrics``.
+    ``ckpt_dir``/``ckpt_every``/
     ``ckpt_tag`` enable mid-run trainer checkpoints: a retried, resubmitted
     or abandoned-and-reswept point resumes bit-exactly from its last epoch
     boundary instead of retraining from scratch (the tag is derived from
@@ -617,23 +610,21 @@ def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
     trainer = PITTrainer(model, loss_fn, lam=lam, warmup_epochs=warmup,
                          compile_config=compile_cfg, **ckpt_kwargs,
                          **trainer_kwargs)
-    with use_backend(backend):
-        result = trainer.fit(train_loader, val_loader)
-        point = DSEPoint(
-            lam=lam, warmup_epochs=warmup, dilations=result.dilations,
-            params=result.effective_params, loss=result.best_val,
-            result=result)
-        for evaluator in (point_evaluators or ()):
-            annotations = evaluator(model, point)
-            if annotations:
-                point.metrics.update(annotations)
+    result = trainer.fit(train_loader, val_loader)
+    point = DSEPoint(
+        lam=lam, warmup_epochs=warmup, dilations=result.dilations,
+        params=result.effective_params, loss=result.best_val,
+        result=result)
+    for evaluator in (point_evaluators or ()):
+        annotations = evaluator(model, point)
+        if annotations:
+            point.metrics.update(annotations)
     return point
 
 
 def _train_grid_stack(seed_factory: Callable[[], Module], loss_fn: Callable,
                       train_loader, val_loader, warmup: int,
                       lams: Sequence[float], trainer_kwargs: Dict,
-                      backend: str,
                       compile_cfg: Optional[CompileConfig] = None,
                       point_evaluators: Optional[Sequence[Callable]] = None,
                       ckpt_dir: Optional[str] = None,
@@ -663,27 +654,26 @@ def _train_grid_stack(seed_factory: Callable[[], Module], loss_fn: Callable,
         ckpt_kwargs = dict(checkpoint_dir=ckpt_dir,
                            checkpoint_every=ckpt_every,
                            checkpoint_tags=list(ckpt_tags))
-    with use_backend(backend):
-        template = seed_factory()
-        trainer = StackedPITTrainer(
-            template, loss_fn, lams=lams, warmup_epochs=warmup,
-            compile_config=compile_cfg, **ckpt_kwargs, **trainer_kwargs)
-        results = trainer.fit(train_loader, val_loader)
-        points = []
-        for i, result in enumerate(results):
-            point = DSEPoint(
-                lam=lams[i], warmup_epochs=warmup, dilations=result.dilations,
-                params=result.effective_params, loss=result.best_val,
-                result=result)
-            if point_evaluators:
-                # Materialize this slice into the (sequential-shaped)
-                # template so evaluators see a normal trained model.
-                model = trainer.model_for(i)
-                for evaluator in point_evaluators:
-                    annotations = evaluator(model, point)
-                    if annotations:
-                        point.metrics.update(annotations)
-            points.append(point)
+    template = seed_factory()
+    trainer = StackedPITTrainer(
+        template, loss_fn, lams=lams, warmup_epochs=warmup,
+        compile_config=compile_cfg, **ckpt_kwargs, **trainer_kwargs)
+    results = trainer.fit(train_loader, val_loader)
+    points = []
+    for i, result in enumerate(results):
+        point = DSEPoint(
+            lam=lams[i], warmup_epochs=warmup, dilations=result.dilations,
+            params=result.effective_params, loss=result.best_val,
+            result=result)
+        if point_evaluators:
+            # Materialize this slice into the (sequential-shaped)
+            # template so evaluators see a normal trained model.
+            model = trainer.model_for(i)
+            for evaluator in point_evaluators:
+                annotations = evaluator(model, point)
+                if annotations:
+                    point.metrics.update(annotations)
+        points.append(point)
     return points
 
 
@@ -702,7 +692,7 @@ def _backoff_sleep(index: int, attempt: int, backoff: float) -> None:
 
 def _train_point_isolated(seed_factory, loss_fn, train_loader, val_loader,
                           index: int, warmup: int, lam: float,
-                          trainer_kwargs: Dict, backend: str,
+                          trainer_kwargs: Dict,
                           compile_cfg, point_evaluators,
                           retries: int, retry_backoff: float,
                           ckpt_dir: Optional[str] = None,
@@ -727,7 +717,7 @@ def _train_point_isolated(seed_factory, loss_fn, train_loader, val_loader,
                 faults.inject_point_faults()
                 point = _train_grid_point(
                     seed_factory, loss_fn, train_loader, val_loader, lam,
-                    warmup, trainer_kwargs, backend, compile_cfg,
+                    warmup, trainer_kwargs, compile_cfg,
                     point_evaluators, ckpt_dir, ckpt_every, ckpt_tag)
             point.attempts = attempt
             return point
@@ -759,7 +749,7 @@ def _chunk_cache(cache_path: Optional[str]) -> Optional["DSECache"]:
 def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
                       train_loader, val_loader,
                       chunk: Sequence[Tuple[int, int, float]],
-                      trainer_kwargs: Dict, backend: str,
+                      trainer_kwargs: Dict,
                       compile_cfg: Optional[CompileConfig] = None,
                       point_evaluators: Optional[Sequence[Callable]] = None,
                       retries: int = 0, retry_backoff: float = 0.0,
@@ -800,7 +790,7 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
                 faults.inject_point_faults()
                 points = _train_grid_stack(
                     seed_factory, loss_fn, train_loader, val_loader, warmup,
-                    [lam for _, _, lam in chunk], trainer_kwargs, backend,
+                    [lam for _, _, lam in chunk], trainer_kwargs,
                     compile_cfg, point_evaluators, ckpt_dir, ckpt_every,
                     [tag_of(index) for index in indices])
         except Exception:
@@ -815,7 +805,7 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
     for index, warmup, lam in chunk:
         point = _train_point_isolated(
             seed_factory, loss_fn, train_loader, val_loader, index, warmup,
-            lam, trainer_kwargs, backend, compile_cfg, point_evaluators,
+            lam, trainer_kwargs, compile_cfg, point_evaluators,
             retries, retry_backoff, ckpt_dir, ckpt_every, tag_of(index))
         flush(index, point)
         out.append(point)
@@ -986,7 +976,6 @@ class DSEEngine:
         self.executor = executor
         self.cache = DSECache(cache_path) if cache_path else None
         self.cache_tag = cache_tag
-        self._run_backend = current_backend()  # re-pinned at each run()
         self.trainer_kwargs = dict(trainer_kwargs or {})
         self.trainer_kwargs.pop("lam", None)
         self.trainer_kwargs.pop("warmup_epochs", None)
@@ -1048,16 +1037,14 @@ class DSEEngine:
         return _train_grid_point(self.seed_factory, self.loss_fn,
                                  self.train_loader, self.val_loader,
                                  lam, warmup, self.trainer_kwargs,
-                                 self._run_backend, self.compile_config,
-                                 self.point_evaluators)
+                                 self.compile_config, self.point_evaluators)
 
     def _train_chunk(self, chunk: Sequence[Tuple[int, int, float]]
                      ) -> List[DSEPoint]:
         return _train_grid_chunk(self.seed_factory, self.loss_fn,
                                  self.train_loader, self.val_loader,
                                  list(chunk), self.trainer_kwargs,
-                                 self._run_backend, self.compile_config,
-                                 self.point_evaluators,
+                                 self.compile_config, self.point_evaluators,
                                  self.retries, self.retry_backoff,
                                  self.cache.path if self.cache else None,
                                  self._chunk_keys(chunk),
@@ -1123,10 +1110,6 @@ class DSEEngine:
         pending futures are cancelled, already-completed points are in
         the cache, and the interrupted sweep resumes from there.
         """
-        # Pin the conv backend for the whole sweep: workers (which may be
-        # spawned processes with their own import-time default) train under
-        # it, and cache keys record it — values and keys cannot diverge.
-        self._run_backend = current_backend()
         grid = self._grid(lambdas, warmups)
         points: List[Optional[DSEPoint]] = [None] * len(grid)
         pending: List[Tuple[int, int, float]] = []
@@ -1186,7 +1169,7 @@ class DSEEngine:
         future = pool.submit(
             _train_grid_chunk, self.seed_factory, self.loss_fn,
             self.train_loader, self.val_loader, list(chunk),
-            self.trainer_kwargs, self._run_backend, self.compile_config,
+            self.trainer_kwargs, self.compile_config,
             self.point_evaluators, self.retries, self.retry_backoff,
             self.cache.path if self.cache else None, self._chunk_keys(chunk),
             self.checkpoint_dir, self.checkpoint_every,
@@ -1351,7 +1334,7 @@ class DSEEngine:
 
     def _key(self, lam: float, warmup: int) -> str:
         return DSECache.key(lam, warmup, self.trainer_kwargs,
-                            tag=self.cache_tag, backend=self._run_backend,
+                            tag=self.cache_tag,
                             evaluators=[evaluator_name(e)
                                         for e in self.point_evaluators])
 

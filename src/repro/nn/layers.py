@@ -82,16 +82,11 @@ class CausalConv1d(Module):
         receptive field is ``(K - 1) * d + 1``.
     stride:
         Temporal output stride.
-    backend:
-        Conv-backend name (see :mod:`repro.autograd.backends`); None uses
-        the process-wide default (``repro.set_backend`` /
-        ``REPRO_CONV_BACKEND``).
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  dilation: int = 1, stride: int = 1, bias: bool = True,
-                 rng: Optional[np.random.Generator] = None,
-                 backend: Optional[str] = None):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         if kernel_size < 1:
             raise ValueError("kernel_size must be >= 1")
@@ -101,7 +96,6 @@ class CausalConv1d(Module):
         self.kernel_size = kernel_size
         self.dilation = dilation
         self.stride = stride
-        self.backend = backend
         self.weight = Parameter(
             init.kaiming_uniform((out_channels, in_channels, kernel_size), rng),
             name="conv.weight")
@@ -124,8 +118,7 @@ class CausalConv1d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         out = conv1d_causal(x, self.weight, self.bias,
-                            dilation=self.dilation, stride=self.stride,
-                            backend=self.backend)
+                            dilation=self.dilation, stride=self.stride)
         # Recorded for the hardware cost model (repro.hw.gap8), which needs
         # per-layer temporal extents to count MACs and activation traffic.
         self.last_t_in = x.shape[-1]

@@ -9,8 +9,7 @@ template network M times into parameters with a leading **model axis**
 * activations carry the model axis too — ``(M, N, C, T)`` instead of
   ``(N, C, T)`` — so one dispatch covers the whole stack;
 * convolutions run through :func:`repro.autograd.conv1d_causal_stacked`,
-  whose backend kernels batch the M contractions into single einsum /
-  GEMM / FFT calls;
+  one dispatch whose kernels run the M GEMMs model by model;
 * elementwise ops, pooling (via an M·N batch merge) and losses are
   shape-generic and need no new kernels;
 * model slices never mix: slice ``m`` of every activation, gradient and
@@ -213,7 +212,6 @@ class StackedCausalConv1d(Module):
         self.kernel_size = template.kernel_size
         self.dilation = template.dilation
         self.stride = template.stride
-        self.backend = template.backend
         self.weight = Parameter(stack_parameter(template.weight.data, ctx.m),
                                 name="stacked.conv.weight")
         self.bias = (Parameter(stack_parameter(template.bias.data, ctx.m),
@@ -223,7 +221,7 @@ class StackedCausalConv1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return conv1d_causal_stacked(x, self.weight, self.bias,
                                      dilation=self.dilation,
-                                     stride=self.stride, backend=self.backend)
+                                     stride=self.stride)
 
     def __repr__(self) -> str:
         return (f"StackedCausalConv1d(M={self.weight.shape[0]}, "

@@ -50,10 +50,8 @@ class StreamingPool:
     """Fixed-capacity multi-tenant wrapper around a batched executor."""
 
     def __init__(self, model: Module, capacity: int = 8,
-                 backend: Optional[str] = None,
                  input_length: Optional[int] = None):
         self.executor = StreamingExecutor(model, batch=capacity,
-                                          backend=backend,
                                           input_length=input_length)
         self.capacity = capacity
         self.ticks = 0

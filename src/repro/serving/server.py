@@ -95,7 +95,6 @@ class StreamServer:
     """
 
     def __init__(self, model: Module, capacity: int = 8,
-                 backend: Optional[str] = None,
                  input_length: Optional[int] = None,
                  queue_size: int = 64,
                  max_sessions: Optional[int] = None,
@@ -103,7 +102,7 @@ class StreamServer:
                  max_line: int = 1 << 16):
         if client_timeout is not None and client_timeout <= 0:
             raise ValueError("client_timeout must be positive (or None)")
-        self.pool = StreamingPool(model, capacity=capacity, backend=backend,
+        self.pool = StreamingPool(model, capacity=capacity,
                                   input_length=input_length)
         self.queue_size = queue_size
         self.max_sessions = max_sessions

@@ -10,7 +10,7 @@ into *per-layer ring-buffer state*:
 * every convolution keeps its last ``(K-1)*d + 1`` input samples in a
   circular buffer; one new sample gathers the ``K`` dilated taps and runs
   a single ``(C_out, C_in*K)`` contraction
-  (:meth:`repro.autograd.backends.base.ConvBackend.forward_step`);
+  (:meth:`repro.autograd.backends.Im2colKernels.forward_step`);
 * pools keep their last ``k`` frames and emit on the valid-window
   schedule (``count >= k``, every ``stride`` thereafter);
 * ``Flatten``/``GlobalAvgPool1d`` keep a sliding window of the temporal
@@ -45,7 +45,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from ..autograd import Tensor, get_backend, get_default_dtype, no_grad
+from ..autograd import Tensor, get_default_dtype, no_grad
+from ..autograd.backends import KERNELS
 from ..core.channel_mask import PITChannelConv1d
 from ..core.export import deployable_network
 from ..core.pit_conv import PITConv1d
@@ -84,14 +85,12 @@ class StreamContext:
     Accumulates the composed receptive field / total stride with the same
     jump recursion as :func:`repro.core.export.network_receptive_field`
     (window layers included, since the probe gives their extents), and
-    carries the batch width, the resolved conv backend and the probed
-    per-module shapes.
+    carries the batch width and the probed per-module shapes.
     """
 
-    def __init__(self, batch: int, backend: Optional[str],
+    def __init__(self, batch: int,
                  shapes: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]]):
         self.batch = batch
-        self.backend = backend
         self.shapes = shapes
         self.rf = 1
         self.jump = 1
@@ -222,7 +221,6 @@ class StreamingConv1d(Module):
         self.conv = conv  # owns weight/bias; registered as a child
         self.stride = conv.stride
         self.out_channels = conv.out_channels
-        self._kernels = get_backend(conv.backend or ctx.backend)
         self.state = _RingState(ctx.batch, conv.in_channels,
                                 conv.receptive_field, conv.kernel_size,
                                 conv.dilation)
@@ -236,7 +234,7 @@ class StreamingConv1d(Module):
         for i in range(t):
             window = self.state.push(frames[:, :, i])
             if (self.state.count - 1) % self.stride == 0:
-                y = self._kernels.forward_step(window, w)
+                y = KERNELS.forward_step(window, w)
                 if b is not None:
                     y += b[None, :, None]
                 outs.append(y)
@@ -494,9 +492,6 @@ class StreamingExecutor:
     batch:
         Number of independent streams advanced in lockstep — the
         multi-tenant axis of :class:`repro.serving.StreamingPool`.
-    backend:
-        Conv-backend name for the per-tick kernels (default: each layer's
-        own setting, else the process default).
     input_length:
         Temporal extent for the one-shot shape probe that sizes
         ``Flatten``/``GlobalAvgPool1d`` windows.  Defaults to
@@ -519,7 +514,6 @@ class StreamingExecutor:
     """
 
     def __init__(self, model: Module, batch: int = 1,
-                 backend: Optional[str] = None,
                  input_length: Optional[int] = None):
         if batch < 1:
             raise ValueError("batch must be >= 1")
@@ -533,7 +527,7 @@ class StreamingExecutor:
         from ..core.export import network_receptive_field
         probe_len = self.input_length or max(network_receptive_field(net), 1)
         shapes = _probe_shapes(net, (1, self.channels, probe_len))
-        ctx = StreamContext(batch=batch, backend=backend, shapes=shapes)
+        ctx = StreamContext(batch=batch, shapes=shapes)
         self.net = stream_module(net, ctx)
         self.net.eval()
         self.receptive_field = ctx.rf

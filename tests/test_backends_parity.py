@@ -1,29 +1,35 @@
-"""Differential test harness locking the conv backends together.
+"""Differential test harness locking the conv kernels to the oracle.
 
-Every registered backend of :mod:`repro.autograd.backends` must agree with
-the einsum reference on forward values *and* all gradients, over a grid of
-dilations, strides and kernel sizes that includes ``C_in != C_out`` and a
-temporal length not divisible by the stride.  The im2col fast path is also
-validated independently against central finite differences via
-:mod:`repro.autograd.gradcheck`, so the two backends can never be
-"consistently wrong" together.
+Every conv runs the im2col kernels of :mod:`repro.autograd.backends`.  They
+must agree with the per-tap einsum oracle
+(:class:`repro.autograd.backends.EinsumReference`) on forward values *and*
+all gradients, over a grid of dilations, strides and kernel sizes that
+includes ``C_in != C_out`` and a temporal length not divisible by the
+stride.  The oracle runs on plain arrays with its own padding, so it shares
+no code with the autograd ops.  The im2col path is also validated against
+central finite differences via :mod:`repro.autograd.gradcheck`, so kernels
+and oracle can never be "consistently wrong" together.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.autograd import (
     Tensor,
-    available_backends,
     check_gradients,
     conv1d_causal,
     conv1d_causal_masked,
+    conv1d_causal_stacked,
+)
+from repro.autograd.backends import (
+    EinsumReference,
+    available_backends,
     current_backend,
     get_backend,
-    set_backend,
-    use_backend,
 )
 
 DILATIONS = (1, 2, 4, 8)
@@ -35,12 +41,11 @@ N, C_IN, C_OUT, T = 2, 3, 4, 13
 
 GRID = [(d, s, k) for d in DILATIONS for s in STRIDES for k in KERNELS]
 
-# Every non-reference backend is held to the reference automatically;
-# registering a new backend adds it to the whole differential grid.
-FAST_BACKENDS = [name for name in available_backends() if name != "einsum"]
+# The conv kernel set under test; its name labels every parity test ID.
+KERNEL_SETS = ["im2col"]
 
 # Comparison tolerance follows the substrate precision: under
-# REPRO_DTYPE=float32 every backend computes in single precision, so
+# REPRO_DTYPE=float32 kernels and oracle compute in single precision, so
 # last-ulp disagreements are ~1e-6 on O(10) values.
 from repro.autograd import get_default_dtype
 
@@ -48,6 +53,23 @@ if np.dtype(get_default_dtype()) == np.float64:
     TOL = dict(atol=1e-12)
 else:
     TOL = dict(atol=1e-4, rtol=1e-4)
+
+ORACLE = EinsumReference()
+
+
+def _reference(x, w, b=None, dilation=1, stride=1, upstream=None):
+    """Output and ``(x, w, b)`` gradients of the causal conv from the
+    oracle kernels on plain arrays; ``upstream`` defaults to ones, the
+    gradient of ``out.sum()``.  The bias gradient is None without a bias."""
+    t, pad = x.shape[2], (w.shape[2] - 1) * dilation
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, 0)))
+    out = ORACLE.forward(xp, w, dilation, stride, t)
+    if b is not None:
+        out += b[:, None]
+    g = np.ones_like(out) if upstream is None else upstream.astype(out.dtype)
+    gx = ORACLE.grad_input(g, w, xp.shape, dilation, stride, t)[:, :, pad:]
+    gw = ORACLE.grad_weight(g, xp, w.shape, dilation, stride, t)
+    return out, gx, gw, None if b is None else g.sum(axis=(0, 2))
 
 
 def _inputs(kernel, requires_grad=False, seed=0):
@@ -59,74 +81,69 @@ def _inputs(kernel, requires_grad=False, seed=0):
     return x, w, b
 
 
-def _run(backend, dilation, stride, kernel):
-    """Forward + backward under one backend; returns output and gradients."""
+def _run(dilation, stride, kernel):
+    """Forward + backward of the conv op; returns output and gradients."""
     x, w, b = _inputs(kernel, requires_grad=True)
-    out = conv1d_causal(x, w, b, dilation=dilation, stride=stride,
-                        backend=backend)
+    out = conv1d_causal(x, w, b, dilation=dilation, stride=stride)
     out.sum().backward()
     return out.data, x.grad, w.grad, b.grad
 
 
+def _assert_close(got, ref, where=""):
+    for label, a, r in zip(("out", "x", "w", "b"), got, ref):
+        assert np.allclose(a, r, **TOL), f"{label} {where}"
+
+
 class TestForwardParity:
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_SETS)
     @pytest.mark.parametrize("dilation,stride,kernel", GRID)
     def test_matches_einsum(self, backend, dilation, stride, kernel):
         x, w, b = _inputs(kernel)
-        ref = conv1d_causal(x, w, b, dilation=dilation, stride=stride,
-                            backend="einsum")
-        fast = conv1d_causal(x, w, b, dilation=dilation, stride=stride,
-                             backend=backend)
+        ref = _reference(x.data, w.data, b.data, dilation, stride)[0]
+        fast = conv1d_causal(x, w, b, dilation=dilation, stride=stride)
         assert ref.shape == fast.shape
-        assert np.allclose(ref.data, fast.data, **TOL)
+        assert np.allclose(ref, fast.data, **TOL)
 
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_SETS)
     def test_no_bias(self, backend):
         x, w, _ = _inputs(3)
-        ref = conv1d_causal(x, w, dilation=2, backend="einsum")
-        fast = conv1d_causal(x, w, dilation=2, backend=backend)
-        assert np.allclose(ref.data, fast.data, **TOL)
+        ref = _reference(x.data, w.data, dilation=2)[0]
+        fast = conv1d_causal(x, w, dilation=2)
+        assert np.allclose(ref, fast.data, **TOL)
 
     def test_all_registered_backends_agree(self):
-        """Future backends are automatically held to the same contract."""
+        """The one kernel set the ops run agrees with the oracle at a long
+        receptive field, and is the only one the profiling hooks list."""
+        assert available_backends() == [current_backend()] == KERNEL_SETS
         x, w, b = _inputs(9)
-        reference = conv1d_causal(x, w, b, dilation=4, stride=2,
-                                  backend="einsum").data
-        for name in available_backends():
-            out = conv1d_causal(x, w, b, dilation=4, stride=2, backend=name)
-            assert np.allclose(out.data, reference, **TOL), name
+        reference = _reference(x.data, w.data, b.data, 4, 2)[0]
+        out = conv1d_causal(x, w, b, dilation=4, stride=2)
+        assert np.allclose(out.data, reference, **TOL)
 
 
 class TestGradientParity:
-    @pytest.mark.parametrize("backend", FAST_BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_SETS)
     @pytest.mark.parametrize("dilation,stride,kernel", GRID)
     def test_all_gradients_match(self, backend, dilation, stride, kernel):
-        _, gx_ref, gw_ref, gb_ref = _run("einsum", dilation, stride, kernel)
-        _, gx, gw, gb = _run(backend, dilation, stride, kernel)
-        assert np.allclose(gx, gx_ref, **TOL)
-        assert np.allclose(gw, gw_ref, **TOL)
-        assert np.allclose(gb, gb_ref, **TOL)
+        x, w, b = _inputs(kernel)
+        _assert_close(_run(dilation, stride, kernel),
+                      _reference(x.data, w.data, b.data, dilation, stride))
 
-    @pytest.mark.parametrize("backend", ["im2col", "fft"])
+    @pytest.mark.parametrize("backend", KERNEL_SETS)
     @pytest.mark.parametrize("dilation,stride,kernel",
                              [(1, 1, 1), (2, 1, 3), (4, 2, 3), (8, 3, 9),
                               (1, 3, 9), (2, 2, 9)])
     def test_fast_path_gradcheck(self, backend, dilation, stride, kernel):
-        """The fast paths against finite differences, not just the reference."""
+        """The kernels against finite differences, not just the oracle."""
         x, w, b = _inputs(kernel, requires_grad=True, seed=7)
         check_gradients(
             lambda x, w, b: conv1d_causal(x, w, b, dilation=dilation,
-                                          stride=stride, backend=backend),
+                                          stride=stride),
             [x, w, b])
 
 
 class TestStackedKernelParity:
-    """The stacked (leading model axis) kernels against M per-model calls.
-
-    Auto-discovers every registered backend, like the unstacked harness: a
-    newly registered backend is covered by its inherited base-class loop
-    until it provides batched kernels, and by this grid either way.
-    """
+    """The stacked (leading model axis) conv against each model's 2-D conv."""
 
     M = 3
     STACK_GRID = [(1, 1, 3), (2, 1, 9), (4, 2, 3), (2, 3, 9), (1, 2, 1)]
@@ -141,67 +158,68 @@ class TestStackedKernelParity:
                    requires_grad=requires_grad)
         return x, w, b
 
-    @pytest.mark.parametrize("backend", available_backends())
+    def _stacked_run(self, dilation, stride, kernel):
+        x, w, b = self._stacked_inputs(kernel, requires_grad=True)
+        out = conv1d_causal_stacked(x, w, b, dilation=dilation, stride=stride)
+        upstream = np.random.default_rng(99).standard_normal(out.shape)
+        out.backward(upstream)
+        return x, w, b, out, upstream
+
+    @pytest.mark.parametrize("backend", ["einsum"] + KERNEL_SETS)
     @pytest.mark.parametrize("dilation,stride,kernel", STACK_GRID)
     def test_stacked_matches_per_model(self, backend, dilation, stride,
-                                       kernel):
-        from repro.autograd import conv1d_causal_stacked
-        x, w, b = self._stacked_inputs(kernel, requires_grad=True)
-        out = conv1d_causal_stacked(x, w, b, dilation=dilation, stride=stride,
-                                    backend=backend)
-        rng = np.random.default_rng(99)
-        upstream = rng.standard_normal(out.shape)
-        out.backward(upstream)
+                                       kernel, use_kernels):
+        """The stacked op against the oracle on each model's arrays, on
+        the production kernels and on the oracle's own (looped) kernels."""
+        with use_kernels(backend):
+            x, w, b, out, upstream = self._stacked_run(dilation, stride,
+                                                       kernel)
+        for m in range(self.M):
+            ref = _reference(x.data[m], w.data[m], b.data[m], dilation,
+                             stride, upstream[m])
+            _assert_close((out.data[m], x.grad[m], w.grad[m], b.grad[m]),
+                          ref, where=f"model {m}")
+
+    @pytest.mark.parametrize("dilation,stride,kernel", STACK_GRID)
+    def test_stacked_slice_bit_identical_to_2d(self, dilation, stride,
+                                               kernel):
+        """Model ``m`` of a stack computes exactly what its 2-D conv
+        computes: the stacked kernels run the 2-D kernels per model."""
+        x, w, b, out, upstream = self._stacked_run(dilation, stride, kernel)
         for m in range(self.M):
             xm = Tensor(x.data[m], requires_grad=True)
             wm = Tensor(w.data[m], requires_grad=True)
-            bm = Tensor(b.data[m], requires_grad=True)
-            ref = conv1d_causal(xm, wm, bm, dilation=dilation, stride=stride,
-                                backend="einsum")
+            ref = conv1d_causal(xm, wm, Tensor(b.data[m]), dilation=dilation,
+                                stride=stride)
             ref.backward(upstream[m])
-            assert np.allclose(out.data[m], ref.data, **TOL), (backend, m)
-            assert np.allclose(x.grad[m], xm.grad, **TOL), (backend, m)
-            assert np.allclose(w.grad[m], wm.grad, **TOL), (backend, m)
-            assert np.allclose(b.grad[m], bm.grad, **TOL), (backend, m)
+            assert np.array_equal(out.data[m], ref.data), m
+            assert np.array_equal(x.grad[m], xm.grad), m
+            assert np.array_equal(w.grad[m], wm.grad), m
 
     def test_base_class_loop_covers_unbatched_backends(self):
-        """A backend that never heard of stacking still works: the
-        ConvBackend base supplies per-model loop kernels."""
-        from repro.autograd import conv1d_causal_stacked, register_backend
-        from repro.autograd.backends import _REGISTRY, ConvBackend, EinsumBackend
-
-        class MinimalBackend(ConvBackend):
-            name = "minimal-test"
-            _ref = EinsumBackend()
-
-            def forward(self, xp, w, dilation, stride, t):
-                return self._ref.forward(xp, w, dilation, stride, t)
-
-            def grad_input(self, grad, w, xp_shape, dilation, stride, t):
-                return self._ref.grad_input(grad, w, xp_shape, dilation,
-                                            stride, t)
-
-            def grad_weight(self, grad, xp, w_shape, dilation, stride, t):
-                return self._ref.grad_weight(grad, xp, w_shape, dilation,
-                                             stride, t)
-
-        register_backend(MinimalBackend())
-        try:
-            x, w, b = self._stacked_inputs(3, requires_grad=True)
-            out = conv1d_causal_stacked(x, w, b, dilation=2,
-                                        backend="minimal-test")
-            out.sum().backward()
-            ref = conv1d_causal_stacked(
-                Tensor(x.data, requires_grad=True),
-                Tensor(w.data, requires_grad=True),
-                Tensor(b.data, requires_grad=True), dilation=2,
-                backend="einsum")
-            assert np.allclose(out.data, ref.data, **TOL)
-        finally:
-            _REGISTRY.pop("minimal-test", None)
+        """The stacked kernels are a per-model loop of the 2-D lowering:
+        at the kernel level every slice of a stacked forward, input
+        gradient and weight gradient is bit-identical to the 2-D kernel
+        on that model's arrays."""
+        kernels = get_backend()
+        rng = np.random.default_rng(5)
+        d, stride, t, k = 2, 2, T, 3
+        xp = rng.standard_normal((self.M, N, C_IN, t + (k - 1) * d))
+        w = rng.standard_normal((self.M, C_OUT, C_IN, k))
+        out = kernels.forward_stacked(xp, w, d, stride, t)
+        g = rng.standard_normal(out.shape)
+        gx = kernels.grad_input_stacked(g, w, xp.shape, d, stride, t)
+        gw = kernels.grad_weight_stacked(g, xp, w.shape, d, stride, t)
+        assert gx.shape == xp.shape and gw.shape == w.shape
+        for m in range(self.M):
+            assert np.array_equal(
+                out[m], kernels.forward(xp[m], w[m], d, stride, t)), m
+            assert np.array_equal(gx[m], kernels.grad_input(
+                g[m], w[m], xp.shape[1:], d, stride, t)), m
+            assert np.array_equal(gw[m], kernels.grad_weight(
+                g[m], xp[m], w.shape[1:], d, stride, t)), m
 
     def test_stacked_validates_shapes(self):
-        from repro.autograd import conv1d_causal_stacked
         x, w, _ = self._stacked_inputs(3)
         with pytest.raises(ValueError, match="expected input"):
             conv1d_causal_stacked(Tensor(np.zeros((2, 3, 5))), w)
@@ -211,164 +229,233 @@ class TestStackedKernelParity:
 
 
 class TestBackendSelection:
+    """There is one kernel set and no switch: what stays of selection is
+    the lookup the profiling hooks use, the scoped oracle patch the tests
+    use, and the one kernel object every op calls."""
+
     def test_default_honours_environment(self):
-        # CI runs the suite twice: bare (einsum default) and with
-        # REPRO_CONV_BACKEND=im2col steering every untagged conv call.
-        expected = os.environ.get("REPRO_CONV_BACKEND") or "einsum"
-        assert current_backend() == expected
-        assert get_backend().name == expected
+        """The kernels keep the precision the environment chose
+        (``REPRO_DTYPE``): every kernel returns its inputs' dtype, so a
+        float32 run stays float32 end to end."""
+        assert current_backend() == get_backend().name == "im2col"
+        kernels, rng = get_backend(), np.random.default_rng(2)
+        for dtype in (np.float32, np.float64):
+            xp = rng.standard_normal((N, C_IN, T + 4)).astype(dtype)
+            w = rng.standard_normal((C_OUT, C_IN, 3)).astype(dtype)
+            out = kernels.forward(xp, w, 2, 1, T)
+            assert out.dtype == dtype
+            assert kernels.grad_input(out, w, xp.shape, 2, 1, T).dtype \
+                == dtype
+            assert kernels.grad_weight(out, xp, w.shape, 2, 1, T).dtype \
+                == dtype
+            assert kernels.forward_step(xp[:, :, :3], w).dtype == dtype
+        x, w, b = _inputs(3)
+        out = conv1d_causal(x, w, b, dilation=2)
+        assert out.data.dtype == np.dtype(get_default_dtype())
 
     def test_set_backend_round_trip(self):
-        previous = current_backend()
-        set_backend("im2col")
-        try:
-            assert current_backend() == "im2col"
-            assert get_backend().name == "im2col"
-        finally:
-            set_backend(previous)
+        """Every name the profiling hooks list resolves to the kernel
+        object the ops call, and that object reports the current name."""
+        assert current_backend() in available_backends()
+        for name in available_backends():
+            kernels = get_backend(name)
+            assert kernels is get_backend()
+            assert kernels.name == name
+        assert get_backend(current_backend()) is get_backend()
 
-    def test_use_backend_restores_on_exit(self):
-        previous = current_backend()
-        with use_backend("im2col") as backend:
-            assert backend.name == "im2col"
-            assert current_backend() == "im2col"
-        assert current_backend() == previous
+    def test_use_backend_restores_on_exit(self, use_kernels):
+        """The oracle patch is scoped: after it the ops run im2col again,
+        bit for bit (a leak would silently hand the oracle every later
+        test)."""
+        x, w, b = _inputs(3)
+        production = conv1d_causal(x, w, b, dilation=2).data
+        with use_kernels("einsum") as kernels:
+            assert kernels is get_backend()
+            assert kernels.forward.__func__ is EinsumReference.forward
+        assert "forward" not in vars(get_backend())
+        assert np.array_equal(conv1d_causal(x, w, b, dilation=2).data,
+                              production)
 
-    def test_use_backend_restores_on_error(self):
-        previous = current_backend()
+    def test_use_backend_restores_on_error(self, use_kernels):
         with pytest.raises(RuntimeError):
-            with use_backend("im2col"):
+            with use_kernels("einsum"):
                 raise RuntimeError("boom")
-        assert current_backend() == previous
+        kernels = get_backend()
+        assert not set(vars(kernels)) & {
+            "forward", "grad_input", "grad_weight", "forward_stacked",
+            "grad_input_stacked", "grad_weight_stacked", "forward_step"}
+        with pytest.raises(ValueError, match="unknown kernel set"):
+            with use_kernels("cudnn"):
+                pass
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown conv backend"):
-            conv1d_causal(Tensor(np.zeros((1, 1, 4))),
-                          Tensor(np.zeros((1, 1, 2))), backend="cudnn")
-        with pytest.raises(ValueError):
-            set_backend("not-a-backend")
+        assert get_backend("im2col") is get_backend()
+        with pytest.raises(ValueError, match="unknown conv kernels"):
+            get_backend("cudnn")
 
     def test_bogus_env_var_does_not_crash_import(self):
-        """A typo'd REPRO_CONV_BACKEND must fail at first use with a clear
-        error, not at `import repro` (which would break even --help)."""
-        import subprocess
-        import sys
+        """A malformed environment knob (here REPRO_CKPT_EVERY) must fail
+        at first use with an error naming the variable, not at
+        ``import repro`` (which would break even --help)."""
         script = (
-            "import repro\n"
-            "from repro.autograd import conv1d_causal, Tensor\n"
-            "import numpy as np\n"
+            "import repro, repro.cli\n"
+            "repro.cli.build_parser().parse_args(['train'])\n"
+            "from repro.core.checkpoint import checkpoint_every_default\n"
             "try:\n"
-            "    conv1d_causal(Tensor(np.zeros((1, 1, 4))),\n"
-            "                  Tensor(np.zeros((1, 1, 2))))\n"
+            "    checkpoint_every_default()\n"
             "except ValueError as exc:\n"
-            "    assert 'im2coll' in str(exc), exc\n"
+            "    assert 'REPRO_CKPT_EVERY' in str(exc), exc\n"
             "    print('LAZY-OK')\n")
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "REPRO_CONV_BACKEND": "im2coll",
+            env={**os.environ, "REPRO_CKPT_EVERY": "every",
                  "PYTHONPATH": os.path.join(os.path.dirname(__file__),
                                             "..", "src")})
         assert proc.returncode == 0, proc.stderr
         assert "LAZY-OK" in proc.stdout
 
-    def test_global_default_steers_untagged_calls(self):
+    def test_global_default_steers_untagged_calls(self, use_kernels):
+        """The ops name no kernels: patching the oracle onto the one kernel
+        object steers every plain and stacked conv call, bit for bit."""
         x, w, b = _inputs(3)
-        ref = conv1d_causal(x, w, b, dilation=2).data
-        with use_backend("im2col"):
-            fast = conv1d_causal(x, w, b, dilation=2).data
-        assert np.allclose(ref, fast, atol=1e-12)
+        with use_kernels("einsum"):
+            out = conv1d_causal(x, w, b, dilation=2).data
+            stacked = conv1d_causal_stacked(
+                Tensor(x.data[None]), Tensor(w.data[None]),
+                Tensor(b.data[None]), dilation=2).data
+        ref = _reference(x.data, w.data, b.data, dilation=2)[0]
+        assert np.array_equal(out, ref)
+        assert np.array_equal(stacked[0], ref)
 
-    def test_backward_uses_forward_backend(self):
-        """The tape captures the backend resolved at forward time."""
+    def test_backward_uses_forward_backend(self, use_kernels):
+        """Backward calls the gradient kernels of the object the forward
+        called: under the oracle, every gradient is the oracle's, bit for
+        bit."""
         x, w, b = _inputs(3, requires_grad=True)
-        with use_backend("im2col"):
+        with use_kernels("einsum"):
             out = conv1d_causal(x, w, b, dilation=2)
-        # Default has switched back to einsum; backward must still succeed
-        # and match the einsum-end-to-end gradients.
-        out.sum().backward()
-        _, gx_ref, gw_ref, gb_ref = _run("einsum", 2, 1, 3)
-        assert np.allclose(x.grad, gx_ref, atol=1e-12)
-        assert np.allclose(w.grad, gw_ref, atol=1e-12)
-        assert np.allclose(b.grad, gb_ref, atol=1e-12)
+            out.sum().backward()
+        _, gx, gw, gb = _reference(x.data, w.data, b.data, dilation=2)
+        assert np.array_equal(x.grad, gx)
+        assert np.array_equal(w.grad, gw)
+        assert np.array_equal(b.grad, gb)
 
 
-class TestLegacyBackendSignature:
-    def test_scratchless_backend_survives_compiled_replay(self):
-        """A user-registered backend overriding the three kernels runs
-        under the compiled step: replay calls its kernels exactly as
-        eager dispatch does."""
-        from repro.autograd import register_backend
-        from repro.autograd.backends import _REGISTRY, EinsumBackend
+class TestKernelObject:
+    def test_instance_wrappers_see_eager_and_replayed_calls(
+            self, count_kernel_calls):
+        """The ops call the kernels through the object ``get_backend()``
+        returns, in eager dispatch and in compiled replay alike, so a
+        profiler wrapping its methods sees every call."""
         from repro.autograd.graph import CompileConfig
         from repro.core.trainer import make_training_step
         from repro.nn import CausalConv1d, GlobalAvgPool1d, Linear, Sequential
         from repro.nn.losses import mse_loss
 
-        class LegacyBackend(EinsumBackend):
-            name = "legacy-test"
-
-            def forward(self, xp, w, dilation, stride, t):
-                return super().forward(xp, w, dilation, stride, t)
-
-            def grad_input(self, grad, w, xp_shape, dilation, stride, t):
-                return super().grad_input(grad, w, xp_shape, dilation,
-                                          stride, t)
-
-            def grad_weight(self, grad, xp, w_shape, dilation, stride, t):
-                return super().grad_weight(grad, xp, w_shape, dilation,
-                                           stride, t)
-
-        register_backend(LegacyBackend())
-        try:
-            rng = np.random.default_rng(0)
-            model = Sequential(
-                CausalConv1d(2, 3, kernel_size=3, rng=rng,
-                             backend="legacy-test"),
-                GlobalAvgPool1d(), Linear(3, 1, rng=rng))
-            step = make_training_step(
-                model, mse_loss,
-                compile_config=CompileConfig(compile_step=True))
-            x, y = rng.standard_normal((2, 2, 12)), rng.standard_normal((2, 1))
-            first = step(x, y)    # trace
+        rng = np.random.default_rng(0)
+        model = Sequential(CausalConv1d(2, 3, kernel_size=3, rng=rng),
+                           GlobalAvgPool1d(), Linear(3, 1, rng=rng))
+        step = make_training_step(
+            model, mse_loss,
+            compile_config=CompileConfig(compile_step=True))
+        x, y = rng.standard_normal((2, 2, 12)), rng.standard_normal((2, 1))
+        with count_kernel_calls() as calls:
+            first = step(x, y)    # trace (an eager step under capture)
+            traced = list(calls)
             second = step(x, y)   # replay
-            assert step.fallback_reason is None
-            # No parameter updates between calls: replay == trace exactly.
-            assert first == second
-        finally:
-            _REGISTRY.pop("legacy-test", None)
+        assert step.fallback_reason is None
+        assert first == second
+        # The input is not a parameter: no input gradient is computed.
+        assert traced == ["forward", "grad_weight"]
+        assert calls == traced * 2
+
+    def test_stacked_call_is_counted_once(self, count_kernel_calls):
+        """A stacked kernel loops the 2-D lowering helpers, not the public
+        2-D methods, so a wrapper sees one call per stacked call."""
+        x, w, b = TestStackedKernelParity()._stacked_inputs(
+            3, requires_grad=True)
+        with count_kernel_calls() as calls:
+            conv1d_causal_stacked(x, w, b, dilation=2).sum().backward()
+        assert sorted(calls) == ["forward_stacked", "grad_input_stacked",
+                                 "grad_weight_stacked"]
+
+
+class TestLegacyBackendSignature:
+    def test_scratchless_backend_survives_compiled_replay(
+            self, use_kernels, count_kernel_calls):
+        """Kernels that supply only the three 2-D methods (the oracle,
+        patched onto the kernel object) run under the compiled step:
+        replay calls them exactly as eager dispatch does, and the
+        compiled losses and gradients equal an eager run on them."""
+        from repro.autograd import CompiledStep, EagerStep
+        from repro.nn import CausalConv1d, GlobalAvgPool1d, Linear, Sequential
+        from repro.nn.losses import mse_loss
+
+        def make_model():
+            rng = np.random.default_rng(0)
+            return Sequential(
+                CausalConv1d(2, 3, kernel_size=3, dilation=2, rng=rng),
+                CausalConv1d(3, 3, kernel_size=3, rng=rng),
+                GlobalAvgPool1d(), Linear(3, 1, rng=rng))
+        rng = np.random.default_rng(1)
+        batches = [(rng.standard_normal((2, 2, 12)),
+                    rng.standard_normal((2, 1))) for _ in range(3)]
+        models = {runner: make_model() for runner in (CompiledStep,
+                                                      EagerStep)}
+        with use_kernels("einsum"), count_kernel_calls() as calls:
+            steps = {runner: runner(lambda tx, ty, m=model:
+                                    mse_loss(m(tx), ty))
+                     for runner, model in models.items()}
+            for x, y in batches:
+                losses, counts = [], []
+                for runner, step in steps.items():
+                    models[runner].zero_grad()
+                    before = len(calls)
+                    losses.append(step(x, y))
+                    counts.append(calls[before:])
+                assert losses[0] == losses[1]
+                assert counts[0] == counts[1] == [
+                    "forward", "forward", "grad_input", "grad_weight",
+                    "grad_weight"]
+                for p, q in zip(models[CompiledStep].parameters(),
+                                models[EagerStep].parameters()):
+                    assert np.array_equal(p.grad, q.grad)
+        assert steps[CompiledStep].fallback_reason is None
 
 
 class TestLayerIntegration:
     def test_causal_conv_layer_backend_parity(self):
         from repro.nn import CausalConv1d
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, C_IN, T))
-        outs = {}
-        for name in available_backends():
-            layer = CausalConv1d(C_IN, C_OUT, 5, dilation=2, stride=2,
-                                 rng=np.random.default_rng(11), backend=name)
-            assert layer.backend == name
-            outs[name] = layer(Tensor(x)).data
-        for name in available_backends():
-            assert np.allclose(outs["einsum"], outs[name], **TOL), name
+        x = np.random.default_rng(3).standard_normal((2, C_IN, T))
+        layer = CausalConv1d(C_IN, C_OUT, 5, dilation=2, stride=2,
+                             rng=np.random.default_rng(11))
+        ref = _reference(x, layer.weight.data, layer.bias.data, 2, 2)[0]
+        assert np.allclose(layer(Tensor(x)).data, ref, **TOL)
 
     def test_pit_conv_layer_backend_parity(self):
         from repro.core import PITConv1d
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, C_IN, T))
-        outs = {}
-        for name in ("einsum", "im2col"):
-            layer = PITConv1d(C_IN, C_OUT, rf_max=9,
-                              rng=np.random.default_rng(13), backend=name)
-            outs[name] = layer(Tensor(x)).data
-        assert np.allclose(outs["einsum"], outs["im2col"], atol=1e-12)
+        x = np.random.default_rng(5).standard_normal((2, C_IN, T))
+        layer = PITConv1d(C_IN, C_OUT, rf_max=9,
+                          rng=np.random.default_rng(13))
+        layer.set_dilation(2)
+        mask = layer.mask().data[::-1]   # lag order -> kernel order
+        ref = _reference(x, layer.weight.data * mask, layer.bias.data)[0]
+        assert np.allclose(layer(Tensor(x)).data, ref, **TOL)
 
-    def test_export_propagates_backend(self):
+    def test_export_propagates_backend(self, count_kernel_calls):
+        """An exported layer runs on the same kernel object as its
+        searchable source and computes the same output."""
         from repro.core import PITConv1d
         from repro.core.export import export_conv
-        layer = PITConv1d(2, 2, rf_max=5, rng=np.random.default_rng(0),
-                          backend="im2col")
-        assert export_conv(layer).backend == "im2col"
+        x = Tensor(np.random.default_rng(7).standard_normal((2, 2, T)))
+        layer = PITConv1d(2, 2, rf_max=5, rng=np.random.default_rng(0))
+        layer.set_dilation(2)
+        exported = export_conv(layer)
+        with count_kernel_calls() as calls:
+            out = layer(x).data
+            assert calls == ["forward"]
+            assert np.allclose(exported(x).data, out, **TOL)
+        assert calls == ["forward", "forward"]
 
 
 # ----------------------------------------------------------------------
@@ -404,37 +491,44 @@ def _masked_inputs(mask, seed=0, t=37):
     return x, w, b
 
 
-def _masked_run(op, mask_array, stride, bias, mask_grad, backend):
-    """Forward + backward of ``op``; returns output and every gradient."""
+def _masked_run(op, mask_array, stride, bias, mask_grad, kernels):
+    """Forward + backward of ``op`` on the ``kernels`` context; returns
+    output and every gradient."""
     x, w, b = _masked_inputs(mask_array)
     mask = Tensor(mask_array, requires_grad=mask_grad)
     b = b if bias else None
-    if op == "masked":
-        out = conv1d_causal_masked(x, w, mask, b, stride=stride,
-                                   backend=backend)
-    else:
-        out = conv1d_causal(x, w * mask, b, stride=stride, backend=backend)
-    # A non-uniform upstream gradient, so every output sample counts.
-    out.backward(np.cos(np.arange(out.data.size)).reshape(out.shape))
+    with kernels:
+        if op == "masked":
+            out = conv1d_causal_masked(x, w, mask, b, stride=stride)
+        else:
+            out = conv1d_causal(x, w * mask, b, stride=stride)
+        # A non-uniform upstream gradient, so every output sample counts.
+        out.backward(np.cos(np.arange(out.data.size)).reshape(out.shape))
     return [out.data, x.grad, w.grad, mask.grad,
             None if b is None else b.grad]
 
 
+# The masked op on the oracle kernels too: their dead taps only ever add
+# exact zeros, so there it must equal the full-tap conv bit for bit.
+MASKED_KERNEL_SETS = ["einsum"] + KERNEL_SETS
+
+
 class TestMaskedConvParity:
     """``conv1d_causal_masked(x, w, m, b)`` against the full-tap reference
-    ``conv1d_causal(x, w * m, b)``: bit-equal on einsum, whose dead taps
-    only ever add exact zeros, and within tolerance on every backend."""
+    ``conv1d_causal(x, w * m, b)`` on the oracle kernels: bit-equal when the
+    masked op runs the oracle too, and within tolerance on im2col."""
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", MASKED_KERNEL_SETS)
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("name,mask", MASKS, ids=MASK_IDS)
-    def test_matches_full_tap_reference(self, backend, stride, name, mask):
+    def test_matches_full_tap_reference(self, backend, stride, name, mask,
+                                        use_kernels):
         for bias in (True, False):
             for mask_grad in (True, False):
                 got = _masked_run("masked", mask, stride, bias, mask_grad,
-                                  backend)
+                                  use_kernels(backend))
                 ref = _masked_run("full", mask, stride, bias, mask_grad,
-                                  "einsum")
+                                  use_kernels("einsum"))
                 for label, a, r in zip(("out", "x", "w", "mask", "b"),
                                        got, ref):
                     where = f"{label} (bias={bias}, mask_grad={mask_grad})"
@@ -446,19 +540,20 @@ class TestMaskedConvParity:
                     else:
                         assert np.allclose(a, r, **TOL), where
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", MASKED_KERNEL_SETS)
     @pytest.mark.parametrize("name,mask", MASKS[::4] + MASKS[-1:],
                              ids=MASK_IDS[::4] + MASK_IDS[-1:])
-    def test_gradcheck(self, backend, name, mask):
+    def test_gradcheck(self, backend, name, mask, use_kernels):
         """Float64 finite differences over a sample of the grid, with and
         without a mask gradient."""
         for mask_grad in (True, False):
             x, w, b = _masked_inputs(mask, seed=3, t=12)
             m = Tensor(mask, requires_grad=mask_grad)
-            check_gradients(
-                lambda x, w, m, b: conv1d_causal_masked(
-                    x, w, m, b, stride=2, backend=backend),
-                [x, w, m, b])
+            with use_kernels(backend):
+                check_gradients(
+                    lambda x, w, m, b: conv1d_causal_masked(x, w, m, b,
+                                                            stride=2),
+                    [x, w, m, b])
 
     def test_live_tap_pattern(self):
         from repro.autograd.ops_conv import _live_taps

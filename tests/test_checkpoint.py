@@ -363,7 +363,7 @@ class TestCorruption:
 
 class TestHelpers:
     def test_key_tag_stable_and_safe(self):
-        key = 'tag=x|backend=einsum|lam=0.5|warmup=2|trainer={"a": 1}'
+        key = 'tag=x|lam=0.5|warmup=2|trainer={"a": 1}'
         tag = key_tag(key)
         assert tag == key_tag(key)  # deterministic across calls
         assert len(tag) == 16 and tag.isalnum()
@@ -399,8 +399,16 @@ class TestHelpers:
         monkeypatch.setenv("REPRO_CKPT_EVERY", "3")
         assert checkpoint_dir_default() == "/tmp/ck"
         assert checkpoint_every_default() == 3
-        monkeypatch.setenv("REPRO_CKPT_EVERY", "garbage")
-        assert checkpoint_every_default() == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_env_every_rejects_bad_values(self, monkeypatch, value):
+        """A bad REPRO_CKPT_EVERY raises naming the variable instead of
+        silently checkpointing every epoch."""
+        monkeypatch.setenv("REPRO_CKPT_EVERY", value)
+        with pytest.raises(ValueError, match="REPRO_CKPT_EVERY"):
+            checkpoint_every_default()
+        with pytest.raises(ValueError, match="cadence"):
+            TrainerCheckpoint("/tmp/x.npz", every=0)
 
     def test_create_none_without_directory(self):
         assert TrainerCheckpoint.create(None, "t") is None

@@ -1,28 +1,11 @@
 """Tests for the command-line interface."""
 
-import os
 import re
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-
-
-@pytest.fixture(autouse=True)
-def restore_conv_backend():
-    """`main --conv-backend` sets the process default and exports
-    REPRO_CONV_BACKEND for worker processes; undo both after each test."""
-    from repro.autograd import current_backend, set_backend
-    from repro.autograd.backends import ENV_VAR
-    previous = current_backend()
-    had_env = os.environ.get(ENV_VAR)
-    yield
-    set_backend(previous)
-    if had_env is None:
-        os.environ.pop(ENV_VAR, None)
-    else:
-        os.environ[ENV_VAR] = had_env
 
 
 class TestParser:
@@ -43,6 +26,32 @@ class TestParser:
     def test_lambda_list(self):
         args = build_parser().parse_args(["sweep", "--lambdas", "0", "0.1"])
         assert args.lambdas == [0.0, 0.1]
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--width", "-1"],
+        ["search", "--width", "0"],
+        ["search", "--width", "nan"],
+        ["search", "--lam", "-0.5"],
+        ["search", "--epochs", "two"],
+        ["search", "--checkpoint-every", "0"],
+        ["sweep", "--stack", "0"],
+        ["sweep", "--workers", "-2"],
+        ["sweep", "--lambdas", "0", "-1"],
+        ["serve", "--capacity", "0"],
+        ["deploy", "--bits", "0"],
+        ["train", "--dilations", "2", "0"],
+    ], ids=" ".join)
+    def test_rejects_bad_numeric_flags(self, argv, capsys):
+        """A bad numeric flag is a one-line usage error (exit 2) naming
+        the flag, raised by the parser before any work starts."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        flag = next(a for a in argv[::-1] if a.startswith("--"))
+        assert err.splitlines()[-1].startswith(
+            f"repro {argv[0]}: error: argument {flag}: ")
 
 
 class TestInfo:
@@ -193,7 +202,7 @@ class TestSweep:
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",
                      "--lambdas", "0.5", "--gamma-lr", "0.1",
                      "--warmup", "0", "--epochs", "1", "--finetune", "0",
-                     "--quiet", "--conv-backend", "im2col", "--compile"])
+                     "--quiet", "--compile"])
         assert code == 0
         assert "pareto front" in capsys.readouterr().out
 
@@ -238,13 +247,15 @@ class TestTrain:
         assert code == 0
         assert "(2, 2, 1, 4, 4, 8, 8)" in capsys.readouterr().out
 
-    def test_train_exposes_backend_knob(self, capsys):
-        """The PR-1 --conv-backend knob must work on train like on sweep."""
-        code = main(["train", "--benchmark", "ppg", "--width", "0.1",
-                     "--epochs", "1", "--patience", "1", "--quiet",
-                     "--conv-backend", "im2col"])
+    def test_train_exposes_backend_knob(self, capsys, count_kernel_calls):
+        """``train`` has no kernel flag: its convs run on the one kernel
+        object, where a profiler wrapping the methods sees them."""
+        with count_kernel_calls() as calls:
+            code = main(["train", "--benchmark", "ppg", "--width", "0.1",
+                         "--epochs", "1", "--patience", "1", "--quiet"])
         assert code == 0
         assert "val loss" in capsys.readouterr().out
+        assert {"forward", "grad_input", "grad_weight"} <= set(calls)
 
     def test_train_compile_flag(self, capsys):
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",

@@ -55,6 +55,13 @@ class Tiny(Module):
         return self.h(self.r(self.c(x)))
 
 
+def _backend_keyed(key):
+    """``key`` as a v3 file written while the conv kernels were selectable
+    spelled it: a backend field right after the tag."""
+    tag, rest = key.split("|", 1)
+    return "|".join([tag, "=".join(["backend", "einsum"]), rest])
+
+
 class CountingFactory:
     """Picklable factory that counts how many seeds it builds."""
 
@@ -178,22 +185,20 @@ class TestParallelDeterminism:
         assert (clone.rng.bit_generator.state
                 != train.rng.bit_generator.state)
 
-    def test_grid_point_applies_pinned_backend(self):
-        """A worker (think: spawned process with its own import-time
-        default) trains under the backend the engine pinned at run(),
-        scoped thread-locally so the caller's default is untouched."""
-        from repro.autograd import current_backend
+    def test_grid_point_applies_pinned_backend(self, count_kernel_calls):
+        """A grid point (think: a worker process) trains on the one kernel
+        object of the process it runs in: nothing is pinned or passed,
+        and its conv calls reach that object."""
+        import inspect
         from repro.evaluation.dse import _train_grid_point
+        assert "backend" not in inspect.signature(
+            _train_grid_point).parameters
         train, val = _loaders()
-        previous = current_backend()
-        point = _train_grid_point(Tiny, mse_loss, train, val, 0.0, 0,
-                                  dict(SCHEDULE), "im2col")
+        with count_kernel_calls() as calls:
+            point = _train_grid_point(Tiny, mse_loss, train, val, 0.0, 0,
+                                      dict(SCHEDULE))
         assert point.params > 0
-        assert current_backend() == previous  # scope restored
-        # The pin is actually consumed: an unknown name is rejected.
-        with pytest.raises(ValueError, match="unknown conv backend"):
-            _train_grid_point(Tiny, mse_loss, train, val, 0.0, 0,
-                              dict(SCHEDULE), "bogus")
+        assert {"forward", "grad_weight"} <= set(calls)
 
     def test_engine_validates_arguments(self):
         train, val = _loaders()
@@ -252,27 +257,35 @@ class TestCache:
         assert factory.calls == 1  # different tag -> cache miss
 
     def test_cache_keyed_by_conv_backend(self, tmp_path):
-        """Points trained under one backend are not returned under another."""
-        from repro.autograd import use_backend
+        """A point trained while the conv kernels were selectable (its key
+        carries a backend field) is not returned for the same point now;
+        the retrained point is keyed without the field and served on the
+        next run."""
         cache = str(tmp_path / "dse.json")
         train, val = _loaders()
-        with use_backend("einsum"):
-            DSEEngine(Tiny, mse_loss, train, val, cache_path=cache,
-                      trainer_kwargs=dict(SCHEDULE)).run([0.0], warmups=[0])
-        factory = CountingFactory()
-        with use_backend("im2col"):
+        DSEEngine(Tiny, mse_loss, train, val, cache_path=cache,
+                  trainer_kwargs=dict(SCHEDULE)).run([0.0], warmups=[0])
+        with open(cache) as handle:
+            payload = json.load(handle)
+        payload["points"] = {_backend_keyed(key): entry
+                             for key, entry in payload["points"].items()}
+        assert len(payload["points"]) == 1
+        with open(cache, "w") as handle:
+            json.dump(payload, handle)
+        for expected_builds in (1, 0):
+            factory = CountingFactory()
             DSEEngine(factory, mse_loss, train, val, cache_path=cache,
                       trainer_kwargs=dict(SCHEDULE)).run([0.0], warmups=[0])
-        assert factory.calls == 1  # different backend -> cache miss
+            assert factory.calls == expected_builds
 
     def test_cache_rejects_non_json_trainer_settings(self):
         """Object-valued kwargs can't be keyed stably (reprs embed
         per-process addresses); refuse loudly rather than mis-cache."""
         with pytest.raises(ValueError, match="JSON-serializable"):
-            DSECache.key(0.0, 0, {"callback": object()}, backend="einsum")
+            DSECache.key(0.0, 0, {"callback": object()})
         # Scalar settings (everything PITTrainer accepts) key fine.
-        key = DSECache.key(0.0, 0, dict(SCHEDULE), backend="einsum")
-        assert "backend=einsum" in key
+        key = DSECache.key(0.0, 0, dict(SCHEDULE))
+        assert key.startswith("tag=|lam=0.0|warmup=0|trainer=")
 
     def test_cache_keyed_by_trainer_settings(self, tmp_path):
         cache = str(tmp_path / "dse.json")
@@ -419,9 +432,9 @@ class TestCacheBugfixes:
         """np.linspace grids (numpy scalars) must key identically to the
         same values spelled as Python numbers — `lam!r` used to embed
         `np.float64(0.02)` and miss every resume."""
-        native = DSECache.key(0.02, 5, dict(SCHEDULE), backend="einsum")
+        native = DSECache.key(0.02, 5, dict(SCHEDULE))
         numpied = DSECache.key(np.float64(0.02), np.int64(5),
-                               dict(SCHEDULE), backend="einsum")
+                               dict(SCHEDULE))
         assert native == numpied
         assert "np.float64" not in numpied
 
@@ -517,6 +530,33 @@ class TestCacheVersions:
         _assert_identical(first, resumed)
         assert all(p.ok for p in resumed.points)
 
+    def test_backend_keyed_v3_entries_load_but_are_not_served(self,
+                                                              tmp_path):
+        """A v3 file written while the conv kernels were selectable keys
+        every entry with a backend field after the tag.  It loads without
+        error; its entries are not served (other kernels trained them), so
+        the sweep retrains; and the new entries merge into the file
+        without dropping the old ones."""
+        cache = str(tmp_path / "dse.json")
+        _sweep(workers=0, cache_path=cache)
+        with open(cache) as handle:
+            payload = json.load(handle)
+        legacy = {_backend_keyed(key): entry
+                  for key, entry in payload["points"].items()}
+        payload["points"] = legacy
+        with open(cache, "w") as handle:
+            json.dump(payload, handle)
+
+        assert len(DSECache(cache)) == len(legacy)
+        factory = CountingFactory()
+        resumed = _sweep(workers=0, cache_path=cache, factory=factory)
+        assert factory.calls == _expected_builds(LAMBDAS, WARMUPS)
+        assert all(p.ok for p in resumed.points)
+        with open(cache) as handle:
+            merged = json.load(handle)["points"]
+        assert len(merged) == 2 * len(legacy)
+        assert {k: merged[k] for k in legacy} == legacy
+
     def test_old_file_upgraded_on_next_write(self, tmp_path):
         path = str(tmp_path / "dse.json")
         with open(path, "w") as handle:
@@ -586,7 +626,7 @@ class TestPointEvaluators:
         """Names carry configuration strings (commas, pipes); a bare join
         would let different stacks collide on one key."""
         def key(evaluators):
-            return DSECache.key(0.0, 0, dict(SCHEDULE), backend="einsum",
+            return DSECache.key(0.0, 0, dict(SCHEDULE),
                                 evaluators=evaluators)
         assert key(["a,b"]) != key(["a", "b"])
         assert key(["a|evaluators=x"]) != key(["a"])

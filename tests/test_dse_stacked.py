@@ -6,7 +6,7 @@ program; this suite locks it to the sequential path:
 * **Trajectory parity** — per-point final losses, dilations, effective
   parameters and full validation histories match a sequential
   :class:`repro.core.PITTrainer` run within ``TOL`` (documented below),
-  across every registered conv backend, with dropout + BatchNorm in the
+  with dropout + BatchNorm in the
   model and *divergent* per-model early stopping (the hard case: a model
   that stops pruning at epoch 3 rides along masked while another prunes
   for 20+, then both fine-tune on their own loader-epoch streams).
@@ -40,7 +40,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, available_backends, get_default_dtype
+from repro.autograd import Tensor, get_default_dtype
 from repro.autograd.graph import CompileConfig
 from repro.core import PITConv1d, PITTrainer, StackedPITTrainer
 from repro.core.stacked import clip_grad_norm_stacked, per_model_loss
@@ -161,13 +161,13 @@ class TestTrainerParity:
         stacked = _stacked_results(compile_step=True)
         _assert_result_parity(sequential, stacked)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_parity_across_conv_backends(self, backend):
-        """Every registered backend's stacked kernels, end to end (short
-        schedule: the long one is exercised under the default backend)."""
-        from repro.autograd import use_backend
+    @pytest.mark.parametrize("backend", ["einsum", "im2col"])
+    def test_parity_across_conv_backends(self, backend, use_kernels):
+        """The stacked trainer end to end on a short schedule (the long
+        one is exercised above), on the production kernels and on the
+        test oracle's kernels (its stacked kernels loop its 2-D ones)."""
         schedule = dict(SCHEDULE, max_prune_epochs=4, finetune_epochs=3)
-        with use_backend(backend):
+        with use_kernels(backend):
             sequential = _sequential_results(schedule=schedule,
                                              lams=LAMS[:3])
             stacked = _stacked_results(schedule=schedule, lams=LAMS[:3])

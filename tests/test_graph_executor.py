@@ -19,12 +19,10 @@ import pickle
 import numpy as np
 import pytest
 
-import repro
 from repro.autograd import (
     CompiledStep,
     get_default_dtype,
     set_default_dtype,
-    use_backend,
 )
 from repro.autograd.graph import CompileConfig
 from repro.core import PITTrainer, network_dilations, size_regularizer
@@ -140,33 +138,27 @@ class TestConvGrid:
                    context=f"d={dilation},s={stride}")
 
     @pytest.mark.parametrize("backend", ["einsum", "im2col"])
-    def test_backend_captured_at_trace_time(self, backend):
-        """The compiled program keeps its trace-time conv backend even if
-        the process default changes afterwards."""
+    def test_backend_captured_at_trace_time(self, backend, use_kernels):
+        """The trace records the conv ops, not kernels: replay calls the
+        kernel object's methods, so on either kernel set a compiled run
+        equals an eager run on that set bit for bit, and the two sets
+        agree to rounding."""
         def make_model():
             rng = np.random.default_rng(3)
             return Sequential(CausalConv1d(2, 3, kernel_size=3, rng=rng),
                               GlobalAvgPool1d(), Linear(3, 1, rng=rng))
         batches = batches_of((4, 2, 16), (4, 1))
-        with repro.use_backend(backend):
-            step = run_parity(make_model, batches[:1], mse_loss,
-                              context=f"backend={backend}")
-        # Replays after a backend switch reproduce the traced kernels: the
-        # results must equal a run that never switched.
-        model = make_model()
-        reference = make_training_step(model, mse_loss,
-                                       compile_config=compile_cfg(False))
-        other = "im2col" if backend == "einsum" else "einsum"
-        with repro.use_backend(backend):
-            expected = [reference(x, y) for x, y in batches]
-        model2 = make_model()
-        with repro.use_backend(backend):
-            compiled = make_training_step(model2, mse_loss,
-                                          compile_config=compile_cfg(True))
-            compiled(*batches[0])
-        with repro.use_backend(other):
-            replayed = [compiled(x, y) for x, y in batches[1:]]
-        assert replayed == expected[1:]
+        with use_kernels(backend):
+            step = run_parity(make_model, batches, mse_loss,
+                              context=f"kernels {backend}")
+            assert step.fallback_reason is None
+            on_set = [make_training_step(
+                make_model(), mse_loss,
+                compile_config=compile_cfg(True))(x, y) for x, y in batches]
+        production = [make_training_step(
+            make_model(), mse_loss,
+            compile_config=compile_cfg(False))(x, y) for x, y in batches]
+        assert np.allclose(on_set, production, rtol=1e-5)
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +386,7 @@ class TestEpochParity:
 
     @pytest.mark.parametrize("backend", ["einsum", "im2col"])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_epochs_match_eager(self, backend, dtype):
+    def test_epochs_match_eager(self, backend, dtype, use_kernels):
         prev = get_default_dtype()
         set_default_dtype(dtype)
         try:
@@ -402,7 +394,7 @@ class TestEpochParity:
             # Three full batches and a ragged tail (a second program shape).
             batches = [(rng.standard_normal((n, 2, 16)),
                         rng.standard_normal((n, 1))) for n in (6, 6, 6, 2)]
-            with use_backend(backend):
+            with use_kernels(backend):
                 self._assert_same_run(run_epochs(False, batches),
                                       run_epochs(True, batches),
                                       f"{backend}/{dtype}")

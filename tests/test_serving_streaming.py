@@ -3,9 +3,9 @@
 The guarantee under test: a *fresh* stream that has consumed samples
 ``1..t`` emits, at tick ``t``, exactly what full-window inference produces
 on those ``t`` samples (zero ring state == causal left zero-padding).  The
-grid runs over every registered conv backend × {float64, float32} ×
-dilation/stride/pool topologies, so a future backend is held to the
-streaming contract automatically, like ``tests/test_backends_parity.py``.
+grid runs over two conv kernel sets (the production im2col kernels and
+the per-tap einsum test oracle, see ``tests/conftest.py``) × {float64,
+float32} × dilation/stride/pool topologies.
 
 Tolerances follow the substrate: per-tick kernels issue different GEMM
 shapes than the full forward, so BLAS may sum in a different order —
@@ -19,7 +19,6 @@ import pytest
 
 from repro.autograd import (
     Tensor,
-    available_backends,
     default_dtype_scope,
     no_grad,
 )
@@ -65,11 +64,10 @@ def _bn(features, rng):
     return bn
 
 
-def make_net(topology, backend=None, seed=0):
+def make_net(topology, seed=0):
     """Small nets covering the temporal-layer zoo; returns (net, channels)."""
     rng = np.random.default_rng(seed)
-    conv = lambda ci, co, k, **kw: CausalConv1d(ci, co, k, rng=rng,
-                                                backend=backend, **kw)
+    conv = lambda ci, co, k, **kw: CausalConv1d(ci, co, k, rng=rng, **kw)
     if topology == "dilated":
         net = Sequential(conv(2, 5, 3, dilation=2), ReLU(),
                          conv(5, 4, 3, dilation=4))
@@ -109,15 +107,15 @@ def stream_all(executor, x, chunk=1):
 
 
 class TestParityGrid:
-    """Full grid: backends × dtypes × topologies, auto-covering future
-    backends via available_backends()."""
+    """Full grid: kernel sets × dtypes × topologies."""
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", ["einsum", "im2col"])
     @pytest.mark.parametrize("dtype", ("float64", "float32"))
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_stream_matches_full_window(self, backend, dtype, topology):
-        with default_dtype_scope(dtype):
-            net, channels = make_net(topology, backend=backend)
+    def test_stream_matches_full_window(self, backend, dtype, topology,
+                                        use_kernels):
+        with default_dtype_scope(dtype), use_kernels(backend):
+            net, channels = make_net(topology)
             x = RNG.standard_normal((2, channels, 23))
             full = full_forward(net, x)
             executor = StreamingExecutor(net, batch=2)
@@ -125,15 +123,16 @@ class TestParityGrid:
         assert streamed.shape == full.shape
         assert np.allclose(streamed, full, **TOLS[dtype])
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_quantized_stream_within_one_level(self, backend):
-        net, channels = make_net("dilated", backend=backend)
-        data = ArrayDataset(RNG.standard_normal((8, channels, 23)),
-                            RNG.standard_normal((8, 1)))
-        quantized = quantize_network(net, DataLoader(data, 4))
-        x = RNG.standard_normal((2, channels, 23))
-        full = full_forward(quantized, x)
-        streamed = stream_all(StreamingExecutor(quantized, batch=2), x)
+    @pytest.mark.parametrize("backend", ["einsum", "im2col"])
+    def test_quantized_stream_within_one_level(self, backend, use_kernels):
+        with use_kernels(backend):
+            net, channels = make_net("dilated")
+            data = ArrayDataset(RNG.standard_normal((8, channels, 23)),
+                                RNG.standard_normal((8, 1)))
+            quantized = quantize_network(net, DataLoader(data, 4))
+            x = RNG.standard_normal((2, channels, 23))
+            full = full_forward(quantized, x)
+            streamed = stream_all(StreamingExecutor(quantized, batch=2), x)
         # A last-ulp difference on a rounding boundary can flip one int8
         # code; bound the error by one quantization step of the output
         # fake-quant grid.
@@ -316,8 +315,7 @@ class TestUnsupported:
         from repro.serving.streaming import StreamContext
         layer = PITConv1d(2, 3, rf_max=9, rng=np.random.default_rng(0))
         with pytest.raises(StreamingUnsupported, match="export"):
-            stream_module(layer, StreamContext(batch=1, backend=None,
-                                               shapes={}))
+            stream_module(layer, StreamContext(batch=1, shapes={}))
 
     def test_searchable_model_is_auto_exported(self):
         from repro.core import PITConv1d
