@@ -51,7 +51,6 @@ from .graph import (
     EagerStep,
     GraphCapture,
     GraphCaptureError,
-    compile_step_default,
 )
 from .gradcheck import numerical_gradient, check_gradients, GradCheckError
 
@@ -67,7 +66,6 @@ __all__ = [
     "EagerStep",
     "GraphCapture",
     "GraphCaptureError",
-    "compile_step_default",
     "current_backend",
     "Tensor",
     "no_grad",

@@ -11,21 +11,15 @@ once and replays it as a flat schedule:
   carrying op kind, static attrs and input/output buffer slots;
 * :class:`CompiledStep` — the replay executor: per-shape program cache,
   verbatim replay through the same ``OpDef.fwd``/``OpDef.bwd`` kernels
-  eager dispatch calls, preallocated gradient buffers, bit-identical
+  eager dispatch calls, no arrays kept between steps, bit-identical
   results, automatic eager fallback for anything value-dependent.
 
-Entry points for training code: a :class:`CompileConfig` passed as
-``compile_config=`` to any trainer / search layer, the ``--compile`` CLI
-flag, or the ``REPRO_COMPILE_STEP`` environment default.
+Every trainer runs its steps through :class:`CompiledStep`; there is no
+knob.  :class:`EagerStep` is its fallback and the tests' reference.
 """
 
 from .capture import GraphCapture, capture
-from .executor import (
-    ENV_COMPILE,
-    CompiledStep,
-    EagerStep,
-    compile_step_default,
-)
+from .executor import CompiledStep, EagerStep
 from .config import CompileConfig
 from .ir import GraphCaptureError, GraphProgram, build_program
 
@@ -38,6 +32,4 @@ __all__ = [
     "EagerStep",
     "build_program",
     "capture",
-    "compile_step_default",
-    "ENV_COMPILE",
 ]

@@ -10,7 +10,8 @@ recorded ops on slot-indexed numpy buffers, with
 * no ``Tensor`` objects, no parent tuples, no per-op bookkeeping;
 * no topological sort — the backward schedule was precomputed from the same
   topo order the eager engine uses;
-* gradient buffers allocated once per program and reused.
+* no state kept between calls — a replay's activations and gradients are
+  freed when it returns, except the parameters' ``.grad``.
 
 Because replay calls the *same* ``OpDef.fwd``/``OpDef.bwd`` kernels eager
 dispatch calls, in the *same* order on the same values, results (losses,
@@ -23,15 +24,10 @@ signature pays one eager step and replays thereafter.  Captures that fail
 — value-dependent control flow announced via ``mark_capture_unsafe`` —
 poison the step permanently and it runs eagerly, which is always correct;
 see :attr:`CompiledStep.fallback_reason`.
-
-A ``CompiledStep`` is single-threaded (each replay's forward byproducts
-live in the program nodes); concurrent trainers — e.g. parallel DSE
-workers — each compile their own step.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -40,23 +36,7 @@ from ..tensor import Tensor, get_default_dtype
 from .capture import capture
 from .ir import GraphCaptureError, GraphProgram, OpNode, build_program
 
-__all__ = [
-    "CompiledStep",
-    "EagerStep",
-    "compile_step_default",
-    "ENV_COMPILE",
-]
-
-ENV_COMPILE = "REPRO_COMPILE_STEP"
-
-
-def compile_step_default() -> bool:
-    """Process-wide default for ``compile_step=None`` knobs.
-
-    True when the ``REPRO_COMPILE_STEP`` environment variable is a truthy
-    flag (``1``/``true``/``yes``/``on``); read per call so tests can flip it.
-    """
-    return os.environ.get(ENV_COMPILE, "").strip().lower() in ("1", "true", "yes", "on")
+__all__ = ["CompiledStep", "EagerStep"]
 
 
 def _scalarize(array: np.ndarray) -> Union[float, np.ndarray]:
@@ -69,7 +49,8 @@ class EagerStep:
     ``step(x, y)`` builds input tensors, runs the step function, calls
     ``backward()`` on its first output (leaving ``.grad`` populated), and
     returns the outputs as floats/arrays — the exact contract of
-    :class:`CompiledStep`, so trainers can hold either interchangeably.
+    :class:`CompiledStep`.  It is that step's fallback for captures that
+    cannot be replayed, and the reference its replay is tested against.
     """
 
     def __init__(self, step_fn: Callable):
@@ -83,39 +64,35 @@ class EagerStep:
 
 
 class _ProgramRunner:
-    """Replays one :class:`GraphProgram` with preallocated gradient buffers.
+    """Replays one :class:`GraphProgram`.
 
-    The program is flattened further at construction into plain-tuple
-    *plans* (no attribute lookups, no isinstance checks in the replay
-    loop); the gradient buffers are allocated here once.
+    The program is flattened at construction into plain-tuple *plans* (no
+    attribute lookups, no isinstance checks in the replay loop).  A runner
+    keeps nothing between calls: activations, forward byproducts and
+    gradients are locals of :meth:`run`, and the backward sweep drops each
+    node's gradient and byproduct once it has used them.  Only the
+    parameters' ``.grad`` arrays and the returned outputs outlive a call.
     """
 
     def __init__(self, program: GraphProgram):
         self.program = program
-        self.values: list = [None] * program.n_slots
-        # Gradient buffers: one per slot that receives gradients, allocated
-        # once from the traced shapes and reused for every replay.
-        meta = program.slot_meta
-        self.grad_bufs = {slot: np.empty(*meta[slot])
-                          for slot in program.grad_slots}
         # One entry per recorded node, in program order; an effect node
-        # carries node=None.
+        # carries out_slot=-1.
         self._fwd_plan = [
-            (node.fn, None, node.in_slots, -1, None)
+            (node.fn, None, node.in_slots, -1)
             if type(node) is not OpNode else
-            (node.op.fwd, node.attrs, node.in_slots, node.out_slot, node)
+            (node.op.fwd, node.attrs, node.in_slots, node.out_slot)
             for node in program.schedule]
         self._bwd_plan = [
             (step.node.op.bwd, step.node.attrs, step.node.in_slots,
-             step.node.out_slot, step.node, step.needs, step.acc)
+             step.node.out_slot, step.needs, step.acc)
             for step in program.backward_steps]
-        self._out_plan = [(slot, int(np.prod(meta[slot][0], dtype=np.int64)) == 1)
-                          for slot in program.output_slots]
 
     def run(self, inputs: Tuple[np.ndarray, ...]) -> Tuple:
         program = self.program
-        values = self.values
         dtype = program.dtype
+        values: list = [None] * program.n_slots
+        ctxs: list = [None] * program.n_slots
 
         # Bind leaves live (the optimizer mutates parameter storage in
         # place) and the fresh batch arrays.
@@ -127,49 +104,49 @@ class _ProgramRunner:
             values[slot] = array
 
         # Forward sweep in recorded program order (effects interleaved).
-        for fn, attrs, in_slots, out_slot, node in self._fwd_plan:
+        for fn, attrs, in_slots, out_slot in self._fwd_plan:
             ins = [values[s] for s in in_slots]
-            if node is None:
+            if out_slot < 0:
                 fn(*ins)
                 continue
-            out, node.ctx = fn(ins, attrs)
+            out, ctxs[out_slot] = fn(ins, attrs)
             # Mirror the Tensor() dtype coercion of eager dispatch.
             if not isinstance(out, np.ndarray) or out.dtype != dtype:
                 out = np.asarray(out, dtype=dtype)
             values[out_slot] = out
 
-        # Backward sweep: precomputed schedule, preallocated buffers.
-        grad_bufs = self.grad_bufs
-        grad_bufs[program.root_slot].fill(1.0)
-        for bwd, attrs, in_slots, out_slot, node, needs, acc in self._bwd_plan:
-            gsrc = grad_bufs[out_slot]
+        # Backward sweep: precomputed schedule, eager's accumulation order.
+        grads: list = [None] * program.n_slots
+        grads[program.root_slot] = np.ones_like(values[program.root_slot])
+        for bwd, attrs, in_slots, out_slot, needs, acc in self._bwd_plan:
+            gsrc, ctx = grads[out_slot], ctxs[out_slot]
+            grads[out_slot] = ctxs[out_slot] = None
             ins = [values[s] for s in in_slots]
-            grads = bwd(gsrc, ins, values[out_slot], node.ctx, attrs, needs)
-            for target, g in zip(acc, grads):
+            for target, g in zip(acc, bwd(gsrc, ins, values[out_slot], ctx,
+                                          attrs, needs)):
                 if target is None or g is None:
                     continue
                 slot, first, sole = target
                 if not first:
-                    grad_bufs[slot] += g
+                    grads[slot] += g
                 elif (sole and g.base is None and g is not gsrc
-                      and g.dtype == grad_bufs[slot].dtype):
+                      and g.dtype == values[slot].dtype):
                     # Adopt a fresh kernel-owned array as this slot's
                     # gradient: the slot has exactly one contribution, so
                     # nothing accumulates into (or re-reads) the adopted
-                    # buffer, and a full copy pass is saved.  Views and the
+                    # array, and a full copy pass is saved.  Views and the
                     # upstream grad itself are excluded — adopting those
-                    # would alias another slot's buffer.
-                    grad_bufs[slot] = g
+                    # would alias another slot's gradient.
+                    grads[slot] = g
                 else:
-                    # 0.0 + g: identical to eager's zeros-then-add, without
-                    # the zeroing.
-                    np.add(g, 0.0, out=grad_bufs[slot])
+                    # 0.0 + g into a slot-shaped array: identical to
+                    # eager's zeros-then-add, without the zeroing.
+                    grads[slot] = np.add(g, 0.0,
+                                         out=np.empty_like(values[slot]))
 
         for slot, t in program.grad_leaves:
-            t.grad = grad_bufs[slot]
-        return tuple(float(values[slot]) if scalar
-                     else np.array(values[slot], copy=True)
-                     for slot, scalar in self._out_plan)
+            t.grad = grads[slot]
+        return tuple(_scalarize(values[slot]) for slot in program.output_slots)
 
 
 class CompiledStep:

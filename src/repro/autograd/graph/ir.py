@@ -18,28 +18,19 @@ Slots fall into three classes:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class OpNode:
-    """One recorded op dispatch: kind + static attrs + slot wiring.
+    """One recorded op dispatch: kind + static attrs + slot wiring."""
 
-    ``ctx`` holds the *latest replay's* forward byproduct (e.g. a conv's
-    padded input) for consumption by the matching backward step; it is
-    overwritten on every run, which is why a program runner is not
-    thread-safe (each thread compiles its own step).
-    """
-
-    __slots__ = ("op", "in_slots", "out_slot", "attrs", "ctx")
+    __slots__ = ("op", "in_slots", "out_slot", "attrs")
 
     def __init__(self, op, in_slots: Tuple[int, ...], out_slot: int, attrs: Dict):
         self.op = op
         self.in_slots = in_slots
         self.out_slot = out_slot
         self.attrs = attrs
-        self.ctx = None
 
     def __repr__(self) -> str:
         return f"OpNode({self.op.name}, in={self.in_slots}, out={self.out_slot})"
@@ -67,8 +58,7 @@ class BackwardStep:
     overwrite; later contributions accumulate) — the same zero-then-add
     order the eager engine produces — and ``sole`` marks slots with exactly
     one contribution in the whole schedule, letting the runner *adopt* a
-    fresh kernel-owned gradient array instead of copying it into the slot
-    buffer.
+    fresh kernel-owned gradient array instead of copying it.
     """
 
     __slots__ = ("node", "needs", "acc")
@@ -89,14 +79,12 @@ class GraphProgram:
 
     __slots__ = ("n_slots", "schedule", "backward_steps", "leaves",
                  "input_slots", "output_slots", "root_slot", "grad_leaves",
-                 "slot_meta", "grad_slots", "dtype")
+                 "dtype")
 
     def __init__(self, n_slots: int, schedule: List, backward_steps: List[BackwardStep],
                  leaves: List[Tuple[int, object]], input_slots: List[int],
                  output_slots: List[int], root_slot: int,
-                 grad_leaves: List[Tuple[int, object]],
-                 slot_meta: Dict[int, Tuple[Tuple[int, ...], np.dtype]],
-                 grad_slots, dtype):
+                 grad_leaves: List[Tuple[int, object]], dtype):
         self.n_slots = n_slots
         self.schedule = schedule              # OpNode | EffectNode, program order
         self.backward_steps = backward_steps  # reverse-topo order
@@ -105,8 +93,6 @@ class GraphProgram:
         self.output_slots = output_slots
         self.root_slot = root_slot
         self.grad_leaves = grad_leaves        # (slot, Tensor) — .grad targets
-        self.slot_meta = slot_meta            # slot -> (shape, dtype), every slot
-        self.grad_slots = grad_slots          # slots receiving gradient buffers
         self.dtype = dtype                    # default dtype at capture time
 
     def __repr__(self) -> str:
@@ -134,9 +120,12 @@ def build_program(tracer, loss, outputs) -> GraphProgram:
         if isinstance(node, OpNode):
             node_by_slot[node.out_slot] = node
 
+    # Batch inputs are rebound per replay, not leaves: binding them as
+    # leaves would pin the trace-time batch for the program's lifetime.
+    input_slots = set(tracer.input_slots)
     leaves: List[Tuple[int, object]] = []
     for slot, t in enumerate(tensors):
-        if slot in node_by_slot:
+        if slot in node_by_slot or slot in input_slots:
             continue
         if t._op is not None:
             raise GraphCaptureError(
@@ -192,10 +181,6 @@ def build_program(tracer, loss, outputs) -> GraphProgram:
 
     grad_leaves = [(slot, t) for slot, t in leaves
                    if t.requires_grad and slot in touched]
-    # Shapes/dtypes of every slot: gradient buffers are sized from these;
-    # ``touched`` names the slots that need one.
-    slot_meta = {slot: (t.data.shape, t.data.dtype)
-                 for slot, t in enumerate(tensors)}
 
     return GraphProgram(
         n_slots=len(tensors),
@@ -206,7 +191,5 @@ def build_program(tracer, loss, outputs) -> GraphProgram:
         output_slots=output_slots,
         root_slot=root_slot,
         grad_leaves=grad_leaves,
-        slot_meta=slot_meta,
-        grad_slots=set(touched),
         dtype=get_default_dtype(),
     )

@@ -32,7 +32,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..autograd import Tensor, mark_capture_unsafe, softmax
-from ..autograd.graph import CompileConfig
 from ..core.masks import kept_lags, num_gamma
 from ..core.pit_conv import PITConv1d
 from ..core.trainer import TrainResult, evaluate, train_plain
@@ -193,8 +192,7 @@ class ProxylessTrainer:
                  lr: float = 1e-3, alpha_lr: float = 1e-2,
                  warmup_epochs: int = 3, max_search_epochs: int = 50,
                  search_patience: int = 5, finetune_epochs: int = 30,
-                 finetune_patience: int = 10, verbose: bool = False,
-                 compile_config: Optional[CompileConfig] = None):
+                 finetune_patience: int = 10, verbose: bool = False):
         if not proxyless_layers(supernet):
             raise ValueError("model contains no ProxylessDilatedConv1d layers")
         self.supernet = supernet
@@ -208,11 +206,6 @@ class ProxylessTrainer:
         self.finetune_epochs = finetune_epochs
         self.finetune_patience = finetune_patience
         self.verbose = verbose
-        # Applies to the fine-tuning of the derived (static) network only:
-        # supernet search epochs sample a path per batch, which the
-        # graph-capture executor cannot replay, so they always run eagerly
-        # (the layers mark themselves capture-unsafe as a backstop).
-        self.compile_config = CompileConfig.resolve(compile_config)
         self.derived: Optional[Module] = None
 
     def _split_params(self):
@@ -266,8 +259,7 @@ class ProxylessTrainer:
         self.derived = export_proxyless(self.supernet)
         result = train_plain(self.derived, self.loss_fn, train_loader, val_loader,
                              epochs=self.finetune_epochs, lr=self.lr,
-                             patience=self.finetune_patience,
-                             compile_config=self.compile_config)
+                             patience=self.finetune_patience)
         dilations = tuple(layer.chosen_dilation()
                           for layer in proxyless_layers(self.supernet))
         if self.verbose:

@@ -15,7 +15,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd.graph import CompileConfig
 from ..core.export import export_network
 from ..core.regularizer import pit_layers
 from ..core.search_space import layer_choices
@@ -53,17 +52,14 @@ def random_configurations(model: Module, count: int,
 
 def _train_configuration(seed_model: Module, config, loss_fn, train_loader,
                          val_loader, epochs: int, lr: float,
-                         patience: int,
-                         compile_config: Optional[CompileConfig] = None
-                         ) -> RandomSearchResult:
+                         patience: int) -> RandomSearchResult:
     candidate = copy.deepcopy(seed_model)
     for layer, dilation in zip(pit_layers(candidate), config):
         layer.set_dilation(dilation)
         layer.freeze()
     network = export_network(candidate)
     outcome = train_plain(network, loss_fn, train_loader, val_loader,
-                          epochs=epochs, lr=lr, patience=patience,
-                          compile_config=compile_config)
+                          epochs=epochs, lr=lr, patience=patience)
     return RandomSearchResult(dilations=tuple(config),
                               best_val=outcome.best_val,
                               params=network.count_parameters())
@@ -72,9 +68,7 @@ def _train_configuration(seed_model: Module, config, loss_fn, train_loader,
 def exhaustive_search(seed_model: Module, loss_fn: Callable, train_loader,
                       val_loader, epochs: int = 6, lr: float = 1e-3,
                       patience: int = 4,
-                      max_configs: int = 64,
-                      compile_config: Optional[CompileConfig] = None
-                      ) -> List[RandomSearchResult]:
+                      max_configs: int = 64) -> List[RandomSearchResult]:
     """Train *every* dilation assignment (ground truth for tiny spaces).
 
     This is the oracle PIT approximates in a single training run; the test
@@ -89,27 +83,20 @@ def exhaustive_search(seed_model: Module, loss_fn: Callable, train_loader,
         raise ValueError(f"search space has {size} configurations; exhaustive "
                          f"search is capped at {max_configs}")
     return [_train_configuration(seed_model, config, loss_fn, train_loader,
-                                 val_loader, epochs, lr, patience,
-                                 compile_config=compile_config)
+                                 val_loader, epochs, lr, patience)
             for config in enumerate_configurations(seed_model)]
 
 
 def random_search(seed_model: Module, loss_fn: Callable, train_loader, val_loader,
                   count: int = 8, epochs: int = 10, lr: float = 1e-3,
                   patience: int = 5,
-                  rng: Optional[np.random.Generator] = None,
-                  compile_config: Optional[CompileConfig] = None
+                  rng: Optional[np.random.Generator] = None
                   ) -> List[RandomSearchResult]:
-    """Train ``count`` random fixed-dilation networks; return all results.
-
-    Each candidate is a fixed (static) network, so step compilation
-    selected by ``compile_config`` applies: each candidate's training step
-    is traced once and replayed per batch.
-    """
+    """Train ``count`` random fixed-dilation networks; return all results."""
     rng = rng or np.random.default_rng()
     results = []
     for config in random_configurations(seed_model, count, rng):
         results.append(_train_configuration(
             seed_model, config, loss_fn, train_loader, val_loader,
-            epochs, lr, patience, compile_config=compile_config))
+            epochs, lr, patience))
     return results

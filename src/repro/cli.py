@@ -30,11 +30,10 @@ the experiment (1.0 = paper width).  Numeric flags are range-checked by
 the parser: an out-of-range value (``--width 0``, ``--stack 0``,
 ``--bits 1``, …) is a one-line usage error with exit code 2.
 
-The training commands (``train``, ``search``, ``sweep``) accept
-``--compile``, which traces each training step once and replays it
-verbatim through the graph-capture executor (see README "Compiled training
-step"); the ``REPRO_COMPILE_STEP=1`` environment variable is the
-equivalent default.  ``--verbose`` prints the compile diagnostics (the
+The training commands (``train``, ``search``, ``sweep``) trace each
+training step once and replay it verbatim through the graph-capture
+executor (see README "Compiled training step").  ``--verbose`` on
+``train`` and ``search`` prints the compile diagnostics (the
 eager-fallback reason, or the input shapes with a compiled program).
 
 ``sweep`` additionally exposes the DSE engine knobs: ``--workers`` /
@@ -43,8 +42,8 @@ same-warmup grid points as one weight-stacked model (vmap-style batched
 execution; ``REPRO_DSE_STACK`` is the environment equivalent), and
 ``--cache`` memoizes completed (λ, warmup) points — including ``--hw``
 deployment metrics (cache format v2) — to a JSON file so interrupted
-sweeps resume where they left off.  Stack width, like ``--compile``,
-never enters cache keys: stacked and sequential sweeps share entries.
+sweeps resume where they left off.  Stack width never enters cache keys:
+stacked and sequential sweeps share entries.
 
 The training commands also accept ``--checkpoint-dir PATH`` and
 ``--checkpoint-every N`` (environment equivalents ``REPRO_CKPT_DIR`` /
@@ -156,24 +155,12 @@ def _checkpoint_args(args: argparse.Namespace) -> dict:
     return out
 
 
-def _compile_config(args: argparse.Namespace):
-    """The ``--compile`` flag of this invocation as a CompileConfig.
-
-    The store_true flag maps to True-or-None (None lets
-    ``REPRO_COMPILE_STEP`` decide, same as before the flag existed).
-    """
-    from .autograd.graph import CompileConfig
-    return CompileConfig(
-        compile_step=True if getattr(args, "compile", False) else None)
-
-
 def _print_compile_stats(stats, phase: Optional[str] = None) -> None:
-    """Render one CompiledStep.diagnostics() dict (cli --verbose)."""
-    prefix = f"[compile{':' + phase if phase else ''}]"
+    """Render one CompiledStep.diagnostics() dict (cli --verbose); a phase
+    that trained no epoch in this invocation has none."""
     if stats is None:
-        print(f"{prefix} step ran eagerly (pass --compile or set "
-              "REPRO_COMPILE_STEP=1)")
         return
+    prefix = f"[compile{':' + phase if phase else ''}]"
     if stats["fallback_reason"]:
         print(f"{prefix} eager fallback: {stats['fallback_reason']}")
         return
@@ -189,7 +176,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = train_plain(model, _loss(args.benchmark), train_loader, val_loader,
                          epochs=args.epochs, lr=args.lr,
                          patience=args.patience,
-                         compile_config=_compile_config(args),
                          **_checkpoint_args(args))
     from .core import evaluate
     test_loss = evaluate(model, _loss(args.benchmark), test_loader)
@@ -222,7 +208,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         warmup_epochs=args.warmup, max_prune_epochs=args.epochs,
         prune_patience=args.patience, finetune_epochs=args.finetune,
         finetune_patience=args.patience, verbose=not args.quiet,
-        compile_config=_compile_config(args), checkpoint_tag="search",
+        checkpoint_tag="search",
         **_checkpoint_args(args))
     result = trainer.fit(train_loader, val_loader)
     print(f"dilations : {result.dilations}")
@@ -273,7 +259,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                      executor=args.executor, cache_path=args.cache,
                      cache_tag=f"{args.benchmark}|width={args.width}"
                                f"|seed={args.seed}",
-                     compile_config=_compile_config(args),
                      stack=args.stack,
                      point_evaluators=evaluators,
                      retries=args.retries,
@@ -419,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max pruning epochs")
         p.add_argument("--finetune", type=_COUNT, default=4)
         p.add_argument("--patience", type=_AT_LEAST_ONE, default=4)
-        compile_flag(p)
+        verbose_flag(p)
 
     def checkpoint_flags(p, resumable=False):
         p.add_argument("--checkpoint-dir", type=str, default=None,
@@ -440,19 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 "over; results are bit-identical to the "
                                 "uninterrupted run")
 
-    def compile_flag(p):
-        p.add_argument("--compile", action="store_true",
-                       help="trace the training step once and replay it "
-                            "through the graph executor; results are "
-                            "bit-identical (default: REPRO_COMPILE_STEP)")
+    def verbose_flag(p):
         p.add_argument("--verbose", action="store_true",
                        help="print compile diagnostics after training: "
-                            "eager-fallback reason or compiled shapes")
+                            "eager-fallback reason or replayed shapes")
 
     p_train = sub.add_parser(
         "train", help="plain (no-NAS) training of a fixed-dilation network")
     common(p_train)
-    compile_flag(p_train)
+    verbose_flag(p_train)
     p_train.add_argument("--dilations", type=_AT_LEAST_ONE, nargs="+",
                          default=None,
                          help="per-layer dilations (default: all 1)")
@@ -493,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stacked-model execution: train up to N "
                               "same-warmup grid points as one weight-stacked "
                               "model (1 = sequential; default: "
-                              "REPRO_DSE_STACK or 1).  A speed knob like "
-                              "--compile: results match sequential within "
+                              "REPRO_DSE_STACK or 1).  A speed knob: "
+                              "results match sequential within "
                               "fp tolerance and cache entries are shared")
     p_sweep.add_argument("--hw", action="store_true",
                          help="hardware-in-the-loop: after each grid point "

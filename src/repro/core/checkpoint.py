@@ -16,7 +16,7 @@ snapshots the *complete* training state at epoch boundaries:
 
 A run killed at any epoch boundary and resumed from its checkpoint is
 **bit-identical** — losses, params, full Adam state — to the uninterrupted
-run, across eager and compiled-step execution.
+run.
 The phase driver (:mod:`repro.core.driver`) writes one template-shaped
 file per lane, so a stack's resume composes with slicing and a
 sequential run can adopt any lane's file.

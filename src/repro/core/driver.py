@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..autograd import Tensor
-from ..autograd.graph import CompileConfig, CompiledStep, EagerStep
+from ..autograd.graph import CompiledStep
 from ..nn.eval_utils import mean_loss_over_loader
 from ..nn.module import Module
 from ..optim import Adam, EarlyStopping, clip_grad_norm
@@ -98,23 +98,17 @@ def _step_function(model: Module, loss_fn: LossFn,
 
 
 def make_training_step(model: Module, loss_fn: LossFn,
-                       extra_loss: Optional[Callable[[], Tensor]] = None,
-                       compile_config: Optional[CompileConfig] = None):
+                       extra_loss: Optional[Callable[[], Tensor]] = None
+                       ) -> CompiledStep:
     """Build the per-batch step runner: ``step(x, y) -> (loss, task_loss)``.
 
     The runner computes the (optionally regularized) loss, backpropagates
     it into the parameters' ``.grad``, and returns both loss values as
-    floats.  ``compile_config`` (:class:`repro.autograd.graph.CompileConfig`)
-    selects the execution path: with compilation on, the step is traced on
-    first use and replayed through the :mod:`repro.autograd.graph`
-    executor — bit-identical results, no
-    per-batch graph construction; unset, it defers to
-    ``REPRO_COMPILE_STEP``.
+    floats.  The step is traced on first use and replayed through the
+    :mod:`repro.autograd.graph` executor: results bit-identical to eager
+    autograd, no per-batch graph construction.
     """
-    step_fn = _step_function(model, loss_fn, extra_loss)
-    if CompileConfig.resolve(compile_config).want_compile():
-        return CompiledStep(step_fn)
-    return EagerStep(step_fn)
+    return CompiledStep(_step_function(model, loss_fn, extra_loss))
 
 
 @dataclass(frozen=True)
@@ -180,13 +174,12 @@ class SingleLane:
     clip = staticmethod(clip_grad_norm)
 
     def __init__(self, model: Module, loss_fn: LossFn, train_loader,
-                 val_loader, compile_config: Optional[CompileConfig] = None,
+                 val_loader,
                  regularizer: Optional[Callable[[], Tensor]] = None,
                  searchable: Sequence[Module] = ()):
         self.net = model
         self.loss_fn = loss_fn
         self.loaders = {"train": train_loader, "val": val_loader}
-        self.compile_config = compile_config
         self.regularizer = regularizer
         self.searchable = list(searchable)
         self.active = np.ones(1)
@@ -194,7 +187,7 @@ class SingleLane:
     def make_step(self, regularized: bool):
         return make_training_step(
             self.net, self.loss_fn,
-            self.regularizer if regularized else None, self.compile_config)
+            self.regularizer if regularized else None)
 
     def batches(self, cursors, active):
         return self.loaders["train"]
@@ -407,8 +400,7 @@ def run_phases(lanes, phases: Sequence[Phase], *, kind: str,
             elif snapshots[i] is not None:
                 lanes.load_state(i, snapshots[i])
         active[...] = 1.0
-        if isinstance(step, CompiledStep):
-            out.compile_stats[phase.name] = step.diagnostics()
+        out.compile_stats[phase.name] = step.diagnostics()
         out.seconds[phase.name] = base + (time.perf_counter() - t0)
         on_phase_end(phase.name, out)
 

@@ -38,7 +38,6 @@ import numpy as np
 
 from ..autograd import (
     CompiledStep,
-    EagerStep,
     Tensor,
     binarize_ste,
     concatenate,
@@ -47,7 +46,6 @@ from ..autograd import (
     no_grad,
     where,
 )
-from ..autograd.graph import CompileConfig
 from ..data import EpochReplayLoader
 from ..nn.losses import (
     bce_with_logits,
@@ -383,7 +381,6 @@ class StackedPITTrainer:
                  finetune_patience: int = 10, regularizer: str = "size",
                  channel_lam: float = 0.0,
                  grad_clip: Optional[float] = None, verbose: bool = False,
-                 compile_config: Optional[CompileConfig] = None,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
                  checkpoint_tags: Optional[Sequence[str]] = None,
@@ -409,10 +406,6 @@ class StackedPITTrainer:
         self.regularizer = regularizer
         self.grad_clip = grad_clip
         self.verbose = verbose
-        # Resolve once at construction so a later env flip cannot split the
-        # three phases across different execution paths.
-        self.compile_step = CompileConfig.resolve(
-            compile_config).want_compile()
 
         # Per-slice checkpoint files: each slice writes a self-contained,
         # template-shaped snapshot, so a stack's resume composes with
@@ -488,7 +481,7 @@ class StackedPITTrainer:
             loss = (per_total * active_t).sum()
             return loss, task_vec
 
-        return (CompiledStep if self.compile_step else EagerStep)(step_fn)
+        return CompiledStep(step_fn)
 
     def _run_validation(self, val_view: EpochReplayLoader,
                         cursors: Sequence[int], active) -> np.ndarray:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..autograd import Tensor
-from ..autograd.graph import CompileConfig
 from ..nn.module import Module
 from .checkpoint import TrainerCheckpoint
 from .driver import (
@@ -53,8 +52,9 @@ class TrainResult:
     """Outcome of a plain (no-NAS) training run.
 
     ``compile_stats`` holds :meth:`CompiledStep.diagnostics` for the run's
-    step when the step was compiled (None for eager runs) — a plain dict so
-    results stay picklable across DSE worker processes.
+    step (its eager-fallback reason and replayed shapes; None when no
+    epoch trained) — a plain dict so results stay picklable across DSE
+    worker processes.
     ``resumed_epochs`` counts the epochs this run *skipped* by resuming a
     mid-run checkpoint (0 for an uninterrupted run).
     """
@@ -70,17 +70,11 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
                 epochs: int = 50, lr: float = 1e-3, patience: int = 10,
                 grad_clip: Optional[float] = None,
                 weight_decay: float = 0.0,
-                compile_config: Optional[CompileConfig] = None,
                 checkpoint_dir: Optional[str] = None,
                 checkpoint_every: Optional[int] = None,
                 checkpoint_tag: str = "train",
                 checkpoint_resume: bool = True) -> TrainResult:
     """Standard training with early stopping and best-state restore.
-
-    ``compile_config`` (:class:`repro.autograd.graph.CompileConfig`) turns
-    on step compilation: the training step is traced once and replayed
-    via the graph executor (bit-identical, faster); unset, it defers to
-    ``REPRO_COMPILE_STEP``.
 
     With ``checkpoint_dir`` set, the complete training state (model,
     Adam moments/counters, RNG streams, early-stop state) is snapshotted
@@ -92,7 +86,7 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
                                     every=checkpoint_every,
                                     resume=checkpoint_resume)
     out = run_phases(
-        SingleLane(model, loss_fn, train_loader, val_loader, compile_config),
+        SingleLane(model, loss_fn, train_loader, val_loader),
         [Phase("plain", epochs, lr, params="all", weight_decay=weight_decay,
                patience=patience, keep_best=True, log_train=True)],
         kind="plain", checkpoints=[ckpt] if ckpt else None,
@@ -184,15 +178,6 @@ class PITTrainer:
         Length / early stop of phase 3.
     regularizer:
         ``"size"`` (Eq. 6, the paper's choice) or ``"flops"``.
-    compile_config:
-        A :class:`repro.autograd.graph.CompileConfig`.  With
-        ``compile_step=True`` each phase's training step is traced once and
-        replayed through the graph executor
-        (:mod:`repro.autograd.graph`) — bit-identical losses/gradients/
-        masks, no per-batch graph construction.  Each phase compiles its
-        own step (the pruning phase adds the regularizer; fine-tuning
-        freezes the masks).  None defers
-        to the ``REPRO_COMPILE_STEP`` environment default.
     checkpoint_dir / checkpoint_every / checkpoint_tag / checkpoint_resume:
         With ``checkpoint_dir`` set, :meth:`fit` snapshots the complete
         training state every ``checkpoint_every`` epochs (counting
@@ -209,7 +194,6 @@ class PITTrainer:
                  finetune_patience: int = 10, regularizer: str = "size",
                  channel_lam: float = 0.0,
                  grad_clip: Optional[float] = None, verbose: bool = False,
-                 compile_config: Optional[CompileConfig] = None,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
                  checkpoint_tag: str = "pit",
@@ -230,11 +214,6 @@ class PITTrainer:
         self.channel_lam = channel_lam
         self.grad_clip = grad_clip
         self.verbose = verbose
-        # The environment default resolves at construction, so fit()
-        # ignores later env flips.
-        self.compile_step = CompileConfig.resolve(
-            compile_config).want_compile()
-        self.compile_config = CompileConfig(compile_step=self.compile_step)
         self._checkpoint = TrainerCheckpoint.create(
             checkpoint_dir, checkpoint_tag, every=checkpoint_every,
             resume=checkpoint_resume)
@@ -282,8 +261,7 @@ class PITTrainer:
         configuration and data as the run that wrote the snapshot.
         """
         lanes = SingleLane(self.model, self.loss_fn, train_loader,
-                           val_loader, self.compile_config,
-                           self._regularizer_term, self._searchable_layers())
+                           val_loader, self._regularizer_term, self._searchable_layers())
         out = run_phases(
             lanes, pit_phases(self), kind="pit",
             checkpoints=[self._checkpoint] if self._checkpoint else None,

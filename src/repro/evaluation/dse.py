@@ -21,7 +21,7 @@ program (:class:`repro.core.StackedPITTrainer`) whose parameters carry a
 leading model axis, so the whole group trains through a single op graph
 with batched conv kernels and per-model λ/early-stopping — amortizing the
 per-op Python and BLAS-dispatch overhead N-fold.  Stack width is an
-execution knob like ``compile_step``: it stays out of cache keys, and
+execution knob: it stays out of cache keys, and
 unsupported models/loaders fall back to the sequential path per group.
 
 Completed points can be memoized to a JSON cache file (see
@@ -78,7 +78,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd.graph import CompileConfig
 from ..core.checkpoint import (
     checkpoint_dir_default,
     checkpoint_every_default,
@@ -102,8 +101,7 @@ QUARANTINE_KILLS = 2
 #: pool deaths per sweep before degrading to in-process sequential runs
 MAX_POOL_DEATHS = 3
 
-#: environment default for DSEEngine(stack=None), like REPRO_COMPILE_STEP
-#: for the compile knob.
+#: environment default for DSEEngine(stack=None)
 ENV_STACK = "REPRO_DSE_STACK"
 #: environment defaults for DSEEngine(workers=None) / (executor=None), so
 #: CI legs can run whole suites under pooled execution without editing
@@ -574,7 +572,6 @@ def _worker_loader(template, role: str = "train") -> "DataLoader":
 def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
                       train_loader, val_loader, lam: float, warmup: int,
                       trainer_kwargs: Dict,
-                      compile_cfg: Optional[CompileConfig] = None,
                       point_evaluators: Optional[Sequence[Callable]] = None,
                       ckpt_dir: Optional[str] = None,
                       ckpt_every: Optional[int] = None,
@@ -584,12 +581,7 @@ def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
     Module-level (not a closure) so a ``ProcessPoolExecutor`` can pickle it.
     Each point gets private loader copies so it consumes its own shuffle
     RNG stream — this is what makes parallel sweeps bit-identical to
-    serial ones regardless of completion order.  ``compile_cfg`` (a picklable
-    :class:`repro.autograd.graph.CompileConfig`) selects eager or
-    compiled-step execution inside the worker's :class:`PITTrainer`, with
-    each compiled grid point tracing once per phase and replaying for every
-    batch; the compiled-vs-eager bit-parity guarantee is what lets cached
-    and fresh results mix freely (cache keys do not record the knob).
+    serial ones regardless of completion order.
     ``point_evaluators`` run after training, while the trained model is
     still in hand, and merge their returned dicts into ``DSEPoint.metrics``.
     ``ckpt_dir``/``ckpt_every``/
@@ -608,8 +600,7 @@ def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
                            checkpoint_every=ckpt_every,
                            checkpoint_tag=ckpt_tag)
     trainer = PITTrainer(model, loss_fn, lam=lam, warmup_epochs=warmup,
-                         compile_config=compile_cfg, **ckpt_kwargs,
-                         **trainer_kwargs)
+                         **ckpt_kwargs, **trainer_kwargs)
     result = trainer.fit(train_loader, val_loader)
     point = DSEPoint(
         lam=lam, warmup_epochs=warmup, dilations=result.dilations,
@@ -625,7 +616,6 @@ def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
 def _train_grid_stack(seed_factory: Callable[[], Module], loss_fn: Callable,
                       train_loader, val_loader, warmup: int,
                       lams: Sequence[float], trainer_kwargs: Dict,
-                      compile_cfg: Optional[CompileConfig] = None,
                       point_evaluators: Optional[Sequence[Callable]] = None,
                       ckpt_dir: Optional[str] = None,
                       ckpt_every: Optional[int] = None,
@@ -657,7 +647,7 @@ def _train_grid_stack(seed_factory: Callable[[], Module], loss_fn: Callable,
     template = seed_factory()
     trainer = StackedPITTrainer(
         template, loss_fn, lams=lams, warmup_epochs=warmup,
-        compile_config=compile_cfg, **ckpt_kwargs, **trainer_kwargs)
+        **ckpt_kwargs, **trainer_kwargs)
     results = trainer.fit(train_loader, val_loader)
     points = []
     for i, result in enumerate(results):
@@ -692,8 +682,7 @@ def _backoff_sleep(index: int, attempt: int, backoff: float) -> None:
 
 def _train_point_isolated(seed_factory, loss_fn, train_loader, val_loader,
                           index: int, warmup: int, lam: float,
-                          trainer_kwargs: Dict,
-                          compile_cfg, point_evaluators,
+                          trainer_kwargs: Dict, point_evaluators,
                           retries: int, retry_backoff: float,
                           ckpt_dir: Optional[str] = None,
                           ckpt_every: Optional[int] = None,
@@ -717,8 +706,8 @@ def _train_point_isolated(seed_factory, loss_fn, train_loader, val_loader,
                 faults.inject_point_faults()
                 point = _train_grid_point(
                     seed_factory, loss_fn, train_loader, val_loader, lam,
-                    warmup, trainer_kwargs, compile_cfg,
-                    point_evaluators, ckpt_dir, ckpt_every, ckpt_tag)
+                    warmup, trainer_kwargs, point_evaluators, ckpt_dir,
+                    ckpt_every, ckpt_tag)
             point.attempts = attempt
             return point
         except DivergedError as exc:
@@ -750,7 +739,6 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
                       train_loader, val_loader,
                       chunk: Sequence[Tuple[int, int, float]],
                       trainer_kwargs: Dict,
-                      compile_cfg: Optional[CompileConfig] = None,
                       point_evaluators: Optional[Sequence[Callable]] = None,
                       retries: int = 0, retry_backoff: float = 0.0,
                       cache_path: Optional[str] = None,
@@ -791,7 +779,7 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
                 points = _train_grid_stack(
                     seed_factory, loss_fn, train_loader, val_loader, warmup,
                     [lam for _, _, lam in chunk], trainer_kwargs,
-                    compile_cfg, point_evaluators, ckpt_dir, ckpt_every,
+                    point_evaluators, ckpt_dir, ckpt_every,
                     [tag_of(index) for index in indices])
         except Exception:
             points = None  # StackingUnsupported, divergence, …: isolate
@@ -805,7 +793,7 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
     for index, warmup, lam in chunk:
         point = _train_point_isolated(
             seed_factory, loss_fn, train_loader, val_loader, index, warmup,
-            lam, trainer_kwargs, compile_cfg, point_evaluators,
+            lam, trainer_kwargs, point_evaluators,
             retries, retry_backoff, ckpt_dir, ckpt_every, tag_of(index))
         flush(index, point)
         out.append(point)
@@ -867,24 +855,14 @@ class DSEEngine:
         sweeps over different models or datasets.
     trainer_kwargs:
         Extra :class:`PITTrainer` arguments shared by every grid point
-        (``lam`` / ``warmup_epochs`` are stripped: the grid owns them;
-        a ``compile_config`` there is stripped into the engine's own).
-    compile_config:
-        A :class:`repro.autograd.graph.CompileConfig` selecting eager or
-        compiled-step execution for every grid point.  Picklable, so it
-        ships to process-pool workers as-is; an unset ``compile_step``
-        defers to ``REPRO_COMPILE_STEP`` inside each worker.
-        Deliberately *not* part of the cache key — the compiled step is
-        bit-identical to eager, so points trained either way are
-        interchangeable.
+        (``lam`` / ``warmup_epochs`` are stripped: the grid owns them).
     stack:
         Stacked-model execution width: up to ``stack`` same-warmup grid
         points train as *one* weight-stacked model
         (:class:`repro.core.StackedPITTrainer`) — one op graph, batched
         conv kernels, per-model λ and early stopping.  ``1`` (the default)
         is the exact sequential path; None defers to ``REPRO_DSE_STACK``.
-        Like ``compile_config`` this is an execution-speed knob kept
-        *out* of cache keys: stacked results match sequential
+        This is an execution-speed knob kept *out* of cache keys: stacked results match sequential
         within floating-point reduction-order tolerance, so stacked and
         sequential sweeps resume from and write to the same entries.
         Models or loaders without a stacked path fall back to sequential
@@ -924,7 +902,7 @@ class DSEEngine:
         point resumes bit-exactly from its last finished epoch instead of
         retraining from scratch.  Files are named by each point's cache-key
         tag, so sequential, pooled and stacked execution all address the
-        same per-point file; like the compile/stack knobs this is an
+        same per-point file; like the stack knob this is an
         execution knob kept *out* of cache keys.  None (default) defers to
         ``REPRO_CKPT_DIR``; unset means no checkpointing.  Checkpoints
         complement the results cache: the cache skips *finished* points,
@@ -947,7 +925,6 @@ class DSEEngine:
                  cache_tag: str = "",
                  trainer_kwargs: Optional[Dict] = None,
                  verbose: bool = False,
-                 compile_config: Optional[CompileConfig] = None,
                  stack: Optional[int] = None,
                  point_evaluators: Optional[Sequence[Callable]] = None,
                  retries: int = 0, retry_backoff: float = 0.1,
@@ -979,15 +956,9 @@ class DSEEngine:
         self.trainer_kwargs = dict(trainer_kwargs or {})
         self.trainer_kwargs.pop("lam", None)
         self.trainer_kwargs.pop("warmup_epochs", None)
-        # The compile knob is an execution-speed knob with bit-identical
-        # results, so it is stripped from trainer_kwargs and kept out of
-        # cache keys.  The engine kwarg wins over the trainer_kwargs one.
-        kwargs_cfg = self.trainer_kwargs.pop("compile_config", None)
-        self.compile_config = CompileConfig.resolve(
-            compile_config if compile_config is not None else kwargs_cfg)
         # Stack width: how many same-warmup grid points train as one
         # weight-stacked model (see repro.core.StackedPITTrainer).  An
-        # execution-speed knob like compile_config — results match
+        # execution-speed knob — results match
         # sequential within fp tolerance and the width never enters cache
         # keys, so stacked and sequential sweeps share entries.  None
         # defers to REPRO_DSE_STACK; 1 is the exact sequential path.
@@ -997,7 +968,7 @@ class DSEEngine:
         self.stack = int(stack) if stack is not None else stack_width_default()
         if self.stack < 1:
             raise ValueError("stack width must be >= 1")
-        # Checkpointing is an execution knob like compile/stack: stripped
+        # Checkpointing is an execution knob like stack: stripped
         # from trainer_kwargs (the engine owns per-point tags and resume)
         # and kept out of cache keys.  Engine kwargs win over trainer_kwargs
         # spellings; both fall back to the REPRO_CKPT_* environment.
@@ -1033,18 +1004,12 @@ class DSEEngine:
               warmups: Sequence[int]) -> List[Tuple[int, float]]:
         return [(warmup, lam) for warmup in warmups for lam in lambdas]
 
-    def _train_one(self, lam: float, warmup: int) -> DSEPoint:
-        return _train_grid_point(self.seed_factory, self.loss_fn,
-                                 self.train_loader, self.val_loader,
-                                 lam, warmup, self.trainer_kwargs,
-                                 self.compile_config, self.point_evaluators)
-
     def _train_chunk(self, chunk: Sequence[Tuple[int, int, float]]
                      ) -> List[DSEPoint]:
         return _train_grid_chunk(self.seed_factory, self.loss_fn,
                                  self.train_loader, self.val_loader,
                                  list(chunk), self.trainer_kwargs,
-                                 self.compile_config, self.point_evaluators,
+                                 self.point_evaluators,
                                  self.retries, self.retry_backoff,
                                  self.cache.path if self.cache else None,
                                  self._chunk_keys(chunk),
@@ -1169,8 +1134,7 @@ class DSEEngine:
         future = pool.submit(
             _train_grid_chunk, self.seed_factory, self.loss_fn,
             self.train_loader, self.val_loader, list(chunk),
-            self.trainer_kwargs, self.compile_config,
-            self.point_evaluators, self.retries, self.retry_backoff,
+            self.trainer_kwargs, self.point_evaluators, self.retries, self.retry_backoff,
             self.cache.path if self.cache else None, self._chunk_keys(chunk),
             self.checkpoint_dir, self.checkpoint_every,
             self._chunk_ckpt_tags(chunk))
@@ -1367,7 +1331,6 @@ def run_dse(seed_factory: Callable[[], Module], loss_fn: Callable,
             executor: Optional[str] = None,
             cache_path: Optional[str] = None,
             cache_tag: str = "",
-            compile_config: Optional[CompileConfig] = None,
             stack: Optional[int] = None,
             point_evaluators: Optional[Sequence[Callable]] = None,
             retries: int = 0, retry_backoff: float = 0.1,
@@ -1379,17 +1342,16 @@ def run_dse(seed_factory: Callable[[], Module], loss_fn: Callable,
 
     Thin wrapper over :class:`DSEEngine` kept for API compatibility;
     ``workers`` / ``executor`` / ``cache_path`` / ``cache_tag`` /
-    ``compile_config`` / ``stack`` / ``point_evaluators`` /
+    ``stack`` / ``point_evaluators`` /
     ``retries`` / ``point_timeout`` / ``checkpoint_dir`` expose the
-    engine's parallelism, memoization, graph-execution, stacked-model,
+    engine's parallelism, memoization, stacked-model,
     hardware-in-the-loop, fault-tolerance and mid-run-checkpoint knobs.
     """
     engine = DSEEngine(seed_factory, loss_fn, train_loader, val_loader,
                        workers=workers, executor=executor,
                        cache_path=cache_path, cache_tag=cache_tag,
                        trainer_kwargs=trainer_kwargs,
-                       verbose=verbose, compile_config=compile_config,
-                       stack=stack,
+                       verbose=verbose, stack=stack,
                        point_evaluators=point_evaluators,
                        retries=retries, retry_backoff=retry_backoff,
                        point_timeout=point_timeout,

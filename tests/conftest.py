@@ -12,6 +12,11 @@ kernels in place.  The patch is undone on exit, also on error.
 ``count_kernel_calls()`` wraps the kernel object's methods on the instance,
 the way the benchmark tracer does, and yields the list every call appends
 its method name to.
+
+``eager_steps()`` runs every trainer step eagerly for its duration: the
+reference the compiled replay is held to.  Trainers build their steps as
+:class:`repro.autograd.CompiledStep`; inside the scope they get one that
+never traces, so each call takes the eager fallback.
 """
 
 import contextlib
@@ -19,7 +24,9 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro.autograd import CompiledStep
 from repro.autograd.backends import EinsumReference, get_backend
+from repro.core import driver, stacked
 
 ORACLE = EinsumReference()
 KERNEL_SET_NAMES = ("einsum", "im2col")
@@ -106,3 +113,29 @@ def use_kernels():
 @pytest.fixture
 def count_kernel_calls():
     return counted_kernels
+
+
+class EagerReference(CompiledStep):
+    """A compiled step that never traces: every call runs eagerly."""
+
+    def __init__(self, step_fn):
+        super().__init__(step_fn)
+        self.fallback_reason = "eager reference"
+
+
+@contextlib.contextmanager
+def eager_training():
+    modules = (driver, stacked)
+    saved = [module.CompiledStep for module in modules]
+    try:
+        for module in modules:
+            module.CompiledStep = EagerReference
+        yield
+    finally:
+        for module, step_cls in zip(modules, saved):
+            module.CompiledStep = step_cls
+
+
+@pytest.fixture
+def eager_steps():
+    return eager_training

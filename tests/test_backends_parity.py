@@ -347,7 +347,6 @@ class TestKernelObject:
         """The ops call the kernels through the object ``get_backend()``
         returns, in eager dispatch and in compiled replay alike, so a
         profiler wrapping its methods sees every call."""
-        from repro.autograd.graph import CompileConfig
         from repro.core.trainer import make_training_step
         from repro.nn import CausalConv1d, GlobalAvgPool1d, Linear, Sequential
         from repro.nn.losses import mse_loss
@@ -355,9 +354,7 @@ class TestKernelObject:
         rng = np.random.default_rng(0)
         model = Sequential(CausalConv1d(2, 3, kernel_size=3, rng=rng),
                            GlobalAvgPool1d(), Linear(3, 1, rng=rng))
-        step = make_training_step(
-            model, mse_loss,
-            compile_config=CompileConfig(compile_step=True))
+        step = make_training_step(model, mse_loss)
         x, y = rng.standard_normal((2, 2, 12)), rng.standard_normal((2, 1))
         with count_kernel_calls() as calls:
             first = step(x, y)    # trace (an eager step under capture)

@@ -3,19 +3,19 @@
 The contract under test: a training run killed at any epoch boundary —
 by a crash, a timeout or preemption — and resumed from its checkpoint is
 **bit-identical** to the uninterrupted run: same losses, same history,
-same parameters, same discovered dilations.  That must hold across
-eager and compiled-step execution and the stacked trainer (per-slice
-checkpoint files).  Corrupt checkpoints
+same parameters, same discovered dilations.  That must hold for the
+compiled step, for its eager fallback (the step of capture-unsafe models)
+and for the stacked trainer (per-slice checkpoint files).  Corrupt checkpoints
 are quarantined and degrade to a fresh start, never a crash or a
 silently-wrong resume.
 """
 
+import contextlib
 import os
 
 import numpy as np
 import pytest
 
-from repro.autograd.graph import CompileConfig
 from repro.core import PITConv1d, PITTrainer, train_plain
 from repro.core.checkpoint import (
     TrainerCheckpoint,
@@ -72,13 +72,15 @@ def _loaders():
 SCHED = dict(warmup_epochs=1, prune_patience=2, max_prune_epochs=2,
              finetune_epochs=1, finetune_patience=2)
 
-TIERS = {
-    "eager": CompileConfig(compile_step=False),
-    "step": CompileConfig(compile_step=True),
-}
+#: Steps the trainers run: the compiled replay, and its eager fallback.
+TIERS = ("eager", "step")
 
 
-def _fit(ckpt_dir=None, crash_at=None, cfg=None, resume=True, every=None):
+def _tier_scope(tier, eager_steps):
+    return eager_steps() if tier == "eager" else contextlib.nullcontext()
+
+
+def _fit(ckpt_dir=None, crash_at=None, resume=True, every=None):
     """One PITTrainer run; None when an injected crash killed it."""
     faults.reset()
     if crash_at is not None:
@@ -87,7 +89,6 @@ def _fit(ckpt_dir=None, crash_at=None, cfg=None, resume=True, every=None):
         os.environ.pop(faults.ENV_FAULTS, None)
     train, val = _loaders()
     trainer = PITTrainer(Tiny(), mse_loss, lam=0.5, lr=0.01,
-                         compile_config=cfg,
                          checkpoint_dir=ckpt_dir, checkpoint_every=every,
                          checkpoint_resume=resume, **SCHED)
     try:
@@ -114,16 +115,17 @@ def _assert_same(a, b):
 
 
 # ----------------------------------------------------------------------
-# Kill-and-resume parity, across every execution tier
+# Kill-and-resume parity: the compiled step and its eager fallback
 # ----------------------------------------------------------------------
 
 class TestKillResumeParity:
-    @pytest.mark.parametrize("tier", list(TIERS))
-    def test_crash_then_resume_is_bit_identical(self, tier, tmp_path):
-        cfg = TIERS[tier]
-        ref = _fingerprint(*_fit(cfg=cfg))
-        assert _fit(str(tmp_path), crash_at=2, cfg=cfg) is None  # killed
-        out = _fit(str(tmp_path), cfg=cfg)  # resumed
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_crash_then_resume_is_bit_identical(self, tier, tmp_path,
+                                                eager_steps):
+        with _tier_scope(tier, eager_steps):
+            ref = _fingerprint(*_fit())
+            assert _fit(str(tmp_path), crash_at=2) is None  # killed
+            out = _fit(str(tmp_path))  # resumed
         assert out is not None
         result, model = out
         assert result.resumed_epochs == 2
@@ -188,7 +190,7 @@ class TestKillResumeParity:
 LAMS = [0.0, 2.0]
 
 
-def _fit_stacked(ckpt_dir=None, crash_at=None, cfg=None):
+def _fit_stacked(ckpt_dir=None, crash_at=None):
     faults.reset()
     if crash_at is not None:
         os.environ[faults.ENV_FAULTS] = f"crash@epoch={crash_at}"
@@ -196,7 +198,6 @@ def _fit_stacked(ckpt_dir=None, crash_at=None, cfg=None):
         os.environ.pop(faults.ENV_FAULTS, None)
     train, val = _loaders()
     trainer = StackedPITTrainer(Tiny(), mse_loss, LAMS, lr=0.01,
-                                compile_config=cfg,
                                 checkpoint_dir=ckpt_dir, **SCHED)
     try:
         return trainer.fit(train, val), trainer
@@ -216,12 +217,13 @@ def _stacked_fingerprint(results, trainer):
 
 
 class TestStackedResume:
-    @pytest.mark.parametrize("tier", list(TIERS))
-    def test_stacked_crash_then_resume_is_bit_identical(self, tier, tmp_path):
-        cfg = TIERS[tier]
-        ref = _stacked_fingerprint(*_fit_stacked(cfg=cfg))
-        assert _fit_stacked(str(tmp_path), crash_at=2, cfg=cfg) is None
-        out = _fit_stacked(str(tmp_path), cfg=cfg)
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_stacked_crash_then_resume_is_bit_identical(self, tier, tmp_path,
+                                                        eager_steps):
+        with _tier_scope(tier, eager_steps):
+            ref = _stacked_fingerprint(*_fit_stacked())
+            assert _fit_stacked(str(tmp_path), crash_at=2) is None
+            out = _fit_stacked(str(tmp_path))
         assert out is not None
         results, trainer = out
         assert all(r.resumed_epochs == 2 for r in results)

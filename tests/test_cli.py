@@ -199,10 +199,11 @@ class TestSweep:
         assert "lambda" in out
 
     def test_sweep_exposes_backend_and_compile(self, capsys):
+        """No kernel or compile flag: the sweep runs on the defaults."""
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",
                      "--lambdas", "0.5", "--gamma-lr", "0.1",
                      "--warmup", "0", "--epochs", "1", "--finetune", "0",
-                     "--quiet", "--compile"])
+                     "--quiet"])
         assert code == 0
         assert "pareto front" in capsys.readouterr().out
 
@@ -258,9 +259,9 @@ class TestTrain:
         assert {"forward", "grad_input", "grad_weight"} <= set(calls)
 
     def test_train_compile_flag(self, capsys):
+        """Training replays its compiled step with no flag."""
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",
-                     "--epochs", "1", "--patience", "1", "--quiet",
-                     "--compile"])
+                     "--epochs", "1", "--patience", "1", "--quiet"])
         assert code == 0
         assert "val loss" in capsys.readouterr().out
 
@@ -272,41 +273,41 @@ class TestTrain:
         assert path.exists()
 
     def test_compile_defaults_parse(self):
-        args = build_parser().parse_args(["train"])
-        assert args.compile is False
-        args = build_parser().parse_args(["search", "--compile"])
-        assert args.compile is True
-        args = build_parser().parse_args(["sweep", "--compile"])
-        assert args.compile is True
-        # --compile is the only execution knob left.
-        for flag in ("--graph-opt", "--graph-exec", "--loop-capture",
-                     "--dump-graph-source"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["train", flag, "x"])
+        """There is no execution knob: the compiled step always runs."""
+        for command in ("train", "search", "sweep"):
+            args = build_parser().parse_args([command])
+            assert not hasattr(args, "compile")
+            assert args.verbose is False
+            for flag in ("--graph-opt", "--graph-exec", "--loop-capture",
+                         "--dump-graph-source"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, flag, "x"])
 
     def test_train_compile_verbose(self, capsys):
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",
                      "--epochs", "1", "--patience", "1", "--quiet",
-                     "--compile", "--verbose"])
+                     "--verbose"])
         assert code == 0
         out = capsys.readouterr().out
         # --verbose surfaces the compile diagnostics: the replayed shapes.
         assert re.search(r"^\[compile\] replaying x=\(\d+, 4, \d+\) "
                          r"y=\(\d+, 1\)$", out, re.MULTILINE), out
 
-    def test_train_verbose_without_compile_explains(self, capsys, monkeypatch):
-        # An eager step has no diagnostics; --verbose must say why.
-        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
+    def test_train_verbose_without_compile_explains(self, capsys):
+        # Without any flag, --verbose reports what the compiled step did:
+        # it replayed a program, it did not fall back to eager.
         code = main(["train", "--benchmark", "ppg", "--width", "0.1",
                      "--epochs", "1", "--patience", "1", "--quiet",
                      "--verbose"])
         assert code == 0
-        assert "step ran eagerly" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[compile] replaying" in out
+        assert "eager" not in out
 
     def test_search_compile_verbose(self, capsys):
         code = main(["search", "--benchmark", "ppg", "--width", "0.1",
                      "--lam", "0.0", "--warmup", "1", "--epochs", "1",
-                     "--finetune", "1", "--quiet", "--compile", "--verbose"])
+                     "--finetune", "1", "--quiet", "--verbose"])
         assert code == 0
         out = capsys.readouterr().out
         assert "dilations :" in out
@@ -314,10 +315,12 @@ class TestTrain:
             assert f"[compile:{phase}]" in out
 
     def test_sweep_compile_flag(self, capsys):
+        """A stacked sweep replays the stacked trainer's compiled step
+        with no flag."""
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",
-                     "--lambdas", "0.5", "--gamma-lr", "0.1",
+                     "--lambdas", "0", "0.5", "--gamma-lr", "0.1",
                      "--warmup", "0", "--epochs", "1", "--finetune", "0",
-                     "--quiet", "--compile"])
+                     "--stack", "2", "--quiet"])
         assert code == 0
         assert "pareto front" in capsys.readouterr().out
 

@@ -12,7 +12,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autograd.graph import CompileConfig
 from repro.core import PITConv1d
 from repro.data import ArrayDataset, DataLoader
 from repro.evaluation import (
@@ -85,12 +84,10 @@ def _loaders(shuffle=False, seed=0):
     return train, val
 
 
-def _sweep(workers, cache_path=None, shuffle=False, factory=Tiny,
-           compile_step=None):
+def _sweep(workers, cache_path=None, shuffle=False, factory=Tiny):
     train, val = _loaders(shuffle=shuffle)
     engine = DSEEngine(factory, mse_loss, train, val, workers=workers,
-                       cache_path=cache_path, trainer_kwargs=dict(SCHEDULE),
-                       compile_config=CompileConfig(compile_step=compile_step))
+                       cache_path=cache_path, trainer_kwargs=dict(SCHEDULE))
     return engine.run(LAMBDAS, warmups=WARMUPS)
 
 
@@ -124,36 +121,25 @@ class TestParallelDeterminism:
         parallel = _sweep(workers=2, shuffle=True)
         _assert_identical(serial, parallel)
 
-    def test_compiled_sweep_bit_identical_to_eager(self):
-        """compile_step routes every grid point through the graph-capture
-        executor; results (and therefore cache entries) must not change."""
-        eager = _sweep(workers=0)
-        compiled = _sweep(workers=0, compile_step=True)
-        parallel_compiled = _sweep(workers=2, compile_step=True)
+    def test_compiled_sweep_bit_identical_to_eager(self, eager_steps):
+        """Every grid point trains through the graph-capture executor;
+        results (and therefore cache entries) equal eager training's."""
+        with eager_steps():
+            eager = _sweep(workers=0)
+        compiled = _sweep(workers=0)
+        parallel_compiled = _sweep(workers=2)
         _assert_identical(eager, compiled)
         _assert_identical(eager, parallel_compiled)
 
-    def test_compile_flag_accepted_via_trainer_kwargs(self):
-        """A compile_config inside trainer_kwargs is stripped into the
-        engine knob (and stays out of cache keys)."""
-        train, val = _loaders()
-        engine = DSEEngine(
-            Tiny, mse_loss, train, val,
-            trainer_kwargs=dict(SCHEDULE, compile_config=CompileConfig(
-                compile_step=True)))
-        assert engine.compile_config.compile_step is True
-        assert "compile_config" not in engine.trainer_kwargs
-        _assert_identical(_sweep(workers=0),
-                          engine.run(LAMBDAS, warmups=WARMUPS))
-
-    def test_compile_config_stays_out_of_cache_keys(self, tmp_path):
-        """The compile knob is a speed knob: compiled and eager sweeps
-        share cache entries."""
+    def test_execution_path_stays_out_of_cache_keys(self, tmp_path,
+                                                    eager_steps):
+        """Cache keys name no execution path: a sweep resumes from
+        entries an eager-trained sweep wrote."""
         cache = str(tmp_path / "cache.json")
-        first = _sweep(workers=0, cache_path=cache, compile_step=True)
+        with eager_steps():
+            first = _sweep(workers=0, cache_path=cache)
         factory = CountingFactory()
-        resumed = _sweep(workers=0, cache_path=cache, factory=factory,
-                         compile_step=False)
+        resumed = _sweep(workers=0, cache_path=cache, factory=factory)
         assert factory.calls == 0  # every point came from the cache
         _assert_identical(first, resumed)
 

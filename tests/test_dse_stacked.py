@@ -41,7 +41,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, get_default_dtype
-from repro.autograd.graph import CompileConfig
 from repro.core import PITConv1d, PITTrainer, StackedPITTrainer
 from repro.core.stacked import clip_grad_norm_stacked, per_model_loss
 from repro.data import ArrayDataset, DataLoader, EpochReplayLoader, clone_loader
@@ -104,23 +103,18 @@ def _loaders(seed=0, shuffle=True):
     return train, val
 
 
-def _sequential_results(schedule=SCHEDULE, compile_step=None, lams=LAMS):
+def _sequential_results(schedule=SCHEDULE, lams=LAMS):
     train, val = _loaders()
     results = []
     for lam in lams:
-        trainer = PITTrainer(
-            StackSeed(), mse_loss, lam=lam,
-            compile_config=CompileConfig(compile_step=compile_step),
-            **schedule)
+        trainer = PITTrainer(StackSeed(), mse_loss, lam=lam, **schedule)
         results.append(trainer.fit(clone_loader(train), clone_loader(val)))
     return results
 
 
-def _stacked_results(schedule=SCHEDULE, compile_step=None, lams=LAMS):
+def _stacked_results(schedule=SCHEDULE, lams=LAMS):
     train, val = _loaders()
-    trainer = StackedPITTrainer(
-        StackSeed(), mse_loss, lams=lams,
-        compile_config=CompileConfig(compile_step=compile_step), **schedule)
+    trainer = StackedPITTrainer(StackSeed(), mse_loss, lams=lams, **schedule)
     return trainer.fit(train, val)
 
 
@@ -155,10 +149,11 @@ class TestTrainerParity:
         assert len(prune_epochs) > 1, \
             f"schedule no longer diverges: {prune_epochs}"
 
-    def test_compiled_stacked_parity(self):
-        """Stacked training through the graph-capture executor."""
-        sequential = _sequential_results(compile_step=True)
-        stacked = _stacked_results(compile_step=True)
+    def test_compiled_stacked_parity(self, eager_steps):
+        """Compiled stacked training against eager sequential training."""
+        with eager_steps():
+            sequential = _sequential_results()
+        stacked = _stacked_results()
         _assert_result_parity(sequential, stacked)
 
     @pytest.mark.parametrize("backend", ["einsum", "im2col"])

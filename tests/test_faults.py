@@ -17,7 +17,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autograd.graph import CompileConfig
 from repro.core import DivergedError, PITConv1d
 from repro.data import ArrayDataset, DataLoader
 from repro.evaluation import (
@@ -501,20 +500,19 @@ class TestChaosParity:
                                                            tmp_path):
         """Satellite: a fault-killed sweep resumed through the cache stays
         bit-identical under stacked + compiled execution too."""
-        cfg = CompileConfig(compile_step=True)
-        baseline = _serial_engine(stack=2, compile_config=cfg).run(
+        baseline = _serial_engine(stack=2).run(
             LAMBDAS, warmups=WARMUPS)
 
         cache = str(tmp_path / "dse.json")
         monkeypatch.setenv(faults.ENV_FAULTS, "interrupt@point=2")
         with pytest.raises(KeyboardInterrupt):
-            _serial_engine(stack=2, compile_config=cfg,
-                           cache_path=cache).run(LAMBDAS, warmups=WARMUPS)
+            _serial_engine(stack=2, cache_path=cache).run(
+                LAMBDAS, warmups=WARMUPS)
 
         monkeypatch.delenv(faults.ENV_FAULTS)
         factory = CountingFactory()
-        resumed = _serial_engine(factory, stack=2, compile_config=cfg,
-                                 cache_path=cache).run(LAMBDAS, warmups=WARMUPS)
+        resumed = _serial_engine(factory, stack=2, cache_path=cache).run(
+            LAMBDAS, warmups=WARMUPS)
         assert factory.calls == 1  # one build for the missing stacked chunk
         _assert_identical(baseline, resumed)
 

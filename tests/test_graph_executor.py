@@ -9,22 +9,24 @@ Also covers the executor's operational behaviour: per-shape and per-dtype
 re-tracing, the permanent eager fallback for value-dependent
 (capture-unsafe) models, side effects replayed in program order (BatchNorm
 running statistics), whole training epochs (Adam state, gradient clipping,
-early stopping, the stacked trainer), and the :class:`CompileConfig` knob.
+early stopping, the stacked trainer), the diagnostics a trainer reports,
+and what a program and a replay keep alive.
 """
 
 import copy
+import gc
 import json
-import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.autograd import (
     CompiledStep,
+    EagerStep,
     get_default_dtype,
     set_default_dtype,
 )
-from repro.autograd.graph import CompileConfig
 from repro.core import PITTrainer, network_dilations, size_regularizer
 from repro.core.channel_mask import PITChannelConv1d
 from repro.core.pit_conv import PITConv1d
@@ -49,8 +51,10 @@ from repro.nn import (
 from repro.optim import Adam, clip_grad_norm
 
 
-def compile_cfg(flag: bool) -> CompileConfig:
-    return CompileConfig(compile_step=flag)
+def training_step(compiled: bool, model, loss_fn, extra_loss=None):
+    """The trainers' step for ``model``, or its eager reference."""
+    step = make_training_step(model, loss_fn, extra_loss=extra_loss)
+    return step if compiled else EagerStep(step.step_fn)
 
 
 def batches_of(xshape, yshape, count=3, seed=0):
@@ -86,13 +90,11 @@ def run_parity(make_model, batches, loss_fn, extra_loss_fn=None, lr=1e-3,
     eager_model = make_model()
     compiled_model = copy.deepcopy(eager_model)
     runners = {}
-    for label, model, compile_step in (("eager", eager_model, False),
-                                       ("compiled", compiled_model, True)):
+    for label, model, compiled in (("eager", eager_model, False),
+                                   ("compiled", compiled_model, True)):
         extra = (lambda m=model: extra_loss_fn(m)) if extra_loss_fn else None
         runners[label] = (model,
-                          make_training_step(
-                              model, loss_fn, extra_loss=extra,
-                              compile_config=compile_cfg(compile_step)),
+                          training_step(compiled, model, loss_fn, extra),
                           Adam(model.parameters(), lr=lr))
     losses = {"eager": [], "compiled": []}
     for x, y in batches:
@@ -152,12 +154,10 @@ class TestConvGrid:
             step = run_parity(make_model, batches, mse_loss,
                               context=f"kernels {backend}")
             assert step.fallback_reason is None
-            on_set = [make_training_step(
-                make_model(), mse_loss,
-                compile_config=compile_cfg(True))(x, y) for x, y in batches]
-        production = [make_training_step(
-            make_model(), mse_loss,
-            compile_config=compile_cfg(False))(x, y) for x, y in batches]
+            on_set = [make_training_step(make_model(), mse_loss)(x, y)
+                      for x, y in batches]
+        production = [training_step(False, make_model(), mse_loss)(x, y)
+                      for x, y in batches]
         assert np.allclose(on_set, production, rtol=1e-5)
 
 
@@ -214,20 +214,20 @@ class TestPITTrainerParity:
         val = DataLoader(data, 8)
         return train, val
 
-    def test_three_phase_parity(self):
+    def test_three_phase_parity(self, eager_steps):
         """Every phase replays a compiled program, including the
         fine-tune phase with frozen masks."""
-        results = {}
-        for compile_step in (False, True):
+        def run():
             model = temponet_seed(width_mult=0.125, seed=3)
             train, val = self._loaders()
             trainer = PITTrainer(model, mae_loss, lam=0.5, gamma_lr=0.1,
                                  warmup_epochs=1, max_prune_epochs=2,
                                  prune_patience=2, finetune_epochs=1,
-                                 finetune_patience=1,
-                                 compile_config=compile_cfg(compile_step))
-            outcome = trainer.fit(train, val)
-            results[compile_step] = (outcome, model)
+                                 finetune_patience=1)
+            return trainer.fit(train, val), model
+        with eager_steps():
+            results = {False: run()}
+        results[True] = run()
         eager, compiled = results[False][0], results[True][0]
         assert compiled.dilations == eager.dilations
         assert compiled.best_val == eager.best_val
@@ -240,15 +240,6 @@ class TestPITTrainerParity:
         assert (network_dilations(results[True][1])
                 == network_dilations(results[False][1]))
         assert_same_state(results[False][1], results[True][1], "pit-final")
-
-    def test_env_default_enables_compilation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_STEP", "1")
-        model = temponet_seed(width_mult=0.125, seed=3)
-        trainer = PITTrainer(model, mae_loss, lam=0.5)
-        assert trainer.compile_step is True
-        monkeypatch.setenv("REPRO_COMPILE_STEP", "0")
-        trainer = PITTrainer(model, mae_loss, lam=0.5)
-        assert trainer.compile_step is False
 
 
 # ----------------------------------------------------------------------
@@ -271,10 +262,8 @@ class TestFallbacks:
 
         eager_model = make_model()
         compiled_model = copy.deepcopy(eager_model)
-        eager = make_training_step(eager_model, mse_loss,
-                                   compile_config=compile_cfg(False))
-        compiled = make_training_step(compiled_model, mse_loss,
-                                      compile_config=compile_cfg(True))
+        eager = training_step(False, eager_model, mse_loss)
+        compiled = make_training_step(compiled_model, mse_loss)
         for epoch in range(2):
             for x, y in loader:
                 eager_model.zero_grad()
@@ -299,12 +288,12 @@ class TestFallbacks:
         assert "ChannelMask" in step.fallback_reason
         assert not step.compiled_shapes
 
-    def test_train_plain_compiled_matches_eager(self):
+    def test_train_plain_compiled_matches_eager(self, eager_steps):
         rng = np.random.default_rng(0)
         data = ArrayDataset(rng.standard_normal((16, 2, 16)),
                             rng.standard_normal((16, 1)))
 
-        def run(compile_step):
+        def run():
             mrng = np.random.default_rng(5)
             model = Sequential(CausalConv1d(2, 4, kernel_size=3, rng=mrng),
                                ReLU(), GlobalAvgPool1d(),
@@ -313,9 +302,10 @@ class TestFallbacks:
                                rng=np.random.default_rng(1))
             val = DataLoader(data, 4)
             return train_plain(model, mse_loss, train, val, epochs=3,
-                               patience=2,
-                               compile_config=compile_cfg(compile_step))
-        eager, compiled = run(False), run(True)
+                               patience=2)
+        with eager_steps():
+            eager = run()
+        compiled = run()
         assert compiled.best_val == eager.best_val
         assert compiled.history == eager.history
         assert compiled.epochs == eager.epochs
@@ -326,8 +316,7 @@ class TestFallbacks:
         rng = np.random.default_rng(0)
         model = Sequential(CausalConv1d(3, 4, kernel_size=3, rng=rng),
                            GlobalAvgPool1d(), Linear(4, 2, rng=rng))
-        step = make_training_step(model, mse_loss,
-                                  compile_config=compile_cfg(True))
+        step = make_training_step(model, mse_loss)
         x, y = rng.standard_normal((4, 3, 32)), rng.standard_normal((4, 2))
         step(x, y)
         set_default_dtype("float32")
@@ -351,13 +340,12 @@ def small_net(seed=5):
                       GlobalAvgPool1d(), Linear(4, 1, rng=rng))
 
 
-def run_epochs(compile_step, batches, epochs=3, grad_clip=None):
+def run_epochs(compiled, batches, epochs=3, grad_clip=None):
     """Train a fresh :func:`small_net` for ``epochs`` passes over
     ``batches``; returns (model, optimizer, per-epoch mean task losses)."""
     model = small_net()
     optimizer = Adam(model.parameters(), lr=1e-3)
-    step = make_training_step(model, mse_loss,
-                              compile_config=compile_cfg(compile_step))
+    step = training_step(compiled, model, mse_loss)
     losses = []
     for _ in range(epochs):
         total = 0.0
@@ -409,7 +397,7 @@ class TestEpochParity:
                               run_epochs(True, batches, grad_clip=0.5),
                               "grad-clip")
 
-    def test_randomized_early_stop_grid(self):
+    def test_randomized_early_stop_grid(self, eager_steps):
         """train_plain over randomized patience/epoch grids: compiled and
         eager stop on the same epoch with bit-identical histories and
         restored best weights."""
@@ -418,14 +406,13 @@ class TestEpochParity:
         x = data_rng.standard_normal((20, 2, 16))
         y = data_rng.standard_normal((20, 1))
 
-        def run(compile_step, epochs, patience, seed):
+        def run(epochs, patience, seed):
             model = small_net(seed)
             train = DataLoader(ArrayDataset(x[:14], y[:14]), 4, shuffle=True,
                                rng=np.random.default_rng(seed + 1))
             val = DataLoader(ArrayDataset(x[14:], y[14:]), 4)
             result = train_plain(model, mse_loss, train, val, epochs=epochs,
-                                 patience=patience,
-                                 compile_config=compile_cfg(compile_step))
+                                 patience=patience)
             return model, result
 
         for trial in range(3):
@@ -433,14 +420,15 @@ class TestEpochParity:
             patience = int(rng.integers(1, 4))
             seed = int(rng.integers(0, 100))
             ctx = f"trial {trial}: epochs={epochs} patience={patience}"
-            (m_eager, eager), (m_comp, comp) = (
-                run(flag, epochs, patience, seed) for flag in (False, True))
+            with eager_steps():
+                m_eager, eager = run(epochs, patience, seed)
+            m_comp, comp = run(epochs, patience, seed)
             assert comp.epochs == eager.epochs, ctx
             assert comp.history == eager.history, ctx
             assert comp.best_val == eager.best_val, ctx
             assert_same_state(m_eager, m_comp, ctx)
 
-    def test_stacked_trainer_matches_eager(self):
+    def test_stacked_trainer_matches_eager(self, eager_steps):
         """The compiled stacked trainer (BatchNorm, dropout streams, stacked
         clipping, the ``active`` mask) is bit-identical to the eager one."""
         rng = np.random.default_rng(0)
@@ -460,21 +448,22 @@ class TestEpochParity:
             def forward(self, inp):
                 return self.h(self.dp(self.r1(self.bn(self.c1(inp)))))
 
-        def run(compile_step):
+        def run():
             train = DataLoader(ArrayDataset(x[:16], y[:16]), 4, shuffle=True,
                                rng=np.random.default_rng(1))
             val = DataLoader(ArrayDataset(x[16:], y[16:]), 4)
             trainer = StackedPITTrainer(
                 StackSeed(), mse_loss, lams=[1e-7, 1e-4], warmup_epochs=2,
                 max_prune_epochs=3, prune_patience=2, finetune_epochs=2,
-                finetune_patience=2, grad_clip=1.0,
-                compile_config=compile_cfg(compile_step))
+                finetune_patience=2, grad_clip=1.0)
             results = trainer.fit(train, val)
             states = [trainer.model_for(i).state_dict()
                       for i in range(len(results))]
             return results, states
 
-        (eager, eager_states), (comp, comp_states) = run(False), run(True)
+        with eager_steps():
+            eager, eager_states = run()
+        comp, comp_states = run()
         for re_, rc in zip(eager, comp):
             assert rc.dilations == re_.dilations
             assert rc.best_val == re_.best_val
@@ -487,46 +476,73 @@ class TestEpochParity:
 
 
 # ----------------------------------------------------------------------
-# CompileConfig: the one knob, environment default, picklable
+# What a trainer reports, and what a program and a replay keep alive
 # ----------------------------------------------------------------------
 
-class TestCompileConfig:
-    def test_default_defers_to_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILE_STEP", raising=False)
-        cfg = CompileConfig()
-        assert not cfg.want_compile()
-        monkeypatch.setenv("REPRO_COMPILE_STEP", "1")
-        assert cfg.want_compile()
-        assert CompileConfig.resolve(None).want_compile()
-
-    def test_explicit_field_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_STEP", "1")
-        assert not CompileConfig(compile_step=False).want_compile()
-        monkeypatch.setenv("REPRO_COMPILE_STEP", "0")
-        assert CompileConfig(compile_step=True).want_compile()
-
-    def test_resolve_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="CompileConfig"):
-            CompileConfig.resolve({"compile_step": True})
-
-    def test_picklable(self):
-        cfg = CompileConfig(compile_step=True)
-        assert pickle.loads(pickle.dumps(cfg)) == cfg
-
-    def test_train_plain_surfaces_diagnostics(self):
+class TestDiagnostics:
+    def test_train_plain_surfaces_diagnostics(self, eager_steps):
         rng = np.random.default_rng(0)
         data = ArrayDataset(rng.standard_normal((16, 2, 16)),
                             rng.standard_normal((16, 1)))
 
-        def run(compile_step):
+        def run():
             train = DataLoader(data, 4, shuffle=True,
                                rng=np.random.default_rng(1))
             return train_plain(small_net(), mse_loss, train,
-                               DataLoader(data, 4), epochs=2, patience=2,
-                               compile_config=compile_cfg(compile_step))
+                               DataLoader(data, 4), epochs=2, patience=2)
 
-        stats = run(True).compile_stats
+        stats = run().compile_stats
         assert stats["fallback_reason"] is None
         assert stats["compiled_shapes"] == [[[4, 2, 16], [4, 1]]]
         json.dumps(stats)   # DSE results pickle/serialize it
-        assert run(False).compile_stats is None
+        with eager_steps():
+            stats = run().compile_stats
+        assert stats == {"fallback_reason": "eager reference",
+                         "compiled_shapes": []}
+
+
+class TestReplayMemory:
+    def test_program_does_not_pin_the_trace_batch(self):
+        """Batch inputs are rebound per replay, never leaves: a program
+        must not keep the trace-time ``x``/``y`` alive."""
+        rng = np.random.default_rng(0)
+        model = Linear(3, 2, rng=rng)
+        step = make_training_step(model, mse_loss)
+        x, y = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        step(x, y)
+        (runner,) = step._runners.values()
+        program = runner.program
+        leaf_slots = {slot for slot, _ in program.leaves}
+        assert len(program.input_slots) == 2
+        assert leaf_slots.isdisjoint(program.input_slots)
+        assert not any(np.shares_memory(t.data, x) or
+                       np.shares_memory(t.data, y)
+                       for _, t in program.leaves)
+
+    def test_replay_keeps_no_activations_or_gradients(self):
+        """After a replayed TEMPONet step returns, only the parameters'
+        fresh ``.grad`` arrays and small outputs remain allocated: the
+        activations, forward byproducts and intermediate gradients of the
+        replay are all freed."""
+        model = temponet_seed(width_mult=0.25, seed=3)
+        step = make_training_step(
+            model, mae_loss, extra_loss=lambda: size_regularizer(model, 0.02))
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((8, 4, 256)), rng.standard_normal((8, 1))
+        for _ in range(2):          # trace, then a first replay
+            model.zero_grad()
+            step(x, y)
+        assert step.fallback_reason is None and step.compiled_shapes
+        model.zero_grad()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            step(x, y)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        params = model.parameters()
+        budget = (sum(p.data.nbytes for p in params)
+                  + sum(p.grad.nbytes for p in params if p.grad is not None))
+        assert retained <= budget + 64 * 1024, (retained, budget)

@@ -9,8 +9,7 @@ three-phase PIT run, which must match the eager trainer bit for bit.
 
 import numpy as np
 
-from repro.autograd import CompiledStep, Tensor, record_side_effect
-from repro.autograd.graph import CompileConfig
+from repro.autograd import CompiledStep, EagerStep, Tensor, record_side_effect
 from repro.core import PITTrainer
 from repro.core.driver import make_training_step
 from repro.core.pit_conv import PITConv1d
@@ -62,11 +61,11 @@ class TestFoldConstants:
         batches = [(rng.standard_normal((2, 2, 16)),
                     rng.standard_normal((2, 1))) for _ in range(3)]
         runs = {}
-        for compile_step in (False, True):
+        for compiled in (False, True):
             model = make_model()
-            step = make_training_step(
-                model, mse_loss,
-                compile_config=CompileConfig(compile_step=compile_step))
+            step = make_training_step(model, mse_loss)
+            if not compiled:
+                step = EagerStep(step.step_fn)
             trace = []
             for x, y in batches:
                 model.zero_grad()
@@ -74,7 +73,7 @@ class TestFoldConstants:
                 grads = [np.array(p.grad) for p in model.parameters()
                          if p.grad is not None]
                 trace.append((loss, grads))
-            runs[compile_step] = (trace, step)
+            runs[compiled] = (trace, step)
         (eager, _), (compiled, step) = runs[False], runs[True]
         assert step.fallback_reason is None, step.fallback_reason
         assert step.compiled_shapes
@@ -90,11 +89,10 @@ class TestFoldConstants:
 # ----------------------------------------------------------------------
 
 class TestPipelineParity:
-    def test_three_phase_pit_bit_identical(self):
+    def test_three_phase_pit_bit_identical(self, eager_steps):
         """The compiled PIT trainer (replay in every phase, frozen masks
         in phase 3) matches the eager trainer."""
-        outcomes = {}
-        for compile_step in (False, True):
+        def run():
             rng = np.random.default_rng(0)
             data = ArrayDataset(rng.standard_normal((24, 4, 256)),
                                 rng.standard_normal((24, 1)))
@@ -105,11 +103,11 @@ class TestPipelineParity:
             trainer = PITTrainer(
                 model, mae_loss, lam=0.5, gamma_lr=0.1, warmup_epochs=1,
                 max_prune_epochs=2, prune_patience=2, finetune_epochs=1,
-                finetune_patience=1,
-                compile_config=CompileConfig(compile_step=compile_step))
-            outcomes[compile_step] = (trainer.fit(train, val),
-                                      model.state_dict())
-        base, comp = outcomes[False], outcomes[True]
+                finetune_patience=1)
+            return trainer.fit(train, val), model.state_dict()
+        with eager_steps():
+            base = run()
+        comp = run()
         assert base[0].dilations == comp[0].dilations
         assert base[0].best_val == comp[0].best_val
         assert base[0].history == comp[0].history

@@ -26,6 +26,4 @@ def unit(monkeypatch):
 def test_resolved_config_reports_the_execution_path(unit, monkeypatch):
     for name in [k for k in os.environ if k.startswith("REPRO_")]:
         monkeypatch.delenv(name)
-    assert unit.resolved_config()["compile"] == "eager"
-    monkeypatch.setenv("REPRO_COMPILE_STEP", "1")
     assert unit.resolved_config()["compile"] == "step/interp"
