@@ -24,8 +24,8 @@ from repro.models import (
 )
 
 
-def _selection(sweep, reference_params):
-    return select_small_medium_large(sweep.points, reference_params)
+def _selection(sweep, reference):
+    return select_small_medium_large(sweep.points, reference)
 
 
 def _check_dilations_valid(dilations, seed_model):

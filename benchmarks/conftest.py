@@ -17,7 +17,7 @@ Two environment knobs speed up / resume the sweeps without affecting the
 numbers further:
 
 * ``REPRO_DSE_WORKERS``  — worker-pool size for the λ sweeps (default 0 =
-  serial);
+  serial; the engine reads it);
 * ``REPRO_DSE_CACHE_DIR`` — directory for JSON sweep caches; completed
   (λ, warmup) points are skipped when a bench session is re-run.
 
@@ -32,7 +32,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import PITTrainer
 from repro.data import (
     DataLoader,
     NottinghamConfig,
@@ -41,7 +40,7 @@ from repro.data import (
     make_ppg_dalia,
     train_val_test_split,
 )
-from repro.evaluation import run_dse
+from repro.evaluation import DSEEngine
 from repro.models import restcn_seed, temponet_seed
 from repro.nn import mae_loss, polyphonic_nll
 
@@ -57,7 +56,6 @@ MUSIC_LAMBDAS = (0.0, 3e-4, 3e-3, 3e-2)
 PPG_LAMBDAS = (0.0, 0.05, 0.5, 5.0)
 SEQ_LEN_MUSIC = MUSIC_CONFIG.seq_len - 1
 
-DSE_WORKERS = int(os.environ.get("REPRO_DSE_WORKERS", "0"))
 DSE_CACHE_DIR = os.environ.get("REPRO_DSE_CACHE_DIR")
 
 
@@ -96,22 +94,22 @@ def temponet_factory():
 def restcn_sweep(music_loaders):
     """The Fig. 4 (top) λ sweep: PIT searches from the ResTCN seed."""
     train, val, _ = music_loaders
-    return run_dse(restcn_factory, polyphonic_nll, train, val,
-                   lambdas=MUSIC_LAMBDAS, warmups=(1,),
-                   trainer_kwargs=dict(PIT_SCHEDULE),
-                   workers=DSE_WORKERS, cache_path=_sweep_cache("restcn"),
-                   cache_tag=f"restcn|width={RESTCN_WIDTH}")
+    engine = DSEEngine(restcn_factory, polyphonic_nll, train, val,
+                       trainer_kwargs=dict(PIT_SCHEDULE),
+                       cache_path=_sweep_cache("restcn"),
+                       cache_tag=f"restcn|width={RESTCN_WIDTH}")
+    return engine.run(MUSIC_LAMBDAS, warmups=(1,))
 
 
 @pytest.fixture(scope="session")
 def temponet_sweep(ppg_loaders):
     """The Fig. 4 (bottom) λ sweep: PIT searches from the TEMPONet seed."""
     train, val, _ = ppg_loaders
-    return run_dse(temponet_factory, mae_loss, train, val,
-                   lambdas=PPG_LAMBDAS, warmups=(1,),
-                   trainer_kwargs=dict(PIT_SCHEDULE),
-                   workers=DSE_WORKERS, cache_path=_sweep_cache("temponet"),
-                   cache_tag=f"temponet|width={TEMPONET_WIDTH}")
+    engine = DSEEngine(temponet_factory, mae_loss, train, val,
+                       trainer_kwargs=dict(PIT_SCHEDULE),
+                       cache_path=_sweep_cache("temponet"),
+                       cache_tag=f"temponet|width={TEMPONET_WIDTH}")
+    return engine.run(PPG_LAMBDAS, warmups=(1,))
 
 
 def print_header(title: str) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core import train_plain
 from repro.data import DataLoader, PPGDaliaConfig, make_ppg_dalia, train_val_test_split
-from repro.evaluation import pareto_points, run_dse
+from repro.evaluation import DSEEngine, pareto_points
 from repro.models import TEMPONET_HAND_DILATIONS, temponet_fixed, temponet_seed
 from repro.nn import mae_loss
 
@@ -42,13 +42,12 @@ def main():
               f"MAE {references[name][1]:.2f} BPM")
 
     # The PIT λ sweep (one full search per λ).
-    sweep = run_dse(
+    sweep = DSEEngine(
         lambda: temponet_seed(width_mult=WIDTH, seed=0),
         mae_loss, train_loader, val_loader,
-        lambdas=LAMBDAS, warmups=(1,),
         trainer_kwargs=dict(gamma_lr=0.03, max_prune_epochs=6, prune_patience=4,
                             finetune_epochs=4, finetune_patience=4),
-        verbose=True)
+        verbose=True).run(LAMBDAS, warmups=(1,))
 
     print("\nlambda      params   MAE     dilations")
     for p in sorted(sweep.points, key=lambda q: q.params):

@@ -41,7 +41,7 @@ eager-fallback reason, or the input shapes with a compiled program).
 same-warmup grid points as one weight-stacked model (vmap-style batched
 execution; ``REPRO_DSE_STACK`` is the environment equivalent), and
 ``--cache`` memoizes completed (λ, warmup) points — including ``--hw``
-deployment metrics (cache format v2) — to a JSON file so interrupted
+deployment metrics (cache format v3) — to a JSON file so interrupted
 sweeps resume where they left off.  Stack width never enters cache keys:
 stacked and sequential sweeps share entries.
 
@@ -231,7 +231,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .evaluation import run_dse
+    from .evaluation import DSEEngine
     train_loader, val_loader, test_loader = _loaders(args.benchmark, args.seed)
 
     # functools.partial of a module-level function (not a closure) so the
@@ -248,23 +248,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _loss(args.benchmark), val_loader, test_loader,
             _input_shape(args.benchmark), bits=args.bits))
 
-    result = run_dse(factory, _loss(args.benchmark), train_loader, val_loader,
-                     lambdas=args.lambdas, warmups=tuple(args.warmups),
-                     trainer_kwargs=dict(gamma_lr=args.gamma_lr,
-                                         max_prune_epochs=args.epochs,
-                                         prune_patience=args.patience,
-                                         finetune_epochs=args.finetune,
-                                         finetune_patience=args.patience),
-                     verbose=not args.quiet, workers=args.workers,
-                     executor=args.executor, cache_path=args.cache,
-                     cache_tag=f"{args.benchmark}|width={args.width}"
-                               f"|seed={args.seed}",
-                     stack=args.stack,
-                     point_evaluators=evaluators,
-                     retries=args.retries,
-                     point_timeout=args.point_timeout,
-                     checkpoint_dir=getattr(args, "checkpoint_dir", None),
-                     checkpoint_every=getattr(args, "checkpoint_every", None))
+    engine = DSEEngine(
+        factory, _loss(args.benchmark), train_loader, val_loader,
+        trainer_kwargs=dict(gamma_lr=args.gamma_lr,
+                            max_prune_epochs=args.epochs,
+                            prune_patience=args.patience,
+                            finetune_epochs=args.finetune,
+                            finetune_patience=args.patience),
+        verbose=not args.quiet, workers=args.workers,
+        executor=args.executor, cache_path=args.cache,
+        cache_tag=f"{args.benchmark}|width={args.width}|seed={args.seed}",
+        stack=args.stack, point_evaluators=evaluators,
+        retries=args.retries, point_timeout=args.point_timeout,
+        checkpoint_dir=getattr(args, "checkpoint_dir", None),
+        checkpoint_every=getattr(args, "checkpoint_every", None))
+    result = engine.run(args.lambdas, warmups=tuple(args.warmups))
     header = f"{'lambda':>10s} {'warmup':>6s} {'params':>8s} {'loss':>9s}"
     if args.hw:
         header += f" {'int8 loss':>9s} {'lat ms':>8s} {'mJ':>7s}"

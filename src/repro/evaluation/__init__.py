@@ -19,7 +19,6 @@ from .dse import (
     evaluator_name,
     executor_default,
     objective_value,
-    run_dse,
     select_small_medium_large,
     stack_width_default,
     workers_default,
@@ -48,7 +47,6 @@ __all__ = [
     "DSEResult",
     "evaluator_name",
     "objective_value",
-    "run_dse",
     "select_small_medium_large",
     "ENV_STACK",
     "ENV_WORKERS",

@@ -11,9 +11,8 @@ Grid points are independent, so :class:`DSEEngine` dispatches them to a
 request) and reassembles the results in deterministic grid order — a
 parallel sweep returns exactly the same :class:`DSEResult` as a serial
 one.  To make that hold, every grid point trains against *private* loader
-state (one pristine clone per worker, rewound per point): a shared
-shuffling loader would otherwise thread its RNG state through the points
-in submission order.
+clones (:func:`repro.data.clone_loader`): a shared shuffling loader would
+otherwise thread its RNG state through the points in submission order.
 
 On top of the worker pool, ``stack=N`` turns on *stacked-model execution*:
 up to N same-warmup grid points are grouped into one weight-stacked
@@ -45,7 +44,7 @@ Deployment cost is a first-class objective: ``point_evaluators`` run after
 each grid point trains (e.g. :func:`repro.hw.gap8_evaluator`, which exports
 the discovered network, fake-quantizes it to int8 and prices it on the GAP8
 model) and annotate the point's ``metrics`` dict; the cache persists them
-(format version 2) and :meth:`DSEResult.pareto` accepts arbitrary objective
+and :meth:`DSEResult.pareto` accepts arbitrary objective
 tuples such as ``("params", "latency_ms", "loss")``.
 
 It also implements the small/medium/large selection rule of Tables I-III:
@@ -56,7 +55,6 @@ other objective (latency, energy, …) via ``objective=``.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import random
@@ -64,7 +62,6 @@ import tempfile
 import threading
 import time
 import warnings
-import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -85,13 +82,13 @@ from ..core.checkpoint import (
 )
 from ..core.stacked import StackedPITTrainer
 from ..core.trainer import DivergedError, PITResult, PITTrainer
-from ..data import DataLoader, clone_loader
+from ..data import clone_loader
 from ..nn import Module
 from ..nn.stacked import StackingUnsupported
 from ..testing import faults
 from .pareto import pareto_front
 
-__all__ = ["DSEPoint", "DSEResult", "DSECache", "DSEEngine", "run_dse",
+__all__ = ["DSEPoint", "DSEResult", "DSECache", "DSEEngine",
            "objective_value", "evaluator_name", "select_small_medium_large",
            "ENV_STACK", "ENV_WORKERS", "ENV_EXECUTOR",
            "stack_width_default", "workers_default", "executor_default"]
@@ -108,6 +105,19 @@ ENV_STACK = "REPRO_DSE_STACK"
 #: every engine construction (explicit arguments always win).
 ENV_WORKERS = "REPRO_DSE_WORKERS"
 ENV_EXECUTOR = "REPRO_DSE_EXECUTOR"
+
+#: trainer settings the engine sets per grid point, each with the engine
+#: argument that controls it; DSEEngine(trainer_kwargs=...) refuses them
+_ENGINE_OWNED = {
+    "lam": "the grid (DSEEngine.run lambdas)",
+    "warmup_epochs": "the grid (DSEEngine.run warmups)",
+    "stack": "DSEEngine(stack=)",
+    "checkpoint_dir": "DSEEngine(checkpoint_dir=)",
+    "checkpoint_every": "DSEEngine(checkpoint_every=)",
+    "checkpoint_tag": "DSEEngine(checkpoint_dir=)",
+    "checkpoint_tags": "DSEEngine(checkpoint_dir=)",
+    "checkpoint_resume": "DSEEngine(checkpoint_dir=)",
+}
 
 
 def stack_width_default() -> int:
@@ -221,8 +231,7 @@ class DSEResult:
         Objectives resolve against dataclass fields first, then the
         ``metrics`` dict — e.g. ``("params", "latency_ms", "loss")`` for the
         hardware-aware 3-D front.  Points missing any requested objective
-        (cached v1 entries, sweeps run without evaluators, failed points)
-        are excluded.
+        (sweeps run without evaluators, failed points) are excluded.
         """
         keep: List[DSEPoint] = []
         coords: List[Tuple[float, ...]] = []
@@ -269,15 +278,13 @@ class DSECache:
           }
         }
 
-    Version 2 added the ``metrics`` dict (post-training evaluator
-    annotations: deployment latency/energy, quantized loss, …); version 3
-    adds the failure fields (``status`` / ``error`` / ``attempts``) so an
-    interrupted fault-tolerant sweep keeps its failure provenance on disk.
-    Versions 1-2 are still accepted — their entries load with the missing
-    fields defaulted (ok, no error) and the file is rewritten as version 3
-    on the next recorded point.  Failed entries are *persisted but never
-    served*: :meth:`get` treats them as missing, so a resumed sweep
-    retries the failed grid points instead of trusting a placeholder.
+    ``metrics`` holds post-training evaluator annotations (deployment
+    latency/energy, quantized loss, …); the failure fields (``status`` /
+    ``error`` / ``attempts``) keep an interrupted fault-tolerant sweep's
+    failure provenance on disk.  Any other version raises.  Failed entries
+    are *persisted but never served*: :meth:`get` treats them as missing,
+    so a resumed sweep retries the failed grid points instead of trusting
+    a placeholder.
 
     A cache file that no longer parses (truncated by a crash mid-write,
     garbage bytes) is never fatal and never silently ignored: the corrupt
@@ -305,9 +312,6 @@ class DSECache:
     """
 
     VERSION = 3
-    #: formats this reader understands (v1 = pre-metrics entries,
-    #: v2 = pre-failure-fields entries)
-    READABLE_VERSIONS = (1, 2, 3)
 
     def __init__(self, path: str):
         self.path = path
@@ -345,7 +349,7 @@ class DSECache:
                 f"DSE cache file {path!r} is corrupt ({exc}); quarantined "
                 f"to {quarantine!r} and starting fresh", stacklevel=3)
             return None
-        if payload.get("version") not in cls.READABLE_VERSIONS:
+        if payload.get("version") != cls.VERSION:
             raise ValueError(
                 f"unsupported DSE cache version in {path!r}: "
                 f"{payload.get('version')!r}")
@@ -391,7 +395,7 @@ class DSECache:
         they read as missing so a resumed sweep retries the point.
         """
         entry = self._points.get(key)
-        if entry is None or entry.get("status", "ok") != "ok":
+        if entry is None or entry["status"] != "ok":
             return None
         return _point_from_dict(entry)
 
@@ -410,7 +414,7 @@ class DSECache:
         prefix = base_key + "|evaluators="
         for key in sorted(self._points):
             if (key.startswith(prefix)
-                    and self._points[key].get("status", "ok") == "ok"):
+                    and self._points[key]["status"] == "ok"):
                 return _point_from_dict(self._points[key])
         return None
 
@@ -492,82 +496,13 @@ def _point_from_dict(entry: dict) -> DSEPoint:
         lam=entry["lam"], warmup_epochs=entry["warmup_epochs"],
         dilations=tuple(entry["dilations"]), params=entry["params"],
         loss=entry["loss"], result=result,
-        metrics=dict(entry.get("metrics") or {}),  # absent in v1 entries
-        status=entry.get("status", "ok"),          # absent in v1/v2 entries
-        error=entry.get("error"),
-        attempts=int(entry.get("attempts", 1)))
+        metrics=dict(entry["metrics"]), status=entry["status"],
+        error=entry["error"], attempts=int(entry["attempts"]))
 
 
 # ----------------------------------------------------------------------
 # Execution engine
 # ----------------------------------------------------------------------
-
-# Every piece of mutable loader state must be private per grid point for
-# parallel sweeps to be bit-identical to serial ones; the shared helper
-# lives in repro.data (deployment evaluators apply the same discipline).
-_private_loader = clone_loader
-
-# Per-worker (thread/process) loader cache for the sequential grid-point
-# path.  The engine's template loaders are never iterated, so every grid
-# point used to deep-copy them afresh just to start from the same pristine
-# RNG state; for plain DataLoaders the only mutable state *is* that RNG,
-# so one clone per worker rewound to its pristine bit-state per point is
-# bit-identical and skips the repeated deepcopy.  Thread-local so pooled
-# workers never share a clone; subclassed loaders (unknown extra state)
-# keep the old clone-per-point behaviour.  Entries hold the template by
-# *weak* reference: a clone pins the (shared) dataset arrays, so a strong
-# key would leak every dataset a long-lived process ever swept over.
-_LOADER_CACHE = threading.local()
-
-
-def _rng_states_equal(a, b) -> bool:
-    """Deep-compare bit-generator state trees.
-
-    MT19937/Philox/SFC64 states embed numpy arrays, on which plain dict
-    ``==`` raises ("truth value of an array is ambiguous"); PCG64 states
-    are int-only.  Handle both.
-    """
-    if isinstance(a, dict):
-        return (isinstance(b, dict) and a.keys() == b.keys()
-                and all(_rng_states_equal(a[k], b[k]) for k in a))
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
-
-
-def _worker_loader(template, role: str = "train") -> "DataLoader":
-    """One pristine clone per (worker, template, role), rewound per point.
-
-    ``role`` keeps aliased loaders independent: a caller passing the *same*
-    loader object as both train and val must still get two distinct clones
-    (two independent RNG streams), exactly as clone-per-point produced.
-    """
-    if type(template) is not DataLoader:
-        return _private_loader(template)
-    cache = getattr(_LOADER_CACHE, "map", None)
-    if cache is None:
-        cache = _LOADER_CACHE.map = {}
-    # Evict entries whose template died: their clones would otherwise pin
-    # the dataset arrays for the life of the worker thread.
-    for key in [k for k, (ref, _, _) in cache.items() if ref() is None]:
-        del cache[key]
-    entry = cache.get((id(template), role))
-    state = template.rng.bit_generator.state
-    # Re-clone when the entry is missing, the id was reused by a different
-    # loader object, or the caller advanced the template's RNG since we
-    # snapshotted it — a fresh clone must start from the template's
-    # *current* state, exactly like clone-per-point did.
-    if (entry is None or entry[0]() is not template
-            or not _rng_states_equal(entry[2], state)):
-        clone = _private_loader(template)
-        cache[(id(template), role)] = (
-            weakref.ref(template), clone,
-            copy.deepcopy(clone.rng.bit_generator.state))
-        return clone
-    _, clone, pristine = entry
-    clone.rng.bit_generator.state = copy.deepcopy(pristine)
-    return clone
-
 
 def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
                       train_loader, val_loader, lam: float, warmup: int,
@@ -591,8 +526,8 @@ def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
     the point's cache key, so every execution strategy addresses the same
     file).
     """
-    train_loader = _worker_loader(train_loader, "train")
-    val_loader = _worker_loader(val_loader, "val")
+    train_loader = clone_loader(train_loader)
+    val_loader = clone_loader(val_loader)
     model = seed_factory()
     ckpt_kwargs = {}
     if ckpt_dir and ckpt_tag:
@@ -719,18 +654,20 @@ def _train_point_isolated(seed_factory, loss_fn, train_loader, val_loader,
             return _failed_point(lam, warmup, exc, attempt)
 
 
-def _chunk_cache(cache_path: Optional[str]) -> Optional["DSECache"]:
-    """The worker-side cache handle for mid-chunk durability, or None.
+def _chunk_cache(cache) -> Optional[DSECache]:
+    """The cache handle a chunk flushes each completed point through.
 
-    Worker flushes make every completed point durable the moment it
+    ``cache`` is the engine's own :class:`DSECache` (in-process chunks), a
+    cache file path (pooled chunks open their own handle on it) or None.
+    Flushing per point makes every completed point durable the moment it
     finishes — a later crash (of this worker or the whole pool) can then
     only cost the in-flight point, and the engine's recovery resubmission
     shrinks to whatever is still missing on disk.
     """
-    if not cache_path:
-        return None
+    if cache is None or isinstance(cache, DSECache):
+        return cache
     try:
-        return DSECache(cache_path)
+        return DSECache(cache)
     except ValueError:
         return None  # version mismatch: the parent will complain loudly
 
@@ -741,7 +678,7 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
                       trainer_kwargs: Dict,
                       point_evaluators: Optional[Sequence[Callable]] = None,
                       retries: int = 0, retry_backoff: float = 0.0,
-                      cache_path: Optional[str] = None,
+                      cache=None,
                       cache_keys: Optional[Dict[int, str]] = None,
                       ckpt_dir: Optional[str] = None,
                       ckpt_every: Optional[int] = None,
@@ -761,7 +698,7 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
     back to isolated per-point training, which pins the blame on the
     culprit point alone.
     """
-    cache = _chunk_cache(cache_path)
+    cache = _chunk_cache(cache)
 
     def flush(index: int, point: DSEPoint) -> None:
         if cache is not None and cache_keys and index in cache_keys:
@@ -841,9 +778,10 @@ class DSEEngine:
         Pool size.  ``0`` or ``1`` trains the grid serially in-process;
         None (default) defers to ``REPRO_DSE_WORKERS`` (or 0).
     executor:
-        ``"thread"`` (numpy releases the GIL inside the GEMM-heavy
-        hot path, so threads scale) or ``"process"`` (full isolation, but
-        the factory / loss / loaders must pickle — no lambdas or closures);
+        ``"thread"`` or ``"process"`` (full isolation, but the factory /
+        loss / loaders must pickle — no lambdas or closures; each worker
+        process runs BLAS at its default thread count, so cap it with
+        ``OPENBLAS_NUM_THREADS=1`` to avoid oversubscription);
         None (default) defers to ``REPRO_DSE_EXECUTOR`` (or ``thread``).
     cache_path:
         Optional JSON results cache (see :class:`DSECache`); completed
@@ -854,8 +792,10 @@ class DSEEngine:
         seed, …).  Required discipline whenever one cache file serves
         sweeps over different models or datasets.
     trainer_kwargs:
-        Extra :class:`PITTrainer` arguments shared by every grid point
-        (``lam`` / ``warmup_epochs`` are stripped: the grid owns them).
+        Extra :class:`PITTrainer` arguments shared by every grid point.
+        Settings the engine owns (``lam`` / ``warmup_epochs``, ``stack``
+        and the ``checkpoint_*`` settings) raise a ``ValueError`` naming
+        the engine argument or grid axis that controls them.
     stack:
         Stacked-model execution width: up to ``stack`` same-warmup grid
         points train as *one* weight-stacked model
@@ -954,35 +894,16 @@ class DSEEngine:
         self.cache = DSECache(cache_path) if cache_path else None
         self.cache_tag = cache_tag
         self.trainer_kwargs = dict(trainer_kwargs or {})
-        self.trainer_kwargs.pop("lam", None)
-        self.trainer_kwargs.pop("warmup_epochs", None)
-        # Stack width: how many same-warmup grid points train as one
-        # weight-stacked model (see repro.core.StackedPITTrainer).  An
-        # execution-speed knob — results match
-        # sequential within fp tolerance and the width never enters cache
-        # keys, so stacked and sequential sweeps share entries.  None
-        # defers to REPRO_DSE_STACK; 1 is the exact sequential path.
-        kwargs_stack = self.trainer_kwargs.pop("stack", None)
-        if stack is None:
-            stack = kwargs_stack
+        for name in self.trainer_kwargs:
+            if name in _ENGINE_OWNED:
+                raise ValueError(
+                    f"trainer_kwargs[{name!r}] is set by the DSE engine; "
+                    f"{_ENGINE_OWNED[name]} controls it")
         self.stack = int(stack) if stack is not None else stack_width_default()
         if self.stack < 1:
             raise ValueError("stack width must be >= 1")
-        # Checkpointing is an execution knob like stack: stripped
-        # from trainer_kwargs (the engine owns per-point tags and resume)
-        # and kept out of cache keys.  Engine kwargs win over trainer_kwargs
-        # spellings; both fall back to the REPRO_CKPT_* environment.
-        kwargs_ckpt_dir = self.trainer_kwargs.pop("checkpoint_dir", None)
-        kwargs_ckpt_every = self.trainer_kwargs.pop("checkpoint_every", None)
-        self.trainer_kwargs.pop("checkpoint_tag", None)
-        self.trainer_kwargs.pop("checkpoint_tags", None)
-        self.trainer_kwargs.pop("checkpoint_resume", None)
-        if checkpoint_dir is None:
-            checkpoint_dir = kwargs_ckpt_dir
         if checkpoint_dir is None:
             checkpoint_dir = checkpoint_dir_default()
-        if checkpoint_every is None:
-            checkpoint_every = kwargs_ckpt_every
         self.checkpoint_dir = checkpoint_dir or None
         self.checkpoint_every = (int(checkpoint_every)
                                  if checkpoint_every is not None
@@ -1004,17 +925,16 @@ class DSEEngine:
               warmups: Sequence[int]) -> List[Tuple[int, float]]:
         return [(warmup, lam) for warmup in warmups for lam in lambdas]
 
-    def _train_chunk(self, chunk: Sequence[Tuple[int, int, float]]
-                     ) -> List[DSEPoint]:
-        return _train_grid_chunk(self.seed_factory, self.loss_fn,
-                                 self.train_loader, self.val_loader,
-                                 list(chunk), self.trainer_kwargs,
-                                 self.point_evaluators,
-                                 self.retries, self.retry_backoff,
-                                 self.cache.path if self.cache else None,
-                                 self._chunk_keys(chunk),
-                                 self.checkpoint_dir, self.checkpoint_every,
-                                 self._chunk_ckpt_tags(chunk))
+    def _chunk_args(self, chunk: Sequence[Tuple[int, int, float]],
+                    cache) -> tuple:
+        """Positional arguments of the :func:`_train_grid_chunk` task for
+        ``chunk``; ``cache`` is what it flushes completed points through
+        (see :func:`_chunk_cache`)."""
+        return (self.seed_factory, self.loss_fn, self.train_loader,
+                self.val_loader, list(chunk), self.trainer_kwargs,
+                self.point_evaluators, self.retries, self.retry_backoff,
+                cache, self._chunk_keys(chunk), self.checkpoint_dir,
+                self.checkpoint_every, self._chunk_ckpt_tags(chunk))
 
     def _chunk_keys(self, chunk: Sequence[Tuple[int, int, float]]
                     ) -> Optional[Dict[int, str]]:
@@ -1114,11 +1034,13 @@ class DSEEngine:
         return DSEResult(points=list(points))
 
     def _run_sequential(self, chunks, points) -> None:
-        """In-process execution (workers <= 1): chunk by chunk, isolated."""
+        """In-process execution (workers <= 1): chunk by chunk, isolated.
+        Each point is written through the engine's cache handle as it
+        finishes, once."""
         for chunk in chunks:
-            trained = self._train_chunk(chunk)
+            trained = _train_grid_chunk(*self._chunk_args(chunk, self.cache))
             for (index, _, _), point in zip(chunk, trained):
-                points[index] = self._record(point)
+                points[index] = self._record(point, cached=True)
 
     def _make_pool(self):
         pool_cls = (ThreadPoolExecutor if self.executor == "thread"
@@ -1131,13 +1053,11 @@ class DSEEngine:
         return time.monotonic() + self.point_timeout * chunk_len
 
     def _submit(self, pool, inflight, chunk) -> None:
-        future = pool.submit(
-            _train_grid_chunk, self.seed_factory, self.loss_fn,
-            self.train_loader, self.val_loader, list(chunk),
-            self.trainer_kwargs, self.point_evaluators, self.retries, self.retry_backoff,
-            self.cache.path if self.cache else None, self._chunk_keys(chunk),
-            self.checkpoint_dir, self.checkpoint_every,
-            self._chunk_ckpt_tags(chunk))
+        # Workers flush through their own handle on the cache path, so a
+        # point is durable even if its worker dies before the chunk returns.
+        path = self.cache.path if self.cache is not None else None
+        future = pool.submit(_train_grid_chunk,
+                             *self._chunk_args(chunk, path))
         inflight[future] = (list(chunk), self._deadline(len(chunk)))
 
     def _run_pooled(self, chunks, points, stats) -> None:
@@ -1302,8 +1222,10 @@ class DSEEngine:
                             evaluators=[evaluator_name(e)
                                         for e in self.point_evaluators])
 
-    def _record(self, point: DSEPoint) -> DSEPoint:
-        if self.cache is not None:
+    def _record(self, point: DSEPoint, cached: bool = False) -> DSEPoint:
+        """Account for a finished point; ``cached`` when its chunk already
+        wrote it through the engine's cache handle."""
+        if self.cache is not None and not cached:
             self.cache.put(self._key(point.lam, point.warmup_epochs), point)
         resumed = getattr(point.result, "resumed_epochs", 0) or 0
         if resumed:
@@ -1323,47 +1245,8 @@ class DSEEngine:
         return point
 
 
-def run_dse(seed_factory: Callable[[], Module], loss_fn: Callable,
-            train_loader, val_loader,
-            lambdas: Sequence[float], warmups: Sequence[int] = (5,),
-            trainer_kwargs: Optional[Dict] = None,
-            verbose: bool = False, workers: Optional[int] = None,
-            executor: Optional[str] = None,
-            cache_path: Optional[str] = None,
-            cache_tag: str = "",
-            stack: Optional[int] = None,
-            point_evaluators: Optional[Sequence[Callable]] = None,
-            retries: int = 0, retry_backoff: float = 0.1,
-            point_timeout: Optional[float] = None,
-            checkpoint_dir: Optional[str] = None,
-            checkpoint_every: Optional[int] = None
-            ) -> DSEResult:
-    """Sweep (λ, warmup); one full PIT search per grid point.
-
-    Thin wrapper over :class:`DSEEngine` kept for API compatibility;
-    ``workers`` / ``executor`` / ``cache_path`` / ``cache_tag`` /
-    ``stack`` / ``point_evaluators`` /
-    ``retries`` / ``point_timeout`` / ``checkpoint_dir`` expose the
-    engine's parallelism, memoization, stacked-model,
-    hardware-in-the-loop, fault-tolerance and mid-run-checkpoint knobs.
-    """
-    engine = DSEEngine(seed_factory, loss_fn, train_loader, val_loader,
-                       workers=workers, executor=executor,
-                       cache_path=cache_path, cache_tag=cache_tag,
-                       trainer_kwargs=trainer_kwargs,
-                       verbose=verbose, stack=stack,
-                       point_evaluators=point_evaluators,
-                       retries=retries, retry_backoff=retry_backoff,
-                       point_timeout=point_timeout,
-                       checkpoint_dir=checkpoint_dir,
-                       checkpoint_every=checkpoint_every)
-    return engine.run(lambdas, warmups=warmups)
-
-
-def select_small_medium_large(points: Sequence[DSEPoint],
-                              reference_params: Optional[float] = None,
-                              *, objective: str = "params",
-                              reference: Optional[float] = None
+def select_small_medium_large(points: Sequence[DSEPoint], reference: float,
+                              *, objective: str = "params"
                               ) -> Dict[str, DSEPoint]:
     """The paper's Table I selection rule over a set of DSE points.
 
@@ -1374,15 +1257,9 @@ def select_small_medium_large(points: Sequence[DSEPoint],
     ``objective`` names the cost axis: ``"params"`` (default, the paper's
     rule) or any metrics key a hardware-aware sweep annotated
     (``"latency_ms"``, ``"energy_mj"``, …), with ``reference`` the
-    reference network's value on that axis (``reference_params`` is the
-    legacy spelling of the same argument).  Points that do not carry the
+    reference network's value on that axis.  Points that do not carry the
     requested objective are ignored.
     """
-    if reference is None:
-        reference = reference_params
-    if reference is None:
-        raise TypeError("a reference value is required "
-                        "(reference_params= or reference=)")
     scored = [(p, objective_value(p, objective)) for p in points]
     scored = [(p, v) for p, v in scored if v is not None]
     if not scored:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import PITConv1d
 from repro.data import ArrayDataset, DataLoader
-from repro.evaluation import hypervolume_2d, run_dse
+from repro.evaluation import DSEEngine, hypervolume_2d
 from repro.nn import CausalConv1d, Module, ReLU, mse_loss
 
 RNG = np.random.default_rng(83)
@@ -33,33 +33,31 @@ def loaders():
     return train, val
 
 
+def _sweep(loaders, lambdas, warmups, **schedule):
+    train, val = loaders
+    return DSEEngine(Tiny, mse_loss, train, val,
+                     trainer_kwargs=schedule).run(lambdas, warmups=warmups)
+
+
 class TestWarmupAxis:
     def test_grid_covers_both_dimensions(self, loaders):
-        train, val = loaders
-        result = run_dse(Tiny, mse_loss, train, val,
-                         lambdas=[0.0, 1.0], warmups=[0, 2],
-                         trainer_kwargs=dict(max_prune_epochs=1,
-                                             finetune_epochs=0))
+        result = _sweep(loaders, [0.0, 1.0], [0, 2],
+                        max_prune_epochs=1, finetune_epochs=0)
         combos = {(p.lam, p.warmup_epochs) for p in result.points}
         assert combos == {(0.0, 0), (0.0, 2), (1.0, 0), (1.0, 2)}
 
     def test_trainer_kwargs_do_not_leak_lam(self, loaders):
-        """run_dse strips lam/warmup from trainer_kwargs to avoid clashes."""
+        """The grid owns lam/warmup: setting them in trainer_kwargs is an
+        error naming the grid axis, not a silent override."""
         train, val = loaders
-        result = run_dse(Tiny, mse_loss, train, val,
-                         lambdas=[0.5], warmups=[1],
-                         trainer_kwargs=dict(lam=999.0, warmup_epochs=50,
-                                             max_prune_epochs=1,
-                                             finetune_epochs=0))
-        assert result.points[0].lam == 0.5
-        assert result.points[0].warmup_epochs == 1
+        for name, axis in (("lam", "lambdas"), ("warmup_epochs", "warmups")):
+            with pytest.raises(ValueError, match=f"DSEEngine.run {axis}"):
+                DSEEngine(Tiny, mse_loss, train, val,
+                          trainer_kwargs={name: 1, "max_prune_epochs": 1})
 
     def test_each_point_carries_full_result(self, loaders):
-        train, val = loaders
-        result = run_dse(Tiny, mse_loss, train, val, lambdas=[0.0],
-                         warmups=[1],
-                         trainer_kwargs=dict(max_prune_epochs=1,
-                                             finetune_epochs=1))
+        result = _sweep(loaders, [0.0], [1],
+                        max_prune_epochs=1, finetune_epochs=1)
         point = result.points[0]
         assert point.result is not None
         assert point.result.finetune_epochs == 1
@@ -67,22 +65,16 @@ class TestWarmupAxis:
 
 class TestFrontQuality:
     def test_sweep_hypervolume_positive(self, loaders):
-        train, val = loaders
-        result = run_dse(Tiny, mse_loss, train, val,
-                         lambdas=[0.0, 5.0], warmups=[0],
-                         trainer_kwargs=dict(gamma_lr=0.2, max_prune_epochs=4,
-                                             prune_patience=4,
-                                             finetune_epochs=0))
+        result = _sweep(loaders, [0.0, 5.0], [0],
+                        gamma_lr=0.2, max_prune_epochs=4, prune_patience=4,
+                        finetune_epochs=0)
         points = [(float(p.params), p.loss) for p in result.points]
         reference = (max(a for a, _ in points) * 1.1,
                      max(b for _, b in points) * 1.1)
         assert hypervolume_2d(points, reference) > 0
 
     def test_pareto_subset_of_points(self, loaders):
-        train, val = loaders
-        result = run_dse(Tiny, mse_loss, train, val,
-                         lambdas=[0.0, 5.0], warmups=[0],
-                         trainer_kwargs=dict(gamma_lr=0.2, max_prune_epochs=2,
-                                             finetune_epochs=0))
+        result = _sweep(loaders, [0.0, 5.0], [0],
+                        gamma_lr=0.2, max_prune_epochs=2, finetune_epochs=0)
         front = result.pareto()
         assert set(id(p) for p in front) <= set(id(p) for p in result.points)

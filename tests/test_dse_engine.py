@@ -19,7 +19,6 @@ from repro.evaluation import (
     DSEEngine,
     DSEPoint,
     executor_default,
-    run_dse,
     stack_width_default,
     workers_default,
 )
@@ -157,9 +156,9 @@ class TestParallelDeterminism:
     def test_private_loaders_share_dataset_storage(self):
         """Grid points deep-copy all mutable loader state but share the
         (read-only) sample arrays."""
-        from repro.evaluation.dse import _private_loader
+        from repro.data import clone_loader
         train, _ = _loaders(shuffle=True)
-        clone = _private_loader(train)
+        clone = clone_loader(train)
         assert clone.dataset.inputs is train.dataset.inputs
         assert clone.dataset.targets is train.dataset.targets
         assert clone.rng is not train.rng
@@ -192,6 +191,23 @@ class TestParallelDeterminism:
             DSEEngine(Tiny, mse_loss, train, val, executor="mpi")
         with pytest.raises(ValueError, match="workers"):
             DSEEngine(Tiny, mse_loss, train, val, workers=-1)
+
+    def test_engine_owned_trainer_kwargs_rejected(self):
+        """Each engine-owned setting has one spelling; trainer_kwargs
+        naming one raises, naming the argument that controls it."""
+        train, val = _loaders()
+        owners = {"lam": "lambdas", "warmup_epochs": "warmups",
+                  "stack": "stack=", "checkpoint_dir": "checkpoint_dir=",
+                  "checkpoint_every": "checkpoint_every=",
+                  "checkpoint_tag": "checkpoint_dir=",
+                  "checkpoint_tags": "checkpoint_dir=",
+                  "checkpoint_resume": "checkpoint_dir="}
+        for name, owner in owners.items():
+            with pytest.raises(ValueError) as info:
+                DSEEngine(Tiny, mse_loss, train, val,
+                          trainer_kwargs=dict(SCHEDULE, **{name: 1}))
+            assert repr(name) in str(info.value)
+            assert owner in str(info.value)
 
 
 class TestCache:
@@ -394,6 +410,46 @@ class TestCache:
             recorded = json.load(handle)["points"]
         assert set(recorded) == {"ka", "kb"}
 
+    def test_in_process_sweep_writes_each_point_once(self, tmp_path,
+                                                     monkeypatch):
+        """Each flush re-reads and rewrites the whole file, so an
+        in-process sweep writes every grid point exactly once."""
+        flushes = []
+        real = DSECache._flush
+
+        def counting(cache):
+            flushes.append(cache.path)
+            real(cache)
+
+        monkeypatch.setattr(DSECache, "_flush", counting)
+        cache = str(tmp_path / "dse.json")
+        result = _sweep(workers=0, cache_path=cache)
+        assert flushes == [cache] * len(result.points)
+        assert len(DSECache(cache)) == len(result.points)
+
+    def test_pooled_chunks_flush_from_the_first_point(self, tmp_path,
+                                                      monkeypatch):
+        """Every pooled chunk carries the cache path, including those
+        submitted while a fresh cache is still empty, so workers flush
+        each finished point and a pool death cannot retrain it."""
+        import inspect
+        from repro.evaluation import dse
+        real = dse._train_grid_chunk
+        carried = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            carried.append(bound.arguments.get("cache"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dse, "_train_grid_chunk", spy)
+        cache = str(tmp_path / "fresh.json")
+        train, val = _loaders()
+        DSEEngine(Tiny, mse_loss, train, val, workers=2, executor="thread",
+                  cache_path=cache, trainer_kwargs=dict(SCHEDULE)
+                  ).run(LAMBDAS, warmups=WARMUPS)
+        assert carried and carried == [cache] * len(carried)
+
     def test_rejects_unknown_cache_version(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 99, "points": {}}))
@@ -477,44 +533,22 @@ class TestCacheVersions:
             assert entry["status"] == "ok"
             assert entry["error"] is None
 
-    def test_v1_file_resumes_without_retraining(self, tmp_path):
-        """Migration path: a version-1 file (no metrics key) loads and
-        satisfies every grid point of an evaluator-less resume."""
-        cache = str(tmp_path / "dse.json")
-        first = _sweep(workers=0, cache_path=cache)
-        with open(cache) as handle:
-            payload = json.load(handle)
-        for entry in payload["points"].values():
-            del entry["metrics"]  # exactly what v1 writers produced
-        payload["version"] = 1
-        with open(cache, "w") as handle:
-            json.dump(payload, handle)
+    @staticmethod
+    def _assert_version_rejected(tmp_path, version):
+        path = tmp_path / "dse.json"
+        path.write_text(json.dumps({"version": version, "points": {}}))
+        with pytest.raises(ValueError, match="cache version"):
+            DSECache(str(path))
 
-        factory = CountingFactory()
-        resumed = _sweep(workers=0, cache_path=cache, factory=factory)
-        assert factory.calls == 0
-        _assert_identical(first, resumed)
-        assert all(p.metrics == {} for p in resumed.points)
+    def test_v1_file_rejected(self, tmp_path):
+        """Only the current format is read: a file from the v1 writer (no
+        metrics) raises the version error."""
+        self._assert_version_rejected(tmp_path, 1)
 
-    def test_v2_file_resumes_without_retraining(self, tmp_path):
-        """A version-2 file (no status/error/attempts keys) loads and
-        its entries are served as healthy points."""
-        cache = str(tmp_path / "dse.json")
-        first = _sweep(workers=0, cache_path=cache)
-        with open(cache) as handle:
-            payload = json.load(handle)
-        for entry in payload["points"].values():
-            for key in ("status", "error", "attempts"):
-                entry.pop(key, None)  # exactly what v2 writers produced
-        payload["version"] = 2
-        with open(cache, "w") as handle:
-            json.dump(payload, handle)
-
-        factory = CountingFactory()
-        resumed = _sweep(workers=0, cache_path=cache, factory=factory)
-        assert factory.calls == 0
-        _assert_identical(first, resumed)
-        assert all(p.ok for p in resumed.points)
+    def test_v2_file_rejected(self, tmp_path):
+        """Only the current format is read: a file from the v2 writer (no
+        failure fields) raises the version error."""
+        self._assert_version_rejected(tmp_path, 2)
 
     def test_backend_keyed_v3_entries_load_but_are_not_served(self,
                                                               tmp_path):
@@ -542,16 +576,6 @@ class TestCacheVersions:
             merged = json.load(handle)["points"]
         assert len(merged) == 2 * len(legacy)
         assert {k: merged[k] for k in legacy} == legacy
-
-    def test_old_file_upgraded_on_next_write(self, tmp_path):
-        path = str(tmp_path / "dse.json")
-        with open(path, "w") as handle:
-            json.dump({"version": 1, "points": {}}, handle)
-        cache = DSECache(path)  # accepted
-        cache.put("k", DSEPoint(lam=0.0, warmup_epochs=0, dilations=(1,),
-                                params=1, loss=0.5))
-        with open(path) as handle:
-            assert json.load(handle)["version"] == DSECache.VERSION
 
 
 class TestPointEvaluators:
@@ -637,11 +661,13 @@ class TestPointEvaluators:
 
 
 class TestRunDseWrapper:
-    def test_run_dse_accepts_engine_knobs(self, tmp_path):
+    def test_engine_run_accepts_engine_knobs(self, tmp_path):
+        """The one entry point, DSEEngine(...).run(...), takes every knob."""
         train, val = _loaders()
-        result = run_dse(Tiny, mse_loss, train, val, lambdas=LAMBDAS,
-                         warmups=[0], trainer_kwargs=dict(SCHEDULE),
-                         workers=2, cache_path=str(tmp_path / "c.json"))
+        result = DSEEngine(Tiny, mse_loss, train, val, workers=2,
+                           cache_path=str(tmp_path / "c.json"),
+                           trainer_kwargs=dict(SCHEDULE)).run(LAMBDAS,
+                                                              warmups=[0])
         assert len(result.points) == len(LAMBDAS)
 
     def test_optional_result_annotation(self):

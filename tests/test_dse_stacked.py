@@ -19,9 +19,9 @@ program; this suite locks it to the sequential path:
   unsupported models fall back to sequential per chunk; grouping never
   mixes warmups.
 * **Loader machinery** — :class:`repro.data.EpochReplayLoader` replays
-  bit-identical epoch streams, and the per-worker loader cache (the
-  clone-hoist fix) rewinds to pristine state so parallel + stacked sweeps
-  see bit-identical batch order.
+  bit-identical epoch streams, and every grid point trains on fresh
+  clones of the template loaders, so parallel + stacked sweeps see
+  bit-identical batch order.
 
 Documented tolerance
 --------------------
@@ -45,7 +45,7 @@ from repro.core import PITConv1d, PITTrainer, StackedPITTrainer
 from repro.core.stacked import clip_grad_norm_stacked, per_model_loss
 from repro.data import ArrayDataset, DataLoader, EpochReplayLoader, clone_loader
 from repro.evaluation import DSEEngine, stack_width_default
-from repro.evaluation.dse import ENV_STACK, _worker_loader
+from repro.evaluation.dse import ENV_STACK, _train_grid_point
 from repro.nn import (
     BatchNorm1d,
     CausalConv1d,
@@ -361,11 +361,10 @@ class TestEngineStacking:
         assert stack_width_default() == 1
 
     def test_stack_accepted_via_trainer_kwargs(self):
-        """Legacy spelling: stack inside trainer_kwargs is stripped into
-        the engine knob (and therefore stays out of cache keys)."""
-        engine = _engine(trainer_kwargs=dict(ENGINE_SCHEDULE, stack=4))
-        assert engine.stack == 4
-        assert "stack" not in engine.trainer_kwargs
+        """Stack width has one spelling, the engine argument: inside
+        trainer_kwargs it is an error naming that argument."""
+        with pytest.raises(ValueError, match=r"DSEEngine\(stack=\)"):
+            _engine(trainer_kwargs=dict(ENGINE_SCHEDULE, stack=4))
 
     def test_invalid_stack_rejected(self):
         with pytest.raises(ValueError, match="stack"):
@@ -496,87 +495,53 @@ class TestEpochReplayLoader:
 
 
 class TestWorkerLoaderHoist:
-    """The clone-per-point fix: one clone per worker, rewound per point."""
+    """Every grid point trains on fresh clones of the template loaders."""
 
-    def test_reuse_is_bit_identical_to_fresh_clones(self):
-        train, _ = _loaders(shuffle=True)
-        first = _worker_loader(train)
-        epochs_first = [_materialize(first) for _ in range(3)]
-        again = _worker_loader(train)
-        assert again is first                  # hoisted: same clone object
-        epochs_again = [_materialize(again) for _ in range(3)]
-        reference = clone_loader(train)
-        epochs_ref = [_materialize(reference) for _ in range(3)]
-        for seq_a, seq_b, seq_r in zip(epochs_first, epochs_again, epochs_ref):
-            for (xa, _), (xb, _), (xr, _) in zip(seq_a, seq_b, seq_r):
-                assert np.array_equal(xa, xb)
-                assert np.array_equal(xa, xr)
+    @staticmethod
+    def _point(train, val):
+        return _train_grid_point(StackSeed, mse_loss, train, val, 0.5, 1,
+                                 dict(ENGINE_SCHEDULE))
+
+    @staticmethod
+    def _reference(train, val):
+        return PITTrainer(StackSeed(), mse_loss, lam=0.5, warmup_epochs=1,
+                          **ENGINE_SCHEDULE).fit(train, val)
 
     def test_advanced_template_forces_reclone(self):
-        train, _ = _loaders(shuffle=True)
-        first = _worker_loader(train)
+        """A point starts from the template's *current* RNG state, also
+        when the caller advanced the template after an earlier point."""
+        train, val = _loaders(shuffle=True)
+        self._point(train, val)
         list(train)                            # caller consumes the template
-        second = _worker_loader(train)
-        assert second is not first
-        # The fresh clone starts from the template's *current* state,
-        # exactly like clone-per-point did.
-        assert (second.rng.bit_generator.state
-                == train.rng.bit_generator.state)
-
-    def test_non_pcg64_generators_supported(self):
-        """Regression: MT19937/Philox state dicts embed numpy arrays, on
-        which plain dict equality raises — the staleness check must
-        deep-compare instead of crashing the second grid point."""
-        train, _ = _loaders()
-        loader = DataLoader(train.dataset, 4, shuffle=True,
-                            rng=np.random.Generator(np.random.MT19937(7)))
-        first = _worker_loader(loader)
-        again = _worker_loader(loader)       # used to raise ValueError
-        assert again is first
-        reference = clone_loader(loader)
-        assert [np.array_equal(xa, xb)
-                for (xa, _), (xb, _) in zip(_materialize(again),
-                                            _materialize(reference))]
-
-    def test_dead_templates_are_evicted(self):
-        """The per-worker cache must not pin datasets of dropped loaders."""
-        from repro.evaluation.dse import _LOADER_CACHE
-        train, _ = _loaders()
-        transient = DataLoader(train.dataset, 4, shuffle=True,
-                               rng=np.random.default_rng(3))
-        _worker_loader(transient)
-        key = (id(transient), "train")
-        assert key in _LOADER_CACHE.map
-        del transient
-        _worker_loader(train)                # any later call evicts the dead
-        assert key not in _LOADER_CACHE.map
+        expected = self._reference(clone_loader(train), clone_loader(val))
+        point = self._point(train, val)
+        assert point.result.history == expected.history
 
     def test_aliased_train_and_val_loaders_stay_independent(self):
-        """Regression: one loader object passed as both train and val must
-        yield two distinct clones with independent RNG streams, exactly
-        like clone-per-point did — not one shared, rewound clone."""
+        """One loader object passed as both train and val yields two
+        clones with independent RNG streams, not one shared stream."""
         train, _ = _loaders(shuffle=True)
-        as_train = _worker_loader(train, "train")
-        as_val = _worker_loader(train, "val")
-        assert as_train is not as_val
-        # Consuming the training stream must not advance the val stream.
-        first_train = _materialize(as_train)
-        first_val = _materialize(as_val)
-        reference = clone_loader(train)
-        for (xa, _), (xr, _) in zip(first_val, reference):
-            assert np.array_equal(xa, xr)
-        assert [np.array_equal(xa, xb)
-                for (xa, _), (xb, _) in zip(first_train, first_val)]
+        expected = self._reference(clone_loader(train), clone_loader(train))
+        point = self._point(train, train)
+        assert point.result.history == expected.history
 
     def test_subclasses_keep_clone_per_point(self):
-        class Custom(DataLoader):
-            pass
+        """Loader subclasses carry unknown extra state; the points still
+        train on clones, so the template never moves."""
+        class Counting(DataLoader):
+            epochs = 0
 
-        train, _ = _loaders()
-        custom = Custom(train.dataset, 4)
-        a = _worker_loader(custom)
-        b = _worker_loader(custom)
-        assert a is not custom and b is not custom and a is not b
+            def __iter__(self):
+                self.epochs += 1
+                return super().__iter__()
+
+        train, val = _loaders()
+        custom = Counting(train.dataset, 4, shuffle=True,
+                          rng=np.random.default_rng(1))
+        first = self._point(custom, val)
+        again = self._point(custom, val)
+        assert custom.epochs == 0
+        assert first.result.history == again.result.history
 
     def test_parallel_and_stacked_sweeps_share_batch_order(self):
         """Regression (satellite fix): whatever combination of workers and

@@ -6,6 +6,7 @@ import pytest
 from repro.core import PITResult
 from repro.data import ArrayDataset, DataLoader
 from repro.evaluation import (
+    DSEEngine,
     DSEPoint,
     count_macs,
     dominates,
@@ -16,7 +17,6 @@ from repro.evaluation import (
     nll_metric,
     pareto_front,
     pareto_points,
-    run_dse,
     select_small_medium_large,
 )
 from repro.nn import CausalConv1d, Linear, Flatten, ReLU, Sequential, mse_loss
@@ -239,20 +239,20 @@ class TestSelection:
               _point(0.3, 900, 2.0), _point(0.4, 250, 4.0)]
 
     def test_small_is_fewest_params(self):
-        sel = select_small_medium_large(self.POINTS, reference_params=420)
+        sel = select_small_medium_large(self.POINTS, 420)
         assert sel["small"].params == 100
 
     def test_large_is_most_params(self):
-        sel = select_small_medium_large(self.POINTS, reference_params=420)
+        sel = select_small_medium_large(self.POINTS, 420)
         assert sel["large"].params == 900
 
     def test_medium_closest_to_reference(self):
-        sel = select_small_medium_large(self.POINTS, reference_params=420)
+        sel = select_small_medium_large(self.POINTS, 420)
         assert sel["medium"].params == 400
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            select_small_medium_large([], reference_params=100)
+            select_small_medium_large([], 100)
 
     def test_missing_reference_raises(self):
         with pytest.raises(TypeError, match="reference"):
@@ -294,10 +294,11 @@ class TestRunDSE:
         y = np.concatenate([np.zeros((8, 1, 1)), x[:, :, :-1]], axis=2)
         train = DataLoader(ArrayDataset(x[:4], y[:4]), 4)
         val = DataLoader(ArrayDataset(x[4:], y[4:]), 4)
-        result = run_dse(Tiny, mse_loss, train, val,
-                         lambdas=[0.0, 5.0], warmups=[0, 1],
-                         trainer_kwargs=dict(max_prune_epochs=2, finetune_epochs=1,
-                                             gamma_lr=0.1))
+        result = DSEEngine(Tiny, mse_loss, train, val,
+                           trainer_kwargs=dict(max_prune_epochs=2,
+                                               finetune_epochs=1,
+                                               gamma_lr=0.1)).run(
+            [0.0, 5.0], warmups=[0, 1])
         assert len(result.points) == 4
         assert {p.lam for p in result.points} == {0.0, 5.0}
         assert {p.warmup_epochs for p in result.points} == {0, 1}

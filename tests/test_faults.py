@@ -201,7 +201,7 @@ class TestFailureIsolation:
         front = result.pareto()
         assert front and all(p.ok for p in front)
         assert result.best_loss().ok and result.smallest().ok
-        chosen = select_small_medium_large(result.points, reference_params=10)
+        chosen = select_small_medium_large(result.points, 10)
         assert all(p.ok for p in chosen.values())
 
     def test_all_points_failed(self, monkeypatch):

@@ -18,7 +18,7 @@ from repro.data import (
     sliding_windows,
     train_val_test_split,
 )
-from repro.evaluation import ExperimentRegistry, format_table, run_dse
+from repro.evaluation import DSEEngine, ExperimentRegistry, format_table
 from repro.hw import GAP8Model, deploy
 from repro.models import temponet_fixed, temponet_seed
 from repro.nn import mae_loss
@@ -79,12 +79,12 @@ class TestSearchCheckpointReload:
 class TestRegistryWorkflow:
     def test_sweep_feeds_registry_markdown(self, ppg):
         train, val, _ = ppg
-        sweep = run_dse(lambda: temponet_seed(width_mult=0.125, seed=0),
-                        mae_loss, train, val, lambdas=[0.0, 2.0],
-                        warmups=(0,),
-                        trainer_kwargs=dict(gamma_lr=0.1, max_prune_epochs=3,
-                                            prune_patience=3,
-                                            finetune_epochs=0))
+        sweep = DSEEngine(lambda: temponet_seed(width_mult=0.125, seed=0),
+                          mae_loss, train, val,
+                          trainer_kwargs=dict(gamma_lr=0.1, max_prune_epochs=3,
+                                              prune_patience=3,
+                                              finetune_epochs=0)).run(
+            [0.0, 2.0], warmups=(0,))
         registry = ExperimentRegistry()
         for p in sweep.points:
             registry.record("fig4-bottom", f"lam={p.lam:g} params",
@@ -95,11 +95,11 @@ class TestRegistryWorkflow:
 
     def test_table_rendering_of_sweep(self, ppg):
         train, val, _ = ppg
-        sweep = run_dse(lambda: temponet_seed(width_mult=0.125, seed=0),
-                        mae_loss, train, val, lambdas=[0.0],
-                        warmups=(0,),
-                        trainer_kwargs=dict(max_prune_epochs=1,
-                                            finetune_epochs=0))
+        sweep = DSEEngine(lambda: temponet_seed(width_mult=0.125, seed=0),
+                          mae_loss, train, val,
+                          trainer_kwargs=dict(max_prune_epochs=1,
+                                              finetune_epochs=0)).run(
+            [0.0], warmups=(0,))
         table = format_table(
             ["lambda", "params", "loss"],
             [[p.lam, p.params, p.loss] for p in sweep.points],
