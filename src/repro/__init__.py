@@ -4,18 +4,18 @@ PIT is a lightweight DMaskingNAS that learns the dilation factors of every
 temporal convolution in a TCN during a single training run, by modeling
 dilation selection as structured weight pruning along the time axis.
 
-Package map (one subpackage per subsystem, see DESIGN.md):
+Package map (one subpackage per subsystem):
 
 * :mod:`repro.autograd`   — numpy reverse-mode autodiff (the DL substrate);
 * :mod:`repro.nn`         — layers, losses, module system;
-* :mod:`repro.optim`      — SGD/Adam, schedulers, early stopping;
+* :mod:`repro.optim`      — SGD/Adam, early stopping;
 * :mod:`repro.data`       — synthetic Nottingham & PPG-Dalia generators;
 * :mod:`repro.core`       — PIT itself: masks, PITConv1d, regularizers,
   the 3-phase trainer, export, search-space accounting;
 * :mod:`repro.models`     — ResTCN and TEMPONet seeds;
 * :mod:`repro.baselines`  — ProxylessNAS (dilation supernet), random search;
 * :mod:`repro.hw`         — int8 quantization + GAP8 SoC deployment model;
-* :mod:`repro.evaluation` — metrics, Pareto analysis, DSE driver.
+* :mod:`repro.evaluation` — Pareto analysis, DSE driver, reporting.
 
 Quickstart::
 

@@ -1,8 +1,8 @@
 """Reverse-mode autodiff engine (the deep-learning substrate).
 
 The paper implements PIT on top of PyTorch; this package provides the
-equivalent differentiable-tensor substrate on plain numpy.  See
-``DESIGN.md`` §4 for the substitution rationale.
+equivalent differentiable-tensor substrate on plain numpy, so the
+reproduction needs no deep-learning framework.
 """
 
 from .tensor import (
@@ -16,18 +16,9 @@ from .tensor import (
     set_default_dtype,
     get_default_dtype,
     default_dtype_scope,
-    tensor,
-    zeros,
-    ones,
-    full,
-    arange,
-    randn,
-    rand,
     concatenate,
     stack,
     where,
-    maximum,
-    minimum,
 )
 from .backends import current_backend
 from .ops_conv import (
@@ -70,18 +61,9 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "tensor",
-    "zeros",
-    "ones",
-    "full",
-    "arange",
-    "randn",
-    "rand",
     "concatenate",
     "stack",
     "where",
-    "maximum",
-    "minimum",
     "conv1d_causal",
     "conv1d_causal_masked",
     "conv1d_causal_stacked",

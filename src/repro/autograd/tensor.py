@@ -54,18 +54,9 @@ __all__ = [
     "set_default_dtype",
     "get_default_dtype",
     "default_dtype_scope",
-    "tensor",
-    "zeros",
-    "ones",
-    "full",
-    "arange",
-    "randn",
-    "rand",
     "concatenate",
     "stack",
     "where",
-    "maximum",
-    "minimum",
 ]
 
 # Per-thread tape switch: concurrent trainings (e.g. the parallel DSE
@@ -621,22 +612,6 @@ def _getitem_bwd(g, ins, out, ctx, attrs, needs):
 _GETITEM = OpDef("getitem", _getitem_fwd, _getitem_bwd)
 
 
-def _pad1d_fwd(ins, attrs):
-    a = ins[0]
-    pad_width = [(0, 0)] * (a.ndim - 1) + [(attrs["left"], attrs["right"])]
-    return np.pad(a, pad_width, constant_values=attrs["value"]), None
-
-
-def _pad1d_bwd(g, ins, out, ctx, attrs, needs):
-    a = ins[0]
-    left = attrs["left"]
-    sl = [slice(None)] * (a.ndim - 1) + [slice(left, left + a.shape[-1])]
-    return (g[tuple(sl)],)
-
-
-_PAD1D = OpDef("pad1d", _pad1d_fwd, _pad1d_bwd)
-
-
 def _squeeze_fwd(ins, attrs):
     return ins[0].squeeze(axis=attrs["axis"]), None
 
@@ -646,43 +621,6 @@ def _reshape_to_input_bwd(g, ins, out, ctx, attrs, needs):
 
 
 _SQUEEZE = OpDef("squeeze", _squeeze_fwd, _reshape_to_input_bwd)
-
-
-def _unsqueeze_fwd(ins, attrs):
-    return np.expand_dims(ins[0], axis=attrs["axis"]), None
-
-
-_UNSQUEEZE = OpDef("unsqueeze", _unsqueeze_fwd, _reshape_to_input_bwd)
-
-
-def _flip_fwd(ins, attrs):
-    return np.flip(ins[0], axis=attrs["axis"]).copy(), None
-
-
-def _flip_bwd(g, ins, out, ctx, attrs, needs):
-    return (np.flip(g, axis=attrs["axis"]),)
-
-
-_FLIP = OpDef("flip", _flip_fwd, _flip_bwd)
-
-
-def _repeat_fwd(ins, attrs):
-    return np.concatenate([ins[0]] * attrs["repeats"], axis=attrs["axis"]), None
-
-
-def _repeat_bwd(g, ins, out, ctx, attrs, needs):
-    a = ins[0]
-    axis = attrs["axis"]
-    size = a.shape[axis]
-    total = np.zeros_like(a)
-    for i in range(attrs["repeats"]):
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(i * size, (i + 1) * size)
-        total += g[tuple(index)]
-    return (total,)
-
-
-_REPEAT = OpDef("repeat", _repeat_fwd, _repeat_bwd)
 
 
 # -- activations ---------------------------------------------------------
@@ -768,34 +706,6 @@ def _where_bwd(g, ins, out, ctx, attrs, needs):
 
 
 _WHERE = OpDef("where", _where_fwd, _where_bwd)
-
-
-def _maximum_fwd(ins, attrs):
-    return np.maximum(ins[0], ins[1]), None
-
-
-def _maximum_bwd(g, ins, out, ctx, attrs, needs):
-    a, b = ins
-    take_a = a >= b
-    return (_unbroadcast(g * take_a, a.shape) if needs[0] else None,
-            _unbroadcast(g * ~take_a, b.shape) if needs[1] else None)
-
-
-_MAXIMUM = OpDef("maximum", _maximum_fwd, _maximum_bwd)
-
-
-def _minimum_fwd(ins, attrs):
-    return np.minimum(ins[0], ins[1]), None
-
-
-def _minimum_bwd(g, ins, out, ctx, attrs, needs):
-    a, b = ins
-    take_a = a <= b
-    return (_unbroadcast(g * take_a, a.shape) if needs[0] else None,
-            _unbroadcast(g * ~take_a, b.shape) if needs[1] else None)
-
-
-_MINIMUM = OpDef("minimum", _minimum_fwd, _minimum_bwd)
 
 
 # ----------------------------------------------------------------------
@@ -1051,35 +961,14 @@ class Tensor:
             axes = tuple(axes[0])
         return apply_op(_TRANSPOSE, (self,), {"axes": axes})
 
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
-        return self.transpose(tuple(axes))
-
     def __getitem__(self, index) -> "Tensor":
         return apply_op(_GETITEM, (self,), {"index": index})
-
-    def pad1d(self, left: int, right: int, value: float = 0.0) -> "Tensor":
-        """Pad the last axis with ``value`` (used for causal convolutions)."""
-        if left < 0 or right < 0:
-            raise ValueError("padding must be non-negative")
-        return apply_op(_PAD1D, (self,),
-                        {"left": left, "right": right, "value": value})
 
     def squeeze(self, axis: int) -> "Tensor":
         """Remove a size-1 axis."""
         if self.shape[axis] != 1:
             raise ValueError(f"axis {axis} has size {self.shape[axis]}, not 1")
         return apply_op(_SQUEEZE, (self,), {"axis": axis})
-
-    def unsqueeze(self, axis: int) -> "Tensor":
-        """Insert a size-1 axis."""
-        return apply_op(_UNSQUEEZE, (self,), {"axis": axis})
-
-    def flip(self, axis: int = -1) -> "Tensor":
-        """Reverse along one axis (used to convert lag-order masks to
-        kernel order)."""
-        return apply_op(_FLIP, (self,), {"axis": axis})
 
     def split(self, sections: int, axis: int = 0) -> list:
         """Split into ``sections`` equal parts along ``axis``."""
@@ -1093,13 +982,6 @@ class Tensor:
             index[axis] = slice(i * size, (i + 1) * size)
             parts.append(self[tuple(index)])
         return parts
-
-    def repeat(self, repeats: int, axis: int) -> "Tensor":
-        """Tile the tensor ``repeats`` times along an existing axis
-        (gradient sums over the copies)."""
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        return apply_op(_REPEAT, (self,), {"repeats": repeats, "axis": axis})
 
     # ------------------------------------------------------------------
     # Misc
@@ -1146,49 +1028,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tensor(data, requires_grad: bool = False, name: Optional[str] = None) -> Tensor:
-    """Create a :class:`Tensor` (convenience mirror of the constructor)."""
-    return Tensor(data, requires_grad=requires_grad, name=name)
-
-
-def zeros(*shape, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def full(shape, fill_value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, fill_value, dtype=get_default_dtype()),
-                  requires_grad=requires_grad)
-
-
-def arange(*args, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.arange(*args, dtype=get_default_dtype()),
-                  requires_grad=requires_grad)
-
-
-def randn(*shape, rng: Optional[np.random.Generator] = None,
-          requires_grad: bool = False) -> Tensor:
-    rng = rng or np.random.default_rng()
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
-
-
-def rand(*shape, rng: Optional[np.random.Generator] = None,
-         requires_grad: bool = False) -> Tensor:
-    rng = rng or np.random.default_rng()
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(rng.random(shape), requires_grad=requires_grad)
-
-
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable ``numpy.concatenate``."""
     return apply_op(_CONCAT, tuple(_ensure_tensor(t) for t in tensors),
@@ -1211,13 +1050,3 @@ def where(condition, a, b) -> Tensor:
     """
     return apply_op(_WHERE, (_ensure_tensor(condition), _ensure_tensor(a),
                              _ensure_tensor(b)))
-
-
-def maximum(a, b) -> Tensor:
-    """Differentiable elementwise maximum (ties send gradient to ``a``)."""
-    return apply_op(_MAXIMUM, (_ensure_tensor(a), _ensure_tensor(b)))
-
-
-def minimum(a, b) -> Tensor:
-    """Differentiable elementwise minimum (ties send gradient to ``a``)."""
-    return apply_op(_MINIMUM, (_ensure_tensor(a), _ensure_tensor(b)))

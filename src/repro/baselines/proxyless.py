@@ -239,7 +239,7 @@ class ProxylessTrainer:
         for _ in range(self.warmup_epochs):
             self._epoch(train_loader, weight_opt, include_size=False)
 
-        stopper = EarlyStopping(patience=self.search_patience, mode="min")
+        stopper = EarlyStopping(patience=self.search_patience)
         search_ran = self.warmup_epochs
         for _ in range(self.max_search_epochs):
             self._epoch(train_loader, weight_opt, include_size=False)

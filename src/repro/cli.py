@@ -28,7 +28,9 @@ Every command accepts ``--benchmark {music, ppg}`` selecting the
 ResTCN/Nottingham or TEMPONet/PPG-Dalia pairing and ``--width`` to scale
 the experiment (1.0 = paper width).  Numeric flags are range-checked by
 the parser: an out-of-range value (``--width 0``, ``--stack 0``,
-``--bits 1``, …) is a one-line usage error with exit code 2.
+``--bits 1``, …) is a one-line usage error with exit code 2.  So is a
+``deploy``/``serve`` ``--load`` file that is missing, unreadable or does
+not fit the network.
 
 The training commands (``train``, ``search``, ``sweep``) trace each
 training step once and replay it verbatim through the graph-capture
@@ -38,8 +40,9 @@ eager-fallback reason, or the input shapes with a compiled program).
 
 ``sweep`` additionally exposes the DSE engine knobs: ``--workers`` /
 ``--executor`` parallelize the grid, ``--stack N`` trains up to N
-same-warmup grid points as one weight-stacked model (vmap-style batched
-execution; ``REPRO_DSE_STACK`` is the environment equivalent), and
+same-warmup grid points as one weight-stacked model (one op graph for
+the stack, whose convs loop over the models; ``REPRO_DSE_STACK`` is the
+environment equivalent), and
 ``--cache`` memoizes completed (λ, warmup) points — including ``--hw``
 deployment metrics (cache format v3) — to a JSON file so interrupted
 sweeps resume where they left off.  Stack width never enters cache keys:
@@ -241,10 +244,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     evaluators = []
     if args.hw:
-        from .hw import gap8_evaluator
+        from .hw import GAP8PointEvaluator
         # Validation data calibrates the activation ranges; held-out test
         # data measures the int8 accuracy column.
-        evaluators.append(gap8_evaluator(
+        evaluators.append(GAP8PointEvaluator(
             _loss(args.benchmark), val_loader, test_loader,
             _input_shape(args.benchmark), bits=args.bits))
 
@@ -290,15 +293,53 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_checkpoint(network, args: argparse.Namespace) -> bool:
+    """Load ``--load`` into ``network``.
+
+    A missing or unreadable file, or one whose arrays do not fit the
+    network, prints one ``error:`` line to stderr and returns False.
+    """
+    from .nn.serialization import CheckpointError, load_state
+
+    def fail(message: str) -> bool:
+        print(f"repro {args.command}: error: {message}", file=sys.stderr)
+        return False
+
+    try:
+        state, metadata = load_state(args.load)
+        metadata = metadata if isinstance(metadata, dict) else {}
+        network.load_state_dict(state)
+    except FileNotFoundError:
+        return fail(f"checkpoint {args.load!r} not found")
+    except CheckpointError as exc:
+        return fail(str(exc))
+    except (KeyError, ValueError) as exc:
+        reason = (str(exc) if isinstance(exc, ValueError)
+                  else "its array names differ from this network's")
+        built = " ".join(map(str, args.dilations or ())) or "all-1"
+        message = (f"checkpoint {args.load!r} does not fit the "
+                   f"{args.benchmark} network at --width {args.width:g}, "
+                   f"dilations {built} ({reason})")
+        found = " ".join(map(str, metadata.get("dilations") or ()))
+        load = f"`{args.command} --dilations {found} --load FILE`"
+        if found and "lam" in metadata:
+            message += (f"; the file holds a search supernet with dilations "
+                        f"{found}: run `train --dilations {found} --save "
+                        f"FILE`, then {load}")
+        elif found and found != built:
+            message += f"; the file holds dilations {found}: run {load}"
+        return fail(message)
+    print(f"loaded    : {args.load} "
+          f"(val loss {metadata.get('val_loss', 'n/a')})")
+    return True
+
+
 def cmd_deploy(args: argparse.Namespace) -> int:
     from .hw import deploy, format_table_iii
     dilations = tuple(args.dilations) if args.dilations else None
     network = _fixed_model(args.benchmark, dilations, args.width, args.seed)
-    if args.load:
-        from .nn.serialization import load_model
-        metadata = load_model(network, args.load) or {}
-        print(f"loaded    : {args.load} "
-              f"(val loss {metadata.get('val_loss', 'n/a')})")
+    if args.load and not _load_checkpoint(network, args):
+        return 2
     _, val_loader, test_loader = _loaders(args.benchmark, args.seed)
     report = deploy(network, _loss(args.benchmark), val_loader, test_loader,
                     _input_shape(args.benchmark),
@@ -321,11 +362,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     dilations = tuple(args.dilations) if args.dilations else None
     network = _fixed_model(args.benchmark, dilations, args.width, args.seed)
-    if args.load:
-        from .nn.serialization import load_model
-        metadata = load_model(network, args.load) or {}
-        print(f"loaded    : {args.load} "
-              f"(val loss {metadata.get('val_loss', 'n/a')})")
+    if args.load and not _load_checkpoint(network, args):
+        return 2
     if args.quantize:
         from .hw import quantize_network
         _, val_loader, _ = _loaders(args.benchmark, args.seed)

@@ -37,7 +37,6 @@ from .export import (
     export_network,
     deployable_network,
     network_dilations,
-    network_summary,
     effective_parameters,
 )
 from .search_space import (
@@ -66,7 +65,6 @@ from .stacked import (
     StackedPITConv1d,
     StackedPITTrainer,
     StackedTimeMask,
-    clip_grad_norm_stacked,
     per_model_loss,
     register_stacked_loss,
     stacked_regularizer_vector,
@@ -102,7 +100,6 @@ __all__ = [
     "deployable_network",
     "NotDeployableError",
     "network_dilations",
-    "network_summary",
     "effective_parameters",
     "layer_choices",
     "search_space_size",
@@ -123,7 +120,6 @@ __all__ = [
     "StackedPITConv1d",
     "StackedPITTrainer",
     "StackedTimeMask",
-    "clip_grad_norm_stacked",
     "per_model_loss",
     "register_stacked_loss",
     "stacked_regularizer_vector",

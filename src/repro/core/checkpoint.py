@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,7 +44,8 @@ from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
-from ..nn.serialization import CheckpointError, load_state, save_state
+from ..nn.serialization import (CheckpointError, load_state,
+                                 quarantine_file, save_state)
 from ..testing import faults
 
 __all__ = [
@@ -430,11 +430,5 @@ class TrainerCheckpoint:
         return CheckpointState(arrays=arrays, meta=meta)
 
     def _quarantine(self, reason: str) -> None:
-        target = str(self.path) + ".corrupt"
-        try:
-            os.replace(self.path, target)
-        except OSError:
-            target = "<unmovable>"
-        warnings.warn(
-            f"checkpoint {str(self.path)!r} rejected ({reason}); "
-            f"quarantined to {target!r}", stacklevel=3)
+        quarantine_file(self.path, f"checkpoint {str(self.path)!r} "
+                                   f"rejected ({reason})", stacklevel=3)

@@ -10,7 +10,7 @@ lanes are a :class:`repro.nn.StackedModel` on per-lane epoch-replay
 views (:class:`repro.core.stacked.StackLanes`).
 
 The driver alone owns what every schedule repeats: the optimizer, the
-per-batch ``zero_grad → step → clip → Adam.step`` loop, the non-finite
+per-batch ``zero_grad → step → Adam.step`` loop, the non-finite
 guards, per-lane early stopping, checkpoint load / adopt / save with the
 ``crash@epoch`` fault site, and the phase seconds, histories and
 ``compile_stats``.  A lane that stops early is masked out (``active``),
@@ -33,7 +33,7 @@ from ..autograd import Tensor
 from ..autograd.graph import CompiledStep
 from ..nn.eval_utils import mean_loss_over_loader
 from ..nn.module import Module
-from ..optim import Adam, EarlyStopping, clip_grad_norm
+from ..optim import Adam, EarlyStopping
 from ..testing import faults
 from .checkpoint import (
     TrainerCheckpoint,
@@ -117,9 +117,9 @@ class Phase:
 
     ``params`` is ``"weights"`` (every parameter but the γ̂ masks) or
     ``"all"`` (one group of every parameter); ``gamma_lr`` adds the γ̂
-    masks to ``"weights"`` as a second group at that rate, without weight
-    decay.  ``regularized`` adds the lanes' regularizer to the loss;
-    ``freeze`` fixes the masks before the phase starts.  ``patience``
+    masks to ``"weights"`` as a second group at that rate.
+    ``regularized`` adds the lanes' regularizer to the loss; ``freeze``
+    fixes the masks before the phase starts.  ``patience``
     turns on per-lane early stopping; ``keep_best`` restores each lane's
     best-validation state at the phase end.  Histories record
     ``<name>_val`` every epoch, plus ``<name>_params`` (effective
@@ -130,7 +130,6 @@ class Phase:
     lr: float
     params: str = "weights"
     gamma_lr: Optional[float] = None
-    weight_decay: float = 0.0
     regularized: bool = False
     freeze: bool = False
     patience: Optional[int] = None
@@ -165,13 +164,12 @@ class SingleLane:
     Every lane set exposes ``m``, ``net`` (the trained module), ``active``
     (the per-lane training mask, written by the driver), ``loaders`` (its
     streaming loaders by role), ``sliced`` (optimizer state carries the
-    lane axis), ``searchable`` (the layers a freezing phase freezes),
-    ``clip`` and the per-lane methods below.
+    lane axis), ``searchable`` (the layers a freezing phase freezes) and
+    the per-lane methods below.
     ``regularizer`` is the extra loss term of regularized phases.
     """
     m = 1
     sliced = False
-    clip = staticmethod(clip_grad_norm)
 
     def __init__(self, model: Module, loss_fn: LossFn, train_loader,
                  val_loader,
@@ -220,16 +218,13 @@ def phase_end(ran: int, cap: int) -> str:
 def _optimizer(lanes, phase: Phase) -> Adam:
     named = list(lanes.net.named_parameters())
     if phase.params == "all":
-        return Adam([p for _, p in named], lr=phase.lr,
-                    weight_decay=phase.weight_decay)
+        return Adam([p for _, p in named], lr=phase.lr)
     weights = [p for name, p in named if not name.endswith("gamma_hat")]
     gammas = [p for name, p in named if name.endswith("gamma_hat")]
     if phase.gamma_lr is None or not gammas:
-        return Adam(weights, lr=phase.lr, weight_decay=phase.weight_decay)
+        return Adam(weights, lr=phase.lr)
     return Adam([{"params": weights, "lr": phase.lr},
-                 {"params": gammas, "lr": phase.gamma_lr,
-                  "weight_decay": 0.0}],
-                lr=phase.lr, weight_decay=phase.weight_decay)
+                 {"params": gammas, "lr": phase.gamma_lr}], lr=phase.lr)
 
 
 def _load(checkpoints: Optional[Sequence[TrainerCheckpoint]], kind: str,
@@ -260,7 +255,6 @@ def _load(checkpoints: Optional[Sequence[TrainerCheckpoint]], kind: str,
 
 def run_phases(lanes, phases: Sequence[Phase], *, kind: str,
                checkpoints: Optional[Sequence[TrainerCheckpoint]] = None,
-               grad_clip: Optional[float] = None,
                log: Callable[[str], None] = lambda message: None,
                on_phase_end: Callable[[str, Outcome], None]
                = lambda name, outcome: None) -> Outcome:
@@ -305,7 +299,7 @@ def run_phases(lanes, phases: Sequence[Phase], *, kind: str,
         base = out.seconds.get(phase.name, 0.0)
         optimizer = _optimizer(lanes, phase)
         if phase.patience is not None:
-            stoppers = [EarlyStopping(patience=phase.patience, mode="min")
+            stoppers = [EarlyStopping(patience=phase.patience)
                         for _ in range(m)]
         active = lanes.active
         active[...] = 1.0
@@ -336,8 +330,6 @@ def run_phases(lanes, phases: Sequence[Phase], *, kind: str,
             for x, y in lanes.batches(cursors, active):
                 optimizer.zero_grad()
                 _, task = step(x, y)
-                if grad_clip is not None:
-                    lanes.clip(optimizer.params, grad_clip)
                 optimizer.step()
                 totals += np.asarray(task, dtype=np.float64)
                 batches += 1

@@ -19,7 +19,7 @@ This invariant is property-tested in ``tests/test_core_export.py``.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .pit_conv import PITConv1d
 
 __all__ = ["NotDeployableError", "export_conv", "export_network",
            "deployable_network", "require_exported", "network_dilations", "network_receptive_field",
-           "network_total_stride", "network_summary"]
+           "network_total_stride"]
 
 
 class NotDeployableError(ValueError):
@@ -179,15 +179,6 @@ def network_total_stride(model: Module) -> int:
     for _, stride in _temporal_layers(model):
         total *= stride
     return total
-
-
-def network_summary(model: Module) -> Dict[str, object]:
-    """Size/dilation summary used by the benchmark tables."""
-    return {
-        "dilations": network_dilations(model),
-        "params": model.count_parameters(),
-        "pit_params_effective": effective_parameters(model),
-    }
 
 
 def effective_parameters(model: Module) -> int:

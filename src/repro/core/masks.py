@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, binarize_ste, concatenate, no_grad, ones
+from ..autograd import Tensor, binarize_ste, concatenate, no_grad
 from ..nn.module import Module, Parameter
 
 __all__ = [

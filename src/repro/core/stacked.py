@@ -21,8 +21,8 @@ the loss (``active_m = 0``) and freezes its dropout streams; each model
 consumes its *own* epoch sequence of the loaders (via
 :class:`repro.data.EpochReplayLoader`), so a model entering fine-tuning
 after an early prune stop sees exactly the batches its sequential run
-would have; Adam, gradient clipping and BatchNorm statistics are all
-per-model on the stacked axis.
+would have; Adam and BatchNorm statistics are per-model on the stacked
+axis.
 
 Stacking requires the model to be built from layers with registered
 stacked counterparts and plain :class:`repro.data.DataLoader` loaders;
@@ -63,7 +63,6 @@ from ..nn.stacked import (
     register_stacked,
     stack_parameter,
 )
-from ..optim import clip_grads_stacked
 from .checkpoint import TrainerCheckpoint, module_rng_map
 from .driver import Outcome, phase_end, run_phases
 from .masks import TimeMask, lag_gamma_indices
@@ -77,7 +76,6 @@ __all__ = [
     "stacked_regularizer_vector",
     "per_model_loss",
     "register_stacked_loss",
-    "clip_grad_norm_stacked",
     "StackedPITTrainer",
 ]
 
@@ -336,20 +334,6 @@ def per_model_loss(loss_fn: Callable, pred: Tensor, target: Tensor) -> Tensor:
     return concatenate(parts, axis=0)
 
 
-def clip_grad_norm_stacked(params: Sequence[Parameter], max_norm: float
-                           ) -> np.ndarray:
-    """Per-model gradient clipping over stacked parameters.
-
-    The sequential trainer clips each model's *global* gradient norm; on a
-    stack that norm lives per slice: ``norm_m = ||(g_p[m])_p||_2``.  Slices
-    are scaled independently, so no model's clipping decision leaks into
-    another's — matching M separate :func:`repro.optim.clip_grad_norm`
-    calls.  Returns the per-model pre-clipping norms.
-    """
-    return clip_grads_stacked([p.grad for p in params if p.grad is not None],
-                              max_norm)
-
-
 # ----------------------------------------------------------------------
 # The lockstep trainer
 # ----------------------------------------------------------------------
@@ -379,8 +363,7 @@ class StackedPITTrainer:
                  warmup_epochs: int = 5, prune_patience: int = 5,
                  max_prune_epochs: int = 50, finetune_epochs: int = 30,
                  finetune_patience: int = 10, regularizer: str = "size",
-                 channel_lam: float = 0.0,
-                 grad_clip: Optional[float] = None, verbose: bool = False,
+                 channel_lam: float = 0.0, verbose: bool = False,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
                  checkpoint_tags: Optional[Sequence[str]] = None,
@@ -404,7 +387,6 @@ class StackedPITTrainer:
         self.finetune_epochs = finetune_epochs
         self.finetune_patience = finetune_patience
         self.regularizer = regularizer
-        self.grad_clip = grad_clip
         self.verbose = verbose
 
         # Per-slice checkpoint files: each slice writes a self-contained,
@@ -530,7 +512,7 @@ class StackedPITTrainer:
         out = run_phases(
             StackLanes(self, train_loader, val_loader), pit_phases(self),
             kind="pit", checkpoints=self._checkpoints,
-            grad_clip=self.grad_clip, log=self._log,
+            log=self._log,
             on_phase_end=self._phase_done)
         self._log(f"fine-tuning done, best val={out.best}")
         return [pit_result(out, i, self.stacked.sync_template(i))
@@ -558,7 +540,6 @@ class StackLanes:
     per-lane :class:`EpochReplayLoader` views of the loaders."""
     sliced = True
     loaders: Dict = {}   # the views replay any epoch: no stream to restore
-    clip = staticmethod(clip_grad_norm_stacked)
 
     def __init__(self, trainer: StackedPITTrainer, train_loader, val_loader):
         try:

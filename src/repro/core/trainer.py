@@ -68,8 +68,6 @@ class TrainResult:
 
 def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
                 epochs: int = 50, lr: float = 1e-3, patience: int = 10,
-                grad_clip: Optional[float] = None,
-                weight_decay: float = 0.0,
                 checkpoint_dir: Optional[str] = None,
                 checkpoint_every: Optional[int] = None,
                 checkpoint_tag: str = "train",
@@ -87,10 +85,9 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
                                     resume=checkpoint_resume)
     out = run_phases(
         SingleLane(model, loss_fn, train_loader, val_loader),
-        [Phase("plain", epochs, lr, params="all", weight_decay=weight_decay,
-               patience=patience, keep_best=True, log_train=True)],
-        kind="plain", checkpoints=[ckpt] if ckpt else None,
-        grad_clip=grad_clip)
+        [Phase("plain", epochs, lr, params="all", patience=patience,
+               keep_best=True, log_train=True)],
+        kind="plain", checkpoints=[ckpt] if ckpt else None)
     history = out.histories[0]
     return TrainResult(best_val=out.best[0], epochs=out.ran["plain"][0],
                        seconds=out.seconds.get("plain", 0.0),
@@ -192,8 +189,7 @@ class PITTrainer:
                  warmup_epochs: int = 5, prune_patience: int = 5,
                  max_prune_epochs: int = 50, finetune_epochs: int = 30,
                  finetune_patience: int = 10, regularizer: str = "size",
-                 channel_lam: float = 0.0,
-                 grad_clip: Optional[float] = None, verbose: bool = False,
+                 channel_lam: float = 0.0, verbose: bool = False,
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
                  checkpoint_tag: str = "pit",
@@ -212,7 +208,6 @@ class PITTrainer:
         self.finetune_patience = finetune_patience
         self.regularizer = regularizer
         self.channel_lam = channel_lam
-        self.grad_clip = grad_clip
         self.verbose = verbose
         self._checkpoint = TrainerCheckpoint.create(
             checkpoint_dir, checkpoint_tag, every=checkpoint_every,
@@ -265,7 +260,7 @@ class PITTrainer:
         out = run_phases(
             lanes, pit_phases(self), kind="pit",
             checkpoints=[self._checkpoint] if self._checkpoint else None,
-            grad_clip=self.grad_clip, log=self._log,
+            log=self._log,
             on_phase_end=self._phase_done)
         self._log(f"fine-tuning done, best val={out.best[0]:.4f}")
         return pit_result(out, 0, self.model)

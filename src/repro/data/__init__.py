@@ -1,7 +1,7 @@
 """Datasets and loading utilities.
 
-Both of the paper's benchmarks are provided as seeded synthetic generators
-(see DESIGN.md §4 for the substitution rationale): ``make_nottingham`` for
+Both of the paper's benchmarks are provided as seeded synthetic generators,
+since the original recordings are not bundled: ``make_nottingham`` for
 the polyphonic-music task and ``make_ppg_dalia`` for heart-rate estimation.
 """
 
@@ -19,15 +19,6 @@ from .nottingham import (
     make_nottingham,
     next_frame_pairs,
     NUM_KEYS,
-)
-from .windowing import (
-    sliding_windows,
-    window_count,
-    jitter,
-    scale_channels,
-    time_mask_augment,
-    channel_dropout,
-    Augmenter,
 )
 from .ppg_dalia import (
     PPGDaliaConfig,
@@ -56,11 +47,4 @@ __all__ = [
     "WINDOW_SAMPLES",
     "SAMPLE_RATE_HZ",
     "NUM_CHANNELS",
-    "sliding_windows",
-    "window_count",
-    "jitter",
-    "scale_channels",
-    "time_mask_augment",
-    "channel_dropout",
-    "Augmenter",
 ]

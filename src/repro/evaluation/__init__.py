@@ -1,6 +1,5 @@
-"""Evaluation: metrics, Pareto analysis, design-space exploration."""
+"""Evaluation: Pareto analysis, design-space exploration, reporting."""
 
-from .metrics import nll_metric, mae_metric, evaluate_metric, count_macs
 from .pareto import (
     dominates,
     pareto_front,
@@ -25,17 +24,10 @@ from .dse import (
 )
 from .reporting import (
     format_table,
-    format_markdown_table,
     format_failures,
-    ExperimentRegistry,
-    Comparison,
 )
 
 __all__ = [
-    "nll_metric",
-    "mae_metric",
-    "evaluate_metric",
-    "count_macs",
     "dominates",
     "pareto_front",
     "pareto_points",
@@ -55,8 +47,5 @@ __all__ = [
     "workers_default",
     "executor_default",
     "format_table",
-    "format_markdown_table",
     "format_failures",
-    "ExperimentRegistry",
-    "Comparison",
 ]

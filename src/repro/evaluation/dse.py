@@ -18,10 +18,11 @@ On top of the worker pool, ``stack=N`` turns on *stacked-model execution*:
 up to N same-warmup grid points are grouped into one weight-stacked
 program (:class:`repro.core.StackedPITTrainer`) whose parameters carry a
 leading model axis, so the whole group trains through a single op graph
-with batched conv kernels and per-model λ/early-stopping — amortizing the
-per-op Python and BLAS-dispatch overhead N-fold.  Stack width is an
-execution knob: it stays out of cache keys, and
-unsupported models/loaders fall back to the sequential path per group.
+with per-model λ/early-stopping — amortizing the per-op Python dispatch
+overhead N-fold (each stacked conv still runs its N GEMMs model by
+model).  Stack width is an execution knob: it stays out of cache keys,
+and unsupported models/loaders fall back to the sequential path per
+group.
 
 Completed points can be memoized to a JSON cache file (see
 :class:`DSECache`), making long sweeps resumable: a re-run with the same
@@ -41,10 +42,10 @@ to in-process sequential execution with a warning.  Every recovery path
 is exercised deterministically by :mod:`repro.testing.faults`.
 
 Deployment cost is a first-class objective: ``point_evaluators`` run after
-each grid point trains (e.g. :func:`repro.hw.gap8_evaluator`, which exports
-the discovered network, fake-quantizes it to int8 and prices it on the GAP8
-model) and annotate the point's ``metrics`` dict; the cache persists them
-and :meth:`DSEResult.pareto` accepts arbitrary objective
+each grid point trains (e.g. :class:`repro.hw.GAP8PointEvaluator`, which
+exports the discovered network, fake-quantizes it to int8 and prices it on
+the GAP8 model) and annotate the point's ``metrics`` dict; the cache
+persists them and :meth:`DSEResult.pareto` accepts arbitrary objective
 tuples such as ``("params", "latency_ms", "loss")``.
 
 It also implements the small/medium/large selection rule of Tables I-III:
@@ -58,7 +59,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import tempfile
 import threading
 import time
 import warnings
@@ -84,6 +84,7 @@ from ..core.stacked import StackedPITTrainer
 from ..core.trainer import DivergedError, PITResult, PITTrainer
 from ..data import clone_loader
 from ..nn import Module
+from ..nn.serialization import atomic_write, quarantine_file
 from ..nn.stacked import StackingUnsupported
 from ..testing import faults
 from .pareto import pareto_front
@@ -340,14 +341,9 @@ class DSECache:
             if not isinstance(payload, dict):
                 raise json.JSONDecodeError("payload is not an object", "", 0)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            quarantine = path + ".corrupt"
-            try:
-                os.replace(path, quarantine)
-            except OSError:
-                quarantine = "<unmovable>"
-            warnings.warn(
-                f"DSE cache file {path!r} is corrupt ({exc}); quarantined "
-                f"to {quarantine!r} and starting fresh", stacklevel=3)
+            quarantine_file(path, f"DSE cache file {path!r} is corrupt "
+                                  f"({exc})", suffix=" and starting fresh",
+                            stacklevel=3)
             return None
         if payload.get("version") != cls.VERSION:
             raise ValueError(
@@ -425,8 +421,6 @@ class DSECache:
         faults.corrupt_cache_file(self.path)
 
     def _flush(self) -> None:
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
         # Merge points other *processes* recorded since our load — a
         # whole-file rewrite from just this process's map would erase them.
         # (The remaining read-merge-write race window is microseconds;
@@ -439,16 +433,9 @@ class DSECache:
             merged = dict(payload.get("points", {}))
             merged.update(self._points)
             self._points = merged
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump({"version": self.VERSION, "points": self._points},
-                          handle, indent=1, sort_keys=True)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_write(os.path.abspath(self.path), "w") as handle:
+            json.dump({"version": self.VERSION, "points": self._points},
+                      handle, indent=1, sort_keys=True)
 
 
 def _to_native(value):
@@ -741,8 +728,8 @@ def evaluator_name(evaluator: Callable) -> str:
     """Stable cache-key identity of a point evaluator.
 
     Preference order: an explicit ``cache_name`` attribute (class-based
-    evaluators like :func:`repro.hw.gap8_evaluator` derive one from their
-    configuration), then the function ``__name__``.  Must not embed
+    evaluators like :class:`repro.hw.GAP8PointEvaluator` derive one from
+    their configuration), then the function ``__name__``.  Must not embed
     per-process state (memory addresses) or resumed sweeps would never
     hit.  Anonymous callables — lambdas, ``functools.partial`` — are
     refused: they all render alike (``<lambda>`` / ``partial``), so two
@@ -799,11 +786,12 @@ class DSEEngine:
     stack:
         Stacked-model execution width: up to ``stack`` same-warmup grid
         points train as *one* weight-stacked model
-        (:class:`repro.core.StackedPITTrainer`) — one op graph, batched
-        conv kernels, per-model λ and early stopping.  ``1`` (the default)
-        is the exact sequential path; None defers to ``REPRO_DSE_STACK``.
-        This is an execution-speed knob kept *out* of cache keys: stacked results match sequential
-        within floating-point reduction-order tolerance, so stacked and
+        (:class:`repro.core.StackedPITTrainer`) — one op graph whose
+        stacked convs loop over the models, per-model λ and early
+        stopping.  ``1`` (the default) is the exact sequential path; None
+        defers to ``REPRO_DSE_STACK``.  This is an execution-speed knob
+        kept *out* of cache keys: stacked results match sequential within
+        floating-point reduction-order tolerance, so stacked and
         sequential sweeps resume from and write to the same entries.
         Models or loaders without a stacked path fall back to sequential
         training automatically (per chunk).
@@ -811,8 +799,8 @@ class DSEEngine:
         Post-training hooks, each called as ``evaluator(model, point)``
         with the trained (still searchable) model; the returned
         ``Dict[str, float]`` is merged into ``DSEPoint.metrics`` and
-        persisted by the cache.  :func:`repro.hw.gap8_evaluator` is the
-        canonical one (int8 fake-quantization + GAP8 latency/energy).
+        persisted by the cache.  :class:`repro.hw.GAP8PointEvaluator` is
+        the canonical one (int8 fake-quantization + GAP8 latency/energy).
         Evaluator identities (``cache_name``) are part of the cache key:
         points cached without hardware metrics cannot satisfy a
         hardware-aware resume, because the weights needed to compute the

@@ -1,19 +1,14 @@
-"""Experiment reporting: ASCII/markdown tables and a run registry.
+"""Experiment reporting: ASCII tables.
 
 The benchmark harness prints paper-style tables; this module provides the
-renderers, plus a lightweight :class:`ExperimentRegistry` that accumulates
-(paper-value, measured-value) pairs and renders the EXPERIMENTS.md record.
+renderers.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-__all__ = ["format_table", "format_markdown_table", "format_failures",
-           "ExperimentRegistry", "Comparison"]
+__all__ = ["format_table", "format_failures"]
 
 
 def _render_cell(value, spec: Optional[str]) -> str:
@@ -65,72 +60,3 @@ def format_failures(points: Sequence) -> str:
             for p in points]
     return format_table(["lambda", "warmup", "attempts", "error"], rows,
                         formats=["g", "d", "d", None])
-
-
-def format_markdown_table(headers: Sequence[str], rows: Sequence[Sequence],
-                          formats: Optional[Sequence[Optional[str]]] = None) -> str:
-    """GitHub-flavored markdown table."""
-    formats = formats or [None] * len(headers)
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        cells = [_render_cell(v, f) for v, f in zip(row, formats)]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
-@dataclass
-class Comparison:
-    """One paper-vs-measured data point."""
-    experiment: str
-    quantity: str
-    paper: Union[float, str]
-    measured: Union[float, str]
-    note: str = ""
-
-    def ratio(self) -> Optional[float]:
-        if isinstance(self.paper, (int, float)) and isinstance(self.measured, (int, float)):
-            if self.paper != 0:
-                return self.measured / self.paper
-        return None
-
-
-class ExperimentRegistry:
-    """Accumulates comparisons and renders/persists the experiment record."""
-
-    def __init__(self):
-        self._entries: List[Comparison] = []
-
-    def record(self, experiment: str, quantity: str, paper, measured,
-               note: str = "") -> None:
-        self._entries.append(Comparison(experiment, quantity, paper, measured, note))
-
-    @property
-    def entries(self) -> List[Comparison]:
-        return list(self._entries)
-
-    def experiments(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for entry in self._entries:
-            seen.setdefault(entry.experiment, None)
-        return list(seen)
-
-    def to_markdown(self) -> str:
-        sections = []
-        for experiment in self.experiments():
-            rows = [(e.quantity, e.paper, e.measured, e.note)
-                    for e in self._entries if e.experiment == experiment]
-            sections.append(f"### {experiment}\n\n" + format_markdown_table(
-                ["quantity", "paper", "measured", "note"], rows))
-        return "\n\n".join(sections)
-
-    def save_json(self, path: Union[str, Path]) -> None:
-        payload = [vars(e) for e in self._entries]
-        Path(path).write_text(json.dumps(payload, indent=2))
-
-    @classmethod
-    def load_json(cls, path: Union[str, Path]) -> "ExperimentRegistry":
-        registry = cls()
-        for item in json.loads(Path(path).read_text()):
-            registry.record(**item)
-        return registry

@@ -3,7 +3,6 @@
 from .quantization import (
     QuantizedArray,
     quantize_array,
-    dequantize_array,
     fake_quantize,
     FakeQuant,
     QuantWrapper,
@@ -16,13 +15,11 @@ from .deployment import (
     GAP8PointEvaluator,
     deploy,
     format_table_iii,
-    gap8_evaluator,
 )
 
 __all__ = [
     "QuantizedArray",
     "quantize_array",
-    "dequantize_array",
     "fake_quantize",
     "FakeQuant",
     "QuantWrapper",
@@ -36,5 +33,4 @@ __all__ = [
     "GAP8PointEvaluator",
     "deploy",
     "format_table_iii",
-    "gap8_evaluator",
 ]

@@ -12,7 +12,7 @@ GreenWaves' NN-Tool, and run it on GAP8's 8-core cluster at 100 MHz.  The
 The result is one row of Table III; :func:`format_table_iii` renders a set
 of reports in the paper's layout.
 
-:func:`gap8_evaluator` packages the same pipeline as a
+:class:`GAP8PointEvaluator` packages the same pipeline as a
 :class:`repro.evaluation.DSEEngine` ``point_evaluator``: the sweep trains a
 grid point, the evaluator deploys it and annotates the
 :class:`~repro.evaluation.DSEPoint` with latency/energy/quantized-loss
@@ -32,7 +32,7 @@ from .gap8 import GAP8Config, GAP8Model, GAP8Report
 from .quantization import quantize_network
 
 __all__ = ["DeploymentReport", "deploy", "format_table_iii",
-           "GAP8PointEvaluator", "gap8_evaluator"]
+           "GAP8PointEvaluator"]
 
 
 @dataclass
@@ -120,6 +120,12 @@ class GAP8PointEvaluator:
     iteration state through each other — the same discipline the engine
     applies to the training loaders, keeping parallel sweeps bit-identical
     to serial ones.
+
+    Usage::
+
+        engine = DSEEngine(factory, loss_fn, train, val,
+                           point_evaluators=[GAP8PointEvaluator(
+                               loss_fn, val, test, (1, 4, 256))])
     """
 
     def __init__(self, loss_fn: Callable, calibration_loader, test_loader,
@@ -153,20 +159,3 @@ class GAP8PointEvaluator:
                         quantize=self.quantize, bits=self.bits,
                         config=self.config)
         return report.metrics()
-
-
-def gap8_evaluator(loss_fn: Callable, calibration_loader, test_loader,
-                   input_shape: Tuple[int, ...], *, quantize: bool = True,
-                   bits: int = 8,
-                   config: Optional[GAP8Config] = None) -> GAP8PointEvaluator:
-    """Build the standard GAP8 ``point_evaluator`` for a DSE sweep.
-
-    Usage::
-
-        engine = DSEEngine(factory, loss_fn, train, val,
-                           point_evaluators=[gap8_evaluator(
-                               loss_fn, val, test, (1, 4, 256))])
-    """
-    return GAP8PointEvaluator(loss_fn, calibration_loader, test_loader,
-                              input_shape, quantize=quantize, bits=bits,
-                              config=config)

@@ -8,7 +8,7 @@ proprietary NN-Tool flow and reports latency/energy (Table III).
 
 Since the silicon is unavailable here, we model per-layer cost analytically
 and calibrate the constants against the *published seed-network
-measurements* (substitution documented in DESIGN.md §4):
+measurements*:
 
 * effective MAC throughput at d=1 is ``mac_rate_d1`` MAC/cycle — the value
   3.6 reproduces both published seed latencies (ResTCN d=1: 1002 ms with
@@ -32,15 +32,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..nn import AvgPool1d, BatchNorm1d, CausalConv1d, Linear, MaxPool1d, Module
+from ..nn import LSTM, CausalConv1d, Linear, Module
 from ..core.export import require_exported
 
 __all__ = ["GAP8Config", "LayerCost", "GAP8Report", "GAP8Model"]
-
-
-def _is_recurrent(module: Module) -> bool:
-    from ..nn.recurrent import GRU, LSTM
-    return isinstance(module, (LSTM, GRU))
 
 
 @dataclass
@@ -166,7 +161,7 @@ class GAP8Model:
                 total += module.weight.data.size  # int8: 1 byte per weight
                 if module.bias is not None:
                     total += module.bias.data.size * 4  # int32 biases
-            elif _is_recurrent(module):
+            elif isinstance(module, LSTM):
                 total += sum(p.data.size for _, p in module.named_parameters())
         return total
 
@@ -210,7 +205,7 @@ class GAP8Model:
             act_bytes = module.in_features + module.out_features
             dilation = 1
             kind = "linear"
-        elif _is_recurrent(module):
+        elif isinstance(module, LSTM):
             if not hasattr(module, "last_t"):
                 raise RuntimeError(f"layer {name} was never traced")
             t = module.last_t

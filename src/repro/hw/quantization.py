@@ -29,7 +29,6 @@ from ..nn import CausalConv1d, Linear, Module
 __all__ = [
     "QuantizedArray",
     "quantize_array",
-    "dequantize_array",
     "fake_quantize",
     "FakeQuant",
     "QuantWrapper",
@@ -93,10 +92,6 @@ def quantize_array(x: np.ndarray, bits: int = 8, symmetric: bool = True,
         zero_point = np.round(-lo / scale)
         q = np.clip(np.round(x / scale) + zero_point, 0, qmax).astype(np.int32)
     return QuantizedArray(q=q, scale=scale, zero_point=zero_point)
-
-
-def dequantize_array(qa: QuantizedArray) -> np.ndarray:
-    return qa.dequantize()
 
 
 def fake_quantize(x: np.ndarray, bits: int = 8, symmetric: bool = True,

@@ -6,7 +6,6 @@ convolution into (output-channel × time) tiles, double-buffers them
 through the cluster DMA, and executes tile-by-tile.  This module
 implements that tiling decision analytically:
 
-* :func:`layer_working_set` — bytes a full conv layer needs resident;
 * :func:`find_tiling` — the largest (channel, time) tile whose working set
   (double-buffered) fits L1, preferring time-major tiles (weights stay
   resident, maximizing reuse — the TCN-friendly case);
@@ -24,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["TileSpec", "layer_working_set", "find_tiling", "tiling_traffic"]
+__all__ = ["TileSpec", "find_tiling", "tiling_traffic"]
 
 
 @dataclass
@@ -39,23 +38,6 @@ class TileSpec:
     @property
     def is_untiled(self) -> bool:
         return self.num_tiles == 1
-
-
-def conv_bytes(c_in: int, c_out: int, k: int, t_in: int, t_out: int,
-               weight_bytes_per: int = 1, act_bytes_per: int = 1,
-               bias_bytes_per: int = 4) -> dict:
-    """Byte sizes of one conv's operands (int8 weights/acts, int32 bias)."""
-    return {
-        "weights": c_out * c_in * k * weight_bytes_per + c_out * bias_bytes_per,
-        "input": c_in * t_in * act_bytes_per,
-        "output": c_out * t_out * act_bytes_per,
-    }
-
-
-def layer_working_set(c_in: int, c_out: int, k: int, t_in: int, t_out: int) -> int:
-    """Bytes the layer needs fully resident (no tiling)."""
-    sizes = conv_bytes(c_in, c_out, k, t_in, t_out)
-    return sizes["weights"] + sizes["input"] + sizes["output"]
 
 
 def _tile_bytes(c_in: int, c_out_tile: int, k: int, dilation: int,

@@ -2,7 +2,7 @@
 
 from .restcn import ResTCN, RESTCN_HAND_DILATIONS, RESTCN_RECEPTIVE_FIELDS
 from .temponet import TEMPONet, TEMPONET_HAND_DILATIONS, TEMPONET_RECEPTIVE_FIELDS
-from .rnn_baselines import MusicLSTM, HeartRateGRU
+from .rnn_baselines import MusicLSTM
 from .seeds import (
     restcn_seed,
     restcn_fixed,
@@ -26,5 +26,4 @@ __all__ = [
     "temponet_fixed",
     "temponet_hand_tuned",
     "MusicLSTM",
-    "HeartRateGRU",
 ]

@@ -1,8 +1,8 @@
-"""RNN baseline models for the TCN-vs-RNN comparison (paper Sec. I / [6]).
+"""RNN baseline for the TCN-vs-RNN comparison (paper Sec. I / [6]).
 
-``MusicLSTM`` mirrors the role of ResTCN on Nottingham: an LSTM/GRU encoder
+``MusicLSTM`` mirrors the role of ResTCN on Nottingham: an LSTM encoder
 over the 88-key piano roll with a per-timestep linear head producing
-next-frame logits.  ``HeartRateGRU`` mirrors TEMPONet on PPG-Dalia.
+next-frame logits.
 """
 
 from __future__ import annotations
@@ -12,47 +12,23 @@ from typing import Optional
 import numpy as np
 
 from ..autograd import Tensor
-from ..nn import CausalConv1d, Linear, Module
-from ..nn.recurrent import GRU, LSTM
+from ..nn import CausalConv1d, Module
+from ..nn.recurrent import LSTM
 
-__all__ = ["MusicLSTM", "HeartRateGRU"]
+__all__ = ["MusicLSTM"]
 
 
 class MusicLSTM(Module):
     """LSTM for polyphonic-music next-frame prediction, Bai et al. style."""
 
     def __init__(self, num_keys: int = 88, hidden: int = 150,
-                 cell: str = "lstm", head_bias_init: float = -3.0,
+                 head_bias_init: float = -3.0,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         rng = rng or np.random.default_rng()
-        if cell == "lstm":
-            self.encoder = LSTM(num_keys, hidden, rng=rng)
-        elif cell == "gru":
-            self.encoder = GRU(num_keys, hidden, rng=rng)
-        else:
-            raise ValueError("cell must be 'lstm' or 'gru'")
+        self.encoder = LSTM(num_keys, hidden, rng=rng)
         self.head = CausalConv1d(hidden, num_keys, kernel_size=1, rng=rng)
         self.head.bias.data[...] = head_bias_init
 
     def forward(self, x: Tensor) -> Tensor:
         return self.head(self.encoder(x))
-
-
-class HeartRateGRU(Module):
-    """GRU regressor for PPG heart-rate windows (the RNN counterpart of
-    TEMPONet): encode the window, read the final hidden state, regress BPM."""
-
-    def __init__(self, input_channels: int = 4, hidden: int = 64,
-                 output_bias_init: float = 100.0,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        rng = rng or np.random.default_rng()
-        self.encoder = GRU(input_channels, hidden, rng=rng)
-        self.head = Linear(hidden, 1, rng=rng)
-        self.head.bias.data[...] = output_bias_init
-
-    def forward(self, x: Tensor) -> Tensor:
-        states = self.encoder(x)           # (N, H, T)
-        final = states[:, :, -1]           # (N, H)
-        return self.head(final)

@@ -22,13 +22,6 @@ from .losses import (
     mae_loss,
     mse_loss,
     huber_loss,
-    cross_entropy,
-    BCEWithLogits,
-    PolyphonicNLL,
-    MAELoss,
-    MSELoss,
-    HuberLoss,
-    CrossEntropy,
 )
 from .eval_utils import mean_loss_over_loader
 from .stacked import (
@@ -41,7 +34,7 @@ from .stacked import (
     register_stacked,
     stack_module,
 )
-from .recurrent import LSTM, GRU
+from .recurrent import LSTM
 from .serialization import save_model, load_model, save_state, load_state
 from . import init
 
@@ -67,13 +60,6 @@ __all__ = [
     "mae_loss",
     "mse_loss",
     "huber_loss",
-    "cross_entropy",
-    "BCEWithLogits",
-    "PolyphonicNLL",
-    "MAELoss",
-    "MSELoss",
-    "HuberLoss",
-    "CrossEntropy",
     "StackedModel",
     "StackingUnsupported",
     "StackedLinear",
@@ -84,7 +70,6 @@ __all__ = [
     "stack_module",
     "init",
     "LSTM",
-    "GRU",
     "save_model",
     "load_model",
     "save_state",

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["kaiming_normal", "kaiming_uniform", "xavier_uniform", "uniform_fan_in"]
+__all__ = ["kaiming_uniform", "xavier_uniform", "uniform_fan_in"]
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -25,14 +25,6 @@ def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
     else:
         raise ValueError(f"unsupported weight shape {shape}")
     return fan_in, fan_out
-
-
-def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator,
-                   gain: float = math.sqrt(2.0)) -> np.ndarray:
-    """He-normal init, appropriate for ReLU networks."""
-    fan_in, _ = _fan_in_out(shape)
-    std = gain / math.sqrt(fan_in)
-    return rng.normal(0.0, std, size=shape)
 
 
 def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator,

@@ -9,10 +9,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..autograd import Tensor, log_softmax, mark_capture_unsafe
-from .module import Module
+from ..autograd import Tensor
 
 __all__ = [
     "bce_with_logits",
@@ -20,13 +17,6 @@ __all__ = [
     "mae_loss",
     "mse_loss",
     "huber_loss",
-    "cross_entropy",
-    "BCEWithLogits",
-    "PolyphonicNLL",
-    "MAELoss",
-    "MSELoss",
-    "HuberLoss",
-    "CrossEntropy",
 ]
 
 
@@ -90,51 +80,3 @@ def huber_loss(pred: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
     # The tensor comparison keeps the branch condition inside the op graph,
     # so a graph-captured step re-evaluates it on every batch.
     return where(diff <= delta, quadratic, linear).mean()
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Multi-class cross entropy from ``(N, C)`` logits and int labels."""
-    if logits.ndim != 2:
-        raise ValueError(f"expected (N, C) logits, got {logits.shape}")
-    labels = np.asarray(labels)
-    # The label-indexed gather below is data-dependent; a static replay
-    # would keep selecting the trace batch's labels.
-    mark_capture_unsafe("cross_entropy gathers by per-batch labels")
-    log_probs = log_softmax(logits, axis=1)
-    n = logits.shape[0]
-    picked = log_probs[np.arange(n), labels]
-    return -picked.mean()
-
-
-class BCEWithLogits(Module):
-    def forward(self, logits: Tensor, targets: Tensor) -> Tensor:
-        return bce_with_logits(logits, targets)
-
-
-class PolyphonicNLL(Module):
-    def forward(self, logits: Tensor, targets: Tensor) -> Tensor:
-        return polyphonic_nll(logits, targets)
-
-
-class MAELoss(Module):
-    def forward(self, pred: Tensor, target: Tensor) -> Tensor:
-        return mae_loss(pred, target)
-
-
-class MSELoss(Module):
-    def forward(self, pred: Tensor, target: Tensor) -> Tensor:
-        return mse_loss(pred, target)
-
-
-class HuberLoss(Module):
-    def __init__(self, delta: float = 1.0):
-        super().__init__()
-        self.delta = delta
-
-    def forward(self, pred: Tensor, target: Tensor) -> Tensor:
-        return huber_loss(pred, target, delta=self.delta)
-
-
-class CrossEntropy(Module):
-    def forward(self, logits: Tensor, labels: np.ndarray) -> Tensor:
-        return cross_entropy(logits, labels)

@@ -1,14 +1,14 @@
-"""Recurrent layers: LSTM and GRU.
+"""Recurrent layer: LSTM.
 
 The paper's premise (Sec. I) is that TCNs match RNN accuracy on time-series
 tasks while being cheaper to deploy — the comparison established by Bai et
 al. [6], who benchmark TCNs against LSTMs/GRUs on the same datasets
-(including Nottingham).  These layers provide that RNN side of the
+(including Nottingham).  This layer provides that RNN side of the
 comparison on our substrate; see ``benchmarks/bench_tcn_vs_rnn.py``.
 
-Both layers consume the library's channel-first sequence layout
-``(N, C, T)`` and return the full hidden-state sequence ``(N, H, T)``, so
-they are drop-in sequence encoders where a TCN block would be.
+It consumes the library's channel-first sequence layout ``(N, C, T)``
+and returns the full hidden-state sequence ``(N, H, T)``, so
+it is a drop-in sequence encoder where a TCN block would be.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, concatenate, stack
+from ..autograd import Tensor, stack
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["LSTM", "GRU"]
+__all__ = ["LSTM"]
 
 
 class LSTM(Module):
@@ -76,45 +76,3 @@ class LSTM(Module):
 
     def __repr__(self) -> str:
         return f"LSTM(in={self.input_size}, hidden={self.hidden_size})"
-
-
-class GRU(Module):
-    """Single-layer GRU over ``(N, C, T)`` sequences."""
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        rng = rng or np.random.default_rng()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        gates = 3 * hidden_size
-        self.weight_ih = Parameter(init.xavier_uniform((gates, input_size), rng),
-                                   name="gru.weight_ih")
-        self.weight_hh = Parameter(init.xavier_uniform((gates, hidden_size), rng),
-                                   name="gru.weight_hh")
-        self.bias_ih = Parameter(np.zeros(gates), name="gru.bias_ih")
-        self.bias_hh = Parameter(np.zeros(gates), name="gru.bias_hh")
-
-    def forward(self, x: Tensor, state: Optional[Tensor] = None) -> Tensor:
-        if x.ndim != 3 or x.shape[1] != self.input_size:
-            raise ValueError(f"expected (N, {self.input_size}, T), got {x.shape}")
-        n, _, t = x.shape
-        self.last_t = t  # recorded for the GAP8 cost model
-        h_dim = self.hidden_size
-        h = state if state is not None else Tensor(np.zeros((n, h_dim)))
-
-        outputs = []
-        for step in range(t):
-            frame = x[:, :, step]
-            gi = frame @ self.weight_ih.transpose() + self.bias_ih
-            gh = h @ self.weight_hh.transpose() + self.bias_hh
-            r = (gi[:, 0 * h_dim: 1 * h_dim] + gh[:, 0 * h_dim: 1 * h_dim]).sigmoid()
-            z = (gi[:, 1 * h_dim: 2 * h_dim] + gh[:, 1 * h_dim: 2 * h_dim]).sigmoid()
-            candidate = (gi[:, 2 * h_dim: 3 * h_dim]
-                         + r * gh[:, 2 * h_dim: 3 * h_dim]).tanh()
-            h = (1.0 - z) * candidate + z * h
-            outputs.append(h)
-        return stack(outputs, axis=2)
-
-    def __repr__(self) -> str:
-        return f"GRU(in={self.input_size}, hidden={self.hidden_size})"

@@ -5,14 +5,15 @@ the ``state_dict`` is a complete, dependency-free checkpoint.  Metadata
 (arbitrary JSON-serializable dict) travels alongside, which the DSE driver
 uses to record the λ / warmup / dilations that produced a model.
 
-Writes are torn-write-proof: the archive is assembled in a tempfile in the
-target directory and moved into place with ``os.replace`` (the same flush
-discipline as :class:`repro.evaluation.DSECache`), so a crash mid-write
-can never leave a half-written file under the final name.  Reads raise a
-typed :class:`CheckpointError` on truncated/corrupt archives instead of a
-raw ``zipfile.BadZipFile``; callers with a recovery story (the trainer
-checkpoint layer) can additionally ask for the corrupt file to be
-quarantined to ``<path>.corrupt`` for post-mortems.
+Writes are torn-write-proof: :func:`atomic_write` assembles the file in a
+tempfile in the target directory and moves it into place with
+``os.replace`` (:class:`repro.evaluation.DSECache` flushes through it
+too), so a crash mid-write can never leave a half-written file under the
+final name.  Reads raise a typed :class:`CheckpointError` on
+truncated/corrupt archives instead of a raw ``zipfile.BadZipFile``;
+callers with a recovery story (the trainer checkpoint layer) can
+additionally ask for the corrupt file to be moved aside by
+:func:`quarantine_file` to ``<path>.corrupt`` for post-mortems.
 """
 
 from __future__ import annotations
@@ -21,15 +22,16 @@ import json
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterator, IO, Optional, Tuple, Union
 
 import numpy as np
 
 from .module import Module
 
 __all__ = ["save_model", "load_model", "save_state", "load_state",
-           "CheckpointError"]
+           "CheckpointError", "atomic_write", "quarantine_file"]
 
 _META_KEY = "__repro_metadata__"
 
@@ -43,6 +45,44 @@ class CheckpointError(RuntimeError):
     The original low-level exception (``zipfile.BadZipFile``, ``OSError``,
     ``json.JSONDecodeError``, …) rides along as ``__cause__``.
     """
+
+
+@contextmanager
+def atomic_write(path: Union[str, Path], mode: str = "wb") -> Iterator[IO]:
+    """Write ``path`` all at once: yield a handle on a tempfile in its
+    directory, then ``os.replace`` it over ``path``.
+
+    If the body raises, the tempfile is removed and ``path`` is untouched,
+    so readers only ever see a complete file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def quarantine_file(path: Union[str, Path], problem: str, suffix: str = "",
+                    stacklevel: int = 2) -> None:
+    """Move a damaged file to ``<path>.corrupt`` (replacing an earlier
+    one) and warn ``"<problem>; quarantined to '<target>'<suffix>"``.
+
+    The target reads ``'<unmovable>'`` when the move fails.  ``stacklevel``
+    counts from the caller, as for :func:`warnings.warn`.
+    """
+    target = str(path) + ".corrupt"
+    try:
+        os.replace(path, target)
+    except OSError:
+        target = "<unmovable>"
+    warnings.warn(f"{problem}; quarantined to {target!r}{suffix}",
+                  stacklevel=stacklevel + 1)
 
 
 def save_state(state: Dict[str, np.ndarray], path: Union[str, Path],
@@ -59,16 +99,8 @@ def save_state(state: Dict[str, np.ndarray], path: Union[str, Path],
     if metadata is not None:
         payload[_META_KEY] = np.frombuffer(
             json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path) as handle:
+        np.savez_compressed(handle, **payload)
 
 
 def load_state(path: Union[str, Path], *, quarantine: bool = False
@@ -98,14 +130,8 @@ def load_state(path: Union[str, Path], *, quarantine: bool = False
         raise
     except Exception as exc:
         if quarantine:
-            target = str(path) + ".corrupt"
-            try:
-                os.replace(path, target)
-            except OSError:
-                target = "<unmovable>"
-            warnings.warn(
-                f"checkpoint file {str(path)!r} is corrupt ({exc}); "
-                f"quarantined to {target!r}", stacklevel=2)
+            quarantine_file(path, f"checkpoint file {str(path)!r} is "
+                                  f"corrupt ({exc})")
         raise CheckpointError(
             f"cannot read checkpoint {str(path)!r}: {exc}") from exc
 

@@ -1,4 +1,4 @@
-"""Early stopping on a validation metric.
+"""Early stopping on a validation loss.
 
 The paper uses validation-loss convergence to end PIT's pruning phase
 (Algorithm 1, "while not converged") and an early-stop patience of 50
@@ -24,28 +24,19 @@ __all__ = ["EarlyStopping"]
 
 
 class EarlyStopping:
-    """Track a metric and signal convergence after ``patience`` stale epochs.
+    """Track a loss and signal convergence after ``patience`` stale epochs.
 
     Parameters
     ----------
     patience:
-        Number of consecutive non-improving observations tolerated before
-        :attr:`should_stop` flips to True.
-    min_delta:
-        Minimum improvement (in ``mode`` direction) to reset the counter.
-    mode:
-        ``"min"`` for losses, ``"max"`` for accuracies.
+        Number of consecutive observations that do not lower the best loss
+        tolerated before :attr:`should_stop` flips to True.
     """
 
-    def __init__(self, patience: int = 10, min_delta: float = 0.0, mode: str = "min"):
-        if mode not in ("min", "max"):
-            raise ValueError("mode must be 'min' or 'max'")
+    def __init__(self, patience: int = 10):
         if patience < 1:
             raise ValueError("patience must be >= 1")
         self.patience = patience
-        self.min_delta = min_delta
-        self.mode = mode
-        self._sign = 1.0 if mode == "min" else -1.0
         self.best_state: Optional[Dict[str, np.ndarray]] = None
         self._best = np.zeros((), dtype=np.float64)
         self._stale = np.zeros((), dtype=np.int64)
@@ -72,7 +63,7 @@ class EarlyStopping:
         """Record one observation; return True when it improved the best."""
         improved = early_stop_update(
             self._best, self._stale, self._stop, self._seen,
-            metric, self.min_delta, self.patience, self._sign)
+            metric, self.patience)
         if improved and state is not None:
             self.best_state = copy.deepcopy(state)
         return improved

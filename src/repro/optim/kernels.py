@@ -2,15 +2,14 @@
 
 Each kernel is a module-level function whose entire state is the numpy
 arrays passed in (parameter storage, moment buffers, 0-d step counters).
-The :class:`~repro.optim.optimizers.Adam` / ``SGD`` steps, gradient
-clipping (sequential and stacked) and the early-stopping counter delegate
-to them, so the same arithmetic serves every trainer and the state stays
-plain arrays a checkpoint can snapshot and restore in place.
+The :class:`~repro.optim.optimizers.Adam` / ``SGD`` steps and the
+early-stopping counter delegate to them, so the same arithmetic serves
+every trainer and the state stays plain arrays a checkpoint can snapshot
+and restore in place.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 __all__ = [
     "adam_update",
     "sgd_update",
-    "clip_grads",
-    "clip_grads_stacked",
     "early_stop_update",
 ]
 
@@ -65,59 +62,16 @@ def sgd_update(data: np.ndarray, grad: np.ndarray,
     data -= lr * grad
 
 
-def clip_grads(grads: Sequence[np.ndarray], max_norm: float) -> float:
-    """Global-L2 gradient clipping over bare arrays (in place).
-
-    The array-level core of :func:`repro.optim.clip_grad_norm`.
-    """
-    total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
-    norm = math.sqrt(total)
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
-    return norm
-
-
-def clip_grads_stacked(grads: Sequence[np.ndarray], max_norm: float
-                       ) -> np.ndarray:
-    """Per-model gradient clipping over stacked ``(M, ...)`` arrays.
-
-    Array-level core of :func:`repro.core.clip_grad_norm_stacked`: each
-    model slice is clipped on its own global norm, matching M independent
-    :func:`clip_grads` calls.
-    """
-    if not grads:
-        return np.zeros(0)
-    m = grads[0].shape[0]
-    total = np.zeros(m)
-    for g in grads:
-        total += (g * g).reshape(m, -1).sum(axis=1)
-    norms = np.sqrt(total)
-    scales = np.where(norms > max_norm, max_norm / np.maximum(norms, 1e-300),
-                      1.0)
-    if np.any(scales < 1.0):
-        for g in grads:
-            g *= scales.reshape((m,) + (1,) * (g.ndim - 1))
-    return norms
-
-
 def early_stop_update(best: np.ndarray, stale: np.ndarray, stop: np.ndarray,
-                      seen: np.ndarray, metric: float, min_delta: float,
-                      patience: int, sign: float) -> bool:
+                      seen: np.ndarray, metric: float, patience: int) -> bool:
     """Patience-based convergence bookkeeping on 0-d state arrays.
 
-    ``sign`` is ``+1.0`` for ``mode="min"`` and ``-1.0`` for ``"max"``;
-    multiplying by it folds both modes into one exact comparison
-    (negation is lossless).  Returns True when ``metric`` improved the
-    best.  All counters are 0-d arrays: ``best`` (float64), ``stale``
-    (int64), ``stop`` / ``seen`` (bool) — the state a checkpoint carries
-    across epochs.
+    Returns True when ``metric`` is lower than the best so far.  All
+    counters are 0-d arrays: ``best`` (float64), ``stale`` (int64),
+    ``stop`` / ``seen`` (bool) — the state a checkpoint carries across
+    epochs.
     """
-    improved = (not bool(seen)
-                or sign * metric < sign * float(best) - min_delta)
+    improved = not bool(seen) or metric < float(best)
     if improved:
         best[...] = metric
         stale[...] = 0

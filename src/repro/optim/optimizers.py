@@ -57,14 +57,6 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def set_lr(self, lr: float) -> None:
-        """Set the learning rate of every group (used by schedulers)."""
-        for group in self.param_groups:
-            group["lr"] = lr
-
-    def get_lr(self) -> float:
-        return self.param_groups[0]["lr"]
-
     def ensure_state(self, p: Parameter, group: Dict) -> Tuple:
         """Allocate (if needed) and return this parameter's state arrays."""
         raise NotImplementedError

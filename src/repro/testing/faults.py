@@ -76,7 +76,7 @@ __all__ = [
     "parse_faults", "active_faults", "fire", "reset",
     "point_scope", "current_points",
     "inject_point_faults", "corrupt_cache_file",
-    "drop_connection", "crash_at_epoch", "corrupt_checkpoint_file",
+    "crash_at_epoch", "corrupt_checkpoint_file",
 ]
 
 #: fault spec environment variable
@@ -310,11 +310,6 @@ def corrupt_cache_file(path: str) -> bool:
     except OSError:
         pass
     return True
-
-
-def drop_connection(tick: int) -> bool:
-    """Serving tick site: abort one live client connection at ``tick``."""
-    return fire("conn_drop", tick=int(tick)) is not None
 
 
 def crash_at_epoch(epoch: int) -> None:

@@ -116,6 +116,39 @@ class TestDeploy:
         out = capsys.readouterr().out
         assert f"loaded    : {path}" in out
 
+    @pytest.mark.parametrize("case", ["search", "other-dilations",
+                                      "garbage", "missing"])
+    def test_deploy_bad_checkpoint_is_a_one_line_error(self, case, tmp_path,
+                                                       capsys):
+        """A file that is missing, unreadable or does not fit the network
+        exits 2 with one stderr line and no traceback.  A `search --save`
+        file holds the supernet: the line names the dilations it found
+        and how to train them."""
+        path = tmp_path / "ckpt.npz"
+        if case == "search":
+            main(["search", "--benchmark", "ppg", "--width", "0.125",
+                  "--warmup", "0", "--epochs", "1", "--finetune", "0",
+                  "--quiet", "--save", str(path)])
+        elif case == "other-dilations":
+            main(["train", "--benchmark", "ppg", "--width", "0.125",
+                  "--dilations", "2", "2", "1", "4", "4", "8", "8",
+                  "--epochs", "1", "--patience", "1", "--save", str(path)])
+        elif case == "garbage":
+            path.write_bytes(b"not a checkpoint")
+        capsys.readouterr()
+        assert main(["deploy", "--benchmark", "ppg", "--width", "0.125",
+                     "--load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro deploy: error: ")
+        assert err.count("\n") == 1
+        if case == "search":
+            assert "the file holds a search supernet with dilations" in err
+            assert "`train --dilations" in err
+        elif case == "other-dilations":
+            assert "shape mismatch" in err
+            assert ("the file holds dilations 2 2 1 4 4 8 8: run "
+                    "`deploy --dilations 2 2 1 4 4 8 8 --load FILE`") in err
+
 
 class TestSearch:
     def test_search_runs_and_reports(self, capsys):
@@ -326,6 +359,20 @@ class TestTrain:
 
 
 class TestServe:
+    def test_unfit_checkpoint_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.npz"
+        main(["train", "--benchmark", "ppg", "--width", "0.125",
+              "--dilations", "2", "2", "1", "4", "4", "8", "8",
+              "--epochs", "1", "--patience", "1", "--save", str(path)])
+        capsys.readouterr()
+        assert main(["serve", "--benchmark", "ppg", "--width", "0.125",
+                     "--load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: error: ")
+        assert err.count("\n") == 1
+        assert "shape mismatch" in err
+        assert "`serve --dilations 2 2 1 4 4 8 8 --load FILE`" in err
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.capacity == 8

@@ -9,7 +9,6 @@ from repro.core import (
     effective_parameters,
     export_network,
     network_dilations,
-    network_summary,
     pit_layers,
 )
 from repro.models import ResTCN, restcn_seed, temponet_seed
@@ -94,14 +93,6 @@ class TestEffectiveParameters:
     def test_plain_model_is_count_parameters(self):
         model = ResTCN(width_mult=0.05, rng=np.random.default_rng(0))
         assert effective_parameters(model) == model.count_parameters()
-
-
-class TestNetworkSummary:
-    def test_fields(self):
-        seed = restcn_seed(width_mult=0.05, seed=0)
-        summary = network_summary(seed)
-        assert set(summary) == {"dilations", "params", "pit_params_effective"}
-        assert summary["params"] >= summary["pit_params_effective"]
 
 
 class TestNetworkReceptiveField:

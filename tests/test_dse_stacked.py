@@ -42,7 +42,7 @@ import pytest
 
 from repro.autograd import Tensor, get_default_dtype
 from repro.core import PITConv1d, PITTrainer, StackedPITTrainer
-from repro.core.stacked import clip_grad_norm_stacked, per_model_loss
+from repro.core.stacked import per_model_loss
 from repro.data import ArrayDataset, DataLoader, EpochReplayLoader, clone_loader
 from repro.evaluation import DSEEngine, stack_width_default
 from repro.evaluation.dse import ENV_STACK, _train_grid_point
@@ -57,7 +57,6 @@ from repro.nn import (
     StackingUnsupported,
     mse_loss,
 )
-from repro.optim import clip_grad_norm
 
 if np.dtype(get_default_dtype()) == np.float64:
     TOL = dict(atol=1e-8, rtol=1e-8)
@@ -168,14 +167,6 @@ class TestTrainerParity:
             stacked = _stacked_results(schedule=schedule, lams=LAMS[:3])
         _assert_result_parity(sequential, stacked)
 
-    def test_grad_clip_parity(self):
-        """Per-model clipping: no model's clip decision leaks into another."""
-        schedule = dict(SCHEDULE, max_prune_epochs=4, finetune_epochs=2,
-                        grad_clip=0.5)
-        sequential = _sequential_results(schedule=schedule, lams=LAMS[:2])
-        stacked = _stacked_results(schedule=schedule, lams=LAMS[:2])
-        _assert_result_parity(sequential, stacked)
-
     def test_warmup_zero_and_no_finetune(self):
         schedule = dict(SCHEDULE, warmup_epochs=0, max_prune_epochs=3,
                         finetune_epochs=0)
@@ -211,7 +202,7 @@ class TestTrainerParity:
 
 
 # ----------------------------------------------------------------------
-# Per-model loss / clipping primitives
+# Per-model loss / dropout primitives
 # ----------------------------------------------------------------------
 
 class TestPerModelPrimitives:
@@ -237,27 +228,6 @@ class TestPerModelPrimitives:
         for m in range(2):
             ref = odd_loss(Tensor(pred.data[m]), Tensor(y.data[m]))
             assert np.allclose(vec.data[m], ref.data, **TOL)
-
-    def test_stacked_clip_matches_per_model_clip(self):
-        rng = np.random.default_rng(2)
-        m = 3
-        stacked = [Parameter(rng.standard_normal((m, 4, 5))),
-                   Parameter(rng.standard_normal((m, 7)))]
-        grads = [rng.standard_normal(p.shape) for p in stacked]
-        # Scale model 1's gradients up so exactly one slice clips.
-        for g in grads:
-            g[1] *= 10.0
-        for p, g in zip(stacked, grads):
-            p.grad = g.copy()
-        norms = clip_grad_norm_stacked(stacked, max_norm=1.0)
-        for i in range(m):
-            singles = [Parameter(g[i].copy()) for g in grads]
-            for s, g in zip(singles, grads):
-                s.grad = g[i].copy()
-            ref_norm = clip_grad_norm(singles, max_norm=1.0)
-            assert np.allclose(norms[i], ref_norm, atol=1e-12)
-            for p, s in zip(stacked, singles):
-                assert np.allclose(p.grad[i], s.grad, atol=1e-12)
 
     def test_stacked_dropout_streams_match_sequential(self):
         from repro.autograd import dropout, dropout_stacked

@@ -1,13 +1,8 @@
-"""Tests for table rendering and the experiment registry."""
+"""Tests for table rendering."""
 
 import pytest
 
-from repro.evaluation.reporting import (
-    Comparison,
-    ExperimentRegistry,
-    format_markdown_table,
-    format_table,
-)
+from repro.evaluation.reporting import format_table
 
 
 class TestFormatTable:
@@ -41,58 +36,3 @@ class TestFormatTable:
         out = format_table(["fits L2"], [[True], [False]])
         assert "yes" in out and "no" in out
         assert "True" not in out and "False" not in out
-
-    def test_markdown_bools_render_as_yes_no(self):
-        out = format_markdown_table(["ok"], [[True]])
-        assert "| yes |" in out
-
-
-class TestMarkdownTable:
-    def test_structure(self):
-        out = format_markdown_table(["a", "b"], [[1, 2]])
-        lines = out.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | 2 |"
-
-    def test_formats(self):
-        out = format_markdown_table(["x"], [[0.123456]], formats=[".3f"])
-        assert "| 0.123 |" in out
-
-
-class TestComparison:
-    def test_ratio(self):
-        assert Comparison("e", "q", 2.0, 3.0).ratio() == pytest.approx(1.5)
-
-    def test_ratio_non_numeric(self):
-        assert Comparison("e", "q", "(1,2)", "(1,4)").ratio() is None
-
-    def test_ratio_zero_paper(self):
-        assert Comparison("e", "q", 0.0, 3.0).ratio() is None
-
-
-class TestRegistry:
-    def make(self):
-        registry = ExperimentRegistry()
-        registry.record("table3", "seed latency ms", 1002, 1043.1)
-        registry.record("table3", "hand latency ms", 500, 466.3)
-        registry.record("fig5", "proxyless/pit time", 10.4, 3.1, note="toy scale")
-        return registry
-
-    def test_experiments_ordered_unique(self):
-        assert self.make().experiments() == ["table3", "fig5"]
-
-    def test_markdown_sections(self):
-        md = self.make().to_markdown()
-        assert "### table3" in md
-        assert "### fig5" in md
-        assert "toy scale" in md
-
-    def test_json_round_trip(self, tmp_path):
-        registry = self.make()
-        path = tmp_path / "record.json"
-        registry.save_json(path)
-        loaded = ExperimentRegistry.load_json(path)
-        assert len(loaded.entries) == 3
-        assert loaded.entries[0].paper == 1002
-        assert loaded.entries[2].note == "toy scale"

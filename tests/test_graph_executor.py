@@ -34,7 +34,7 @@ from repro.core.stacked import StackedPITTrainer
 from repro.core.trainer import make_training_step, train_plain
 from repro.data import ArrayDataset, DataLoader
 from repro.models import restcn_seed, temponet_seed
-from repro.models.rnn_baselines import HeartRateGRU, MusicLSTM
+from repro.models.rnn_baselines import MusicLSTM
 from repro.nn import (
     BatchNorm1d,
     CausalConv1d,
@@ -48,7 +48,7 @@ from repro.nn import (
     mse_loss,
     polyphonic_nll,
 )
-from repro.optim import Adam, clip_grad_norm
+from repro.optim import Adam
 
 
 def training_step(compiled: bool, model, loss_fn, extra_loss=None):
@@ -177,11 +177,6 @@ class TestModelGrid:
                    batches_of((4, 88, 48), (4, 88, 48)), polyphonic_nll,
                    extra_loss_fn=lambda m: size_regularizer(m, 0.02),
                    context="restcn")
-
-    def test_heart_rate_gru(self):
-        run_parity(lambda: HeartRateGRU(hidden=8,
-                                        rng=np.random.default_rng(2)),
-                   batches_of((4, 4, 32), (4, 1)), mae_loss, context="gru")
 
     def test_music_lstm(self):
         run_parity(lambda: MusicLSTM(hidden=12,
@@ -340,7 +335,7 @@ def small_net(seed=5):
                       GlobalAvgPool1d(), Linear(4, 1, rng=rng))
 
 
-def run_epochs(compiled, batches, epochs=3, grad_clip=None):
+def run_epochs(compiled, batches, epochs=3):
     """Train a fresh :func:`small_net` for ``epochs`` passes over
     ``batches``; returns (model, optimizer, per-epoch mean task losses)."""
     model = small_net()
@@ -352,8 +347,6 @@ def run_epochs(compiled, batches, epochs=3, grad_clip=None):
         for x, y in batches:
             optimizer.zero_grad()
             total += step(x, y)[1]
-            if grad_clip is not None:
-                clip_grad_norm(optimizer.params, grad_clip)
             optimizer.step()
         losses.append(total / len(batches))
     return model, optimizer, losses
@@ -388,14 +381,6 @@ class TestEpochParity:
                                       f"{backend}/{dtype}")
         finally:
             set_default_dtype(prev)
-
-    def test_epochs_with_grad_clip_match_eager(self):
-        rng = np.random.default_rng(3)
-        batches = [(rng.standard_normal((n, 2, 16)),
-                    rng.standard_normal((n, 1))) for n in (6, 6, 6, 2)]
-        self._assert_same_run(run_epochs(False, batches, grad_clip=0.5),
-                              run_epochs(True, batches, grad_clip=0.5),
-                              "grad-clip")
 
     def test_randomized_early_stop_grid(self, eager_steps):
         """train_plain over randomized patience/epoch grids: compiled and
@@ -455,7 +440,7 @@ class TestEpochParity:
             trainer = StackedPITTrainer(
                 StackSeed(), mse_loss, lams=[1e-7, 1e-4], warmup_epochs=2,
                 max_prune_epochs=3, prune_patience=2, finetune_epochs=2,
-                finetune_patience=2, grad_clip=1.0)
+                finetune_patience=2)
             results = trainer.fit(train, val)
             states = [trainer.model_for(i).state_dict()
                       for i in range(len(results))]

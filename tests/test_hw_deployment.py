@@ -1,6 +1,6 @@
 """Tests for the deployment flow and the hardware-in-the-loop DSE hook.
 
-The tentpole contract: a sweep run with ``point_evaluators=[gap8_evaluator
+The contract: a sweep run with ``point_evaluators=[GAP8PointEvaluator
 (...)]`` annotates every :class:`DSEPoint` with deployment metrics
 (latency_ms, energy_mj, quantized_loss, …), the metrics survive the results
 cache, and the N-D Pareto layer can minimize over them.
@@ -12,12 +12,7 @@ import pytest
 from repro.core import PITConv1d, deployable_network, export_network
 from repro.data import ArrayDataset, DataLoader
 from repro.evaluation import DSEEngine, evaluator_name, select_small_medium_large
-from repro.hw import (
-    GAP8PointEvaluator,
-    deploy,
-    format_table_iii,
-    gap8_evaluator,
-)
+from repro.hw import GAP8PointEvaluator, deploy, format_table_iii
 from repro.nn import CausalConv1d, Module, ReLU, mse_loss
 
 SCHEDULE = dict(gamma_lr=0.2, max_prune_epochs=2, finetune_epochs=1)
@@ -133,8 +128,7 @@ class TestDeploy:
 class TestGap8Evaluator:
     def test_factory_returns_named_evaluator(self):
         train, val = _loaders()
-        evaluator = gap8_evaluator(mse_loss, train, val, (1, 1, 10))
-        assert isinstance(evaluator, GAP8PointEvaluator)
+        evaluator = GAP8PointEvaluator(mse_loss, train, val, (1, 1, 10))
         assert evaluator_name(evaluator) == "gap8(bits=8,shape=1x1x10)"
 
     def test_cache_identity_tracks_quantization_settings(self):
@@ -146,7 +140,7 @@ class TestGap8Evaluator:
 
         def name(**kw):
             return evaluator_name(
-                gap8_evaluator(mse_loss, train, val, (1, 1, 10), **kw))
+                GAP8PointEvaluator(mse_loss, train, val, (1, 1, 10), **kw))
 
         default = name()
         assert name(bits=4) != default
@@ -156,7 +150,7 @@ class TestGap8Evaluator:
 
     def test_evaluator_returns_metric_dict(self):
         train, val = _loaders()
-        evaluator = gap8_evaluator(mse_loss, train, val, (1, 1, 10))
+        evaluator = GAP8PointEvaluator(mse_loss, train, val, (1, 1, 10))
         metrics = evaluator(TinyFixed(), None)
         assert set(metrics) == METRIC_KEYS
 
@@ -168,7 +162,7 @@ class TestGap8Evaluator:
         loader = DataLoader(ArrayDataset(x, x), 4, shuffle=True,
                             rng=np.random.default_rng(7))
         state = loader.rng.bit_generator.state
-        evaluator = gap8_evaluator(mse_loss, loader, loader, (1, 1, 10))
+        evaluator = GAP8PointEvaluator(mse_loss, loader, loader, (1, 1, 10))
         evaluator(TinyFixed(), None)
         assert loader.rng.bit_generator.state == state
 
@@ -176,7 +170,7 @@ class TestGap8Evaluator:
 class TestHardwareInTheLoopSweep:
     def _sweep(self, workers=0):
         train, val = _loaders()
-        evaluator = gap8_evaluator(mse_loss, val, val, (1, 1, 10))
+        evaluator = GAP8PointEvaluator(mse_loss, val, val, (1, 1, 10))
         engine = DSEEngine(Tiny, mse_loss, train, val, workers=workers,
                            trainer_kwargs=dict(SCHEDULE),
                            point_evaluators=[evaluator])

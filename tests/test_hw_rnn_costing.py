@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.hw import GAP8Config, GAP8Model
-from repro.models import HeartRateGRU, MusicLSTM, restcn_hand_tuned
-from repro.nn import LSTM, GRU, Sequential
+from repro.models import MusicLSTM, restcn_hand_tuned
+from repro.nn import LSTM
 
 
 class TestRNNCosting:
@@ -33,12 +33,6 @@ class TestRNNCosting:
         weight_macs = 4 * 16 * 8 + 4 * 16 * 16  # W_ih + W_hh rows
         assert rec.macs == weight_macs * 10
 
-    def test_gru_priced(self):
-        model = HeartRateGRU(hidden=16, rng=np.random.default_rng(0))
-        report = GAP8Model().estimate(model, (1, 4, 64))
-        assert any(l.kind == "recurrent" for l in report.layers)
-        assert any(l.kind == "linear" for l in report.layers)
-
     def test_rnn_throughput_below_conv(self):
         """ms per MMAC must be worse for the RNN (the paper's premise)."""
         gap8 = GAP8Model()
@@ -51,9 +45,9 @@ class TestRNNCosting:
         assert lstm_eff > 2 * tcn_eff
 
     def test_rnn_rate_configurable(self):
-        model = HeartRateGRU(hidden=16, rng=np.random.default_rng(0))
-        slow = GAP8Model(GAP8Config(rnn_mac_rate=0.5)).estimate(model, (1, 4, 64))
-        fast = GAP8Model(GAP8Config(rnn_mac_rate=2.0)).estimate(model, (1, 4, 64))
+        model = MusicLSTM(num_keys=8, hidden=16, rng=np.random.default_rng(0))
+        slow = GAP8Model(GAP8Config(rnn_mac_rate=0.5)).estimate(model, (1, 8, 64))
+        fast = GAP8Model(GAP8Config(rnn_mac_rate=2.0)).estimate(model, (1, 8, 64))
         assert slow.latency_ms > fast.latency_ms
 
     def test_untraced_rnn_raises(self):
@@ -63,7 +57,8 @@ class TestRNNCosting:
             gap8._layer_cost("enc", lstm, True)
 
     def test_rnn_weights_counted_in_network_bytes(self):
-        model = HeartRateGRU(hidden=16, rng=np.random.default_rng(0))
-        report = GAP8Model().estimate(model, (1, 4, 64))
-        gru_params = sum(p.data.size for _, p in model.encoder.named_parameters())
-        assert report.total_weight_bytes >= gru_params
+        model = MusicLSTM(num_keys=8, hidden=16, rng=np.random.default_rng(0))
+        report = GAP8Model().estimate(model, (1, 8, 64))
+        lstm_params = sum(p.data.size
+                          for _, p in model.encoder.named_parameters())
+        assert report.total_weight_bytes >= lstm_params

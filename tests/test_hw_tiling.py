@@ -2,27 +2,9 @@
 
 import pytest
 
-from repro.hw.tiling import (
-    TileSpec,
-    conv_bytes,
-    find_tiling,
-    layer_working_set,
-    tiling_traffic,
-)
+from repro.hw.tiling import TileSpec, find_tiling, tiling_traffic
 
 L1 = 64 * 1024
-
-
-class TestSizes:
-    def test_conv_bytes(self):
-        sizes = conv_bytes(c_in=4, c_out=8, k=3, t_in=16, t_out=16)
-        assert sizes["weights"] == 8 * 4 * 3 + 8 * 4
-        assert sizes["input"] == 4 * 16
-        assert sizes["output"] == 8 * 16
-
-    def test_layer_working_set(self):
-        ws = layer_working_set(4, 8, 3, 16, 16)
-        assert ws == (8 * 4 * 3 + 32) + 64 + 128
 
 
 class TestFindTiling:

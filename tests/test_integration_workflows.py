@@ -10,15 +10,12 @@ import pytest
 from repro import PITTrainer, export_network
 from repro.core import evaluate, pit_layers
 from repro.data import (
-    Augmenter,
-    ArrayDataset,
     DataLoader,
     PPGDaliaConfig,
     make_ppg_dalia,
-    sliding_windows,
     train_val_test_split,
 )
-from repro.evaluation import DSEEngine, ExperimentRegistry, format_table
+from repro.evaluation import DSEEngine, format_table
 from repro.hw import GAP8Model, deploy
 from repro.models import temponet_fixed, temponet_seed
 from repro.nn import mae_loss
@@ -77,22 +74,6 @@ class TestSearchCheckpointReload:
 
 
 class TestRegistryWorkflow:
-    def test_sweep_feeds_registry_markdown(self, ppg):
-        train, val, _ = ppg
-        sweep = DSEEngine(lambda: temponet_seed(width_mult=0.125, seed=0),
-                          mae_loss, train, val,
-                          trainer_kwargs=dict(gamma_lr=0.1, max_prune_epochs=3,
-                                              prune_patience=3,
-                                              finetune_epochs=0)).run(
-            [0.0, 2.0], warmups=(0,))
-        registry = ExperimentRegistry()
-        for p in sweep.points:
-            registry.record("fig4-bottom", f"lam={p.lam:g} params",
-                            "n/a", p.params)
-        md = registry.to_markdown()
-        assert "fig4-bottom" in md
-        assert str(sweep.points[0].params) in md
-
     def test_table_rendering_of_sweep(self, ppg):
         train, val, _ = ppg
         sweep = DSEEngine(lambda: temponet_seed(width_mult=0.125, seed=0),
@@ -106,23 +87,6 @@ class TestRegistryWorkflow:
             formats=[None, None, ".3f"])
         assert "lambda" in table
         assert "params" in table
-
-
-class TestAugmentedTraining:
-    def test_augmenter_with_dataset_pipeline(self):
-        """Windows -> augmentation -> dataset -> loader -> model, end to end."""
-        rng = np.random.default_rng(0)
-        signal = rng.standard_normal((4, 512))
-        windows = sliding_windows(signal, window=256, shift=128)
-        assert windows.shape[0] == 3
-        aug = Augmenter(jitter_sigma=0.05, scale_sigma=0.1,
-                        rng=np.random.default_rng(1))
-        augmented = aug.batch(windows)
-        targets = np.full((len(windows), 1), 80.0)
-        loader = DataLoader(ArrayDataset(augmented, targets), 2)
-        model = temponet_fixed(width_mult=0.125, seed=0)
-        value = evaluate(model, mae_loss, loader)
-        assert np.isfinite(value)
 
 
 class TestCostModelConsistency:

@@ -6,17 +6,10 @@ import pytest
 from repro.autograd import Tensor, check_gradients
 from repro.nn import (
     bce_with_logits,
-    cross_entropy,
     huber_loss,
     mae_loss,
     mse_loss,
     polyphonic_nll,
-    BCEWithLogits,
-    CrossEntropy,
-    HuberLoss,
-    MAELoss,
-    MSELoss,
-    PolyphonicNLL,
 )
 
 RNG = np.random.default_rng(33)
@@ -50,11 +43,6 @@ class TestBCEWithLogits:
         targets = Tensor((RNG.random((3, 4)) > 0.5).astype(float))
         check_gradients(lambda x: bce_with_logits(x, targets), [logits])
 
-    def test_module_wrapper(self):
-        logits, targets = Tensor([0.0]), Tensor([1.0])
-        assert BCEWithLogits()(logits, targets).item() == pytest.approx(np.log(2))
-
-
 class TestPolyphonicNLL:
     def test_reduction_structure(self):
         """NLL = mean over (batch, time) of the sum over the 88 keys."""
@@ -80,12 +68,6 @@ class TestPolyphonicNLL:
         logits = Tensor(RNG.standard_normal((2, 5, 4)), requires_grad=True)
         targets = Tensor((RNG.random((2, 5, 4)) > 0.5).astype(float))
         check_gradients(lambda x: polyphonic_nll(x, targets), [logits])
-
-    def test_module_wrapper(self):
-        x = Tensor(np.zeros((1, 2, 3)))
-        y = Tensor(np.zeros((1, 2, 3)))
-        assert PolyphonicNLL()(x, y).item() == pytest.approx(2 * np.log(2))
-
 
 class TestRegressionLosses:
     def test_mae_value(self):
@@ -117,36 +99,3 @@ class TestRegressionLosses:
         pred = Tensor(RNG.standard_normal(6) * 2, requires_grad=True)
         target = Tensor(RNG.standard_normal(6))
         check_gradients(lambda p: loss(p, target), [pred])
-
-    def test_module_wrappers(self):
-        p, t = Tensor([2.0]), Tensor([0.0])
-        assert MAELoss()(p, t).item() == pytest.approx(2.0)
-        assert MSELoss()(p, t).item() == pytest.approx(4.0)
-        assert HuberLoss(delta=1.0)(p, t).item() == pytest.approx(1.5)
-
-
-class TestCrossEntropy:
-    def test_uniform_logits(self):
-        logits = Tensor(np.zeros((4, 10)))
-        labels = np.arange(4) % 10
-        assert cross_entropy(logits, labels).item() == pytest.approx(np.log(10))
-
-    def test_perfect_prediction(self):
-        logits = np.full((2, 3), -100.0)
-        logits[0, 1] = 100.0
-        logits[1, 2] = 100.0
-        out = cross_entropy(Tensor(logits), np.array([1, 2]))
-        assert out.item() == pytest.approx(0.0, abs=1e-8)
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            cross_entropy(Tensor(np.zeros((2, 3, 4))), np.array([0, 1]))
-
-    def test_gradcheck(self):
-        logits = Tensor(RNG.standard_normal((3, 5)), requires_grad=True)
-        labels = np.array([0, 3, 2])
-        check_gradients(lambda x: cross_entropy(x, labels), [logits])
-
-    def test_module_wrapper(self):
-        out = CrossEntropy()(Tensor(np.zeros((1, 2))), np.array([0]))
-        assert out.item() == pytest.approx(np.log(2))

@@ -1,4 +1,4 @@
-"""Tests for the LSTM/GRU layers and RNN baseline models."""
+"""Tests for the LSTM layer and the RNN baseline model."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from repro.autograd import Tensor
 from repro.core import train_plain
 from repro.data import ArrayDataset, DataLoader
-from repro.models.rnn_baselines import HeartRateGRU, MusicLSTM
+from repro.models.rnn_baselines import MusicLSTM
 from repro.nn import mse_loss
-from repro.nn.recurrent import GRU, LSTM
+from repro.nn.recurrent import LSTM
 
 RNG = np.random.default_rng(202)
 
@@ -63,66 +63,11 @@ class TestLSTM:
         assert not np.allclose(out_with.data, out_without.data)
 
 
-class TestGRU:
-    def test_output_shape(self):
-        gru = GRU(3, 5, rng=np.random.default_rng(0))
-        assert gru(Tensor(RNG.standard_normal((2, 3, 7)))).shape == (2, 5, 7)
-
-    def test_causality(self):
-        gru = GRU(2, 4, rng=np.random.default_rng(0))
-        x = RNG.standard_normal((1, 2, 8))
-        base = gru(Tensor(x)).data
-        x2 = x.copy()
-        x2[:, :, 5] += 10.0
-        out = gru(Tensor(x2)).data
-        assert np.allclose(out[:, :, :5], base[:, :, :5])
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            GRU(3, 5, rng=np.random.default_rng(0))(Tensor(np.zeros((1, 2, 4))))
-
-    def test_gradients_flow(self):
-        gru = GRU(2, 3, rng=np.random.default_rng(0))
-        x = Tensor(RNG.standard_normal((1, 2, 5)), requires_grad=True)
-        gru(x).sum().backward()
-        assert x.grad is not None
-        assert gru.weight_ih.grad is not None
-
-    def test_zero_update_gate_keeps_state(self):
-        """With z forced to 1 (keep), the state never changes from h0."""
-        gru = GRU(1, 2, rng=np.random.default_rng(0))
-        # Force update gate to ~1 via its bias; other weights small.
-        gru.weight_ih.data[...] = 0.0
-        gru.weight_hh.data[...] = 0.0
-        gru.bias_ih.data[...] = 0.0
-        gru.bias_hh.data[...] = 0.0
-        gru.bias_ih.data[2:4] = 50.0  # z-gate rows
-        h0 = Tensor(np.full((1, 2), 0.7))
-        out = gru(Tensor(RNG.standard_normal((1, 1, 6))), state=h0)
-        assert np.allclose(out.data, 0.7, atol=1e-6)
-
-
 class TestRNNBaselines:
     def test_music_lstm_shapes(self):
         model = MusicLSTM(num_keys=12, hidden=8, rng=np.random.default_rng(0))
         out = model(Tensor(RNG.standard_normal((2, 12, 10))))
         assert out.shape == (2, 12, 10)
-
-    def test_music_gru_variant(self):
-        model = MusicLSTM(num_keys=8, hidden=6, cell="gru",
-                          rng=np.random.default_rng(0))
-        assert model(Tensor(RNG.standard_normal((1, 8, 5)))).shape == (1, 8, 5)
-
-    def test_invalid_cell(self):
-        with pytest.raises(ValueError):
-            MusicLSTM(cell="rnn")
-
-    def test_heart_rate_gru_shapes(self):
-        model = HeartRateGRU(hidden=8, rng=np.random.default_rng(0))
-        out = model(Tensor(RNG.standard_normal((3, 4, 32))))
-        assert out.shape == (3, 1)
-        # Output starts near the bias init (100 BPM).
-        assert np.all(np.abs(out.data - 100.0) < 20.0)
 
     def test_lstm_learns_echo_task(self):
         """Trainability check: the LSTM fits a small lag-1 echo problem."""

@@ -1,19 +1,11 @@
-"""Tests for optimizers, schedulers, clipping and early stopping."""
+"""Tests for optimizers and early stopping."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
 from repro.nn import Parameter
-from repro.optim import (
-    Adam,
-    CosineAnnealingLR,
-    EarlyStopping,
-    ReduceLROnPlateau,
-    SGD,
-    StepLR,
-    clip_grad_norm,
-)
+from repro.optim import SGD, Adam, EarlyStopping
 
 
 def quadratic_step(param, optimizer, target=0.0):
@@ -120,85 +112,6 @@ class TestAdam:
         assert p.grad is None
 
 
-class TestSchedulers:
-    def test_step_lr(self):
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.get_lr() == pytest.approx(1.0)
-        sched.step()
-        assert opt.get_lr() == pytest.approx(0.1)
-
-    def test_step_lr_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(SGD([Parameter(np.zeros(1))], lr=1.0), step_size=0)
-
-    def test_cosine_reaches_eta_min(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.01)
-        for _ in range(10):
-            sched.step()
-        assert opt.get_lr() == pytest.approx(0.01)
-
-    def test_cosine_monotone_decrease(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=5)
-        lrs = []
-        for _ in range(5):
-            sched.step()
-            lrs.append(opt.get_lr())
-        assert all(a > b for a, b in zip(lrs, lrs[1:]))
-
-    def test_plateau_reduces_after_patience(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = ReduceLROnPlateau(opt, factor=0.5, patience=2)
-        sched.step(1.0)
-        for _ in range(3):
-            sched.step(1.0)  # no improvement
-        assert opt.get_lr() == pytest.approx(0.5)
-
-    def test_plateau_improvement_resets(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = ReduceLROnPlateau(opt, factor=0.5, patience=2)
-        sched.step(1.0)
-        sched.step(1.1)
-        sched.step(0.9)  # improvement
-        sched.step(1.0)
-        sched.step(1.0)
-        assert opt.get_lr() == pytest.approx(1.0)
-
-    def test_plateau_mode_validation(self):
-        with pytest.raises(ValueError):
-            ReduceLROnPlateau(SGD([Parameter(np.zeros(1))], lr=1.0), mode="bad")
-
-
-class TestClipGradNorm:
-    def test_no_clip_below_threshold(self):
-        p = Parameter(np.zeros(3))
-        p.grad = np.array([1.0, 0.0, 0.0])
-        norm = clip_grad_norm([p], max_norm=2.0)
-        assert norm == pytest.approx(1.0)
-        assert np.allclose(p.grad, [1.0, 0.0, 0.0])
-
-    def test_clips_above_threshold(self):
-        p = Parameter(np.zeros(2))
-        p.grad = np.array([3.0, 4.0])  # norm 5
-        clip_grad_norm([p], max_norm=1.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0)
-
-    def test_global_norm_across_params(self):
-        p1, p2 = Parameter(np.zeros(1)), Parameter(np.zeros(1))
-        p1.grad = np.array([3.0])
-        p2.grad = np.array([4.0])
-        norm = clip_grad_norm([p1, p2], max_norm=5.0)
-        assert norm == pytest.approx(5.0)
-
-    def test_ignores_none_grads(self):
-        p = Parameter(np.zeros(1))
-        assert clip_grad_norm([p], 1.0) == 0.0
-
-
 class TestEarlyStopping:
     def test_stops_after_patience(self):
         stopper = EarlyStopping(patience=2)
@@ -214,18 +127,6 @@ class TestEarlyStopping:
         stopper.update(1.5)
         stopper.update(0.5)
         stopper.update(0.9)
-        assert not stopper.should_stop
-
-    def test_min_delta(self):
-        stopper = EarlyStopping(patience=1, min_delta=0.1)
-        stopper.update(1.0)
-        assert not stopper.update(0.95)  # within min_delta: not an improvement
-        assert stopper.should_stop
-
-    def test_max_mode(self):
-        stopper = EarlyStopping(patience=1, mode="max")
-        stopper.update(0.5)
-        assert stopper.update(0.9)
         assert not stopper.should_stop
 
     def test_best_state_checkpoint(self):
@@ -250,7 +151,5 @@ class TestEarlyStopping:
         assert stopper.best is None
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(mode="bad")
         with pytest.raises(ValueError):
             EarlyStopping(patience=0)

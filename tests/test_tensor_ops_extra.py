@@ -1,4 +1,4 @@
-"""Tests for the additional tensor shape ops (squeeze/unsqueeze/flip/split/repeat)."""
+"""Tests for the additional tensor shape ops (squeeze/split)."""
 
 import numpy as np
 import pytest
@@ -16,42 +16,9 @@ class TestSqueezeUnsqueeze:
         with pytest.raises(ValueError):
             Tensor(np.zeros((2, 3))).squeeze(0)
 
-    def test_unsqueeze_shape(self):
-        assert Tensor(np.zeros((2, 3))).unsqueeze(1).shape == (2, 1, 3)
-
-    def test_round_trip(self):
-        a = Tensor(RNG.standard_normal((2, 3)))
-        assert a.unsqueeze(0).squeeze(0).shape == a.shape
-
     def test_gradients(self):
         a = Tensor(RNG.standard_normal((2, 1, 3)), requires_grad=True)
         check_gradients(lambda x: x.squeeze(1) * 2.0, [a])
-        b = Tensor(RNG.standard_normal((2, 3)), requires_grad=True)
-        check_gradients(lambda x: x.unsqueeze(-1) * 3.0, [b])
-
-
-class TestFlip:
-    def test_values(self):
-        a = Tensor(np.arange(4.0))
-        assert a.flip(0).data.tolist() == [3, 2, 1, 0]
-
-    def test_axis(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3))
-        assert a.flip(1).data[0].tolist() == [2, 1, 0]
-
-    def test_gradient_flips_back(self):
-        a = Tensor(np.arange(3.0), requires_grad=True)
-        (a.flip(0) * Tensor(np.array([1.0, 0.0, 0.0]))).sum().backward()
-        assert a.grad.tolist() == [0, 0, 1]
-
-    def test_gradcheck(self):
-        a = Tensor(RNG.standard_normal((2, 4)), requires_grad=True)
-        weights = Tensor(RNG.standard_normal((2, 4)))
-        check_gradients(lambda x: x.flip(-1) * weights, [a])
-
-    def test_double_flip_identity(self):
-        a = Tensor(RNG.standard_normal(5))
-        assert np.allclose(a.flip(0).flip(0).data, a.data)
 
 
 class TestSplit:
@@ -75,23 +42,3 @@ class TestSplit:
         left, right = a.split(2)
         (left * 2.0 + right * 3.0).sum().backward()
         assert a.grad.tolist() == [2, 2, 3, 3]
-
-
-class TestRepeat:
-    def test_values(self):
-        a = Tensor(np.array([1.0, 2.0]))
-        assert a.repeat(3, axis=0).data.tolist() == [1, 2, 1, 2, 1, 2]
-
-    def test_gradient_sums_copies(self):
-        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        a.repeat(3, axis=0).sum().backward()
-        assert a.grad.tolist() == [3, 3]
-
-    def test_invalid_repeats(self):
-        with pytest.raises(ValueError):
-            Tensor(np.zeros(2)).repeat(0, axis=0)
-
-    def test_gradcheck(self):
-        a = Tensor(RNG.standard_normal((2, 3)), requires_grad=True)
-        weights = Tensor(RNG.standard_normal((4, 3)))
-        check_gradients(lambda x: x.repeat(2, axis=0) * weights, [a])
