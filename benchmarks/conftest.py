@@ -4,8 +4,9 @@ Every table and figure of the paper is regenerated at *laptop scale*: the
 same seed architectures with reduced width (``width_mult``), the synthetic
 datasets at reduced size, and shortened training schedules.  Absolute
 numbers therefore differ from the paper; the benches assert and print the
-*shape* of each result (who wins, by roughly what factor) — see
-EXPERIMENTS.md for the side-by-side record.
+*shape* of each result (who wins, by roughly what factor).  Run them from
+the repo root with ``PYTHONPATH=src python -m pytest benchmarks/bench_*.py
+--benchmark-disable -q`` (drop ``--benchmark-disable`` to time them).
 
 Expensive artifacts (the λ sweeps) are computed once per session and shared
 across bench files through session-scoped fixtures.  Each grid point of a
@@ -16,7 +17,7 @@ pre-engine serial driver, which threaded one RNG stream through the grid.
 Two environment knobs speed up / resume the sweeps without affecting the
 numbers further:
 
-* ``REPRO_DSE_WORKERS``  — worker-pool size for the λ sweeps (default 0 =
+* ``REPRO_DSE_WORKERS``  — worker processes for the λ sweeps (default 0 =
   serial; the engine reads it);
 * ``REPRO_DSE_CACHE_DIR`` — directory for JSON sweep caches; completed
   (λ, warmup) points are skipped when a bench session is re-run.

@@ -11,6 +11,8 @@ Run with::
     python examples/ppg_heart_rate.py
 """
 
+import functools
+
 import numpy as np
 
 from repro.core import train_plain
@@ -41,9 +43,11 @@ def main():
         print(f"{name:<12s}: {references[name][0]:>7d} params, "
               f"MAE {references[name][1]:.2f} BPM")
 
-    # The PIT λ sweep (one full search per λ).
+    # The PIT λ sweep (one full search per λ).  The seed factory is a
+    # partial of a module-level function, not a lambda, so it pickles to
+    # worker processes when the sweep runs pooled (REPRO_DSE_WORKERS=N).
     sweep = DSEEngine(
-        lambda: temponet_seed(width_mult=WIDTH, seed=0),
+        functools.partial(temponet_seed, width_mult=WIDTH, seed=0),
         mae_loss, train_loader, val_loader,
         trainer_kwargs=dict(gamma_lr=0.03, max_prune_epochs=6, prune_patience=4,
                             finetune_epochs=4, finetune_patience=4),

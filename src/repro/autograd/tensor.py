@@ -59,13 +59,13 @@ __all__ = [
     "where",
 ]
 
-# Per-thread tape switch: concurrent trainings (e.g. the parallel DSE
-# engine) must not see another worker's no_grad() evaluation window.
+# Per-thread tape switch: trainings running in concurrent threads must
+# not see another thread's no_grad() evaluation window.
 _GRAD_STATE = threading.local()
 
 # Per-thread graph tracer (see repro.autograd.graph.capture): while a
 # GraphCapture is pushed here, apply_op reports every dispatch to it.
-# Thread-local for the same reason no_grad is — parallel DSE workers must
+# Thread-local for the same reason no_grad is — concurrent threads must
 # be able to trace their own step without observing each other's ops.
 _TRACE_STATE = threading.local()
 

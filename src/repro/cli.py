@@ -38,8 +38,9 @@ executor (see README "Compiled training step").  ``--verbose`` on
 ``train`` and ``search`` prints the compile diagnostics (the
 eager-fallback reason, or the input shapes with a compiled program).
 
-``sweep`` additionally exposes the DSE engine knobs: ``--workers`` /
-``--executor`` parallelize the grid, ``--stack N`` trains up to N
+``sweep`` additionally exposes the DSE engine knobs: ``--workers N``
+trains the grid in N worker processes (each caps its BLAS threads at its
+share of the cores), ``--stack N`` trains up to N
 same-warmup grid points as one weight-stacked model (one op graph for
 the stack, whose convs loop over the models; ``REPRO_DSE_STACK`` is the
 environment equivalent), and
@@ -238,7 +239,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     train_loader, val_loader, test_loader = _loaders(args.benchmark, args.seed)
 
     # functools.partial of a module-level function (not a closure) so the
-    # factory survives pickling under --executor process.
+    # factory pickles to --workers processes.
     factory = functools.partial(_seed_model, args.benchmark, args.width,
                                 args.seed)
 
@@ -258,8 +259,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                             prune_patience=args.patience,
                             finetune_epochs=args.finetune,
                             finetune_patience=args.patience),
-        verbose=not args.quiet, workers=args.workers,
-        executor=args.executor, cache_path=args.cache,
+        verbose=not args.quiet, workers=args.workers, cache_path=args.cache,
         cache_tag=f"{args.benchmark}|width={args.width}|seed={args.seed}",
         stack=args.stack, point_evaluators=evaluators,
         retries=args.retries, point_timeout=args.point_timeout,
@@ -497,12 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=[0.0, 0.02, 0.2])
     p_sweep.add_argument("--warmups", type=_COUNT, nargs="+", default=[2])
     p_sweep.add_argument("--workers", type=_COUNT, default=None,
-                         help="DSE worker pool size (0/1 = serial; default: "
-                              "REPRO_DSE_WORKERS or 0)")
-    p_sweep.add_argument("--executor", choices=("thread", "process"),
-                         default=None,
-                         help="worker pool flavour for parallel sweeps "
-                              "(default: REPRO_DSE_EXECUTOR or thread)")
+                         help="DSE worker processes, each with BLAS "
+                              "capped at cpu_count/N threads (0/1 = serial; "
+                              "default: REPRO_DSE_WORKERS or 0)")
     p_sweep.add_argument("--cache", type=str, default=None,
                          help="JSON results cache; completed (lambda, warmup) "
                               "points are skipped on re-runs")

@@ -8,7 +8,6 @@ from .pareto import (
     hypervolume_2d,
 )
 from .dse import (
-    ENV_EXECUTOR,
     ENV_STACK,
     ENV_WORKERS,
     DSECache,
@@ -16,7 +15,6 @@ from .dse import (
     DSEPoint,
     DSEResult,
     evaluator_name,
-    executor_default,
     objective_value,
     select_small_medium_large,
     stack_width_default,
@@ -42,10 +40,8 @@ __all__ = [
     "select_small_medium_large",
     "ENV_STACK",
     "ENV_WORKERS",
-    "ENV_EXECUTOR",
     "stack_width_default",
     "workers_default",
-    "executor_default",
     "format_table",
     "format_failures",
 ]

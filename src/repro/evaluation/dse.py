@@ -7,12 +7,13 @@ pair, each from a fresh copy of the seed, collecting ``(params, loss)``
 points plus the discovered dilations.
 
 Grid points are independent, so :class:`DSEEngine` dispatches them to a
-``concurrent.futures`` worker pool (threads by default, processes on
-request) and reassembles the results in deterministic grid order — a
+process pool and reassembles the results in deterministic grid order — a
 parallel sweep returns exactly the same :class:`DSEResult` as a serial
 one.  To make that hold, every grid point trains against *private* loader
 clones (:func:`repro.data.clone_loader`): a shared shuffling loader would
 otherwise thread its RNG state through the points in submission order.
+Each pool worker caps its OpenBLAS thread count at its share of the
+cores, so the workers do not oversubscribe them.
 
 On top of the worker pool, ``stack=N`` turns on *stacked-model execution*:
 up to N same-warmup grid points are grouped into one weight-stacked
@@ -56,8 +57,10 @@ other objective (latency, energy, …) via ``objective=``.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
+import pickle
 import random
 import threading
 import time
@@ -67,10 +70,10 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import asdict, dataclass, field
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,8 +94,8 @@ from .pareto import pareto_front
 
 __all__ = ["DSEPoint", "DSEResult", "DSECache", "DSEEngine",
            "objective_value", "evaluator_name", "select_small_medium_large",
-           "ENV_STACK", "ENV_WORKERS", "ENV_EXECUTOR",
-           "stack_width_default", "workers_default", "executor_default"]
+           "ENV_STACK", "ENV_WORKERS",
+           "stack_width_default", "workers_default"]
 
 #: pool deaths a poison point may cause before it is quarantined
 QUARANTINE_KILLS = 2
@@ -101,11 +104,10 @@ MAX_POOL_DEATHS = 3
 
 #: environment default for DSEEngine(stack=None)
 ENV_STACK = "REPRO_DSE_STACK"
-#: environment defaults for DSEEngine(workers=None) / (executor=None), so
-#: CI legs can run whole suites under pooled execution without editing
-#: every engine construction (explicit arguments always win).
+#: environment default for DSEEngine(workers=None), so CI legs can run
+#: whole suites under pooled execution without editing every engine
+#: construction (explicit arguments always win).
 ENV_WORKERS = "REPRO_DSE_WORKERS"
-ENV_EXECUTOR = "REPRO_DSE_EXECUTOR"
 
 #: trainer settings the engine sets per grid point, each with the engine
 #: argument that controls it; DSEEngine(trainer_kwargs=...) refuses them
@@ -143,12 +145,6 @@ def workers_default() -> int:
     if workers < 0:
         raise ValueError(f"{ENV_WORKERS} must be >= 0, got {workers}")
     return workers
-
-
-def executor_default() -> str:
-    """Pool flavour used when ``DSEEngine(executor=None)``:
-    ``REPRO_DSE_EXECUTOR`` (``thread``/``process``) or ``thread``."""
-    return os.environ.get(ENV_EXECUTOR, "").strip() or "thread"
 
 
 @dataclass
@@ -307,9 +303,9 @@ class DSECache:
     identity (seed factory, dataset, width, …), which the engine cannot
     see into — callers sharing one cache file across different seeds or
     benchmarks must pass distinct ``cache_tag`` values (the CLI and the
-    benchmark conftest do).  Writes are atomic (tempfile + rename) and
-    guarded by a lock, so a thread-pooled engine can record completions
-    concurrently.
+    benchmark conftest do).  Writes are atomic (tempfile + rename); a lock
+    serializes flushes within one process, and each flush merges what
+    other processes (pool workers sharing the file) recorded since.
     """
 
     VERSION = 3
@@ -724,6 +720,54 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
     return out
 
 
+#: spellings of OpenBLAS function ``{}``: numpy's bundled scipy-openblas
+#: (64- and 32-bit integer builds), then a system OpenBLAS
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}64_", "scipy_openblas_{}",
+                     "openblas_{}64_", "openblas_{}")
+
+
+def _openblas_function(name: str):
+    """OpenBLAS function ``name`` (``set_num_threads``, …) of the library
+    this process has loaded, or None when there is none to find.
+
+    The library is looked up among the shared objects mapped into the
+    process (``/proc/self/maps``), so numpy's bundled OpenBLAS and a
+    system one are both found; where that file does not exist (non-Linux)
+    nothing is found.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            function = getattr(library, symbol.format(name), None)
+            if function is not None:
+                return function
+    return None
+
+
+def _pin_blas(threads: int) -> None:
+    """Pool-worker initializer: cap this process's OpenBLAS at ``threads``.
+
+    A worker otherwise starts one BLAS thread per core, and ``workers``
+    of them oversubscribe the cores (on 2 vCPUs a 2-worker pool ran
+    slower than serial).  Without a locatable OpenBLAS the worker keeps
+    the library default.
+    """
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(threads)
+
+
 def evaluator_name(evaluator: Callable) -> str:
     """Stable cache-key identity of a point evaluator.
 
@@ -749,27 +793,26 @@ def evaluator_name(evaluator: Callable) -> str:
 
 
 class DSEEngine:
-    """Dispatches a (λ × warmup) sweep across a worker pool.
+    """Dispatches a (λ × warmup) sweep across a process pool.
 
     Parameters
     ----------
     seed_factory:
         Zero-argument callable returning a *fresh* searchable seed; runs
         are independent (identical init per the factory's internal seed).
-        Must be picklable when ``executor="process"``.
+        Must pickle when ``workers > 1``.
     loss_fn:
         Task loss passed to :class:`repro.core.PITTrainer`.
     train_loader, val_loader:
         Data loaders; each grid point trains on private deep copies.
     workers:
         Pool size.  ``0`` or ``1`` trains the grid serially in-process;
-        None (default) defers to ``REPRO_DSE_WORKERS`` (or 0).
-    executor:
-        ``"thread"`` or ``"process"`` (full isolation, but the factory /
-        loss / loaders must pickle — no lambdas or closures; each worker
-        process runs BLAS at its default thread count, so cap it with
-        ``OPENBLAS_NUM_THREADS=1`` to avoid oversubscription);
-        None (default) defers to ``REPRO_DSE_EXECUTOR`` (or ``thread``).
+        None (default) defers to ``REPRO_DSE_WORKERS`` (or 0).  Above 1,
+        chunks train in that many worker processes, each with its
+        OpenBLAS capped at ``cpu_count // workers`` threads (at least 1).
+        The factory, loss, loaders and evaluators are pickled to the
+        workers: one that does not pickle (a lambda, a closure) raises a
+        ``ValueError`` naming it here, not a failure per grid point.
     cache_path:
         Optional JSON results cache (see :class:`DSECache`); completed
         points found there are returned without retraining.
@@ -806,7 +849,7 @@ class DSEEngine:
         hardware-aware resume, because the weights needed to compute the
         missing metrics are not persisted.  (The reverse resume is free:
         an evaluator-less sweep falls back to annotated entries, which are
-        a superset.)  Must be picklable when ``executor="process"``.
+        a superset.)  Must pickle when ``workers > 1``.
     retries:
         Transient-failure retries per grid point (default 0).  A point
         whose training raises retrains up to ``retries`` more times with
@@ -848,7 +891,6 @@ class DSEEngine:
 
     def __init__(self, seed_factory: Callable[[], Module], loss_fn: Callable,
                  train_loader, val_loader, *, workers: Optional[int] = None,
-                 executor: Optional[str] = None,
                  cache_path: Optional[str] = None,
                  cache_tag: str = "",
                  trainer_kwargs: Optional[Dict] = None,
@@ -861,10 +903,6 @@ class DSEEngine:
                  checkpoint_every: Optional[int] = None):
         if workers is None:
             workers = workers_default()
-        if executor is None:
-            executor = executor_default()
-        if executor not in ("thread", "process"):
-            raise ValueError("executor must be 'thread' or 'process'")
         if workers < 0:
             raise ValueError("workers must be >= 0")
         if retries < 0:
@@ -878,7 +916,6 @@ class DSEEngine:
         self.train_loader = train_loader
         self.val_loader = val_loader
         self.workers = workers
-        self.executor = executor
         self.cache = DSECache(cache_path) if cache_path else None
         self.cache_tag = cache_tag
         self.trainer_kwargs = dict(trainer_kwargs or {})
@@ -903,6 +940,29 @@ class DSEEngine:
                               else float(point_timeout))
         self.verbose = verbose
         self.last_run_stats: Dict[str, object] = {}
+        self._unlogged: deque = deque()  # grid indices run() has yet to log
+        if self.workers > 1:
+            self._check_picklable()
+
+    def _check_picklable(self) -> None:
+        """Refuse what cannot reach a pool worker: a lambda, a closure or
+        an object holding a lock would otherwise fail every grid point
+        (and write those failures to the cache)."""
+        shipped = [("seed_factory", self.seed_factory),
+                   ("loss_fn", self.loss_fn),
+                   ("train_loader", self.train_loader),
+                   ("val_loader", self.val_loader)]
+        shipped += [(f"point_evaluators[{i}]", evaluator)
+                    for i, evaluator in enumerate(self.point_evaluators)]
+        for name, value in shipped:
+            try:
+                ForkingPickler.dumps(value)
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                raise ValueError(
+                    f"DSEEngine(workers={self.workers}) pickles {name} to "
+                    f"its worker processes, but {value!r} does not pickle "
+                    f"({type(exc).__name__}: {exc}); pass a module-level "
+                    "function or class instead, or workers=0") from exc
 
     # ------------------------------------------------------------------
     def _log(self, message: str) -> None:
@@ -1009,6 +1069,9 @@ class DSEEngine:
             else:
                 pending.append((index, warmup, lam))
 
+        # Trained points are logged in grid order, whatever order the
+        # pool finishes them in (see _finish).
+        self._unlogged = deque(index for index, _, _ in pending)
         if pending:
             chunks = self._chunk_pending(pending)
             if self.workers > 1:
@@ -1028,12 +1091,13 @@ class DSEEngine:
         for chunk in chunks:
             trained = _train_grid_chunk(*self._chunk_args(chunk, self.cache))
             for (index, _, _), point in zip(chunk, trained):
-                points[index] = self._record(point, cached=True)
+                self._finish(points, index, point, cached=True)
 
-    def _make_pool(self):
-        pool_cls = (ThreadPoolExecutor if self.executor == "thread"
-                    else ProcessPoolExecutor)
-        return pool_cls(max_workers=self.workers)
+    def _make_pool(self) -> ProcessPoolExecutor:
+        threads = max(1, (os.cpu_count() or 1) // self.workers)
+        return ProcessPoolExecutor(max_workers=self.workers,
+                                   initializer=_pin_blas,
+                                   initargs=(threads,))
 
     def _deadline(self, chunk_len: int) -> Optional[float]:
         if self.point_timeout is None:
@@ -1090,7 +1154,7 @@ class DSEEngine:
                 kill_counts[index] = kills
                 if kills >= QUARANTINE_KILLS:
                     stats["quarantined"].append((lam, warmup))
-                    points[index] = self._record(_failed_point(
+                    self._finish(points, index, _failed_point(
                         lam, warmup,
                         f"quarantined: killed {kills} pool workers",
                         attempts=kills))
@@ -1107,7 +1171,7 @@ class DSEEngine:
                     if disk is not None:
                         found = disk.get(self._key(entry[2], entry[1]))
                     if found is not None:
-                        points[entry[0]] = self._record(found)
+                        self._finish(points, entry[0], found)
                         dead.remove(entry)
             probing.extend(e for e in dead if points[e[0]] is None)
             if stats["pool_deaths"] >= MAX_POOL_DEATHS:
@@ -1160,19 +1224,17 @@ class DSEEngine:
                         stats["chunk_failures"] += 1
                         for index, warmup, lam in entries:
                             if points[index] is None:
-                                points[index] = self._record(
-                                    _failed_point(lam, warmup, exc))
+                                self._finish(points, index, _failed_point(
+                                    lam, warmup, exc))
                     else:
                         for (index, _, _), point in zip(entries, result):
-                            points[index] = self._record(point)
+                            self._finish(points, index, point)
                 if broken:
                     on_pool_death(dead_now + collect_dead())
                     continue
                 # Deadline sweep: expired chunks are marked failed and
-                # abandoned.  Thread futures cannot be killed — the
-                # zombie thread finishes into a dropped future; process
-                # futures keep their worker busy until the task returns.
-                # Either way the sweep moves on.
+                # abandoned.  Their worker stays busy until the task
+                # returns; the sweep moves on.
                 now = time.monotonic()
                 for future in [f for f, (_, dl) in inflight.items()
                                if dl is not None and now >= dl]:
@@ -1181,7 +1243,7 @@ class DSEEngine:
                     stats["timeouts"] += 1
                     for index, warmup, lam in entries:
                         if points[index] is None:
-                            points[index] = self._record(_failed_point(
+                            self._finish(points, index, _failed_point(
                                 lam, warmup,
                                 f"timeout: exceeded {self.point_timeout:g}s "
                                 f"per point"))
@@ -1210,9 +1272,13 @@ class DSEEngine:
                             evaluators=[evaluator_name(e)
                                         for e in self.point_evaluators])
 
-    def _record(self, point: DSEPoint, cached: bool = False) -> DSEPoint:
-        """Account for a finished point; ``cached`` when its chunk already
-        wrote it through the engine's cache handle."""
+    def _finish(self, points: List[Optional[DSEPoint]], index: int,
+                point: DSEPoint, cached: bool = False) -> None:
+        """Record ``point`` as grid point ``index``; ``cached`` when its
+        chunk already wrote it through the engine's cache handle.  Then
+        log every point that is now finished in grid order, so the log
+        reads the same at any worker count."""
+        points[index] = point
         if self.cache is not None and not cached:
             self.cache.put(self._key(point.lam, point.warmup_epochs), point)
         resumed = getattr(point.result, "resumed_epochs", 0) or 0
@@ -1221,16 +1287,19 @@ class DSEEngine:
             # of retraining (pool resubmission, retry, or a prior run).
             self.last_run_stats["resumed_epochs"] = (
                 self.last_run_stats.get("resumed_epochs", 0) + int(resumed))
+        while self._unlogged and points[self._unlogged[0]] is not None:
+            self._log_point(points[self._unlogged.popleft()])
+
+    def _log_point(self, point: DSEPoint) -> None:
         if not point.ok:
             self._log(f"lam={point.lam:g} warmup={point.warmup_epochs}: "
                       f"FAILED after {point.attempts} attempt(s) — "
                       f"{point.error}")
-            return point
+            return
         extra = "".join(f", {k}={v:.4g}" for k, v in point.metrics.items())
         self._log(f"lam={point.lam:g} warmup={point.warmup_epochs}: "
                   f"{point.params} params, loss={point.loss:.4f}, "
                   f"d={point.dilations}{extra}")
-        return point
 
 
 def select_small_medium_large(points: Sequence[DSEPoint], reference: float,

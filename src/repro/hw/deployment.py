@@ -107,7 +107,7 @@ class GAP8PointEvaluator:
     Called by the sweep as ``evaluator(model, point)`` with the trained
     (possibly still searchable) model; returns the deployment metrics to
     merge into ``DSEPoint.metrics``.  Module-level class (not a closure) so
-    ``DSEEngine(executor="process")`` can pickle it; ``cache_name`` is its
+    a pooled ``DSEEngine(workers=N)`` can pickle it; ``cache_name`` is its
     stable identity inside :class:`repro.evaluation.DSECache` keys and
     encodes everything that changes the metrics — bit width, the
     quantize-or-not flag, input shape, and any non-default hardware
@@ -116,7 +116,7 @@ class GAP8PointEvaluator:
     loaders are the model/data identity ``cache_tag`` already names.)
 
     The calibration/test loaders are deep-copied per call (sharing the
-    read-only sample arrays), so concurrent grid points never thread
+    read-only sample arrays), so grid points never thread
     iteration state through each other — the same discipline the engine
     applies to the training loaders, keeping parallel sweeps bit-identical
     to serial ones.

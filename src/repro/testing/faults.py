@@ -35,9 +35,8 @@ Fault kinds and their sites:
 
 * ``worker_crash`` — at grid-point training start: in a pool worker
   process the process dies abruptly (``os._exit``), producing the real
-  ``BrokenProcessPool`` cascade; in-process (thread pools, sequential)
-  it raises :class:`InjectedWorkerCrash`, a retryable
-  :class:`TransientFault`.
+  ``BrokenProcessPool`` cascade; in-process (serial sweeps) it raises
+  :class:`InjectedWorkerCrash`, a retryable :class:`TransientFault`.
 * ``nan_loss`` — poisons the trainer's epoch loss to NaN so the real
   non-finite guard raises :class:`repro.core.DivergedError`.
 * ``cache_corrupt`` — truncates the DSE cache file right after a flush,
@@ -102,7 +101,8 @@ class TransientFault(FaultError):
 
 
 class InjectedWorkerCrash(TransientFault):
-    """In-process stand-in for a worker death (thread pools cannot die)."""
+    """In-process stand-in for a worker death (a serial sweep has no
+    worker process to kill)."""
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ sweep resumed from a cache file skips the completed (λ, warmup) points
 entirely while reproducing the same :class:`DSEResult`.
 """
 
+import ctypes
 import json
+import os
 import threading
 
 import numpy as np
@@ -18,12 +20,13 @@ from repro.evaluation import (
     DSECache,
     DSEEngine,
     DSEPoint,
-    executor_default,
     stack_width_default,
     workers_default,
 )
+from repro.evaluation import dse
 from repro.evaluation.dse import DSEResult
 from repro.nn import CausalConv1d, Module, ReLU, mse_loss
+from repro.testing import faults
 
 LAMBDAS = [0.0, 2.0]
 WARMUPS = [0, 1]
@@ -61,7 +64,13 @@ def _backend_keyed(key):
 
 
 class CountingFactory:
-    """Picklable factory that counts how many seeds it builds."""
+    """Factory that counts the seeds it builds in this process.
+
+    Pool workers build their seeds in other processes, where this count
+    never moves.  The lock keeps the factory from pickling, so a pooled
+    engine refuses it at construction instead of counting nothing: tests
+    that count builds run with ``workers=0``.
+    """
 
     def __init__(self):
         self.calls = 0
@@ -108,6 +117,23 @@ class TestParallelDeterminism:
         parallel = _sweep(workers=2)
         _assert_identical(serial, parallel)
 
+    def test_pooled_log_is_in_grid_order(self, capsys, monkeypatch):
+        """Trained points are logged in grid order, so a verbose pooled
+        sweep prints what the serial one prints even when the first
+        point finishes last."""
+        logs = []
+        for workers in (0, 2):
+            if workers:
+                monkeypatch.setenv(faults.ENV_FAULTS,
+                                   "hang@point=0&seconds=0.5")
+            train, val = _loaders()
+            DSEEngine(Tiny, mse_loss, train, val, workers=workers,
+                      verbose=True, trainer_kwargs=dict(SCHEDULE)
+                      ).run(LAMBDAS, warmups=WARMUPS)
+            logs.append(capsys.readouterr().out)
+        assert logs[0] == logs[1]
+        assert logs[0].count("[DSE]") == len(LAMBDAS) * len(WARMUPS)
+
     def test_grid_ordering_is_warmup_major(self):
         result = _sweep(workers=2)
         combos = [(p.warmup_epochs, p.lam) for p in result.points]
@@ -141,17 +167,6 @@ class TestParallelDeterminism:
         resumed = _sweep(workers=0, cache_path=cache, factory=factory)
         assert factory.calls == 0  # every point came from the cache
         _assert_identical(first, resumed)
-
-    def test_process_executor_matches_serial(self):
-        train, val = _loaders()
-        engine = DSEEngine(Tiny, mse_loss, train, val, workers=2,
-                           executor="process",
-                           trainer_kwargs=dict(SCHEDULE))
-        parallel = engine.run(LAMBDAS, warmups=[0])
-        serial = DSEEngine(Tiny, mse_loss, train, val,
-                           trainer_kwargs=dict(SCHEDULE)).run(LAMBDAS,
-                                                              warmups=[0])
-        _assert_identical(serial, parallel)
 
     def test_private_loaders_share_dataset_storage(self):
         """Grid points deep-copy all mutable loader state but share the
@@ -187,10 +202,35 @@ class TestParallelDeterminism:
 
     def test_engine_validates_arguments(self):
         train, val = _loaders()
-        with pytest.raises(ValueError, match="executor"):
-            DSEEngine(Tiny, mse_loss, train, val, executor="mpi")
         with pytest.raises(ValueError, match="workers"):
             DSEEngine(Tiny, mse_loss, train, val, workers=-1)
+
+    def test_pooled_engine_rejects_unpicklable_inputs(self, tmp_path):
+        """A pooled engine pickles its inputs to the workers; one that
+        does not pickle raises at construction, naming the argument,
+        instead of failing every grid point into the cache."""
+        train, val = _loaders()
+        locked, _ = _loaders()
+        locked.lock = threading.Lock()
+
+        def local_probe(model, point):
+            return {}
+
+        cases = [
+            ("seed_factory", (lambda: Tiny(), mse_loss, train, val), {}),
+            ("loss_fn", (Tiny, lambda out, y: mse_loss(out, y), train, val),
+             {}),
+            ("train_loader", (Tiny, mse_loss, locked, val), {}),
+            ("point_evaluators[0]", (Tiny, mse_loss, train, val),
+             dict(point_evaluators=[local_probe])),
+        ]
+        cache = tmp_path / "dse.json"
+        for name, args, kwargs in cases:
+            with pytest.raises(ValueError, match="does not pickle") as info:
+                DSEEngine(*args, workers=2, cache_path=str(cache), **kwargs)
+            assert name in str(info.value)
+            DSEEngine(*args, workers=0, **kwargs)  # serial: never pickled
+        assert not cache.exists()
 
     def test_engine_owned_trainer_kwargs_rejected(self):
         """Each engine-owned setting has one spelling; trainer_kwargs
@@ -222,12 +262,17 @@ class TestCache:
         assert factory.calls == builds  # no retraining
         _assert_identical(first, resumed)
 
-    def test_parallel_resume_from_serial_cache(self, tmp_path):
+    def test_parallel_resume_from_serial_cache(self, tmp_path, monkeypatch):
+        """Every point is cached, so the pooled resume never builds a
+        pool: nothing trains."""
         cache = str(tmp_path / "dse.json")
         serial = _sweep(workers=0, cache_path=cache)
-        factory = CountingFactory()
-        parallel = _sweep(workers=2, cache_path=cache, factory=factory)
-        assert factory.calls == 0
+
+        def no_pool(engine):
+            raise AssertionError("a fully cached sweep built a pool")
+
+        monkeypatch.setattr(DSEEngine, "_make_pool", no_pool)
+        parallel = _sweep(workers=2, cache_path=cache)
         _assert_identical(serial, parallel)
 
     def test_partial_cache_trains_only_missing_points(self, tmp_path):
@@ -238,7 +283,8 @@ class TestCache:
         engine.run([LAMBDAS[0]], warmups=[0])
 
         factory = CountingFactory()
-        engine = DSEEngine(factory, mse_loss, train, val, cache_path=cache,
+        engine = DSEEngine(factory, mse_loss, train, val, workers=0,
+                           cache_path=cache,
                            trainer_kwargs=dict(SCHEDULE))
         result = engine.run(LAMBDAS, warmups=[0])
         assert factory.calls == 1  # only the uncached λ trains
@@ -253,7 +299,8 @@ class TestCache:
                   trainer_kwargs=dict(SCHEDULE)).run([0.0], warmups=[0])
 
         factory = CountingFactory()
-        DSEEngine(factory, mse_loss, train, val, cache_path=cache,
+        DSEEngine(factory, mse_loss, train, val, workers=0,
+                  cache_path=cache,
                   cache_tag="width=1.0",
                   trainer_kwargs=dict(SCHEDULE)).run([0.0], warmups=[0])
         assert factory.calls == 1  # different tag -> cache miss
@@ -276,7 +323,8 @@ class TestCache:
             json.dump(payload, handle)
         for expected_builds in (1, 0):
             factory = CountingFactory()
-            DSEEngine(factory, mse_loss, train, val, cache_path=cache,
+            DSEEngine(factory, mse_loss, train, val, workers=0,
+                      cache_path=cache,
                       trainer_kwargs=dict(SCHEDULE)).run([0.0], warmups=[0])
             assert factory.calls == expected_builds
 
@@ -297,37 +345,26 @@ class TestCache:
 
         factory = CountingFactory()
         other = dict(SCHEDULE, max_prune_epochs=1)
-        DSEEngine(factory, mse_loss, train, val, cache_path=cache,
+        DSEEngine(factory, mse_loss, train, val, workers=0,
+                  cache_path=cache,
                   trainer_kwargs=other).run([0.0], warmups=[0])
         assert factory.calls == 1  # different settings -> cache miss
 
-    def test_completed_points_survive_a_failing_grid_point(self, tmp_path):
+    def test_completed_points_survive_a_failing_grid_point(self, tmp_path,
+                                                          monkeypatch):
         """A crashing point is isolated: the sweep completes, the healthy
         point is cached, and a resume retrains only the failed one."""
         cache = str(tmp_path / "dse.json")
         train, val = _loaders()
-
-        class ExplodingFactory:
-            """Fails on its first build; healthy for the other grid points."""
-            def __init__(self):
-                self.calls = 0
-                self._lock = threading.Lock()
-
-            def __call__(self):
-                with self._lock:
-                    self.calls += 1
-                    if self.calls == 1:
-                        raise RuntimeError("diverged")
-                return Tiny()
-
         # stack=1 pins the per-point schedule this test's failure
         # accounting assumes (a stacked chunk falls back point-by-point).
-        engine = DSEEngine(ExplodingFactory(), mse_loss, train, val,
-                           workers=2, cache_path=cache, stack=1,
+        monkeypatch.setenv(faults.ENV_FAULTS, "transient@point=0")
+        engine = DSEEngine(Tiny, mse_loss, train, val, workers=2,
+                           cache_path=cache, stack=1,
                            trainer_kwargs=dict(SCHEDULE))
         result = engine.run(LAMBDAS, warmups=[0])  # must not raise
-        assert len(result.failed_points) == 1
-        assert "diverged" in result.failed_points[0].error
+        failed, = result.failed_points
+        assert failed.lam == LAMBDAS[0] and "TransientFault" in failed.error
         assert len(result.ok_points) == 1
 
         with open(cache) as handle:
@@ -337,42 +374,29 @@ class TestCache:
         assert statuses == ["failed", "ok"]
 
         # Resuming retrains only the failed point (failed cache entries
-        # are provenance, never served as results).
-        factory = CountingFactory()
-        resumed = DSEEngine(factory, mse_loss, train, val, workers=2,
+        # are provenance, never served as results): the cached point 1
+        # would fail if it trained again.
+        monkeypatch.setenv(faults.ENV_FAULTS, "transient@point=1")
+        resumed = DSEEngine(Tiny, mse_loss, train, val, workers=2,
                             cache_path=cache, stack=1,
                             trainer_kwargs=dict(SCHEDULE)).run(LAMBDAS,
                                                                warmups=[0])
-        assert factory.calls == 1
         assert [p.lam for p in resumed.points] == LAMBDAS
         assert all(p.ok for p in resumed.points)
 
-    def test_failure_without_cache_is_isolated(self):
+    def test_failure_without_cache_is_isolated(self, monkeypatch):
         """A failing point must not abort the sweep: the remaining grid
         still trains and the failure surfaces as a failed DSEPoint."""
         train, val = _loaders()
-
-        class FailFirst:
-            def __init__(self):
-                self.calls = 0
-                self._lock = threading.Lock()
-
-            def __call__(self):
-                with self._lock:
-                    self.calls += 1
-                    if self.calls == 1:
-                        raise RuntimeError("diverged")
-                return Tiny()
-
-        factory = FailFirst()
-        engine = DSEEngine(factory, mse_loss, train, val, workers=2,
+        monkeypatch.setenv(faults.ENV_FAULTS, "transient@point=0")
+        engine = DSEEngine(Tiny, mse_loss, train, val, workers=2,
                            stack=1, trainer_kwargs=dict(SCHEDULE))
         grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         result = engine.run(grid, warmups=[0])
-        assert factory.calls == len(grid)  # every point was attempted
-        assert len(result.failed_points) == 1
-        assert len(result.ok_points) == len(grid) - 1
         assert [p.lam for p in result.points] == grid  # grid order kept
+        failed, = result.failed_points
+        assert failed.lam == grid[0] and "TransientFault" in failed.error
+        assert len(result.ok_points) == len(grid) - 1
         assert engine.last_run_stats["failed"] == 1
 
     def test_cache_file_format(self, tmp_path):
@@ -432,22 +456,18 @@ class TestCache:
         """Every pooled chunk carries the cache path, including those
         submitted while a fresh cache is still empty, so workers flush
         each finished point and a pool death cannot retrain it."""
-        import inspect
-        from repro.evaluation import dse
-        real = dse._train_grid_chunk
+        real = DSEEngine._chunk_args
         carried = []
 
-        def spy(*args, **kwargs):
-            bound = inspect.signature(real).bind(*args, **kwargs)
-            carried.append(bound.arguments.get("cache"))
-            return real(*args, **kwargs)
+        def spy(engine, chunk, cache):
+            carried.append(cache)
+            return real(engine, chunk, cache)
 
-        monkeypatch.setattr(dse, "_train_grid_chunk", spy)
+        monkeypatch.setattr(DSEEngine, "_chunk_args", spy)
         cache = str(tmp_path / "fresh.json")
         train, val = _loaders()
-        DSEEngine(Tiny, mse_loss, train, val, workers=2, executor="thread",
-                  cache_path=cache, trainer_kwargs=dict(SCHEDULE)
-                  ).run(LAMBDAS, warmups=WARMUPS)
+        DSEEngine(Tiny, mse_loss, train, val, workers=2, cache_path=cache,
+                  trainer_kwargs=dict(SCHEDULE)).run(LAMBDAS, warmups=WARMUPS)
         assert carried and carried == [cache] * len(carried)
 
     def test_rejects_unknown_cache_version(self, tmp_path):
@@ -491,7 +511,8 @@ class TestCacheBugfixes:
         factory = CountingFactory()
         numpy_lambdas = np.linspace(LAMBDAS[0], LAMBDAS[-1], len(LAMBDAS))
         assert [float(v) for v in numpy_lambdas] == LAMBDAS  # same grid
-        resumed = DSEEngine(factory, mse_loss, train, val, cache_path=cache,
+        resumed = DSEEngine(factory, mse_loss, train, val, workers=0,
+                            cache_path=cache,
                             trainer_kwargs=dict(SCHEDULE)).run(
                                 numpy_lambdas, warmups=np.array(WARMUPS))
         assert factory.calls == 0  # every numpy-keyed point hit
@@ -580,8 +601,11 @@ class TestCacheVersions:
 
 class TestPointEvaluators:
     def _sweep(self, cache_path=None, factory=Tiny, evaluators=None):
+        """Serial when ``factory`` counts its builds (see CountingFactory);
+        otherwise the worker count defers to the environment."""
         train, val = _loaders()
-        engine = DSEEngine(factory, mse_loss, train, val,
+        workers = 0 if isinstance(factory, CountingFactory) else None
+        engine = DSEEngine(factory, mse_loss, train, val, workers=workers,
                            cache_path=cache_path,
                            trainer_kwargs=dict(SCHEDULE),
                            point_evaluators=evaluators)
@@ -682,40 +706,63 @@ class TestRunDseWrapper:
 
 
 class TestEnvDefaults:
-    """REPRO_DSE_WORKERS / REPRO_DSE_EXECUTOR seed the engine the way
-    REPRO_DSE_STACK seeds stack width (the CI fault-injection leg uses
-    them to force pooled process execution); explicit arguments win."""
+    """REPRO_DSE_WORKERS seeds the pool size the way REPRO_DSE_STACK
+    seeds stack width (the CI fault-injection leg uses it to force pooled
+    execution); explicit arguments win."""
 
     def test_defaults_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_DSE_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_DSE_EXECUTOR", raising=False)
         assert workers_default() == 0
-        assert executor_default() == "thread"
         train, val = _loaders()
-        engine = DSEEngine(Tiny, mse_loss, train, val)
-        assert engine.workers == 0 and engine.executor == "thread"
+        assert DSEEngine(Tiny, mse_loss, train, val).workers == 0
 
     def test_env_seeds_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_DSE_WORKERS", "3")
-        monkeypatch.setenv("REPRO_DSE_EXECUTOR", "process")
         train, val = _loaders()
-        engine = DSEEngine(Tiny, mse_loss, train, val)
-        assert engine.workers == 3 and engine.executor == "process"
+        assert DSEEngine(Tiny, mse_loss, train, val).workers == 3
 
     def test_explicit_arguments_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_DSE_WORKERS", "3")
-        monkeypatch.setenv("REPRO_DSE_EXECUTOR", "process")
         train, val = _loaders()
-        engine = DSEEngine(Tiny, mse_loss, train, val, workers=0,
-                           executor="thread")
-        assert engine.workers == 0 and engine.executor == "thread"
+        engine = DSEEngine(Tiny, mse_loss, train, val, workers=0)
+        assert engine.workers == 0
 
     def test_bad_env_values_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_DSE_WORKERS", "-1")
         with pytest.raises(ValueError, match="REPRO_DSE_WORKERS"):
             workers_default()
-        monkeypatch.setenv("REPRO_DSE_WORKERS", "2")
-        monkeypatch.setenv("REPRO_DSE_EXECUTOR", "fibers")
         train, val = _loaders()
-        with pytest.raises(ValueError, match="executor"):
+        with pytest.raises(ValueError, match="REPRO_DSE_WORKERS"):
             DSEEngine(Tiny, mse_loss, train, val)
+
+
+def _worker_blas_threads():
+    """The OpenBLAS thread count of the process this runs in."""
+    get_threads = dse._openblas_function("get_num_threads")
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    return get_threads()
+
+
+class TestBlasPin:
+    """Pool workers cap their OpenBLAS at ``cpu_count // workers``
+    threads, so a pool shares the cores instead of oversubscribing them."""
+
+    def test_pool_workers_pin_blas_threads(self):
+        if dse._openblas_function("get_num_threads") is None:
+            pytest.skip("no OpenBLAS thread-count symbol in this process")
+        train, val = _loaders()
+        engine = DSEEngine(Tiny, mse_loss, train, val, workers=2)
+        pool = engine._make_pool()
+        try:
+            threads = pool.submit(_worker_blas_threads).result()
+        finally:
+            pool.shutdown()
+        assert threads == max(1, os.cpu_count() // 2)
+
+    def test_pooling_runs_unpinned_without_openblas(self, monkeypatch):
+        """A worker that finds no OpenBLAS keeps the library default and
+        the pooled sweep still matches the serial one."""
+        monkeypatch.setattr(dse, "_OPENBLAS_SYMBOLS", ("no_such_{}",))
+        assert dse._openblas_function("set_num_threads") is None
+        _assert_identical(_sweep(workers=0), _sweep(workers=2))

@@ -59,7 +59,13 @@ class Tiny(Module):
 
 
 class CountingFactory:
-    """Picklable factory that counts how many seeds it builds."""
+    """Factory that counts the seeds it builds in this process.
+
+    Pool workers build their seeds in other processes, where this count
+    never moves.  The lock keeps the factory from pickling, so a pooled
+    engine refuses it at construction instead of counting nothing: tests
+    that count builds use :func:`_serial_engine`.
+    """
 
     def __init__(self):
         self.calls = 0
@@ -88,11 +94,10 @@ def _engine(factory=Tiny, **kw):
 
 
 def _serial_engine(factory=Tiny, **kw):
-    """In-process engine even under REPRO_DSE_WORKERS/-_EXECUTOR (the CI
-    fault leg): these tests count factory calls or parent-side warnings,
-    which forked pool workers would hide."""
+    """In-process engine even under REPRO_DSE_WORKERS (the CI fault leg):
+    these tests count factory calls or parent-side warnings, which pool
+    workers would hide."""
     kw.setdefault("workers", 0)
-    kw.setdefault("executor", "thread")
     return _engine(factory, **kw)
 
 
@@ -239,12 +244,11 @@ class TestFailureIsolation:
         assert failed.attempts == 1
 
     def test_in_process_worker_crash_is_retryable(self, monkeypatch):
-        """Thread pools cannot die; worker_crash degrades to a retryable
-        InjectedWorkerCrash in-process."""
+        """A serial sweep has no worker process to kill; worker_crash
+        degrades to a retryable InjectedWorkerCrash in-process."""
         monkeypatch.setenv(faults.ENV_FAULTS, "worker_crash@point=0")
-        result = _engine(retries=1, retry_backoff=0.0,
-                         workers=2, executor="thread").run(LAMBDAS,
-                                                           warmups=[0])
+        result = _serial_engine(retries=1, retry_backoff=0.0).run(
+            LAMBDAS, warmups=[0])
         assert all(p.ok for p in result.points)
         assert result.points[0].attempts == 2
 
@@ -316,9 +320,11 @@ class TestInterrupts:
         _assert_identical(_serial_engine().run(LAMBDAS, warmups=[0]), resumed)
 
     def test_pooled_interrupt_reraises(self, monkeypatch):
+        """A KeyboardInterrupt raised in a pool worker reaches the parent
+        through the future and escapes run()."""
         monkeypatch.setenv(faults.ENV_FAULTS, "interrupt@point=0")
         with pytest.raises(KeyboardInterrupt):
-            _engine(workers=2, executor="thread").run(LAMBDAS, warmups=[0])
+            _engine(workers=2).run(LAMBDAS, warmups=[0])
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +337,7 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv(faults.ENV_FAULTS, "worker_crash")
         monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
         os.makedirs(tmp_path / "state")
-        engine = _engine(workers=2, executor="process")
+        engine = _engine(workers=2)
         result = engine.run(LAMBDAS, warmups=[0])
         assert all(p.ok for p in result.points)
         assert engine.last_run_stats["pool_deaths"] >= 1
@@ -342,7 +348,7 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv(faults.ENV_FAULTS, "worker_crash@point=0&times=99")
         monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
         os.makedirs(tmp_path / "state")
-        engine = _engine(workers=2, executor="process")
+        engine = _engine(workers=2)
         with pytest.warns(UserWarning):
             result = engine.run(LAMBDAS, warmups=[0])
         poison, survivor = result.points
@@ -358,7 +364,7 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv(faults.ENV_FAULTS, "worker_crash")
         monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
         os.makedirs(tmp_path / "state")
-        engine = _engine(workers=2, executor="process")
+        engine = _engine(workers=2)
         with pytest.warns(UserWarning, match="sequential"):
             result = engine.run(LAMBDAS, warmups=[0])
         assert all(p.ok for p in result.points)
@@ -372,7 +378,7 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv(faults.ENV_FAULTS, "worker_crash")
         monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
         os.makedirs(tmp_path / "state")
-        engine = _engine(workers=2, executor="process", cache_path=cache)
+        engine = _engine(workers=2, cache_path=cache)
         result = engine.run(LAMBDAS, warmups=WARMUPS)
         assert all(p.ok for p in result.points)
         with open(cache) as handle:
@@ -480,7 +486,7 @@ class TestChaosParity:
                            "worker_crash@point=0,nan_loss@point=3")
         monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
         os.makedirs(tmp_path / "state")
-        engine = _engine(workers=2, executor="process", cache_path=cache)
+        engine = _engine(workers=2, cache_path=cache)
         chaos = engine.run(LAMBDAS, warmups=WARMUPS)
         assert engine.last_run_stats["pool_deaths"] >= 1
         failed, = chaos.failed_points
@@ -554,7 +560,7 @@ class TestCrashResumeChaos:
         monkeypatch.setenv(faults.ENV_FAULTS, "crash@epoch=2")
         monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
         os.makedirs(tmp_path / "state")
-        engine = _engine(workers=2, executor="process",
+        engine = _engine(workers=2,
                          checkpoint_dir=str(tmp_path / "ckpt"),
                          cache_path=str(tmp_path / "dse.json"))
         chaos = engine.run(LAMBDAS, warmups=WARMUPS)
@@ -576,21 +582,21 @@ class TestCrashResumeChaos:
 
     def test_single_worker_interrupt_keeps_cache_resumable(
             self, monkeypatch, tmp_path):
-        """Satellite: ``workers=1`` takes the pooled path with one worker;
-        a KeyboardInterrupt mid-sweep must still leave completed points in
-        the cache so the next run only trains what is missing."""
+        """``workers=1`` runs serially (``run()`` pools only when
+        ``workers > 1``); a KeyboardInterrupt mid-sweep must still leave
+        completed points in the cache so the next run only trains what
+        is missing."""
         cache = str(tmp_path / "dse.json")
         monkeypatch.setenv(faults.ENV_FAULTS, "interrupt@point=1")
         with pytest.raises(KeyboardInterrupt):
-            _engine(workers=1, executor="thread",
-                    cache_path=cache).run(LAMBDAS, warmups=[0])
+            _engine(workers=1, cache_path=cache).run(LAMBDAS, warmups=[0])
 
         monkeypatch.delenv(faults.ENV_FAULTS)
         with open(cache) as handle:
             recorded = json.load(handle)["points"]
         assert len(recorded) >= 1  # finished work survived the interrupt
         factory = CountingFactory()
-        resumed = _engine(factory, workers=1, executor="thread",
+        resumed = _engine(factory, workers=1,
                           cache_path=cache).run(LAMBDAS, warmups=[0])
         assert factory.calls == 2 - len(recorded)
         _assert_identical(_serial_engine().run(LAMBDAS, warmups=[0]), resumed)
