@@ -18,7 +18,6 @@ from .tensor import (
     default_dtype_scope,
     concatenate,
     stack,
-    where,
 )
 from .backends import current_backend
 from .ops_conv import (
@@ -26,13 +25,10 @@ from .ops_conv import (
     conv1d_causal_masked,
     conv1d_causal_stacked,
     avg_pool1d,
-    max_pool1d,
     global_avg_pool1d,
 )
 from .ops_nn import (
     softmax,
-    log_softmax,
-    logsumexp,
     binarize_ste,
     dropout,
     dropout_stacked,
@@ -63,16 +59,12 @@ __all__ = [
     "is_grad_enabled",
     "concatenate",
     "stack",
-    "where",
     "conv1d_causal",
     "conv1d_causal_masked",
     "conv1d_causal_stacked",
     "avg_pool1d",
-    "max_pool1d",
     "global_avg_pool1d",
     "softmax",
-    "log_softmax",
-    "logsumexp",
     "binarize_ste",
     "dropout",
     "dropout_stacked",

@@ -31,7 +31,7 @@ from .backends import KERNELS
 from .tensor import OpDef, Tensor, _unbroadcast, apply_op
 
 __all__ = ["conv1d_causal", "conv1d_causal_masked", "conv1d_causal_stacked",
-           "avg_pool1d", "max_pool1d", "global_avg_pool1d"]
+           "avg_pool1d", "global_avg_pool1d"]
 
 
 def _padded(x, pad):
@@ -332,47 +332,6 @@ def avg_pool1d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     if t_out <= 0:
         raise ValueError(f"pooling window {kernel_size} larger than input length {x.shape[2]}")
     return apply_op(_AVG_POOL, (x,),
-                    {"kernel_size": kernel_size, "stride": stride})
-
-
-def _max_pool_fwd(ins, attrs):
-    x = ins[0]
-    kernel_size, stride = attrs["kernel_size"], attrs["stride"]
-    t_out = (x.shape[2] - kernel_size) // stride + 1
-    windows = np.stack(
-        [x[:, :, offset: offset + stride * t_out: stride] for offset in range(kernel_size)],
-        axis=-1)  # (N, C, T_out, K)
-    argmax = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, argmax[..., None], axis=-1).squeeze(-1)
-    return out, argmax
-
-
-def _max_pool_bwd(g, ins, out, argmax, attrs, needs):
-    x = ins[0]
-    stride = attrs["stride"]
-    n, c, _ = x.shape
-    t_out = argmax.shape[2]
-    gx = np.zeros_like(x)
-    # Scatter each output gradient back to the argmax input position.
-    n_idx, c_idx, t_idx = np.meshgrid(
-        np.arange(n), np.arange(c), np.arange(t_out), indexing="ij")
-    src_t = t_idx * stride + argmax
-    np.add.at(gx, (n_idx, c_idx, src_t), g)
-    return (gx,)
-
-
-_MAX_POOL = OpDef("max_pool1d", _max_pool_fwd, _max_pool_bwd)
-
-
-def max_pool1d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
-    """Max pooling over the last axis of a ``(N, C, T)`` tensor."""
-    if x.ndim != 3:
-        raise ValueError(f"expected (N, C, T), got {x.shape}")
-    stride = stride or kernel_size
-    t_out = (x.shape[2] - kernel_size) // stride + 1
-    if t_out <= 0:
-        raise ValueError(f"pooling window {kernel_size} larger than input length {x.shape[2]}")
-    return apply_op(_MAX_POOL, (x,),
                     {"kernel_size": kernel_size, "stride": stride})
 
 

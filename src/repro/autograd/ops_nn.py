@@ -1,6 +1,6 @@
 """Neural-network specific differentiable operations.
 
-Contains the numerically-stable softmax family, the straight-through
+Contains the numerically-stable softmax, the straight-through
 Heaviside binarization used by PIT's γ parameters (paper Eq. 2), and a
 dropout primitive.
 
@@ -22,11 +22,9 @@ from .tensor import OpDef, Tensor, apply_op
 
 __all__ = [
     "softmax",
-    "log_softmax",
     "binarize_ste",
     "dropout",
     "dropout_stacked",
-    "logsumexp",
 ]
 
 
@@ -49,53 +47,6 @@ _SOFTMAX = OpDef("softmax", _softmax_fwd, _softmax_bwd)
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     return apply_op(_SOFTMAX, (x,), {"axis": axis})
-
-
-def _log_softmax_fwd(ins, attrs):
-    x = ins[0]
-    shifted = x - x.max(axis=attrs["axis"], keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=attrs["axis"], keepdims=True))
-    return shifted - lse, None
-
-
-def _log_softmax_bwd(g, ins, out, ctx, attrs, needs):
-    soft = np.exp(out)
-    return (g - soft * g.sum(axis=attrs["axis"], keepdims=True),)
-
-
-_LOG_SOFTMAX = OpDef("log_softmax", _log_softmax_fwd, _log_softmax_bwd)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    return apply_op(_LOG_SOFTMAX, (x,), {"axis": axis})
-
-
-def _logsumexp_fwd(ins, attrs):
-    x = ins[0]
-    axis = attrs["axis"]
-    m = x.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
-    if not attrs["keepdims"]:
-        out = out.squeeze(axis=axis)
-    return out, None
-
-
-def _logsumexp_bwd(g, ins, out, ctx, attrs, needs):
-    axis = attrs["axis"]
-    if not attrs["keepdims"]:
-        g = np.expand_dims(g, axis=axis)
-        out = np.expand_dims(out, axis=axis)
-    soft = np.exp(ins[0] - out)
-    return (g * soft,)
-
-
-_LOGSUMEXP = OpDef("logsumexp", _logsumexp_fwd, _logsumexp_bwd)
-
-
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp reduction."""
-    return apply_op(_LOGSUMEXP, (x,), {"axis": axis, "keepdims": keepdims})
 
 
 def _binarize_fwd(ins, attrs):

@@ -23,8 +23,9 @@ static IR of one training step, and replay it later by invoking exactly the
 same kernels in exactly the same order — which is why compiled execution is
 bit-identical to eager.
 
-Every operator defined here has a numerical-vs-analytic gradient test in
-``tests/test_autograd_*.py`` (see also :mod:`repro.autograd.gradcheck`).
+Every operator has an entry in the op table of ``tests/test_ops.py``,
+which checks it against numpy and finite differences (see also
+:mod:`repro.autograd.gradcheck`) and its compiled replay against eager.
 
 The default dtype is ``float64``: the networks in the paper are tiny by
 modern standards, and exact-ish gradients make the NAS algorithm (and its
@@ -56,7 +57,6 @@ __all__ = [
     "default_dtype_scope",
     "concatenate",
     "stack",
-    "where",
 ]
 
 # Per-thread tape switch: trainings running in concurrent threads must
@@ -386,18 +386,6 @@ def _neg_bwd(g, ins, out, ctx, attrs, needs):
 _NEG = OpDef("neg", _neg_fwd, _neg_bwd)
 
 
-def _pow_fwd(ins, attrs):
-    return ins[0] ** attrs["exponent"], None
-
-
-def _pow_bwd(g, ins, out, ctx, attrs, needs):
-    exponent = attrs["exponent"]
-    return (g * exponent * ins[0] ** (exponent - 1),)
-
-
-_POW = OpDef("pow", _pow_fwd, _pow_bwd)
-
-
 def _abs_fwd(ins, attrs):
     return np.abs(ins[0]), None
 
@@ -440,31 +428,6 @@ def _sqrt_bwd(g, ins, out, ctx, attrs, needs):
 
 
 _SQRT = OpDef("sqrt", _sqrt_fwd, _sqrt_bwd)
-
-
-def _clip_fwd(ins, attrs):
-    return np.clip(ins[0], attrs["low"], attrs["high"]), None
-
-
-def _clip_bwd(g, ins, out, ctx, attrs, needs):
-    a = ins[0]
-    inside = (a >= attrs["low"]) & (a <= attrs["high"])
-    return (g * inside,)
-
-
-_CLIP = OpDef("clip", _clip_fwd, _clip_bwd)
-
-
-# -- comparisons (detached float masks) ---------------------------------
-
-def _no_grads_2(g, ins, out, ctx, attrs, needs):
-    return (None, None)
-
-
-_GT = OpDef("gt", lambda ins, attrs: (ins[0] > ins[1], None), _no_grads_2)
-_LT = OpDef("lt", lambda ins, attrs: (ins[0] < ins[1], None), _no_grads_2)
-_GE = OpDef("ge", lambda ins, attrs: (ins[0] >= ins[1], None), _no_grads_2)
-_LE = OpDef("le", lambda ins, attrs: (ins[0] <= ins[1], None), _no_grads_2)
 
 
 # -- matrix multiplication ----------------------------------------------
@@ -532,49 +495,6 @@ def _mean_bwd(g, ins, out, ctx, attrs, needs):
 _MEAN = OpDef("mean", _mean_fwd, _mean_bwd)
 
 
-def _max_fwd(ins, attrs):
-    return ins[0].max(axis=attrs["axis"], keepdims=attrs["keepdims"]), None
-
-
-def _max_bwd(g, ins, out, ctx, attrs, needs):
-    a = ins[0]
-    axis = attrs["axis"]
-    o = out
-    if axis is not None and not attrs["keepdims"]:
-        axes = _normalize_axes(axis, a.ndim)
-        g = np.expand_dims(g, axis=axes)
-        o = np.expand_dims(o, axis=axes)
-    mask = (a == o)
-    # Split gradient evenly across ties, matching numpy semantics only
-    # approximately but keeping the adjoint well defined.
-    counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-    return (mask * (g / counts),)
-
-
-_MAX = OpDef("max", _max_fwd, _max_bwd)
-
-
-def _prod_fwd(ins, attrs):
-    return np.array(ins[0].reshape(-1).prod()), None
-
-
-def _prod_bwd(g, ins, out, ctx, attrs, needs):
-    a = ins[0]
-    flat = a.reshape(-1)
-    n = flat.size
-    # prefix[i] = prod(flat[:i]), suffix[i] = prod(flat[i+1:])
-    prefix = np.ones(n)
-    suffix = np.ones(n)
-    if n > 1:
-        np.cumprod(flat[:-1], out=prefix[1:])
-        suffix[:-1] = np.cumprod(flat[::-1][:-1])[::-1]
-    partial = prefix * suffix
-    return ((g.reshape(()) * partial).reshape(a.shape),)
-
-
-_PROD = OpDef("prod", _prod_fwd, _prod_bwd)
-
-
 # -- shape manipulation --------------------------------------------------
 
 def _reshape_fwd(ins, attrs):
@@ -610,17 +530,6 @@ def _getitem_bwd(g, ins, out, ctx, attrs, needs):
 
 
 _GETITEM = OpDef("getitem", _getitem_fwd, _getitem_bwd)
-
-
-def _squeeze_fwd(ins, attrs):
-    return ins[0].squeeze(axis=attrs["axis"]), None
-
-
-def _reshape_to_input_bwd(g, ins, out, ctx, attrs, needs):
-    return (g.reshape(ins[0].shape),)
-
-
-_SQUEEZE = OpDef("squeeze", _squeeze_fwd, _reshape_to_input_bwd)
 
 
 # -- activations ---------------------------------------------------------
@@ -692,20 +601,6 @@ def _stack_bwd(g, ins, out, ctx, attrs, needs):
 
 
 _STACK = OpDef("stack", _stack_fwd, _stack_bwd)
-
-
-def _where_fwd(ins, attrs):
-    return np.where(ins[0].astype(bool), ins[1], ins[2]), None
-
-
-def _where_bwd(g, ins, out, ctx, attrs, needs):
-    cond = ins[0].astype(bool)
-    return (None,
-            _unbroadcast(g * cond, ins[1].shape) if needs[1] else None,
-            _unbroadcast(g * ~cond, ins[2].shape) if needs[2] else None)
-
-
-_WHERE = OpDef("where", _where_fwd, _where_bwd)
 
 
 # ----------------------------------------------------------------------
@@ -871,11 +766,6 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return apply_op(_NEG, (self,))
 
-    def __pow__(self, exponent) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        return apply_op(_POW, (self,), {"exponent": exponent})
-
     def abs(self) -> "Tensor":
         """Elementwise absolute value; subgradient 0 at exactly 0."""
         return apply_op(_ABS, (self,))
@@ -888,25 +778,6 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         return apply_op(_SQRT, (self,))
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values to ``[low, high]``; gradient is zero outside."""
-        return apply_op(_CLIP, (self,), {"low": low, "high": high})
-
-    # ------------------------------------------------------------------
-    # Comparisons (produce detached float masks, useful for metrics)
-    # ------------------------------------------------------------------
-    def __gt__(self, other):
-        return apply_op(_GT, (self, _ensure_tensor(other)), detach=True)
-
-    def __lt__(self, other):
-        return apply_op(_LT, (self, _ensure_tensor(other)), detach=True)
-
-    def __ge__(self, other):
-        return apply_op(_GE, (self, _ensure_tensor(other)), detach=True)
-
-    def __le__(self, other):
-        return apply_op(_LE, (self, _ensure_tensor(other)), detach=True)
 
     # ------------------------------------------------------------------
     # Matrix multiplication
@@ -930,22 +801,6 @@ class Tensor:
         sq = centered * centered
         return sq.mean(axis=axis, keepdims=keepdims)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return apply_op(_MAX, (self,), {"axis": axis, "keepdims": keepdims})
-
-    def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
-
-    def prod(self) -> "Tensor":
-        """Product of all elements (zero-safe adjoint).
-
-        Used by the differentiable mask construction (paper Eq. 4), where
-        columns of binarized γ values are multiplied together; entries can be
-        exactly zero, so the naive ``out/x`` gradient is replaced with a
-        product-of-others computation.
-        """
-        return apply_op(_PROD, (self,))
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -963,25 +818,6 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         return apply_op(_GETITEM, (self,), {"index": index})
-
-    def squeeze(self, axis: int) -> "Tensor":
-        """Remove a size-1 axis."""
-        if self.shape[axis] != 1:
-            raise ValueError(f"axis {axis} has size {self.shape[axis]}, not 1")
-        return apply_op(_SQUEEZE, (self,), {"axis": axis})
-
-    def split(self, sections: int, axis: int = 0) -> list:
-        """Split into ``sections`` equal parts along ``axis``."""
-        if self.shape[axis] % sections != 0:
-            raise ValueError(f"axis {axis} of size {self.shape[axis]} does not "
-                             f"divide into {sections} sections")
-        size = self.shape[axis] // sections
-        parts = []
-        for i in range(sections):
-            index = [slice(None)] * self.ndim
-            index[axis] = slice(i * size, (i + 1) * size)
-            parts.append(self[tuple(index)])
-        return parts
 
     # ------------------------------------------------------------------
     # Misc
@@ -1039,14 +875,3 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return apply_op(_STACK, tuple(_ensure_tensor(t) for t in tensors),
                     {"axis": axis})
 
-
-def where(condition, a, b) -> Tensor:
-    """Differentiable ``numpy.where``; the condition is never differentiated.
-
-    The condition participates in the op graph as a (gradient-less) input,
-    so a captured step re-evaluates it on every replay — pass a tensor
-    expression (e.g. ``diff <= delta``) rather than a raw boolean array when
-    the condition depends on batch data.
-    """
-    return apply_op(_WHERE, (_ensure_tensor(condition), _ensure_tensor(a),
-                             _ensure_tensor(b)))

@@ -284,13 +284,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         from .evaluation import format_failures
         print(f"\n{len(failed)} grid point(s) FAILED:")
         print(format_failures(failed))
-    front = result.pareto()
-    print(f"pareto front: {[(p.params, round(p.loss, 4)) for p in front]}")
+    print("pareto front: " + format_front(
+        result.pareto(), lambda p: (p.params, round(p.loss, 4))))
     if args.hw:
         front3 = result.pareto(objectives=("params", "latency_ms", "loss"))
-        print("hw pareto front (params, latency_ms, loss): "
-              f"{[(p.params, round(p.metrics['latency_ms'], 1), round(p.loss, 4)) for p in front3]}")
+        print("hw pareto front (params, latency_ms, loss): " + format_front(
+            front3, lambda p: (p.params, round(p.metrics["latency_ms"], 1),
+                               round(p.loss, 4))))
     return 0
+
+
+def format_front(front, coords) -> str:
+    """The front as a list of ``coords(point)`` tuples, one per network.
+
+    Grid points that reached the same network (same dilations and
+    coordinates) print once, followed by the λ values that reached it:
+    ``(22433, 11.2655; lambda=0.1, 1)``.
+    """
+    networks = {}
+    for p in front:
+        networks.setdefault((p.dilations, coords(p)), []).append(p.lam)
+    entries = []
+    for (_, values), lams in networks.items():
+        entry = ", ".join(repr(v) for v in values)
+        if len(lams) > 1:
+            entry += "; lambda=" + ", ".join(
+                f"{lam:g}" for lam in sorted(set(lams)))
+        entries.append(f"({entry})")
+    return "[" + ", ".join(entries) + "]"
 
 
 def _load_checkpoint(network, args: argparse.Namespace) -> bool:

@@ -135,7 +135,7 @@ def _temporal_layers(model: Module):
     layers, the window size for pools); ``stride`` is its temporal output
     stride.
     """
-    from ..nn.layers import AvgPool1d, MaxPool1d
+    from ..nn.layers import AvgPool1d
     from .channel_mask import PITChannelConv1d
 
     for module in model.modules():
@@ -143,7 +143,7 @@ def _temporal_layers(model: Module):
             yield module.rf_max, module.stride
         elif isinstance(module, CausalConv1d):
             yield module.receptive_field, module.stride
-        elif isinstance(module, (AvgPool1d, MaxPool1d)):
+        elif isinstance(module, AvgPool1d):
             yield module.kernel_size, module.stride
 
 

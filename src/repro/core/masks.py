@@ -206,8 +206,10 @@ def mask_eq4(gamma: Tensor, rf_max: int) -> Tensor:
     outer = gamma.reshape(length, 1) @ ones_row
     inner = outer * t_mat + (Tensor(np.ones((length, length))) - t_mat)
     selected = inner @ k_mat  # (L, rf_max); column j = Γ-column for lag j
-    columns = [selected[:, j].prod().reshape(1) for j in range(rf_max)]
-    return concatenate(columns, axis=0)
+    mask = selected[0]
+    for row in range(1, length):  # Π over each column's L entries
+        mask = mask * selected[row]
+    return mask
 
 
 # ----------------------------------------------------------------------

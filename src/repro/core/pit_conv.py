@@ -29,7 +29,7 @@ import numpy as np
 from ..autograd import Tensor, conv1d_causal_masked
 from ..nn import init
 from ..nn.module import Module, Parameter
-from .masks import TimeMask, kept_lags
+from .masks import TimeMask
 
 __all__ = ["PITConv1d"]
 
@@ -92,21 +92,12 @@ class PITConv1d(Module):
         """Number of alive kernel time-slices under the current mask."""
         return int(self.mask.current_mask().sum())
 
-    def effective_kernel_size(self) -> int:
-        """Kernel size of the exported layer (== number of kept taps)."""
-        return len(kept_lags(self.rf_max, self.current_dilation()))
-
     def effective_params(self) -> int:
         """Parameter count after export (masked slices removed)."""
         count = self.kept_taps() * self.in_channels * self.out_channels
         if self.bias is not None:
             count += self.out_channels
         return count
-
-    def effective_macs(self, t_out: Optional[int] = None) -> int:
-        """Multiply-accumulate count per forward pass after export."""
-        t_out = t_out if t_out is not None else (self._last_t_out or 1)
-        return self.kept_taps() * self.in_channels * self.out_channels * t_out
 
     def freeze(self) -> None:
         """Freeze the mask for the fine-tuning phase (Algorithm 1, line 7)."""

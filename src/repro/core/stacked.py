@@ -44,12 +44,10 @@ from ..autograd import (
     conv1d_causal_stacked,
     get_default_dtype,
     no_grad,
-    where,
 )
 from ..data import EpochReplayLoader
 from ..nn.losses import (
     bce_with_logits,
-    huber_loss,
     mae_loss,
     mse_loss,
     polyphonic_nll,
@@ -296,20 +294,12 @@ def _stacked_polyphonic_nll(logits: Tensor, targets: Tensor) -> Tensor:
     return per_frame.mean(axis=(1, 2))
 
 
-def _stacked_huber(pred: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    diff = (pred - target).abs()
-    quadratic = 0.5 * diff * diff
-    linear = delta * diff - 0.5 * delta * delta
-    return where(diff <= delta, quadratic, linear).mean(axis=_tail_axes(pred))
-
-
 #: loss_fn -> vectorized per-model variant returning an (M,) tensor.
 _STACKED_LOSSES: Dict[Callable, Callable] = {
     mse_loss: _stacked_mse,
     mae_loss: _stacked_mae,
     bce_with_logits: _stacked_bce,
     polyphonic_nll: _stacked_polyphonic_nll,
-    huber_loss: _stacked_huber,
 }
 
 

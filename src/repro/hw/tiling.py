@@ -35,10 +35,6 @@ class TileSpec:
     weights_resident: bool  # kernel stays in L1 across all tiles
     working_set_bytes: int
 
-    @property
-    def is_untiled(self) -> bool:
-        return self.num_tiles == 1
-
 
 def _tile_bytes(c_in: int, c_out_tile: int, k: int, dilation: int,
                 t_tile: int) -> int:

@@ -6,11 +6,8 @@ from .layers import (
     CausalConv1d,
     BatchNorm1d,
     ReLU,
-    Sigmoid,
-    Tanh,
     Dropout,
     AvgPool1d,
-    MaxPool1d,
     GlobalAvgPool1d,
     Flatten,
     Identity,
@@ -21,7 +18,6 @@ from .losses import (
     polyphonic_nll,
     mae_loss,
     mse_loss,
-    huber_loss,
 )
 from .eval_utils import mean_loss_over_loader
 from .stacked import (
@@ -46,11 +42,8 @@ __all__ = [
     "CausalConv1d",
     "BatchNorm1d",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Dropout",
     "AvgPool1d",
-    "MaxPool1d",
     "GlobalAvgPool1d",
     "Flatten",
     "Identity",
@@ -59,7 +52,6 @@ __all__ = [
     "polyphonic_nll",
     "mae_loss",
     "mse_loss",
-    "huber_loss",
     "StackedModel",
     "StackingUnsupported",
     "StackedLinear",

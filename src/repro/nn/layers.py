@@ -19,7 +19,6 @@ from ..autograd import (
     conv1d_causal,
     dropout as dropout_op,
     global_avg_pool1d,
-    max_pool1d,
     record_side_effect,
 )
 from . import init
@@ -30,11 +29,8 @@ __all__ = [
     "CausalConv1d",
     "BatchNorm1d",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Dropout",
     "AvgPool1d",
-    "MaxPool1d",
     "GlobalAvgPool1d",
     "Flatten",
     "Identity",
@@ -192,22 +188,6 @@ class ReLU(Module):
         return "ReLU()"
 
 
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def __repr__(self) -> str:
-        return "Sigmoid()"
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def __repr__(self) -> str:
-        return "Tanh()"
-
-
 class Dropout(Module):
     """Inverted dropout; identity in evaluation mode."""
 
@@ -234,19 +214,6 @@ class AvgPool1d(Module):
 
     def __repr__(self) -> str:
         return f"AvgPool1d(k={self.kernel_size}, s={self.stride})"
-
-
-class MaxPool1d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return max_pool1d(x, self.kernel_size, self.stride)
-
-    def __repr__(self) -> str:
-        return f"MaxPool1d(k={self.kernel_size}, s={self.stride})"
 
 
 class GlobalAvgPool1d(Module):

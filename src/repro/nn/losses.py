@@ -3,8 +3,8 @@
 * Nottingham (polyphonic music): per-frame multi-label negative
   log-likelihood over the 88 piano keys, i.e. a sum of Bernoulli NLLs —
   the "NLL" metric of paper Fig. 4 / Table III (following Bai et al. [6]).
-* PPG-Dalia (heart-rate regression): MAE in beats-per-minute, with an MSE /
-  Huber option for smoother training (the paper reports MAE).
+* PPG-Dalia (heart-rate regression): MAE in beats-per-minute, the metric
+  the paper reports.  Mean squared error is also provided.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "polyphonic_nll",
     "mae_loss",
     "mse_loss",
-    "huber_loss",
 ]
 
 
@@ -65,18 +64,3 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred - t
     return (diff * diff).mean()
 
-
-def huber_loss(pred: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic near zero, linear in the tails.
-
-    Used as a smoother training surrogate for the MAE objective on the
-    heart-rate task (evaluation still reports plain MAE).
-    """
-    t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = (pred - t).abs()
-    quadratic = 0.5 * diff * diff
-    linear = delta * diff - 0.5 * delta * delta
-    from ..autograd import where
-    # The tensor comparison keeps the branch condition inside the op graph,
-    # so a graph-captured step re-evaluates it on every batch.
-    return where(diff <= delta, quadratic, linear).mean()

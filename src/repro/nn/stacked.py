@@ -43,7 +43,6 @@ from ..autograd import (
     conv1d_causal_stacked,
     dropout_stacked,
     get_default_dtype,
-    max_pool1d,
 )
 from .layers import (
     AvgPool1d,
@@ -54,10 +53,7 @@ from .layers import (
     GlobalAvgPool1d,
     Identity,
     Linear,
-    MaxPool1d,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
 from .module import Module, Parameter
 
@@ -127,7 +123,7 @@ _STACK_FACTORIES: Dict[Type[Module], Callable] = {}
 
 # Stateless activations are reused as-is: their ops are elementwise and
 # shape-agnostic, so a fresh copy works on (M, N, ...) unchanged.
-_PASSTHROUGH: tuple = (ReLU, Sigmoid, Tanh, Identity)
+_PASSTHROUGH: tuple = (ReLU, Identity)
 
 
 def register_stacked(*types: Type[Module]):
@@ -331,38 +327,31 @@ def _stack_dropout(template: Dropout, ctx: StackContext) -> StackedDropout:
 
 
 class _StackedPool(Module):
-    """Pooling over stacked input by merging the (M, N) axes.
+    """Average pooling over stacked input by merging the (M, N) axes.
 
     Pooling has no parameters and acts per sample, so running it on the
     merged ``(M·N, C, T)`` batch is elementwise-identical to M separate
     calls — one dispatch instead of M.
     """
 
-    def __init__(self, kind: str, kernel_size: int, stride: int):
+    def __init__(self, kernel_size: int, stride: int):
         super().__init__()
-        self.kind = kind
         self.kernel_size = kernel_size
         self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
         m, n, c, t = x.shape
-        pool = avg_pool1d if self.kind == "avg" else max_pool1d
-        out = pool(x.reshape(m * n, c, t), self.kernel_size, self.stride)
+        out = avg_pool1d(x.reshape(m * n, c, t), self.kernel_size,
+                         self.stride)
         return out.reshape(m, n, c, out.shape[-1])
 
     def __repr__(self) -> str:
-        return (f"StackedPool({self.kind}, k={self.kernel_size}, "
-                f"s={self.stride})")
+        return f"StackedPool(avg, k={self.kernel_size}, s={self.stride})"
 
 
 @register_stacked(AvgPool1d)
 def _stack_avg_pool(template: AvgPool1d, ctx: StackContext) -> _StackedPool:
-    return _StackedPool("avg", template.kernel_size, template.stride)
-
-
-@register_stacked(MaxPool1d)
-def _stack_max_pool(template: MaxPool1d, ctx: StackContext) -> _StackedPool:
-    return _StackedPool("max", template.kernel_size, template.stride)
+    return _StackedPool(template.kernel_size, template.stride)
 
 
 class _StackedGlobalAvgPool(Module):

@@ -75,10 +75,6 @@ class StreamingPool:
         return list(self._pending)
 
     @property
-    def free_slots(self) -> int:
-        return len(self._free)
-
-    @property
     def warmup_ticks(self) -> int:
         return self.executor.warmup_ticks
 

@@ -60,10 +60,7 @@ from ..nn.layers import (
     GlobalAvgPool1d,
     Identity,
     Linear,
-    MaxPool1d,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
 from ..nn.module import Module
 
@@ -327,11 +324,6 @@ class StreamingAvgPool1d(_WindowedStreaming):
         return acc
 
 
-class StreamingMaxPool1d(_WindowedStreaming):
-    def _emit(self, window: np.ndarray) -> np.ndarray:
-        return window.max(axis=2)
-
-
 class StreamingFlatten(_WindowedStreaming):
     """Sliding ``Flatten``: emits the channel-major flattening of the last
     ``F`` frames, where ``F`` is the temporal extent the probe saw at this
@@ -367,7 +359,7 @@ def _stream_linear(linear: Linear, ctx: StreamContext) -> Module:
     return StreamingLinear(linear)
 
 
-@register_streaming(ReLU, Sigmoid, Tanh, Identity, Dropout, BatchNorm1d)
+@register_streaming(ReLU, Identity, Dropout, BatchNorm1d)
 def _stream_stateless(module: Module, ctx: StreamContext) -> Module:
     return _StatelessStreaming(module)
 
@@ -385,14 +377,6 @@ def _stream_fakequant(module: FakeQuant, ctx: StreamContext) -> Module:
 @register_streaming(AvgPool1d)
 def _stream_avg_pool(pool: AvgPool1d, ctx: StreamContext) -> Module:
     layer = StreamingAvgPool1d(ctx, channels=ctx.probed_channels(pool),
-                               window=pool.kernel_size, stride=pool.stride)
-    ctx.add_layer(pool.kernel_size, pool.stride)
-    return layer
-
-
-@register_streaming(MaxPool1d)
-def _stream_max_pool(pool: MaxPool1d, ctx: StreamContext) -> Module:
-    layer = StreamingMaxPool1d(ctx, channels=ctx.probed_channels(pool),
                                window=pool.kernel_size, stride=pool.stride)
     ctx.add_layer(pool.kernel_size, pool.stride)
     return layer

@@ -9,7 +9,6 @@ from repro.autograd import (
     check_gradients,
     conv1d_causal,
     global_avg_pool1d,
-    max_pool1d,
 )
 
 RNG = np.random.default_rng(7)
@@ -152,27 +151,9 @@ class TestPooling:
         with pytest.raises(ValueError):
             avg_pool1d(Tensor(np.zeros((1, 1, 3))), 5)
 
-    def test_max_pool_values(self):
-        x = Tensor(np.array([[[1.0, 3.0, 2.0, 8.0, 0.0, 5.0]]]))
-        out = max_pool1d(x, 2)
-        assert out.data.reshape(-1).tolist() == [3.0, 8.0, 5.0]
-
-    def test_max_pool_gradient_to_argmax(self):
-        x = Tensor(np.array([[[1.0, 3.0, 2.0, 8.0]]]), requires_grad=True)
-        max_pool1d(x, 2).sum().backward()
-        assert np.allclose(x.grad, [[[0.0, 1.0, 0.0, 1.0]]])
-
-    def test_max_pool_gradcheck(self):
-        # Distinct values avoid tie ambiguity in the numeric gradient.
-        x = Tensor(np.arange(18, dtype=float).reshape(2, 3, 3) ** 1.1,
-                   requires_grad=True)
-        check_gradients(lambda x: max_pool1d(x, 3), [x])
-
     def test_pool_rejects_2d(self):
         with pytest.raises(ValueError):
             avg_pool1d(Tensor(np.zeros((2, 3))), 2)
-        with pytest.raises(ValueError):
-            max_pool1d(Tensor(np.zeros((2, 3))), 2)
 
     def test_global_avg_pool(self):
         x = Tensor(RNG.standard_normal((2, 3, 5)), requires_grad=True)

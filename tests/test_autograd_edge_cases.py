@@ -10,7 +10,6 @@ from repro.autograd import (
     conv1d_causal,
     no_grad,
     stack,
-    where,
 )
 
 RNG = np.random.default_rng(555)
@@ -104,15 +103,6 @@ class TestBroadcastingEdgeCases:
         a = Tensor(RNG.standard_normal((1, 3, 1)), requires_grad=True)
         b = Tensor(RNG.standard_normal((2, 1, 4)), requires_grad=True)
         check_gradients(lambda x, y: x + y, [a, b])
-
-    def test_where_with_scalar_branches(self):
-        cond = np.array([True, False, True])
-        a = Tensor(1.5, requires_grad=True)
-        b = Tensor(-1.5, requires_grad=True)
-        out = where(cond, a, b)
-        out.sum().backward()
-        assert a.grad == pytest.approx(2.0)
-        assert b.grad == pytest.approx(1.0)
 
 
 class TestConvEdgeCases:

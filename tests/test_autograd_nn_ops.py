@@ -1,107 +1,12 @@
-"""Tests for softmax family, STE binarization and dropout."""
+"""The ``dropout`` wrapper's argument handling: the cases that never reach
+the op.  The op itself has its entry in ``tests/test_ops.py``."""
 
 import numpy as np
 import pytest
 
-from repro.autograd import (
-    Tensor,
-    binarize_ste,
-    check_gradients,
-    dropout,
-    log_softmax,
-    logsumexp,
-    softmax,
-)
+from repro.autograd import Tensor, dropout
 
 RNG = np.random.default_rng(11)
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        out = softmax(Tensor(RNG.standard_normal((4, 5))), axis=1)
-        assert np.allclose(out.data.sum(axis=1), 1.0)
-
-    def test_invariant_to_shift(self):
-        x = RNG.standard_normal((3, 4))
-        a = softmax(Tensor(x), axis=1).data
-        b = softmax(Tensor(x + 100.0), axis=1).data
-        assert np.allclose(a, b)
-
-    def test_stable_for_large_logits(self):
-        out = softmax(Tensor([1e4, 0.0]), axis=0)
-        assert np.isfinite(out.data).all()
-        assert out.data[0] == pytest.approx(1.0)
-
-    def test_gradcheck(self):
-        x = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
-        weights = Tensor(RNG.standard_normal((3, 4)))
-        check_gradients(lambda x: softmax(x, axis=1) * weights, [x])
-
-    def test_axis_zero(self):
-        out = softmax(Tensor(RNG.standard_normal((3, 4))), axis=0)
-        assert np.allclose(out.data.sum(axis=0), 1.0)
-
-
-class TestLogSoftmax:
-    def test_matches_log_of_softmax(self):
-        x = RNG.standard_normal((3, 4))
-        assert np.allclose(log_softmax(Tensor(x), axis=1).data,
-                           np.log(softmax(Tensor(x), axis=1).data))
-
-    def test_stable_for_large_logits(self):
-        out = log_softmax(Tensor([1e4, 0.0]), axis=0)
-        assert np.isfinite(out.data).all()
-
-    def test_gradcheck(self):
-        x = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
-        weights = Tensor(RNG.standard_normal((3, 4)))
-        check_gradients(lambda x: log_softmax(x, axis=1) * weights, [x])
-
-
-class TestLogSumExp:
-    def test_matches_numpy(self):
-        x = RNG.standard_normal((3, 4))
-        expected = np.log(np.exp(x).sum(axis=1))
-        assert np.allclose(logsumexp(Tensor(x), axis=1).data, expected)
-
-    def test_keepdims(self):
-        out = logsumexp(Tensor(RNG.standard_normal((3, 4))), axis=1, keepdims=True)
-        assert out.shape == (3, 1)
-
-    def test_gradcheck(self):
-        x = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
-        check_gradients(lambda x: logsumexp(x, axis=1), [x])
-
-    def test_stable(self):
-        out = logsumexp(Tensor([1e4, 1e4]), axis=0)
-        assert np.isfinite(out.data).all()
-
-
-class TestBinarizeSTE:
-    def test_forward_heaviside(self):
-        out = binarize_ste(Tensor([0.2, 0.5, 0.9]), threshold=0.5)
-        assert out.data.tolist() == [0.0, 1.0, 1.0]
-
-    def test_threshold_inclusive(self):
-        # Paper Eq. 2: H(γ̂ - δ) = 1 for γ̂ >= δ.
-        assert binarize_ste(Tensor([0.5]), 0.5).data.tolist() == [1.0]
-
-    def test_custom_threshold(self):
-        out = binarize_ste(Tensor([0.2, 0.3]), threshold=0.25)
-        assert out.data.tolist() == [0.0, 1.0]
-
-    def test_straight_through_gradient_is_identity(self):
-        x = Tensor([0.2, 0.9], requires_grad=True)
-        out = binarize_ste(x) * Tensor([3.0, 5.0])
-        out.sum().backward()
-        # The step's true derivative is 0; STE passes the upstream through.
-        assert np.allclose(x.grad, [3.0, 5.0])
-
-    def test_gradient_flows_below_threshold(self):
-        """Pruned γ̂ must keep receiving gradients so they can revive."""
-        x = Tensor([0.1], requires_grad=True)
-        binarize_ste(x).sum().backward()
-        assert x.grad is not None and x.grad[0] == 1.0
 
 
 class TestDropout:
@@ -113,25 +18,6 @@ class TestDropout:
     def test_p_zero_is_identity(self):
         x = Tensor(RNG.standard_normal((4, 5)))
         assert dropout(x, 0.0, training=True) is x
-
-    def test_inverted_scaling_preserves_mean(self):
-        x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.3, training=True, rng=np.random.default_rng(0))
-        assert out.data.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_zeros_fraction(self):
-        x = Tensor(np.ones((100, 100)))
-        out = dropout(x, 0.25, training=True, rng=np.random.default_rng(0))
-        zero_fraction = (out.data == 0).mean()
-        assert zero_fraction == pytest.approx(0.25, abs=0.02)
-
-    def test_gradient_uses_same_mask(self):
-        x = Tensor(np.ones((50, 50)), requires_grad=True)
-        out = dropout(x, 0.5, training=True, rng=np.random.default_rng(3))
-        out.sum().backward()
-        # Gradient equals the scaling mask: zero where dropped, 2.0 where kept.
-        assert np.array_equal(x.grad == 0.0, out.data == 0.0)
-        assert np.allclose(x.grad[x.grad != 0], 2.0)
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):

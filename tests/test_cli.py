@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, format_front, main
+from repro.evaluation import DSEPoint
 
 
 class TestParser:
@@ -262,6 +263,31 @@ class TestSweep:
         # ...and a re-run resumes from it (same printed result, no retrain).
         assert main(argv) == 0
         assert "hw pareto front" in capsys.readouterr().out
+
+
+class TestFrontFormat:
+    def test_tied_networks_print_once_with_their_lambdas(self):
+        def point(lam, dilations, params, loss, warmup=1):
+            return DSEPoint(lam=lam, warmup_epochs=warmup,
+                            dilations=dilations, params=params, loss=loss)
+        front = [point(0.0, (1, 1), 49729, 3.90341),
+                 point(0.1, (4, 8), 22433, 11.26551),
+                 point(1.0, (4, 8), 22433, 11.26551),
+                 point(1.0, (4, 8), 22433, 11.26551, warmup=2)]
+        coords = lambda p: (p.params, round(p.loss, 4))
+        assert format_front(front, coords) == (
+            "[(49729, 3.9034), (22433, 11.2655; lambda=0.1, 1)]")
+        # Without ties the line is the plain list of coordinate tuples.
+        assert format_front(front[:2], coords) == str(
+            [coords(p) for p in front[:2]])
+
+    def test_same_coordinates_other_dilations_stay_apart(self):
+        a = DSEPoint(lam=0.1, warmup_epochs=0, dilations=(2, 4),
+                     params=100, loss=1.0)
+        b = DSEPoint(lam=1.0, warmup_epochs=0, dilations=(4, 2),
+                     params=100, loss=1.0)
+        assert format_front([a, b], lambda p: (p.params, p.loss)) == (
+            "[(100, 1.0), (100, 1.0)]")
 
 
 class TestTrain:

@@ -128,7 +128,7 @@ class TestNetworkReceptiveField:
             network_receptive_field,
             network_total_stride,
         )
-        from repro.nn import AvgPool1d, MaxPool1d, ReLU, Sequential
+        from repro.nn import AvgPool1d, ReLU, Sequential
 
         rng = np.random.default_rng(3)
         conv = lambda ci, co, k, **kw: CausalConv1d(ci, co, k, rng=rng, **kw)
@@ -137,7 +137,7 @@ class TestNetworkReceptiveField:
             Sequential(conv(2, 3, 3, stride=2), conv(3, 2, 3, dilation=2)),
             Sequential(conv(2, 3, 3, stride=2), ReLU(),
                        conv(3, 3, 3, stride=2), conv(3, 2, 2, dilation=4)),
-            Sequential(conv(2, 4, 5, dilation=2), MaxPool1d(2, 2),
+            Sequential(conv(2, 4, 5, dilation=2), AvgPool1d(2, 2),
                        conv(4, 3, 3), AvgPool1d(3, 2)),
         ]
 

@@ -127,11 +127,6 @@ class TestAccounting:
         layer.set_dilation(8)
         assert layer.kept_taps() == 2
 
-    def test_effective_kernel_size(self):
-        layer = make_layer(rf_max=9)
-        layer.set_dilation(2)
-        assert layer.effective_kernel_size() == 5
-
     def test_effective_params(self):
         layer = make_layer(rf_max=9, in_ch=3, out_ch=4)
         layer.set_dilation(4)
@@ -141,16 +136,6 @@ class TestAccounting:
         layer = PITConv1d(3, 4, rf_max=9, bias=False, rng=np.random.default_rng(0))
         layer.set_dilation(8)
         assert layer.effective_params() == 2 * 3 * 4
-
-    def test_effective_macs(self):
-        layer = make_layer(rf_max=9, in_ch=3, out_ch=4)
-        layer.set_dilation(4)
-        assert layer.effective_macs(t_out=10) == 3 * 3 * 4 * 10
-
-    def test_effective_macs_uses_traced_length(self):
-        layer = make_layer()
-        layer(Tensor(RNG.standard_normal((1, 3, 7))))
-        assert layer.effective_macs() == 9 * 3 * 4 * 7
 
     def test_repr_shows_dilation(self):
         layer = make_layer()

@@ -8,9 +8,10 @@ TCN seeds, the RNN baselines, and the full three-phase PIT trainer.
 Also covers the executor's operational behaviour: per-shape and per-dtype
 re-tracing, the permanent eager fallback for value-dependent
 (capture-unsafe) models, side effects replayed in program order (BatchNorm
-running statistics), whole training epochs (Adam state, gradient clipping,
-early stopping, the stacked trainer), the diagnostics a trainer reports,
-and what a program and a replay keep alive.
+running statistics, an effect fed by a node no loss reads), a frozen PIT
+mask's constant subgraph, whole training epochs (Adam state, early
+stopping, the stacked trainer), the diagnostics a trainer reports, and what
+a program and a replay keep alive.
 """
 
 import copy
@@ -24,7 +25,9 @@ import pytest
 from repro.autograd import (
     CompiledStep,
     EagerStep,
+    Tensor,
     get_default_dtype,
+    record_side_effect,
     set_default_dtype,
 )
 from repro.core import PITTrainer, network_dilations, size_regularizer
@@ -238,6 +241,61 @@ class TestPITTrainerParity:
 
 
 # ----------------------------------------------------------------------
+# Program parts a verbatim replay must neither drop nor reorder
+# ----------------------------------------------------------------------
+
+class TestReplayKeepsProgram:
+    def test_effect_of_unread_node_fires_each_replay(self):
+        """``mean`` feeds no output, only the effect: every replay must
+        still compute it and fire the effect, in call order."""
+        w = Tensor(np.ones(3), requires_grad=True)
+        seen = []
+
+        def step_fn(x, y):
+            mean = x.mean()
+            record_side_effect((mean,), lambda m: seen.append(float(m)))
+            return (x * w).sum()
+
+        step = CompiledStep(step_fn)
+        for value in (1.0, 2.0, 3.0):
+            step(np.full(3, value), np.zeros(3))
+        assert step.fallback_reason is None, step.fallback_reason
+        assert len(step.compiled_shapes) == 1
+        assert seen == [1.0, 2.0, 3.0]
+
+    def test_frozen_pit_mask_replay_matches_eager(self):
+        """Phase 3: a frozen mask makes the whole mask product constant.
+        The replayed program must give eager's losses and gradients."""
+        def make_model():
+            rng = np.random.default_rng(0)
+            model = Sequential(PITConv1d(2, 3, rf_max=9, rng=rng),
+                               GlobalAvgPool1d(), Linear(3, 1, rng=rng))
+            model[0].freeze()
+            return model
+
+        runs = {}
+        for compiled in (False, True):
+            model = make_model()
+            step = training_step(compiled, model, mse_loss)
+            trace = []
+            for x, y in batches_of((2, 2, 16), (2, 1), seed=1):
+                model.zero_grad()
+                loss = step(x, y)
+                grads = [np.array(p.grad) for p in model.parameters()
+                         if p.grad is not None]
+                trace.append((loss, grads))
+            runs[compiled] = (trace, step)
+        (eager, _), (compiled, step) = runs[False], runs[True]
+        assert step.fallback_reason is None, step.fallback_reason
+        assert step.compiled_shapes
+        for (loss_a, grads_a), (loss_b, grads_b) in zip(eager, compiled):
+            assert loss_a == loss_b
+            assert len(grads_a) == len(grads_b) > 0
+            for ga, gb in zip(grads_a, grads_b):
+                assert np.array_equal(ga, gb)
+
+
+# ----------------------------------------------------------------------
 # Shape changes and capture-unsafe fallbacks
 # ----------------------------------------------------------------------
 
@@ -326,7 +384,7 @@ class TestFallbacks:
 
 
 # ----------------------------------------------------------------------
-# Whole epochs: optimizer state, clipping, early stopping, stacking
+# Whole epochs: optimizer state, early stopping, stacking
 # ----------------------------------------------------------------------
 
 def small_net(seed=5):
@@ -414,8 +472,8 @@ class TestEpochParity:
             assert_same_state(m_eager, m_comp, ctx)
 
     def test_stacked_trainer_matches_eager(self, eager_steps):
-        """The compiled stacked trainer (BatchNorm, dropout streams, stacked
-        clipping, the ``active`` mask) is bit-identical to the eager one."""
+        """The compiled stacked trainer (BatchNorm, dropout streams, the
+        ``active`` mask) is bit-identical to the eager one."""
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 2, 12))
         y = (x[:, :1, :] * 0.5 + 0.3 * rng.standard_normal((20, 1, 12)))

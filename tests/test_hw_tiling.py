@@ -10,7 +10,7 @@ L1 = 64 * 1024
 class TestFindTiling:
     def test_small_layer_untiled(self):
         tile = find_tiling(c_in=4, c_out=8, k=3, dilation=1, t_out=32)
-        assert tile.is_untiled
+        assert tile.num_tiles == 1
         assert tile.weights_resident
         assert tile.channels == 8
         assert tile.time == 32
@@ -18,7 +18,7 @@ class TestFindTiling:
     def test_large_layer_gets_tiled(self):
         # 150x150x33 int8 weights = 742 kB >> 64 kB.
         tile = find_tiling(c_in=150, c_out=150, k=33, dilation=1, t_out=128)
-        assert not tile.is_untiled
+        assert tile.num_tiles > 1
         assert tile.channels < 150
 
     def test_tile_fits_l1(self):
@@ -43,7 +43,7 @@ class TestFindTiling:
 
     def test_custom_l1_budget(self):
         generous = find_tiling(150, 150, 33, 1, 128, l1_bytes=10 * 1024 * 1024)
-        assert generous.is_untiled
+        assert generous.num_tiles == 1
 
     def test_halo_accounted(self):
         """Higher dilation inflates the input halo, shrinking the tile."""

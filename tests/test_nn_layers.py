@@ -13,10 +13,7 @@ from repro.nn import (
     GlobalAvgPool1d,
     Identity,
     Linear,
-    MaxPool1d,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
 
 RNG = np.random.default_rng(21)
@@ -133,13 +130,6 @@ class TestActivationsAndUtility:
     def test_relu(self):
         assert np.allclose(ReLU()(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
 
-    def test_sigmoid_range(self):
-        out = Sigmoid()(Tensor(RNG.standard_normal(100) * 10))
-        assert np.all((out.data > 0) & (out.data < 1))
-
-    def test_tanh(self):
-        assert np.allclose(Tanh()(Tensor([0.0])).data, [0.0])
-
     def test_identity(self):
         x = Tensor([1.0])
         assert Identity()(x) is x
@@ -157,10 +147,6 @@ class TestActivationsAndUtility:
     def test_avg_pool_module(self):
         out = AvgPool1d(2)(Tensor(np.arange(8, dtype=float).reshape(1, 1, 8)))
         assert out.shape == (1, 1, 4)
-
-    def test_max_pool_module(self):
-        out = MaxPool1d(2)(Tensor(np.arange(8, dtype=float).reshape(1, 1, 8)))
-        assert out.data.reshape(-1).tolist() == [1, 3, 5, 7]
 
     def test_global_avg_pool_module(self):
         out = GlobalAvgPool1d()(Tensor(np.ones((2, 3, 7))))

@@ -6,7 +6,6 @@ import pytest
 from repro.autograd import Tensor, check_gradients
 from repro.nn import (
     bce_with_logits,
-    huber_loss,
     mae_loss,
     mse_loss,
     polyphonic_nll,
@@ -81,20 +80,7 @@ class TestRegressionLosses:
         out = mse_loss(Tensor([1.0, 3.0]), Tensor([2.0, 1.0]))
         assert out.item() == pytest.approx((1 + 4) / 2)
 
-    def test_huber_quadratic_region(self):
-        out = huber_loss(Tensor([0.5]), Tensor([0.0]), delta=1.0)
-        assert out.item() == pytest.approx(0.125)
-
-    def test_huber_linear_region(self):
-        out = huber_loss(Tensor([3.0]), Tensor([0.0]), delta=1.0)
-        assert out.item() == pytest.approx(3.0 - 0.5)
-
-    def test_huber_continuous_at_delta(self):
-        just_below = huber_loss(Tensor([0.999]), Tensor([0.0])).item()
-        just_above = huber_loss(Tensor([1.001]), Tensor([0.0])).item()
-        assert abs(just_below - just_above) < 1e-2
-
-    @pytest.mark.parametrize("loss", [mae_loss, mse_loss, huber_loss])
+    @pytest.mark.parametrize("loss", [mae_loss, mse_loss])
     def test_gradcheck(self, loss):
         pred = Tensor(RNG.standard_normal(6) * 2, requires_grad=True)
         target = Tensor(RNG.standard_normal(6))

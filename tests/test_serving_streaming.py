@@ -33,7 +33,6 @@ from repro.nn import (
     Flatten,
     GlobalAvgPool1d,
     Linear,
-    MaxPool1d,
     Module,
     ReLU,
     Sequential,
@@ -77,7 +76,7 @@ def make_net(topology, seed=0):
                          conv(4, 3, 2, stride=2))
     elif topology == "pooled":
         net = Sequential(conv(2, 6, 5, dilation=2), ReLU(),
-                         MaxPool1d(2, 2),
+                         AvgPool1d(2, 2),
                          conv(6, 4, 3), _bn(4, rng),
                          AvgPool1d(3, 2))
     else:
@@ -220,7 +219,7 @@ class TestWindowHeads:
     def test_flatten_head(self):
         rng = np.random.default_rng(9)
         net = Sequential(CausalConv1d(2, 3, 3, rng=rng), ReLU(),
-                         MaxPool1d(2, 2), Flatten(),
+                         AvgPool1d(2, 2), Flatten(),
                          Linear(3 * 4, 4, rng=rng)).eval()
         executor = StreamingExecutor(net, input_length=8)
         assert executor.warmup_ticks == 8
