@@ -12,10 +12,10 @@ once and replays it as a flat schedule:
 * :class:`CompiledStep` — the replay executor: per-shape program cache,
   verbatim replay through the same ``OpDef.fwd``/``OpDef.bwd`` kernels
   eager dispatch calls, no arrays kept between steps, bit-identical
-  results, automatic eager fallback for anything value-dependent.
+  results; a step it cannot replay raises :class:`GraphCaptureError`.
 
 Every trainer runs its steps through :class:`CompiledStep`; there is no
-knob.  :class:`EagerStep` is its fallback and the tests' reference.
+knob and no eager tier.  :class:`EagerStep` is the tests' reference.
 """
 
 from .capture import GraphCapture, capture

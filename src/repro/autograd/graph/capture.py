@@ -6,17 +6,16 @@ point, records every op into :class:`~repro.autograd.graph.ir.OpNode`
 entries.  The traced execution is a fully valid training step (its loss and
 gradients are used), so capture costs one eager step, nothing more.
 
-A capture can be *poisoned* by code that declares itself value-dependent via
-:func:`repro.autograd.tensor.mark_capture_unsafe` (sampled supernet paths,
-data-dependent gathers, rescue branches).  A poisoned capture produces no
-program; the executor then permanently falls back to eager execution, which
-is always correct.
+Code that declares itself value-dependent via
+:func:`repro.autograd.tensor.mark_capture_unsafe` (a supernet path sampled
+per batch) cannot be captured: it raises :class:`GraphCaptureError` while a
+capture is active.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..tensor import Tensor, pop_tracer, push_tracer
 from .ir import EffectNode, GraphCaptureError, OpNode
@@ -37,7 +36,6 @@ class GraphCapture:
         self.slot_of: Dict[int, int] = {}    # id(tensor) -> slot
         self.records: List = []              # OpNode | EffectNode, program order
         self.input_slots: List[int] = []
-        self.failure: Optional[str] = None
 
     # ------------------------------------------------------------------
     def _slot(self, t: Tensor) -> int:
@@ -54,28 +52,19 @@ class GraphCapture:
 
     # -- tracer protocol (called from repro.autograd.tensor) -------------
     def record(self, op, inputs: Tuple[Tensor, ...], out: Tensor, attrs) -> None:
-        if self.failure is not None:
-            return
         in_slots = tuple(self._slot(t) for t in inputs)
         self.records.append(OpNode(op, in_slots, self._slot(out), attrs))
 
     def record_effect(self, inputs: Tuple[Tensor, ...], fn) -> None:
-        if self.failure is not None:
-            return
         self.records.append(EffectNode(fn, tuple(self._slot(t) for t in inputs)))
-
-    def poison(self, reason: str) -> None:
-        """Mark the capture unusable (first reason wins)."""
-        if self.failure is None:
-            self.failure = reason
 
 
 @contextlib.contextmanager
 def capture():
     """Install a fresh :class:`GraphCapture` for the calling thread.
 
-    The traced code runs eagerly as usual; on exit the tracer is removed
-    whether or not the capture succeeded.
+    The traced code runs eagerly as usual; on exit the tracer is removed,
+    also when the traced code raised.
     """
     tracer = GraphCapture()
     push_tracer(tracer)

@@ -20,21 +20,21 @@ to eager mode; ``tests/test_graph_executor.py`` locks this.
 
 Shape changes (e.g. a short final batch) transparently re-trace: programs
 are cached per ``(x.shape, y.shape, default dtype)``, so each distinct
-signature pays one eager step and replays thereafter.  Captures that fail
-— value-dependent control flow announced via ``mark_capture_unsafe`` —
-poison the step permanently and it runs eagerly, which is always correct;
-see :attr:`CompiledStep.fallback_reason`.
+signature pays one eager step and replays thereafter.  A step that cannot
+be replayed — value-dependent code announced via ``mark_capture_unsafe``,
+or a trace that is not self-contained — raises
+:class:`~repro.autograd.graph.ir.GraphCaptureError` on its first call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
 from ..tensor import Tensor, get_default_dtype
 from .capture import capture
-from .ir import GraphCaptureError, GraphProgram, OpNode, build_program
+from .ir import GraphProgram, OpNode, build_program
 
 __all__ = ["CompiledStep", "EagerStep"]
 
@@ -49,8 +49,7 @@ class EagerStep:
     ``step(x, y)`` builds input tensors, runs the step function, calls
     ``backward()`` on its first output (leaving ``.grad`` populated), and
     returns the outputs as floats/arrays — the exact contract of
-    :class:`CompiledStep`.  It is that step's fallback for captures that
-    cannot be replayed, and the reference its replay is tested against.
+    :class:`CompiledStep`, whose replay the tests hold to it.
     """
 
     def __init__(self, step_fn: Callable):
@@ -157,10 +156,10 @@ class CompiledStep:
     step_fn:
         ``step_fn(x, y) -> Tensor | tuple`` building loss (first output)
         from input tensors.  It must construct its graph from module
-        parameters, inline constants and the given inputs only; anything
-        value-dependent must call
-        :func:`repro.autograd.mark_capture_unsafe`, which turns this step
-        into a permanent (correct) eager fallback.
+        parameters, inline constants and the given inputs only, and compute
+        every value-dependent decision inside a recorded op; code that
+        cannot calls :func:`repro.autograd.mark_capture_unsafe`, and the
+        first call raises :class:`GraphCaptureError`.
 
     Calls return the step outputs as floats (scalars) / arrays, with
     parameter ``.grad`` populated — the same contract as
@@ -170,8 +169,6 @@ class CompiledStep:
     def __init__(self, step_fn: Callable):
         self.step_fn = step_fn
         self._runners: Dict[Tuple, _ProgramRunner] = {}
-        self._eager = EagerStep(step_fn)  # fallback path, built once
-        self.fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     @property
@@ -179,19 +176,7 @@ class CompiledStep:
         """Input-shape keys with a compiled program (introspection/tests)."""
         return tuple(self._runners)
 
-    def diagnostics(self) -> Dict[str, object]:
-        """One JSON-able report of what compilation did (CLI ``--verbose``):
-        the eager-fallback reason and the ``(x, y)`` shapes with a
-        compiled program."""
-        return {
-            "fallback_reason": self.fallback_reason,
-            "compiled_shapes": [[list(x_shape), list(y_shape)]
-                                for x_shape, y_shape, _ in self._runners],
-        }
-
     def __call__(self, x, y) -> Tuple:
-        if self.fallback_reason is not None:
-            return self._eager(x, y)
         x = np.asarray(x)
         y = np.asarray(y)
         # Programs are cached per (shapes, dtype): a short final batch
@@ -204,11 +189,10 @@ class CompiledStep:
 
     # ------------------------------------------------------------------
     def _trace(self, x: np.ndarray, y: np.ndarray) -> Tuple:
-        """Run one step eagerly under capture; freeze it if possible.
+        """Run one step eagerly under capture and freeze it.
 
         The traced execution is itself a valid step (real loss, real
-        gradients), so tracing never wastes a batch — and a failed capture
-        simply leaves its eager results as the step's results.
+        gradients), so tracing never wastes a batch.
         """
         with capture() as tracer:
             tx, ty = Tensor(x), Tensor(y)
@@ -217,15 +201,7 @@ class CompiledStep:
             outs = self.step_fn(tx, ty)
             outs = outs if isinstance(outs, tuple) else (outs,)
             outs[0].backward()
-        values = tuple(_scalarize(o.data) for o in outs)
-        if tracer.failure is not None:
-            self.fallback_reason = tracer.failure
-            return values
-        try:
-            program = build_program(tracer, outs[0], outs)
-        except GraphCaptureError as exc:
-            self.fallback_reason = str(exc)
-            return values
+        program = build_program(tracer, outs[0], outs)
         key = (x.shape, y.shape, get_default_dtype())
         self._runners[key] = _ProgramRunner(program)
-        return values
+        return tuple(_scalarize(o.data) for o in outs)

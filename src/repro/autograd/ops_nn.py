@@ -23,6 +23,7 @@ from .tensor import OpDef, Tensor, apply_op
 __all__ = [
     "softmax",
     "binarize_ste",
+    "binary_mask",
     "dropout",
     "dropout_stacked",
 ]
@@ -49,9 +50,19 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return apply_op(_SOFTMAX, (x,), {"axis": axis})
 
 
+def binary_mask(x: np.ndarray, threshold: float,
+                min_keep: int = 0) -> np.ndarray:
+    """``x >= threshold`` as 0/1 in ``x``'s dtype; when fewer than
+    ``min_keep`` entries pass, the ``min_keep`` largest entries are set
+    to 1 as well."""
+    mask = (x >= threshold).astype(x.dtype)
+    if min_keep and mask.sum() < min_keep:
+        mask[np.argsort(x)[-min_keep:]] = 1.0
+    return mask
+
+
 def _binarize_fwd(ins, attrs):
-    x = ins[0]
-    return (x >= attrs["threshold"]).astype(x.dtype), None
+    return binary_mask(ins[0], attrs["threshold"], attrs["min_keep"]), None
 
 
 def _binarize_bwd(g, ins, out, ctx, attrs, needs):
@@ -61,18 +72,25 @@ def _binarize_bwd(g, ins, out, ctx, attrs, needs):
 _BINARIZE = OpDef("binarize_ste", _binarize_fwd, _binarize_bwd)
 
 
-def binarize_ste(x: Tensor, threshold: float = 0.5) -> Tensor:
+def binarize_ste(x: Tensor, threshold: float = 0.5,
+                 min_keep: int = 0) -> Tensor:
     """Heaviside step with a straight-through estimator (paper Eq. 2).
 
     Forward::
 
         H(x - threshold) = 1 if x >= threshold else 0
 
+    and, when fewer than ``min_keep`` entries are 1, the ``min_keep``
+    largest entries of ``x`` are 1 too (the channel masks' rescue that
+    keeps a layer connected).  The rescue is part of the op, so a replayed
+    step recomputes it from the current values.
+
     Backward: the step's true derivative is zero almost everywhere, so —
     following BinaryConnect [19] — the gradient passes through unchanged
     (identity), letting the float "shadow" parameters γ̂ keep learning.
     """
-    return apply_op(_BINARIZE, (x,), {"threshold": threshold})
+    return apply_op(_BINARIZE, (x,),
+                    {"threshold": threshold, "min_keep": min_keep})
 
 
 def _dropout_fwd(ins, attrs):

@@ -267,16 +267,16 @@ def record_side_effect(inputs: Sequence["Tensor"], fn: Callable) -> None:
 
 
 def mark_capture_unsafe(reason: str) -> None:
-    """Poison the active graph capture (no-op when not tracing).
+    """Refuse the active graph capture (no-op when not tracing).
 
-    Called by code whose behaviour depends on tensor *values* — sampled
-    supernet paths, label-indexed gathers, rescue branches — which a static
-    replay cannot reproduce.  The executor then falls back to eager
-    execution instead of silently replaying a stale decision.
+    Called by code whose behaviour depends on tensor *values* in a way no
+    recorded op recomputes — e.g. a supernet path sampled per batch — and
+    which a static replay would therefore silently freeze.  Raises
+    :class:`repro.autograd.graph.GraphCaptureError` naming ``reason``.
     """
-    tracer = getattr(_TRACE_STATE, "tracer", None)
-    if tracer is not None:
-        tracer.poison(reason)
+    if getattr(_TRACE_STATE, "tracer", None) is not None:
+        from .graph.ir import GraphCaptureError
+        raise GraphCaptureError(reason)
 
 
 def push_tracer(tracer) -> None:

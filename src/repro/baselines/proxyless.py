@@ -100,7 +100,8 @@ class ProxylessDilatedConv1d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         # Path choice is sampled per batch: a replayed static graph would
-        # train only the trace-time branch, so supernet steps stay eager.
+        # train only the trace-time branch, so a supernet step refuses
+        # capture (ProxylessTrainer runs its epochs eagerly).
         mark_capture_unsafe("ProxylessNAS samples a supernet path per batch")
         if self._sample_paths and self.training:
             probs = self.probabilities()

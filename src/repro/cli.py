@@ -34,9 +34,7 @@ not fit the network.
 
 The training commands (``train``, ``search``, ``sweep``) trace each
 training step once and replay it verbatim through the graph-capture
-executor (see README "Compiled training step").  ``--verbose`` on
-``train`` and ``search`` prints the compile diagnostics (the
-eager-fallback reason, or the input shapes with a compiled program).
+executor (see README "Compiled training step").
 
 ``sweep`` additionally exposes the DSE engine knobs: ``--workers N``
 trains the grid in N worker processes (each caps its BLAS threads at its
@@ -50,8 +48,7 @@ sweeps resume where they left off.  Stack width never enters cache keys:
 stacked and sequential sweeps share entries.
 
 The training commands also accept ``--checkpoint-dir PATH`` and
-``--checkpoint-every N`` (environment equivalents ``REPRO_CKPT_DIR`` /
-``REPRO_CKPT_EVERY``): mid-run trainer checkpoints snapshot the complete
+``--checkpoint-every N``: mid-run trainer checkpoints snapshot the complete
 training state at epoch boundaries, so a run killed by a crash, timeout
 or preemption can continue from its last finished epoch with bit-exact
 results (see README "Checkpointing & resume").  ``train`` and ``search``
@@ -143,33 +140,11 @@ def _fixed_model(benchmark: str, dilations, width: float, seed: int):
 
 
 def _checkpoint_args(args: argparse.Namespace) -> dict:
-    """The mid-run checkpoint knobs of this invocation as trainer kwargs.
-
-    Absent flags defer to the ``REPRO_CKPT_*`` environment, so a cluster
-    job can set the directory once for every command it launches.
-    """
-    from .core.checkpoint import checkpoint_dir_default
-    directory = getattr(args, "checkpoint_dir", None)
-    if directory is None:
-        directory = checkpoint_dir_default()
-    out = dict(checkpoint_dir=directory,
-               checkpoint_every=getattr(args, "checkpoint_every", None))
-    if hasattr(args, "resume"):
-        out["checkpoint_resume"] = bool(args.resume)
-    return out
-
-
-def _print_compile_stats(stats, phase: Optional[str] = None) -> None:
-    """Render one CompiledStep.diagnostics() dict (cli --verbose); a phase
-    that trained no epoch in this invocation has none."""
-    if stats is None:
-        return
-    prefix = f"[compile{':' + phase if phase else ''}]"
-    if stats["fallback_reason"]:
-        print(f"{prefix} eager fallback: {stats['fallback_reason']}")
-        return
-    for x_shape, y_shape in stats["compiled_shapes"]:
-        print(f"{prefix} replaying x={tuple(x_shape)} y={tuple(y_shape)}")
+    """The mid-run checkpoint flags of ``train``/``search`` as trainer
+    kwargs."""
+    return dict(checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every=args.checkpoint_every,
+                checkpoint_resume=args.resume)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -191,8 +166,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"val loss  : {result.best_val:.4f}")
     print(f"test loss : {test_loss:.4f}")
     print(f"time      : {result.seconds:.1f} s")
-    if args.verbose:
-        _print_compile_stats(result.compile_stats)
     if args.save:
         from .nn.serialization import save_model
         save_model(model, args.save, metadata={
@@ -221,9 +194,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     print(f"val loss  : {result.best_val:.4f}")
     print(f"params    : {result.effective_params}")
     print(f"time      : {result.total_seconds:.1f} s")
-    if args.verbose:
-        for phase in ("warmup", "prune", "finetune"):
-            _print_compile_stats(result.compile_stats.get(phase), phase=phase)
     if args.save:
         from .nn.serialization import save_model
         save_model(model, args.save, metadata={
@@ -263,8 +233,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cache_tag=f"{args.benchmark}|width={args.width}|seed={args.seed}",
         stack=args.stack, point_evaluators=evaluators,
         retries=args.retries, point_timeout=args.point_timeout,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_every=getattr(args, "checkpoint_every", None))
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every)
     result = engine.run(args.lambdas, warmups=tuple(args.warmups))
     header = f"{'lambda':>10s} {'warmup':>6s} {'params':>8s} {'loss':>9s}"
     if args.hw:
@@ -461,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max pruning epochs")
         p.add_argument("--finetune", type=_COUNT, default=4)
         p.add_argument("--patience", type=_AT_LEAST_ONE, default=4)
-        verbose_flag(p)
 
     def checkpoint_flags(p, resumable=False):
         p.add_argument("--checkpoint-dir", type=str, default=None,
@@ -469,12 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write mid-run trainer checkpoints (complete "
                             "training state at every epoch boundary) into "
                             "this directory, so a killed run can continue "
-                            "bit-exactly (default: REPRO_CKPT_DIR; unset = "
-                            "no checkpointing)")
-        p.add_argument("--checkpoint-every", type=_AT_LEAST_ONE, default=None,
+                            "bit-exactly (default: no checkpointing)")
+        p.add_argument("--checkpoint-every", type=_AT_LEAST_ONE, default=1,
                        dest="checkpoint_every", metavar="N",
-                       help="snapshot every Nth epoch boundary (default: "
-                            "REPRO_CKPT_EVERY or 1)")
+                       help="snapshot every Nth epoch boundary "
+                            "(default: 1)")
         if resumable:
             p.add_argument("--resume", action="store_true",
                            help="continue from the checkpoint in "
@@ -482,15 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "over; results are bit-identical to the "
                                 "uninterrupted run")
 
-    def verbose_flag(p):
-        p.add_argument("--verbose", action="store_true",
-                       help="print compile diagnostics after training: "
-                            "eager-fallback reason or replayed shapes")
-
     p_train = sub.add_parser(
         "train", help="plain (no-NAS) training of a fixed-dilation network")
     common(p_train)
-    verbose_flag(p_train)
     p_train.add_argument("--dilations", type=_AT_LEAST_ONE, nargs="+",
                          default=None,
                          help="per-layer dilations (default: all 1)")

@@ -30,8 +30,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..autograd import (Tensor, binarize_ste, conv1d_causal_masked,
-                        mark_capture_unsafe)
+from ..autograd import Tensor, apply_op, binarize_ste, conv1d_causal_masked
+from ..autograd.ops_nn import binary_mask
+from ..autograd.tensor import _SUM
 from ..nn import init
 from ..nn.module import Module, Parameter
 from .masks import TimeMask, kept_lags
@@ -49,9 +50,11 @@ class ChannelMask(Module):
     """Trainable on/off gate per output channel (MorphNet-style γ).
 
     Forward returns a ``(channels,)`` 0/1 tensor with straight-through
-    gradients into the float shadow parameters γ̂ᶜ.  If binarization would
-    kill every channel, the ``min_channels`` highest-γ̂ channels are kept
-    alive — a projection that keeps the network connected.
+    gradients into the float shadow parameters γ̂ᶜ.  If fewer than
+    ``min_channels`` channels pass the threshold, the ``min_channels``
+    highest-γ̂ channels are kept alive — a projection that keeps the
+    network connected, computed inside the ``binarize_ste`` op so a
+    replayed step decides it from the current γ̂.
     """
 
     def __init__(self, channels: int, threshold: float = 0.5,
@@ -70,30 +73,16 @@ class ChannelMask(Module):
         self.frozen = False
 
     def forward(self) -> Tensor:
-        # The min-channels rescue below branches on the current γ̂ values,
-        # which a replayed static graph would freeze at their trace-time
-        # state — so channel-masked steps always train eagerly.
-        mark_capture_unsafe("ChannelMask's min-channels rescue is value-dependent")
         if self.frozen:
             return Tensor(self.frozen_mask)
-        mask = binarize_ste(self.gamma_hat, self.threshold)
-        if mask.data.sum() < self.min_channels:
-            # Keep the top-γ̂ channels alive; the STE path is preserved for
-            # the surviving entries through an additive constant rescue.
-            rescue = np.zeros(self.channels)
-            top = np.argsort(self.gamma_hat.data)[-self.min_channels:]
-            rescue[top] = 1.0
-            mask = mask + Tensor(np.maximum(rescue - mask.data, 0.0))
-        return mask
+        return binarize_ste(self.gamma_hat, self.threshold,
+                            min_keep=self.min_channels)
 
     def current_mask(self) -> np.ndarray:
         if self.frozen and self.frozen_mask.size:
             return self.frozen_mask.copy()
-        mask = (self.gamma_hat.data >= self.threshold).astype(np.float64)
-        if mask.sum() < self.min_channels:
-            top = np.argsort(self.gamma_hat.data)[-self.min_channels:]
-            mask[top] = 1.0
-        return mask
+        return binary_mask(self.gamma_hat.data, self.threshold,
+                           self.min_channels).astype(np.float64, copy=False)
 
     def alive_channels(self) -> int:
         return int(self.current_mask().sum())
@@ -191,14 +180,19 @@ def channel_regularizer(model: Module, lam: float) -> Tensor:
     """MorphNet-style Lasso on the channel γ̂ᶜ of every combined layer.
 
     Each channel's coefficient is its parameter cost ``C_in * kept_taps``
-    (analogous to Eq. 6's size weighting, but along the width axis).
+    (analogous to Eq. 6's size weighting, but along the width axis).  The
+    kept taps are summed from the time mask inside the graph, detached, so
+    a replayed step recomputes the weight as the time mask moves and no
+    gradient flows through it.
     """
     terms = []
     for layer in channel_layers(model):
         mask = layer.channel_mask
         if mask.frozen:
             continue
-        cost = float(layer.in_channels * layer.kept_taps())
+        kept_taps = apply_op(_SUM, (layer.time_mask(),),
+                             {"axis": None, "keepdims": False}, detach=True)
+        cost = kept_taps * layer.in_channels
         terms.append(mask.gamma_hat.abs().sum() * cost)
     if not terms:
         return Tensor(np.zeros(()))

@@ -12,7 +12,9 @@ snapshots the *complete* training state at epoch boundaries:
 * every RNG stream that advances during training (dropout modules, the
   shuffling loaders), serialized through ``bit_generator.state``,
 * early-stop state (best metric, stale counter, ``best_state`` snapshot),
-* the current phase, epoch-in-phase and global epoch.
+* the current phase, epoch-in-phase and global epoch,
+* the default dtype the run trains in: a file written at another dtype
+  warns and starts fresh.
 
 A run killed at any epoch boundary and resumed from its checkpoint is
 **bit-identical** — losses, params, full Adam state — to the uninterrupted
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,14 +46,14 @@ from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
+from ..autograd import get_default_dtype
 from ..nn.serialization import (CheckpointError, load_state,
                                  quarantine_file, save_state)
 from ..testing import faults
 
 __all__ = [
-    "ENV_CKPT_DIR", "ENV_CKPT_EVERY", "FORMAT_VERSION",
+    "FORMAT_VERSION",
     "CheckpointError", "CheckpointState", "TrainerCheckpoint",
-    "checkpoint_dir_default", "checkpoint_every_default",
     "checkpoint_file", "key_tag",
     "encode_rng", "decode_rng", "restore_rng",
     "module_rng_map", "loader_rng_map", "capture_rngs", "restore_rngs",
@@ -61,36 +63,10 @@ __all__ = [
     "split_group",
 ]
 
-#: default checkpoint directory (sweep-wide / CLI-wide)
-ENV_CKPT_DIR = "REPRO_CKPT_DIR"
-#: default checkpoint cadence in epochs
-ENV_CKPT_EVERY = "REPRO_CKPT_EVERY"
-
 #: bump when the archive layout changes; older formats are quarantined,
-#: not migrated — a checkpoint is a cache of epochs, never the only copy
-FORMAT_VERSION = 2
-
-
-def checkpoint_dir_default() -> Optional[str]:
-    """``REPRO_CKPT_DIR`` or None (checkpointing off)."""
-    value = os.environ.get(ENV_CKPT_DIR, "").strip()
-    return value or None
-
-
-def checkpoint_every_default() -> int:
-    """``REPRO_CKPT_EVERY`` or 1: checkpoint every epoch.  A value that is
-    not an integer >= 1 raises ValueError naming the variable."""
-    value = os.environ.get(ENV_CKPT_EVERY, "").strip()
-    if not value:
-        return 1
-    try:
-        every = int(value)
-    except ValueError:
-        every = 0
-    if every < 1:
-        raise ValueError(
-            f"{ENV_CKPT_EVERY} must be an integer >= 1, got {value!r}")
-    return every
+#: not migrated — a checkpoint is a cache of epochs, never the only copy.
+#: Format 3 records the default dtype the run trained in.
+FORMAT_VERSION = 3
 
 
 def key_tag(key: str) -> str:
@@ -384,8 +360,7 @@ class TrainerCheckpoint:
         if not directory:
             return None
         return cls(checkpoint_file(directory, tag),
-                   every=checkpoint_every_default() if every is None
-                   else every, resume=resume)
+                   every=1 if every is None else every, resume=resume)
 
     def due(self, global_epoch: int) -> bool:
         return int(global_epoch) % self.every == 0
@@ -399,13 +374,15 @@ class TrainerCheckpoint:
         """
         meta = json.loads(json.dumps(meta))
         meta["format"] = FORMAT_VERSION
+        meta["dtype"] = np.dtype(get_default_dtype()).name
         meta["checksum"] = _checksum(arrays, meta)
         save_state(dict(arrays), self.path, metadata=meta)
         faults.corrupt_checkpoint_file(str(self.path))
 
     def load(self) -> Optional[CheckpointState]:
         """The latest valid snapshot, or None (no file / resume off /
-        quarantined-corrupt — training then restarts from scratch)."""
+        quarantined-corrupt / written at another dtype — training then
+        restarts from scratch)."""
         if not self.resume:
             return None
         try:
@@ -426,6 +403,15 @@ class TrainerCheckpoint:
         claimed = expected.pop("checksum", None)
         if claimed != _checksum(arrays, expected):
             self._quarantine("checksum mismatch")
+            return None
+        dtype = np.dtype(get_default_dtype()).name
+        if meta.get("dtype") != dtype:
+            # A valid file of another precision: resuming would mix the
+            # two runs' arithmetic, so start fresh (the next save
+            # overwrites it).
+            warnings.warn(f"checkpoint {str(self.path)!r} was written in "
+                          f"{meta.get('dtype')}, this run trains in "
+                          f"{dtype}; starting fresh", stacklevel=2)
             return None
         return CheckpointState(arrays=arrays, meta=meta)
 

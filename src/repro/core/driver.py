@@ -12,12 +12,11 @@ views (:class:`repro.core.stacked.StackLanes`).
 The driver alone owns what every schedule repeats: the optimizer, the
 per-batch ``zero_grad → step → Adam.step`` loop, the non-finite
 guards, per-lane early stopping, checkpoint load / adopt / save with the
-``crash@epoch`` fault site, and the phase seconds, histories and
-``compile_stats``.  A lane that stops early is masked out (``active``),
-keeps its stop-epoch snapshot and gets it back at the phase end; its
-checkpoint file stores that snapshot, so every lane file holds exactly
-the state its sequential run would — a one-lane run adopts any lane's
-file of a stack.
+``crash@epoch`` fault site, and the phase seconds and histories.  A lane
+that stops early is masked out (``active``), keeps its stop-epoch
+snapshot and gets it back at the phase end; its checkpoint file stores
+that snapshot, so every lane file holds exactly the state its sequential
+run would — a one-lane run adopts any lane's file of a stack.
 """
 
 from __future__ import annotations
@@ -149,12 +148,11 @@ class Outcome:
     """What a schedule produced: per lane ``histories``, epochs run per
     phase (``ran[phase][lane]``) and ``best`` (the last phase's best
     validation loss, else one evaluation); shared wall-clock ``seconds``
-    and ``compile_stats`` per phase, and the global epochs resumed past."""
+    per phase, and the global epochs resumed past."""
     histories: List[Dict[str, List[float]]]
     ran: Dict[str, List[int]]
     best: List[float]
     seconds: Dict[str, float] = field(default_factory=dict)
-    compile_stats: Dict[str, Dict] = field(default_factory=dict)
     resumed_epochs: int = 0
 
 
@@ -392,7 +390,6 @@ def run_phases(lanes, phases: Sequence[Phase], *, kind: str,
             elif snapshots[i] is not None:
                 lanes.load_state(i, snapshots[i])
         active[...] = 1.0
-        out.compile_stats[phase.name] = step.diagnostics()
         out.seconds[phase.name] = base + (time.perf_counter() - t0)
         on_phase_end(phase.name, out)
 

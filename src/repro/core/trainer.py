@@ -51,10 +51,6 @@ __all__ = ["PITResult", "PITTrainer", "train_plain", "evaluate",
 class TrainResult:
     """Outcome of a plain (no-NAS) training run.
 
-    ``compile_stats`` holds :meth:`CompiledStep.diagnostics` for the run's
-    step (its eager-fallback reason and replayed shapes; None when no
-    epoch trained) — a plain dict so results stay picklable across DSE
-    worker processes.
     ``resumed_epochs`` counts the epochs this run *skipped* by resuming a
     mid-run checkpoint (0 for an uninterrupted run).
     """
@@ -62,7 +58,6 @@ class TrainResult:
     epochs: int
     seconds: float
     history: List[Tuple[float, float]] = field(default_factory=list)
-    compile_stats: Optional[Dict] = None
     resumed_epochs: int = 0
 
 
@@ -93,7 +88,6 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
                        seconds=out.seconds.get("plain", 0.0),
                        history=list(zip(history["plain_train"],
                                         history["plain_val"])),
-                       compile_stats=out.compile_stats.get("plain"),
                        resumed_epochs=out.resumed_epochs)
 
 
@@ -115,7 +109,6 @@ class PITResult:
     prune_epochs: int
     finetune_epochs: int
     history: Dict[str, List[float]] = field(default_factory=dict)
-    compile_stats: Dict[str, Dict] = field(default_factory=dict)
     resumed_epochs: int = 0
 
     @property
@@ -149,7 +142,6 @@ def pit_result(out: Outcome, lane: int, model: Module) -> PITResult:
         prune_epochs=ran["prune"][lane],
         finetune_epochs=ran["finetune"][lane],
         history=out.histories[lane],
-        compile_stats=dict(out.compile_stats),
         resumed_epochs=out.resumed_epochs,
     )
 

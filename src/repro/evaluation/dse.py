@@ -78,11 +78,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.checkpoint import (
-    checkpoint_dir_default,
-    checkpoint_every_default,
-    key_tag,
-)
+from ..autograd import get_default_dtype
+from ..core.checkpoint import key_tag
 from ..core.stacked import StackedPITTrainer
 from ..core.trainer import DivergedError, PITResult, PITTrainer
 from ..data import clone_loader
@@ -289,16 +286,18 @@ class DSECache:
     existing quarantine file is overwritten), a warning names both paths,
     and the cache starts fresh.
 
-    Keys encode (tag, λ, warmup, trainer settings, and the point
-    evaluators that annotated the entry), so a cache file is never allowed
-    to return a point trained under different hyper-parameters.  Keys
-    written when the conv kernels were selectable carry a ``backend``
-    field; they no longer match any lookup, so those points retrain (their
-    kernels' rounding could have led training elsewhere), while the
-    entries themselves stay in the file.  λ and warmup are
-    normalized to native ``float``/``int`` first: a ``np.linspace`` grid
-    (numpy scalars) must key identically to the same values spelled as
-    Python floats, or resumed sweeps would silently retrain everything.
+    Keys encode (tag, λ, warmup, trainer settings, the default dtype, and
+    the point evaluators that annotated the entry), so a cache file is
+    never allowed to return a point trained under different
+    hyper-parameters or at another precision.  Keys written without a
+    ``dtype`` field, or when the conv kernels were selectable (a
+    ``backend`` field), no longer match any lookup, so those points retrain
+    (another precision or other kernels' rounding could have led training
+    elsewhere), while the entries themselves stay in the file.  λ and
+    warmup are normalized to native ``float``/``int`` first: a
+    ``np.linspace`` grid (numpy scalars) must key identically to the same
+    values spelled as Python floats, or resumed sweeps would silently
+    retrain everything.
     The *tag* is the caller's name for the model/data
     identity (seed factory, dataset, width, …), which the engine cannot
     see into — callers sharing one cache file across different seeds or
@@ -364,7 +363,8 @@ class DSECache:
         # numbers produce one key; !r on the *native* float keeps the full
         # precision the old format relied on.
         key = (f"tag={tag}|lam={float(lam)!r}"
-               f"|warmup={int(warmup)}|trainer={settings}")
+               f"|warmup={int(warmup)}|trainer={settings}"
+               f"|dtype={np.dtype(get_default_dtype()).name}")
         if evaluators:
             # Sweeps with different evaluator stacks do not share entries:
             # a point cached without hw metrics cannot satisfy an --hw
@@ -874,13 +874,13 @@ class DSEEngine:
         retraining from scratch.  Files are named by each point's cache-key
         tag, so sequential, pooled and stacked execution all address the
         same per-point file; like the stack knob this is an
-        execution knob kept *out* of cache keys.  None (default) defers to
-        ``REPRO_CKPT_DIR``; unset means no checkpointing.  Checkpoints
-        complement the results cache: the cache skips *finished* points,
-        checkpoints recover *in-flight* ones.
+        execution knob kept *out* of cache keys.  None (default) means no
+        checkpointing.  Checkpoints complement the results cache: the
+        cache skips *finished* points, checkpoints recover *in-flight*
+        ones.
     checkpoint_every:
         Snapshot cadence in epochs (checkpoint every Nth boundary); None
-        defers to ``REPRO_CKPT_EVERY`` (default 1, every epoch).
+        means 1, every epoch.
 
     After each :meth:`run`, ``last_run_stats`` reports the recovery
     machinery's activity: pool deaths, timeouts, quarantined points,
@@ -927,12 +927,9 @@ class DSEEngine:
         self.stack = int(stack) if stack is not None else stack_width_default()
         if self.stack < 1:
             raise ValueError("stack width must be >= 1")
-        if checkpoint_dir is None:
-            checkpoint_dir = checkpoint_dir_default()
         self.checkpoint_dir = checkpoint_dir or None
         self.checkpoint_every = (int(checkpoint_every)
-                                 if checkpoint_every is not None
-                                 else checkpoint_every_default())
+                                 if checkpoint_every is not None else 1)
         self.point_evaluators = list(point_evaluators or [])
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)

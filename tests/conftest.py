@@ -15,16 +15,17 @@ its method name to.
 
 ``eager_steps()`` runs every trainer step eagerly for its duration: the
 reference the compiled replay is held to.  Trainers build their steps as
-:class:`repro.autograd.CompiledStep`; inside the scope they get one that
-never traces, so each call takes the eager fallback.
+:class:`repro.autograd.CompiledStep`; inside the scope they build
+:class:`repro.autograd.EagerStep`, which has the same call contract.
 """
 
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.autograd import CompiledStep
+from repro.autograd import EagerStep
 from repro.autograd.backends import EinsumReference, get_backend
 from repro.core import driver, stacked
 
@@ -115,25 +116,11 @@ def count_kernel_calls():
     return counted_kernels
 
 
-class EagerReference(CompiledStep):
-    """A compiled step that never traces: every call runs eagerly."""
-
-    def __init__(self, step_fn):
-        super().__init__(step_fn)
-        self.fallback_reason = "eager reference"
-
-
 @contextlib.contextmanager
 def eager_training():
-    modules = (driver, stacked)
-    saved = [module.CompiledStep for module in modules]
-    try:
-        for module in modules:
-            module.CompiledStep = EagerReference
+    with mock.patch.object(driver, "CompiledStep", EagerStep), \
+            mock.patch.object(stacked, "CompiledStep", EagerStep):
         yield
-    finally:
-        for module, step_cls in zip(modules, saved):
-            module.CompiledStep = step_cls
 
 
 @pytest.fixture

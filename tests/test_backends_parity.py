@@ -294,21 +294,21 @@ class TestBackendSelection:
             get_backend("cudnn")
 
     def test_bogus_env_var_does_not_crash_import(self):
-        """A malformed environment knob (here REPRO_CKPT_EVERY) must fail
+        """A malformed environment knob (here REPRO_DSE_WORKERS) must fail
         at first use with an error naming the variable, not at
         ``import repro`` (which would break even --help)."""
         script = (
             "import repro, repro.cli\n"
-            "repro.cli.build_parser().parse_args(['train'])\n"
-            "from repro.core.checkpoint import checkpoint_every_default\n"
+            "repro.cli.build_parser().parse_args(['sweep'])\n"
+            "from repro.evaluation.dse import workers_default\n"
             "try:\n"
-            "    checkpoint_every_default()\n"
+            "    workers_default()\n"
             "except ValueError as exc:\n"
-            "    assert 'REPRO_CKPT_EVERY' in str(exc), exc\n"
+            "    assert 'REPRO_DSE_WORKERS' in str(exc), exc\n"
             "    print('LAZY-OK')\n")
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "REPRO_CKPT_EVERY": "every",
+            env={**os.environ, "REPRO_DSE_WORKERS": "-1",
                  "PYTHONPATH": os.path.join(os.path.dirname(__file__),
                                             "..", "src")})
         assert proc.returncode == 0, proc.stderr
@@ -360,7 +360,7 @@ class TestKernelObject:
             first = step(x, y)    # trace (an eager step under capture)
             traced = list(calls)
             second = step(x, y)   # replay
-        assert step.fallback_reason is None
+        assert step.compiled_shapes
         assert first == second
         # The input is not a parameter: no input gradient is computed.
         assert traced == ["forward", "grad_weight"]
@@ -417,7 +417,7 @@ class TestLegacyBackendSignature:
                 for p, q in zip(models[CompiledStep].parameters(),
                                 models[EagerStep].parameters()):
                     assert np.array_equal(p.grad, q.grad)
-        assert steps[CompiledStep].fallback_reason is None
+        assert steps[CompiledStep].compiled_shapes
 
 
 class TestLayerIntegration:
@@ -624,4 +624,4 @@ class TestMaskedConvCompiled:
                     assert (p.grad is None) == (q.grad is None), name
                     if p.grad is not None:
                         assert np.array_equal(p.grad, q.grad), name
-            assert compiled.fallback_reason is None
+            assert compiled.compiled_shapes

@@ -4,23 +4,21 @@ The contract under test: a training run killed at any epoch boundary —
 by a crash, a timeout or preemption — and resumed from its checkpoint is
 **bit-identical** to the uninterrupted run: same losses, same history,
 same parameters, same discovered dilations.  That must hold for the
-compiled step, for its eager fallback (the step of capture-unsafe models)
-and for the stacked trainer (per-slice checkpoint files).  Corrupt checkpoints
-are quarantined and degrade to a fresh start, never a crash or a
-silently-wrong resume.
+sequential and for the stacked trainer (per-slice checkpoint files).
+Corrupt checkpoints are quarantined and a checkpoint of another dtype is
+refused; both degrade to a fresh start, never a crash or a silently-wrong
+resume.
 """
 
-import contextlib
 import os
 
 import numpy as np
 import pytest
 
+from repro.autograd import default_dtype_scope
 from repro.core import PITConv1d, PITTrainer, train_plain
 from repro.core.checkpoint import (
     TrainerCheckpoint,
-    checkpoint_dir_default,
-    checkpoint_every_default,
     checkpoint_file,
     decode_rng,
     encode_rng,
@@ -72,31 +70,31 @@ def _loaders():
 SCHED = dict(warmup_epochs=1, prune_patience=2, max_prune_epochs=2,
              finetune_epochs=1, finetune_patience=2)
 
-#: Steps the trainers run: the compiled replay, and its eager fallback.
-TIERS = ("eager", "step")
 
-
-def _tier_scope(tier, eager_steps):
-    return eager_steps() if tier == "eager" else contextlib.nullcontext()
-
-
-def _fit(ckpt_dir=None, crash_at=None, resume=True, every=None):
-    """One PITTrainer run; None when an injected crash killed it."""
+def _fit_or_crash(fit, crash_at=None, spec=None):
+    """``fit(train, val)`` on fresh loaders, killed at global epoch
+    ``crash_at`` (or under the ``REPRO_FAULTS`` value ``spec``): its
+    result, or None when an injected crash killed it."""
     faults.reset()
     if crash_at is not None:
-        os.environ[faults.ENV_FAULTS] = f"crash@epoch={crash_at}"
-    else:
-        os.environ.pop(faults.ENV_FAULTS, None)
-    train, val = _loaders()
-    trainer = PITTrainer(Tiny(), mse_loss, lam=0.5, lr=0.01,
-                         checkpoint_dir=ckpt_dir, checkpoint_every=every,
-                         checkpoint_resume=resume, **SCHED)
+        spec = f"crash@epoch={crash_at}"
+    if spec:
+        os.environ[faults.ENV_FAULTS] = spec
     try:
-        return trainer.fit(train, val), trainer.model
+        return fit(*_loaders())
     except faults.InjectedWorkerCrash:
         return None
     finally:
         os.environ.pop(faults.ENV_FAULTS, None)
+
+
+def _fit(ckpt_dir=None, crash_at=None, resume=True, every=None, spec=None):
+    """One PITTrainer run; None when an injected crash killed it."""
+    trainer = PITTrainer(Tiny(), mse_loss, lam=0.5, lr=0.01,
+                         checkpoint_dir=ckpt_dir, checkpoint_every=every,
+                         checkpoint_resume=resume, **SCHED)
+    result = _fit_or_crash(trainer.fit, crash_at, spec)
+    return None if result is None else (result, trainer.model)
 
 
 def _fingerprint(result, model):
@@ -115,17 +113,14 @@ def _assert_same(a, b):
 
 
 # ----------------------------------------------------------------------
-# Kill-and-resume parity: the compiled step and its eager fallback
+# Kill-and-resume parity
 # ----------------------------------------------------------------------
 
 class TestKillResumeParity:
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_crash_then_resume_is_bit_identical(self, tier, tmp_path,
-                                                eager_steps):
-        with _tier_scope(tier, eager_steps):
-            ref = _fingerprint(*_fit())
-            assert _fit(str(tmp_path), crash_at=2) is None  # killed
-            out = _fit(str(tmp_path))  # resumed
+    def test_crash_then_resume_is_bit_identical(self, tmp_path):
+        ref = _fingerprint(*_fit())
+        assert _fit(str(tmp_path), crash_at=2) is None  # killed
+        out = _fit(str(tmp_path))  # resumed
         assert out is not None
         result, model = out
         assert result.resumed_epochs == 2
@@ -145,21 +140,15 @@ class TestKillResumeParity:
             _assert_same(_fingerprint(result, model), ref)
 
     def test_train_plain_resume(self, tmp_path):
-        def run(**kw):
-            faults.reset()
-            train, val = _loaders()
+        def run(crash_at=None, **kw):
             model = Tiny()
-            result = train_plain(model, mse_loss, train, val, epochs=4,
-                                 lr=0.01, patience=4, **kw)
-            return result, model
+            return _fit_or_crash(
+                lambda train, val: train_plain(
+                    model, mse_loss, train, val, epochs=4, lr=0.01,
+                    patience=4, **kw), crash_at), model
 
         ref_result, ref_model = run()
-        os.environ[faults.ENV_FAULTS] = "crash@epoch=2"
-        try:
-            with pytest.raises(faults.InjectedWorkerCrash):
-                run(checkpoint_dir=str(tmp_path))
-        finally:
-            os.environ.pop(faults.ENV_FAULTS, None)
+        assert run(2, checkpoint_dir=str(tmp_path))[0] is None
         result, model = run(checkpoint_dir=str(tmp_path))
         assert result.resumed_epochs == 2
         assert result.best_val == ref_result.best_val
@@ -191,20 +180,10 @@ LAMS = [0.0, 2.0]
 
 
 def _fit_stacked(ckpt_dir=None, crash_at=None):
-    faults.reset()
-    if crash_at is not None:
-        os.environ[faults.ENV_FAULTS] = f"crash@epoch={crash_at}"
-    else:
-        os.environ.pop(faults.ENV_FAULTS, None)
-    train, val = _loaders()
     trainer = StackedPITTrainer(Tiny(), mse_loss, LAMS, lr=0.01,
                                 checkpoint_dir=ckpt_dir, **SCHED)
-    try:
-        return trainer.fit(train, val), trainer
-    except faults.InjectedWorkerCrash:
-        return None
-    finally:
-        os.environ.pop(faults.ENV_FAULTS, None)
+    results = _fit_or_crash(trainer.fit, crash_at)
+    return None if results is None else (results, trainer)
 
 
 def _stacked_fingerprint(results, trainer):
@@ -217,13 +196,10 @@ def _stacked_fingerprint(results, trainer):
 
 
 class TestStackedResume:
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_stacked_crash_then_resume_is_bit_identical(self, tier, tmp_path,
-                                                        eager_steps):
-        with _tier_scope(tier, eager_steps):
-            ref = _stacked_fingerprint(*_fit_stacked())
-            assert _fit_stacked(str(tmp_path), crash_at=2) is None
-            out = _fit_stacked(str(tmp_path))
+    def test_stacked_crash_then_resume_is_bit_identical(self, tmp_path):
+        ref = _stacked_fingerprint(*_fit_stacked())
+        assert _fit_stacked(str(tmp_path), crash_at=2) is None
+        out = _fit_stacked(str(tmp_path))
         assert out is not None
         results, trainer = out
         assert all(r.resumed_epochs == 2 for r in results)
@@ -299,18 +275,9 @@ class TestCorruption:
         """ckpt_corrupt truncates the archive right after the write; the
         resume warns, quarantines, and still converges to the reference."""
         ref = _fingerprint(*_fit())
-        faults.reset()
         # Corrupt the epoch-1 save, then die at that same boundary, so the
         # torn archive is the one the resume finds on disk.
-        os.environ[faults.ENV_FAULTS] = "ckpt_corrupt,crash@epoch=1"
-        try:
-            with pytest.raises(faults.InjectedWorkerCrash):
-                train, val = _loaders()
-                PITTrainer(Tiny(), mse_loss, lam=0.5, lr=0.01,
-                           checkpoint_dir=str(tmp_path),
-                           **SCHED).fit(train, val)
-        finally:
-            os.environ.pop(faults.ENV_FAULTS, None)
+        assert _fit(str(tmp_path), spec="ckpt_corrupt,crash@epoch=1") is None
         with pytest.warns(UserWarning, match="quarantined"):
             result, model = _fit(str(tmp_path))
         assert result.resumed_epochs == 0  # fresh start, not a bad resume
@@ -346,6 +313,21 @@ class TestCorruption:
         with pytest.warns(UserWarning, match="unsupported format"):
             assert ckpt.load() is None
 
+    def test_other_dtype_warns_and_starts_fresh(self, tmp_path):
+        """A run killed in one precision and restarted in the other must
+        not resume: it warns naming both dtypes, retrains from scratch
+        and matches an uninterrupted run at the new precision."""
+        with default_dtype_scope("float64"):
+            assert _fit(str(tmp_path), crash_at=2) is None
+        with default_dtype_scope("float32"):
+            ref = _fingerprint(*_fit())
+            with pytest.warns(UserWarning, match="float64.*float32"):
+                result, model = _fit(str(tmp_path))
+            state = TrainerCheckpoint(checkpoint_file(tmp_path, "pit")).load()
+        assert result.resumed_epochs == 0
+        _assert_same(_fingerprint(result, model), ref)
+        assert state.meta["dtype"] == "float32"   # the fresh run's saves
+
     def test_missing_file_is_silent_fresh_start(self, tmp_path):
         assert TrainerCheckpoint(tmp_path / "absent.ckpt.npz").load() is None
 
@@ -360,7 +342,7 @@ class TestCorruption:
 
 
 # ----------------------------------------------------------------------
-# Helpers: tags, paths, RNG codec, env defaults
+# Helpers: tags, paths, RNG codec, cadence
 # ----------------------------------------------------------------------
 
 class TestHelpers:
@@ -392,30 +374,13 @@ class TestHelpers:
         gen = np.random.default_rng(5)
         assert decode_rng(encode_rng(gen)) == gen.bit_generator.state
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CKPT_DIR", raising=False)
-        monkeypatch.delenv("REPRO_CKPT_EVERY", raising=False)
-        assert checkpoint_dir_default() is None
-        assert checkpoint_every_default() == 1
-        monkeypatch.setenv("REPRO_CKPT_DIR", "/tmp/ck")
-        monkeypatch.setenv("REPRO_CKPT_EVERY", "3")
-        assert checkpoint_dir_default() == "/tmp/ck"
-        assert checkpoint_every_default() == 3
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_env_every_rejects_bad_values(self, monkeypatch, value):
-        """A bad REPRO_CKPT_EVERY raises naming the variable instead of
-        silently checkpointing every epoch."""
-        monkeypatch.setenv("REPRO_CKPT_EVERY", value)
-        with pytest.raises(ValueError, match="REPRO_CKPT_EVERY"):
-            checkpoint_every_default()
-        with pytest.raises(ValueError, match="cadence"):
-            TrainerCheckpoint("/tmp/x.npz", every=0)
-
     def test_create_none_without_directory(self):
         assert TrainerCheckpoint.create(None, "t") is None
         assert TrainerCheckpoint.create("", "t") is None
+        assert TrainerCheckpoint.create("/tmp", "t").every == 1
 
     def test_due_cadence(self):
         ckpt = TrainerCheckpoint("/tmp/x.npz", every=3)
         assert [e for e in range(1, 10) if ckpt.due(e)] == [3, 6, 9]
+        with pytest.raises(ValueError, match="cadence"):
+            TrainerCheckpoint("/tmp/x.npz", every=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.autograd import is_grad_enabled, ops_nn, tensor
 from repro.core import (
     PITChannelConv1d,
     PITTrainer,
@@ -13,6 +14,7 @@ from repro.core import (
 )
 from repro.data import ArrayDataset, DataLoader
 from repro.nn import CausalConv1d, Module, ReLU, mse_loss
+from test_graph_executor import assert_same_state, spy_on_steps
 
 RNG = np.random.default_rng(31)
 
@@ -112,3 +114,34 @@ class TestTrainerOnCombinedModel:
         trainer.fit(train, val)
         for layer in channel_layers(model):
             assert layer.alive_channels() == layer.out_channels
+
+    def test_compiled_search_matches_eager(self, eager_steps, monkeypatch):
+        """With channel_lam > 0 the channel rescue fires in replayed steps
+        and the time masks move, and the compiled run still equals the
+        eager one in every loss and array, with a program per phase."""
+        def run():
+            train, val = make_loaders()
+            model = CombinedTCN(seed=1)
+            result = PITTrainer(model, mse_loss, lam=5.0, channel_lam=5.0,
+                                gamma_lr=0.3, warmup_epochs=1,
+                                max_prune_epochs=6, prune_patience=6,
+                                finetune_epochs=1).fit(train, val)
+            return result, model
+        with eager_steps():
+            eager, eager_model = run()
+
+        def watched(x, threshold, min_keep=0):   # in replayed train steps
+            if (min_keep and is_grad_enabled()
+                    and getattr(tensor._TRACE_STATE, "tracer", None) is None):
+                replayed_rescues.append((x >= threshold).sum() < min_keep)
+            return binary_mask(x, threshold, min_keep)
+        replayed_rescues, binary_mask = [], ops_nn.binary_mask
+        monkeypatch.setattr(ops_nn, "binary_mask", watched)
+        steps = spy_on_steps(monkeypatch)
+        result, model = run()
+        assert any(replayed_rescues)
+        assert all(d > 1 for d in result.dilations)   # moved from d = 1
+        assert (result.best_val, result.history, result.dilations) == (
+            eager.best_val, eager.history, eager.dilations)
+        assert_same_state(eager_model, model, "combined")
+        assert len(steps) == 3 and all(s.compiled_shapes for s in steps)

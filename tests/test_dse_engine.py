@@ -9,11 +9,13 @@ entirely while reproducing the same :class:`DSEResult`.
 import ctypes
 import json
 import os
+import re
 import threading
 
 import numpy as np
 import pytest
 
+from repro.autograd import default_dtype_scope, get_default_dtype
 from repro.core import PITConv1d
 from repro.data import ArrayDataset, DataLoader
 from repro.evaluation import (
@@ -571,19 +573,19 @@ class TestCacheVersions:
         failure fields) raises the version error."""
         self._assert_version_rejected(tmp_path, 2)
 
-    def test_backend_keyed_v3_entries_load_but_are_not_served(self,
-                                                              tmp_path):
-        """A v3 file written while the conv kernels were selectable keys
-        every entry with a backend field after the tag.  It loads without
-        error; its entries are not served (other kernels trained them), so
-        the sweep retrains; and the new entries merge into the file
-        without dropping the old ones."""
+    @staticmethod
+    def _assert_legacy_entries_not_served(tmp_path, legacy_spelling):
+        """Rewrite a fresh cache file's entries as an older writer spelled
+        them (``legacy_spelling(key, entry) -> (key, entry)``).  The file
+        loads without error; its entries are not served, so the sweep
+        retrains; and the new entries merge into the file without dropping
+        the old ones."""
         cache = str(tmp_path / "dse.json")
         _sweep(workers=0, cache_path=cache)
         with open(cache) as handle:
             payload = json.load(handle)
-        legacy = {_backend_keyed(key): entry
-                  for key, entry in payload["points"].items()}
+        legacy = dict(legacy_spelling(key, entry)
+                      for key, entry in payload["points"].items())
         payload["points"] = legacy
         with open(cache, "w") as handle:
             json.dump(payload, handle)
@@ -597,6 +599,40 @@ class TestCacheVersions:
             merged = json.load(handle)["points"]
         assert len(merged) == 2 * len(legacy)
         assert {k: merged[k] for k in legacy} == legacy
+
+    def test_backend_keyed_v3_entries_load_but_are_not_served(self,
+                                                              tmp_path):
+        """A v3 file written while the conv kernels were selectable keys
+        every entry with a backend field after the tag (other kernels
+        trained those points)."""
+        self._assert_legacy_entries_not_served(
+            tmp_path, lambda key, entry: (_backend_keyed(key), entry))
+
+    def test_dtype_less_v3_entries_load_but_are_not_served(self, tmp_path):
+        """A v3 file written before the dtype entered the key; its results
+        also carry the since-deleted ``compile_stats`` field, which must
+        never reach ``PITResult``."""
+        def legacy_spelling(key, entry):
+            entry["result"]["compile_stats"] = {}
+            return re.sub(r"\|dtype=[^|]*", "", key), entry
+        self._assert_legacy_entries_not_served(tmp_path, legacy_spelling)
+
+    def test_cache_keyed_by_dtype(self, tmp_path):
+        """A point trained at one precision is never served to a sweep at
+        the other: each precision retrains once, then resumes from its
+        own entries."""
+        cache = str(tmp_path / "dse.json")
+        other = ("float32" if np.dtype(get_default_dtype()) == np.float64
+                 else "float64")
+        _sweep(workers=0, cache_path=cache)
+        for expected in (_expected_builds(LAMBDAS, WARMUPS), 0):
+            factory = CountingFactory()
+            with default_dtype_scope(other):
+                result = _sweep(workers=0, cache_path=cache,
+                                factory=factory)
+            assert factory.calls == expected
+            assert all(p.ok for p in result.points)
+        assert len(DSECache(cache)) == 2 * len(LAMBDAS) * len(WARMUPS)
 
 
 class TestPointEvaluators:

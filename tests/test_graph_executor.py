@@ -6,17 +6,16 @@ identical parameter gradients, identical trained weights, identical final
 TCN seeds, the RNN baselines, and the full three-phase PIT trainer.
 
 Also covers the executor's operational behaviour: per-shape and per-dtype
-re-tracing, the permanent eager fallback for value-dependent
-(capture-unsafe) models, side effects replayed in program order (BatchNorm
-running statistics, an effect fed by a node no loss reads), a frozen PIT
-mask's constant subgraph, whole training epochs (Adam state, early
-stopping, the stacked trainer), the diagnostics a trainer reports, and what
-a program and a replay keep alive.
+re-tracing, value-dependent models (the channel masks' rescue replays; a
+capture-unsafe supernet step raises), side effects replayed in program
+order (BatchNorm running statistics, an effect fed by a node no loss
+reads), a frozen PIT mask's constant subgraph, whole training epochs (Adam
+state, early stopping, the stacked trainer), and what a program and a
+replay keep alive.
 """
 
 import copy
 import gc
-import json
 import tracemalloc
 
 import numpy as np
@@ -25,12 +24,14 @@ import pytest
 from repro.autograd import (
     CompiledStep,
     EagerStep,
+    GraphCaptureError,
     Tensor,
     get_default_dtype,
     record_side_effect,
     set_default_dtype,
 )
-from repro.core import PITTrainer, network_dilations, size_regularizer
+from repro.baselines.proxyless import proxylessify
+from repro.core import PITTrainer, driver, network_dilations, size_regularizer
 from repro.core.channel_mask import PITChannelConv1d
 from repro.core.pit_conv import PITConv1d
 from repro.core.stacked import StackedPITTrainer
@@ -60,6 +61,18 @@ def training_step(compiled: bool, model, loss_fn, extra_loss=None):
     return step if compiled else EagerStep(step.step_fn)
 
 
+def spy_on_steps(monkeypatch):
+    """Record every step the single-model trainers build from here on."""
+    built = []
+
+    class Recorded(CompiledStep):
+        def __init__(self, step_fn):
+            super().__init__(step_fn)
+            built.append(self)
+    monkeypatch.setattr(driver, "CompiledStep", Recorded)
+    return built
+
+
 def batches_of(xshape, yshape, count=3, seed=0):
     rng = np.random.default_rng(seed)
     return [(rng.standard_normal(xshape), rng.standard_normal(yshape))
@@ -84,7 +97,7 @@ def assert_same_state(m1, m2, context=""):
 
 
 def run_parity(make_model, batches, loss_fn, extra_loss_fn=None, lr=1e-3,
-               context="", expect_compiled=True):
+               context=""):
     """Train two copies — one eager, one compiled — on identical batches.
 
     Asserts bit-equal losses on every step and bit-equal gradients, weights
@@ -110,9 +123,7 @@ def run_parity(make_model, batches, loss_fn, extra_loss_fn=None, lr=1e-3,
     assert losses["eager"] == losses["compiled"], f"{context}: loss trajectories"
     compiled_step = runners["compiled"][1]
     assert isinstance(compiled_step, CompiledStep)
-    if expect_compiled:
-        assert compiled_step.fallback_reason is None, compiled_step.fallback_reason
-        assert compiled_step.compiled_shapes
+    assert compiled_step.compiled_shapes
     assert_same_grads(eager_model, compiled_model, context)
     assert_same_state(eager_model, compiled_model, context)
     return compiled_step
@@ -154,9 +165,8 @@ class TestConvGrid:
                               GlobalAvgPool1d(), Linear(3, 1, rng=rng))
         batches = batches_of((4, 2, 16), (4, 1))
         with use_kernels(backend):
-            step = run_parity(make_model, batches, mse_loss,
-                              context=f"kernels {backend}")
-            assert step.fallback_reason is None
+            run_parity(make_model, batches, mse_loss,
+                       context=f"kernels {backend}")
             on_set = [make_training_step(make_model(), mse_loss)(x, y)
                       for x, y in batches]
         production = [training_step(False, make_model(), mse_loss)(x, y)
@@ -212,7 +222,7 @@ class TestPITTrainerParity:
         val = DataLoader(data, 8)
         return train, val
 
-    def test_three_phase_parity(self, eager_steps):
+    def test_three_phase_parity(self, eager_steps, monkeypatch):
         """Every phase replays a compiled program, including the
         fine-tune phase with frozen masks."""
         def run():
@@ -225,16 +235,15 @@ class TestPITTrainerParity:
             return trainer.fit(train, val), model
         with eager_steps():
             results = {False: run()}
+        steps = spy_on_steps(monkeypatch)
         results[True] = run()
         eager, compiled = results[False][0], results[True][0]
         assert compiled.dilations == eager.dilations
         assert compiled.best_val == eager.best_val
         assert compiled.history == eager.history
         assert compiled.effective_params == eager.effective_params
-        assert set(compiled.compile_stats) == {"warmup", "prune", "finetune"}
-        for phase, stats in compiled.compile_stats.items():
-            assert stats["fallback_reason"] is None, phase
-            assert stats["compiled_shapes"], phase
+        assert len(steps) == 3          # warmup, prune, finetune
+        assert all(step.compiled_shapes for step in steps)
         assert (network_dilations(results[True][1])
                 == network_dilations(results[False][1]))
         assert_same_state(results[False][1], results[True][1], "pit-final")
@@ -259,7 +268,6 @@ class TestReplayKeepsProgram:
         step = CompiledStep(step_fn)
         for value in (1.0, 2.0, 3.0):
             step(np.full(3, value), np.zeros(3))
-        assert step.fallback_reason is None, step.fallback_reason
         assert len(step.compiled_shapes) == 1
         assert seen == [1.0, 2.0, 3.0]
 
@@ -286,7 +294,6 @@ class TestReplayKeepsProgram:
                 trace.append((loss, grads))
             runs[compiled] = (trace, step)
         (eager, _), (compiled, step) = runs[False], runs[True]
-        assert step.fallback_reason is None, step.fallback_reason
         assert step.compiled_shapes
         for (loss_a, grads_a), (loss_b, grads_b) in zip(eager, compiled):
             assert loss_a == loss_b
@@ -296,7 +303,7 @@ class TestReplayKeepsProgram:
 
 
 # ----------------------------------------------------------------------
-# Shape changes and capture-unsafe fallbacks
+# Shape changes, value-dependent steps and capture-unsafe code
 # ----------------------------------------------------------------------
 
 class TestFallbacks:
@@ -322,23 +329,36 @@ class TestFallbacks:
                 eager_model.zero_grad()
                 compiled_model.zero_grad()
                 assert compiled(x, y) == eager(x, y)
-        assert compiled.fallback_reason is None
         assert sorted(key[0][0] for key in compiled.compiled_shapes) == [2, 4]
         assert_same_grads(eager_model, compiled_model, "short-batch")
 
-    def test_channel_mask_falls_back_to_eager(self):
-        """Channel-masked models are value-dependent: the capture poisons
-        itself and the step runs eagerly — with identical results."""
+    def test_channel_mask_replays(self):
+        """The channel masks' min-channels rescue is an op attribute, so a
+        channel-masked step replays, equal to eager, also when the rescue
+        fires in some steps and not in others."""
         def make_model():
             rng = np.random.default_rng(4)
-            return Sequential(
-                PITChannelConv1d(2, 6, rf_max=4, rng=rng),
+            model = Sequential(
+                PITChannelConv1d(2, 6, rf_max=4, min_channels=2, rng=rng),
                 GlobalAvgPool1d(), Linear(6, 1, rng=rng))
-        step = run_parity(make_model, batches_of((4, 2, 16), (4, 1)),
-                          mse_loss, context="channel-mask",
-                          expect_compiled=False)
-        assert step.fallback_reason is not None
-        assert "ChannelMask" in step.fallback_reason
+            # One channel alive, so the trace runs the rescue; lr=0.05
+            # moves γ̂ so that later steps need it or not.
+            model[0].channel_mask.gamma_hat.data[...] = [
+                0.6, 0.45, 0.44, 0.2, 0.1, 0.0]
+            return model
+        batches = batches_of((4, 2, 16), (4, 1), count=6)
+        step = run_parity(make_model, batches, mse_loss, lr=0.05,
+                          context="channel-mask")
+        assert len(step.compiled_shapes) == 1
+
+    def test_capture_unsafe_step_raises(self):
+        """A Proxyless supernet samples its path per batch, which no
+        replay could reproduce: capturing its step raises, naming why."""
+        supernet = proxylessify(temponet_seed(width_mult=0.125, seed=3),
+                                rng=np.random.default_rng(0))
+        step = make_training_step(supernet, mae_loss)
+        with pytest.raises(GraphCaptureError, match="samples a supernet"):
+            step(*batches_of((2, 4, 256), (2, 1), count=1)[0])
         assert not step.compiled_shapes
 
     def test_train_plain_compiled_matches_eager(self, eager_steps):
@@ -519,30 +539,8 @@ class TestEpochParity:
 
 
 # ----------------------------------------------------------------------
-# What a trainer reports, and what a program and a replay keep alive
+# What a program and a replay keep alive
 # ----------------------------------------------------------------------
-
-class TestDiagnostics:
-    def test_train_plain_surfaces_diagnostics(self, eager_steps):
-        rng = np.random.default_rng(0)
-        data = ArrayDataset(rng.standard_normal((16, 2, 16)),
-                            rng.standard_normal((16, 1)))
-
-        def run():
-            train = DataLoader(data, 4, shuffle=True,
-                               rng=np.random.default_rng(1))
-            return train_plain(small_net(), mse_loss, train,
-                               DataLoader(data, 4), epochs=2, patience=2)
-
-        stats = run().compile_stats
-        assert stats["fallback_reason"] is None
-        assert stats["compiled_shapes"] == [[[4, 2, 16], [4, 1]]]
-        json.dumps(stats)   # DSE results pickle/serialize it
-        with eager_steps():
-            stats = run().compile_stats
-        assert stats == {"fallback_reason": "eager reference",
-                         "compiled_shapes": []}
-
 
 class TestReplayMemory:
     def test_program_does_not_pin_the_trace_batch(self):
@@ -575,7 +573,7 @@ class TestReplayMemory:
         for _ in range(2):          # trace, then a first replay
             model.zero_grad()
             step(x, y)
-        assert step.fallback_reason is None and step.compiled_shapes
+        assert step.compiled_shapes
         model.zero_grad()
         gc.collect()
         tracemalloc.start()

@@ -121,7 +121,7 @@ class TestGAP8Model:
 
 class TestPaperCalibration:
     """The model constants are calibrated to the published seed numbers;
-    these tests pin the calibration within loose tolerances (see DESIGN.md)."""
+    these tests pin them within loose tolerances (see :mod:`repro.hw.gap8`)."""
 
     def test_restcn_seed_latency(self):
         report = GAP8Model().estimate(restcn_fixed(None), (1, 88, 128))

