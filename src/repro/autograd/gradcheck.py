@@ -39,7 +39,7 @@ def numerical_gradient(func: Callable[..., Tensor], inputs: Sequence[Tensor],
     The computation runs with the default dtype pinned to float64 and the
     inputs' storage upcast in place: central differences with
     ``eps ~ 1e-6`` are meaningless in single precision, so gradient
-    checking stays trustworthy under ``REPRO_DTYPE=float32``.
+    checking stays trustworthy under the float32 default.
     """
     with default_dtype_scope("float64"):
         for t in inputs:
@@ -72,8 +72,8 @@ def check_gradients(func: Callable[..., Tensor], inputs: Sequence[Tensor],
 
     Gradient checking is pinned to float64 regardless of the configured
     default dtype: the inputs' storage is upcast in place and the whole
-    comparison runs under a float64 scope, so ``REPRO_DTYPE=float32`` runs
-    keep exact-ish numerics where it matters.
+    comparison runs under a float64 scope, so float32 runs keep exact-ish
+    numerics where it matters.
     """
     with default_dtype_scope("float64"):
         for t in inputs:

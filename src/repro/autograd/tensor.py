@@ -27,12 +27,12 @@ Every operator has an entry in the op table of ``tests/test_ops.py``,
 which checks it against numpy and finite differences (see also
 :mod:`repro.autograd.gradcheck`) and its compiled replay against eager.
 
-The default dtype is ``float64``: the networks in the paper are tiny by
-modern standards, and exact-ish gradients make the NAS algorithm (and its
-tests) far easier to reason about.  ``repro.set_default_dtype("float32")``
-(or ``REPRO_DTYPE=float32``) switches the whole substrate to single
-precision, which halves memory traffic and compounds with the compiled
-training step; gradient checking stays pinned to float64 regardless.
+The default dtype is ``float32``: it halves the memory traffic of the
+im2col patches and GEMMs that dominate a search, and no searched network
+changes with it (the deployed network is int8 anyway).
+``repro.set_default_dtype("float64")`` (or ``REPRO_DTYPE=float64``)
+switches the whole substrate to double precision, which the oracle and
+parity tests use; gradient checking stays pinned to float64 regardless.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ _SUPPORTED_DTYPES = {"float32": np.float32, "float64": np.float64}
 # imported by `import repro`, and failing at import time would crash even
 # `repro.cli --help`.  The name is checked on first use (get_default_dtype),
 # where the error can surface with context.
-_DTYPE_NAME = os.environ.get(ENV_DTYPE) or "float64"
+_DTYPE_NAME = os.environ.get(ENV_DTYPE) or "float32"
 _DTYPE_RESOLVED = None
 
 
@@ -116,7 +116,7 @@ def _resolve_dtype(dtype) -> type:
 
 
 def get_default_dtype():
-    """The numpy scalar type every :class:`Tensor` stores (float64 default)."""
+    """The numpy scalar type every :class:`Tensor` stores (float32 default)."""
     global _DTYPE_RESOLVED
     if _DTYPE_RESOLVED is None:
         try:

@@ -53,7 +53,8 @@ training state at epoch boundaries, so a run killed by a crash, timeout
 or preemption can continue from its last finished epoch with bit-exact
 results (see README "Checkpointing & resume").  ``train`` and ``search``
 opt into continuing from an existing checkpoint with ``--resume`` (a
-fresh invocation otherwise starts over and rewrites the file); ``sweep``
+fresh invocation otherwise starts over and rewrites the file; ``--resume``
+without ``--checkpoint-dir`` is a usage error, exit code 2); ``sweep``
 always resumes in-flight grid points, mirroring how ``--cache`` always
 skips finished ones.
 """
@@ -571,6 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "resume", False) and args.checkpoint_dir is None:
+        # Without a directory there is nothing to resume from: running on
+        # would train from scratch and let the user believe it resumed.
+        print(f"repro {args.command}: error: --resume needs --checkpoint-dir",
+              file=sys.stderr)
+        return 2
     return args.func(args)
 
 

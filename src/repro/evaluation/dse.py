@@ -120,28 +120,32 @@ _ENGINE_OWNED = {
 }
 
 
+def _env_int(name: str, default: int, low: int) -> int:
+    """The integer in environment variable ``name`` (``default`` when unset
+    or blank); a non-integer or a value below ``low`` raises ValueError
+    naming the variable."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {raw!r}")
+    return value
+
+
 def stack_width_default() -> int:
     """Stack width used when ``DSEEngine(stack=None)``: ``REPRO_DSE_STACK``
     or 1 (sequential).  Read per call so tests can flip it."""
-    raw = os.environ.get(ENV_STACK, "").strip()
-    if not raw:
-        return 1
-    width = int(raw)
-    if width < 1:
-        raise ValueError(f"{ENV_STACK} must be >= 1, got {width}")
-    return width
+    return _env_int(ENV_STACK, 1, 1)
 
 
 def workers_default() -> int:
     """Pool size used when ``DSEEngine(workers=None)``: ``REPRO_DSE_WORKERS``
     or 0 (serial).  Read per call so tests can flip it."""
-    raw = os.environ.get(ENV_WORKERS, "").strip()
-    if not raw:
-        return 0
-    workers = int(raw)
-    if workers < 0:
-        raise ValueError(f"{ENV_WORKERS} must be >= 0, got {workers}")
-    return workers
+    return _env_int(ENV_WORKERS, 0, 0)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from ..autograd import (
     avg_pool1d,
     conv1d_causal,
     dropout as dropout_op,
+    get_default_dtype,
     global_avg_pool1d,
     record_side_effect,
 )
@@ -141,8 +142,11 @@ class BatchNorm1d(Module):
         self.momentum = momentum
         self.weight = Parameter(np.ones(num_features), name="bn.weight")
         self.bias = Parameter(np.zeros(num_features), name="bn.bias")
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
+        # Statistics live at the parameters' dtype, so the running update
+        # and a loaded state stay in it too.
+        dtype = get_default_dtype()
+        self.register_buffer("running_mean", np.zeros(num_features, dtype))
+        self.register_buffer("running_var", np.ones(num_features, dtype))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim == 3:

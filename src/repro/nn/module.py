@@ -126,7 +126,11 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load arrays produced by :meth:`state_dict` (strict matching)."""
+        """Load arrays produced by :meth:`state_dict` (strict matching).
+
+        Every array takes the dtype of the one it replaces, so a file saved
+        at another precision loads into this model's precision.
+        """
         own_params = dict(self.named_parameters())
         own_buffers = dict(self.named_buffers())
         missing = (set(own_params) | set(own_buffers)) - set(state)
@@ -140,9 +144,10 @@ class Module:
                                  f"{param.data.shape} vs {state[name].shape}")
             param.data[...] = state[name]
         # Buffers may live on nested modules; walk and assign.
-        for name in own_buffers:
+        for name, buf in own_buffers.items():
             module, leaf = self._resolve_buffer(name)
-            module.update_buffer(leaf, np.array(state[name], copy=True))
+            module.update_buffer(
+                leaf, np.array(state[name], dtype=np.asarray(buf).dtype))
 
     def _resolve_buffer(self, dotted: str) -> Tuple["Module", str]:
         parts = dotted.split(".")

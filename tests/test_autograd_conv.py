@@ -88,7 +88,7 @@ class TestConvForward:
         w = RNG.standard_normal((4, 3, 1))
         out = conv1d_causal(Tensor(x), Tensor(w))
         expected = np.einsum("oc,nct->not", w[:, :, 0], x)
-        # atol for REPRO_DTYPE=float32 runs, where the conv computes in
+        # atol for the float32 default, where the conv computes in
         # single precision against this float64 reference.
         assert np.allclose(out.data, expected, atol=1e-5)
 

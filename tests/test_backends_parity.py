@@ -44,9 +44,9 @@ GRID = [(d, s, k) for d in DILATIONS for s in STRIDES for k in KERNELS]
 # The conv kernel set under test; its name labels every parity test ID.
 KERNEL_SETS = ["im2col"]
 
-# Comparison tolerance follows the substrate precision: under
-# REPRO_DTYPE=float32 kernels and oracle compute in single precision, so
-# last-ulp disagreements are ~1e-6 on O(10) values.
+# Comparison tolerance follows the substrate precision: at the float32
+# default kernels and oracle compute in single precision, so last-ulp
+# disagreements are ~1e-6 on O(10) values (1e-12 under REPRO_DTYPE=float64).
 from repro.autograd import get_default_dtype
 
 if np.dtype(get_default_dtype()) == np.float64:

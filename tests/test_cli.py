@@ -54,6 +54,18 @@ class TestParser:
         assert err.splitlines()[-1].startswith(
             f"repro {argv[0]}: error: argument {flag}: ")
 
+    @pytest.mark.parametrize("command", ["train", "search"])
+    def test_resume_needs_checkpoint_dir(self, command, capsys):
+        """--resume without a directory has nothing to resume from: one
+        usage-error line and exit 2 before any training, instead of a
+        fresh run the user would take for a resumed one."""
+        assert main([command, "--resume", "--width", "0.125", "--epochs",
+                     "1", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro {command}: error: --resume needs --checkpoint-dir\n")
+
 
 class TestInfo:
     def test_ppg_info(self, capsys):

@@ -771,6 +771,18 @@ class TestEnvDefaults:
         with pytest.raises(ValueError, match="REPRO_DSE_WORKERS"):
             DSEEngine(Tiny, mse_loss, train, val)
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "-1"])
+    @pytest.mark.parametrize("name, read", [
+        (dse.ENV_WORKERS, workers_default),
+        (dse.ENV_STACK, stack_width_default)])
+    def test_bad_env_value_names_its_variable(self, monkeypatch, name, read,
+                                              value):
+        """A non-integer fails like an out-of-range value: a ValueError
+        naming the variable and the value, not a bare int() message."""
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=f"^{name} .*{value!r}"):
+            read()
+
 
 def _worker_blas_threads():
     """The OpenBLAS thread count of the process this runs in."""

@@ -28,9 +28,9 @@ Documented tolerance
 Stacked kernels batch M per-model contractions into single einsum/GEMM/FFT
 calls whose floating-point reduction order differs from the per-model
 kernels.  Over the short trainings here the accumulated divergence stays
-below ``1e-8`` absolute at float64; under ``REPRO_DTYPE=float32``
-(the CI stacked leg) everything computes in single precision and the bound
-loosens to ``5e-3`` absolute / relative on O(1) losses.  Integer outcomes
+below ``1e-8`` absolute under ``REPRO_DTYPE=float64``; at the float32
+default everything computes in single precision and the bound loosens to
+``5e-3`` absolute / relative on O(1) losses.  Integer outcomes
 (dilations, params, epoch counts) must not move at all.
 """
 

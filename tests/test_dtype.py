@@ -1,9 +1,13 @@
 """Tests for the configurable default dtype (``repro.set_default_dtype``).
 
-float32 halves memory traffic — it compounds with the compiled training
-step — while gradient checking stays pinned to float64 so numerical
+float32 is the default — it halves memory traffic — and float64 the
+opt-in, while gradient checking stays pinned to float64 so numerical
 differentiation keeps meaning.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,16 +25,35 @@ from repro.data import ArrayDataset
 
 @pytest.fixture(autouse=True)
 def restore_dtype():
-    # Pin the baseline on entry too, so these tests hold even when the
-    # suite itself was launched under a REPRO_DTYPE override.
-    set_default_dtype("float64")
+    # Pin the float32 baseline on entry, so these tests hold even when the
+    # suite itself was launched under a REPRO_DTYPE override, and hand the
+    # suite's own dtype back on exit.
+    previous = get_default_dtype()
+    set_default_dtype("float32")
     yield
-    set_default_dtype("float64")
+    set_default_dtype(previous)
+
+
+def _fresh_dtypes(**env):
+    """The default dtype and a new Tensor's dtype that a fresh interpreter
+    reports, with ``env`` added to an environment stripped of
+    ``REPRO_DTYPE``."""
+    base = {k: v for k, v in os.environ.items() if k != "REPRO_DTYPE"}
+    base["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import numpy as np; import repro; "
+            "from repro.autograd import Tensor; "
+            "print(np.dtype(repro.get_default_dtype()).name, "
+            "Tensor([1.0]).dtype)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**base, **env}, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
 
 
 class TestConfiguration:
-    def test_default_is_float64(self):
-        assert get_default_dtype() is np.float64
+    def test_default_is_float32(self):
+        assert _fresh_dtypes() == ["float32", "float32"]
 
     def test_set_by_name_and_dtype(self):
         set_default_dtype("float32")
@@ -45,17 +68,17 @@ class TestConfiguration:
             set_default_dtype("float16")
 
     def test_top_level_reexports(self):
-        assert repro.get_default_dtype() is np.float64
-        repro.set_default_dtype("float32")
-        assert get_default_dtype() is np.float32
+        assert repro.get_default_dtype() is np.float32
+        repro.set_default_dtype("float64")
+        assert get_default_dtype() is np.float64
 
     def test_scope_restores(self):
-        with default_dtype_scope("float32"):
-            assert get_default_dtype() is np.float32
-            with default_dtype_scope("float64"):
-                assert get_default_dtype() is np.float64
-            assert get_default_dtype() is np.float32
-        assert get_default_dtype() is np.float64
+        with default_dtype_scope("float64"):
+            assert get_default_dtype() is np.float64
+            with default_dtype_scope("float32"):
+                assert get_default_dtype() is np.float32
+            assert get_default_dtype() is np.float64
+        assert get_default_dtype() is np.float32
 
 
 class TestTensorDtype:
@@ -114,23 +137,9 @@ class TestDataAndGradcheck:
         assert get_default_dtype() is np.float32  # scope restored
 
     def test_env_variable(self):
-        import subprocess
-        import sys
-        code = ("import repro; from repro.autograd import get_default_dtype, Tensor; "
-                "import numpy as np; "
-                "assert get_default_dtype() is np.float32; "
-                "assert Tensor([1.0]).dtype == np.float32; print('ok')")
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"REPRO_DTYPE": "float32", "PYTHONPATH": "src",
-                 "PATH": "/usr/bin:/bin"},
-            capture_output=True, text=True, cwd=".")
-        assert result.returncode == 0, result.stderr
-        assert "ok" in result.stdout
+        assert _fresh_dtypes(REPRO_DTYPE="float64") == ["float64", "float64"]
 
     def test_invalid_env_variable_fails_on_use_not_import(self):
-        import subprocess
-        import sys
         code = ("import repro.cli; "  # import must survive a bad REPRO_DTYPE
                 "from repro.autograd import get_default_dtype\n"
                 "try:\n"

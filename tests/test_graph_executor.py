@@ -198,6 +198,7 @@ class TestModelGrid:
                    context="lstm")
 
     def test_float32_parity(self):
+        prev = get_default_dtype()
         set_default_dtype("float32")
         try:
             run_parity(lambda: temponet_seed(width_mult=0.125, seed=3),
@@ -205,7 +206,7 @@ class TestModelGrid:
                        extra_loss_fn=lambda m: size_regularizer(m, 0.02),
                        context="temponet-f32")
         finally:
-            set_default_dtype("float64")
+            set_default_dtype(prev)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +393,8 @@ class TestFallbacks:
         step = make_training_step(model, mse_loss)
         x, y = rng.standard_normal((4, 3, 32)), rng.standard_normal((4, 2))
         step(x, y)
-        set_default_dtype("float32")
+        prev = get_default_dtype()
+        set_default_dtype(np.float64 if prev is np.float32 else np.float32)
         try:
             model.zero_grad()
             step(x, y)
@@ -400,7 +402,7 @@ class TestFallbacks:
             dtypes = {key[2] for key in step.compiled_shapes}
             assert dtypes == {np.float64, np.float32}
         finally:
-            set_default_dtype("float64")
+            set_default_dtype(prev)
 
 
 # ----------------------------------------------------------------------

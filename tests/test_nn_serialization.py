@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
-from repro.models import temponet_seed
+from repro.autograd import Tensor, default_dtype_scope
+from repro.models import temponet_fixed, temponet_seed
 from repro.nn import BatchNorm1d, CausalConv1d, Linear, ReLU, Sequential
 from repro.nn.serialization import (
     CheckpointError,
@@ -137,6 +137,28 @@ class TestModelRoundTrip:
         load_model(target, path)
         x = Tensor(RNG.standard_normal((3, 2, 8)))
         assert np.allclose(source(x).data, target(x).data)
+
+    @pytest.mark.parametrize("saved, target_dtype", [
+        ("float64", "float32"), ("float32", "float64")])
+    def test_load_casts_to_model_dtype(self, tmp_path, saved, target_dtype):
+        """A file saved at one precision loads into a network built at the
+        other as arrays of the network's dtype, BatchNorm statistics
+        included, and the network evaluates in that dtype."""
+        path = tmp_path / "model.npz"
+        x = RNG.standard_normal((2, 4, 256))
+        with default_dtype_scope(saved):
+            source = temponet_fixed(None, width_mult=0.125, seed=1)
+            source(Tensor(x))  # move the BatchNorm running stats off init
+            save_model(source, path)
+        with default_dtype_scope(target_dtype):
+            target = temponet_fixed(None, width_mult=0.125, seed=2)
+            load_model(target, path)
+            state = target.state_dict()
+            assert {a.dtype for a in state.values()} == {np.dtype(target_dtype)}
+            for name, array in source.state_dict().items():
+                assert np.allclose(state[name], array, rtol=1e-6), name
+            out = target.eval()(Tensor(x))
+        assert out.dtype == np.dtype(target_dtype)
 
     def test_architecture_mismatch_raises(self, tmp_path):
         path = tmp_path / "model.npz"

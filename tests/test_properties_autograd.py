@@ -42,7 +42,10 @@ class TestConvProperties:
         w2 = rng.standard_normal((2, c, k))
         lhs = conv1d_causal(x, Tensor(w1 + w2)).data
         rhs = conv1d_causal(x, Tensor(w1)).data + conv1d_causal(x, Tensor(w2)).data
-        assert np.allclose(lhs, rhs)
+        # The two sides round differently: float32 round-off on these O(10)
+        # sums reaches 2e-6 over the whole strategy space, float64's 1e-15.
+        atol = 1e-5 if lhs.dtype == np.float32 else 1e-8
+        assert np.allclose(lhs, rhs, atol=atol)
 
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(6, 12))
     def test_conv_time_shift_equivariance(self, d, c, t):

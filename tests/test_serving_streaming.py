@@ -47,7 +47,7 @@ TOLS = {
 }
 
 # Tests that do not force a dtype run on the ambient default (CI also runs
-# this file under REPRO_DTYPE=float32), so they pick the matching tolerance.
+# this file under REPRO_DTYPE=float64), so they pick the matching tolerance.
 from repro.autograd import get_default_dtype
 
 AMBIENT_TOL = TOLS[np.dtype(get_default_dtype()).name]
