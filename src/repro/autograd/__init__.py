@@ -29,6 +29,8 @@ from .ops_conv import (
 )
 from .ops_nn import (
     softmax,
+    batch_norm_stats,
+    batch_norm,
     binarize_ste,
     dropout,
     dropout_stacked,
@@ -65,6 +67,8 @@ __all__ = [
     "avg_pool1d",
     "global_avg_pool1d",
     "softmax",
+    "batch_norm_stats",
+    "batch_norm",
     "binarize_ste",
     "dropout",
     "dropout_stacked",

@@ -299,7 +299,7 @@ def _avg_pool_fwd(ins, attrs):
     kernel_size, stride = attrs["kernel_size"], attrs["stride"]
     n, c, t = x.shape
     t_out = (t - kernel_size) // stride + 1
-    out = np.zeros((n, c, t_out))
+    out = np.zeros((n, c, t_out), x.dtype)
     for offset in range(kernel_size):
         out += x[:, :, offset: offset + stride * t_out: stride]
     out /= kernel_size

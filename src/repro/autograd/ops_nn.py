@@ -1,8 +1,8 @@
 """Neural-network specific differentiable operations.
 
 Contains the numerically-stable softmax, the straight-through
-Heaviside binarization used by PIT's γ parameters (paper Eq. 2), and a
-dropout primitive.
+Heaviside binarization used by PIT's γ parameters (paper Eq. 2), a
+dropout primitive and training-mode batch normalization.
 
 All ops are expressed as :class:`repro.autograd.tensor.OpDef` kernel pairs
 dispatched through :func:`repro.autograd.tensor.apply_op`, so they are
@@ -22,6 +22,8 @@ from .tensor import OpDef, Tensor, apply_op
 
 __all__ = [
     "softmax",
+    "batch_norm_stats",
+    "batch_norm",
     "binarize_ste",
     "binary_mask",
     "dropout",
@@ -48,6 +50,78 @@ _SOFTMAX = OpDef("softmax", _softmax_fwd, _softmax_bwd)
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     return apply_op(_SOFTMAX, (x,), {"axis": axis})
+
+
+def _batch_norm_stats_fwd(ins, attrs):
+    x, axes = ins[0], attrs["axes"]
+    mean = x.mean(axis=axes, keepdims=True)
+    centered = x - mean
+    return np.stack((mean, (centered * centered).mean(axis=axes,
+                                                      keepdims=True))), None
+
+
+_BATCH_NORM_STATS = OpDef("batch_norm_stats", _batch_norm_stats_fwd, None)
+
+
+def batch_norm_stats(x: Tensor, axes: tuple) -> Tensor:
+    """The batch mean and biased variance of ``x`` over ``axes``, stacked
+    as one keepdims ``(mean, var)`` array.
+
+    Detached: :func:`batch_norm`'s closed-form backward already accounts
+    for how both depend on ``x``.  A recorded op all the same, so a
+    replayed step recomputes them (and the running-statistics update fed
+    from them) on every batch.
+    """
+    return apply_op(_BATCH_NORM_STATS, (x,), {"axes": axes}, detach=True)
+
+
+def _batch_norm_fwd(ins, attrs):
+    x, stats, w, b = ins
+    shape = attrs["shape"]
+    std = np.sqrt(stats[1] + attrs["eps"])
+    x_hat = x - stats[0]
+    x_hat /= std
+    out = x_hat * w.reshape(shape)
+    out += b.reshape(shape)
+    return out, (x_hat, std)
+
+
+def _batch_norm_bwd(g, ins, out, ctx, attrs, needs):
+    # Ioffe & Szegedy's closed form.  w is constant over the reduced axes,
+    # so mean(g·w) = w·mean(g) and mean(g·w·x̂) = w·mean(g·x̂):
+    #   dx = (w/σ)·(g − mean(g) − x̂·mean(g·x̂)),  dw = Σ g·x̂,  db = Σ g.
+    w, b = ins[2:]
+    x_hat, std = ctx
+    axes = attrs["axes"]
+    g_sum = g.sum(axis=axes, keepdims=True)
+    gx_sum = (g * x_hat).sum(axis=axes, keepdims=True)
+    dx = None
+    if needs[0]:
+        n = g.size // g_sum.size
+        dx = g - g_sum / n
+        dx -= x_hat * (gx_sum / n)
+        dx *= w.reshape(attrs["shape"]) / std
+    return (dx, None,
+            gx_sum.reshape(w.shape) if needs[2] else None,
+            g_sum.reshape(b.shape) if needs[3] else None)
+
+
+_BATCH_NORM = OpDef("batch_norm", _batch_norm_fwd, _batch_norm_bwd)
+
+
+def batch_norm(x: Tensor, stats: Tensor, weight: Tensor, bias: Tensor,
+               axes: tuple, shape: tuple, eps: float) -> Tensor:
+    """Training-mode batch normalization ``x̂·w + b`` as one op.
+
+    ``x̂ = (x − mean) / sqrt(var + eps)`` with ``stats`` from
+    :func:`batch_norm_stats` over the same ``axes``; ``weight`` and
+    ``bias`` are reshaped to ``shape``, which broadcasts them along the
+    reduced axes.  The backward is the closed form (Ioffe & Szegedy,
+    arXiv:1502.03167) from the saved x̂ and σ, so ``stats`` gets no
+    gradient of its own.
+    """
+    return apply_op(_BATCH_NORM, (x, stats, weight, bias),
+                    {"axes": axes, "shape": shape, "eps": eps})
 
 
 def binary_mask(x: np.ndarray, threshold: float,
@@ -96,7 +170,10 @@ def binarize_ste(x: Tensor, threshold: float = 0.5,
 def _dropout_fwd(ins, attrs):
     x = ins[0]
     p = attrs["p"]
-    keep = (attrs["rng"].random(x.shape) >= p) / (1.0 - p)
+    # The draw stays float64 (the stream the generator has always given);
+    # the mask is built in x's dtype, scaled like dropout_stacked's.
+    keep = (attrs["rng"].random(x.shape) >= p).astype(x.dtype)
+    keep *= 1.0 / (1.0 - p)
     return x * keep, keep
 
 

@@ -202,7 +202,8 @@ class OpDef:
     bwd:
         ``bwd(grad, ins, out, ctx, attrs, needs) -> grads`` returning one
         gradient (or None) per input; ``needs[i]`` tells whether input ``i``
-        requires a gradient.
+        requires a gradient.  None for an op that is only ever dispatched
+        detached (``apply_op(..., detach=True)``).
 
     Kernels must be *pure* in the buffers: they may close over static
     configuration but never over arrays of a particular call — this is the
@@ -793,13 +794,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return apply_op(_MEAN, (self,), {"axis": axis, "keepdims": keepdims})
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Biased (population) variance, built from differentiable primitives."""
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        sq = centered * centered
-        return sq.mean(axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------
     # Shape manipulation

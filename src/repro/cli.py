@@ -53,10 +53,10 @@ training state at epoch boundaries, so a run killed by a crash, timeout
 or preemption can continue from its last finished epoch with bit-exact
 results (see README "Checkpointing & resume").  ``train`` and ``search``
 opt into continuing from an existing checkpoint with ``--resume`` (a
-fresh invocation otherwise starts over and rewrites the file; ``--resume``
-without ``--checkpoint-dir`` is a usage error, exit code 2); ``sweep``
-always resumes in-flight grid points, mirroring how ``--cache`` always
-skips finished ones.
+fresh invocation otherwise starts over and rewrites the file).
+``--resume`` or ``--checkpoint-every`` without ``--checkpoint-dir`` is a
+usage error, exit code 2.  ``sweep`` always resumes in-flight grid points,
+mirroring how ``--cache`` always skips finished ones.
 """
 
 from __future__ import annotations
@@ -440,10 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "training state at every epoch boundary) into "
                             "this directory, so a killed run can continue "
                             "bit-exactly (default: no checkpointing)")
-        p.add_argument("--checkpoint-every", type=_AT_LEAST_ONE, default=1,
-                       dest="checkpoint_every", metavar="N",
-                       help="snapshot every Nth epoch boundary "
-                            "(default: 1)")
+        p.add_argument("--checkpoint-every", type=_AT_LEAST_ONE,
+                       default=None, dest="checkpoint_every", metavar="N",
+                       help="snapshot every Nth epoch boundary; needs "
+                            "--checkpoint-dir (default: 1)")
         if resumable:
             p.add_argument("--resume", action="store_true",
                            help="continue from the checkpoint in "
@@ -572,12 +572,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "resume", False) and args.checkpoint_dir is None:
-        # Without a directory there is nothing to resume from: running on
-        # would train from scratch and let the user believe it resumed.
-        print(f"repro {args.command}: error: --resume needs --checkpoint-dir",
-              file=sys.stderr)
-        return 2
+    # Without a directory there is nothing to resume from or write to:
+    # running on would train from scratch, or without a checkpoint, and
+    # let the user believe otherwise.
+    for flag, given in (
+            ("--resume", getattr(args, "resume", False)),
+            ("--checkpoint-every",
+             getattr(args, "checkpoint_every", None) is not None)):
+        if given and args.checkpoint_dir is None:
+            print(f"repro {args.command}: error: {flag} needs "
+                  "--checkpoint-dir", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -30,7 +30,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..autograd import Tensor, apply_op, binarize_ste, conv1d_causal_masked
+from ..autograd import (Tensor, apply_op, binarize_ste, conv1d_causal_masked,
+                        get_default_dtype)
 from ..autograd.ops_nn import binary_mask
 from ..autograd.tensor import _SUM
 from ..nn import init
@@ -69,7 +70,7 @@ class ChannelMask(Module):
         self.min_channels = min_channels
         self.gamma_hat = Parameter(np.full(channels, init_value),
                                    name="pit.channel_gamma_hat")
-        self.register_buffer("frozen_mask", np.zeros(0))
+        self.register_buffer("frozen_mask", np.zeros(0, get_default_dtype()))
         self.frozen = False
 
     def forward(self) -> Tensor:
@@ -82,7 +83,8 @@ class ChannelMask(Module):
         if self.frozen and self.frozen_mask.size:
             return self.frozen_mask.copy()
         return binary_mask(self.gamma_hat.data, self.threshold,
-                           self.min_channels).astype(np.float64, copy=False)
+                           self.min_channels).astype(get_default_dtype(),
+                                                     copy=False)
 
     def alive_channels(self) -> int:
         return int(self.current_mask().sum())
@@ -96,7 +98,7 @@ class ChannelMask(Module):
 
     def set_alive(self, alive: np.ndarray) -> None:
         """Force a binary channel pattern (testing/baselines)."""
-        alive = np.asarray(alive, dtype=np.float64)
+        alive = np.asarray(alive, dtype=get_default_dtype())
         if alive.shape != (self.channels,):
             raise ValueError(f"expected shape ({self.channels},), got {alive.shape}")
         self.gamma_hat.data[...] = np.where(alive >= 0.5, 1.0, 0.0)

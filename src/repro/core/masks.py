@@ -40,7 +40,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, binarize_ste, concatenate, no_grad
+from ..autograd import (Tensor, binarize_ste, concatenate,
+                        get_default_dtype, no_grad)
 from ..nn.module import Module, Parameter
 
 __all__ = [
@@ -95,7 +96,7 @@ def mask_from_binary_gamma(gamma: np.ndarray, rf_max: int) -> np.ndarray:
     lags ``0 .. rf_max - 1`` (lag order, *not* kernel order).
     """
     length = num_gamma(rf_max)
-    gamma = np.asarray(gamma, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=get_default_dtype())
     if gamma.shape != (length,):
         raise ValueError(f"gamma must have shape ({length},), got {gamma.shape}")
     if gamma[0] != 1:
@@ -113,7 +114,7 @@ def effective_dilation(gamma: np.ndarray, rf_max: int) -> int:
     always exists and ``d <= 2^{L-1}``.
     """
     length = num_gamma(rf_max)
-    gamma = np.asarray(gamma, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=get_default_dtype())
     cumulative = np.cumprod(gamma)
     big_gamma = cumulative[::-1]
     alive = np.nonzero(big_gamma >= 0.5)[0]
@@ -236,7 +237,7 @@ class TimeMask(Module):
         self.threshold = threshold
         self.gamma_hat = Parameter(np.full(max(self.length - 1, 0), init_value),
                                    name="pit.gamma_hat")
-        self.register_buffer("frozen_mask", np.zeros(0))
+        self.register_buffer("frozen_mask", np.zeros(0, get_default_dtype()))
         self._lag_indices = lag_gamma_indices(rf_max)
         self.frozen = False
 
@@ -260,10 +261,11 @@ class TimeMask(Module):
     # -- bookkeeping ----------------------------------------------------------
     def binary_gamma(self) -> np.ndarray:
         """Current binary γ (length ``L``, γ0 included), detached."""
+        dtype = get_default_dtype()
         if self.length == 1:
-            return np.ones(1)
-        bits = (self.gamma_hat.data >= self.threshold).astype(np.float64)
-        return np.concatenate([[1.0], bits])
+            return np.ones(1, dtype)
+        bits = (self.gamma_hat.data >= self.threshold).astype(dtype)
+        return np.concatenate([np.ones(1, dtype), bits])
 
     def current_dilation(self) -> int:
         """Dilation encoded by the current (or frozen) γ values."""

@@ -16,6 +16,8 @@ import numpy as np
 from ..autograd import (
     Tensor,
     avg_pool1d,
+    batch_norm,
+    batch_norm_stats,
     conv1d_causal,
     dropout as dropout_op,
     get_default_dtype,
@@ -133,6 +135,15 @@ class BatchNorm1d(Module):
     Normalizes per channel across batch (and time, when present), tracking
     running statistics for evaluation mode — the behaviour the int8
     deployment flow folds into the preceding convolution.
+
+    A training-mode call dispatches two ops: the detached batch statistics
+    (:func:`repro.autograd.batch_norm_stats`, which also feed the
+    running-statistics update) and :func:`repro.autograd.batch_norm`,
+    whose backward is the closed form (Ioffe & Szegedy) rather than a
+    chain of primitive VJPs, so a step keeps x̂ and the output instead of
+    every intermediate.  Evaluation mode is unchanged: it computes
+    ``(x − mean) / sqrt(var + eps) · w + b`` from the running statistics
+    with primitive ops, the math serving and the GAP8 BN folding rely on.
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -157,22 +168,20 @@ class BatchNorm1d(Module):
             raise ValueError(f"BatchNorm1d expects 2-D or 3-D input, got {x.shape}")
 
         if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
+            stats = batch_norm_stats(x, axes)
             # Routed through the side-effect hook so a graph-captured step
             # replays the running-statistics update on every batch.
-            record_side_effect((mean, var), self._update_running_stats)
-            x_hat = (x - mean) / (var + self.eps).sqrt()
-        else:
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
-            x_hat = (x - mean) / (var + self.eps).sqrt()
+            record_side_effect((stats,), self._update_running_stats)
+            return batch_norm(x, stats, self.weight, self.bias, axes, shape,
+                              self.eps)
 
-        w = self.weight.reshape(shape)
-        b = self.bias.reshape(shape)
-        return x_hat * w + b
+        mean = Tensor(self.running_mean.reshape(shape))
+        var = Tensor(self.running_var.reshape(shape))
+        x_hat = (x - mean) / (var + self.eps).sqrt()
+        return x_hat * self.weight.reshape(shape) + self.bias.reshape(shape)
 
-    def _update_running_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
+    def _update_running_stats(self, stats: np.ndarray) -> None:
+        mean, var = stats
         self.update_buffer(
             "running_mean",
             (1 - self.momentum) * self.running_mean + self.momentum * mean.reshape(-1))

@@ -40,9 +40,12 @@ import numpy as np
 from ..autograd import (
     Tensor,
     avg_pool1d,
+    batch_norm,
+    batch_norm_stats,
     conv1d_causal_stacked,
     dropout_stacked,
     get_default_dtype,
+    record_side_effect,
 )
 from .layers import (
     AvgPool1d,
@@ -254,7 +257,6 @@ class StackedBatchNorm1d(Module):
                              stack_parameter(template.running_var, ctx.m))
 
     def forward(self, x: Tensor) -> Tensor:
-        from ..autograd import record_side_effect
         m = self.weight.shape[0]
         if x.ndim == 4:            # stacked (M, N, C, T)
             axes, shape = (1, 3), (m, 1, self.num_features, 1)
@@ -265,20 +267,20 @@ class StackedBatchNorm1d(Module):
                 f"StackedBatchNorm1d expects (M, N, C[, T]) input, got {x.shape}")
 
         if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            record_side_effect((mean, var), self._update_running_stats)
-            x_hat = (x - mean) / (var + self.eps).sqrt()
-        else:
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
-            x_hat = (x - mean) / (var + self.eps).sqrt()
+            # The two ops BatchNorm1d trains with: stacked and sequential
+            # training share one normalization and one backward.
+            stats = batch_norm_stats(x, axes)
+            record_side_effect((stats,), self._update_running_stats)
+            return batch_norm(x, stats, self.weight, self.bias, axes, shape,
+                              self.eps)
 
-        w = self.weight.reshape(shape)
-        b = self.bias.reshape(shape)
-        return x_hat * w + b
+        mean = Tensor(self.running_mean.reshape(shape))
+        var = Tensor(self.running_var.reshape(shape))
+        x_hat = (x - mean) / (var + self.eps).sqrt()
+        return x_hat * self.weight.reshape(shape) + self.bias.reshape(shape)
 
-    def _update_running_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
+    def _update_running_stats(self, stats: np.ndarray) -> None:
+        mean, var = stats
         m = self.weight.shape[0]
         self.update_buffer(
             "running_mean",

@@ -13,6 +13,12 @@ kernels in place.  The patch is undone on exit, also on error.
 the way the benchmark tracer does, and yields the list every call appends
 its method name to.
 
+The hypothesis profile is loaded here, once for the whole suite, so it
+does not depend on which property module is collected last: derandomized
+(every run draws the same examples, so a tolerance defect fails every
+time or never) with 30 examples per test unless a test's ``@settings``
+says otherwise.
+
 ``eager_steps()`` runs every trainer step eagerly for its duration: the
 reference the compiled replay is held to.  Trainers build their steps as
 :class:`repro.autograd.CompiledStep`; inside the scope they build
@@ -24,10 +30,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.autograd import EagerStep
 from repro.autograd.backends import EinsumReference, get_backend
 from repro.core import driver, stacked
+
+settings.register_profile("repro", max_examples=30, deadline=None,
+                          derandomize=True)
+settings.load_profile("repro")
 
 ORACLE = EinsumReference()
 KERNEL_SET_NAMES = ("einsum", "im2col")

@@ -1,11 +1,11 @@
-"""Tests for the core autograd engine: construction, the backward pass,
-no_grad, and the composite reductions.  Every op has its entry in the op
-table of ``tests/test_ops.py``."""
+"""Tests for the core autograd engine: construction, the backward pass
+and no_grad.  Every op has its entry in the op table of
+``tests/test_ops.py``."""
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, is_grad_enabled, no_grad
+from repro.autograd import Tensor, is_grad_enabled, no_grad
 
 RNG = np.random.default_rng(1234)
 
@@ -143,21 +143,3 @@ class TestBackwardEngine:
         except RuntimeError:
             pass
         assert is_grad_enabled()
-
-
-# ----------------------------------------------------------------------
-# Composite reductions (no OpDef of their own, so no op-table entry)
-# ----------------------------------------------------------------------
-
-class TestReductions:
-    """``Tensor.var`` is built from the ``mean``, ``sub`` and ``mul`` ops;
-    the op table in ``tests/test_ops.py`` covers those, these the
-    composition."""
-
-    def test_var_matches_numpy(self):
-        a = RNG.standard_normal((3, 4))
-        assert np.allclose(Tensor(a).var(axis=0).data, a.var(axis=0))
-
-    def test_var_gradcheck(self):
-        a = make((3, 4))
-        check_gradients(lambda x: x.var(axis=0), [a], atol=1e-4)

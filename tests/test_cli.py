@@ -66,6 +66,18 @@ class TestParser:
         assert captured.err == (
             f"repro {command}: error: --resume needs --checkpoint-dir\n")
 
+    @pytest.mark.parametrize("command", ["train", "search", "sweep"])
+    def test_checkpoint_every_needs_checkpoint_dir(self, command, capsys):
+        """Without a directory --checkpoint-every writes nothing: the same
+        usage error as --resume, not a run the user believes is saved."""
+        assert main([command, "--checkpoint-every", "2", "--width", "0.125",
+                     "--epochs", "1", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro {command}: error: --checkpoint-every needs "
+            "--checkpoint-dir\n")
+
 
 class TestInfo:
     def test_ppg_info(self, capsys):

@@ -118,6 +118,25 @@ class TestTensorDtype:
         assert np.isfinite(loss) and loss == task
         assert all(p.dtype == np.float32 for p in model.parameters())
 
+    def test_frozen_searchable_net_is_all_float32(self):
+        """Masks are built at the default dtype, so a frozen mask is used
+        as stored, not cast to a fresh copy on every forward."""
+        from repro.core import ChannelMask
+        from repro.core.regularizer import pit_layers
+        from repro.models import temponet_seed
+        model = temponet_seed(0.125)
+        layers = pit_layers(model)
+        channels = ChannelMask(4)
+        channels.gamma_hat.data[:2] = 0.0
+        masks = [layer.mask for layer in layers] + [channels]
+        for mask in masks:
+            mask.freeze()
+        arrays = ([p.data for p in model.parameters()]
+                  + [b for _, b in model.named_buffers()]
+                  + [channels.frozen_mask])
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        assert all(mask().data is mask.frozen_mask for mask in masks)
+
 
 class TestDataAndGradcheck:
     def test_array_dataset_follows_default(self):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import CompiledStep, Tensor, default_dtype_scope
+from repro.autograd.graph import capture
 from repro.nn import (
     AvgPool1d,
     BatchNorm1d,
@@ -15,6 +16,7 @@ from repro.nn import (
     Linear,
     ReLU,
 )
+from repro.nn.stacked import StackContext, stack_module
 
 RNG = np.random.default_rng(21)
 
@@ -124,6 +126,93 @@ class TestBatchNorm1d:
         x = Tensor(RNG.standard_normal((4, 3, 5)), requires_grad=True)
         bn(x).sum().backward()
         assert x.grad is not None
+
+
+def composite_batch_norm(x, weight, bias, axes, shape, eps):
+    """Training-mode BatchNorm composed from Tensor primitives (mean, sub,
+    mul, add, sqrt, div, reshape), each with its own VJP: the oracle of the
+    closed-form ``batch_norm`` op, as ``EinsumReference`` is of the conv
+    kernels.  Returns the output and the batch mean and variance."""
+    mean = x.mean(axis=axes, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    x_hat = centered / (var + eps).sqrt()
+    return x_hat * weight.reshape(shape) + bias.reshape(shape), mean, var
+
+
+def assert_close(actual, expected, rel=1e-12):
+    """Max abs error at most ``rel`` of the reference's largest entry."""
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+# Stack width (None: the plain layer), input shape, reduced axes and the
+# shape weight and bias broadcast as.
+BN_LAYOUTS = {"NCT": (None, (4, 3, 5), (0, 2), (1, 3, 1)),
+              "NC": (None, (6, 3), (0,), (1, 3)),
+              "stacked-MNCT": (2, (2, 4, 3, 5), (1, 3), (2, 1, 3, 1))}
+
+
+def bn_layer(stack):
+    layer = BatchNorm1d(3, momentum=0.3)
+    return layer if stack is None else stack_module(layer, StackContext(stack))
+
+
+class TestBatchNormOracle:
+    """BatchNorm1d and StackedBatchNorm1d train through the closed-form
+    ``batch_norm`` op; the composite reference must agree at float64."""
+
+    @pytest.mark.parametrize("layout", BN_LAYOUTS)
+    def test_training_dispatches_two_ops(self, layout):
+        stack, x_shape, _, _ = BN_LAYOUTS[layout]
+        layer = bn_layer(stack)
+        with capture() as tracer:
+            layer(Tensor(RNG.standard_normal(x_shape)))
+        assert [node.op.name for node in tracer.records
+                if hasattr(node, "op")] == ["batch_norm_stats", "batch_norm"]
+
+    @pytest.mark.parametrize("layout", BN_LAYOUTS)
+    def test_matches_composite_reference(self, layout):
+        """Output, dx, dw, db and the running statistics over a traced
+        step and three replays, each on a fresh batch."""
+        stack, x_shape, axes, shape = BN_LAYOUTS[layout]
+        rng = np.random.default_rng(5)
+        with default_dtype_scope("float64"):
+            layer = bn_layer(stack)
+            layer.weight.data[...] = 1.0 + rng.standard_normal(layer.weight.shape)
+            layer.bias.data[...] = rng.standard_normal(layer.bias.shape)
+            running_mean = layer.running_mean.copy()
+            running_var = layer.running_var.copy()
+            x = Tensor(np.zeros(x_shape), requires_grad=True)
+
+            def step_fn(_, y):
+                out = layer(x)
+                return (out * y).sum(), out
+            step = CompiledStep(step_fn)
+            for _ in range(4):
+                x.data[...] = 2.0 * rng.standard_normal(x_shape) + 1.0
+                y = rng.standard_normal(x_shape)
+                x.grad = layer.weight.grad = layer.bias.grad = None
+                _, out = step(np.zeros(1), y)
+
+                xr = Tensor(x.data.copy(), requires_grad=True)
+                wr = Tensor(layer.weight.data.copy(), requires_grad=True)
+                br = Tensor(layer.bias.data.copy(), requires_grad=True)
+                out_r, mean, var = composite_batch_norm(xr, wr, br, axes,
+                                                        shape, layer.eps)
+                (out_r * Tensor(y)).sum().backward()
+                m = layer.momentum
+                running_mean = ((1 - m) * running_mean
+                                + m * mean.data.reshape(running_mean.shape))
+                running_var = ((1 - m) * running_var
+                               + m * var.data.reshape(running_var.shape))
+
+                assert_close(out, out_r.data)
+                assert_close(x.grad, xr.grad)
+                assert_close(layer.weight.grad, wr.grad)
+                assert_close(layer.bias.grad, br.grad)
+                assert_close(layer.running_mean, running_mean)
+                assert_close(layer.running_var, running_var)
+        assert step.compiled_shapes
 
 
 class TestActivationsAndUtility:

@@ -10,15 +10,18 @@ of every entry then runs the same checks:
   upstream weighting — or, for an op whose gradient is *defined* rather
   than numerical, that definition (the straight-through binarizer passes
   the upstream gradient unchanged; dropout scales it by its saved mask);
+  a *detached* op (BatchNorm's batch statistics) must stay out of the
+  graph instead;
 * eager against compiled replay: three steps with fresh input values,
   bit-equal losses and gradients;
-* under a float32 scope: float32 outputs and gradients, close to the
-  reference.
+* under a float32 scope: float32 outputs and gradients as the kernels
+  return them (before any cast), close to the reference.
 
 :func:`test_every_opdef_has_an_entry` compares the table with the ``OpDef``
 objects the autograd modules define, so an op added without samples fails.
 """
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -31,6 +34,8 @@ from repro.autograd import (
     OpDef,
     Tensor,
     avg_pool1d,
+    batch_norm,
+    batch_norm_stats,
     binarize_ste,
     check_gradients,
     concatenate,
@@ -63,14 +68,16 @@ class OpInfo:
     # ``grad_rule(arrays, out, upstream)`` gives the expected input
     # gradients of an op whose gradient is defined, not numerical.
     grad_rule: Optional[Callable] = None
+    # Dispatched with ``apply_op(..., detach=True)``: no backward at all.
+    detached: bool = False
 
 
 OPS: Dict[str, OpInfo] = {}
 
 
-def op(name, grad_rule=None):
+def op(name, grad_rule=None, detached=False):
     def register(samples):
-        OPS[name] = OpInfo(samples, grad_rule)
+        OPS[name] = OpInfo(samples, grad_rule, detached)
         return samples
     return register
 
@@ -329,6 +336,49 @@ def _dropout_stacked_samples():
             sample("one-inactive", np.array([1.0, 0.0]))]
 
 
+# The layouts BatchNorm1d and StackedBatchNorm1d normalize: name, input
+# shape, reduced axes, the shape weight and bias broadcast as, and their
+# own shape.
+BN_LAYOUTS = [("NCT", (4, 3, 5), (0, 2), (1, 3, 1), (3,)),
+              ("NC", (6, 3), (0,), (1, 3), (3,)),
+              ("stacked-MNCT", (2, 4, 3, 5), (1, 3), (2, 1, 3, 1), (2, 3))]
+
+
+def batch_stats_ref(x, axes):
+    return np.stack((x.mean(axis=axes, keepdims=True),
+                     x.var(axis=axes, keepdims=True)))
+
+
+@op("batch_norm_stats", detached=True)
+def _batch_norm_stats_samples():
+    return [Sample(name, randn(x_shape, shift=2.0, scale=3.0),
+                   lambda x, axes=axes: batch_norm_stats(x, axes),
+                   lambda x, axes=axes: batch_stats_ref(x, axes))
+            for name, x_shape, axes, _, _ in BN_LAYOUTS]
+
+
+def batch_norm_ref(x, w, b, axes, shape, eps=1e-5):
+    mean, var = batch_stats_ref(x, axes)
+    return ((x - mean) / np.sqrt(var + eps) * w.reshape(shape)
+            + b.reshape(shape))
+
+
+@op("batch_norm")
+def _batch_norm_samples():
+    # The stacked layout carries per-model weights; the gradient check
+    # perturbs x through both ops, so it also checks that the closed form
+    # covers how the (gradient-free) statistics depend on x.
+    def call(x, w, b, axes, shape):
+        return batch_norm(x, batch_norm_stats(x, axes), w, b, axes, shape,
+                          1e-5)
+    return [Sample(name, randn(x_shape, p_shape, p_shape),
+                   lambda x, w, b, axes=axes, shape=shape:
+                       call(x, w, b, axes, shape),
+                   lambda x, w, b, axes=axes, shape=shape:
+                       batch_norm_ref(x, w, b, axes, shape))
+            for name, x_shape, axes, shape, p_shape in BN_LAYOUTS]
+
+
 # -- convolution and pooling ---------------------------------------------
 
 def conv_ref(x, w, b=None, dilation=1, stride=1):
@@ -425,11 +475,46 @@ def leaves(arrays, requires_grad=True):
     return [Tensor(a, requires_grad=requires_grad) for a in arrays]
 
 
+def defined_opdefs():
+    return [value for module in (tensor, ops_nn, ops_conv)
+            for value in vars(module).values() if isinstance(value, OpDef)]
+
+
+@contextlib.contextmanager
+def raw_kernel_dtypes():
+    """Wrap every ``OpDef``'s kernels; yields the list of ``(kernel,
+    dtype)`` each forward output and backward gradient appends, as the
+    kernel returned it, before ``Tensor()`` or the replay coerce it."""
+    seen = []
+
+    def wrap_fwd(op, fwd):
+        def run(ins, attrs):
+            out, ctx = fwd(ins, attrs)
+            seen.append((f"{op.name}.fwd", np.asarray(out).dtype))
+            return out, ctx
+        return run
+
+    def wrap_bwd(op, bwd):
+        def run(*args):
+            grads = bwd(*args)
+            seen.extend((f"{op.name}.bwd", np.asarray(g).dtype)
+                        for g in grads if g is not None)
+            return grads
+        return run
+    saved = [(op, op.fwd, op.bwd) for op in defined_opdefs()]
+    try:
+        for op, fwd, bwd in saved:
+            op.fwd = wrap_fwd(op, fwd)
+            if bwd is not None:
+                op.bwd = wrap_bwd(op, bwd)
+        yield seen
+    finally:
+        for op, fwd, bwd in saved:
+            op.fwd, op.bwd = fwd, bwd
+
+
 def test_every_opdef_has_an_entry():
-    defined = {value.name for module in (tensor, ops_nn, ops_conv)
-               for value in vars(module).values()
-               if isinstance(value, OpDef)}
-    assert defined == set(OPS)
+    assert {op.name for op in defined_opdefs()} == set(OPS)
 
 
 @cases
@@ -451,6 +536,9 @@ def test_gradients(name, index):
     arrays = sample.make(rng)
     with default_dtype_scope("float64"):
         inputs = leaves(arrays)
+        if OPS[name].detached:
+            assert not sample.call(*inputs).requires_grad
+            return
         if rule is None:
             weights = Tensor(rng.standard_normal(sample.ref(*arrays).shape))
             check_gradients(lambda *ts: sample.call(*ts) * weights, inputs)
@@ -465,7 +553,12 @@ def test_gradients(name, index):
 @cases
 def test_compiled_replay_matches_eager(name, index):
     """Three steps, each with fresh input values written into the leaves
-    (as an optimizer would) and a fresh upstream weighting as the batch."""
+    (as an optimizer would) and a fresh upstream weighting as the batch.
+
+    A detached op's output is scaled by a differentiable scalar, so the
+    step has a loss and the scalar's gradient ``sum(out * y)`` shows the
+    replay recomputed the output."""
+    detached = OPS[name].detached
     runs = {}
     for compiled in (False, True):
         sample = sample_of(name, index)
@@ -473,18 +566,22 @@ def test_compiled_replay_matches_eager(name, index):
         with default_dtype_scope("float64"):
             values = [sample.make(rng) for _ in range(3)]
             params = leaves([a.copy() for a in values[0]])
+            scale = Tensor(1.0, requires_grad=True)
+            graded = [scale] if detached else params
 
             def step_fn(x, y):
-                return (sample.call(*params) * y).sum()
+                out = sample.call(*params)
+                return ((out * scale if detached else out) * y).sum()
             step = CompiledStep(step_fn) if compiled else EagerStep(step_fn)
             trace = []
             for arrays in values:
                 for p, a in zip(params, arrays):
                     p.data[...] = a
+                for p in graded:
                     p.grad = None
                 y = rng.standard_normal(sample.ref(*arrays).shape)
                 loss = step(np.zeros(1), y)
-                trace.append((loss, [p.grad.copy() for p in params]))
+                trace.append((loss, [p.grad.copy() for p in graded]))
         runs[compiled] = trace
     assert step.compiled_shapes
     for (loss_e, grads_e), (loss_c, grads_c) in zip(runs[False], runs[True]):
@@ -495,13 +592,19 @@ def test_compiled_replay_matches_eager(name, index):
 
 @cases
 def test_float32_outputs_and_gradients(name, index):
+    """The kernels themselves compute in float32: a float64 result the
+    dispatch casts back costs a double-width array and a copy."""
     sample = sample_of(name, index)
     arrays = sample.make(np.random.default_rng(0))
-    with default_dtype_scope("float32"):
+    with default_dtype_scope("float32"), raw_kernel_dtypes() as seen:
         inputs = leaves(arrays)
         out = sample.call(*inputs)
-        out.backward(np.ones(out.shape))
-    assert out.dtype == np.float32
-    assert all(t.grad.dtype == np.float32 for t in inputs)
+        if not OPS[name].detached:
+            out.backward(np.ones(out.shape))
+    kernels = {kernel for kernel, _ in seen}
+    assert f"{name}.fwd" in kernels
+    assert OPS[name].detached or f"{name}.bwd" in kernels
+    assert [(kernel, dtype) for kernel, dtype in seen
+            if dtype != np.float32] == []
     np.testing.assert_allclose(out.data, sample.ref(*arrays),
                                rtol=1e-4, atol=1e-4)

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for PIT's core invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.autograd import Tensor
 from repro.core import (
@@ -15,9 +15,6 @@ from repro.core import (
     mask_from_dilation,
     num_gamma,
 )
-
-settings.register_profile("repro-core", max_examples=30, deadline=None)
-settings.load_profile("repro-core")
 
 rf_values = st.sampled_from([3, 4, 5, 6, 8, 9, 12, 17, 24, 33])
 
