@@ -59,7 +59,7 @@ class ChannelMask(Module):
     """
 
     def __init__(self, channels: int, threshold: float = 0.5,
-                 init_value: float = 1.0, min_channels: int = 1):
+                 min_channels: int = 1):
         super().__init__()
         if channels < 1:
             raise ValueError("channels must be >= 1")
@@ -68,9 +68,10 @@ class ChannelMask(Module):
         self.channels = channels
         self.threshold = threshold
         self.min_channels = min_channels
-        self.gamma_hat = Parameter(np.full(channels, init_value),
+        dtype = get_default_dtype()
+        self.gamma_hat = Parameter(np.ones(channels, dtype),
                                    name="pit.channel_gamma_hat")
-        self.register_buffer("frozen_mask", np.zeros(0, get_default_dtype()))
+        self.register_buffer("frozen_mask", np.zeros(0, dtype))
         self.frozen = False
 
     def forward(self) -> Tensor:

@@ -213,19 +213,16 @@ def optimizer_arrays(optimizer, slice_index: Optional[int] = None
     """Copy every optimizer state array, keyed ``opt/g{gi}p{pi}s{si}``.
 
     State is allocated eagerly via ``ensure_state`` so the snapshot is
-    complete even before the first ``step()``; ``None`` slots (momentum
-    off) are skipped.  With ``slice_index`` the leading stack axis is
-    sliced off non-scalar arrays, producing template-shaped state — the
-    stacked trainer's params are the template's stacked along axis 0, and
-    its group/param ordering mirrors the sequential trainer's, so the
-    keys line up across both.
+    complete even before the first ``step()``.  With ``slice_index`` the
+    leading stack axis is sliced off non-scalar arrays, producing
+    template-shaped state — the stacked trainer's params are the
+    template's stacked along axis 0, and its group/param ordering mirrors
+    the sequential trainer's, so the keys line up across both.
     """
     out: Dict[str, np.ndarray] = {}
     for gi, group in enumerate(optimizer.param_groups):
         for pi, p in enumerate(group["params"]):
-            for si, arr in enumerate(optimizer.ensure_state(p, group)):
-                if arr is None:
-                    continue
+            for si, arr in enumerate(optimizer.ensure_state(p)):
                 if slice_index is not None and arr.ndim > 0:
                     arr = arr[slice_index]
                 out[f"opt/g{gi}p{pi}s{si}"] = np.array(arr, copy=True)
@@ -244,9 +241,7 @@ def restore_optimizer(optimizer, arrays: Mapping[str, np.ndarray],
     """
     for gi, group in enumerate(optimizer.param_groups):
         for pi, p in enumerate(group["params"]):
-            for si, arr in enumerate(optimizer.ensure_state(p, group)):
-                if arr is None:
-                    continue
+            for si, arr in enumerate(optimizer.ensure_state(p)):
                 key = f"opt/g{gi}p{pi}s{si}"
                 saved = arrays.get(key)
                 if saved is None:

@@ -230,14 +230,15 @@ class TimeMask(Module):
     fine-tuning loop).
     """
 
-    def __init__(self, rf_max: int, threshold: float = 0.5, init_value: float = 1.0):
+    def __init__(self, rf_max: int, threshold: float = 0.5):
         super().__init__()
         self.rf_max = rf_max
         self.length = num_gamma(rf_max)
         self.threshold = threshold
-        self.gamma_hat = Parameter(np.full(max(self.length - 1, 0), init_value),
+        dtype = get_default_dtype()
+        self.gamma_hat = Parameter(np.ones(max(self.length - 1, 0), dtype),
                                    name="pit.gamma_hat")
-        self.register_buffer("frozen_mask", np.zeros(0, get_default_dtype()))
+        self.register_buffer("frozen_mask", np.zeros(0, dtype))
         self._lag_indices = lag_gamma_indices(rf_max)
         self.frozen = False
 
@@ -246,11 +247,13 @@ class TimeMask(Module):
         """Return the differentiable lag mask ``M`` of shape ``(rf_max,)``."""
         if self.frozen:
             return Tensor(self.frozen_mask)
+        dtype = get_default_dtype()
         if self.length == 1:
             # rf_max == 2: no trainable γ, mask is all-ones.
-            return Tensor(np.ones(self.rf_max))
+            return Tensor(np.ones(self.rf_max, dtype))
         gamma_bin = binarize_ste(self.gamma_hat, self.threshold)   # γ_1..γ_{L-1}
-        full_gamma = concatenate([Tensor(np.ones(1)), gamma_bin])  # prepend γ0
+        # Prepend the constant γ0.
+        full_gamma = concatenate([Tensor(np.ones(1, dtype)), gamma_bin])
         # Reversed cumulative products: Γ_i = Π_{k<=L-1-i} γ_k.
         cumulative = [full_gamma[0:1]]
         for k in range(1, self.length):

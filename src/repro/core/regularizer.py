@@ -64,39 +64,21 @@ def _time_masked_layers(model: Module):
                 module.rf_max, module
 
 
-def size_regularizer(model: Module, lam: float) -> Tensor:
-    """Model-size Lasso regularizer (Eq. 6), differentiable w.r.t. γ̂.
+def _lasso(model: Module, lam: float, per_output_sample: bool) -> Tensor:
+    """λ Σ_l (Eq. 6 term of layer l) · t_out^l over the unfrozen layers.
 
-    Returns a scalar :class:`Tensor`; layers whose mask is frozen (or that
-    have no trainable γ) contribute nothing.
-    """
-    terms = []
-    for mask, in_ch, out_ch, rf_max, _ in _time_masked_layers(model):
-        if mask.frozen or mask.length <= 1:
-            continue
-        coeffs = Tensor(gamma_size_coefficients(rf_max))
-        contribution = (coeffs * mask.gamma_hat.abs()).sum()
-        terms.append(contribution * float(in_ch * out_ch))
-    if not terms:
-        return Tensor(np.zeros(()))
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total * lam
-
-
-def flops_regularizer(model: Module, lam: float, default_t_out: int = 1) -> Tensor:
-    """FLOPs-weighted variant: each layer's Eq. 6 term × output length.
-
-    Uses the output length recorded during the last forward pass (the
-    trainer runs a forward before computing the loss, so it is available);
-    ``default_t_out`` is used for layers that have not yet run.
+    ``t_out`` is the output length recorded by the layer's last forward
+    pass when ``per_output_sample`` is set (1 for a layer that has not run
+    yet), else 1.  Layers whose mask is frozen (or that have no trainable
+    γ) contribute nothing.
     """
     terms = []
     for mask, in_ch, out_ch, rf_max, layer in _time_masked_layers(model):
         if mask.frozen or mask.length <= 1:
             continue
-        t_out = getattr(layer, "_last_t_out", None) or default_t_out
+        t_out = 1
+        if per_output_sample:
+            t_out = getattr(layer, "_last_t_out", None) or 1
         coeffs = Tensor(gamma_size_coefficients(rf_max))
         contribution = (coeffs * mask.gamma_hat.abs()).sum()
         terms.append(contribution * float(in_ch * out_ch * t_out))
@@ -106,3 +88,22 @@ def flops_regularizer(model: Module, lam: float, default_t_out: int = 1) -> Tens
     for term in terms[1:]:
         total = total + term
     return total * lam
+
+
+def size_regularizer(model: Module, lam: float) -> Tensor:
+    """Model-size Lasso regularizer (Eq. 6), differentiable w.r.t. γ̂.
+
+    Returns a scalar :class:`Tensor`; layers whose mask is frozen (or that
+    have no trainable γ) contribute nothing.
+    """
+    return _lasso(model, lam, per_output_sample=False)
+
+
+def flops_regularizer(model: Module, lam: float) -> Tensor:
+    """FLOPs-weighted variant: each layer's Eq. 6 term × output length.
+
+    Uses the output length recorded during the last forward pass (the
+    trainer runs a forward before computing the loss, so it is available);
+    a layer that has not run yet counts one output sample.
+    """
+    return _lasso(model, lam, per_output_sample=True)

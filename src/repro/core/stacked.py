@@ -108,11 +108,12 @@ class StackedTimeMask(Module):
     def forward(self) -> Tensor:
         if self.frozen:
             return Tensor(self.frozen_mask)
+        dtype = get_default_dtype()
         if self.length == 1:
-            return Tensor(np.ones((self.m, self.rf_max)))
+            return Tensor(np.ones((self.m, self.rf_max), dtype))
         gamma_bin = binarize_ste(self.gamma_hat, self.threshold)  # (M, L-1)
         full_gamma = concatenate(
-            [Tensor(np.ones((self.m, 1))), gamma_bin], axis=1)    # (M, L)
+            [Tensor(np.ones((self.m, 1), dtype)), gamma_bin], axis=1)  # (M, L)
         cumulative = [full_gamma[:, 0:1]]
         for k in range(1, self.length):
             cumulative.append(cumulative[-1] * full_gamma[:, k:k + 1])
@@ -121,10 +122,11 @@ class StackedTimeMask(Module):
 
     # -- per-model bookkeeping ----------------------------------------------
     def binary_gamma(self, index: int) -> np.ndarray:
+        dtype = get_default_dtype()
         if self.length == 1:
-            return np.ones(1)
-        bits = (self.gamma_hat.data[index] >= self.threshold).astype(np.float64)
-        return np.concatenate([[1.0], bits])
+            return np.ones(1, dtype)
+        bits = (self.gamma_hat.data[index] >= self.threshold).astype(dtype)
+        return np.concatenate([np.ones(1, dtype), bits])
 
     def current_mask(self, index: int) -> np.ndarray:
         from .masks import mask_from_binary_gamma

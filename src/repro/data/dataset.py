@@ -54,8 +54,7 @@ class DataLoader:
     dataset:
         Source dataset.
     batch_size:
-        Samples per batch; the last partial batch is kept (``drop_last=False``)
-        or dropped.
+        Samples per batch; the last batch may be partial.
     shuffle:
         Reshuffle indices at the start of every epoch using ``rng``.
     rng:
@@ -63,20 +62,16 @@ class DataLoader:
     """
 
     def __init__(self, dataset: Dataset, batch_size: int = 32, shuffle: bool = False,
-                 drop_last: bool = False, rng: Optional[np.random.Generator] = None):
+                 rng: Optional[np.random.Generator] = None):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
         self.rng = rng or np.random.default_rng()
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         indices = np.arange(len(self.dataset))
@@ -93,8 +88,6 @@ class DataLoader:
         """
         for start in range(0, len(indices), self.batch_size):
             batch = indices[start:start + self.batch_size]
-            if self.drop_last and len(batch) < self.batch_size:
-                return
             xs, ys = zip(*(self.dataset[int(i)] for i in batch))
             yield np.stack(xs), np.stack(ys)
 

@@ -5,7 +5,6 @@ from .pareto import (
     pareto_front,
     pareto_points,
     hypervolume,
-    hypervolume_2d,
 )
 from .dse import (
     ENV_STACK,
@@ -30,7 +29,6 @@ __all__ = [
     "pareto_front",
     "pareto_points",
     "hypervolume",
-    "hypervolume_2d",
     "DSECache",
     "DSEEngine",
     "DSEPoint",

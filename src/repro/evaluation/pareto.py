@@ -5,7 +5,7 @@ coordinate is minimized.  The classic use is the 2-D ``(params, loss)``
 plane of Fig. 4, but the hardware-in-the-loop sweep annotates points with
 deployment metrics (latency, energy, quantized loss, …), so the dominance
 test, front extraction and hypervolume all accept objective tuples of any
-dimensionality.  :func:`hypervolume_2d` is kept as the 2-D spelling.
+dimensionality.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
-__all__ = ["dominates", "pareto_front", "pareto_points", "hypervolume",
-           "hypervolume_2d"]
+__all__ = ["dominates", "pareto_front", "pareto_points", "hypervolume"]
 
 Point = Tuple[float, ...]
 
@@ -95,9 +94,3 @@ def _slab_volume(front: List[Point], reference: Point) -> float:
         volume += width * _slab_volume(sub_front, reference[1:])
     return volume
 
-
-def hypervolume_2d(points: Sequence[Sequence[float]],
-                   reference: Sequence[float]) -> float:
-    """The 2-D spelling of :func:`hypervolume` (area between front and
-    reference), kept for the Fig. 4 ``(params, loss)`` plane."""
-    return hypervolume(points, reference)

@@ -7,7 +7,6 @@ from .quantization import (
     FakeQuant,
     QuantWrapper,
     quantize_network,
-    quantization_error,
 )
 from .gap8 import GAP8Config, LayerCost, GAP8Report, GAP8Model
 from .deployment import (
@@ -24,7 +23,6 @@ __all__ = [
     "FakeQuant",
     "QuantWrapper",
     "quantize_network",
-    "quantization_error",
     "GAP8Config",
     "LayerCost",
     "GAP8Report",

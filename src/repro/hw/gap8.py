@@ -17,6 +17,8 @@ measurements*:
   (strided loads break SIMD/DMA locality) — this reproduces the paper's
   *sub-linear* latency-vs-size scaling (7.4× fewer weights → only 3×
   faster);
+* each conv layer's DMA term is the L2 <-> L1 traffic of its explicit
+  L1 tiling (:mod:`repro.hw.tiling`);
 * per-layer fixed overhead (kernel setup, im2col, DMA programming) and an
   L3 penalty when weights exceed L2 complete the model;
 * energy = latency × average cluster power; Table III is consistent with a
@@ -34,6 +36,7 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..nn import LSTM, CausalConv1d, Linear, Module
 from ..core.export import require_exported
+from .tiling import find_tiling, tiling_traffic
 
 __all__ = ["GAP8Config", "LayerCost", "GAP8Report", "GAP8Model"]
 
@@ -56,9 +59,6 @@ class GAP8Config:
     # paper's "TCNs offer more data reuse / higher arithmetic intensity"
     # premise (Sec. I, via [6]).
     rnn_mac_rate: float = 0.9
-    # When True, the DMA term is derived from an explicit L1 tiling decision
-    # (repro.hw.tiling) instead of a flat operand-size estimate.
-    use_tiling: bool = True
 
     def mac_rate(self, dilation: int) -> float:
         """Effective cluster MAC throughput for a given dilation."""
@@ -178,24 +178,20 @@ class GAP8Model:
                 module.bias.data.size * 4 if module.bias is not None else 0)
             dilation = module.dilation
             kind = "conv1d"
-            if cfg.use_tiling:
-                from .tiling import find_tiling, tiling_traffic
-                tile = find_tiling(module.in_channels, module.out_channels,
-                                   module.kernel_size, dilation, t_out,
-                                   l1_bytes=cfg.l1_bytes)
-                if tile is None:
-                    raise ValueError(
-                        f"layer {name} cannot be tiled into {cfg.l1_bytes} B of L1")
-                traffic = tiling_traffic(
-                    module.in_channels, module.out_channels,
-                    module.kernel_size, dilation, t_in, t_out, tile)
-                # The memory term below adds weight_bytes once; the rest of
-                # the tiled traffic (inputs, outputs, weight re-fetches)
-                # lands in act_bytes.
-                act_bytes = max(traffic - weight_bytes, 0)
-            else:
-                act_bytes = (module.in_channels * t_in
-                             + module.out_channels * t_out)
+            # The DMA term comes from an explicit L1 tiling decision.
+            tile = find_tiling(module.in_channels, module.out_channels,
+                               module.kernel_size, dilation, t_out,
+                               l1_bytes=cfg.l1_bytes)
+            if tile is None:
+                raise ValueError(
+                    f"layer {name} cannot be tiled into {cfg.l1_bytes} B of L1")
+            traffic = tiling_traffic(
+                module.in_channels, module.out_channels,
+                module.kernel_size, dilation, t_in, t_out, tile)
+            # The memory term below adds weight_bytes once; the rest of
+            # the tiled traffic (inputs, outputs, weight re-fetches) lands
+            # in act_bytes.
+            act_bytes = max(traffic - weight_bytes, 0)
         elif isinstance(module, Linear):
             if not hasattr(module, "last_input_shape"):
                 raise RuntimeError(f"layer {name} was never traced")

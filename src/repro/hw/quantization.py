@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -33,71 +33,46 @@ __all__ = [
     "FakeQuant",
     "QuantWrapper",
     "quantize_network",
-    "quantization_error",
 ]
 
 
 @dataclass
 class QuantizedArray:
-    """Integer codes plus the affine decoding parameters."""
+    """Integer codes plus their per-channel decoding scale."""
     q: np.ndarray
-    scale: np.ndarray  # scalar or per-channel
-    zero_point: np.ndarray
+    scale: np.ndarray  # one per output channel, broadcastable against q
 
     def dequantize(self) -> np.ndarray:
-        return (self.q.astype(np.float64) - self.zero_point) * self.scale
+        return self.q.astype(np.float64) * self.scale
 
 
-def quantize_array(x: np.ndarray, bits: int = 8, symmetric: bool = True,
-                   per_channel_axis: Optional[int] = None) -> QuantizedArray:
-    """Quantize a float array to ``bits``-bit integers.
+def quantize_array(x: np.ndarray, bits: int = 8) -> QuantizedArray:
+    """Quantize a weight array to symmetric ``bits``-bit integers, one
+    scale per output channel (axis 0, which leads both the conv and the
+    linear weight layout).
 
-    Symmetric mode maps ``[-max|x|, +max|x|]`` onto the signed integer
-    range (weights); affine mode maps ``[min, max]`` onto the unsigned
-    range (activations).
-
-    Level accounting (the int8 convention of NN-Tool / X-CUBE-AI, which
-    the unit tests pin):
-
-    * symmetric ``bits=8`` produces codes in ``[-127, 127]`` — 255 live
-      levels with an exact zero and ``scale = max|x| / 127``; code −128
-      exists in int8 but is never emitted, keeping the grid symmetric;
-    * affine ``bits=8`` produces codes in ``[0, 255]`` — all 256 levels —
-      with an *integer* zero-point ``round(-lo/scale)``, so a real 0.0
-      inside the range decodes exactly (what makes zero-padding and ReLU
-      cut-offs survive quantization).
+    Each channel maps ``[-max|x|, +max|x|]`` onto the signed integer
+    range.  Level accounting (the int8 convention of NN-Tool / X-CUBE-AI,
+    which the unit tests pin): ``bits=8`` produces codes in
+    ``[-127, 127]`` — 255 live levels with an exact zero and
+    ``scale = max|x| / 127``; code −128 exists in int8 but is never
+    emitted, keeping the grid symmetric.
     """
     if bits < 2 or bits > 16:
         raise ValueError(f"bits must be in [2, 16], got {bits}")
     x = np.asarray(x, dtype=np.float64)
-    if per_channel_axis is not None:
-        reduce_axes = tuple(a for a in range(x.ndim) if a != per_channel_axis)
-    else:
-        reduce_axes = tuple(range(x.ndim))
-
-    if symmetric:
-        qmax = 2 ** (bits - 1) - 1
-        amax = np.abs(x).max(axis=reduce_axes, keepdims=True)
-        scale = np.where(amax > 0, amax / qmax, 1.0)
-        # |x| <= amax means round(x/scale) already lands in [-qmax, qmax];
-        # the clip documents (and enforces) that -qmax-1 never appears.
-        q = np.clip(np.round(x / scale), -qmax, qmax).astype(np.int32)
-        zero_point = np.zeros_like(scale)
-    else:
-        qmax = 2 ** bits - 1
-        lo = x.min(axis=reduce_axes, keepdims=True)
-        hi = x.max(axis=reduce_axes, keepdims=True)
-        span = np.where(hi - lo > 0, hi - lo, 1.0)
-        scale = span / qmax
-        zero_point = np.round(-lo / scale)
-        q = np.clip(np.round(x / scale) + zero_point, 0, qmax).astype(np.int32)
-    return QuantizedArray(q=q, scale=scale, zero_point=zero_point)
+    qmax = 2 ** (bits - 1) - 1
+    amax = np.abs(x).max(axis=tuple(range(1, x.ndim)), keepdims=True)
+    scale = np.where(amax > 0, amax / qmax, 1.0)
+    # |x| <= amax means round(x/scale) already lands in [-qmax, qmax];
+    # the clip documents (and enforces) that -qmax-1 never appears.
+    q = np.clip(np.round(x / scale), -qmax, qmax).astype(np.int32)
+    return QuantizedArray(q=q, scale=scale)
 
 
-def fake_quantize(x: np.ndarray, bits: int = 8, symmetric: bool = True,
-                  per_channel_axis: Optional[int] = None) -> np.ndarray:
+def fake_quantize(x: np.ndarray, bits: int = 8) -> np.ndarray:
     """Quantize-dequantize round trip (the int8 image in float arithmetic)."""
-    return quantize_array(x, bits, symmetric, per_channel_axis).dequantize()
+    return quantize_array(x, bits).dequantize()
 
 
 class FakeQuant(Module):
@@ -105,9 +80,12 @@ class FakeQuant(Module):
 
     In ``calibrating`` mode it records the running min/max of what passes
     through; afterwards it clamps + quantize-dequantizes onto the affine
-    ``2**bits``-level grid of :func:`quantize_array` (integer zero-point,
-    so an in-range 0.0 decodes exactly — ``bits=8`` is the 256-code uint8
-    activation grid that pairs with the 255-code symmetric int8 weights).
+    grid that maps ``[lo, hi]`` onto all ``2**bits`` unsigned codes
+    (``bits=8``: codes 0..255, the uint8 activation grid that pairs with
+    the 255-code symmetric int8 weights of :func:`quantize_array`).  The
+    zero-point ``round(-lo/scale)`` is an integer, so an in-range 0.0
+    decodes exactly — what makes zero-padding and ReLU cut-offs survive
+    quantization.
 
     Using an *uncalibrated* quantizer raises: the old behaviour was a
     silent float passthrough, which made a never-calibrated "quantized"
@@ -172,10 +150,7 @@ class QuantWrapper(Module):
 
     def __init__(self, layer: Module, bits: int = 8):
         super().__init__()
-        per_channel = 0  # output channels lead both weight layouts
-        layer.weight.data[...] = fake_quantize(
-            layer.weight.data, bits=bits, symmetric=True,
-            per_channel_axis=per_channel)
+        layer.weight.data[...] = fake_quantize(layer.weight.data, bits=bits)
         self.layer = layer
         self.act_quant = FakeQuant(bits=bits)
 
@@ -228,19 +203,3 @@ def quantize_network(model: Module, calibration_loader, bits: int = 8,
             RuntimeWarning, stacklevel=2)
     return quantized
 
-
-def quantization_error(model: Module, quantized: Module, loader,
-                       max_batches: int = 4) -> float:
-    """Mean relative L2 output error of the quantized network."""
-    errors: List[float] = []
-    model.eval()
-    quantized.eval()
-    with no_grad():
-        for i, (x, _) in enumerate(loader):
-            ref = model(Tensor(x)).data
-            out = quantized(Tensor(x)).data
-            denom = np.linalg.norm(ref) + 1e-12
-            errors.append(float(np.linalg.norm(out - ref) / denom))
-            if i + 1 >= max_batches:
-                break
-    return float(np.mean(errors))

@@ -13,8 +13,7 @@ implements that tiling decision analytically:
   tiling, including weight re-fetches when the kernel does not stay
   resident.
 
-The GAP8 latency model uses these to derive the per-layer DMA term instead
-of a flat estimate when ``GAP8Config.use_tiling`` is set.
+The GAP8 latency model derives every conv layer's DMA term from these.
 """
 
 from __future__ import annotations

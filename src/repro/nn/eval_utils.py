@@ -1,9 +1,7 @@
-"""Shared evaluation loop.
-
-Three near-identical copies of "mean loss over a loader, in eval mode,
-under ``no_grad``" had grown in the codebase (the core trainer, the
-evaluation metrics, ad-hoc benchmark loops); this module is the single
-implementation they all delegate to.
+"""The evaluation loop: mean loss over a loader, in eval mode, under
+``no_grad``.  :func:`repro.core.driver.evaluate` is its one caller; the
+sequential trainers' validation, the deployment losses and the CLI's
+test loss all go through it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Optimizers and early stopping."""
+"""Optimizers and early stopping: Adam (Algorithm 1's optimizer, with γ̂
+as a second parameter group), plain SGD and patience-based convergence."""
 
-from .kernels import adam_update, sgd_update, early_stop_update
 from .optimizers import Optimizer, SGD, Adam
 from .early_stopping import EarlyStopping
 
@@ -9,7 +9,4 @@ __all__ = [
     "SGD",
     "Adam",
     "EarlyStopping",
-    "adam_update",
-    "sgd_update",
-    "early_stop_update",
 ]

@@ -6,7 +6,7 @@ epochs in the ProxylessNAS comparison (Sec. IV-C).  This helper implements
 the standard patience-based criterion with best-state checkpointing.
 
 The numeric bookkeeping (best / stale counter / stop flag) lives in 0-d
-numpy arrays updated by :func:`repro.optim.kernels.early_stop_update`, so
+numpy arrays updated in place by :meth:`EarlyStopping.update`, so
 checkpoints can snapshot and restore the convergence state as data; the
 Python-level attributes are read-only views over those arrays.
 """
@@ -17,8 +17,6 @@ import copy
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-from .kernels import early_stop_update
 
 __all__ = ["EarlyStopping"]
 
@@ -61,11 +59,17 @@ class EarlyStopping:
 
     def update(self, metric: float, state: Optional[Dict[str, np.ndarray]] = None) -> bool:
         """Record one observation; return True when it improved the best."""
-        improved = early_stop_update(
-            self._best, self._stale, self._stop, self._seen,
-            metric, self.patience)
-        if improved and state is not None:
-            self.best_state = copy.deepcopy(state)
+        improved = not bool(self._seen) or metric < float(self._best)
+        if improved:
+            self._best[...] = metric
+            self._stale[...] = 0
+            self._seen[...] = True
+            if state is not None:
+                self.best_state = copy.deepcopy(state)
+        else:
+            self._stale += 1
+            if int(self._stale) >= self.patience:
+                self._stop[...] = True
         return improved
 
     def reset(self) -> None:

@@ -1,13 +1,11 @@
-"""Gradient-descent optimizers: SGD (momentum/Nesterov) and Adam.
+"""Gradient-descent optimizers: Adam and plain SGD.
 
 The paper trains both the network weights ``W`` and the architecture
 parameters ``γ`` with standard first-order optimizers (Algorithm 1 lines
 2/5/8).  Parameter groups let the PIT trainer give ``γ`` its own learning
-rate and exclude it from weight decay, as is standard for DMaskingNAS.
-
-The numeric core of each ``step()`` lives in :mod:`repro.optim.kernels`
-as pure functions over the arrays they touch; the classes here only
-manage lazy state allocation and group bookkeeping.
+rate.  Optimizer state is plain numpy arrays (allocated lazily by
+:meth:`Optimizer.ensure_state`), which checkpoints snapshot and restore
+in place.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..nn.module import Parameter
-from .kernels import adam_update, sgd_update
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
@@ -57,63 +54,38 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def ensure_state(self, p: Parameter, group: Dict) -> Tuple:
+    def ensure_state(self, p: Parameter) -> Tuple[np.ndarray, ...]:
         """Allocate (if needed) and return this parameter's state arrays."""
-        raise NotImplementedError
-
-    def _hyper(self, group: Dict) -> Tuple:
-        """Read the kernel hyperparameters out of a (mutable) group dict."""
-        raise NotImplementedError
+        return ()
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with momentum, Nesterov and weight decay."""
+    """Plain stochastic gradient descent, ``p -= lr·g``; no state."""
 
-    def __init__(self, params: ParamsLike, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0, nesterov: bool = False):
-        if nesterov and momentum <= 0:
-            raise ValueError("Nesterov momentum requires momentum > 0")
-        super().__init__(params, dict(lr=lr, momentum=momentum,
-                                      weight_decay=weight_decay, nesterov=nesterov))
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def ensure_state(self, p: Parameter, group: Dict) -> Tuple:
-        if not group["momentum"]:
-            return (None,)
-        buf = self._velocity.get(id(p))
-        if buf is None:
-            buf = np.zeros_like(p.data)
-            self._velocity[id(p)] = buf
-        return (buf,)
-
-    def _hyper(self, group: Dict) -> Tuple:
-        return (group["lr"], group["momentum"], group["weight_decay"],
-                group["nesterov"])
+    def __init__(self, params: ParamsLike, lr: float = 0.01):
+        super().__init__(params, dict(lr=lr))
 
     def step(self) -> None:
         for group in self.param_groups:
-            hyper = self._hyper(group)
+            lr = group["lr"]
             for p in group["params"]:
-                if p.grad is None:
-                    continue
-                sgd_update(p.data, p.grad, *self.ensure_state(p, group), *hyper)
+                if p.grad is not None:
+                    p.data -= lr * p.grad
 
 
 class Adam(Optimizer):
-    """Adam with optional decoupled weight decay (AdamW-style)."""
+    """Adam (Kingma & Ba) with bias-corrected moments."""
 
     def __init__(self, params: ParamsLike, lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, decoupled: bool = False):
-        super().__init__(params, dict(lr=lr, betas=betas, eps=eps,
-                                      weight_decay=weight_decay, decoupled=decoupled))
+                 betas: tuple = (0.9, 0.999), eps: float = 1e-8):
+        super().__init__(params, dict(lr=lr, betas=betas, eps=eps))
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
-        # 0-d int64 arrays (not Python ints), incremented in place by the
-        # kernel and snapshotted/restored in place by checkpoints.
+        # 0-d int64 arrays (not Python ints), incremented in place by
+        # step() and snapshotted/restored in place by checkpoints.
         self._t: Dict[int, np.ndarray] = {}
 
-    def ensure_state(self, p: Parameter, group: Dict) -> Tuple:
+    def ensure_state(self, p: Parameter) -> Tuple[np.ndarray, ...]:
         key = id(p)
         if key not in self._m:
             self._m[key] = np.zeros_like(p.data)
@@ -121,15 +93,24 @@ class Adam(Optimizer):
             self._t[key] = np.zeros((), dtype=np.int64)
         return (self._m[key], self._v[key], self._t[key])
 
-    def _hyper(self, group: Dict) -> Tuple:
-        beta1, beta2 = group["betas"]
-        return (group["lr"], beta1, beta2, group["eps"],
-                group["weight_decay"], group["decoupled"])
-
     def step(self) -> None:
         for group in self.param_groups:
-            hyper = self._hyper(group)
+            lr, eps = group["lr"], group["eps"]
+            beta1, beta2 = group["betas"]
             for p in group["params"]:
                 if p.grad is None:
                     continue
-                adam_update(p.data, p.grad, *self.ensure_state(p, group), *hyper)
+                grad = p.grad
+                m, v, t = self.ensure_state(p)
+                t += 1
+                # The bias corrections use the step as a Python int so
+                # ``beta ** step`` stays a float and never promotes
+                # float32 parameters (NEP 50).
+                step = int(t)
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad * grad
+                m_hat = m / (1 - beta1 ** step)
+                v_hat = v / (1 - beta2 ** step)
+                p.data -= lr * (m_hat / (np.sqrt(v_hat) + eps))

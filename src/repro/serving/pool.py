@@ -31,6 +31,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from ..autograd import get_default_dtype
 from ..nn.module import Module
 from .streaming import StreamingExecutor
 
@@ -120,8 +121,15 @@ class StreamingPool:
         server apply backpressure per client.  A sample for a *pending*
         slot is consumed only if the tick is aligned (the slot activates
         and this is its first sample); supplying it on an unaligned tick
-        is an error, since the pool cannot accept it yet.
+        is an error, since the pool cannot accept it yet.  A sample of any
+        other shape raises before any slot activates or any ring moves.
         """
+        channels = self.executor.channels
+        for slot, sample in samples.items():
+            if np.shape(sample) != (channels,):
+                raise ValueError(
+                    f"sample for slot {slot} has shape {np.shape(sample)}, "
+                    f"expected ({channels},)")
         active = set(self._active)
         supplied = set(samples)
         if self.aligned:
@@ -141,9 +149,9 @@ class StreamingPool:
             raise ValueError(f"samples supplied for slots {sorted(extra)} "
                              "which are not active this tick")
 
-        batch = np.zeros((self.capacity, self.executor.channels, 1))
+        batch = np.zeros((self.capacity, channels, 1), get_default_dtype())
         for slot in active:
-            batch[slot, :, 0] = np.asarray(samples[slot], dtype=np.float64)
+            batch[slot, :, 0] = samples[slot]
         out = self.executor.push(batch)
         self.ticks += 1
         for slot in active:

@@ -32,7 +32,9 @@ client stalls every aligned stream — so the server defends the barrier.
 ``client_timeout`` disconnects (with an error line) any client whose
 socket stays silent longer than the budget, freeing its pool slot for the
 waiting queue; oversized input lines (beyond ``max_line`` bytes) draw an
-error instead of silently killing the reader task; and a client that dies
+error instead of silently killing the reader task; so does a line whose
+data is not a numeric ``(channels,)`` or ``(T, channels)`` array, before
+any of it reaches the shared tick loop; and a client that dies
 mid-tick is flushed and detached like a clean EOF, so the survivors'
 barrier advances on the next sample.
 """
@@ -64,6 +66,28 @@ class _Session:
 
 def _send(writer: asyncio.StreamWriter, payload: dict) -> None:
     writer.write((json.dumps(payload) + "\n").encode())
+
+
+def _parse_samples(data, channels: int) -> np.ndarray:
+    """The ``(T, channels)`` float64 samples of a client payload.
+
+    Raises ValueError for anything that is not a numeric ``(channels,)``
+    or ``(T, channels)`` array: strings, ragged or deeper nesting, a wrong
+    channel count.
+    """
+    try:
+        frames = np.asarray(data)
+    except ValueError:  # ragged nesting
+        frames = None
+    if frames is None or frames.dtype.kind not in "iuf":
+        got = "non-numeric or ragged data"
+    elif frames.ndim not in (1, 2) or frames.shape[-1] != channels:
+        got = f"shape {frames.shape}"
+    else:
+        return np.atleast_2d(frames.astype(np.float64))
+    raise ValueError(f"expected {channels} channels per sample, as a "
+                     f"({channels},) or (T, {channels}) array of numbers; "
+                     f"got {got}")
 
 
 class StreamServer:
@@ -204,11 +228,10 @@ class StreamServer:
                     data = msg.get("data")
                 else:
                     data = msg
-                frames = np.atleast_2d(np.asarray(data, dtype=np.float64))
-                if frames.shape[1] != executor.channels:
-                    _send(writer, {"type": "error",
-                                   "error": f"expected {executor.channels} "
-                                            f"channels, got {frames.shape[1]}"})
+                try:
+                    frames = _parse_samples(data, executor.channels)
+                except ValueError as exc:
+                    _send(writer, {"type": "error", "error": str(exc)})
                     break
                 for frame in frames:
                     await session.queue.put(frame)  # backpressure bound

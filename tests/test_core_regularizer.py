@@ -135,8 +135,9 @@ class TestFlopsRegularizer:
         assert flops_val == pytest.approx(16 * size_val)
 
     def test_default_t_out_before_trace(self):
+        # A layer that has not run yet counts one output sample.
         model = TwoLayerModel()
-        flops_val = flops_regularizer(model, 1.0, default_t_out=1).item()
+        flops_val = flops_regularizer(model, 1.0).item()
         assert flops_val == pytest.approx(size_regularizer(model, 1.0).item())
 
     def test_gradient_flows(self):

@@ -40,12 +40,6 @@ class TestDataLoader:
         assert len(loader) == 4
         assert len(list(loader)) == 4
 
-    def test_drop_last(self):
-        loader = DataLoader(self.make_ds(10), batch_size=3, drop_last=True)
-        assert len(loader) == 3
-        batches = list(loader)
-        assert all(x.shape[0] == 3 for x, _ in batches)
-
     def test_batch_shapes(self):
         loader = DataLoader(self.make_ds(10), batch_size=4)
         x, y = next(iter(loader))

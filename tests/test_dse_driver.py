@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import PITConv1d
 from repro.data import ArrayDataset, DataLoader
-from repro.evaluation import DSEEngine, hypervolume_2d
+from repro.evaluation import DSEEngine, hypervolume
 from repro.nn import CausalConv1d, Module, ReLU, mse_loss
 
 RNG = np.random.default_rng(83)
@@ -71,7 +71,7 @@ class TestFrontQuality:
         points = [(float(p.params), p.loss) for p in result.points]
         reference = (max(a for a, _ in points) * 1.1,
                      max(b for _, b in points) * 1.1)
-        assert hypervolume_2d(points, reference) > 0
+        assert hypervolume(points, reference) > 0
 
     def test_pareto_subset_of_points(self, loaders):
         result = _sweep(loaders, [0.0, 5.0], [0],

@@ -137,6 +137,37 @@ class TestTensorDtype:
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
         assert all(mask().data is mask.frozen_mask for mask in masks)
 
+    def test_mask_and_serving_constants_need_no_cast(self, monkeypatch):
+        """Unfrozen mask forwards and the serving tick build their constant
+        arrays at the default dtype, so no float64 array reaches a Tensor
+        (each would be cast to a fresh float32 copy)."""
+        import repro.autograd.tensor as tensor_module
+        from repro.core.masks import TimeMask
+        from repro.core.stacked import StackedTimeMask
+        from repro.nn import CausalConv1d, Sequential
+        from repro.nn.stacked import StackContext
+        from repro.serving import StreamingPool
+        set_default_dtype("float32")
+        pool = StreamingPool(Sequential(CausalConv1d(2, 3, 3)).eval(),
+                             capacity=2)
+        cast = []
+        as_array = tensor_module._as_array
+
+        def spy(value):
+            if isinstance(value, np.ndarray) and value.dtype != np.float32:
+                cast.append(value.dtype)
+            return as_array(value)
+        monkeypatch.setattr(tensor_module, "_as_array", spy)
+
+        for rf_max in (2, 9):
+            TimeMask(rf_max)()
+            stacked = StackedTimeMask(TimeMask(rf_max), StackContext(2))
+            stacked()
+            assert stacked.binary_gamma(1).dtype == np.float32
+        slot = pool.attach()
+        pool.tick({slot: np.array([0.5, -1.0])})  # float64 wire samples
+        assert cast == []
+
 
 class TestDataAndGradcheck:
     def test_array_dataset_follows_default(self):

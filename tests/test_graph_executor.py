@@ -441,8 +441,7 @@ class TestEpochParity:
         assert l1 == l2, f"{context}: epoch losses"
         assert_same_state(m1, m2, context)
         for p1, p2 in zip(o1.params, o2.params):
-            for s1, s2 in zip(o1.ensure_state(p1, o1.param_groups[0]),
-                              o2.ensure_state(p2, o2.param_groups[0])):
+            for s1, s2 in zip(o1.ensure_state(p1), o2.ensure_state(p2)):
                 assert np.array_equal(s1, s2), f"{context}: adam state"
 
     @pytest.mark.parametrize("backend", ["einsum", "im2col"])

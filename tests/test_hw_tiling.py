@@ -95,18 +95,6 @@ class TestTilingTraffic:
 
 
 class TestGAP8Integration:
-    def test_tiling_toggle_changes_memory_term(self):
-        import numpy as np
-        from repro.hw import GAP8Config, GAP8Model
-        from repro.models import restcn_fixed
-
-        net = restcn_fixed(None)  # large layers -> tiling matters
-        with_tiling = GAP8Model(GAP8Config(use_tiling=True)).estimate(
-            net, (1, 88, 128))
-        without = GAP8Model(GAP8Config(use_tiling=False)).estimate(
-            net, (1, 88, 128))
-        assert with_tiling.latency_ms != without.latency_ms
-
     def test_calibration_holds_with_tiling(self):
         from repro.hw import GAP8Model
         from repro.models import restcn_fixed

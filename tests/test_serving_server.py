@@ -131,6 +131,21 @@ class TestStreamingPool:
         outs = pool.tick({a: np.ones(2)})
         assert {o.slot for o in outs} <= {a}
 
+    @pytest.mark.parametrize("bad", [np.ones((2, 2)), np.ones(3), [1.0, [2.0]]],
+                             ids=["2d", "wrong-channels", "ragged"])
+    def test_malformed_sample_raises_before_any_state_moves(self, bad):
+        pool = StreamingPool(make_net(), capacity=2)
+        a = pool.attach()
+        pool.tick({a: np.ones(2)})
+        b = pool.attach()  # pending until its first sample
+        rings = [state.ring.copy() for state in pool.executor._states]
+        with pytest.raises(ValueError, match="shape|sequence"):
+            pool.tick({a: np.ones(2), b: bad})
+        assert pool.pending_slots == [b] and pool.active_slots == [a]
+        assert pool.ticks == 1
+        for state, ring in zip(pool.executor._states, rings):
+            assert np.array_equal(state.ring, ring)
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -330,6 +345,78 @@ class TestServerRobustness:
         msg = run(scenario())
         assert msg["type"] == "error"
         assert "exceeds 64 bytes" in msg["error"]
+
+    @pytest.mark.parametrize("line", [
+        {"data": [[[1, 2], [1, 2]]]},   # (1, 2, 2): passes a shape[1] check
+        {"data": "abc"},
+        [[1, 2], [3]],                   # ragged
+        [True, False],
+        {"type": "samples"},             # no data at all
+    ], ids=["3d", "string", "ragged", "bool", "missing"])
+    def test_malformed_data_draws_error(self, line):
+        async def scenario():
+            server = StreamServer(make_net(), capacity=1, max_sessions=1)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            json.loads(await reader.readline())  # hello
+            writer.write((json.dumps(line) + "\n").encode())
+            await writer.drain()
+            msg = json.loads(await asyncio.wait_for(reader.readline(), 5))
+            assert await asyncio.wait_for(reader.readline(), 5) == b""
+            writer.close()
+            await asyncio.wait_for(server.wait_closed(), 5)
+            return msg
+
+        msg = run(scenario())
+        assert msg["type"] == "error"
+        assert "2 channels" in msg["error"]
+
+    def test_malformed_data_does_not_stall_cotenant(self):
+        """A sample array of the wrong rank used to pass the channel check
+        and kill the tick loop inside StreamingPool.tick, so every other
+        client stopped receiving frames."""
+        net = make_net()
+        samples = RNG.standard_normal((12, 2))
+        want = fresh_frames(net, samples)
+
+        async def read_frames(reader, count):
+            frames = []
+            while len(frames) < count:
+                msg = json.loads(await asyncio.wait_for(reader.readline(), 5))
+                assert msg["type"] == "frame"
+                frames.append(msg["data"])
+            return frames
+
+        async def scenario():
+            server = StreamServer(net, capacity=2, max_sessions=2)
+            host, port = await server.start()
+            sr, sw = await asyncio.open_connection(host, port)
+            json.loads(await sr.readline())  # hello
+            sw.write((json.dumps(samples[:6].tolist()) + "\n").encode())
+            await sw.drain()
+            frames = await read_frames(sr, 6)
+            # A second client sends one malformed line mid-stream.
+            br, bw = await asyncio.open_connection(host, port)
+            json.loads(await br.readline())  # hello
+            bw.write(b'{"data": [[[1, 2], [1, 2]]]}\n')
+            await bw.drain()
+            error = json.loads(await asyncio.wait_for(br.readline(), 5))
+            bw.close()
+            # The co-tenant keeps streaming to the end.
+            sw.write((json.dumps(samples[6:].tolist()) + "\n").encode())
+            sw.write(b'{"type": "detach"}\n')
+            await sw.drain()
+            frames += await read_frames(sr, len(want) - 6)
+            assert await asyncio.wait_for(sr.readline(), 5) == b""
+            sw.close()
+            await asyncio.wait_for(server.wait_closed(), 5)
+            return error, frames
+
+        error, frames = run(scenario())
+        assert error["type"] == "error"
+        assert len(frames) == len(want)
+        for got, w in zip(frames, want):
+            assert np.allclose(got, w, **TOL)
 
     def test_client_dying_mid_stream_does_not_stall_cotenant(self):
         net = make_net()
