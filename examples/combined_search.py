@@ -4,8 +4,9 @@ The paper notes PIT "can be easily integrated with other DMaskingNAS
 techniques ... e.g. [MorphNet] to tune the number of channels in each
 layer, simply by adding further regularization terms and masking
 parameters".  This example does exactly that: a small TCN whose layers are
-:class:`repro.core.PITChannelConv1d` — searchable in time (dilation) *and*
-width (output channels) — trained with both Lasso terms at once.
+:class:`repro.core.PITConv1d` built with ``min_channels=`` — searchable in
+time (dilation) *and* width (output channels) — trained with both Lasso
+terms at once.
 
 Run with::
 
@@ -15,12 +16,7 @@ Run with::
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.core import (
-    PITChannelConv1d,
-    PITTrainer,
-    channel_layers,
-    effective_parameters,
-)
+from repro.core import PITConv1d, PITTrainer, effective_parameters, pit_layers
 from repro.data import DataLoader, PPGDaliaConfig, make_ppg_dalia, train_val_test_split
 from repro.nn import AvgPool1d, CausalConv1d, Flatten, Linear, Module, ReLU, Sequential
 from repro.nn import mae_loss
@@ -33,9 +29,9 @@ class CombinedSearchTCN(Module):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.features = Sequential(
-            PITChannelConv1d(4, 16, rf_max=9, min_channels=2, rng=rng), ReLU(),
+            PITConv1d(4, 16, rf_max=9, min_channels=2, rng=rng), ReLU(),
             AvgPool1d(4),                                     # 256 -> 64
-            PITChannelConv1d(16, 32, rf_max=17, min_channels=2, rng=rng), ReLU(),
+            PITConv1d(16, 32, rf_max=17, min_channels=2, rng=rng), ReLU(),
             AvgPool1d(4),                                     # 64 -> 16
         )
         self.head = Sequential(
@@ -57,8 +53,10 @@ def main():
     val_loader = DataLoader(val, 16)
 
     model = CombinedSearchTCN(seed=0)
+    combined = [layer for layer in pit_layers(model)
+                if layer.channel_mask is not None]
     print(f"seed: {model.count_parameters()} parameters, "
-          f"{len(channel_layers(model))} combined-search convs")
+          f"{len(combined)} combined-search convs")
 
     trainer = PITTrainer(
         model, mae_loss,
@@ -69,7 +67,7 @@ def main():
     result = trainer.fit(train_loader, val_loader)
 
     print(f"\ndilations found : {result.dilations}")
-    for i, layer in enumerate(channel_layers(model)):
+    for i, layer in enumerate(combined):
         print(f"conv{i} channels  : {layer.alive_channels()}/{layer.out_channels} alive")
     print(f"validation MAE  : {result.best_val:.2f} BPM")
     print(f"effective params: {effective_parameters(model)} "

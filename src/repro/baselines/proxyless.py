@@ -127,13 +127,18 @@ def proxylessify(model: Module, rng: Optional[np.random.Generator] = None) -> Mo
 
     Guarantees the two methods search the same space (paper Sec. IV-C: the
     supernet variants were specified "so to match exactly the search space
-    explored by PIT").
+    explored by PIT").  A channel-searched PIT layer raises ValueError: the
+    supernet has no channel choices to match it.
     """
     rng = rng or np.random.default_rng()
     supernet = copy.deepcopy(model)
     for module in supernet.modules():
         for name, child in list(module._modules.items()):
             if isinstance(child, PITConv1d):
+                if child.channel_mask is not None:
+                    raise ValueError(
+                        f"layer {name!r} is a channel-searched PITConv1d; "
+                        "the Proxyless supernet searches dilations only")
                 setattr(module, name, ProxylessDilatedConv1d(
                     child.in_channels, child.out_channels, child.rf_max,
                     stride=child.stride, rng=rng))

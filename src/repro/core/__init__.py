@@ -2,7 +2,8 @@
 
 Public surface:
 
-* :class:`PITConv1d` — searchable causal convolution (Eq. 5).
+* :class:`PITConv1d` — searchable causal convolution (Eq. 5); with
+  ``min_channels=`` it searches its output channels too (Sec. III-C).
 * :class:`TimeMask` and the mask algebra (Eq. 2-4, Fig. 2).
 * :func:`size_regularizer` / :func:`flops_regularizer` (Eq. 6).
 * :class:`PITTrainer` — the 3-phase search (Algorithm 1).
@@ -29,11 +30,13 @@ from .regularizer import (
     gamma_size_coefficients,
     size_regularizer,
     flops_regularizer,
+    channel_regularizer,
     pit_layers,
 )
 from .export import (
     NotDeployableError,
     export_conv,
+    export_channel_conv,
     export_network,
     deployable_network,
     network_dilations,
@@ -69,13 +72,7 @@ from .stacked import (
     register_stacked_loss,
     stacked_regularizer_vector,
 )
-from .channel_mask import (
-    ChannelMask,
-    PITChannelConv1d,
-    channel_regularizer,
-    channel_layers,
-    export_channel_conv,
-)
+from .channel_mask import ChannelMask
 
 __all__ = [
     "TimeMask",
@@ -124,8 +121,6 @@ __all__ = [
     "register_stacked_loss",
     "stacked_regularizer_vector",
     "ChannelMask",
-    "PITChannelConv1d",
     "channel_regularizer",
-    "channel_layers",
     "export_channel_conv",
 ]

@@ -226,17 +226,20 @@ def _optimizer(lanes, phase: Phase) -> Adam:
 
 
 def _load(checkpoints: Optional[Sequence[TrainerCheckpoint]], kind: str,
-          m: int, phases: Sequence[str]):
+          lanes, phases: Sequence[str]):
     """Every lane's snapshot, or None for a fresh start.
 
     A missing or foreign file starts fresh; a stack additionally needs
     each file to be its own lane's.  Every lane must agree on (phase,
     global epoch): a crash *between* per-lane writes leaves a torn set,
     which warns and starts fresh rather than resuming lanes at different
-    epochs.  A single lane adopts any lane's file of a stack.
+    epochs.  A file written for another network (other keys or parameter
+    shapes) warns and starts fresh too.  A single lane adopts any lane's
+    file of a stack.
     """
     if not checkpoints:
         return None
+    m = lanes.m
     states = [ckpt.load() for ckpt in checkpoints]
     if any(s is None or s.meta.get("trainer") != kind
            or s.meta.get("phase") not in phases
@@ -248,6 +251,16 @@ def _load(checkpoints: Optional[Sequence[TrainerCheckpoint]], kind: str,
         warnings.warn("checkpoint set is torn (lanes disagree on "
                       "phase/epoch); starting fresh")
         return None
+    # Buffer shapes may differ legitimately (a frozen mask is empty until
+    # its freezing phase), so only the parameters' shapes must match.
+    params = [name for name, _ in lanes.net.named_parameters()]
+    for i, (ckpt, state) in enumerate(zip(checkpoints, states)):
+        own, saved = lanes.state(i), state.group("model/")
+        if set(own) != set(saved) or any(own[name].shape != saved[name].shape
+                                         for name in params):
+            warnings.warn(f"checkpoint {str(ckpt.path)!r} was written for "
+                          "another network; starting fresh")
+            return None
     return states
 
 
@@ -267,7 +280,7 @@ def run_phases(lanes, phases: Sequence[Phase], *, kind: str,
     """
     m = lanes.m
     names = [phase.name for phase in phases]
-    states = _load(checkpoints, kind, m, names)
+    states = _load(checkpoints, kind, lanes, names)
     meta = states[0].meta if states else {}
     start = names.index(meta["phase"]) if states else 0
     ge = int(meta.get("global_epoch", 0))

@@ -14,6 +14,13 @@ The exported layer is *numerically identical* to the masked supernet layer
 and the compact convolution with kernel size ``k = len(alive)`` and
 dilation ``d`` computes exactly the same sum with the kept taps re-indexed.
 This invariant is property-tested in ``tests/test_core_export.py``.
+
+A channel-searched layer (``PITConv1d(min_channels=...)``) also drops its
+dead output channels, which changes the input of the layer that consumes
+it; :func:`export_channel_conv` collapses one such layer and returns the
+surviving channel indices for the caller to propagate.
+:func:`export_network` leaves these layers in place, so every deployment
+flow still refuses them.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from ..nn.module import Module
 from .masks import kept_lags
 from .pit_conv import PITConv1d
 
-__all__ = ["NotDeployableError", "export_conv", "export_network",
+__all__ = ["NotDeployableError", "export_conv", "export_channel_conv",
+           "export_network",
            "deployable_network", "require_exported", "network_dilations", "network_receptive_field",
            "network_total_stride"]
 
@@ -44,25 +52,24 @@ def require_exported(model: Module, consumer: str) -> None:
     any cost or serving figure derived from them would describe the
     supernet rather than the deployed TCN.
     """
-    from .channel_mask import PITChannelConv1d
     from .stacked import StackedPITConv1d
 
     for name, module in model.named_modules():
-        if isinstance(module, (PITConv1d, PITChannelConv1d, StackedPITConv1d)):
+        if isinstance(module, (PITConv1d, StackedPITConv1d)):
+            kind, how = type(module).__name__, "repro.core.export_network"
+            if getattr(module, "channel_mask", None) is not None:
+                kind, how = f"channel-searched {kind}", "export_channel_conv"
             raise NotDeployableError(
                 f"{consumer} requires an exported network, but layer "
-                f"{name or '<root>'!r} is a searchable "
-                f"{type(module).__name__}; export it first "
-                "(repro.core.export_network, or export_channel_conv for "
-                "channel-searched layers)")
+                f"{name or '<root>'!r} is a searchable {kind}; export it "
+                f"first ({how})")
 
 
-def export_conv(layer: PITConv1d) -> CausalConv1d:
-    """Convert one searched PIT layer into a compact dilated convolution."""
+def _compact_conv(layer: PITConv1d, rows: np.ndarray) -> CausalConv1d:
+    """The dilated conv of ``layer``'s alive taps, output channels ``rows``."""
     dilation = layer.current_dilation()
-    lags = kept_lags(layer.rf_max, dilation)
-    kernel_size = len(lags)
-    conv = CausalConv1d(layer.in_channels, layer.out_channels, kernel_size,
+    kernel_size = len(kept_lags(layer.rf_max, dilation))
+    conv = CausalConv1d(layer.in_channels, len(rows), kernel_size,
                         dilation=dilation, stride=layer.stride,
                         bias=layer.bias is not None)
     # Kernel index i of the full layer corresponds to lag rf_max-1-i; the
@@ -70,10 +77,33 @@ def export_conv(layer: PITConv1d) -> CausalConv1d:
     for j in range(kernel_size):
         lag = (kernel_size - 1 - j) * dilation
         source_index = layer.rf_max - 1 - lag
-        conv.weight.data[:, :, j] = layer.weight.data[:, :, source_index]
+        conv.weight.data[:, :, j] = layer.weight.data[rows, :, source_index]
     if layer.bias is not None:
-        conv.bias.data[...] = layer.bias.data
+        conv.bias.data[...] = layer.bias.data[rows]
     return conv
+
+
+def export_conv(layer: PITConv1d) -> CausalConv1d:
+    """Convert one searched PIT layer into a compact dilated convolution."""
+    if layer.channel_mask is not None:
+        raise ValueError("export_conv collapses time-searched layers only; "
+                         "a channel-searched layer needs export_channel_conv")
+    return _compact_conv(layer, np.arange(layer.out_channels))
+
+
+def export_channel_conv(layer: PITConv1d) -> Tuple[CausalConv1d, np.ndarray]:
+    """Collapse a channel-searched layer: dilated kernel, alive channels only.
+
+    Returns ``(conv, alive_index)``: the compact :class:`CausalConv1d` and
+    the indices of the surviving output channels, which the *consumer*
+    layer must use to slice its input weights (only well-defined in a
+    linear chain — the caller owns that propagation).
+    """
+    if layer.channel_mask is None:
+        raise ValueError("export_channel_conv needs a channel-searched "
+                         "layer (PITConv1d(min_channels=...)); use export_conv")
+    alive_index = np.nonzero(layer.channel_mask.current_mask() >= 0.5)[0]
+    return _compact_conv(layer, alive_index), alive_index
 
 
 def export_network(model: Module) -> Module:
@@ -81,11 +111,13 @@ def export_network(model: Module) -> Module:
 
     The copy leaves the original searchable model untouched, so the same
     seed can keep exploring other λ values (how Fig. 4's fronts are built).
+    Channel-searched layers stay in place (their export changes the next
+    layer's input), so :func:`require_exported` still refuses the copy.
     """
     exported = copy.deepcopy(model)
     for module in exported.modules():
         for name, child in list(module._modules.items()):
-            if isinstance(child, PITConv1d):
+            if isinstance(child, PITConv1d) and child.channel_mask is None:
                 setattr(module, name, export_conv(child))
     return exported
 
@@ -116,11 +148,9 @@ def network_dilations(model: Module) -> Tuple[int, ...]:
     their own once any layer has ``stride > 1`` — use
     :func:`network_receptive_field` for that.
     """
-    from .channel_mask import PITChannelConv1d
-
     dilations: List[int] = []
     for module in model.modules():
-        if isinstance(module, (PITConv1d, PITChannelConv1d)):
+        if isinstance(module, PITConv1d):
             dilations.append(module.current_dilation())
         elif isinstance(module, CausalConv1d) and module.kernel_size > 1:
             dilations.append(module.dilation)
@@ -136,10 +166,9 @@ def _temporal_layers(model: Module):
     stride.
     """
     from ..nn.layers import AvgPool1d
-    from .channel_mask import PITChannelConv1d
 
     for module in model.modules():
-        if isinstance(module, (PITConv1d, PITChannelConv1d)):
+        if isinstance(module, PITConv1d):
             yield module.rf_max, module.stride
         elif isinstance(module, CausalConv1d):
             yield module.receptive_field, module.stride
@@ -188,12 +217,10 @@ def effective_parameters(model: Module) -> int:
     layers (plus everything else); for an already-exported model it equals
     ``count_parameters()``.
     """
-    from .channel_mask import PITChannelConv1d
-
     total = 0
     counted = set()
     for module in model.modules():
-        if isinstance(module, (PITConv1d, PITChannelConv1d)):
+        if isinstance(module, PITConv1d):
             total += module.effective_params()
             for _, p in module.named_parameters():
                 counted.add(id(p))

@@ -221,8 +221,8 @@ class TimeMask(Module):
     """Trainable γ vector of one PIT layer, producing the lag mask ``M``.
 
     Holds the float "shadow" parameters ``γ̂_1 .. γ̂_{L-1}`` (γ0 is the
-    constant 1).  The forward pass binarizes them with a Heaviside at
-    ``threshold`` (straight-through gradient, Eq. 2), forms the Γ products
+    constant 1).  The forward pass binarizes them with a Heaviside at the
+    paper's δ = 0.5 (straight-through gradient, Eq. 2), forms the Γ products
     (Eq. 3) and scatters them into the lag mask (Fig. 2 / Eq. 4).
 
     After the pruning phase the trainer calls :meth:`freeze`; the mask then
@@ -230,11 +230,12 @@ class TimeMask(Module):
     fine-tuning loop).
     """
 
-    def __init__(self, rf_max: int, threshold: float = 0.5):
+    threshold = 0.5   # δ of Eq. 2
+
+    def __init__(self, rf_max: int):
         super().__init__()
         self.rf_max = rf_max
         self.length = num_gamma(rf_max)
-        self.threshold = threshold
         dtype = get_default_dtype()
         self.gamma_hat = Parameter(np.ones(max(self.length - 1, 0), dtype),
                                    name="pit.gamma_hat")

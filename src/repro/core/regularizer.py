@@ -14,15 +14,21 @@ and together with the always-alive slices they account for all 9 taps.
 A FLOPs-weighted variant (paper: "easily extendable to other types of
 optimizations, e.g. FLOPs reduction") multiplies each layer's term by its
 output sequence length.
+
+The channel search of Sec. III-C adds "further regularization terms":
+:func:`channel_regularizer` is the MorphNet-style Lasso on the channel γ̂ᶜ
+of every :class:`PITConv1d` built with ``min_channels=``.  The time terms
+above cover those layers like any other.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 import numpy as np
 
-from ..autograd import Tensor, concatenate
+from ..autograd import Tensor, apply_op
+from ..autograd.tensor import _SUM
 from ..nn.module import Module
 from .masks import num_gamma
 from .pit_conv import PITConv1d
@@ -31,6 +37,7 @@ __all__ = [
     "gamma_size_coefficients",
     "size_regularizer",
     "flops_regularizer",
+    "channel_regularizer",
     "pit_layers",
 ]
 
@@ -50,18 +57,14 @@ def pit_layers(model: Module) -> List[PITConv1d]:
     return [m for m in model.modules() if isinstance(m, PITConv1d)]
 
 
-def _time_masked_layers(model: Module):
-    """Yield ``(time_mask, in_ch, out_ch, rf_max, layer)`` for every layer
-    carrying a searchable time mask — plain :class:`PITConv1d` and the
-    combined :class:`repro.core.channel_mask.PITChannelConv1d`."""
-    from .channel_mask import PITChannelConv1d
-    for module in model.modules():
-        if isinstance(module, PITConv1d):
-            yield module.mask, module.in_channels, module.out_channels, \
-                module.rf_max, module
-        elif isinstance(module, PITChannelConv1d):
-            yield module.time_mask, module.in_channels, module.out_channels, \
-                module.rf_max, module
+def _sum(terms: List[Tensor], lam: float) -> Tensor:
+    """``λ · (t_0 + t_1 + …)``, or a zero scalar without terms."""
+    if not terms:
+        return Tensor(np.zeros(()))
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total * lam
 
 
 def _lasso(model: Module, lam: float, per_output_sample: bool) -> Tensor:
@@ -73,21 +76,16 @@ def _lasso(model: Module, lam: float, per_output_sample: bool) -> Tensor:
     γ) contribute nothing.
     """
     terms = []
-    for mask, in_ch, out_ch, rf_max, layer in _time_masked_layers(model):
+    for layer in pit_layers(model):
+        mask = layer.mask
         if mask.frozen or mask.length <= 1:
             continue
-        t_out = 1
-        if per_output_sample:
-            t_out = getattr(layer, "_last_t_out", None) or 1
-        coeffs = Tensor(gamma_size_coefficients(rf_max))
+        t_out = (layer._last_t_out or 1) if per_output_sample else 1
+        coeffs = Tensor(gamma_size_coefficients(layer.rf_max))
         contribution = (coeffs * mask.gamma_hat.abs()).sum()
-        terms.append(contribution * float(in_ch * out_ch * t_out))
-    if not terms:
-        return Tensor(np.zeros(()))
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total * lam
+        terms.append(contribution
+                     * float(layer.in_channels * layer.out_channels * t_out))
+    return _sum(terms, lam)
 
 
 def size_regularizer(model: Module, lam: float) -> Tensor:
@@ -107,3 +105,24 @@ def flops_regularizer(model: Module, lam: float) -> Tensor:
     a layer that has not run yet counts one output sample.
     """
     return _lasso(model, lam, per_output_sample=True)
+
+
+def channel_regularizer(model: Module, lam: float) -> Tensor:
+    """MorphNet-style Lasso on the channel γ̂ᶜ of every channel-searched layer.
+
+    Each channel's coefficient is its parameter cost ``C_in * kept_taps``
+    (analogous to Eq. 6's size weighting, but along the width axis).  The
+    kept taps are summed from the time mask inside the graph, detached, so
+    a replayed step recomputes the weight as the time mask moves and no
+    gradient flows through it.
+    """
+    terms = []
+    for layer in pit_layers(model):
+        mask = layer.channel_mask
+        if mask is None or mask.frozen:
+            continue
+        kept_taps = apply_op(_SUM, (layer.mask(),),
+                             {"axis": None, "keepdims": False}, detach=True)
+        cost = kept_taps * layer.in_channels
+        terms.append(mask.gamma_hat.abs().sum() * cost)
+    return _sum(terms, lam)

@@ -210,6 +210,9 @@ class StackedPITConv1d(Module):
 
 @register_stacked(PITConv1d)
 def _stack_pit_conv(template: PITConv1d, ctx: StackContext) -> StackedPITConv1d:
+    if template.channel_mask is not None:
+        raise StackingUnsupported(
+            "a channel-searched PITConv1d has no stacked counterpart")
     return StackedPITConv1d(template, ctx)
 
 

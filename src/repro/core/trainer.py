@@ -41,7 +41,8 @@ from .driver import (
     run_phases,
 )
 from .export import effective_parameters, network_dilations
-from .regularizer import flops_regularizer, pit_layers, size_regularizer
+from .regularizer import (channel_regularizer, flops_regularizer, pit_layers,
+                          size_regularizer)
 
 __all__ = ["PITResult", "PITTrainer", "train_plain", "evaluate",
            "TrainResult", "DivergedError", "make_training_step"]
@@ -204,13 +205,8 @@ class PITTrainer:
         self._checkpoint = TrainerCheckpoint.create(
             checkpoint_dir, checkpoint_tag, every=checkpoint_every,
             resume=checkpoint_resume)
-        if not self._searchable_layers():
-            raise ValueError("model contains no searchable (PITConv1d / "
-                             "PITChannelConv1d) layers")
-
-    def _searchable_layers(self):
-        from .channel_mask import channel_layers
-        return pit_layers(self.model) + channel_layers(self.model)
+        if not pit_layers(model):
+            raise ValueError("model contains no searchable (PITConv1d) layers")
 
     def _regularizer_term(self) -> Tensor:
         if self.regularizer == "size":
@@ -218,7 +214,6 @@ class PITTrainer:
         else:
             term = flops_regularizer(self.model, self.lam)
         if self.channel_lam:
-            from .channel_mask import channel_regularizer
             term = term + channel_regularizer(self.model, self.channel_lam)
         return term
 
@@ -248,7 +243,7 @@ class PITTrainer:
         configuration and data as the run that wrote the snapshot.
         """
         lanes = SingleLane(self.model, self.loss_fn, train_loader,
-                           val_loader, self._regularizer_term, self._searchable_layers())
+                           val_loader, self._regularizer_term, pit_layers(self.model))
         out = run_phases(
             lanes, pit_phases(self), kind="pit",
             checkpoints=[self._checkpoint] if self._checkpoint else None,

@@ -129,7 +129,9 @@ class Module:
         """Load arrays produced by :meth:`state_dict` (strict matching).
 
         Every array takes the dtype of the one it replaces, so a file saved
-        at another precision loads into this model's precision.
+        at another precision loads into this model's precision.  Keys and
+        parameter shapes are all checked before anything is assigned, so
+        a state that does not fit leaves the model unchanged.
         """
         own_params = dict(self.named_parameters())
         own_buffers = dict(self.named_buffers())
@@ -142,6 +144,7 @@ class Module:
             if param.data.shape != state[name].shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{param.data.shape} vs {state[name].shape}")
+        for name, param in own_params.items():
             param.data[...] = state[name]
         # Buffers may live on nested modules; walk and assign.
         for name, buf in own_buffers.items():

@@ -121,8 +121,9 @@ class StreamingPool:
         server apply backpressure per client.  A sample for a *pending*
         slot is consumed only if the tick is aligned (the slot activates
         and this is its first sample); supplying it on an unaligned tick
-        is an error, since the pool cannot accept it yet.  A sample of any
-        other shape raises before any slot activates or any ring moves.
+        is an error, since the pool cannot accept it yet.  A non-numeric
+        sample, a sample of any other shape and a broken barrier all raise
+        before any slot activates or any ring moves.
         """
         channels = self.executor.channels
         for slot, sample in samples.items():
@@ -130,16 +131,16 @@ class StreamingPool:
                 raise ValueError(
                     f"sample for slot {slot} has shape {np.shape(sample)}, "
                     f"expected ({channels},)")
-        active = set(self._active)
+            dtype = np.asarray(sample).dtype
+            if dtype.kind not in "iuf":
+                raise ValueError(f"sample for slot {slot} is not numeric "
+                                 f"(dtype {dtype})")
         supplied = set(samples)
-        if self.aligned:
-            # Pending slots whose first sample arrived activate now.
-            for slot in list(self._pending):
-                if slot in supplied:
-                    self._pending.remove(slot)
-                    self.executor.reset_slots([slot])
-                    self._active[slot] = 0
-                    active.add(slot)
+        # Pending slots whose first sample arrived activate on an aligned
+        # tick.
+        joining = ([slot for slot in self._pending if slot in supplied]
+                   if self.aligned else [])
+        active = set(self._active) | set(joining)
         missing = active - supplied
         extra = supplied - active
         if missing:
@@ -148,6 +149,10 @@ class StreamingPool:
         if extra:
             raise ValueError(f"samples supplied for slots {sorted(extra)} "
                              "which are not active this tick")
+        for slot in joining:
+            self._pending.remove(slot)
+            self.executor.reset_slots([slot])
+            self._active[slot] = 0
 
         batch = np.zeros((self.capacity, channels, 1), get_default_dtype())
         for slot in active:

@@ -157,6 +157,7 @@ class StreamServer:
         await self._stopped.wait()
 
     async def close(self) -> None:
+        """Stop the tick loop, disconnect every client and stop listening."""
         if self._ticker is not None:
             self._ticker.cancel()
             try:
@@ -164,6 +165,8 @@ class StreamServer:
             except asyncio.CancelledError:
                 pass
             self._ticker = None
+        for session in self._sessions.values():
+            session.writer.close()   # its handler reads EOF and detaches
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -240,13 +243,27 @@ class StreamServer:
             pass
         finally:
             session.closing = True
-            self._kick()
-            await session.done.wait()  # tick loop flushed + detached us
-            try:
-                await writer.drain()
+            if self._ticker is None or self._ticker.done():
+                # No tick loop (the server is closing): nothing else will
+                # detach this session, and a cancellation must propagate,
+                # so nothing is awaited here.
+                self._retire(session)
                 writer.close()
-            except ConnectionError:
-                pass
+            else:
+                self._kick()
+                await session.done.wait()  # tick loop flushed + detached us
+                try:
+                    await writer.drain()
+                    writer.close()
+                except ConnectionError:
+                    pass
+
+    def _retire(self, session: _Session) -> None:
+        """Detach a finished session's slot and release its handler."""
+        self.pool.detach(session.slot)
+        del self._sessions[session.slot]
+        self._served += 1
+        session.done.set()
 
     def _kick(self) -> None:
         if self._wake is not None:
@@ -290,10 +307,7 @@ class StreamServer:
                 # queue has drained.
                 for session in list(self._sessions.values()):
                     if session.closing and session.queue.empty():
-                        self.pool.detach(session.slot)
-                        del self._sessions[session.slot]
-                        self._served += 1
-                        session.done.set()
+                        self._retire(session)
                 if (self.max_sessions is not None
                         and self._served >= self.max_sessions
                         and not self._sessions):

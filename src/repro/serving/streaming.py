@@ -47,7 +47,6 @@ import numpy as np
 
 from ..autograd import Tensor, get_default_dtype, no_grad
 from ..autograd.backends import KERNELS
-from ..core.channel_mask import PITChannelConv1d
 from ..core.export import deployable_network
 from ..core.pit_conv import PITConv1d
 from ..hw.quantization import FakeQuant
@@ -401,8 +400,8 @@ def _stream_gap(module: GlobalAvgPool1d, ctx: StreamContext) -> Module:
     return layer
 
 
-@register_streaming(PITConv1d, PITChannelConv1d)
-def _stream_pit(module: Module, ctx: StreamContext) -> Module:
+@register_streaming(PITConv1d)
+def _stream_pit(module: PITConv1d, ctx: StreamContext) -> Module:
     raise StreamingUnsupported(
         f"{type(module).__name__} is a searchable supernet layer; export "
         "the network first (StreamingExecutor does this via "

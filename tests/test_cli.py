@@ -245,6 +245,27 @@ class TestSearch:
                             r"dilations=\(.*\)", log_lines()[1])
 
 
+    def test_resume_from_another_width_starts_fresh(self, tmp_path, capsys):
+        """A checkpoint written for another network (here: another width)
+        warns and starts fresh, printing what an uncheckpointed run does."""
+        argv = ["search", "--benchmark", "ppg", "--lam", "0.5",
+                "--warmup", "1", "--epochs", "1", "--finetune", "1",
+                "--quiet"]
+        ckpt = ["--checkpoint-dir", str(tmp_path)]
+
+        def result_lines():
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("time")]
+
+        assert main(argv + ["--width", "0.125"] + ckpt) == 0
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="another network"):
+            assert main(argv + ["--width", "0.25"] + ckpt + ["--resume"]) == 0
+        resumed = result_lines()
+        assert main(argv + ["--width", "0.25"]) == 0
+        assert resumed == result_lines()
+
+
 class TestSweep:
     def test_sweep_prints_front(self, capsys):
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",

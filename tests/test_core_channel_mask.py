@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.core.channel_mask import (
+from repro.core import (
     ChannelMask,
-    PITChannelConv1d,
-    channel_layers,
+    PITConv1d,
     channel_regularizer,
     export_channel_conv,
+    pit_layers,
 )
 from repro.nn import Module, ReLU, Sequential
 
@@ -75,9 +75,11 @@ class TestChannelMask:
 
 
 class TestPITChannelConv1d:
-    def make(self, **kwargs):
-        return PITChannelConv1d(3, 6, rf_max=9, rng=np.random.default_rng(0),
-                                **kwargs)
+    """A channel-searched ``PITConv1d`` (built with ``min_channels=``)."""
+
+    def make(self):
+        return PITConv1d(3, 6, rf_max=9, min_channels=1,
+                         rng=np.random.default_rng(0))
 
     def test_forward_shape(self):
         layer = self.make()
@@ -93,7 +95,7 @@ class TestPITChannelConv1d:
 
     def test_combined_dilation_and_channels(self):
         layer = self.make()
-        layer.time_mask.set_dilation(4)
+        layer.mask.set_dilation(4)
         layer.channel_mask.set_alive(np.array([1, 1, 0, 0, 0, 0], dtype=float))
         assert layer.current_dilation() == 4
         assert layer.alive_channels() == 2
@@ -101,25 +103,25 @@ class TestPITChannelConv1d:
 
     def test_effective_params(self):
         layer = self.make()
-        layer.time_mask.set_dilation(4)   # 3 taps
+        layer.mask.set_dilation(4)   # 3 taps
         layer.channel_mask.set_alive(np.array([1, 1, 0, 0, 0, 0], dtype=float))
         assert layer.effective_params() == 3 * 3 * 2 + 2
 
     def test_both_masks_receive_gradients(self):
         layer = self.make()
         layer(Tensor(RNG.standard_normal((1, 3, 10)))).sum().backward()
-        assert layer.time_mask.gamma_hat.grad is not None
+        assert layer.mask.gamma_hat.grad is not None
         assert layer.channel_mask.gamma_hat.grad is not None
 
     def test_freeze_freezes_both(self):
         layer = self.make()
         layer.freeze()
-        assert layer.time_mask.frozen
+        assert layer.mask.frozen
         assert layer.channel_mask.frozen
 
     def test_rejects_rf_1(self):
         with pytest.raises(ValueError):
-            PITChannelConv1d(2, 2, rf_max=1)
+            PITConv1d(2, 2, rf_max=1, min_channels=1)
 
     def test_repr(self):
         assert "alive=6/6" in repr(self.make())
@@ -128,9 +130,11 @@ class TestPITChannelConv1d:
 class Chain(Module):
     def __init__(self):
         super().__init__()
-        self.a = PITChannelConv1d(2, 4, rf_max=5, rng=np.random.default_rng(0))
+        self.a = PITConv1d(2, 4, rf_max=5, min_channels=1,
+                           rng=np.random.default_rng(0))
         self.r = ReLU()
-        self.b = PITChannelConv1d(4, 3, rf_max=9, rng=np.random.default_rng(1))
+        self.b = PITConv1d(4, 3, rf_max=9, min_channels=1,
+                           rng=np.random.default_rng(1))
 
     def forward(self, x):
         return self.b(self.r(self.a(x)))
@@ -147,7 +151,7 @@ class TestChannelRegularizer:
         """Channel cost shrinks when the time mask prunes taps."""
         model = Chain()
         base = channel_regularizer(model, 1.0).item()
-        model.a.time_mask.set_dilation(4)  # 5-tap -> 2-tap... (rf5,d4 -> lags {0,4})
+        model.a.mask.set_dilation(4)  # 5-tap -> 2-tap... (rf5,d4 -> lags {0,4})
         pruned = channel_regularizer(model, 1.0).item()
         assert pruned < base
 
@@ -166,13 +170,16 @@ class TestChannelRegularizer:
         assert model.a.channel_mask.gamma_hat.grad is not None
 
     def test_discovery(self):
-        assert len(channel_layers(Chain())) == 2
+        searched = [layer for layer in pit_layers(Chain())
+                    if layer.channel_mask is not None]
+        assert len(searched) == 2
 
 
 class TestExportChannelConv:
     def test_export_slices_channels(self):
-        layer = PITChannelConv1d(3, 6, rf_max=9, rng=np.random.default_rng(0))
-        layer.time_mask.set_dilation(2)
+        layer = PITConv1d(3, 6, rf_max=9, min_channels=1,
+                          rng=np.random.default_rng(0))
+        layer.mask.set_dilation(2)
         layer.channel_mask.set_alive(np.array([1, 0, 1, 0, 1, 1], dtype=float))
         conv, alive = export_channel_conv(layer)
         assert conv.out_channels == 4
@@ -180,8 +187,9 @@ class TestExportChannelConv:
         assert alive.tolist() == [0, 2, 4, 5]
 
     def test_export_forward_matches_alive_rows(self):
-        layer = PITChannelConv1d(3, 6, rf_max=9, rng=np.random.default_rng(0))
-        layer.time_mask.set_dilation(4)
+        layer = PITConv1d(3, 6, rf_max=9, min_channels=1,
+                          rng=np.random.default_rng(0))
+        layer.mask.set_dilation(4)
         alive = np.array([1, 1, 0, 0, 1, 0], dtype=float)
         layer.channel_mask.set_alive(alive)
         conv, index = export_channel_conv(layer)
@@ -194,8 +202,9 @@ class TestExportChannelConv:
         assert np.allclose(full[:, dead], 0.0)
 
     def test_export_param_count(self):
-        layer = PITChannelConv1d(3, 6, rf_max=9, rng=np.random.default_rng(0))
-        layer.time_mask.set_dilation(8)
+        layer = PITConv1d(3, 6, rf_max=9, min_channels=1,
+                          rng=np.random.default_rng(0))
+        layer.mask.set_dilation(8)
         layer.channel_mask.set_alive(np.array([1, 0, 0, 0, 0, 1], dtype=float))
         conv, _ = export_channel_conv(layer)
         assert conv.count_parameters() == layer.effective_params()
@@ -214,16 +223,74 @@ class TestCombinedSearchIntegration:
         for _ in range(30):
             optimizer.zero_grad()
             out = model(x)
-            loss = (out * out).mean() + channel_regularizer(model, 1.0)
-            # Time masks of PITChannelConv1d are TimeMask modules too; their
-            # Lasso needs direct wiring since size_regularizer targets
-            # PITConv1d. Use the channel term + the task loss here and pull
-            # time γ̂ down manually through an L1 term.
-            time_l1 = (model.a.time_mask.gamma_hat.abs().sum()
-                       + model.b.time_mask.gamma_hat.abs().sum())
-            loss = loss + time_l1 * 1.0
+            loss = ((out * out).mean() + channel_regularizer(model, 1.0)
+                    + size_regularizer(model, 1.0))
             loss.backward()
             optimizer.step()
         assert model.a.current_dilation() > 1
         assert model.b.current_dilation() > 1
         assert (model.a.alive_channels() < 4 or model.b.alive_channels() < 3)
+
+
+class TestChannelSearchedLayerIsAPITLayer:
+    """A channel-searched layer is a ``PITConv1d``: every consumer that
+    handles PIT layers counts it, and every flow that cannot shrink a
+    consumer's input refuses it by name."""
+
+    def make(self):
+        return PITConv1d(2, 4, rf_max=9, min_channels=1,
+                         rng=np.random.default_rng(0))
+
+    def test_flops_regularizer_weights_by_output_length(self):
+        from repro.core import flops_regularizer, size_regularizer
+        layer = self.make()
+        layer(Tensor(RNG.standard_normal((1, 2, 64))))
+        size = size_regularizer(layer, 1.0).item()
+        assert size == pytest.approx(2 * 4 * (1 + 2 + 4))
+        assert flops_regularizer(layer, 1.0).item() == pytest.approx(64 * size)
+
+    def test_counted_by_search_space(self):
+        from repro.core import parameter_range, search_space_size
+        model = Sequential(self.make(), ReLU(),
+                           PITConv1d(4, 3, rf_max=5,
+                                     rng=np.random.default_rng(1)))
+        assert search_space_size(model) == 4 * 3
+        bounds = parameter_range(model)
+        assert bounds["min_params"] == (2 * 2 * 4 + 4) + (2 * 4 * 3 + 3)
+        assert bounds["max_params"] == (9 * 2 * 4 + 4) + (5 * 4 * 3 + 3)
+
+    def test_set_dilation_and_unfreeze(self):
+        layer = self.make()
+        layer.set_dilation(4)
+        layer.freeze()
+        assert layer.mask.frozen and layer.channel_mask.frozen
+        layer.unfreeze()
+        assert not layer.mask.frozen and not layer.channel_mask.frozen
+        assert layer.current_dilation() == 4
+
+    def test_export_network_keeps_it_and_deployment_refuses(self):
+        from repro.core import NotDeployableError, export_network
+        from repro.core.export import require_exported
+        exported = export_network(Sequential(self.make()))
+        assert isinstance(exported[0], PITConv1d)
+        with pytest.raises(NotDeployableError, match="channel-searched"):
+            require_exported(exported, "test")
+
+    def test_export_functions_check_the_layer_kind(self):
+        from repro.core import export_conv
+        with pytest.raises(ValueError, match="export_channel_conv"):
+            export_conv(self.make())
+        with pytest.raises(ValueError, match="export_conv"):
+            export_channel_conv(PITConv1d(2, 4, rf_max=9))
+
+    def test_stacking_unsupported(self):
+        from repro.core import StackedPITTrainer
+        from repro.nn import StackingUnsupported, mse_loss
+        with pytest.raises(StackingUnsupported, match="channel-searched"):
+            StackedPITTrainer(Sequential(self.make()), mse_loss,
+                              lams=[0.0, 1.0])
+
+    def test_proxylessify_refuses(self):
+        from repro.baselines import proxylessify
+        with pytest.raises(ValueError, match="channel-searched"):
+            proxylessify(Sequential(self.make()))

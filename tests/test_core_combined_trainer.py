@@ -5,11 +5,11 @@ import pytest
 
 from repro.autograd import is_grad_enabled, ops_nn, tensor
 from repro.core import (
-    PITChannelConv1d,
+    PITConv1d,
     PITTrainer,
-    channel_layers,
     effective_parameters,
     flops_regularizer,
+    pit_layers,
     size_regularizer,
 )
 from repro.data import ArrayDataset, DataLoader
@@ -23,9 +23,9 @@ class CombinedTCN(Module):
     def __init__(self, seed=0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.c1 = PITChannelConv1d(1, 6, rf_max=9, rng=rng)
+        self.c1 = PITConv1d(1, 6, rf_max=9, min_channels=1, rng=rng)
         self.r1 = ReLU()
-        self.c2 = PITChannelConv1d(6, 6, rf_max=9, min_channels=2, rng=rng)
+        self.c2 = PITConv1d(6, 6, rf_max=9, min_channels=2, rng=rng)
         self.r2 = ReLU()
         self.head = CausalConv1d(6, 1, kernel_size=1, rng=rng)
 
@@ -60,7 +60,7 @@ class TestRegularizersCoverCombinedLayers:
     def test_gradients_reach_combined_time_gamma(self):
         model = CombinedTCN()
         size_regularizer(model, 1.0).backward()
-        assert model.c1.time_mask.gamma_hat.grad is not None
+        assert model.c1.mask.gamma_hat.grad is not None
 
 
 class TestTrainerOnCombinedModel:
@@ -82,7 +82,7 @@ class TestTrainerOnCombinedModel:
         trainer.fit(train, val)
         assert model.c1.current_dilation() > 1
         assert model.c2.current_dilation() > 1
-        alive = [layer.alive_channels() for layer in channel_layers(model)]
+        alive = [layer.alive_channels() for layer in pit_layers(model)]
         assert alive[0] < 6 or alive[1] < 6
         # min_channels floor respected.
         assert alive[1] >= 2
@@ -93,8 +93,8 @@ class TestTrainerOnCombinedModel:
         model = CombinedTCN()
         PITTrainer(model, mse_loss, lam=0.0, warmup_epochs=0,
                    max_prune_epochs=1, finetune_epochs=1).fit(train, val)
-        for layer in channel_layers(model):
-            assert layer.time_mask.frozen
+        for layer in pit_layers(model):
+            assert layer.mask.frozen
             assert layer.channel_mask.frozen
 
     def test_effective_parameters_accounts_channels(self):
@@ -112,8 +112,37 @@ class TestTrainerOnCombinedModel:
                              warmup_epochs=1, max_prune_epochs=2,
                              finetune_epochs=0)
         trainer.fit(train, val)
-        for layer in channel_layers(model):
+        for layer in pit_layers(model):
             assert layer.alive_channels() == layer.out_channels
+
+    def test_checkpoint_with_time_mask_keys_starts_fresh(self, tmp_path):
+        """Older combined-search checkpoints name the time masks
+        ``time_mask.*``; resuming from one warns and trains from scratch,
+        exactly like a run without checkpoints."""
+        from repro.core import TrainerCheckpoint, checkpoint_file
+
+        def fit(**kwargs):
+            train, val = make_loaders()
+            return PITTrainer(CombinedTCN(), mse_loss, lam=1.0,
+                              channel_lam=1.0, warmup_epochs=1,
+                              max_prune_epochs=2, finetune_epochs=1,
+                              **kwargs).fit(train, val)
+
+        fresh = fit()
+        fit(checkpoint_dir=str(tmp_path))
+        ckpt = TrainerCheckpoint(checkpoint_file(tmp_path, "pit"))
+        state = ckpt.load()
+        assert state is not None
+        renamed = {key.replace(".mask.", ".time_mask."): value
+                   for key, value in state.arrays.items()}
+        assert renamed.keys() != state.arrays.keys()
+        meta = dict(state.meta)
+        meta.pop("checksum")
+        ckpt.save(renamed, meta)
+        with pytest.warns(UserWarning, match="another network"):
+            resumed = fit(checkpoint_dir=str(tmp_path))
+        assert (resumed.best_val, resumed.history, resumed.dilations) == (
+            fresh.best_val, fresh.history, fresh.dilations)
 
     def test_compiled_search_matches_eager(self, eager_steps, monkeypatch):
         """With channel_lam > 0 the channel rescue fires in replayed steps

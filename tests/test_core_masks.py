@@ -209,7 +209,7 @@ class TestTimeMask:
             assert np.allclose(mask().data, mask_from_dilation(17, d))
 
     def test_threshold_binarization(self):
-        mask = TimeMask(9, threshold=0.5)
+        mask = TimeMask(9)
         mask.gamma_hat.data[...] = [0.6, 0.4, 0.7]
         # γ = (1, 1, 0, 1): Γ products kill everything above Γ2 -> d = 4.
         assert mask.current_dilation() == 4

@@ -32,7 +32,6 @@ from repro.autograd import (
 )
 from repro.baselines.proxyless import proxylessify
 from repro.core import PITTrainer, driver, network_dilations, size_regularizer
-from repro.core.channel_mask import PITChannelConv1d
 from repro.core.pit_conv import PITConv1d
 from repro.core.stacked import StackedPITTrainer
 from repro.core.trainer import make_training_step, train_plain
@@ -340,7 +339,7 @@ class TestFallbacks:
         def make_model():
             rng = np.random.default_rng(4)
             model = Sequential(
-                PITChannelConv1d(2, 6, rf_max=4, min_channels=2, rng=rng),
+                PITConv1d(2, 6, rf_max=4, min_channels=2, rng=rng),
                 GlobalAvgPool1d(), Linear(6, 1, rng=rng))
             # One channel alive, so the trace runs the rescue; lr=0.05
             # moves γ̂ so that later steps need it or not.

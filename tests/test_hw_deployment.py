@@ -69,12 +69,13 @@ class TestDeployableNetwork:
         assert deployable_network(model) is model
 
     def test_channel_searched_model_is_rejected(self):
-        # export_network collapses PITConv1d only; a PITChannelConv1d left
-        # in the "deployable" network would still be a supernet layer.
-        from repro.core import NotDeployableError, PITChannelConv1d
+        # export_network collapses time-searched layers only; a
+        # channel-searched PITConv1d left in the "deployable" network
+        # would still be a supernet layer.
+        from repro.core import NotDeployableError
         from repro.nn import Sequential
         rng = np.random.default_rng(0)
-        model = Sequential(PITChannelConv1d(2, 4, rf_max=9, rng=rng),
+        model = Sequential(PITConv1d(2, 4, rf_max=9, min_channels=1, rng=rng),
                            CausalConv1d(4, 3, 3, rng=rng))
         with pytest.raises(NotDeployableError, match="'m0'"):
             deployable_network(model)

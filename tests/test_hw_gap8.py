@@ -61,11 +61,11 @@ class TestGAP8Model:
     def test_rejects_channel_searched_layer(self):
         # A channel-searched layer is as searchable as a PITConv1d: it
         # must not be priced as free next to the fixed layers.
-        from repro.core import NotDeployableError, PITChannelConv1d
+        from repro.core import NotDeployableError, PITConv1d
         rng = np.random.default_rng(0)
-        net = Sequential(PITChannelConv1d(2, 4, rf_max=9, rng=rng),
+        net = Sequential(PITConv1d(2, 4, rf_max=9, min_channels=1, rng=rng),
                          CausalConv1d(4, 3, 3, rng=rng))
-        with pytest.raises(NotDeployableError, match="PITChannelConv1d"):
+        with pytest.raises(NotDeployableError, match="channel"):
             GAP8Model().estimate(net, (1, 2, 32))
 
     def test_accepts_exported_models(self):

@@ -135,6 +135,19 @@ class TestStateDict:
         with pytest.raises(ValueError):
             tree.load_state_dict(state)
 
+    def test_failed_load_leaves_model_unchanged(self):
+        """Every shape is checked before any array is assigned: a state
+        whose last parameter does not fit changes nothing."""
+        tree = Tree()
+        before = tree.state_dict()
+        state = {name: value + 1.0 for name, value in before.items()}
+        last = list(dict(tree.named_parameters()))[-1]
+        state[last] = np.zeros(state[last].size + 1)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            tree.load_state_dict(state)
+        for name, value in tree.state_dict().items():
+            assert np.array_equal(value, before[name]), name
+
     def test_buffer_round_trip(self):
         a, b = Module(), Module()
         a.register_buffer("s", np.arange(3.0))

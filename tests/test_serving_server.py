@@ -146,6 +146,26 @@ class TestStreamingPool:
         for state, ring in zip(pool.executor._states, rings):
             assert np.array_equal(state.ring, ring)
 
+    @pytest.mark.parametrize("feed, message", [
+        (lambda a, b: {a: np.ones(2), b: np.array(["a", "b"])},
+         "not numeric"),
+        (lambda a, b: {a: np.ones(2), b: np.ones(2), 2: np.ones(2)},
+         "not active"),
+        (lambda a, b: {b: np.ones(2)}, "missing"),
+    ], ids=["non-numeric", "unattached-slot", "missing-active"])
+    def test_rejected_tick_leaves_slots_unchanged(self, feed, message):
+        pool = StreamingPool(make_net(), capacity=3)
+        a = pool.attach()
+        pool.tick({a: np.ones(2)})
+        b = pool.attach()  # pending until its first sample
+        rings = [state.ring.copy() for state in pool.executor._states]
+        with pytest.raises(ValueError, match=message):
+            pool.tick(feed(a, b))
+        assert pool.pending_slots == [b] and pool.active_slots == [a]
+        assert pool.ticks == 1
+        for state, ring in zip(pool.executor._states, rings):
+            assert np.array_equal(state.ring, ring)
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -481,3 +501,28 @@ class TestServerRobustness:
         faults.reset()
         assert result["error"] is None
         assert len(result["frames"]) == len(want)
+
+    def test_close_with_a_connected_client_returns(self):
+        """close() with a client still connected: the handlers end (also
+        when cancelled, as asyncio.run does on exit) instead of waiting
+        for a tick loop that no longer runs, and the slot is freed."""
+        net = make_net()
+
+        async def scenario():
+            server = StreamServer(net, capacity=2)
+            host, port = await server.start()
+            before = asyncio.all_tasks()
+            reader, writer = await asyncio.open_connection(host, port)
+            assert json.loads(await reader.readline())["type"] == "hello"
+            handlers = asyncio.all_tasks() - before
+            assert handlers
+            await server.close()
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
+            writer.close()
+            return server
+
+        server = run(asyncio.wait_for(scenario(), 10))
+        assert server.pool.active_slots == []
+        assert server.pool.pending_slots == []
