@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.export import export_network
 from ..core.regularizer import pit_layers
-from ..core.search_space import layer_choices
+from ..core.search_space import dilation_choices
 from ..core.trainer import train_plain
 from ..nn import Module
 
@@ -37,7 +37,7 @@ def random_configurations(model: Module, count: int,
                           ) -> List[Tuple[int, ...]]:
     """Sample ``count`` distinct dilation assignments uniformly."""
     rng = rng or np.random.default_rng()
-    choices = [layer_choices(layer) for layer in pit_layers(model)]
+    choices = dilation_choices(model)
     seen = set()
     configs: List[Tuple[int, ...]] = []
     attempts = 0

@@ -26,12 +26,12 @@ flow still refuses them.
 from __future__ import annotations
 
 import copy
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.layers import CausalConv1d
-from ..nn.module import Module
+from ..nn.layers import AvgPool1d, CausalConv1d, Flatten, GlobalAvgPool1d
+from ..nn.module import Module, Shapes
 from .masks import kept_lags
 from .pit_conv import PITConv1d
 
@@ -157,16 +157,17 @@ def network_dilations(model: Module) -> Tuple[int, ...]:
     return tuple(dilations)
 
 
-def _temporal_layers(model: Module):
+def _temporal_layers(model: Module, shapes: Optional[Shapes] = None):
     """Yield ``(span, stride)`` for every temporal layer, declaration order.
 
     ``span`` is the layer-local input extent one output sample reads
     (``(K-1)*d + 1`` for convolutions, ``rf_max`` for still-searchable PIT
     layers, the window size for pools); ``stride`` is its temporal output
-    stride.
+    stride.  Given the ``shapes`` of :func:`repro.nn.module.probe_shapes`,
+    ``Flatten``/``GlobalAvgPool1d`` also count, as a stride-1 window over
+    the temporal extent of their probed ``(N, C, T)`` input.
     """
-    from ..nn.layers import AvgPool1d
-
+    shapes = shapes or {}
     for module in model.modules():
         if isinstance(module, PITConv1d):
             yield module.rf_max, module.stride
@@ -174,9 +175,13 @@ def _temporal_layers(model: Module):
             yield module.receptive_field, module.stride
         elif isinstance(module, AvgPool1d):
             yield module.kernel_size, module.stride
+        elif (isinstance(module, (Flatten, GlobalAvgPool1d))
+              and module in shapes and len(shapes[module][0]) == 3):
+            yield shapes[module][0][2], 1
 
 
-def network_receptive_field(model: Module) -> int:
+def network_receptive_field(model: Module,
+                            shapes: Optional[Shapes] = None) -> int:
     """Composed temporal receptive field of one output sample.
 
     Composes the per-layer spans with the classic jump recursion
@@ -185,18 +190,18 @@ def network_receptive_field(model: Module) -> int:
         jump <- jump * stride_l
 
     so a strided layer correctly *multiplies* the reach of everything
-    after it instead of merely adding its own span — the quantity the
-    streaming executor sizes warm-up with (``CausalConv1d
+    after it instead of merely adding its own span (``CausalConv1d
     .receptive_field`` alone is layer-local and stride-blind).  Layers are
     composed in declaration order, which matches execution order for the
     sequential seed architectures; parallel branches (e.g. a 1-tap
     residual downsample) contribute 0 to ``rf`` and 1 to ``jump``, so
     they are harmless.  Window layers whose extent depends on the input
-    length (``Flatten``/``GlobalAvgPool1d``) are not counted — the
-    streaming executor measures those by probing.
+    length (``Flatten``/``GlobalAvgPool1d``) count only when ``shapes``
+    (a :func:`repro.nn.module.probe_shapes` result) gives their extent —
+    how the streaming executor reports the span of one emitted frame.
     """
     rf, jump = 1, 1
-    for span, stride in _temporal_layers(model):
+    for span, stride in _temporal_layers(model, shapes):
         rf += (span - 1) * jump
         jump *= stride
     return rf

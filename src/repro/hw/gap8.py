@@ -19,6 +19,9 @@ measurements*:
   faster);
 * each conv layer's DMA term is the L2 <-> L1 traffic of its explicit
   L1 tiling (:mod:`repro.hw.tiling`);
+* the temporal extents every layer is priced at (conv input/output
+  lengths, LSTM steps) come from one shape probe of the network at the
+  given input shape (:func:`repro.nn.module.probe_shapes`);
 * per-layer fixed overhead (kernel setup, im2col, DMA programming) and an
   L3 penalty when weights exceed L2 complete the model;
 * energy = latency × average cluster power; Table III is consistent with a
@@ -31,10 +34,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from ..autograd import Tensor, no_grad
 from ..nn import LSTM, CausalConv1d, Linear, Module
+from ..nn.module import Shapes, probe_shapes
 from ..core.export import require_exported
 from .tiling import find_tiling, tiling_traffic
 
@@ -119,15 +120,15 @@ class GAP8Model:
 
     # ------------------------------------------------------------------
     def estimate(self, network: Module, input_shape: Tuple[int, ...]) -> GAP8Report:
-        """Trace one forward pass and price every layer."""
+        """Probe one forward pass for temporal extents; price every layer."""
         require_exported(network, "GAP8Model")
-        self._trace(network, input_shape)
+        shapes = probe_shapes(network, input_shape)
         total_weight_bytes = self._network_weight_bytes(network)
         fits_l2 = total_weight_bytes <= self.config.l2_bytes
 
         layers = []
         for name, module in network.named_modules():
-            cost = self._layer_cost(name, module, fits_l2)
+            cost = self._layer_cost(name, module, shapes, fits_l2)
             if cost is not None:
                 layers.append(cost)
 
@@ -145,15 +146,6 @@ class GAP8Model:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _trace(network: Module, input_shape: Tuple[int, ...]) -> None:
-        was_training = network.training
-        network.eval()
-        with no_grad():
-            network(Tensor(np.zeros(input_shape)))
-        if was_training:
-            network.train()
-
-    @staticmethod
     def _network_weight_bytes(network: Module) -> int:
         total = 0
         for module in network.modules():
@@ -165,13 +157,19 @@ class GAP8Model:
                 total += sum(p.data.size for _, p in module.named_parameters())
         return total
 
-    def _layer_cost(self, name: str, module: Module, fits_l2: bool) -> Optional[LayerCost]:
+    def _layer_cost(self, name: str, module: Module, shapes: Shapes,
+                    fits_l2: bool) -> Optional[LayerCost]:
         cfg = self.config
+        if not isinstance(module, (CausalConv1d, Linear, LSTM)):
+            # BatchNorm folds into the preceding conv at deployment; pooling
+            # and activations are memory-bound and folded into the fixed
+            # per-layer overhead of their producer.
+            return None
+        if module not in shapes:
+            raise RuntimeError(f"layer {name} was never traced")
+        in_shape, out_shape = shapes[module]
         if isinstance(module, CausalConv1d):
-            if not hasattr(module, "last_t_out"):
-                raise RuntimeError(f"layer {name} was never traced")
-            t_out = module.last_t_out
-            t_in = module.last_t_in
+            t_in, t_out = in_shape[-1], out_shape[-1]
             macs = (module.in_channels * module.out_channels
                     * module.kernel_size * t_out)
             weight_bytes = module.weight.data.size + (
@@ -193,18 +191,14 @@ class GAP8Model:
             # in act_bytes.
             act_bytes = max(traffic - weight_bytes, 0)
         elif isinstance(module, Linear):
-            if not hasattr(module, "last_input_shape"):
-                raise RuntimeError(f"layer {name} was never traced")
             macs = module.in_features * module.out_features
             weight_bytes = module.weight.data.size + (
                 module.bias.data.size * 4 if module.bias is not None else 0)
             act_bytes = module.in_features + module.out_features
             dilation = 1
             kind = "linear"
-        elif isinstance(module, LSTM):
-            if not hasattr(module, "last_t"):
-                raise RuntimeError(f"layer {name} was never traced")
-            t = module.last_t
+        else:
+            t = in_shape[-1]
             macs = sum(p.data.size for n, p in module.named_parameters()
                        if n.startswith("weight")) * t
             weight_bytes = sum(p.data.size for _, p in module.named_parameters())
@@ -219,11 +213,6 @@ class GAP8Model:
                 weight_bytes=weight_bytes, activation_bytes=act_bytes,
                 dilation=1, compute_cycles=compute, memory_cycles=memory,
                 fixed_cycles=cfg.fixed_cycles_per_layer * 2)
-        else:
-            # BatchNorm folds into the preceding conv at deployment; pooling
-            # and activations are memory-bound and folded into the fixed
-            # per-layer overhead of their producer.
-            return None
 
         compute = macs / (cfg.mac_rate(dilation))
         memory = (weight_bytes + act_bytes) / cfg.dma_bytes_per_cycle

@@ -19,12 +19,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..autograd import Tensor
-from ..core.masks import kept_lags
-from ..core.pit_conv import PITConv1d
 from ..nn import (
     AvgPool1d,
     BatchNorm1d,
-    CausalConv1d,
     Dropout,
     Flatten,
     Linear,
@@ -32,6 +29,7 @@ from ..nn import (
     ReLU,
     Sequential,
 )
+from .restcn import _make_conv
 
 __all__ = ["TEMPONet", "TEMPONET_HAND_DILATIONS", "TEMPONET_RECEPTIVE_FIELDS"]
 
@@ -44,15 +42,6 @@ _CONV_CHANNELS: Tuple[Tuple[int, int], ...] = (
     (64, 64), (64, 64),     # block 2 dilated pair
     (64, 128), (128, 128),  # block 3 dilated pair
 )
-
-
-def _make_conv(in_ch: int, out_ch: int, rf: int, dilation: Optional[int],
-               searchable: bool, rng: np.random.Generator) -> Module:
-    if searchable:
-        return PITConv1d(in_ch, out_ch, rf_max=rf, rng=rng)
-    d = dilation if dilation is not None else 1
-    kernel = len(kept_lags(rf, d))
-    return CausalConv1d(in_ch, out_ch, kernel_size=kernel, dilation=d, rng=rng)
 
 
 class TEMPONet(Module):

@@ -56,7 +56,6 @@ class Linear(Module):
                               name="linear.bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        self.last_input_shape = x.shape
         out = x @ self.weight.transpose()
         if self.bias is not None:
             out = out + self.bias
@@ -116,13 +115,10 @@ class CausalConv1d(Module):
         return (self.kernel_size - 1) * self.dilation + 1
 
     def forward(self, x: Tensor) -> Tensor:
-        out = conv1d_causal(x, self.weight, self.bias,
-                            dilation=self.dilation, stride=self.stride)
-        # Recorded for the hardware cost model (repro.hw.gap8), which needs
-        # per-layer temporal extents to count MACs and activation traffic.
-        self.last_t_in = x.shape[-1]
-        self.last_t_out = out.shape[-1]
-        return out
+        # Stateless: the hardware cost model (repro.hw.gap8) reads the
+        # temporal extents it prices from repro.nn.module.probe_shapes.
+        return conv1d_causal(x, self.weight, self.bias,
+                             dilation=self.dilation, stride=self.stride)
 
     def __repr__(self) -> str:
         return (f"CausalConv1d({self.in_channels}, {self.out_channels}, "

@@ -4,7 +4,8 @@ Modules register :class:`Parameter` attributes and child modules
 automatically (via ``__setattr__``), expose recursive iteration over
 parameters, and carry a ``training`` flag toggled by :meth:`Module.train` /
 :meth:`Module.eval` — the exact surface the PIT trainer and the deployment
-flow rely on.
+flow rely on.  :func:`probe_shapes` records every module's shapes in one
+forward, for the GAP8 cost model and the streaming executor.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, no_grad
 
-__all__ = ["Parameter", "Module"]
+__all__ = ["Parameter", "Module", "probe_shapes"]
+
+Shape = Tuple[int, ...]
 
 
 class Parameter(Tensor):
@@ -182,3 +185,37 @@ class Module:
             lines.append(f"  ({name}): {child}")
         lines.append(")")
         return "\n".join(lines) if len(lines) > 2 else f"{self.__class__.__name__}()"
+
+
+Shapes = Dict[Module, Tuple[Shape, Shape]]
+
+
+def probe_shapes(net: Module, x_shape: Shape) -> Shapes:
+    """``{module: (in_shape, out_shape)}`` of one forward of zeros.
+
+    Every module called with a single tensor that returns a tensor is
+    recorded (the last call wins).  The forward runs in eval mode under
+    ``no_grad`` and every module's mode is restored afterwards, so a probe
+    never updates BatchNorm running statistics.
+    """
+    shapes: Shapes = {}
+    original = Module.__call__
+
+    def recording(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        if (len(args) == 1 and not kwargs and isinstance(args[0], Tensor)
+                and isinstance(out, Tensor)):
+            shapes[self] = (args[0].shape, out.shape)
+        return out
+
+    modes = [(module, module.training) for module in net.modules()]
+    net.eval()
+    Module.__call__ = recording
+    try:
+        with no_grad():
+            net(Tensor(np.zeros(x_shape)))
+    finally:
+        Module.__call__ = original
+        for module, mode in modes:
+            object.__setattr__(module, "training", mode)
+    return shapes

@@ -52,7 +52,6 @@ class LSTM(Module):
         if x.ndim != 3 or x.shape[1] != self.input_size:
             raise ValueError(f"expected (N, {self.input_size}, T), got {x.shape}")
         n, _, t = x.shape
-        self.last_t = t  # recorded for the GAP8 cost model
         h_dim = self.hidden_size
         if state is None:
             h = Tensor(np.zeros((n, h_dim)))

@@ -1,9 +1,11 @@
 """Model checkpointing: save/load state dicts to ``.npz`` archives.
 
-The library's models are plain numpy underneath, so a compressed npz of
-the ``state_dict`` is a complete, dependency-free checkpoint.  Metadata
-(arbitrary JSON-serializable dict) travels alongside, which the DSE driver
-uses to record the λ / warmup / dilations that produced a model.
+The library's models are plain numpy underneath, so an npz of the
+``state_dict`` is a complete, dependency-free checkpoint.  It is written
+uncompressed: float weights do not compress, so zlib only cost time.
+Metadata (arbitrary JSON-serializable dict) travels alongside, which the
+DSE driver uses to record the λ / warmup / dilations that produced a
+model.
 
 Writes are torn-write-proof: :func:`atomic_write` assembles the file in a
 tempfile in the target directory and moves it into place with
@@ -87,7 +89,7 @@ def quarantine_file(path: Union[str, Path], problem: str, suffix: str = "",
 
 def save_state(state: Dict[str, np.ndarray], path: Union[str, Path],
                metadata: Optional[dict] = None) -> None:
-    """Atomically write a state dict (+ optional metadata) to a compressed npz.
+    """Atomically write a state dict (+ optional metadata) to an npz.
 
     The payload is staged in a tempfile in the target directory and
     renamed over ``path``, so readers only ever see a complete archive.
@@ -100,7 +102,7 @@ def save_state(state: Dict[str, np.ndarray], path: Union[str, Path],
         payload[_META_KEY] = np.frombuffer(
             json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
     with atomic_write(path) as handle:
-        np.savez_compressed(handle, **payload)
+        np.savez(handle, **payload)
 
 
 def load_state(path: Union[str, Path], *, quarantine: bool = False

@@ -15,7 +15,6 @@ from .server import StreamServer, serve
 from .streaming import (
     StreamingExecutor,
     StreamingUnsupported,
-    register_streaming,
     stream_module,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "StreamingExecutor",
     "StreamingPool",
     "StreamingUnsupported",
-    "register_streaming",
     "serve",
     "stream_module",
     "stream_samples",

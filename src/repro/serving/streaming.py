@@ -14,11 +14,18 @@ into *per-layer ring-buffer state*:
 * pools keep their last ``k`` frames and emit on the valid-window
   schedule (``count >= k``, every ``stride`` thereafter);
 * ``Flatten``/``GlobalAvgPool1d`` keep a sliding window of the temporal
-  extent they saw in the full-window network (measured by a one-shot
-  shape probe);
+  extent they saw in the full-window network (measured by one
+  :func:`repro.nn.module.probe_shapes` forward);
 * ``BatchNorm1d``, activations, ``Dropout`` (eval) and calibrated
   ``FakeQuant`` nodes are stateless per time step and are reused as-is;
 * ``Linear`` heads are applied per emitted frame.
+
+The conversion is one table, ``_STREAM_FACTORIES`` (exact type →
+factory).  The executor's geometry (``receptive_field``,
+``total_stride``) is not tracked by the conversion: it is
+:func:`repro.core.export.network_receptive_field` /
+:func:`~repro.core.export.network_total_stride` over the probed network,
+so deployment and streaming share one receptive-field walk.
 
 Because a zero-initialized ring is indistinguishable from the causal zero
 padding of the full forward, a *fresh* stream's outputs are exactly the
@@ -41,15 +48,20 @@ from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..autograd import Tensor, get_default_dtype, no_grad
 from ..autograd.backends import KERNELS
-from ..core.export import deployable_network
+from ..core.export import (
+    deployable_network,
+    network_receptive_field,
+    network_total_stride,
+)
 from ..core.pit_conv import PITConv1d
 from ..hw.quantization import FakeQuant
+from ..models.temponet import TEMPONet
 from ..nn.layers import (
     AvgPool1d,
     BatchNorm1d,
@@ -60,13 +72,13 @@ from ..nn.layers import (
     Identity,
     Linear,
     ReLU,
+    Sequential,
 )
-from ..nn.module import Module
+from ..nn.module import Module, Shapes, probe_shapes
 
 __all__ = [
     "StreamingUnsupported",
     "StreamingExecutor",
-    "register_streaming",
     "stream_module",
 ]
 
@@ -76,27 +88,15 @@ class StreamingUnsupported(RuntimeError):
 
 
 class StreamContext:
-    """Bookkeeping threaded through one conversion pass.
+    """What one conversion pass needs: the batch width (ring rows) and the
+    per-module shapes of :func:`repro.nn.module.probe_shapes`."""
 
-    Accumulates the composed receptive field / total stride with the same
-    jump recursion as :func:`repro.core.export.network_receptive_field`
-    (window layers included, since the probe gives their extents), and
-    carries the batch width and the probed per-module shapes.
-    """
-
-    def __init__(self, batch: int,
-                 shapes: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]]):
+    def __init__(self, batch: int, shapes: Shapes):
         self.batch = batch
         self.shapes = shapes
-        self.rf = 1
-        self.jump = 1
-
-    def add_layer(self, span: int, stride: int) -> None:
-        self.rf += (span - 1) * self.jump
-        self.jump *= stride
 
     def _probed_in_shape(self, module: Module) -> Tuple[int, ...]:
-        shapes = self.shapes.get(id(module))
+        shapes = self.shapes.get(module)
         if shapes is None:
             raise StreamingUnsupported(
                 f"{type(module).__name__} was never reached by the shape "
@@ -118,29 +118,6 @@ class StreamContext:
         return self._probed_in_shape(module)[1]
 
 
-# ----------------------------------------------------------------------
-# Conversion registry
-# ----------------------------------------------------------------------
-
-_STREAM_FACTORIES: Dict[Type[Module],
-                        Callable[[Module, StreamContext], Module]] = {}
-
-
-def register_streaming(*types: Type[Module]):
-    """Register a streaming conversion factory for exact module types.
-
-    Mirrors ``repro.nn.stacked.register_stacked``: the factory receives
-    ``(module, ctx)`` and returns the streaming replacement.  Matching is
-    exact (no subclass dispatch) so a subclass with different semantics
-    fails loudly instead of inheriting the wrong conversion.
-    """
-    def decorator(factory):
-        for t in types:
-            _STREAM_FACTORIES[t] = factory
-        return factory
-    return decorator
-
-
 def stream_module(module: Module, ctx: StreamContext) -> Module:
     """Convert one module (recursively) into its streaming form."""
     factory = _STREAM_FACTORIES.get(type(module))
@@ -149,7 +126,7 @@ def stream_module(module: Module, ctx: StreamContext) -> Module:
     if module._parameters or module._buffers:
         raise StreamingUnsupported(
             f"{type(module).__name__} owns parameters/buffers but has no "
-            "registered streaming conversion (register_streaming)")
+            "streaming conversion")
     # Container with only child modules: shallow-clone it, keep its
     # forward() logic, convert the children in declaration order — the
     # same generic-clone idiom as repro.nn.stacked.stack_module.
@@ -343,27 +320,17 @@ class StreamingGlobalAvgPool1d(_WindowedStreaming):
 
 
 # ----------------------------------------------------------------------
-# Registered conversions
+# Conversions
 # ----------------------------------------------------------------------
 
-@register_streaming(CausalConv1d)
-def _stream_conv(conv: CausalConv1d, ctx: StreamContext) -> Module:
-    layer = StreamingConv1d(conv, ctx)
-    ctx.add_layer(conv.receptive_field, conv.stride)
-    return layer
-
-
-@register_streaming(Linear)
 def _stream_linear(linear: Linear, ctx: StreamContext) -> Module:
     return StreamingLinear(linear)
 
 
-@register_streaming(ReLU, Identity, Dropout, BatchNorm1d)
 def _stream_stateless(module: Module, ctx: StreamContext) -> Module:
     return _StatelessStreaming(module)
 
 
-@register_streaming(FakeQuant)
 def _stream_fakequant(module: FakeQuant, ctx: StreamContext) -> Module:
     if module.calibrating:
         raise StreamingUnsupported(
@@ -373,34 +340,21 @@ def _stream_fakequant(module: FakeQuant, ctx: StreamContext) -> Module:
     return _StatelessStreaming(module)
 
 
-@register_streaming(AvgPool1d)
 def _stream_avg_pool(pool: AvgPool1d, ctx: StreamContext) -> Module:
-    layer = StreamingAvgPool1d(ctx, channels=ctx.probed_channels(pool),
-                               window=pool.kernel_size, stride=pool.stride)
-    ctx.add_layer(pool.kernel_size, pool.stride)
-    return layer
+    return StreamingAvgPool1d(ctx, channels=ctx.probed_channels(pool),
+                              window=pool.kernel_size, stride=pool.stride)
 
 
-@register_streaming(Flatten)
 def _stream_flatten(module: Flatten, ctx: StreamContext) -> Module:
-    extent = ctx.probed_extent(module)
-    layer = StreamingFlatten(ctx, channels=ctx.probed_channels(module),
-                             window=extent, stride=1)
-    ctx.add_layer(extent, 1)
-    return layer
+    return StreamingFlatten(ctx, channels=ctx.probed_channels(module),
+                            window=ctx.probed_extent(module), stride=1)
 
 
-@register_streaming(GlobalAvgPool1d)
 def _stream_gap(module: GlobalAvgPool1d, ctx: StreamContext) -> Module:
-    extent = ctx.probed_extent(module)
-    layer = StreamingGlobalAvgPool1d(
-        ctx, channels=ctx.probed_channels(module),
-        window=extent, stride=1)
-    ctx.add_layer(extent, 1)
-    return layer
+    return StreamingGlobalAvgPool1d(ctx, channels=ctx.probed_channels(module),
+                                    window=ctx.probed_extent(module), stride=1)
 
 
-@register_streaming(PITConv1d)
 def _stream_pit(module: PITConv1d, ctx: StreamContext) -> Module:
     raise StreamingUnsupported(
         f"{type(module).__name__} is a searchable supernet layer; export "
@@ -408,44 +362,31 @@ def _stream_pit(module: PITConv1d, ctx: StreamContext) -> Module:
         "deployable_network, so reaching this means the export missed it)")
 
 
-def _stream_temponet(model, ctx: StreamContext) -> Module:
+def _stream_temponet(model: TEMPONet, ctx: StreamContext) -> Module:
     # TEMPONet.forward asserts the full window length; stream its two
     # sequential stages directly instead.
-    from ..nn.layers import Sequential
     return Sequential(stream_module(model.features, ctx),
                       stream_module(model.head, ctx))
 
 
-def _register_model_factories() -> None:
-    from ..models.temponet import TEMPONet
-    _STREAM_FACTORIES.setdefault(TEMPONet, _stream_temponet)
-
-
-# ----------------------------------------------------------------------
-# Shape probe
-# ----------------------------------------------------------------------
-
-def _probe_shapes(net: Module, x_shape: Tuple[int, ...]
-                  ) -> Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Run one full-window forward recording every module's (in, out)
-    shapes, via a temporarily instrumented ``Module.__call__``."""
-    shapes: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-    original = Module.__call__
-
-    def recording(self, *args, **kwargs):
-        out = original(self, *args, **kwargs)
-        if (len(args) == 1 and not kwargs and isinstance(args[0], Tensor)
-                and isinstance(out, Tensor)):
-            shapes[id(self)] = (args[0].shape, out.shape)
-        return out
-
-    Module.__call__ = recording
-    try:
-        with no_grad():
-            net(Tensor(np.zeros(x_shape)))
-    finally:
-        Module.__call__ = original
-    return shapes
+# ``(module, ctx) -> streaming module`` per exact type: a subclass with
+# different semantics fails loudly instead of inheriting the wrong
+# conversion.  A type not listed here is converted as a container of its
+# children (stream_module).
+_STREAM_FACTORIES = {
+    CausalConv1d: StreamingConv1d,
+    Linear: _stream_linear,
+    ReLU: _stream_stateless,
+    Identity: _stream_stateless,
+    Dropout: _stream_stateless,
+    BatchNorm1d: _stream_stateless,
+    FakeQuant: _stream_fakequant,
+    AvgPool1d: _stream_avg_pool,
+    Flatten: _stream_flatten,
+    GlobalAvgPool1d: _stream_gap,
+    PITConv1d: _stream_pit,
+    TEMPONet: _stream_temponet,
+}
 
 
 def _input_channels(net: Module) -> int:
@@ -476,7 +417,7 @@ class StreamingExecutor:
         Number of independent streams advanced in lockstep — the
         multi-tenant axis of :class:`repro.serving.StreamingPool`.
     input_length:
-        Temporal extent for the one-shot shape probe that sizes
+        Temporal extent of the one shape probe that sizes
         ``Flatten``/``GlobalAvgPool1d`` windows.  Defaults to
         ``model.input_length`` when present, else the composed receptive
         field.
@@ -491,30 +432,30 @@ class StreamingExecutor:
         Ticks between consecutive output frames once warmed up (the
         product of all temporal strides).
     receptive_field:
-        Composed input span of one output frame, window layers included —
-        outputs additionally stop depending on the zero initial state
-        after this many ticks.
+        Composed input span of one output frame, window layers included
+        (:func:`repro.core.export.network_receptive_field` over the probed
+        network) — outputs additionally stop depending on the zero initial
+        state after this many ticks.
+    total_stride:
+        :func:`repro.core.export.network_total_stride` of the network.
     """
 
     def __init__(self, model: Module, batch: int = 1,
                  input_length: Optional[int] = None):
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        _register_model_factories()
         net = copy.deepcopy(deployable_network(model))
         net.eval()
         self.batch = batch
         self.channels = _input_channels(net)
         self.input_length = input_length or getattr(model, "input_length",
                                                     None)
-        from ..core.export import network_receptive_field
         probe_len = self.input_length or max(network_receptive_field(net), 1)
-        shapes = _probe_shapes(net, (1, self.channels, probe_len))
-        ctx = StreamContext(batch=batch, shapes=shapes)
-        self.net = stream_module(net, ctx)
+        shapes = probe_shapes(net, (1, self.channels, probe_len))
+        self.net = stream_module(net, StreamContext(batch=batch, shapes=shapes))
         self.net.eval()
-        self.receptive_field = ctx.rf
-        self.total_stride = ctx.jump
+        self.receptive_field = network_receptive_field(net, shapes)
+        self.total_stride = network_total_stride(net)
         self._states = [m.state for m in self.net.modules()
                         if isinstance(m, (StreamingConv1d,
                                           _WindowedStreaming))]

@@ -249,15 +249,31 @@ class TestChannelSearchedLayerIsAPITLayer:
         assert size == pytest.approx(2 * 4 * (1 + 2 + 4))
         assert flops_regularizer(layer, 1.0).item() == pytest.approx(64 * size)
 
+    def pair(self):
+        return Sequential(self.make(), ReLU(),
+                          PITConv1d(4, 3, rf_max=5,
+                                     rng=np.random.default_rng(1)))
+
     def test_counted_by_search_space(self):
         from repro.core import parameter_range, search_space_size
-        model = Sequential(self.make(), ReLU(),
-                           PITConv1d(4, 3, rf_max=5,
-                                     rng=np.random.default_rng(1)))
-        assert search_space_size(model) == 4 * 3
+        model = self.pair()
+        gammas = [p.data.copy() for p in model.parameters()]
+        # 4 dilations x widths 1..4 for the first layer, 3 dilations after.
+        assert search_space_size(model) == 4 * 4 * 3
         bounds = parameter_range(model)
-        assert bounds["min_params"] == (2 * 2 * 4 + 4) + (2 * 4 * 3 + 3)
+        assert bounds["min_params"] == (2 * 2 * 1 + 1) + (2 * 4 * 3 + 3)
         assert bounds["max_params"] == (9 * 2 * 4 + 4) + (5 * 4 * 3 + 3)
+        for p, before in zip(model.parameters(), gammas):
+            assert np.array_equal(p.data, before)
+
+    def test_dilation_configurations_refuse_it(self):
+        from repro.baselines import random_configurations
+        from repro.core import enumerate_configurations
+        model = self.pair()
+        with pytest.raises(ValueError, match="'m0' is channel-searched"):
+            enumerate_configurations(model)
+        with pytest.raises(ValueError, match="'m0' is channel-searched"):
+            random_configurations(model, 2, np.random.default_rng(0))
 
     def test_set_dilation_and_unfreeze(self):
         layer = self.make()

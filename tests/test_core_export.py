@@ -175,6 +175,18 @@ class TestNetworkReceptiveField:
         model = ResTCN(width_mult=0.05, rng=np.random.default_rng(0))
         assert model.receptive_field == network_receptive_field(model) == 121
 
+    def test_probed_window_layers_count_at_their_extent(self):
+        from repro.core.export import network_receptive_field
+        from repro.nn import GlobalAvgPool1d, Linear, ReLU, Sequential
+        from repro.nn.module import probe_shapes
+        rng = np.random.default_rng(0)
+        net = Sequential(CausalConv1d(2, 5, 3, dilation=2, stride=2, rng=rng),
+                         ReLU(), GlobalAvgPool1d(), Linear(5, 3, rng=rng))
+        shapes = probe_shapes(net, (1, 2, 12))
+        assert network_receptive_field(net) == 5
+        # The pool averages the conv's 6 output frames, 2 samples apart.
+        assert network_receptive_field(net, shapes) == 5 + (6 - 1) * 2
+
     def test_searchable_layers_use_rf_max(self):
         from repro.core.export import network_receptive_field
         from repro.nn import Sequential

@@ -13,7 +13,7 @@ from repro.models import (
     temponet_hand_tuned,
     temponet_seed,
 )
-from repro.nn import CausalConv1d, ReLU, Sequential, mse_loss
+from repro.nn import CausalConv1d, Module, ReLU, Sequential, mse_loss
 
 RNG = np.random.default_rng(88)
 
@@ -112,11 +112,18 @@ class TestGAP8Model:
         assert report2.fits_l2
 
     def test_untraced_network_raises(self):
-        net = tiny_net()
-        model = GAP8Model()
-        # Bypass tracing by calling the private cost directly on a fresh net.
-        with pytest.raises(RuntimeError):
-            model._layer_cost("c", Sequential(CausalConv1d(1, 1, 1))[0], True)
+        # A layer the shape probe never reaches has no extent to price.
+        class WithUnusedConv(Module):
+            def __init__(self):
+                super().__init__()
+                self.net = tiny_net()
+                self.unused = CausalConv1d(2, 2, 3)
+
+            def forward(self, x):
+                return self.net(x)
+
+        with pytest.raises(RuntimeError, match="unused was never traced"):
+            GAP8Model().estimate(WithUnusedConv(), (1, 2, 16))
 
 
 class TestPaperCalibration:

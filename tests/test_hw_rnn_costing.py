@@ -51,10 +51,11 @@ class TestRNNCosting:
         assert slow.latency_ms > fast.latency_ms
 
     def test_untraced_rnn_raises(self):
-        gap8 = GAP8Model()
-        lstm = LSTM(2, 4, rng=np.random.default_rng(0))
-        with pytest.raises(RuntimeError):
-            gap8._layer_cost("enc", lstm, True)
+        # An LSTM the shape probe never reaches has no step count to price.
+        model = MusicLSTM(num_keys=2, hidden=4, rng=np.random.default_rng(0))
+        model.spare = LSTM(2, 4, rng=np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="spare was never traced"):
+            GAP8Model().estimate(model, (1, 2, 8))
 
     def test_rnn_weights_counted_in_network_bytes(self):
         model = MusicLSTM(num_keys=8, hidden=16, rng=np.random.default_rng(0))

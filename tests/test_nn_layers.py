@@ -16,6 +16,7 @@ from repro.nn import (
     Linear,
     ReLU,
 )
+from repro.nn.module import probe_shapes
 from repro.nn.stacked import StackContext, stack_module
 
 RNG = np.random.default_rng(21)
@@ -77,9 +78,10 @@ class TestCausalConv1d:
 
     def test_records_trace_shapes(self):
         conv = CausalConv1d(2, 2, kernel_size=3, rng=np.random.default_rng(0))
-        conv(Tensor(RNG.standard_normal((1, 2, 10))))
-        assert conv.last_t_in == 10
-        assert conv.last_t_out == 10
+        out = conv(Tensor(RNG.standard_normal((1, 2, 10))))
+        assert out.shape == (1, 2, 10)
+        assert probe_shapes(conv, (1, 2, 10)) == {
+            conv: ((1, 2, 10), out.shape)}
 
 
 class TestBatchNorm1d:

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import Linear, Module, Parameter, ReLU, Sequential
+from repro.nn import (
+    BatchNorm1d,
+    CausalConv1d,
+    Flatten,
+    Linear,
+    Module,
+    Parameter,
+    ReLU,
+    Sequential,
+)
+from repro.nn.module import probe_shapes
 
 
 class Leaf(Module):
@@ -185,3 +195,44 @@ class TestSequential:
 
     def test_repr_contains_children(self):
         assert "ReLU" in repr(Sequential(ReLU()))
+
+
+class TestProbeShapes:
+    def make(self):
+        rng = np.random.default_rng(0)
+        return Sequential(CausalConv1d(2, 3, 3, stride=2, rng=rng),
+                          BatchNorm1d(3), ReLU(), Flatten(),
+                          Linear(3 * 4, 2, rng=rng))
+
+    def test_every_module_in_and_out_shape(self):
+        net = self.make()
+        conv, bn, relu, flatten, linear = net
+        assert probe_shapes(net, (1, 2, 8)) == {
+            net: ((1, 2, 8), (1, 2)),
+            conv: ((1, 2, 8), (1, 3, 4)),
+            bn: ((1, 3, 4), (1, 3, 4)),
+            relu: ((1, 3, 4), (1, 3, 4)),
+            flatten: ((1, 3, 4), (1, 12)),
+            linear: ((1, 12), (1, 2)),
+        }
+
+    def test_leaves_modes_and_running_stats_unchanged(self):
+        net = self.make()
+        net[2].eval()  # a mixed-mode net keeps each module's own mode
+        bn = net[1]
+        before = {name: np.array(buf, copy=True)
+                  for name, buf in bn.named_buffers()}
+        probe_shapes(net, (1, 2, 8))
+        assert [m.training for m in net.modules()] == [
+            True, True, True, False, True, True]
+        for name, buf in bn.named_buffers():
+            assert np.array_equal(buf, before[name])
+
+    def test_restores_call_when_the_forward_raises(self):
+        net = self.make()
+        with pytest.raises(ValueError):
+            probe_shapes(net, (1, 5, 8))  # wrong channel count
+        assert Module.__call__ is Module.__dict__["__call__"]
+        assert net.training
+        out = net(Tensor(np.zeros((2, 2, 8))))
+        assert out.shape == (2, 2)

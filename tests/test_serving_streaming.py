@@ -26,6 +26,7 @@ from repro.core.export import network_receptive_field, network_total_stride
 from repro.data import ArrayDataset, DataLoader
 from repro.hw import FakeQuant, quantize_network
 from repro.models import ResTCN, TEMPONet
+from repro.models.temponet import TEMPONET_HAND_DILATIONS
 from repro.nn import (
     AvgPool1d,
     BatchNorm1d,
@@ -185,6 +186,17 @@ class TestModels:
         x = RNG.standard_normal((1, 4, 256 + 3 * 16))
         streamed = stream_all(executor, x, chunk=16)
         assert streamed.shape[2] == 4  # tick 256, 272, 288, 304
+
+    @pytest.mark.parametrize("make, geometry", [
+        (lambda: TEMPONet(width_mult=0.5, dilations=TEMPONET_HAND_DILATIONS,
+                          rng=np.random.default_rng(0)), (428, 16, 256, 16)),
+        (lambda: ResTCN(width_mult=0.25, rng=np.random.default_rng(0)),
+         (121, 1, 1, 1)),
+    ], ids=["temponet-w0.5-hand", "restcn-w0.25"])
+    def test_geometry(self, make, geometry):
+        executor = StreamingExecutor(make())
+        assert (executor.receptive_field, executor.total_stride,
+                executor.warmup_ticks, executor.period) == geometry
 
     def test_restcn_every_tick(self):
         model = ResTCN(width_mult=0.1, dropout=0.0,
