@@ -74,12 +74,16 @@ def parameter_range(model: Module) -> Dict[str, int]:
     The extremes are attained at the (max-dilation, ``min_channels``) and
     (min-dilation, all-channels) corners respectively, because each
     layer's size is monotone in its own kept-tap and alive-channel counts
-    (paper: ResTCN spans 0.4M–3M params, TEMPONet 0.4M–0.9M).
+    (paper: ResTCN spans 0.4M–3M params, TEMPONet 0.4M–0.9M).  Frozen
+    masks are priced as searchable ones; their frozen state and every γ̂
+    are restored afterwards.
     """
     layers = pit_layers(model)
-    gammas = [mask.gamma_hat for layer in layers
-              for mask in (layer.mask, layer.channel_mask) if mask is not None]
-    saved = [gamma.data.copy() for gamma in gammas]
+    masks = [mask for layer in layers
+             for mask in (layer.mask, layer.channel_mask) if mask is not None]
+    saved = [(mask.gamma_hat.data.copy(), mask.frozen) for mask in masks]
+    for mask in masks:
+        mask.frozen = False
 
     def corner(smallest: bool) -> int:
         for layer in layers:
@@ -94,8 +98,9 @@ def parameter_range(model: Module) -> Dict[str, int]:
     try:
         bounds = {"min_params": corner(True), "max_params": corner(False)}
     finally:
-        for gamma, data in zip(gammas, saved):
-            gamma.data[...] = data
+        for mask, (data, frozen) in zip(masks, saved):
+            mask.gamma_hat.data[...] = data
+            mask.frozen = frozen
     return bounds
 
 

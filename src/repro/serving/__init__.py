@@ -1,9 +1,11 @@
 """Streaming inference serving (ROADMAP item 4).
 
-* :mod:`repro.serving.streaming` — ring-buffer streaming executor:
-  O(K) MACs per new sample instead of re-running the receptive field;
+* :mod:`repro.serving.streaming` — history-tail streaming executor:
+  O(K) MACs per new sample instead of re-running the receptive field,
+  one kernel call per layer per chunk;
 * :mod:`repro.serving.pool` — multi-tenant slot pool advancing many
-  client streams with one batched kernel call per tick;
+  client streams by a block of samples with one batched kernel call per
+  layer;
 * :mod:`repro.serving.server` — asyncio TCP server (newline-JSON
   protocol, per-client attach/detach, warm-up flags, backpressure);
 * :mod:`repro.serving.client` — matching test/smoke client.

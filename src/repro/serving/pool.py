@@ -2,9 +2,11 @@
 
 A :class:`StreamingPool` owns a :class:`repro.serving.StreamingExecutor`
 built with ``batch == capacity`` and parks one client stream per batch
-row.  Every :meth:`tick` advances *all* attached clients with a single
-batched kernel call per layer — the amortization that makes one core
-serve many low-rate sensor streams (the paper's 32 Hz PPG use case).
+row.  :meth:`~StreamingPool.advance` moves *all* attached clients by a
+block of ``k`` samples with one executor push — one batched kernel call
+per layer for the whole block, the amortization that makes one core serve
+many low-rate sensor streams (the paper's 32 Hz PPG use case);
+:meth:`~StreamingPool.tick` is its one-sample case.
 
 Attach/detach semantics
 -----------------------
@@ -14,14 +16,17 @@ shared across the batch, so a row zeroed mid-stream behaves exactly like
 a fresh stream only when its first sample lands on a tick that is a
 multiple of ``total_stride``.  :meth:`attach` therefore reserves a slot
 immediately but *activates* it (zeroes the row, starts consuming samples)
-only at the next aligned tick; until then the slot is ``pending``.
+only at an aligned tick, as the first tick of a block; until then the
+slot is ``pending``.
 
-Each output carries a ``warm`` flag: ``True`` once the slot has seen at
-least ``warmup_ticks`` of its own samples, i.e. from the tick where a
-fresh stream would have produced its first output.  Pre-warm frames of a
-mid-stream attach are window-straddling mixtures of the zeroed history
-and real samples — delivered (some applications want early estimates) but
-flagged.
+Each output carries the exact tick it was emitted at — a fresh stream
+emits at ``warmup_ticks`` and every ``period`` ticks after, and the shared
+phase makes that the schedule of every slot — and a ``warm`` flag:
+``True`` once the slot has seen at least ``warmup_ticks`` of its own
+samples, i.e. from the tick where a fresh stream would have produced its
+first output.  Pre-warm frames of a mid-stream attach are
+window-straddling mixtures of the zeroed history and real samples —
+delivered (some applications want early estimates) but flagged.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ class StreamingPool:
         return slot
 
     def detach(self, slot: int) -> None:
-        """Release a slot (active or pending).  Its ring rows keep stale
+        """Release a slot (active or pending).  Its history rows keep stale
         data until the next attach zeroes them."""
         if slot in self._active:
             del self._active[slot]
@@ -110,33 +115,48 @@ class StreamingPool:
         self._free.append(slot)
         self._free.sort()
 
-    # -- the tick --------------------------------------------------------
+    # -- advancing the streams -------------------------------------------
 
     def tick(self, samples: Mapping[int, np.ndarray]) -> List[SlotOutput]:
-        """Advance every stream by one sample.
+        """Advance every stream by one ``(channels,)`` sample: :meth:`advance`
+        with one-sample blocks."""
+        return self.advance({slot: np.asarray(sample)[None]
+                             for slot, sample in samples.items()}, ticks=1)
 
-        ``samples`` must hold one ``(channels,)`` sample for **every**
+    def advance(self, blocks: Mapping[int, np.ndarray],
+                ticks: int) -> List[SlotOutput]:
+        """Advance every stream by a block of ``k = ticks`` samples in one
+        pass: one ``(capacity, channels, k)`` executor push, one kernel
+        call per layer.
+
+        ``blocks`` must hold one ``(k, channels)`` block for **every**
         active slot — the pool is barrier-synchronous, and enforcing the
         barrier here (instead of silently feeding zeros) is what lets the
-        server apply backpressure per client.  A sample for a *pending*
-        slot is consumed only if the tick is aligned (the slot activates
-        and this is its first sample); supplying it on an unaligned tick
-        is an error, since the pool cannot accept it yet.  A non-numeric
-        sample, a sample of any other shape and a broken barrier all raise
-        before any slot activates or any ring moves.
+        server apply backpressure per client.  A block for a *pending*
+        slot is accepted only if the pool is aligned: the slot activates
+        and its block starts at the first tick.  With no block at all the
+        pool advances its phase by ``k`` ticks of zeros (toward alignment
+        for a waiting slot).  A non-numeric block, a block of any other shape
+        and a broken barrier all raise before any slot activates or any
+        state moves.
+
+        Returns the emitted frames in tick order (slot order within a
+        tick), each with the exact tick it was emitted at.
         """
         channels = self.executor.channels
-        for slot, sample in samples.items():
-            if np.shape(sample) != (channels,):
+        for slot, block in blocks.items():
+            if np.shape(block) != (ticks, channels):
                 raise ValueError(
-                    f"sample for slot {slot} has shape {np.shape(sample)}, "
-                    f"expected ({channels},)")
-            dtype = np.asarray(sample).dtype
+                    f"block for slot {slot} has shape {np.shape(block)}, "
+                    f"expected ({ticks}, {channels})")
+            dtype = np.asarray(block).dtype
             if dtype.kind not in "iuf":
-                raise ValueError(f"sample for slot {slot} is not numeric "
+                raise ValueError(f"block for slot {slot} is not numeric "
                                  f"(dtype {dtype})")
-        supplied = set(samples)
-        # Pending slots whose first sample arrived activate on an aligned
+        if ticks < 1:
+            raise ValueError(f"a block needs at least one tick, got {ticks}")
+        supplied = set(blocks)
+        # Pending slots whose first block arrived activate on an aligned
         # tick.
         joining = ([slot for slot in self._pending if slot in supplied]
                    if self.aligned else [])
@@ -154,22 +174,32 @@ class StreamingPool:
             self.executor.reset_slots([slot])
             self._active[slot] = 0
 
-        batch = np.zeros((self.capacity, channels, 1), get_default_dtype())
+        batch = np.zeros((self.capacity, channels, ticks),
+                         get_default_dtype())
         for slot in active:
-            batch[slot, :, 0] = samples[slot]
+            batch[slot] = np.asarray(blocks[slot]).T
         out = self.executor.push(batch)
-        self.ticks += 1
-        for slot in active:
-            self._active[slot] += 1
+        start = self.ticks
+        self.ticks += ticks
+        # A fresh stream emits at tick warmup_ticks and every period
+        # after; the shared phase makes that the schedule of every slot.
+        warmup, period = self.executor.warmup_ticks, self.executor.period
+        first = max(start + 1, warmup)
+        first += (warmup - first) % period
+        emitted = range(first, self.ticks + 1, period)
+        assert len(emitted) == out.shape[2], (
+            f"executor emitted {out.shape[2]} frames over ticks "
+            f"{start + 1}..{self.ticks}, the schedule says {len(emitted)}")
 
         outputs: List[SlotOutput] = []
-        if out.shape[2]:
+        for column, tick in enumerate(emitted):
             for slot in sorted(active):
-                age = self._active[slot]
+                age = self._active[slot] + tick - start
                 outputs.append(SlotOutput(
-                    slot=slot, frame=out[slot, :, -1].copy(),
-                    tick=self.ticks,
-                    warm=age >= self.executor.warmup_ticks))
+                    slot=slot, frame=out[slot, :, column].copy(), tick=tick,
+                    warm=age >= warmup))
+        for slot in active:
+            self._active[slot] += ticks
         return outputs
 
     def __repr__(self) -> str:

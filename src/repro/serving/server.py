@@ -1,9 +1,14 @@
 """Multi-tenant streaming inference server (stdlib asyncio, TCP + JSON).
 
 One :class:`StreamServer` owns a :class:`repro.serving.StreamingPool` and
-advances it with a barrier-synchronous tick loop: a tick runs only when
-every *active* client has a sample queued, so all attached streams move
-in lockstep and each tick is one batched kernel call per layer.
+advances it with a barrier-synchronous block loop: a block runs only when
+every *active* client has a sample queued, and it is as long as the
+shallowest of their queues (at most ``queue_size`` samples).  All
+attached streams move in lockstep, each block is one
+:meth:`~repro.serving.StreamingPool.advance` — one batched kernel call
+per layer — and its frames carry their exact ticks, so a client's
+frames, ticks and warm flags do not depend on how its samples were cut
+into blocks.
 
 Protocol (newline-delimited JSON over TCP):
 
@@ -34,8 +39,8 @@ socket stays silent longer than the budget, freeing its pool slot for the
 waiting queue; oversized input lines (beyond ``max_line`` bytes) draw an
 error instead of silently killing the reader task; so does a line whose
 data is not a numeric ``(channels,)`` or ``(T, channels)`` array, before
-any of it reaches the shared tick loop; and a client that dies
-mid-tick is flushed and detached like a clean EOF, so the survivors'
+any of it reaches the shared block loop; and a client that dies
+mid-block is flushed and detached like a clean EOF, so the survivors'
 barrier advances on the next sample.
 """
 
@@ -269,33 +274,43 @@ class StreamServer:
         if self._wake is not None:
             self._wake.set()
 
-    # -- the barrier-synchronous tick loop --------------------------------
+    # -- the barrier-synchronous block loop -------------------------------
 
     def _collect(self):
-        """Decide whether a tick can run; returns the samples to feed or
-        None to wait.  Never consumes a sample it cannot feed."""
+        """The next block to advance: ``(blocks, ticks)`` for
+        :meth:`StreamingPool.advance`, or None to wait.
+
+        ``ticks`` is the smallest queue depth among the slots that
+        consume (so at most ``queue_size``), and every one of them gives
+        its ``ticks`` oldest samples as one ``(ticks, channels)`` block.
+        Pending clients join at aligned ticks, with a sample queued; while
+        one waits, the block ends at the next aligned tick, so the slot
+        joins where a tick-at-a-time loop would let it.  With no active
+        client, a pending one that has data but is not aligned gets one
+        block of zeros up to alignment.  Never consumes a sample it cannot
+        feed."""
         pool = self.pool
         sessions = [self._sessions.get(slot) for slot in pool.active_slots]
         if any(s is None or s.queue.empty() for s in sessions):
             return None  # barrier: an active client has nothing queued
-        samples = {s.slot: s.queue.get_nowait() for s in sessions}
-        # Pending clients join at aligned ticks; their queued first sample
-        # is consumed only then (the pool refuses it otherwise).
-        progress = bool(samples)
-        if pool.aligned:
-            for slot in pool.pending_slots:
-                session = self._sessions.get(slot)
-                if session is not None and not session.queue.empty():
-                    samples[slot] = session.queue.get_nowait()
-                    progress = True
-        elif not progress:
-            # No active consumption this tick: advancing with zeros is
-            # useful only to rotate phase toward alignment for a pending
-            # client that already has data waiting.
-            progress = any(
-                self._sessions[slot].queue.qsize() > 0
-                for slot in pool.pending_slots if slot in self._sessions)
-        return samples if progress else None
+        pending = [self._sessions.get(slot) for slot in pool.pending_slots]
+        ready = [s for s in pending if s is not None and not s.queue.empty()]
+        stride = pool.executor.total_stride
+        to_aligned = stride - pool.ticks % stride
+        if not pool.aligned:
+            if sessions:
+                ready = []
+            elif ready:
+                return {}, to_aligned
+        sessions += ready
+        if not sessions:
+            return None
+        ticks = min(s.queue.qsize() for s in sessions)
+        if len(ready) < len(pending):  # a pending client still waits
+            ticks = min(ticks, to_aligned)
+        return {s.slot: np.stack([s.queue.get_nowait()
+                                  for _ in range(ticks)])
+                for s in sessions}, ticks
 
     async def _tick_loop(self) -> None:
         assert self._wake is not None
@@ -315,15 +330,17 @@ class StreamServer:
                     return
                 if not self._sessions:
                     break
-                samples = self._collect()
-                if samples is None:
+                block = self._collect()
+                if block is None:
                     break
-                outputs = self.pool.tick(samples)
-                fault = faults.fire("conn_drop", tick=self.pool.ticks)
+                start = self.pool.ticks
+                outputs = self.pool.advance(*block)
+                fault = faults.fire("conn_drop",
+                                    tick=range(start + 1, self.pool.ticks + 1))
                 if fault is not None and self._sessions:
-                    # Injected mid-tick connection loss: abort the chosen
+                    # Injected mid-block connection loss: abort the chosen
                     # client's transport so its reader sees a reset — the
-                    # exact failure mode of a client dying between ticks.
+                    # exact failure mode of a client dying between blocks.
                     slot = fault.param("slot")
                     if slot not in self._sessions:
                         slot = min(self._sessions)
@@ -342,7 +359,7 @@ class StreamServer:
                         await self._sessions[slot].writer.drain()
                     except (ConnectionError, KeyError):
                         pass
-                # Yield so readers can refill queues between ticks.
+                # Yield so readers can refill queues between blocks.
                 await asyncio.sleep(0)
 
     async def _shutdown(self) -> None:

@@ -5,20 +5,27 @@ network for every prediction — a ``CausalConv1d`` left-pads ``(K-1)*d``
 zeros and convolves the full receptive field again even though only one
 new sample arrived.  :class:`StreamingExecutor` converts a fixed-dilation
 network (anything :func:`repro.core.export.deployable_network` accepts)
-into *per-layer ring-buffer state*:
+into *per-layer history state*, and advances it by whole chunks:
 
-* every convolution keeps its last ``(K-1)*d + 1`` input samples in a
-  circular buffer; one new sample gathers the ``K`` dilated taps and runs
-  a single ``(C_out, C_in*K)`` contraction
-  (:meth:`repro.autograd.backends.Im2colKernels.forward_step`);
-* pools keep their last ``k`` frames and emit on the valid-window
+* every convolution keeps a tail of its last ``(K-1)*d`` input samples;
+  a chunk of ``T`` samples is appended to it, the ``K`` dilated taps of
+  each of the ``T'`` frames it emits are strided views of
+  ``[tail | chunk]``, and one
+  :meth:`repro.autograd.backends.Im2colKernels.forward_step` call on the
+  ``(N·T', C_in, K)`` windows computes them all;
+* pools keep their last ``k - 1`` frames and emit on the valid-window
   schedule (``count >= k``, every ``stride`` thereafter);
 * ``Flatten``/``GlobalAvgPool1d`` keep a sliding window of the temporal
   extent they saw in the full-window network (measured by one
   :func:`repro.nn.module.probe_shapes` forward);
 * ``BatchNorm1d``, activations, ``Dropout`` (eval) and calibrated
   ``FakeQuant`` nodes are stateless per time step and are reused as-is;
-* ``Linear`` heads are applied per emitted frame.
+* ``Linear`` heads are applied to all of a chunk's frames at once.
+
+So a chunk costs one kernel call (or one array operation) per layer,
+whatever its length, and the output does not depend on how a stream is
+cut into chunks, bit for bit: every emitted frame gets the same per-frame
+BLAS call at any chunk length.
 
 The conversion is one table, ``_STREAM_FACTORIES`` (exact type →
 factory).  The executor's geometry (``receptive_field``,
@@ -27,30 +34,31 @@ factory).  The executor's geometry (``receptive_field``,
 :func:`~repro.core.export.network_total_stride` over the probed network,
 so deployment and streaming share one receptive-field walk.
 
-Because a zero-initialized ring is indistinguishable from the causal zero
+Because a zero-initialized tail is indistinguishable from the causal zero
 padding of the full forward, a *fresh* stream's outputs are exactly the
 full-window forward of the samples seen so far.  Numerically the match is
-last-ulp rather than bitwise: the per-tick kernel issues a different GEMM
-shape than the full-window kernel, so BLAS may sum the same products in a
-different order (observed ~1e-14 in float64, often exactly 0).
+last-ulp rather than bitwise: the streaming kernel issues a different
+GEMM shape than the full-window kernel, so BLAS may sum the same products
+in a different order (observed ~1e-14 in float64, often exactly 0).
 ``tests/test_serving_streaming.py`` pins the tolerance per dtype.
 
 All streaming modules map ``(N, C, T)`` input chunks to ``(N, C', T')``
 output chunks with ``T' <= T`` (possibly 0 while downstream layers
 accumulate), so container modules with custom ``forward`` code — residual
 blocks, ``Sequential`` — run unchanged on the converted children.  The
-batch axis ``N`` is the multi-tenant axis: :mod:`repro.serving.server`
-parks one client per row and advances all of them with one batched kernel
-call per tick.
+batch axis ``N`` is the multi-tenant axis: :mod:`repro.serving.pool`
+parks one client per row and advances all of them by a block of samples
+with one batched kernel call per layer.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..autograd import Tensor, get_default_dtype, no_grad
 from ..autograd.backends import KERNELS
@@ -88,7 +96,7 @@ class StreamingUnsupported(RuntimeError):
 
 
 class StreamContext:
-    """What one conversion pass needs: the batch width (ring rows) and the
+    """What one conversion pass needs: the batch width (state rows) and the
     per-module shapes of :func:`repro.nn.module.probe_shapes`."""
 
     def __init__(self, batch: int, shapes: Shapes):
@@ -143,97 +151,114 @@ def stream_module(module: Module, ctx: StreamContext) -> Module:
 # Streaming layers
 # ----------------------------------------------------------------------
 
-def _ring_indices(length: int, taps: int, dilation: int) -> np.ndarray:
-    """``(length, taps)`` gather table: row ``p`` holds the ring positions
-    of the ``taps`` dilated samples ending at write position ``p``."""
-    pos = np.arange(length)[:, None]
-    lag = (taps - 1 - np.arange(taps))[None, :] * dilation
-    return (pos - lag) % length
+class _History:
+    """Per-layer streaming state: the last ``(taps - 1) * dilation``
+    input frames of every stream (zeros at reset, the causal zero padding
+    of the full-window forward) and the frame count since reset.
 
+    A layer emits on the frames whose 1-based count ``c`` has
+    ``c >= start`` and ``(c - start) % stride == 0``; :meth:`push` returns
+    the ``taps`` dilated inputs of each of them as strided views of one
+    ``[tail | chunk]`` buffer.
+    """
 
-class _RingState:
-    """A circular ``(N, C, L)`` buffer shared by the windowed layers."""
-
-    def __init__(self, batch: int, channels: int, length: int, taps: int,
-                 dilation: int = 1):
-        self.length = length
-        self.ring = np.zeros((batch, channels, length),
+    def __init__(self, batch: int, channels: int, taps: int,
+                 dilation: int = 1, start: int = 1, stride: int = 1):
+        self.taps = taps
+        self.dilation = dilation
+        self.start = start
+        self.stride = stride
+        self.tail = np.zeros((batch, channels, (taps - 1) * dilation),
                              dtype=get_default_dtype())
-        self.indices = _ring_indices(length, taps, dilation)
-        self.pos = 0
         self.count = 0
 
-    def push(self, frame: np.ndarray) -> np.ndarray:
-        """Write one ``(N, C)`` frame; return the ``(N, C, taps)`` window
-        ending at it (oldest tap first)."""
-        self.ring[:, :, self.pos] = frame
-        self.count += 1
-        window = self.ring[:, :, self.indices[self.pos]]
-        self.pos = (self.pos + 1) % self.length
-        return window
+    def push(self, frames: np.ndarray) -> np.ndarray:
+        """Consume an ``(N, C, T)`` chunk; return the read-only
+        ``(N, C, T', taps)`` windows (oldest tap first) of the ``T'``
+        frames of the chunk that emit."""
+        n, c, t = frames.shape
+        length = self.tail.shape[2]
+        buf = np.empty((n, c, length + t), self.tail.dtype)
+        buf[:, :, :length] = self.tail
+        buf[:, :, length:] = frames
+        self.tail = buf[:, :, t:].copy()
+        # Chunk frame j is frame count + j + 1; the first that emits:
+        first = max(self.start - self.count - 1, 0)
+        first += (self.start - self.count - first - 1) % self.stride
+        self.count += t
+        emitted = len(range(first, t, self.stride))
+        if not emitted:
+            return np.empty((n, c, 0, self.taps), buf.dtype)
+        s_n, s_c, s_t = buf.strides
+        return as_strided(buf[:, :, first:],
+                          shape=(n, c, emitted, self.taps),
+                          strides=(s_n, s_c, self.stride * s_t,
+                                   self.dilation * s_t),
+                          writeable=False)
 
     def reset(self) -> None:
-        self.ring[...] = 0
-        self.pos = 0
+        self.tail[...] = 0
         self.count = 0
 
     def reset_slots(self, rows) -> None:
-        self.ring[rows] = 0
+        self.tail[rows] = 0
 
     @property
     def nbytes(self) -> int:
-        return self.ring.nbytes
+        return self.tail.nbytes
+
+
+def _no_frames(n: int, channels: int) -> Tensor:
+    return Tensor(np.zeros((n, channels, 0), dtype=get_default_dtype()))
 
 
 class StreamingConv1d(Module):
-    """Ring-buffered :class:`CausalConv1d`: one O(K·C_in·C_out) kernel
-    call per input sample (per emitted sample when ``stride > 1``)."""
+    """:class:`CausalConv1d` over a ``(K-1)·d`` history tail: one
+    ``forward_step`` kernel call per chunk covers every emitted frame
+    (one per input sample, one per ``stride`` samples when strided)."""
 
     def __init__(self, conv: CausalConv1d, ctx: StreamContext):
         super().__init__()
         self.conv = conv  # owns weight/bias; registered as a child
-        self.stride = conv.stride
         self.out_channels = conv.out_channels
-        self.state = _RingState(ctx.batch, conv.in_channels,
-                                conv.receptive_field, conv.kernel_size,
-                                conv.dilation)
+        self.state = _History(ctx.batch, conv.in_channels, conv.kernel_size,
+                              conv.dilation, stride=conv.stride)
 
     def forward(self, x: Tensor) -> Tensor:
-        frames = x.data
-        n, _, t = frames.shape
-        outs: List[np.ndarray] = []
-        w = self.conv.weight.data
-        b = self.conv.bias.data if self.conv.bias is not None else None
-        for i in range(t):
-            window = self.state.push(frames[:, :, i])
-            if (self.state.count - 1) % self.stride == 0:
-                y = KERNELS.forward_step(window, w)
-                if b is not None:
-                    y += b[None, :, None]
-                outs.append(y)
-        if not outs:
-            return Tensor(np.zeros((n, self.out_channels, 0)))
-        return Tensor(np.concatenate(outs, axis=2))
+        windows = self.state.push(x.data)
+        n, c_in, t, taps = windows.shape
+        if t == 0:
+            return _no_frames(n, self.out_channels)
+        cols = windows.transpose(0, 2, 1, 3).reshape(n * t, c_in, taps)
+        y = KERNELS.forward_step(cols, self.conv.weight.data)
+        y = y.reshape(n, t, self.out_channels).transpose(0, 2, 1)
+        if self.conv.bias is not None:
+            y += self.conv.bias.data[None, :, None]
+        return Tensor(y)
 
     def __repr__(self) -> str:
         return f"StreamingConv1d({self.conv!r})"
 
 
 class StreamingLinear(Module):
-    """A :class:`Linear` head applied to each frame of a chunk."""
+    """A :class:`Linear` head applied to every frame of a chunk at once.
+
+    Each frame is its own contiguous ``(1, in)`` row of one batched
+    product, so every frame gets the same BLAS call whatever the chunk
+    length (one ``(N·T, in)`` GEMM would not: BLAS picks its kernel, and
+    with it the summation order, by the row count)."""
 
     def __init__(self, linear: Linear):
         super().__init__()
         self.linear = linear
 
     def forward(self, x: Tensor) -> Tensor:
-        frames = x.data
-        n, _, t = frames.shape
+        n, c, t = x.shape
         if t == 0:
-            return Tensor(np.zeros((n, self.linear.out_features, 0)))
-        outs = [self.linear(Tensor(frames[:, :, i])).data[:, :, None]
-                for i in range(t)]
-        return Tensor(np.concatenate(outs, axis=2))
+            return _no_frames(n, self.linear.out_features)
+        rows = np.ascontiguousarray(x.data.transpose(0, 2, 1))
+        y = self.linear(Tensor(rows.reshape(n * t, 1, c))).data
+        return Tensor(y.reshape(n, t, -1).transpose(0, 2, 1))
 
     def __repr__(self) -> str:
         return f"StreamingLinear({self.linear!r})"
@@ -250,6 +275,8 @@ class _StatelessStreaming(Module):
         self.inner = inner
 
     def forward(self, x: Tensor) -> Tensor:
+        if x.shape[2] == 0:  # nothing emitted upstream: nothing to map
+            return x
         return self.inner(x)
 
     def __repr__(self) -> str:
@@ -259,43 +286,38 @@ class _StatelessStreaming(Module):
 class _WindowedStreaming(Module):
     """Base for layers that emit a function of their last ``k`` frames on
     the valid-window schedule: first output at ``count == k``, then every
-    ``stride`` frames."""
+    ``stride`` frames.  ``_emit`` maps the ``(N, C, T', k)`` windows of
+    a chunk to its ``(N, C', T')`` output frames in one array operation."""
 
     def __init__(self, ctx: StreamContext, channels: int, window: int,
                  stride: int):
         super().__init__()
         self.window = window
-        self.stride = stride
-        self.state = _RingState(ctx.batch, channels, window, window)
+        self.state = _History(ctx.batch, channels, window, start=window,
+                              stride=stride)
 
-    def _emit(self, window: np.ndarray) -> np.ndarray:
+    def _emit(self, windows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _out_channels(self, in_channels: int) -> int:
         return in_channels
 
     def forward(self, x: Tensor) -> Tensor:
-        frames = x.data
-        n, c, t = frames.shape
-        outs: List[np.ndarray] = []
-        for i in range(t):
-            win = self.state.push(frames[:, :, i])
-            if (self.state.count >= self.window
-                    and (self.state.count - self.window) % self.stride == 0):
-                outs.append(self._emit(win)[:, :, None])
-        if not outs:
-            return Tensor(np.zeros((n, self._out_channels(c), 0)))
-        return Tensor(np.concatenate(outs, axis=2))
+        windows = self.state.push(x.data)
+        n, c, t, _ = windows.shape
+        if t == 0:
+            return _no_frames(n, self._out_channels(c))
+        return Tensor(self._emit(windows))
 
 
 class StreamingAvgPool1d(_WindowedStreaming):
     """Valid-window average pool, replicating the sequential per-offset
     accumulation of the full-window op (float64 accumulator, then /= k)."""
 
-    def _emit(self, window: np.ndarray) -> np.ndarray:
-        acc = np.zeros(window.shape[:2])
+    def _emit(self, windows: np.ndarray) -> np.ndarray:
+        acc = np.zeros(windows.shape[:3])
         for offset in range(self.window):
-            acc += window[:, :, offset]
+            acc += windows[..., offset]
         acc /= self.window
         return acc
 
@@ -305,8 +327,9 @@ class StreamingFlatten(_WindowedStreaming):
     ``F`` frames, where ``F`` is the temporal extent the probe saw at this
     point of the full-window network."""
 
-    def _emit(self, window: np.ndarray) -> np.ndarray:
-        return window.reshape(window.shape[0], -1)
+    def _emit(self, windows: np.ndarray) -> np.ndarray:
+        n, c, t, f = windows.shape
+        return windows.transpose(0, 1, 3, 2).reshape(n, c * f, t)
 
     def _out_channels(self, in_channels: int) -> int:
         return in_channels * self.window
@@ -315,8 +338,8 @@ class StreamingFlatten(_WindowedStreaming):
 class StreamingGlobalAvgPool1d(_WindowedStreaming):
     """Sliding mean over the probed full-window extent."""
 
-    def _emit(self, window: np.ndarray) -> np.ndarray:
-        return window.mean(axis=2)
+    def _emit(self, windows: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(windows).mean(axis=3)
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +427,7 @@ def _input_channels(net: Module) -> int:
 # ----------------------------------------------------------------------
 
 class StreamingExecutor:
-    """Per-tick inference over a fixed-dilation network.
+    """Chunked streaming inference over a fixed-dilation network.
 
     Parameters
     ----------
@@ -487,9 +510,11 @@ class StreamingExecutor:
             self.total_stride
 
     def push(self, frames) -> np.ndarray:
-        """Advance every stream by the ``(batch, channels, T)`` chunk;
-        returns the ``(batch, out_channels, T_out)`` frames emitted
-        (``T_out`` may be 0 while downstream windows fill)."""
+        """Advance every stream by the ``(batch, channels, T)`` chunk, one
+        kernel call per layer; returns the ``(batch, out_channels,
+        T_out)`` frames emitted (``T_out`` may be 0 while downstream
+        windows fill), the same bits for any split of a stream into
+        chunks."""
         frames = np.asarray(frames)
         if frames.ndim != 3 or frames.shape[0] != self.batch \
                 or frames.shape[1] != self.channels:
@@ -505,12 +530,12 @@ class StreamingExecutor:
         return self._states[0].count if self._states else 0
 
     def reset(self) -> None:
-        """Zero all ring state: every stream starts fresh."""
+        """Zero all history state: every stream starts fresh."""
         for state in self._states:
             state.reset()
 
     def reset_slots(self, rows) -> None:
-        """Zero the ring rows of selected streams only.
+        """Zero the history rows of selected streams only.
 
         The shared phase counters keep running, so a reset row behaves
         exactly like a fresh stream only when this is called at a tick
@@ -521,7 +546,7 @@ class StreamingExecutor:
             state.reset_slots(rows)
 
     def state_bytes(self) -> int:
-        """Total ring-buffer footprint (all streams)."""
+        """Total history-state footprint (all streams)."""
         return sum(state.nbytes for state in self._states)
 
     def __repr__(self) -> str:

@@ -20,8 +20,9 @@ Spec grammar (comma-separated fault tokens)::
 Common params: ``point=N`` restricts a fault to the grid point(s) named by
 the enclosing :func:`point_scope`; ``times=N`` fires the fault N times
 (default 1) before it goes quiet; ``seconds=X`` is the sleep length of
-``hang``; ``tick=N`` matches the serving tick counter for ``conn_drop``;
-``epoch=K`` matches the trainer's global epoch counter for ``crash``.
+``hang``; ``tick=N`` matches the serving block whose ticks include ``N``
+for ``conn_drop``; ``epoch=K`` matches the trainer's global epoch counter
+for ``crash``.
 
 Firing is *once-per-slot*: each fault token owns ``times`` slots, and a
 hook claims the next free slot atomically before acting.  In-process the
@@ -41,7 +42,8 @@ Fault kinds and their sites:
   non-finite guard raises :class:`repro.core.DivergedError`.
 * ``cache_corrupt`` — truncates the DSE cache file right after a flush,
   exercising the corrupt-cache quarantine path on the next load.
-* ``conn_drop`` — aborts a live serving connection at tick ``tick``.
+* ``conn_drop`` — aborts a live serving connection after the block of
+  ticks that includes tick ``tick``.
 * ``hang`` — sleeps ``seconds`` (default 30) at grid-point training
   start, for per-point timeout tests.
 * ``interrupt`` — raises ``KeyboardInterrupt`` at grid-point training
@@ -252,6 +254,9 @@ def _matches(fault: Fault, ctx: Dict[str, object]) -> bool:
             elif not isinstance(points, (tuple, list, set, frozenset)):
                 points = (points,)
             if points is None or wanted not in tuple(points):
+                return False
+        elif isinstance(ctx.get(name), range):
+            if wanted not in ctx[name]:  # a site that spans several values
                 return False
         else:
             if name not in ctx or ctx[name] != wanted:

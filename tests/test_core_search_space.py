@@ -87,6 +87,27 @@ class TestParameterRange:
         parameter_range(model)
         assert np.allclose(model.a.mask.gamma_hat.data, before)
 
+    def test_frozen_masks_priced_as_searchable(self):
+        """A frozen mask reads its frozen value, so pricing the corners
+        without lifting it gave the current size as both bounds."""
+        rng = np.random.default_rng(0)
+        model = Sequential(PITConv1d(2, 4, rf_max=9, rng=rng), ReLU(),
+                           PITConv1d(4, 3, rf_max=5, rng=rng))
+        model[0].set_dilation(2)
+        unfrozen = parameter_range(model)
+        assert unfrozen == {"min_params": 47, "max_params": 139}
+        for layer in pit_layers(model):
+            layer.freeze()
+        gammas = [layer.mask.gamma_hat.data.copy()
+                  for layer in pit_layers(model)]
+        dilations = [layer.current_dilation() for layer in pit_layers(model)]
+        assert parameter_range(model) == unfrozen
+        for layer, gamma in zip(pit_layers(model), gammas):
+            assert layer.mask.frozen
+            assert np.array_equal(layer.mask.gamma_hat.data, gamma)
+        assert [layer.current_dilation()
+                for layer in pit_layers(model)] == dilations
+
     def test_paper_scale_restcn(self):
         """Paper: ResTCN space spans ~0.4M to ~3M parameters."""
         ranges = parameter_range(restcn_seed(width_mult=1.0, seed=0))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import get_default_dtype
-from repro.nn import CausalConv1d, ReLU, Sequential
+from repro.nn import AvgPool1d, CausalConv1d, ReLU, Sequential
 from repro.serving import StreamServer, StreamingExecutor, StreamingPool
 from repro.serving.client import stream_samples
 
@@ -138,13 +138,13 @@ class TestStreamingPool:
         a = pool.attach()
         pool.tick({a: np.ones(2)})
         b = pool.attach()  # pending until its first sample
-        rings = [state.ring.copy() for state in pool.executor._states]
+        tails = [state.tail.copy() for state in pool.executor._states]
         with pytest.raises(ValueError, match="shape|sequence"):
             pool.tick({a: np.ones(2), b: bad})
         assert pool.pending_slots == [b] and pool.active_slots == [a]
         assert pool.ticks == 1
-        for state, ring in zip(pool.executor._states, rings):
-            assert np.array_equal(state.ring, ring)
+        for state, tail in zip(pool.executor._states, tails):
+            assert np.array_equal(state.tail, tail)
 
     @pytest.mark.parametrize("feed, message", [
         (lambda a, b: {a: np.ones(2), b: np.array(["a", "b"])},
@@ -158,13 +158,97 @@ class TestStreamingPool:
         a = pool.attach()
         pool.tick({a: np.ones(2)})
         b = pool.attach()  # pending until its first sample
-        rings = [state.ring.copy() for state in pool.executor._states]
+        tails = [state.tail.copy() for state in pool.executor._states]
         with pytest.raises(ValueError, match=message):
             pool.tick(feed(a, b))
         assert pool.pending_slots == [b] and pool.active_slots == [a]
         assert pool.ticks == 1
-        for state, ring in zip(pool.executor._states, rings):
-            assert np.array_equal(state.ring, ring)
+        for state, tail in zip(pool.executor._states, tails):
+            assert np.array_equal(state.tail, tail)
+
+
+class TestBlockAdvance:
+    """``advance`` moves every stream by a whole block in one pass; it
+    must emit exactly what the same samples fed one ``tick`` at a time
+    emit: the same frames bit for bit, at the same ticks, with the same
+    warm flags."""
+
+    @staticmethod
+    def segments(stride):
+        """``(action, blocks, ticks)`` steps: slot 0 alone off alignment,
+        slot 1 attaching mid-stream and waiting for an aligned tick, both
+        together, slot 0 leaving, and slot 2 attaching with nobody active
+        (a zero block up to alignment)."""
+        def block(k):
+            return RNG.standard_normal((k, 2))
+
+        steps = [("attach", None, None), ("advance", {0: block(3)}, 3),
+                 ("attach", None, None)]
+        if (-3) % stride:
+            steps.append(("advance", {0: block((-3) % stride)},
+                          (-3) % stride))
+        steps += [("advance", {0: block(13), 1: block(13)}, 13),
+                  ("detach", 0, None), ("advance", {1: block(6)}, 6),
+                  ("detach", 1, None), ("attach", None, None)]
+        done = 3 + (-3) % stride + 13 + 6
+        if (-done) % stride:
+            steps.append(("advance", {}, (-done) % stride))
+        steps.append(("advance", {0: block(9)}, 9))
+        return steps
+
+    @pytest.mark.parametrize("topology", ["dilated", "strided", "pooled"])
+    def test_advance_equals_repeated_tick(self, topology):
+        if topology == "pooled":  # pre-warm frames: warmup 5, period 4
+            rng = np.random.default_rng(1)
+            net = Sequential(CausalConv1d(2, 5, 3, stride=2, rng=rng),
+                             ReLU(), AvgPool1d(3, 2)).eval()
+        else:
+            net = make_net(strided=topology == "strided")
+        executor = StreamingExecutor(net)
+        stride, warmup = executor.total_stride, executor.warmup_ticks
+        assert (stride, warmup) == {"dilated": (1, 1), "strided": (4, 1),
+                                    "pooled": (4, 5)}[topology]
+        by_tick = StreamingPool(net, capacity=3)
+        by_block = StreamingPool(net, capacity=3)
+        ticked, blocked, joined = [], [], {}
+        for action, blocks, ticks in self.segments(stride):
+            if action == "attach":
+                assert by_tick.attach() == by_block.attach()
+                continue
+            if action == "detach":
+                by_tick.detach(blocks)
+                by_block.detach(blocks)
+                continue
+            for slot in set(blocks) - set(by_block.active_slots):
+                joined[slot] = by_block.ticks
+            for i in range(ticks):
+                ticked += by_tick.tick({slot: b[i]
+                                        for slot, b in blocks.items()})
+            outputs = by_block.advance(blocks, ticks)
+            for out in outputs:  # the schedule and warm flags themselves
+                assert (out.tick - warmup) % executor.period == 0
+                assert out.warm == (out.tick - joined[out.slot] >= warmup)
+            blocked += outputs
+            assert by_block.ticks == by_tick.ticks
+            assert by_block.active_slots == by_tick.active_slots
+        assert joined[1] % stride == 0 and joined[1] > 0
+        assert len(blocked) == len(ticked) > 0
+        for got, want in zip(blocked, ticked):
+            assert (got.slot, got.tick, got.warm) == \
+                (want.slot, want.tick, want.warm)
+            assert np.array_equal(got.frame, want.frame)
+
+    def test_advance_validates_blocks(self):
+        pool = StreamingPool(make_net(), capacity=2)
+        a, b = pool.attach(), pool.attach()
+        with pytest.raises(ValueError, match="expected \\(3, 2\\)"):
+            pool.advance({a: np.ones((3, 2)), b: np.ones((2, 2))}, 3)
+        with pytest.raises(ValueError, match="at least one tick"):
+            pool.advance({a: np.ones((0, 2)), b: np.ones((0, 2))}, 0)
+        assert pool.ticks == 0 and pool.pending_slots == [a, b]
+        outs = pool.advance({a: np.ones((3, 2)), b: np.ones((3, 2))}, 3)
+        assert [(o.slot, o.tick) for o in outs] == [
+            (a, 1), (b, 1), (a, 2), (b, 2), (a, 3), (b, 3)]
 
 
 def run(coro):
@@ -173,11 +257,13 @@ def run(coro):
 
 class TestStreamServer:
     def test_partial_barrier_keeps_queued_samples(self):
-        """A tick blocked on one active client must not consume the other
-        clients' samples: slot 0's sample is fed on the next full tick."""
+        """A block blocked on one active client must not consume the other
+        clients' samples: slot 0's first queued sample is row 0 of its
+        next block, and what the block does not take stays queued."""
         from repro.serving.server import _Session
 
-        first, second = RNG.standard_normal(2), RNG.standard_normal(2)
+        first, later = RNG.standard_normal(2), RNG.standard_normal(2)
+        second = RNG.standard_normal(2)
 
         async def scenario():
             server = StreamServer(make_net(), capacity=2)
@@ -186,15 +272,21 @@ class TestStreamServer:
             for slot in (a, b):
                 server._sessions[slot] = _Session(slot, 4, writer=None)
             server._sessions[a].queue.put_nowait(first)
+            server._sessions[a].queue.put_nowait(later)
             blocked = server._collect()     # b has nothing queued yet
             server._sessions[b].queue.put_nowait(second)
-            return (a, b), blocked, server._collect()
+            block = server._collect()
+            left = [server._sessions[slot].queue.qsize() for slot in (a, b)]
+            return (a, b), blocked, block, left
 
-        (a, b), blocked, samples = run(scenario())
+        (a, b), blocked, block, left = run(scenario())
         assert blocked is None
-        assert samples is not None
-        assert samples[a] is first
-        assert samples[b] is second
+        assert block is not None
+        blocks, ticks = block
+        assert ticks == 1  # the shallower queue bounds the block
+        assert np.array_equal(blocks[a], first[None])
+        assert np.array_equal(blocks[b], second[None])
+        assert left == [1, 0]  # slot 0's second sample is still queued
 
     def test_single_client_round_trip(self):
         net = make_net()
@@ -258,6 +350,32 @@ class TestStreamServer:
         assert len(result["frames"]) == len(want)
         for msg, w in zip(result["frames"], want):
             assert np.allclose(msg["data"], w, **TOL)
+
+    @pytest.mark.parametrize("strided", [False, True],
+                             ids=["dilated", "strided"])
+    def test_two_client_burst_matches_fresh_executors(self, strided):
+        """Both clients send everything at once; the server advances them
+        in blocks bounded by the queues, and each still gets, bit for bit,
+        the frames of a dedicated fresh executor."""
+        net = make_net(strided=strided)
+        xs = [RNG.standard_normal((61, 2)) for _ in range(2)]
+        wants = [fresh_frames(net, x) for x in xs]
+
+        async def scenario():
+            server = StreamServer(net, capacity=2, queue_size=16,
+                                  max_sessions=2)
+            host, port = await server.start()
+            results = await asyncio.gather(
+                *(stream_samples(host, port, x, chunk=len(x)) for x in xs))
+            await server.wait_closed()
+            return results
+
+        for result, want in zip(run(scenario()), wants):
+            assert result["error"] is None
+            assert len(result["frames"]) == len(want)
+            for msg, w in zip(result["frames"], want):
+                assert msg["warm"] is True
+                assert np.array_equal(np.asarray(msg["data"], w.dtype), w)
 
     def test_server_full_refuses_with_error(self):
         net = make_net()
@@ -501,6 +619,45 @@ class TestServerRobustness:
         faults.reset()
         assert result["error"] is None
         assert len(result["frames"]) == len(want)
+
+    def test_conn_drop_fires_in_a_block_that_jumps_over_its_tick(
+            self, monkeypatch):
+        """A client's 20 queued samples are one 20-tick block, so no
+        block ends at tick 7; the fault still fires after the block that
+        covers it, and the survivor streams on."""
+        from repro.testing import faults
+        monkeypatch.setenv(faults.ENV_FAULTS, "conn_drop@tick=7")
+        faults.reset()
+        net = make_net()
+        samples = RNG.standard_normal((10, 2))
+
+        async def scenario():
+            server = StreamServer(net, capacity=2, max_sessions=2)
+            host, port = await server.start()
+            vr, vw = await asyncio.open_connection(host, port)
+            json.loads(await vr.readline())  # hello
+            vw.write((json.dumps(np.ones((20, 2)).tolist()) + "\n").encode())
+            await vw.drain()
+            frames = []
+            try:
+                while True:
+                    line = await asyncio.wait_for(vr.readline(), 10)
+                    if not line:
+                        break
+                    frames.append(json.loads(line))
+            except ConnectionError:
+                pass
+            vw.close()
+            result = await asyncio.wait_for(
+                stream_samples(host, port, samples), 10)
+            await asyncio.wait_for(server.wait_closed(), 10)
+            return frames, result
+
+        frames, result = run(scenario())
+        faults.reset()
+        assert all(f["tick"] < 7 for f in frames)  # cut at the block
+        assert result["error"] is None
+        assert len(result["frames"]) == len(fresh_frames(net, samples))
 
     def test_close_with_a_connected_client_returns(self):
         """close() with a client still connected: the handlers end (also

@@ -25,7 +25,7 @@ from repro.autograd import (
 from repro.core.export import network_receptive_field, network_total_stride
 from repro.data import ArrayDataset, DataLoader
 from repro.hw import FakeQuant, quantize_network
-from repro.models import ResTCN, TEMPONet
+from repro.models import ResTCN, TEMPONet, temponet_fixed
 from repro.models.temponet import TEMPONET_HAND_DILATIONS
 from repro.nn import (
     AvgPool1d,
@@ -143,6 +143,10 @@ class TestParityGrid:
         assert np.abs(streamed - full).max() <= step + 1e-9
 
     def test_chunked_push_is_bitwise_identical(self):
+        """Chunk length never changes a bit of the output: the server's
+        blocks follow queue depth, so its frames must not depend on
+        timing.  TEMPONet covers the strided pools, Flatten and the Linear
+        head at the paper's float32 serving configuration."""
         net, channels = make_net("pooled")
         x = RNG.standard_normal((2, channels, 24))
         per_sample = stream_all(StreamingExecutor(net, batch=2), x, chunk=1)
@@ -150,6 +154,15 @@ class TestParityGrid:
             chunked = stream_all(StreamingExecutor(net, batch=2), x,
                                  chunk=chunk)
             assert np.array_equal(per_sample, chunked)
+        with default_dtype_scope("float32"):
+            model = temponet_fixed([4, 4, 4, 8, 8, 16, 16], width_mult=0.5,
+                                   seed=3)
+            x = RNG.standard_normal((2, 4, 256 + 4 * 64))
+            streams = [stream_all(StreamingExecutor(model, batch=2), x,
+                                  chunk=chunk) for chunk in (1, 16, 64)]
+        assert streams[0].shape == (2, 1, 17)
+        for chunked in streams[1:]:
+            assert np.array_equal(streams[0], chunked)
 
     def test_reset_makes_streams_repeatable(self):
         net, channels = make_net("strided")
