@@ -15,7 +15,13 @@ Package map (one subpackage per subsystem):
 * :mod:`repro.models`     — ResTCN and TEMPONet seeds;
 * :mod:`repro.baselines`  — ProxylessNAS (dilation supernet), random search;
 * :mod:`repro.hw`         — int8 quantization + GAP8 SoC deployment model;
-* :mod:`repro.evaluation` — Pareto analysis, DSE driver, reporting.
+* :mod:`repro.evaluation` — Pareto analysis, DSE driver, reporting;
+* :mod:`repro.serving`    — streaming inference and its TCP server.
+
+The training-side re-exports (the trainers and checkpoints of
+:mod:`repro.core`, the deployment flow of :mod:`repro.hw`, and the
+trainer names below) load on first use, so serving imports only what it
+runs.
 
 Quickstart::
 
@@ -38,9 +44,6 @@ from .autograd import (
 )
 from .core import (
     PITConv1d,
-    PITTrainer,
-    PITResult,
-    StackedPITTrainer,
     TimeMask,
     export_network,
     network_dilations,
@@ -48,10 +51,14 @@ from .core import (
     size_regularizer,
     flops_regularizer,
     search_space_size,
-    train_plain,
-    evaluate,
-    make_training_step,
 )
+from ._lazy import lazy_exports
+
+# Training-side names resolve on first use (see repro.core).
+__getattr__ = lazy_exports(__name__, globals(), {
+    ".core": ("PITTrainer", "PITResult", "StackedPITTrainer", "train_plain",
+              "evaluate", "make_training_step"),
+})
 
 __version__ = "1.1.0"
 

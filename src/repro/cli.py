@@ -506,9 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "exponential backoff before marking it failed "
                               "(diverged points are never retried)")
     p_sweep.add_argument("--point-timeout", type=_POSITIVE, default=None,
-                         help="per-point training budget in seconds; a chunk "
-                              "that exceeds it is cancelled and its points "
-                              "marked failed (default: no timeout)")
+                         help="per-point training budget in seconds, "
+                              "pooled sweeps only (--workers >= 2; serial "
+                              "sweeps ignore it): a chunk that exceeds it is "
+                              "cancelled and its points marked failed "
+                              "(default: no timeout)")
     # Sweeps always resume in-flight points from their checkpoints (like
     # --cache always skips finished ones), so no --resume flag here.
     checkpoint_flags(p_sweep)

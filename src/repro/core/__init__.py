@@ -48,31 +48,21 @@ from .search_space import (
     enumerate_configurations,
     parameter_range,
 )
-from .checkpoint import (
-    CheckpointError,
-    CheckpointState,
-    TrainerCheckpoint,
-    checkpoint_file,
-    key_tag,
-)
-from .trainer import (
-    PITTrainer,
-    PITResult,
-    train_plain,
-    evaluate,
-    TrainResult,
-    DivergedError,
-    make_training_step,
-)
-from .stacked import (
-    StackedPITConv1d,
-    StackedPITTrainer,
-    StackedTimeMask,
-    per_model_loss,
-    register_stacked_loss,
-    stacked_regularizer_vector,
-)
 from .channel_mask import ChannelMask
+from .._lazy import lazy_exports
+
+# The training side (trainer, stacked trainer, checkpoints) loads on first
+# use, so importing the model and export helpers (as serving does) does
+# not pull in the training stack.
+__getattr__ = lazy_exports(__name__, globals(), {
+    ".checkpoint": ("CheckpointError", "CheckpointState", "TrainerCheckpoint",
+                    "checkpoint_file", "key_tag"),
+    ".trainer": ("PITTrainer", "PITResult", "train_plain", "evaluate",
+                 "TrainResult", "DivergedError", "make_training_step"),
+    ".stacked": ("StackedPITConv1d", "StackedPITTrainer", "StackedTimeMask",
+                 "per_model_loss", "register_stacked_loss",
+                 "stacked_regularizer_vector"),
+})
 
 __all__ = [
     "TimeMask",

@@ -26,6 +26,7 @@ flow still refuses them.
 from __future__ import annotations
 
 import copy
+import sys
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +39,7 @@ from .pit_conv import PITConv1d
 __all__ = ["NotDeployableError", "export_conv", "export_channel_conv",
            "export_network",
            "deployable_network", "require_exported", "network_dilations", "network_receptive_field",
-           "network_total_stride"]
+           "network_total_stride", "network_warmup"]
 
 
 class NotDeployableError(ValueError):
@@ -52,10 +53,14 @@ def require_exported(model: Module, consumer: str) -> None:
     any cost or serving figure derived from them would describe the
     supernet rather than the deployed TCN.
     """
-    from .stacked import StackedPITConv1d
-
+    # A stacked layer exists only once its module is loaded; looking it up
+    # instead of importing it keeps the serving path free of the training
+    # stack that ``repro.core.stacked`` pulls in.
+    stacked = sys.modules.get(f"{__package__}.stacked")
+    searchable = (PITConv1d,) if stacked is None else (
+        PITConv1d, stacked.StackedPITConv1d)
     for name, module in model.named_modules():
-        if isinstance(module, (PITConv1d, StackedPITConv1d)):
+        if isinstance(module, searchable):
             kind, how = type(module).__name__, "repro.core.export_network"
             if getattr(module, "channel_mask", None) is not None:
                 kind, how = f"channel-searched {kind}", "export_channel_conv"
@@ -158,26 +163,31 @@ def network_dilations(model: Module) -> Tuple[int, ...]:
 
 
 def _temporal_layers(model: Module, shapes: Optional[Shapes] = None):
-    """Yield ``(span, stride)`` for every temporal layer, declaration order.
+    """Yield ``(span, stride, causal)`` for every temporal layer, in
+    declaration order.
 
     ``span`` is the layer-local input extent one output sample reads
     (``(K-1)*d + 1`` for convolutions, ``rf_max`` for still-searchable PIT
     layers, the window size for pools); ``stride`` is its temporal output
-    stride.  Given the ``shapes`` of :func:`repro.nn.module.probe_shapes`,
-    ``Flatten``/``GlobalAvgPool1d`` also count, as a stride-1 window over
-    the temporal extent of their probed ``(N, C, T)`` input.
+    stride.  ``causal`` says whether the layer pads causally: a
+    convolution (and a PIT convolution) left-pads ``span - 1`` zeros, so
+    it emits from its first input frame, while a pool is a valid window
+    that first emits once ``span`` frames have arrived.  Given the
+    ``shapes`` of :func:`repro.nn.module.probe_shapes`,
+    ``Flatten``/``GlobalAvgPool1d`` also count, as a non-causal stride-1
+    window over the temporal extent of their probed ``(N, C, T)`` input.
     """
     shapes = shapes or {}
     for module in model.modules():
         if isinstance(module, PITConv1d):
-            yield module.rf_max, module.stride
+            yield module.rf_max, module.stride, True
         elif isinstance(module, CausalConv1d):
-            yield module.receptive_field, module.stride
+            yield module.receptive_field, module.stride, True
         elif isinstance(module, AvgPool1d):
-            yield module.kernel_size, module.stride
+            yield module.kernel_size, module.stride, False
         elif (isinstance(module, (Flatten, GlobalAvgPool1d))
               and module in shapes and len(shapes[module][0]) == 3):
-            yield shapes[module][0][2], 1
+            yield shapes[module][0][2], 1, False
 
 
 def network_receptive_field(model: Module,
@@ -201,16 +211,36 @@ def network_receptive_field(model: Module,
     how the streaming executor reports the span of one emitted frame.
     """
     rf, jump = 1, 1
-    for span, stride in _temporal_layers(model, shapes):
+    for span, stride, _ in _temporal_layers(model, shapes):
         rf += (span - 1) * jump
         jump *= stride
     return rf
 
 
+def network_warmup(model: Module, shapes: Optional[Shapes] = None) -> int:
+    """Input samples a fresh stream consumes until its first output sample.
+
+    The same walk and jump recursion as :func:`network_receptive_field`,
+    but only the non-causal windows add to it: a causal layer emits from
+    its first input frame (its padding stands in for the frames it has
+    not seen), while a pool or a probed ``Flatten``/``GlobalAvgPool1d``
+    window emits once its ``span`` frames have arrived, ``(span - 1) *
+    jump`` input samples after its own first frame.  The streaming
+    executor's ``warmup_ticks``; frames then follow every
+    :func:`network_total_stride` samples.
+    """
+    warmup, jump = 1, 1
+    for span, stride, causal in _temporal_layers(model, shapes):
+        if not causal:
+            warmup += (span - 1) * jump
+        jump *= stride
+    return warmup
+
+
 def network_total_stride(model: Module) -> int:
     """Product of all temporal strides: input samples per output sample."""
     total = 1
-    for _, stride in _temporal_layers(model):
+    for _, stride, _ in _temporal_layers(model):
         total *= stride
     return total
 

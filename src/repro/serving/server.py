@@ -313,6 +313,17 @@ class StreamServer:
                 for s in sessions}, ticks
 
     async def _tick_loop(self) -> None:
+        try:
+            await self._advance_blocks()
+        finally:
+            # A cancelled loop (close(), or asyncio.run's teardown, which
+            # may cancel a waiting handler first) must still release the
+            # handlers that wait on it: nothing else flushes them now.
+            for session in list(self._sessions.values()):
+                if session.closing:
+                    self._retire(session)
+
+    async def _advance_blocks(self) -> None:
         assert self._wake is not None
         while True:
             await self._wake.wait()

@@ -28,11 +28,17 @@ cut into chunks, bit for bit: every emitted frame gets the same per-frame
 BLAS call at any chunk length.
 
 The conversion is one table, ``_STREAM_FACTORIES`` (exact type →
-factory).  The executor's geometry (``receptive_field``,
-``total_stride``) is not tracked by the conversion: it is
-:func:`repro.core.export.network_receptive_field` /
+factory).  The executor's geometry and schedule are not tracked by the
+conversion, nor measured by streaming anything: ``receptive_field``,
+``warmup_ticks`` and ``period`` are
+:func:`repro.core.export.network_receptive_field`,
+:func:`~repro.core.export.network_warmup` and
 :func:`~repro.core.export.network_total_stride` over the probed network,
-so deployment and streaming share one receptive-field walk.
+and ``out_channels`` is the probe's output width, so deployment and
+streaming share one receptive-field walk.  A causal layer emits from its
+first input frame; only the valid windows (pools, ``Flatten``,
+``GlobalAvgPool1d``) delay the first frame, by ``(window - 1)`` frames of
+their input.
 
 Because a zero-initialized tail is indistinguishable from the causal zero
 padding of the full forward, a *fresh* stream's outputs are exactly the
@@ -66,6 +72,7 @@ from ..core.export import (
     deployable_network,
     network_receptive_field,
     network_total_stride,
+    network_warmup,
 )
 from ..core.pit_conv import PITConv1d
 from ..hw.quantization import FakeQuant
@@ -447,13 +454,19 @@ class StreamingExecutor:
 
     Attributes
     ----------
+    out_channels:
+        Width of one output frame: the channel count of the probed
+        full-window output.
     warmup_ticks:
-        Ticks from reset until the first output frame of a fresh stream
-        (measured by a dry run at build time).  Outputs of a mid-stream
-        attached slot are fresh-stream-equal only from this age on.
+        Ticks from reset until the first output frame of a fresh stream,
+        derived from the layer walk
+        (:func:`repro.core.export.network_warmup` over the probed
+        network): causal layers add nothing, each valid window adds its
+        fill time.  Outputs of a mid-stream attached slot are
+        fresh-stream-equal only from this age on.
     period:
         Ticks between consecutive output frames once warmed up (the
-        product of all temporal strides).
+        product of all temporal strides, ``total_stride``).
     receptive_field:
         Composed input span of one output frame, window layers included
         (:func:`repro.core.export.network_receptive_field` over the probed
@@ -478,36 +491,12 @@ class StreamingExecutor:
         self.net = stream_module(net, StreamContext(batch=batch, shapes=shapes))
         self.net.eval()
         self.receptive_field = network_receptive_field(net, shapes)
-        self.total_stride = network_total_stride(net)
+        self.total_stride = self.period = network_total_stride(net)
+        self.warmup_ticks = network_warmup(net, shapes)
+        self.out_channels = shapes[net][1][1]
         self._states = [m.state for m in self.net.modules()
                         if isinstance(m, (StreamingConv1d,
                                           _WindowedStreaming))]
-        self.out_channels, self.warmup_ticks, self.period = self._dry_run()
-
-    def _dry_run(self) -> Tuple[int, int, int]:
-        """Measure first-emission tick, period and output width by
-        streaming zeros from reset; leaves the executor reset."""
-        cap = 4 * max(self.receptive_field,
-                      self.input_length or 1) + 64
-        zeros = np.zeros((self.batch, self.channels, 1))
-        first = second = None
-        out_channels = 0
-        for tick in range(1, cap + 1):
-            out = self.push(zeros)
-            if out.shape[2]:
-                out_channels = out.shape[1]
-                if first is None:
-                    first = tick
-                else:
-                    second = tick
-                    break
-        self.reset()
-        if first is None:
-            raise StreamingUnsupported(
-                f"network emitted no output within {cap} ticks; it does "
-                "not look like a causal streaming network")
-        return out_channels, first, (second - first) if second else \
-            self.total_stride
 
     def push(self, frames) -> np.ndarray:
         """Advance every stream by the ``(batch, channels, T)`` chunk, one

@@ -683,3 +683,35 @@ class TestServerRobustness:
         server = run(asyncio.wait_for(scenario(), 10))
         assert server.pool.active_slots == []
         assert server.pool.pending_slots == []
+
+    @pytest.mark.parametrize("handler_first", [True, False],
+                             ids=["handler-first", "loop-first"])
+    def test_teardown_cancelling_loop_and_handler_together_returns(
+            self, handler_first):
+        """asyncio.run's teardown cancels every task in one sweep, in no
+        set order.  When the connected handler's cancellation runs before
+        the tick loop's, the handler's finally sees a live loop and waits
+        on it: the cancelled loop must still release it."""
+        net = make_net()
+
+        async def scenario():
+            server = StreamServer(net, capacity=2)
+            host, port = await server.start()
+            before = asyncio.all_tasks()
+            reader, writer = await asyncio.open_connection(host, port)
+            assert json.loads(await reader.readline())["type"] == "hello"
+            handlers = list(asyncio.all_tasks() - before)
+            assert handlers
+            sweep = handlers + [server._ticker]
+            for task in (sweep if handler_first else sweep[::-1]):
+                task.cancel()
+            try:
+                await asyncio.wait_for(
+                    asyncio.gather(*sweep, return_exceptions=True), 5)
+            finally:
+                writer.close()
+            return server
+
+        server = run(asyncio.wait_for(scenario(), 10))
+        assert server.pool.active_slots == []
+        assert server.pool.pending_slots == []

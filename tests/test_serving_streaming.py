@@ -256,7 +256,83 @@ class TestWindowHeads:
         assert np.allclose(streamed[:, :, 0], full, **AMBIENT_TOL)
 
 
+def dry_run_schedule(executor):
+    """The per-tick oracle of the derived schedule: stream zeros from
+    reset one tick at a time until the second frame.  Returns
+    ``(warmup_ticks, period, out_channels)`` and leaves the executor
+    reset."""
+    cap = 4 * max(executor.receptive_field, executor.input_length or 1) + 64
+    zeros = np.zeros((executor.batch, executor.channels, 1))
+    emitted = []  # (tick, output channels) of the first two frames
+    for tick in range(1, cap + 1):
+        out = executor.push(zeros)
+        if out.shape[2]:
+            emitted.append((tick, out.shape[1]))
+            if len(emitted) == 2:
+                break
+    executor.reset()
+    assert len(emitted) == 2, f"fewer than two frames within {cap} ticks"
+    (first, channels), (second, _) = emitted
+    return first, second - first, channels
+
+
+def _quantized(net, channels, length):
+    data = ArrayDataset(np.random.default_rng(4).standard_normal(
+        (8, channels, length)), np.zeros((8, 1)))
+    return quantize_network(net, DataLoader(data, 4))
+
+
+def _pit_net(rng):
+    from repro.core import PITConv1d
+    return Sequential(PITConv1d(2, 3, rf_max=5, rng=rng), ReLU())
+
+
+# Every network an executor is built on in this file, plus an int8 TEMPONet
+# and a stride-2 conv stack: id -> rng -> (net, executor kwargs).
+SCHEDULE_NETS = {
+    **{t: (lambda rng, t=t: (make_net(t)[0], {})) for t in TOPOLOGIES},
+    "dilated-int8": lambda rng: (
+        _quantized(make_net("dilated")[0], 2, 23), {}),
+    "temponet-w0.5": lambda rng: (
+        TEMPONet(width_mult=0.5, dropout=0.0, rng=rng), {}),
+    "temponet-w0.25": lambda rng: (
+        TEMPONet(width_mult=0.25, dropout=0.0, rng=rng), {}),
+    "temponet-w0.5-hand": lambda rng: (TEMPONet(
+        width_mult=0.5, dilations=TEMPONET_HAND_DILATIONS, rng=rng), {}),
+    "temponet-w0.5-4-16": lambda rng: (temponet_fixed(
+        [4, 4, 4, 8, 8, 16, 16], width_mult=0.5, seed=3), {}),
+    "temponet-w0.25-int8": lambda rng: (_quantized(
+        TEMPONet(width_mult=0.25, dropout=0.0, rng=rng).eval(), 4, 256), {}),
+    "restcn-w0.25": lambda rng: (ResTCN(width_mult=0.25, rng=rng), {}),
+    "restcn-w0.1": lambda rng: (
+        ResTCN(width_mult=0.1, dropout=0.0, rng=rng), {}),
+    "gap-head": lambda rng: (Sequential(
+        CausalConv1d(2, 5, 3, dilation=2, rng=rng), ReLU(),
+        GlobalAvgPool1d(), Linear(5, 3, rng=rng)), dict(input_length=12)),
+    "flatten-head": lambda rng: (Sequential(
+        CausalConv1d(2, 3, 3, rng=rng), ReLU(), AvgPool1d(2, 2), Flatten(),
+        Linear(3 * 4, 4, rng=rng)), dict(input_length=8)),
+    "pit-searchable": lambda rng: (_pit_net(rng), dict(input_length=11)),
+    "stride2-stack": lambda rng: (Sequential(
+        CausalConv1d(2, 4, 3, stride=2, rng=rng), ReLU(),
+        CausalConv1d(4, 4, 3, dilation=2, stride=2, rng=rng),
+        AvgPool1d(3, 1),
+        CausalConv1d(4, 3, 2, stride=2, rng=rng)), {}),
+}
+
+
 class TestExecutorContract:
+    @pytest.mark.parametrize("name", SCHEDULE_NETS)
+    def test_derived_schedule_matches_dry_run(self, name):
+        """``warmup_ticks``/``period``/``out_channels`` come from the layer
+        walk and the shape probe, never from streaming; a per-tick dry run
+        from reset must see the same schedule."""
+        net, kwargs = SCHEDULE_NETS[name](np.random.default_rng(10))
+        executor = StreamingExecutor(net.eval(), batch=2, **kwargs)
+        assert (executor.warmup_ticks, executor.period,
+                executor.out_channels) == dry_run_schedule(executor)
+        assert executor.ticks == 0
+
     def test_metadata_matches_export_helpers(self):
         net, _ = make_net("pooled")
         executor = StreamingExecutor(net)
