@@ -10,7 +10,6 @@ from .tensor import (
     Tensor,
     apply_op,
     record_side_effect,
-    mark_capture_unsafe,
     no_grad,
     is_grad_enabled,
     set_default_dtype,
@@ -22,6 +21,7 @@ from .tensor import (
 from .backends import current_backend
 from .ops_conv import (
     conv1d_causal,
+    conv1d_causal_path,
     conv1d_causal_masked,
     conv1d_causal_stacked,
     avg_pool1d,
@@ -47,7 +47,6 @@ __all__ = [
     "OpDef",
     "apply_op",
     "record_side_effect",
-    "mark_capture_unsafe",
     "set_default_dtype",
     "get_default_dtype",
     "default_dtype_scope",
@@ -62,6 +61,7 @@ __all__ = [
     "concatenate",
     "stack",
     "conv1d_causal",
+    "conv1d_causal_path",
     "conv1d_causal_masked",
     "conv1d_causal_stacked",
     "avg_pool1d",

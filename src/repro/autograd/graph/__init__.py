@@ -12,10 +12,15 @@ once and replays it as a flat schedule:
 * :class:`CompiledStep` — the replay executor: per-shape program cache,
   verbatim replay through the same ``OpDef.fwd``/``OpDef.bwd`` kernels
   eager dispatch calls, no arrays kept between steps, bit-identical
-  results; a step it cannot replay raises :class:`GraphCaptureError`.
+  results; a trace that is not self-contained raises
+  :class:`GraphCaptureError`.
 
-Every trainer runs its steps through :class:`CompiledStep`; there is no
-knob and no eager tier.  :class:`EagerStep` is the tests' reference.
+Every trainer — PIT, plain, stacked and the ProxylessNAS baseline — runs
+its steps through :class:`CompiledStep`; there is no knob and no eager
+tier.  A decision that depends on values lives inside a recorded op
+(``binarize_ste``'s channel rescue, dropout's mask, the supernet's path
+draw in ``conv1d_causal_path``), so every replay recomputes it.
+:class:`EagerStep` is the tests' reference.
 """
 
 from .capture import GraphCapture, capture

@@ -5,11 +5,6 @@ once while a thread-local tracer, installed at the :func:`apply_op` dispatch
 point, records every op into :class:`~repro.autograd.graph.ir.OpNode`
 entries.  The traced execution is a fully valid training step (its loss and
 gradients are used), so capture costs one eager step, nothing more.
-
-Code that declares itself value-dependent via
-:func:`repro.autograd.tensor.mark_capture_unsafe` (a supernet path sampled
-per batch) cannot be captured: it raises :class:`GraphCaptureError` while a
-capture is active.
 """
 
 from __future__ import annotations

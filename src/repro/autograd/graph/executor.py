@@ -20,10 +20,9 @@ to eager mode; ``tests/test_graph_executor.py`` locks this.
 
 Shape changes (e.g. a short final batch) transparently re-trace: programs
 are cached per ``(x.shape, y.shape, default dtype)``, so each distinct
-signature pays one eager step and replays thereafter.  A step that cannot
-be replayed — value-dependent code announced via ``mark_capture_unsafe``,
-or a trace that is not self-contained — raises
-:class:`~repro.autograd.graph.ir.GraphCaptureError` on its first call.
+signature pays one eager step and replays thereafter.  A trace that is not
+self-contained raises :class:`~repro.autograd.graph.ir.GraphCaptureError`
+on its first call.
 """
 
 from __future__ import annotations
@@ -157,9 +156,9 @@ class CompiledStep:
         ``step_fn(x, y) -> Tensor | tuple`` building loss (first output)
         from input tensors.  It must construct its graph from module
         parameters, inline constants and the given inputs only, and compute
-        every value-dependent decision inside a recorded op; code that
-        cannot calls :func:`repro.autograd.mark_capture_unsafe`, and the
-        first call raises :class:`GraphCaptureError`.
+        every value-dependent decision inside a recorded op (a replay
+        recomputes nothing else).  A step that reads a graph tensor built
+        outside it raises :class:`GraphCaptureError` on its first call.
 
     Calls return the step outputs as floats (scalars) / arrays, with
     parameter ``.grad`` populated — the same contract as

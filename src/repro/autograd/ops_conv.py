@@ -9,7 +9,9 @@ Causality is obtained by padding only the left side of the time axis so that
 an output sample never reads inputs from the future.  The numerical kernels
 (forward and both adjoints) are the im2col / ``as_strided`` single-GEMM
 lowering of :mod:`repro.autograd.backends`; this module owns everything
-else: validation, causal padding, bias, and the autograd dispatch.  The
+else: validation, causal padding, bias, and the autograd dispatch.  One op
+also chooses what to convolve: :func:`conv1d_causal_path` draws one
+branch of a ProxylessNAS supernet layer per call.  The
 ops call the methods of the one :data:`repro.autograd.backends.KERNELS`
 instance, so a profiler that wraps them there sees every call.
 
@@ -23,15 +25,16 @@ Shapes follow the PyTorch convention:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .backends import KERNELS
+from .ops_nn import _softmax_bwd
 from .tensor import OpDef, Tensor, _unbroadcast, apply_op
 
-__all__ = ["conv1d_causal", "conv1d_causal_masked", "conv1d_causal_stacked",
-           "avg_pool1d", "global_avg_pool1d"]
+__all__ = ["conv1d_causal", "conv1d_causal_path", "conv1d_causal_masked",
+           "conv1d_causal_stacked", "avg_pool1d", "global_avg_pool1d"]
 
 
 def _padded(x, pad):
@@ -112,6 +115,85 @@ def conv1d_causal(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     attrs = {"dilation": dilation, "stride": stride}
     inputs = (x, w) if b is None else (x, w, b)
     return apply_op(_CONV1D, inputs, attrs)
+
+
+# ----------------------------------------------------------------------
+# Sampled-path convolution (the ProxylessNAS supernet layer)
+# ----------------------------------------------------------------------
+
+def _path_fwd(ins, attrs):
+    """Forward of :func:`conv1d_causal_path`: pick a branch, run its conv.
+
+    The draw reads the generator attribute, as dropout's mask does, so
+    every replay of a captured step draws afresh in program order.
+    """
+    x, alpha = ins[0], ins[1]
+    exp = np.exp(alpha - alpha.max())
+    probs = exp / exp.sum()
+    if attrs["sample"]:
+        index = int(attrs["rng"].choice(len(probs), p=probs))
+    else:
+        index = int(np.argmax(alpha))
+    lo = 2 + 2 * index
+    conv_attrs = {"dilation": attrs["dilations"][index],
+                  "stride": attrs["stride"]}
+    out, xp = _conv_fwd((x, ins[lo], ins[lo + 1]), conv_attrs)
+    return out, (index, probs, conv_attrs, xp)
+
+
+def _path_bwd(g, ins, out, ctx, attrs, needs):
+    """The chosen branch's conv adjoints and α's straight-through gradient.
+
+    The gate ``p_k - stop_grad(p_k) + 1`` is 1 in value, so ``∂L/∂p_k =
+    Σ g·out``, scattered to ``k`` and taken back through the softmax.
+    Unchosen branches get no gradient.
+    """
+    index, probs, conv_attrs, xp = ctx
+    lo = 2 + 2 * index
+    grads = [None] * len(ins)
+    grads[0], grads[lo], grads[lo + 1] = _conv_bwd(
+        g, (ins[0], ins[lo], ins[lo + 1]), out, xp, conv_attrs,
+        (needs[0], needs[lo], needs[lo + 1]))
+    if needs[1]:
+        gp = np.zeros_like(probs)
+        np.add.at(gp, index, _unbroadcast(g * out, ()))
+        grads[1] = _softmax_bwd(gp, None, probs, None, {"axis": 0}, None)[0]
+    return tuple(grads)
+
+
+_CONV1D_PATH = OpDef("conv1d_causal_path", _path_fwd, _path_bwd)
+
+
+def conv1d_causal_path(x: Tensor, alpha: Tensor,
+                       branches: Sequence[Tuple[Tensor, Tensor]],
+                       dilations: Sequence[int], stride: int = 1,
+                       rng: Optional[np.random.Generator] = None,
+                       sample: bool = True) -> Tensor:
+    """One branch of a single-path supernet layer (ProxylessNAS).
+
+    ``branches`` holds one ``(weight, bias)`` pair per candidate dilation
+    and ``alpha`` one architecture logit per branch.  With ``sample`` the
+    op draws branch ``k`` from ``softmax(alpha)`` with ``rng``, else it
+    takes ``argmax(alpha)``; either way it returns
+    ``conv1d_causal(x, w_k, b_k, dilations[k], stride)``.  The backward
+    trains only branch ``k`` and gives ``alpha`` the straight-through
+    gradient of a gate on ``p_k`` that is 1 in value.  Drawing inside the
+    op keeps a captured step correct: each replay draws a new path.
+    """
+    if len(branches) != len(dilations) or alpha.shape != (len(dilations),):
+        raise ValueError(f"expected one logit and one (weight, bias) pair "
+                         f"per dilation {tuple(dilations)}, got alpha "
+                         f"{alpha.shape} and {len(branches)} branches")
+    for w, _ in branches:
+        _check_shapes(x, w)
+    if sample and rng is None:
+        raise ValueError("sampling a path needs a generator")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    attrs = {"dilations": tuple(dilations), "stride": stride, "rng": rng,
+             "sample": sample}
+    inputs = (x, alpha) + tuple(t for pair in branches for t in pair)
+    return apply_op(_CONV1D_PATH, inputs, attrs)
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,12 @@ dropout primitive and training-mode batch normalization.
 
 All ops are expressed as :class:`repro.autograd.tensor.OpDef` kernel pairs
 dispatched through :func:`repro.autograd.tensor.apply_op`, so they are
-captured by the graph executor like every other primitive.  Dropout is the
-one stateful op: its generator is a static attribute, and every replay of a
-captured step draws fresh masks from it in recorded program order — exactly
-the stream an eager run would consume.
+captured by the graph executor like every other primitive.  Dropout is
+stateful (as is the supernet path draw of
+:func:`repro.autograd.ops_conv.conv1d_causal_path`): its generator is a
+static attribute, and every replay of a captured step draws fresh masks
+from it in recorded program order — exactly the stream an eager run would
+consume.
 """
 
 from __future__ import annotations

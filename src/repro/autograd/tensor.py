@@ -49,7 +49,6 @@ __all__ = [
     "Tensor",
     "apply_op",
     "record_side_effect",
-    "mark_capture_unsafe",
     "no_grad",
     "is_grad_enabled",
     "set_default_dtype",
@@ -265,19 +264,6 @@ def record_side_effect(inputs: Sequence["Tensor"], fn: Callable) -> None:
     tracer = getattr(_TRACE_STATE, "tracer", None)
     if tracer is not None:
         tracer.record_effect(tuple(inputs), fn)
-
-
-def mark_capture_unsafe(reason: str) -> None:
-    """Refuse the active graph capture (no-op when not tracing).
-
-    Called by code whose behaviour depends on tensor *values* in a way no
-    recorded op recomputes — e.g. a supernet path sampled per batch — and
-    which a static replay would therefore silently freeze.  Raises
-    :class:`repro.autograd.graph.GraphCaptureError` naming ``reason``.
-    """
-    if getattr(_TRACE_STATE, "tracer", None) is not None:
-        from .graph.ir import GraphCaptureError
-        raise GraphCaptureError(reason)
 
 
 def push_tracer(tracer) -> None:

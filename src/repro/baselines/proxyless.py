@@ -10,7 +10,9 @@ variants in the supernet".  This module reproduces that adaptation:
 * Single-path training: each forward samples one branch from softmax(α)
   (so only one path's weights/activations are computed per batch — the
   memory trick of ProxylessNAS), with a straight-through factor that lets
-  gradients reach α through the sampled path.
+  gradients reach α through the sampled path.  The draw happens inside one
+  recorded op (:func:`repro.autograd.conv1d_causal_path`), so the trainer's
+  steps are captured and replayed like every other trainer's.
 * An expected-size regularizer ``Σ_j p_j · size_j`` steers the search
   toward small networks, mirroring PIT's Eq. 6 objective.
 * :class:`ProxylessTrainer` — warmup, alternating weight/architecture
@@ -31,10 +33,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, mark_capture_unsafe, softmax
+from ..autograd import Tensor, conv1d_causal_path, softmax
+from ..core.driver import make_training_step
 from ..core.masks import kept_lags, num_gamma
 from ..core.pit_conv import PITConv1d
-from ..core.trainer import TrainResult, evaluate, train_plain
+from ..core.trainer import evaluate, train_plain
 from ..nn import CausalConv1d, Module, Parameter, Sequential
 from ..optim import Adam, EarlyStopping
 
@@ -76,7 +79,6 @@ class ProxylessDilatedConv1d(Module):
         self.alpha = Parameter(np.zeros(len(self.dilations)), name="proxyless.alpha")
         self._rng = rng
         self._sample_paths = True
-        self._last_index: Optional[int] = None
 
     # -- path selection -------------------------------------------------
     def probabilities(self) -> np.ndarray:
@@ -99,23 +101,11 @@ class ProxylessDilatedConv1d(Module):
         self._sample_paths = enabled
 
     def forward(self, x: Tensor) -> Tensor:
-        # Path choice is sampled per batch: a replayed static graph would
-        # train only the trace-time branch, so a supernet step refuses
-        # capture (ProxylessTrainer runs its epochs eagerly).
-        mark_capture_unsafe("ProxylessNAS samples a supernet path per batch")
-        if self._sample_paths and self.training:
-            probs = self.probabilities()
-            index = int(self._rng.choice(len(self.dilations), p=probs))
-        else:
-            index = self.chosen_index()
-        self._last_index = index
-        out = self.branches[index](x)
-        # Straight-through factor: value 1, but ∂/∂α flows through p_index,
-        # approximating ProxylessNAS's binary-gate gradient restricted to
-        # the sampled path.
-        p = softmax(self.alpha, axis=0)[index]
-        gate = p - Tensor(p.data) + 1.0
-        return out * gate
+        # One branch per batch, drawn inside the op: each replay redraws.
+        return conv1d_causal_path(
+            x, self.alpha, [(b.weight, b.bias) for b in self.branches],
+            self.dilations, stride=self.stride, rng=self._rng,
+            sample=self._sample_paths and self.training)
 
     def __repr__(self) -> str:
         return (f"ProxylessDilatedConv1d({self.in_channels}, {self.out_channels}, "
@@ -190,8 +180,10 @@ class ProxylessTrainer:
 
     Each epoch trains the sampled-path weights on the training set, then
     updates α on the validation set with the task loss plus
-    ``lam * expected_size``.  After convergence (early stopping on the
-    validation task loss) the argmax network is derived and fine-tuned.
+    ``lam * expected_size``.  Both passes are compiled steps
+    (:func:`repro.core.driver.make_training_step`), as in every trainer.
+    After convergence (early stopping on the validation task loss) the
+    argmax network is derived and fine-tuned.
     """
 
     def __init__(self, supernet: Module, loss_fn: Callable, lam: float,
@@ -220,37 +212,34 @@ class ProxylessTrainer:
             (alpha_params if name.endswith("alpha") else weight_params).append(p)
         return weight_params, alpha_params
 
-    def _epoch(self, loader, optimizer, include_size: bool) -> float:
+    def _epoch(self, loader, step, optimizer) -> None:
         self.supernet.train()
-        total, batches = 0.0, 0
         for x, y in loader:
             optimizer.zero_grad()
-            pred = self.supernet(Tensor(x))
-            loss = self.loss_fn(pred, Tensor(y))
-            objective = loss + expected_size(self.supernet) * self.lam if include_size else loss
-            objective.backward()
+            step(x, y)
             optimizer.step()
-            total += loss.item()
-            batches += 1
-        return total / max(batches, 1)
 
     def fit(self, train_loader, val_loader) -> ProxylessResult:
         weight_params, alpha_params = self._split_params()
         weight_opt = Adam(weight_params, lr=self.lr)
         alpha_opt = Adam(alpha_params, lr=self.alpha_lr)
+        weight_step = make_training_step(self.supernet, self.loss_fn)
+        alpha_step = make_training_step(
+            self.supernet, self.loss_fn,
+            lambda: expected_size(self.supernet) * self.lam)
         history = {"search_val": []}
 
         start = time.perf_counter()
         # Warmup: weights only, uniformly sampled paths.
         for _ in range(self.warmup_epochs):
-            self._epoch(train_loader, weight_opt, include_size=False)
+            self._epoch(train_loader, weight_step, weight_opt)
 
         stopper = EarlyStopping(patience=self.search_patience)
         search_ran = self.warmup_epochs
         for _ in range(self.max_search_epochs):
-            self._epoch(train_loader, weight_opt, include_size=False)
+            self._epoch(train_loader, weight_step, weight_opt)
             # Architecture step on validation data (ProxylessNAS alternation).
-            self._epoch(val_loader, alpha_opt, include_size=True)
+            self._epoch(val_loader, alpha_step, alpha_opt)
             val_loss = evaluate(self.supernet, self.loss_fn, val_loader)
             history["search_val"].append(val_loss)
             search_ran += 2

@@ -33,7 +33,7 @@ Sweeps are *fault tolerant*: a failing grid point becomes a
 ``status="failed"`` :class:`DSEPoint` carrying the error instead of an
 exception that kills the run; transient failures retry with exponential
 backoff (``retries=``), points exceeding ``point_timeout`` seconds are
-cancelled and marked failed, and non-finite losses surface as
+cancelled and marked failed (pooled only), and non-finite losses surface as
 :class:`repro.core.DivergedError` with a diagnosis.  Process-pool sweeps
 survive worker death: on ``BrokenProcessPool`` the engine rebuilds the
 pool and resubmits only unfinished points (shrunk by whatever the dying
@@ -883,8 +883,8 @@ class DSEEngine:
         cache skips *finished* points, checkpoints recover *in-flight*
         ones.
     checkpoint_every:
-        Snapshot cadence in epochs (checkpoint every Nth boundary); None
-        means 1, every epoch.
+        Snapshot cadence in epochs (checkpoint every Nth boundary, N >= 1);
+        None means 1, every epoch.
 
     After each :meth:`run`, ``last_run_stats`` reports the recovery
     machinery's activity: pool deaths, timeouts, quarantined points,
@@ -915,6 +915,8 @@ class DSEEngine:
             raise ValueError("retry_backoff must be >= 0")
         if point_timeout is not None and point_timeout <= 0:
             raise ValueError("point_timeout must be positive (or None)")
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1 (or None)")
         self.seed_factory = seed_factory
         self.loss_fn = loss_fn
         self.train_loader = train_loader

@@ -8,6 +8,7 @@ from repro.autograd import (
     avg_pool1d,
     check_gradients,
     conv1d_causal,
+    conv1d_causal_path,
     global_avg_pool1d,
 )
 
@@ -102,6 +103,28 @@ class TestConvForward:
         with pytest.raises(ValueError):
             conv1d_causal(Tensor(np.zeros((1, 3, 5))), Tensor(np.zeros((4, 3, 3))),
                           dilation=0)
+
+    def test_path_input_validation(self):
+        x = Tensor(np.zeros((1, 3, 5)))
+        branches = [(Tensor(np.zeros((4, 3, 3))), Tensor(np.zeros(4))),
+                    (Tensor(np.zeros((4, 3, 2))), Tensor(np.zeros(4)))]
+        alpha = Tensor(np.zeros(2))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="per dilation"):
+            conv1d_causal_path(x, alpha, branches[:1], (1, 2), rng=rng)
+        with pytest.raises(ValueError, match="per dilation"):
+            conv1d_causal_path(x, Tensor(np.zeros(3)), branches, (1, 2),
+                               rng=rng)
+        with pytest.raises(ValueError, match="channels"):
+            conv1d_causal_path(Tensor(np.zeros((1, 2, 5))), alpha, branches,
+                               (1, 2), rng=rng)
+        with pytest.raises(ValueError, match="generator"):
+            conv1d_causal_path(x, alpha, branches, (1, 2))
+        with pytest.raises(ValueError, match="stride"):
+            conv1d_causal_path(x, alpha, branches, (1, 2), stride=0, rng=rng)
+        # Without sampling the argmax branch needs no generator.
+        out = conv1d_causal_path(x, alpha, branches, (1, 2), sample=False)
+        assert out.shape == (1, 4, 5)
 
 
 class TestConvBackward:

@@ -78,8 +78,9 @@ class TestProxylessLayer:
         layer = ProxylessDilatedConv1d(2, 3, rf_max=9, rng=np.random.default_rng(0))
         layer.alpha.data[...] = [0.0, 0.0, 3.0, 0.0]
         layer.set_sampling(False)
-        layer(Tensor(RNG.standard_normal((1, 2, 8))))
-        assert layer._last_index == 2
+        x = Tensor(RNG.standard_normal((1, 2, 8)))
+        for _ in range(3):
+            assert np.array_equal(layer(x).data, layer.branches[2](x).data)
 
     def test_alpha_receives_gradient(self):
         layer = ProxylessDilatedConv1d(2, 3, rf_max=9, rng=np.random.default_rng(0))
@@ -90,13 +91,20 @@ class TestProxylessLayer:
 
     def test_sampled_branch_weights_receive_gradient(self):
         layer = ProxylessDilatedConv1d(2, 3, rf_max=9, rng=np.random.default_rng(3))
-        out = layer(Tensor(RNG.standard_normal((1, 2, 8))))
+        x = Tensor(RNG.standard_normal((1, 2, 8)))
+        out = layer(x)
         out.sum().backward()
-        sampled = layer._last_index
-        assert layer.branches[sampled].weight.grad is not None
-        for i, branch in enumerate(layer.branches):
+        graded = [i for i, branch in enumerate(layer.branches)
+                  if branch.weight.grad is not None]
+        assert len(graded) == 1
+        sampled, = graded
+        branch = layer.branches[sampled]
+        assert branch.bias.grad is not None
+        # The branch that was trained is the one whose output was returned.
+        assert np.array_equal(out.data, branch(x).data)
+        for i, other in enumerate(layer.branches):
             if i != sampled:
-                assert branch.weight.grad is None
+                assert other.bias.grad is None
 
     def test_branch_sizes_decrease_with_dilation(self):
         layer = ProxylessDilatedConv1d(2, 3, rf_max=9, rng=np.random.default_rng(0))
@@ -202,6 +210,33 @@ class TestProxylessTrainer:
         result = trainer.fit(train, val)
         # Overwhelming size pressure: every layer picks its max dilation.
         assert result.dilations == (8, 4)
+
+    def test_replayed_fit_equals_eager(self, eager_steps):
+        """Both passes replay compiled steps that redraw each batch's paths,
+        so a fit equals its eager run bit for bit: derived dilations, best
+        validation loss, the search history and every layer's final α."""
+        def fit():
+            train, val = make_loaders(n=32)
+            supernet = proxylessify(TinySeed(seed=1),
+                                    rng=np.random.default_rng(2))
+            trainer = ProxylessTrainer(supernet, mse_loss, lam=1e-2,
+                                       alpha_lr=0.1, warmup_epochs=1,
+                                       max_search_epochs=4, search_patience=4,
+                                       finetune_epochs=2, finetune_patience=2)
+            result = trainer.fit(train, val)
+            return result, [layer.alpha.data.copy()
+                            for layer in proxyless_layers(supernet)]
+        with eager_steps():
+            eager, eager_alphas = fit()
+        replayed, replayed_alphas = fit()
+        assert replayed.dilations == eager.dilations
+        assert replayed.best_val == eager.best_val
+        assert replayed.params == eager.params
+        assert replayed.history == eager.history
+        assert len(replayed.history["search_val"]) == 4
+        for a, b in zip(replayed_alphas, eager_alphas):
+            assert np.array_equal(a, b)
+            assert np.any(a != 0)
 
 
 class TestRandomSearch:

@@ -279,6 +279,10 @@ class TestFailureIsolation:
             DSEEngine(Tiny, mse_loss, train, val, retry_backoff=-0.1)
         with pytest.raises(ValueError, match="point_timeout"):
             DSEEngine(Tiny, mse_loss, train, val, point_timeout=0.0)
+        for every in (0, -1):
+            with pytest.raises(ValueError, match="checkpoint_every"):
+                DSEEngine(Tiny, mse_loss, train, val, checkpoint_dir="ck",
+                          checkpoint_every=every)
 
     def test_clean_run_reports_zero_stats(self):
         engine = _engine(workers=2)

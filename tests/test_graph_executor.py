@@ -7,10 +7,11 @@ TCN seeds, the RNN baselines, and the full three-phase PIT trainer.
 
 Also covers the executor's operational behaviour: per-shape and per-dtype
 re-tracing, value-dependent models (the channel masks' rescue replays; a
-capture-unsafe supernet step raises), side effects replayed in program
-order (BatchNorm running statistics, an effect fed by a node no loss
-reads), a frozen PIT mask's constant subgraph, whole training epochs (Adam
-state, early stopping, the stacked trainer), and what a program and a
+Proxyless supernet redraws its paths on every replay), side effects
+replayed in program order (BatchNorm running statistics, an effect fed by
+a node no loss reads), a frozen PIT mask's constant subgraph, whole
+training epochs (Adam state, early stopping, the stacked trainer), a step
+that reads a graph built outside its capture, and what a program and a
 replay keep alive.
 """
 
@@ -30,7 +31,11 @@ from repro.autograd import (
     record_side_effect,
     set_default_dtype,
 )
-from repro.baselines.proxyless import proxylessify
+from repro.baselines.proxyless import (
+    expected_size,
+    proxyless_layers,
+    proxylessify,
+)
 from repro.core import PITTrainer, driver, network_dilations, size_regularizer
 from repro.core.pit_conv import PITConv1d
 from repro.core.stacked import StackedPITTrainer
@@ -303,7 +308,7 @@ class TestReplayKeepsProgram:
 
 
 # ----------------------------------------------------------------------
-# Shape changes, value-dependent steps and capture-unsafe code
+# Shape changes and value-dependent steps
 # ----------------------------------------------------------------------
 
 class TestFallbacks:
@@ -351,14 +356,37 @@ class TestFallbacks:
                           context="channel-mask")
         assert len(step.compiled_shapes) == 1
 
-    def test_capture_unsafe_step_raises(self):
-        """A Proxyless supernet samples its path per batch, which no
-        replay could reproduce: capturing its step raises, naming why."""
-        supernet = proxylessify(temponet_seed(width_mult=0.125, seed=3),
+    def test_supernet_step_replays_and_redraws(self):
+        """A Proxyless supernet draws its path inside a recorded op: its
+        step captures, replays bit-equal to eager over several steps, and
+        each replay draws a new path (the trained branch changes)."""
+        def make_model():
+            return proxylessify(temponet_seed(width_mult=0.125, seed=3),
                                 rng=np.random.default_rng(0))
-        step = make_training_step(supernet, mae_loss)
-        with pytest.raises(GraphCaptureError, match="samples a supernet"):
-            step(*batches_of((2, 4, 256), (2, 1), count=1)[0])
+        model = make_model()
+        step = make_training_step(model, mae_loss)
+        trained = []
+        for x, y in batches_of((2, 4, 256), (2, 1), count=6):
+            model.zero_grad()
+            step(x, y)
+            trained.append(tuple(
+                next(i for i, b in enumerate(layer.branches)
+                     if b.weight.grad is not None)
+                for layer in proxyless_layers(model)))
+        assert len(step.compiled_shapes) == 1
+        assert len(set(trained)) > 1
+        run_parity(make_model, batches_of((2, 4, 256), (2, 1), count=4),
+                   mae_loss, extra_loss_fn=lambda m: expected_size(m) * 1e-4,
+                   context="proxyless")
+
+    def test_step_reading_an_outside_graph_raises(self):
+        """A replay recomputes only what the step records: a step that
+        reads a graph tensor built before its capture cannot be frozen."""
+        w = Tensor(np.ones(3), requires_grad=True)
+        outside = w * 2.0
+        step = CompiledStep(lambda x, y: (outside * x).sum() - y.sum())
+        with pytest.raises(GraphCaptureError, match="outside the capture"):
+            step(np.ones(3), np.zeros(1))
         assert not step.compiled_shapes
 
     def test_train_plain_compiled_matches_eager(self, eager_steps):

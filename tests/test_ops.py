@@ -7,11 +7,12 @@ of every entry then runs the same checks:
 * the forward against a numpy reference (and the sample must dispatch the
   op it is filed under);
 * float64 gradient checking against central differences, through a random
-  upstream weighting — or, for an op whose gradient is *defined* rather
+  upstream weighting — or, for inputs whose gradient is *defined* rather
   than numerical, that definition (the straight-through binarizer passes
-  the upstream gradient unchanged; dropout scales it by its saved mask);
-  a *detached* op (BatchNorm's batch statistics) must stay out of the
-  graph instead;
+  the upstream gradient unchanged; dropout scales it by its saved mask;
+  a supernet path's α gets a straight-through gate gradient while its
+  branches are checked numerically); a *detached* op (BatchNorm's batch
+  statistics) must stay out of the graph instead;
 * eager against compiled replay: three steps with fresh input values,
   bit-equal losses and gradients;
 * under a float32 scope: float32 outputs and gradients as the kernels
@@ -41,6 +42,7 @@ from repro.autograd import (
     concatenate,
     conv1d_causal,
     conv1d_causal_masked,
+    conv1d_causal_path,
     conv1d_causal_stacked,
     default_dtype_scope,
     dropout,
@@ -65,8 +67,9 @@ class Sample:
 @dataclass
 class OpInfo:
     samples: Callable[[], List[Sample]]  # fresh samples (and generators)
-    # ``grad_rule(arrays, out, upstream)`` gives the expected input
-    # gradients of an op whose gradient is defined, not numerical.
+    # ``grad_rule(arrays, out, upstream)`` gives the expected gradient of
+    # each input whose gradient is defined, not numerical; a None entry
+    # leaves that input to central differences.
     grad_rule: Optional[Callable] = None
     # Dispatched with ``apply_op(..., detach=True)``: no backward at all.
     detached: bool = False
@@ -405,6 +408,54 @@ def _conv_samples():
                    lambda x, w: conv_ref(x, w, stride=2))]
 
 
+PATH_DILATIONS = (1, 2, 4)  # rf 5: branches of 5, 3 and 2 taps
+
+
+def path_branch_outputs(x, alpha, *params, stride=1):
+    """Every branch's conv; the op returns one of them."""
+    return [conv_ref(x, w, b, dilation=d, stride=stride)
+            for d, w, b in zip(PATH_DILATIONS, params[0::2], params[1::2])]
+
+
+def path_grad(arrays, out, g):
+    """α's straight-through gradient: the gate on the returned branch k is
+    1 in value, so ∂L/∂p_k = Σ g·out, taken back through the softmax.  The
+    branches' gradients are left to central differences."""
+    x, alpha, *params = arrays
+    outs = path_branch_outputs(*arrays, stride=x.shape[2] // out.shape[2])
+    k = int(np.argmin([np.abs(o - out).max() for o in outs]))
+    p = np.exp(alpha - alpha.max())
+    p /= p.sum()
+    gp = np.zeros_like(p)
+    gp[k] = (g * out).sum()
+    return (None, p * (gp - gp @ p)) + (None,) * len(params)
+
+
+@op("conv1d_causal_path", grad_rule=path_grad)
+def _path_conv_samples():
+    def make(rng):
+        x, alpha = rng.standard_normal((2, 3, 10)), rng.standard_normal(3)
+        params = [a for k in (5, 3, 2) for a in randn((4, 3, k), (4,))(rng)]
+        return (x, alpha, *params)
+
+    def sample(name, seed, stride):
+        # seed None: the argmax path; else a draw from its own generator.
+        rng = None if seed is None else np.random.default_rng(seed)
+
+        def call(x, alpha, *params):
+            return conv1d_causal_path(
+                x, alpha, list(zip(params[0::2], params[1::2])),
+                PATH_DILATIONS, stride=stride, rng=rng, sample=rng is not None)
+
+        def ref(x, alpha, *params):
+            p = np.exp(alpha - alpha.max())
+            k = (np.argmax(alpha) if seed is None else
+                 np.random.default_rng(seed).choice(3, p=p / p.sum()))
+            return path_branch_outputs(x, alpha, *params, stride=stride)[k]
+        return Sample(name, make, call, ref)
+    return [sample("argmax", None, 1), sample("sampled-stride2", 4, 2)]
+
+
 @op("conv1d_causal_masked")
 def _masked_conv_samples():
     def sample(name, mask, bias=False, stride=1):
@@ -539,15 +590,24 @@ def test_gradients(name, index):
         if OPS[name].detached:
             assert not sample.call(*inputs).requires_grad
             return
-        if rule is None:
+        expected = [None] * len(arrays)
+        if rule is not None:
+            out = sample.call(*inputs)
+            upstream = rng.standard_normal(out.shape)
+            out.backward(upstream)
+            expected = rule(arrays, out.data, upstream)
+            for t, grad in zip(inputs, expected):
+                if grad is not None:
+                    np.testing.assert_allclose(t.grad, grad, rtol=1e-12)
+        numeric = [Tensor(a, requires_grad=grad is None)
+                   for a, grad in zip(arrays, expected)]
+        if any(t.requires_grad for t in numeric):
+            # A fresh sample per evaluation: an op drawing from a
+            # generator draws the same values every time.
             weights = Tensor(rng.standard_normal(sample.ref(*arrays).shape))
-            check_gradients(lambda *ts: sample.call(*ts) * weights, inputs)
-            return
-        out = sample.call(*inputs)
-        upstream = rng.standard_normal(out.shape)
-        out.backward(upstream)
-        for t, expected in zip(inputs, rule(arrays, out.data, upstream)):
-            np.testing.assert_allclose(t.grad, expected, rtol=1e-12)
+            check_gradients(
+                lambda *ts: sample_of(name, index).call(*ts) * weights,
+                numeric)
 
 
 @cases
@@ -581,13 +641,15 @@ def test_compiled_replay_matches_eager(name, index):
                     p.grad = None
                 y = rng.standard_normal(sample.ref(*arrays).shape)
                 loss = step(np.zeros(1), y)
-                trace.append((loss, [p.grad.copy() for p in graded]))
+                trace.append((loss, [None if p.grad is None else p.grad.copy()
+                                     for p in graded]))
         runs[compiled] = trace
     assert step.compiled_shapes
     for (loss_e, grads_e), (loss_c, grads_c) in zip(runs[False], runs[True]):
         assert loss_e == loss_c
         for ge, gc in zip(grads_e, grads_c):
-            assert np.array_equal(ge, gc)
+            assert (ge is None) == (gc is None)
+            assert ge is None or np.array_equal(ge, gc)
 
 
 @cases
