@@ -506,10 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "exponential backoff before marking it failed "
                               "(diverged points are never retried)")
     p_sweep.add_argument("--point-timeout", type=_POSITIVE, default=None,
-                         help="per-point training budget in seconds, "
-                              "pooled sweeps only (--workers >= 2; serial "
-                              "sweeps ignore it): a chunk that exceeds it is "
-                              "cancelled and its points marked failed "
+                         help="per-point training budget in seconds, at "
+                              "every --workers count: a point that trains "
+                              "past it is marked failed, never retried "
                               "(default: no timeout)")
     # Sweeps always resume in-flight points from their checkpoints (like
     # --cache always skips finished ones), so no --resume flag here.

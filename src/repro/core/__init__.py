@@ -58,7 +58,8 @@ __getattr__ = lazy_exports(__name__, globals(), {
     ".checkpoint": ("CheckpointError", "CheckpointState", "TrainerCheckpoint",
                     "checkpoint_file", "key_tag"),
     ".trainer": ("PITTrainer", "PITResult", "train_plain", "evaluate",
-                 "TrainResult", "DivergedError", "make_training_step"),
+                 "TrainResult", "DivergedError", "PointTimeout",
+                 "make_training_step"),
     ".stacked": ("StackedPITConv1d", "StackedPITTrainer", "StackedTimeMask",
                  "per_model_loss", "register_stacked_loss",
                  "stacked_regularizer_vector"),
@@ -103,6 +104,7 @@ __all__ = [
     "evaluate",
     "TrainResult",
     "DivergedError",
+    "PointTimeout",
     "make_training_step",
     "StackedPITConv1d",
     "StackedPITTrainer",

@@ -10,10 +10,10 @@ lanes are a :class:`repro.nn.StackedModel` on per-lane epoch-replay
 views (:class:`repro.core.stacked.StackLanes`).
 
 The driver alone owns what every schedule repeats: the optimizer, the
-per-batch ``zero_grad → step → Adam.step`` loop, the non-finite
-guards, per-lane early stopping, checkpoint load / adopt / save with the
-``crash@epoch`` fault site, and the phase seconds and histories.  A lane
-that stops early is masked out (``active``), keeps its stop-epoch
+per-batch ``zero_grad → step → Adam.step`` loop, the non-finite and
+deadline guards, per-lane early stopping, checkpoint load / adopt / save
+with the ``crash@epoch`` fault site, and the phase seconds and histories.
+A lane that stops early is masked out (``active``), keeps its stop-epoch
 snapshot and gets it back at the phase end; its checkpoint file stores
 that snapshot, so every lane file holds exactly the state its sequential
 run would — a one-lane run adopts any lane's file of a stack.
@@ -21,6 +21,8 @@ run would — a one-lane run adopts any lane's file of a stack.
 
 from __future__ import annotations
 
+import contextlib
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -48,8 +50,9 @@ from .checkpoint import (
 )
 from .export import effective_parameters
 
-__all__ = ["DivergedError", "Phase", "Outcome", "SingleLane", "run_phases",
-           "evaluate", "make_training_step"]
+__all__ = ["DivergedError", "PointTimeout", "point_deadline", "Phase",
+           "Outcome", "SingleLane", "run_phases", "evaluate",
+           "make_training_step"]
 
 LossFn = Callable[[Tensor, Tensor], Tensor]
 
@@ -77,6 +80,45 @@ def _guard_finite(values: np.ndarray, active: Sequence[bool],
         lanes = ", ".join(f"lane {i}: {float(values[i])!r}" for i in bad)
         raise DivergedError(
             f"{what} is non-finite ({lanes}); training diverged")
+
+
+class PointTimeout(RuntimeError):
+    """Training ran past the deadline of its :func:`point_deadline` scope.
+
+    Raised by the step guard of :func:`run_phases`.  Like
+    :class:`DivergedError` it is permanent: the DSE engine fails the grid
+    point with this message and never retries it, which would pay the
+    budget again.
+    """
+
+    def __init__(self, seconds: float):
+        super().__init__(f"timeout: exceeded {seconds:g}s per point")
+        self.seconds = seconds
+
+    def __reduce__(self):
+        return type(self), (self.seconds,)
+
+
+class _Deadline(threading.local):
+    at: Optional[float] = None       # time.monotonic() of expiry
+    seconds: Optional[float] = None  # the budget, for the message
+
+
+_DEADLINE = _Deadline()
+
+
+@contextlib.contextmanager
+def point_deadline(seconds: Optional[float]):
+    """Give the training in this scope (this thread) ``seconds`` of wall
+    clock: past it, the next step boundary raises :class:`PointTimeout`.
+    None sets no deadline."""
+    previous = _DEADLINE.at, _DEADLINE.seconds
+    _DEADLINE.at = None if seconds is None else time.monotonic() + seconds
+    _DEADLINE.seconds = seconds
+    try:
+        yield
+    finally:
+        _DEADLINE.at, _DEADLINE.seconds = previous
 
 
 def evaluate(model: Module, loss_fn: LossFn, loader) -> float:
@@ -276,7 +318,8 @@ def run_phases(lanes, phases: Sequence[Phase], *, kind: str,
     another schedule's file.  A resumed run replays the remaining epochs
     bit-identically to the uninterrupted run, given the same schedule and
     data.  A phase with no epochs only freezes (if it does).
-    ``on_phase_end`` follows every phase that ran in this process.
+    ``on_phase_end`` follows every phase that ran in this process.  Each
+    step first checks the deadline of an enclosing :func:`point_deadline`.
     """
     m = lanes.m
     names = [phase.name for phase in phases]
@@ -339,6 +382,9 @@ def run_phases(lanes, phases: Sequence[Phase], *, kind: str,
             lanes.net.train()
             totals, batches = np.zeros(m), 0
             for x, y in lanes.batches(cursors, active):
+                if (_DEADLINE.at is not None
+                        and time.monotonic() >= _DEADLINE.at):
+                    raise PointTimeout(_DEADLINE.seconds)
                 optimizer.zero_grad()
                 _, task = step(x, y)
                 optimizer.step()

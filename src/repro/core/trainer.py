@@ -37,6 +37,7 @@ from .driver import (
     SingleLane,
     evaluate,
     make_training_step,
+    PointTimeout,
     phase_end,
     run_phases,
 )
@@ -45,7 +46,8 @@ from .regularizer import (channel_regularizer, flops_regularizer, pit_layers,
                           size_regularizer)
 
 __all__ = ["PITResult", "PITTrainer", "train_plain", "evaluate",
-           "TrainResult", "DivergedError", "make_training_step"]
+           "TrainResult", "DivergedError", "PointTimeout",
+           "make_training_step"]
 
 
 @dataclass

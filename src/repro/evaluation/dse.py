@@ -6,10 +6,11 @@ drives that sweep: one :class:`repro.core.PITTrainer` run per (λ, warmup)
 pair, each from a fresh copy of the seed, collecting ``(params, loss)``
 points plus the discovered dilations.
 
-Grid points are independent, so :class:`DSEEngine` dispatches them to a
-process pool and reassembles the results in deterministic grid order — a
-parallel sweep returns exactly the same :class:`DSEResult` as a serial
-one.  To make that hold, every grid point trains against *private* loader
+Grid points are independent, so :class:`DSEEngine` runs them as tasks of
+one scheduler loop, in-process or on a process pool, and reassembles the
+results in deterministic grid order — a parallel sweep returns exactly the
+same :class:`DSEResult` as a serial one, under the same failure rules.
+To make that hold, every grid point trains against *private* loader
 clones (:func:`repro.data.clone_loader`): a shared shuffling loader would
 otherwise thread its RNG state through the points in submission order.
 Each pool worker caps its OpenBLAS thread count at its share of the
@@ -32,15 +33,16 @@ grid and trainer settings skips finished points and only trains the rest.
 Sweeps are *fault tolerant*: a failing grid point becomes a
 ``status="failed"`` :class:`DSEPoint` carrying the error instead of an
 exception that kills the run; transient failures retry with exponential
-backoff (``retries=``), points exceeding ``point_timeout`` seconds are
-cancelled and marked failed (pooled only), and non-finite losses surface as
-:class:`repro.core.DivergedError` with a diagnosis.  Process-pool sweeps
-survive worker death: on ``BrokenProcessPool`` the engine rebuilds the
-pool and resubmits only unfinished points (shrunk by whatever the dying
-worker already flushed to the cache), a poison point that kills workers
-twice is quarantined, and after repeated pool deaths the engine degrades
-to in-process sequential execution with a warning.  Every recovery path
-is exercised deterministically by :mod:`repro.testing.faults`.
+backoff (``retries=``), a point that trains past ``point_timeout`` seconds
+fails with :class:`repro.core.PointTimeout` at its next step, and
+non-finite losses surface as :class:`repro.core.DivergedError` with a
+diagnosis.  Process-pool sweeps survive worker death: on
+``BrokenProcessPool`` the engine rebuilds the pool and resubmits only
+unfinished points (shrunk by whatever the dying worker already flushed to
+the cache), a poison point that kills workers twice is quarantined, and
+after repeated pool deaths the loop carries on with the inline executor,
+with a warning.  Every recovery path is exercised deterministically by
+:mod:`repro.testing.faults`.
 
 Deployment cost is a first-class objective: ``point_evaluators`` run after
 each grid point trains (e.g. :class:`repro.hw.GAP8PointEvaluator`, which
@@ -69,6 +71,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -80,11 +83,12 @@ import numpy as np
 
 from ..autograd import get_default_dtype
 from ..core.checkpoint import key_tag
+from ..core.driver import point_deadline
 from ..core.stacked import StackedPITTrainer
-from ..core.trainer import DivergedError, PITResult, PITTrainer
+from ..core.trainer import DivergedError, PITResult, PITTrainer, PointTimeout
 from ..data import clone_loader
 from ..nn import Module
-from ..nn.serialization import atomic_write, quarantine_file
+from ..nn.serialization import atomic_write, directory_lock, quarantine_file
 from ..nn.stacked import StackingUnsupported
 from ..testing import faults
 from .pareto import pareto_front
@@ -98,6 +102,10 @@ __all__ = ["DSEPoint", "DSEResult", "DSECache", "DSEEngine",
 QUARANTINE_KILLS = 2
 #: pool deaths per sweep before degrading to in-process sequential runs
 MAX_POOL_DEATHS = 3
+#: seconds past a chunk's point budgets before the pool abandons it: the
+#: step guard fails a timed-out point within one step, so only a point
+#: that stops reaching guards (a hang) meets this backstop
+BACKSTOP_GRACE = 2.0
 
 #: environment default for DSEEngine(stack=None)
 ENV_STACK = "REPRO_DSE_STACK"
@@ -182,8 +190,10 @@ class DSEPoint:
 
 def _failed_point(lam: float, warmup: int, error, attempts: int = 1
                   ) -> DSEPoint:
-    """The failed-point placeholder per-point isolation records."""
-    if isinstance(error, BaseException):
+    """The failed-point placeholder per-point isolation records (a
+    :class:`PointTimeout` keeps its bare message, raised on either side)."""
+    if (isinstance(error, BaseException)
+            and not isinstance(error, PointTimeout)):
         error = f"{type(error).__name__}: {error}"
     return DSEPoint(lam=float(lam), warmup_epochs=int(warmup), dilations=(),
                     params=0, loss=float("nan"), status="failed",
@@ -307,8 +317,9 @@ class DSECache:
     see into — callers sharing one cache file across different seeds or
     benchmarks must pass distinct ``cache_tag`` values (the CLI and the
     benchmark conftest do).  Writes are atomic (tempfile + rename); a lock
-    serializes flushes within one process, and each flush merges what
-    other processes (pool workers sharing the file) recorded since.
+    serializes flushes within one process and a lock on the file's
+    directory across processes, and each flush merges what other
+    processes (pool workers sharing the file) recorded since.
     """
 
     VERSION = 3
@@ -414,28 +425,41 @@ class DSECache:
                 return _point_from_dict(self._points[key])
         return None
 
-    def put(self, key: str, point: DSEPoint) -> None:
+    def put(self, key: str, point: DSEPoint, flush: bool = True) -> None:
+        """Record ``point`` under ``key`` and write the file; ``flush=False``
+        records it in memory only, for a point already in the file."""
         with self._lock:
             self._points[key] = _point_to_dict(point)
-            self._flush()
-        faults.corrupt_cache_file(self.path)
+            if flush:
+                self._flush()
+        if flush:
+            faults.corrupt_cache_file(self.path)
+
+    def restore_lost(self) -> None:
+        """Write the file again if it lacks a point this handle holds:
+        another handle (a pool worker, holding only its own points) found
+        it corrupt, quarantined it and started fresh."""
+        with self._lock:
+            payload = self._load_payload(self.path)
+            if self._points.keys() - (payload or {}).get("points", {}).keys():
+                self._flush()
 
     def _flush(self) -> None:
         # Merge points other *processes* recorded since our load — a
-        # whole-file rewrite from just this process's map would erase them.
-        # (The remaining read-merge-write race window is microseconds;
-        # within one process the lock serializes flushes entirely.)
-        # A corrupt on-disk file takes the same quarantine-and-warn path
-        # as the constructor (it used to be swallowed silently here): our
-        # own map still flushes, the garbage moves to <path>.corrupt.
-        payload = self._load_payload(self.path)
-        if payload is not None:
-            merged = dict(payload.get("points", {}))
-            merged.update(self._points)
-            self._points = merged
-        with atomic_write(os.path.abspath(self.path), "w") as handle:
-            json.dump({"version": self.VERSION, "points": self._points},
-                      handle, indent=1, sort_keys=True)
+        # whole-file rewrite from just this process's map would erase them
+        # (pool workers flush concurrently, hence the directory lock).  A
+        # corrupt on-disk file takes the same quarantine-and-warn path as
+        # the constructor: our own map still flushes, the garbage moves to
+        # <path>.corrupt.
+        with directory_lock(self.path):
+            payload = self._load_payload(self.path)
+            if payload is not None:
+                merged = dict(payload.get("points", {}))
+                merged.update(self._points)
+                self._points = merged
+            with atomic_write(os.path.abspath(self.path), "w") as handle:
+                json.dump({"version": self.VERSION, "points": self._points},
+                          handle, indent=1, sort_keys=True)
 
 
 def _to_native(value):
@@ -500,18 +524,15 @@ def _train_grid_point(seed_factory: Callable[[], Module], loss_fn: Callable,
                       ckpt_tag: Optional[str] = None) -> DSEPoint:
     """Train one (λ, warmup) grid point from a fresh seed.
 
-    Module-level (not a closure) so a ``ProcessPoolExecutor`` can pickle it.
     Each point gets private loader copies so it consumes its own shuffle
     RNG stream — this is what makes parallel sweeps bit-identical to
     serial ones regardless of completion order.
     ``point_evaluators`` run after training, while the trained model is
     still in hand, and merge their returned dicts into ``DSEPoint.metrics``.
-    ``ckpt_dir``/``ckpt_every``/
-    ``ckpt_tag`` enable mid-run trainer checkpoints: a retried, resubmitted
-    or abandoned-and-reswept point resumes bit-exactly from its last epoch
-    boundary instead of retraining from scratch (the tag is derived from
-    the point's cache key, so every execution strategy addresses the same
-    file).
+    ``ckpt_dir``/``ckpt_every``/``ckpt_tag`` enable mid-run trainer
+    checkpoints: a retried, resubmitted or abandoned-and-reswept point
+    resumes bit-exactly from its last epoch boundary instead of retraining
+    from scratch.
     """
     train_loader = clone_loader(train_loader)
     val_loader = clone_loader(val_loader)
@@ -555,7 +576,8 @@ def _train_grid_stack(seed_factory: Callable[[], Module], loss_fn: Callable,
     path — so stacking is purely an execution-speed knob, never a
     correctness one.  A :class:`DivergedError` mid-stack likewise bubbles
     up for a sequential re-run: one diverged slice poisons the shared
-    stacked loss, so only per-point training can isolate the culprit.
+    stacked loss, so only per-point training can isolate the culprit.  A
+    :class:`PointTimeout` bubbles up too, but fails the whole group.
     """
     lams = [float(lam) for lam in lams]
     ckpt_kwargs = {}
@@ -606,6 +628,7 @@ def _train_point_isolated(seed_factory, loss_fn, train_loader, val_loader,
                           index: int, warmup: int, lam: float,
                           trainer_kwargs: Dict, point_evaluators,
                           retries: int, retry_backoff: float,
+                          point_timeout: Optional[float] = None,
                           ckpt_dir: Optional[str] = None,
                           ckpt_every: Optional[int] = None,
                           ckpt_tag: Optional[str] = None) -> DSEPoint:
@@ -614,49 +637,34 @@ def _train_point_isolated(seed_factory, loss_fn, train_loader, val_loader,
     Transient exceptions retry up to ``retries`` times with exponential
     backoff; :class:`DivergedError` is permanent (the same data and seed
     diverge again, so a retry just burns the epochs twice) and fails the
-    point immediately.  ``BaseException`` (KeyboardInterrupt, worker
+    point immediately, and so is :class:`PointTimeout`: ``point_timeout``
+    seconds cover every attempt, backoff included, so a retry would only
+    pay the budget again.  ``BaseException`` (KeyboardInterrupt, worker
     ``os._exit``) deliberately passes through — interruption is the
     caller's policy, not a point failure.  With checkpointing on, a retry
     resumes from the point's latest epoch-boundary snapshot instead of
     paying the finished epochs again.
     """
     attempt = 0
-    while True:
-        attempt += 1
-        try:
-            with faults.point_scope((index,)):
-                faults.inject_point_faults()
-                point = _train_grid_point(
-                    seed_factory, loss_fn, train_loader, val_loader, lam,
-                    warmup, trainer_kwargs, point_evaluators, ckpt_dir,
-                    ckpt_every, ckpt_tag)
-            point.attempts = attempt
-            return point
-        except DivergedError as exc:
-            return _failed_point(lam, warmup, exc, attempt)
-        except Exception as exc:
-            if attempt <= retries:
-                _backoff_sleep(index, attempt, retry_backoff)
-                continue
-            return _failed_point(lam, warmup, exc, attempt)
-
-
-def _chunk_cache(cache) -> Optional[DSECache]:
-    """The cache handle a chunk flushes each completed point through.
-
-    ``cache`` is the engine's own :class:`DSECache` (in-process chunks), a
-    cache file path (pooled chunks open their own handle on it) or None.
-    Flushing per point makes every completed point durable the moment it
-    finishes — a later crash (of this worker or the whole pool) can then
-    only cost the in-flight point, and the engine's recovery resubmission
-    shrinks to whatever is still missing on disk.
-    """
-    if cache is None or isinstance(cache, DSECache):
-        return cache
-    try:
-        return DSECache(cache)
-    except ValueError:
-        return None  # version mismatch: the parent will complain loudly
+    with point_deadline(point_timeout):
+        while True:
+            attempt += 1
+            try:
+                with faults.point_scope((index,)):
+                    faults.inject_point_faults()
+                    point = _train_grid_point(
+                        seed_factory, loss_fn, train_loader, val_loader, lam,
+                        warmup, trainer_kwargs, point_evaluators, ckpt_dir,
+                        ckpt_every, ckpt_tag)
+                point.attempts = attempt
+                return point
+            except (DivergedError, PointTimeout) as exc:
+                return _failed_point(lam, warmup, exc, attempt)
+            except Exception as exc:
+                if attempt <= retries:
+                    _backoff_sleep(index, attempt, retry_backoff)
+                    continue
+                return _failed_point(lam, warmup, exc, attempt)
 
 
 def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
@@ -665,17 +673,18 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
                       trainer_kwargs: Dict,
                       point_evaluators: Optional[Sequence[Callable]] = None,
                       retries: int = 0, retry_backoff: float = 0.0,
-                      cache=None,
-                      cache_keys: Optional[Dict[int, str]] = None,
+                      point_timeout: Optional[float] = None,
+                      cache=None, keys: Optional[Dict[int, str]] = None,
                       ckpt_dir: Optional[str] = None,
-                      ckpt_every: Optional[int] = None,
-                      ckpt_tags: Optional[Dict[int, str]] = None
-                      ) -> List[DSEPoint]:
-    """One worker task: ``(index, warmup, lam)`` points, all same warmup.
+                      ckpt_every: Optional[int] = None) -> List[DSEPoint]:
+    """One scheduler task: ``(index, warmup, lam)`` points, all same warmup.
 
     Singleton chunks take the exact sequential ``_train_grid_point`` path —
     which is why ``stack=1`` is bit-identical to the pre-stacking engine.
-    Module-level so a ``ProcessPoolExecutor`` can pickle it.
+    Module-level so a ``ProcessPoolExecutor`` can pickle it.  Each point
+    is flushed to ``cache`` under, and checkpoints to a file named after,
+    its entry in ``keys``; ``cache`` is the engine's :class:`DSECache`
+    in-process, or its path, on which a pool worker opens its own handle.
 
     Failures never escape as exceptions (except ``BaseException``): each
     point trains through :func:`_train_point_isolated`.  A multi-point
@@ -683,28 +692,33 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
     :class:`StackingUnsupported` model, a mid-stack divergence (one NaN
     slice poisons the shared loss) or any other stacked failure falls
     back to isolated per-point training, which pins the blame on the
-    culprit point alone.
+    culprit point alone.  A stacked run trains all its points at once, so
+    they share one ``point_timeout`` budget, and a :class:`PointTimeout`
+    fails them all: per-point retraining would pay the budget again.
     """
-    cache = _chunk_cache(cache)
+    if cache is not None and not isinstance(cache, DSECache):
+        cache = DSECache(cache)
 
     def flush(index: int, point: DSEPoint) -> None:
-        if cache is not None and cache_keys and index in cache_keys:
-            cache.put(cache_keys[index], point)
+        if cache is not None and keys:
+            cache.put(keys[index], point)
 
     def tag_of(index: int) -> Optional[str]:
-        return ckpt_tags.get(index) if ckpt_tags else None
+        return key_tag(keys[index]) if ckpt_dir and keys else None
 
     if len(chunk) > 1:
         indices = [index for index, _, _ in chunk]
         warmup = chunk[0][1]
         try:
-            with faults.point_scope(indices):
+            with point_deadline(point_timeout), faults.point_scope(indices):
                 faults.inject_point_faults()
                 points = _train_grid_stack(
                     seed_factory, loss_fn, train_loader, val_loader, warmup,
                     [lam for _, _, lam in chunk], trainer_kwargs,
                     point_evaluators, ckpt_dir, ckpt_every,
                     [tag_of(index) for index in indices])
+        except PointTimeout as exc:
+            points = [_failed_point(lam, warmup, exc) for _, _, lam in chunk]
         except Exception:
             points = None  # StackingUnsupported, divergence, …: isolate
                            # per point below
@@ -717,8 +731,8 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
     for index, warmup, lam in chunk:
         point = _train_point_isolated(
             seed_factory, loss_fn, train_loader, val_loader, index, warmup,
-            lam, trainer_kwargs, point_evaluators,
-            retries, retry_backoff, ckpt_dir, ckpt_every, tag_of(index))
+            lam, trainer_kwargs, point_evaluators, retries, retry_backoff,
+            point_timeout, ckpt_dir, ckpt_every, tag_of(index))
         flush(index, point)
         out.append(point)
     return out
@@ -772,6 +786,23 @@ def _pin_blas(threads: int) -> None:
         set_threads(threads)
 
 
+class _InlineExecutor:
+    """The executor of in-process sweeps: ``submit`` runs the task and
+    returns its completed future.  An exception becomes the future's, as
+    in a pool; ``BaseException`` (KeyboardInterrupt) propagates."""
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, **_) -> None:
+        pass
+
+
 def evaluator_name(evaluator: Callable) -> str:
     """Stable cache-key identity of a point evaluator.
 
@@ -797,7 +828,7 @@ def evaluator_name(evaluator: Callable) -> str:
 
 
 class DSEEngine:
-    """Dispatches a (λ × warmup) sweep across a process pool.
+    """Runs a (λ × warmup) sweep in-process or across a process pool.
 
     Parameters
     ----------
@@ -810,10 +841,12 @@ class DSEEngine:
     train_loader, val_loader:
         Data loaders; each grid point trains on private deep copies.
     workers:
-        Pool size.  ``0`` or ``1`` trains the grid serially in-process;
-        None (default) defers to ``REPRO_DSE_WORKERS`` (or 0).  Above 1,
-        chunks train in that many worker processes, each with its
-        OpenBLAS capped at ``cpu_count // workers`` threads (at least 1).
+        Pool size.  ``0`` or ``1`` trains the grid serially in-process
+        (the scheduler's inline executor); None (default) defers to
+        ``REPRO_DSE_WORKERS`` (or 0).  Above 1, chunks train in that many
+        worker processes, each with its OpenBLAS capped at
+        ``cpu_count // workers`` threads (at least 1).  Results, failure
+        rules and the log are the same at every worker count.
         The factory, loss, loaders and evaluators are pickled to the
         workers: one that does not pickle (a lambda, a closure) raises a
         ``ValueError`` naming it here, not a failure per grid point.
@@ -864,11 +897,14 @@ class DSEEngine:
         Base backoff in seconds before retry N sleeps
         ``retry_backoff * 2**(N-1)`` (plus deterministic jitter).
     point_timeout:
-        Wall-clock budget *per grid point* in seconds (pooled execution
-        only).  A chunk of K points gets ``K * point_timeout``; on expiry
-        its unfinished points are marked failed and the future is
-        cancelled/abandoned — a hung point costs its own budget, not the
-        sweep.  None (default) disables the deadline.
+        Wall-clock budget *per grid point* in seconds, covering all of its
+        attempts (a stacked chunk's points share one), at every worker
+        count: the training driver checks it at
+        every step, and past it the point fails with "timeout: exceeded
+        {t}s per point" (:class:`repro.core.PointTimeout`), never retried.
+        A pool also abandons a task ``BACKSTOP_GRACE`` seconds past its
+        points' budgets (a hang that never reaches a step), failing its
+        unfinished points alike.  None (default) disables the deadline.
     checkpoint_dir:
         Optional directory for *mid-run trainer checkpoints* (see
         :class:`repro.core.TrainerCheckpoint`): every grid point snapshots
@@ -887,10 +923,11 @@ class DSEEngine:
         None means 1, every epoch.
 
     After each :meth:`run`, ``last_run_stats`` reports the recovery
-    machinery's activity: pool deaths, timeouts, quarantined points,
-    failed/retried counts, epochs recovered from checkpoints
-    (``resumed_epochs``), and whether the sweep degraded to sequential
-    execution.
+    machinery's activity: ``pool_deaths``, ``timeouts`` (timed-out
+    points), ``chunk_failures`` (tasks that raised), ``quarantined``
+    (``(lam, warmup)`` pairs), ``failed`` and ``retried`` (point counts),
+    ``resumed_epochs`` (epochs recovered from checkpoints) and
+    ``degraded`` (the pool was given up for in-process execution).
     """
 
     def __init__(self, seed_factory: Callable[[], Module], loss_fn: Callable,
@@ -972,45 +1009,24 @@ class DSEEngine:
         if self.verbose:
             print(f"[DSE] {message}")
 
-    def _grid(self, lambdas: Sequence[float],
-              warmups: Sequence[int]) -> List[Tuple[int, float]]:
-        return [(warmup, lam) for warmup in warmups for lam in lambdas]
-
     def _chunk_args(self, chunk: Sequence[Tuple[int, int, float]],
                     cache) -> tuple:
         """Positional arguments of the :func:`_train_grid_chunk` task for
-        ``chunk``; ``cache`` is what it flushes completed points through
-        (see :func:`_chunk_cache`)."""
-        return (self.seed_factory, self.loss_fn, self.train_loader,
-                self.val_loader, list(chunk), self.trainer_kwargs,
-                self.point_evaluators, self.retries, self.retry_backoff,
-                cache, self._chunk_keys(chunk), self.checkpoint_dir,
-                self.checkpoint_every, self._chunk_ckpt_tags(chunk))
-
-    def _chunk_keys(self, chunk: Sequence[Tuple[int, int, float]]
-                    ) -> Optional[Dict[int, str]]:
-        """Parent-computed cache keys, shipped with the chunk so workers
-        can flush each completed point immediately (mid-chunk durability)."""
-        if self.cache is None:
-            return None
-        return {index: self._key(lam, warmup)
-                for index, warmup, lam in chunk}
-
-    def _chunk_ckpt_tags(self, chunk: Sequence[Tuple[int, int, float]]
-                         ) -> Optional[Dict[int, str]]:
-        """Per-point checkpoint-file tags, derived from the cache *key*
-        (not the cache) so sweeps without a results cache still get stable
-        per-point files, and every execution strategy — sequential, pooled,
-        stacked — resumes the same point from the same file."""
-        if not self.checkpoint_dir:
-            return None
+        ``chunk``; ``cache`` is what it flushes completed points through.
+        Keys are computed without a results cache too: checkpoint files
+        are named after them."""
         try:
-            return {index: key_tag(self._key(lam, warmup))
+            keys = {index: self._key(lam, warmup)
                     for index, warmup, lam in chunk}
         except ValueError:
             # Unserializable trainer settings: no stable point identity,
             # so no checkpoint files (training still runs).
-            return None
+            keys = None
+        return (self.seed_factory, self.loss_fn, self.train_loader,
+                self.val_loader, list(chunk), self.trainer_kwargs,
+                self.point_evaluators, self.retries, self.retry_backoff,
+                self.point_timeout, cache, keys, self.checkpoint_dir,
+                self.checkpoint_every)
 
     def _chunk_pending(self, pending: Sequence[Tuple[int, int, float]]
                        ) -> List[List[Tuple[int, int, float]]]:
@@ -1046,7 +1062,7 @@ class DSEEngine:
         pending futures are cancelled, already-completed points are in
         the cache, and the interrupted sweep resumes from there.
         """
-        grid = self._grid(lambdas, warmups)
+        grid = [(warmup, lam) for warmup in warmups for lam in lambdas]
         points: List[Optional[DSEPoint]] = [None] * len(grid)
         pending: List[Tuple[int, int, float]] = []
         stats: Dict[str, object] = {
@@ -1076,25 +1092,18 @@ class DSEEngine:
         # pool finishes them in (see _finish).
         self._unlogged = deque(index for index, _, _ in pending)
         if pending:
-            chunks = self._chunk_pending(pending)
-            if self.workers > 1:
-                self._run_pooled(chunks, points, stats)
-            else:
-                self._run_sequential(chunks, points)
+            self._execute(self._chunk_pending(pending), points, stats)
+            if self.cache is not None:
+                self.cache.restore_lost()
 
+        expired = (None if self.point_timeout is None
+                   else str(PointTimeout(self.point_timeout)))
+        stats["timeouts"] = sum(1 for p in points
+                                if not p.ok and p.error == expired)
         stats["failed"] = sum(1 for p in points if p is not None and not p.ok)
         stats["retried"] = sum(1 for p in points
                                if p is not None and p.attempts > 1)
         return DSEResult(points=list(points))
-
-    def _run_sequential(self, chunks, points) -> None:
-        """In-process execution (workers <= 1): chunk by chunk, isolated.
-        Each point is written through the engine's cache handle as it
-        finishes, once."""
-        for chunk in chunks:
-            trained = _train_grid_chunk(*self._chunk_args(chunk, self.cache))
-            for (index, _, _), point in zip(chunk, trained):
-                self._finish(points, index, point, cached=True)
 
     def _make_pool(self) -> ProcessPoolExecutor:
         threads = max(1, (os.cpu_count() or 1) // self.workers)
@@ -1102,52 +1111,62 @@ class DSEEngine:
                                    initializer=_pin_blas,
                                    initargs=(threads,))
 
-    def _deadline(self, chunk_len: int) -> Optional[float]:
-        if self.point_timeout is None:
-            return None
-        return time.monotonic() + self.point_timeout * chunk_len
+    def _execute(self, chunks, points, stats) -> None:
+        """The scheduler loop: every chunk runs as one task of an executor,
+        an :class:`_InlineExecutor` at ``workers <= 1`` and a process pool
+        above that, with at most ``workers`` chunks in flight (instead of
+        the whole grid up front).
 
-    def _submit(self, pool, inflight, chunk) -> None:
-        # Workers flush through their own handle on the cache path, so a
-        # point is durable even if its worker dies before the chunk returns.
-        path = self.cache.path if self.cache is not None else None
-        future = pool.submit(_train_grid_chunk,
-                             *self._chunk_args(chunk, path))
-        inflight[future] = (list(chunk), self._deadline(len(chunk)))
-
-    def _run_pooled(self, chunks, points, stats) -> None:
-        """Windowed pool execution with deadlines and crash recovery.
-
-        At most ``workers`` chunks are in flight at once (instead of
-        submitting the whole grid up front), so when a process pool dies
-        the set of chunks that *could* have been running is small and
-        recovery stays precise: suspects are re-probed **one at a time**
-        — the only chunk in flight — which makes the next death's blame
-        exact.  A point that dies alone ``QUARANTINE_KILLS`` times is a
-        poison point and is quarantined as failed; after
-        ``MAX_POOL_DEATHS`` the engine stops trusting pools entirely and
-        degrades to in-process sequential execution with a warning.
-        Cache-backed recovery never re-trains what a dying worker already
-        flushed: suspects found on disk are claimed, not resubmitted.
+        When a pool dies, the set of chunks that *could* have been running
+        is small, so recovery stays precise: suspects are re-probed **one
+        at a time** — the only chunk in flight — which makes the next
+        death's blame exact.  A point that dies alone ``QUARANTINE_KILLS``
+        times is a poison point and is quarantined as failed; after
+        ``MAX_POOL_DEATHS`` the loop swaps in the inline executor, with a
+        warning.  Recovery never re-trains what a dying worker already
+        flushed: suspects found on the cache file are claimed, not
+        resubmitted.
         """
         queue = deque(chunks)        # unsubmitted chunks, grid order
         probing = deque()            # post-death suspects, probed solo
-        inflight: Dict = {}          # future -> (entries, deadline)
+        inflight: Dict = {}          # future -> (entries, backstop)
         kill_counts: Dict[int, int] = {}
-        pool = self._make_pool()
+        executor = (self._make_pool() if self.workers > 1
+                    else _InlineExecutor())
 
-        def collect_dead() -> List[Tuple[int, int, float]]:
-            dead = []
-            for future, (entries, _) in inflight.items():
-                future.cancel()
-                dead.extend(e for e in entries if points[e[0]] is None)
-            inflight.clear()
-            return dead
+        def submit(chunk) -> None:
+            # Tasks flush each point as it finishes, pool workers through
+            # their own handle on the cache path: a crash then costs only
+            # the in-flight point, and recovery resubmits only what is
+            # missing on disk.
+            cache = self.cache
+            if cache is not None and not isinstance(executor, _InlineExecutor):
+                cache = cache.path
+            backstop = None
+            if self.point_timeout is not None:
+                backstop = (time.monotonic() + BACKSTOP_GRACE
+                            + len(chunk) * self.point_timeout)
+            future = executor.submit(_train_grid_chunk,
+                                     *self._chunk_args(chunk, cache))
+            inflight[future] = (list(chunk), backstop)
 
-        def on_pool_death(dead) -> None:
-            nonlocal pool
+        def fail(entries, error) -> None:
+            """Fail the unfinished ``entries`` of a task that returned
+            none of them; the parent records these points itself."""
+            for index, warmup, lam in entries:
+                if points[index] is None:
+                    self._finish(points, index,
+                                 _failed_point(lam, warmup, error),
+                                 write=True)
+
+        def on_pool_death() -> None:
+            """Every task still in flight died with the pool."""
+            nonlocal executor
             stats["pool_deaths"] += 1
-            pool.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=False, cancel_futures=True)
+            dead = [e for entries, _ in inflight.values() for e in entries
+                    if points[e[0]] is None]
+            inflight.clear()
             # Blame is only precise when exactly one entry can have been
             # running — a solo probe.  Group deaths accuse nobody; their
             # members go to the probe queue instead.
@@ -1160,7 +1179,7 @@ class DSEEngine:
                     self._finish(points, index, _failed_point(
                         lam, warmup,
                         f"quarantined: killed {kills} pool workers",
-                        attempts=kills))
+                        attempts=kills), write=True)
                     warnings.warn(
                         f"DSE grid point lam={lam:g} warmup={warmup} killed "
                         f"{kills} pool workers; quarantined as failed")
@@ -1168,56 +1187,53 @@ class DSEEngine:
             # Shrink by what dying workers already flushed to the cache:
             # our in-memory cache view predates the crash, so re-read disk.
             if self.cache is not None and dead:
-                disk = _chunk_cache(self.cache.path)
-                for entry in list(dead):
-                    found = None
-                    if disk is not None:
-                        found = disk.get(self._key(entry[2], entry[1]))
+                disk = DSECache(self.cache.path)
+                for index, warmup, lam in dead:
+                    found = disk.get(self._key(lam, warmup))
                     if found is not None:
-                        self._finish(points, entry[0], found)
-                        dead.remove(entry)
+                        self._finish(points, index, found)
             probing.extend(e for e in dead if points[e[0]] is None)
             if stats["pool_deaths"] >= MAX_POOL_DEATHS:
                 stats["degraded"] = True
+                remaining = len(probing) + sum(len(c) for c in queue)
+                warnings.warn(
+                    f"DSE worker pool died {stats['pool_deaths']} times; "
+                    f"degrading to in-process sequential execution for "
+                    f"{remaining} remaining grid points")
+                executor = _InlineExecutor()
                 return
             self._log(f"worker pool died (death #{stats['pool_deaths']}); "
                       "rebuilding and resubmitting unfinished points")
-            pool = self._make_pool()
+            executor = self._make_pool()
 
         try:
             while queue or probing or inflight:
-                if stats["degraded"]:
-                    break
                 # Refill the window.  Probing mode serializes: one suspect
                 # alone in the pool, so a repeat death blames it exactly.
                 try:
                     if probing:
                         if not inflight:
-                            self._submit(pool, inflight, [probing[0]])
+                            submit([probing[0]])
                             probing.popleft()
                     else:
-                        while queue and len(inflight) < self.workers:
-                            self._submit(pool, inflight, queue[0])
+                        while queue and len(inflight) < max(1, self.workers):
+                            submit(queue[0])
                             queue.popleft()
                 except BrokenExecutor:
-                    on_pool_death(collect_dead())
+                    on_pool_death()
                     continue
-                timeout = None
-                deadlines = [d for _, d in inflight.values() if d is not None]
-                if deadlines:
-                    timeout = max(0.0, min(deadlines) - time.monotonic())
+                backstops = [b for _, b in inflight.values() if b is not None]
+                timeout = (max(0.0, min(backstops) - time.monotonic())
+                           if backstops else None)
                 done, _ = wait(set(inflight), timeout=timeout,
                                return_when=FIRST_COMPLETED)
                 broken = False
-                dead_now: List[Tuple[int, int, float]] = []
                 for future in done:
-                    entries, _ = inflight.pop(future)
+                    entries, _ = inflight[future]
                     try:
                         result = future.result()
                     except BrokenExecutor:
-                        broken = True
-                        dead_now.extend(e for e in entries
-                                        if points[e[0]] is None)
+                        broken = True  # on_pool_death collects it
                         continue
                     except Exception as exc:
                         # Chunk-level infrastructure failure (the chunk
@@ -1225,49 +1241,30 @@ class DSEEngine:
                         # per-point isolation already caught everything
                         # training-related.
                         stats["chunk_failures"] += 1
-                        for index, warmup, lam in entries:
-                            if points[index] is None:
-                                self._finish(points, index, _failed_point(
-                                    lam, warmup, exc))
+                        fail(entries, exc)
                     else:
                         for (index, _, _), point in zip(entries, result):
                             self._finish(points, index, point)
+                    del inflight[future]
                 if broken:
-                    on_pool_death(dead_now + collect_dead())
+                    on_pool_death()
                     continue
-                # Deadline sweep: expired chunks are marked failed and
-                # abandoned.  Their worker stays busy until the task
+                # Backstop: a task past its points' budgets and the grace
+                # is abandoned.  Its worker stays busy until the task
                 # returns; the sweep moves on.
                 now = time.monotonic()
-                for future in [f for f, (_, dl) in inflight.items()
-                               if dl is not None and now >= dl]:
+                for future in [f for f, (_, b) in inflight.items()
+                               if b is not None and now >= b]:
                     entries, _ = inflight.pop(future)
                     future.cancel()
-                    stats["timeouts"] += 1
-                    for index, warmup, lam in entries:
-                        if points[index] is None:
-                            self._finish(points, index, _failed_point(
-                                lam, warmup,
-                                f"timeout: exceeded {self.point_timeout:g}s "
-                                f"per point"))
-        except BaseException:
-            # KeyboardInterrupt & co.: cancel what never started, abandon
-            # the rest, re-raise.  Completed points were flushed to the
+                    fail(entries, PointTimeout(self.point_timeout))
+        finally:
+            # On KeyboardInterrupt & co.: cancel what never started and
+            # abandon the rest.  Completed points were flushed to the
             # cache as they finished, so the interrupted sweep resumes.
             for future in inflight:
                 future.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=False, cancel_futures=True)
-        if stats["degraded"]:
-            leftovers = [e for e in list(probing)
-                         + [e for chunk in queue for e in chunk]
-                         if points[e[0]] is None]
-            warnings.warn(
-                f"DSE worker pool died {stats['pool_deaths']} times; "
-                f"degrading to in-process sequential execution for "
-                f"{len(leftovers)} remaining grid points")
-            self._run_sequential([[entry] for entry in leftovers], points)
+            executor.shutdown(wait=False, cancel_futures=True)
 
     def _key(self, lam: float, warmup: int) -> str:
         return DSECache.key(lam, warmup, self.trainer_kwargs,
@@ -1276,14 +1273,16 @@ class DSEEngine:
                                         for e in self.point_evaluators])
 
     def _finish(self, points: List[Optional[DSEPoint]], index: int,
-                point: DSEPoint, cached: bool = False) -> None:
-        """Record ``point`` as grid point ``index``; ``cached`` when its
-        chunk already wrote it through the engine's cache handle.  Then
-        log every point that is now finished in grid order, so the log
-        reads the same at any worker count."""
+                point: DSEPoint, write: bool = False) -> None:
+        """Record ``point`` as grid point ``index``.  A task already wrote
+        the points it returned to the cache file, so the cache handle only
+        learns them; ``write`` points (ones no task returned) are written
+        here.  Then log every point that is now finished in grid order, so
+        the log reads the same at any worker count."""
         points[index] = point
-        if self.cache is not None and not cached:
-            self.cache.put(self._key(point.lam, point.warmup_epochs), point)
+        if self.cache is not None:
+            self.cache.put(self._key(point.lam, point.warmup_epochs), point,
+                           flush=write)
         resumed = getattr(point.result, "resumed_epochs", 0) or 0
         if resumed:
             # Epochs this point recovered from a mid-run checkpoint instead

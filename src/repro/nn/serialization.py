@@ -11,11 +11,12 @@ Writes are torn-write-proof: :func:`atomic_write` assembles the file in a
 tempfile in the target directory and moves it into place with
 ``os.replace`` (:class:`repro.evaluation.DSECache` flushes through it
 too), so a crash mid-write can never leave a half-written file under the
-final name.  Reads raise a typed :class:`CheckpointError` on
-truncated/corrupt archives instead of a raw ``zipfile.BadZipFile``;
-callers with a recovery story (the trainer checkpoint layer) can
-additionally ask for the corrupt file to be moved aside by
-:func:`quarantine_file` to ``<path>.corrupt`` for post-mortems.
+final name; :func:`directory_lock` serializes read-merge-write updates
+of one file across processes.  Reads raise a typed
+:class:`CheckpointError` on truncated/corrupt archives instead of a raw
+``zipfile.BadZipFile``; callers with a recovery story (the trainer
+checkpoint layer) can additionally ask for the corrupt file to be moved
+aside by :func:`quarantine_file` to ``<path>.corrupt`` for post-mortems.
 """
 
 from __future__ import annotations
@@ -32,8 +33,14 @@ import numpy as np
 
 from .module import Module
 
+try:
+    import fcntl
+except ImportError:  # non-POSIX
+    fcntl = None
+
 __all__ = ["save_model", "load_model", "save_state", "load_state",
-           "CheckpointError", "atomic_write", "quarantine_file"]
+           "CheckpointError", "atomic_write", "directory_lock",
+           "quarantine_file"]
 
 _META_KEY = "__repro_metadata__"
 
@@ -68,6 +75,25 @@ def atomic_write(path: Union[str, Path], mode: str = "wb") -> Iterator[IO]:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def directory_lock(path: Union[str, Path]) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on the directory of ``path`` (created if
+    missing), so processes that read, merge and rewrite ``path`` do it
+    one at a time.  The lock is released when the block exits; where
+    ``fcntl`` does not exist (non-POSIX) nothing is locked."""
+    if fcntl is None:
+        yield
+        return
+    directory = Path(path).absolute().parent
+    directory.mkdir(parents=True, exist_ok=True)
+    fd = os.open(str(directory), os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
 
 
 def quarantine_file(path: Union[str, Path], problem: str, suffix: str = "",

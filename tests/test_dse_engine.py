@@ -436,10 +436,10 @@ class TestCache:
             recorded = json.load(handle)["points"]
         assert set(recorded) == {"ka", "kb"}
 
-    def test_in_process_sweep_writes_each_point_once(self, tmp_path,
-                                                     monkeypatch):
-        """Each flush re-reads and rewrites the whole file, so an
-        in-process sweep writes every grid point exactly once."""
+    @staticmethod
+    def _count_flushes(monkeypatch, tmp_path, workers):
+        """Sweep with a cache at ``workers``: the result, the cache path and
+        the paths this process flushed (pool workers count in theirs)."""
         flushes = []
         real = DSECache._flush
 
@@ -449,8 +449,23 @@ class TestCache:
 
         monkeypatch.setattr(DSECache, "_flush", counting)
         cache = str(tmp_path / "dse.json")
-        result = _sweep(workers=0, cache_path=cache)
+        return _sweep(workers=workers, cache_path=cache), cache, flushes
+
+    def test_in_process_sweep_writes_each_point_once(self, tmp_path,
+                                                     monkeypatch):
+        """Each flush re-reads and rewrites the whole file, so an
+        in-process sweep writes every grid point exactly once."""
+        result, cache, flushes = self._count_flushes(monkeypatch, tmp_path, 0)
         assert flushes == [cache] * len(result.points)
+        assert len(DSECache(cache)) == len(result.points)
+
+    def test_pooled_sweep_writes_each_point_once(self, tmp_path,
+                                                 monkeypatch):
+        """Pool workers write the points they train; the parent writes
+        none of them again, and the file still holds every point."""
+        result, cache, flushes = self._count_flushes(monkeypatch, tmp_path, 2)
+        assert all(p.ok for p in result.points)
+        assert flushes == []
         assert len(DSECache(cache)) == len(result.points)
 
     def test_pooled_chunks_flush_from_the_first_point(self, tmp_path,

@@ -91,6 +91,20 @@ class StackSeed(Module):
         return self.h(self.r2(self.c2(self.dp(self.r1(self.bn(self.c1(x)))))))
 
 
+class Unstackable(Module):
+    """A free parameter outside any layer: no stacked path.  Module-level
+    so pooled engines (``REPRO_DSE_WORKERS``) can pickle it."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.c = PITConv1d(1, 2, rf_max=5, rng=rng)
+        self.scale = Parameter(np.ones(2), name="scale")
+
+    def forward(self, x):
+        return self.c(x) * self.scale.reshape(1, 2, 1)
+
+
 def _loaders(seed=0, shuffle=True):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((24, 2, 12))
@@ -342,25 +356,15 @@ class TestEngineStacking:
             _engine(stack=0)
 
     def test_unsupported_model_falls_back_per_point(self):
-        class Custom(Module):
-            def __init__(self):
-                super().__init__()
-                rng = np.random.default_rng(0)
-                self.c = PITConv1d(1, 2, rf_max=5, rng=rng)
-                self.scale = Parameter(np.ones(2), name="scale")
-
-            def forward(self, x):
-                return self.c(x) * self.scale.reshape(1, 2, 1)
-
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 1, 10))
         y = rng.standard_normal((8, 1, 10))
         train = DataLoader(ArrayDataset(x[:6], y[:6]), 3)
         val = DataLoader(ArrayDataset(x[6:], y[6:]), 2)
-        sequential = DSEEngine(Custom, mse_loss, train, val, stack=1,
+        sequential = DSEEngine(Unstackable, mse_loss, train, val, stack=1,
                                trainer_kwargs=dict(ENGINE_SCHEDULE)
                                ).run(LAMS[:2], warmups=[0])
-        stacked = DSEEngine(Custom, mse_loss, train, val, stack=2,
+        stacked = DSEEngine(Unstackable, mse_loss, train, val, stack=2,
                             trainer_kwargs=dict(ENGINE_SCHEDULE)
                             ).run(LAMS[:2], warmups=[0])
         # Fallback is the sequential path itself: bit-identical results.
@@ -386,6 +390,20 @@ class TestEngineStacking:
         for pa, pb in zip(sequential.points, stacked.points):
             assert np.allclose(pa.metrics["probe"], pb.metrics["probe"],
                                **TOL)
+
+
+class TestStackedTimeout:
+    def test_timed_out_stack_fails_every_point_without_fallback(self):
+        """A stacked chunk's points train at once and share the budget:
+        a timeout fails them all, with no per-point retraining."""
+        factory = CountingFactory()
+        engine = _engine(factory=factory, stack=2, point_timeout=1e-6,
+                         retries=2)
+        result = engine.run(LAMS[:2], warmups=[1])
+        assert factory.calls == 1  # the stack's seed; no per-point rerun
+        assert [(p.status, p.error, p.attempts) for p in result.points] \
+            == [("failed", "timeout: exceeded 1e-06s per point", 1)] * 2
+        assert engine.last_run_stats["timeouts"] == 2
 
 
 class TestCacheInterop:

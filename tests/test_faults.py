@@ -304,6 +304,31 @@ class TestTimeouts:
         assert result.points[1].ok
         assert engine.last_run_stats["timeouts"] == 1
 
+    def test_timed_out_point_is_never_retried(self):
+        """The budget covers every attempt: a retry would pay it again."""
+        engine = _engine(retries=2, retry_backoff=0.0, point_timeout=1e-6)
+        failed, = engine.run(LAMBDAS[:1], warmups=[0]).points
+        assert failed.error == "timeout: exceeded 1e-06s per point"
+        assert failed.attempts == 1
+        assert engine.last_run_stats["timeouts"] == 1
+        assert engine.last_run_stats["retried"] == 0
+
+    def test_same_point_times_out_at_every_worker_count(self, monkeypatch):
+        """The step guard of the training driver enforces the deadline, so
+        a point that trains past it fails with the same error in-process
+        and in a pool worker, and the other point trains at both."""
+        monkeypatch.setenv(faults.ENV_FAULTS, "hang@point=0&seconds=1.5")
+        outcomes = []
+        for workers in (1, 2):
+            faults.reset()
+            engine = _engine(workers=workers, point_timeout=1.0)
+            result = engine.run(LAMBDAS, warmups=[0])
+            assert [p.ok for p in result.points] == [False, True]
+            assert engine.last_run_stats["timeouts"] == 1
+            outcomes.append((result.points[0].error,
+                             result.points[0].attempts))
+        assert outcomes == [("timeout: exceeded 1s per point", 1)] * 2
+
 
 class TestInterrupts:
     def test_interrupt_propagates_and_sweep_resumes(self, monkeypatch,
@@ -470,6 +495,24 @@ class TestCacheCorruption:
         resumed = _serial_engine(factory, cache_path=cache).run(LAMBDAS,
                                                                 warmups=[0])
         assert factory.calls == 0  # nothing was lost to the corruption
+        _assert_identical(first, resumed)
+
+    def test_pooled_cache_corrupt_fault_loses_no_point(self, monkeypatch,
+                                                       tmp_path):
+        """A worker that finds the file corrupt quarantines it and writes
+        only the points it holds; the parent, which holds them all, puts
+        back what the file lost, so the sweep still resumes fully."""
+        cache = str(tmp_path / "dse.json")
+        monkeypatch.setenv(faults.ENV_FAULTS, "cache_corrupt")
+        first = _engine(workers=2, cache_path=cache).run(LAMBDAS,
+                                                         warmups=WARMUPS)
+        assert all(p.ok for p in first.points)
+
+        monkeypatch.delenv(faults.ENV_FAULTS)
+        factory = CountingFactory()
+        resumed = _serial_engine(factory, cache_path=cache).run(
+            LAMBDAS, warmups=WARMUPS)
+        assert factory.calls == 0
         _assert_identical(first, resumed)
 
 
