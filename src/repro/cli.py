@@ -288,8 +288,9 @@ def format_front(front, coords) -> str:
 def _load_checkpoint(network, args: argparse.Namespace) -> bool:
     """Load ``--load`` into ``network``.
 
-    A missing or unreadable file, or one whose arrays do not fit the
-    network, prints one ``error:`` line to stderr and returns False.
+    A missing or unreadable file (an old npz model file included), or one
+    whose arrays do not fit the network, prints one ``error:`` line to
+    stderr and returns False.
     """
     from .nn.serialization import CheckpointError, load_state
 
@@ -304,7 +305,13 @@ def _load_checkpoint(network, args: argparse.Namespace) -> bool:
     except FileNotFoundError:
         return fail(f"checkpoint {args.load!r} not found")
     except CheckpointError as exc:
-        return fail(str(exc))
+        try:
+            with open(args.load, "rb") as handle:
+                npz = handle.read(4) == b"PK\x03\x04"  # a zip's signature
+        except OSError:
+            npz = False
+        return fail(f"{args.load!r} is an old npz model file; re-save it "
+                    "with `train --save`" if npz else str(exc))
     except (KeyError, ValueError) as exc:
         reason = (str(exc) if isinstance(exc, ValueError)
                   else "its array names differ from this network's")
@@ -461,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=_POSITIVE, default=1e-3)
     p_train.add_argument("--patience", type=_AT_LEAST_ONE, default=4)
     p_train.add_argument("--save", type=str, default=None,
-                         help="write an npz checkpoint here")
+                         help="write the trained model's array file here")
     checkpoint_flags(p_train, resumable=True)
     p_train.set_defaults(func=cmd_train)
 
@@ -470,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     training(p_search)
     p_search.add_argument("--lam", type=_NON_NEGATIVE, default=0.02)
     p_search.add_argument("--save", type=str, default=None,
-                          help="write an npz checkpoint here")
+                          help="write the searched supernet's array file "
+                               "here")
     checkpoint_flags(p_search, resumable=True)
     p_search.set_defaults(func=cmd_search)
 
@@ -522,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deploy.add_argument("--dilations", type=_AT_LEAST_ONE, nargs="+",
                           default=None)
     p_deploy.add_argument("--load", type=str, default=None,
-                          help="npz checkpoint from `train --save` to load "
+                          help="model file from `train --save` to load "
                                "into the network; --dilations/--width must "
                                "match it.  (`search --save` checkpoints "
                                "hold the searchable supernet and do not "
@@ -543,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--dilations", type=_AT_LEAST_ONE, nargs="+",
                          default=None)
     p_serve.add_argument("--load", type=str, default=None,
-                         help="npz checkpoint from `train --save` to load "
+                         help="model file from `train --save` to load "
                               "into the network before serving")
     p_serve.add_argument("--quantize", action="store_true",
                          help="serve the int8 fake-quantized network "

@@ -23,12 +23,11 @@ The phase driver (:mod:`repro.core.driver`) writes one template-shaped
 file per lane, so a stack's resume composes with slicing and a
 sequential run can adopt any lane's file.
 
-Persistence goes through :func:`repro.nn.serialization.save_state`
-(tempfile + ``os.replace``, so a crash mid-write can't tear the archive)
-and every archive carries a CRC32 over its arrays and metadata; a torn,
-truncated or checksum-failing file is quarantined to ``<path>.corrupt``
-with a warning — like ``DSECache`` — and the run restarts from scratch
-(or from an older checkpoint if the caller keeps several tags).
+Each checkpoint is one array file of :mod:`repro.nn.serialization`
+(a JSON header and the raw array bytes under one CRC32, written
+atomically).  A torn, truncated or checksum-failing file, or one of
+another format version, is quarantined to ``<path>.corrupt`` with a
+warning — like ``DSECache`` — and the run restarts from scratch.
 
 This module only turns live training objects (optimizer, stopper, RNG
 maps) into flat array dicts and back; the driver decides what to save.
@@ -37,9 +36,7 @@ maps) into flat array dicts and back; the driver decides what to save.
 from __future__ import annotations
 
 import hashlib
-import json
 import warnings
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
@@ -63,10 +60,11 @@ __all__ = [
     "split_group",
 ]
 
-#: bump when the archive layout changes; older formats are quarantined,
+#: bump when the file layout changes; older formats are quarantined,
 #: not migrated — a checkpoint is a cache of epochs, never the only copy.
-#: Format 3 records the default dtype the run trained in.
-FORMAT_VERSION = 3
+#: Format 3 records the default dtype the run trained in; format 4 is the
+#: flat array file of :mod:`repro.nn.serialization`.
+FORMAT_VERSION = 4
 
 
 def key_tag(key: str) -> str:
@@ -84,7 +82,7 @@ def key_tag(key: str) -> str:
 def checkpoint_file(directory: Union[str, Path], tag: str) -> Path:
     """Canonical checkpoint path for ``tag`` under ``directory``."""
     safe = "".join(c if (c.isalnum() or c in "-_.") else "_" for c in tag)
-    return Path(directory) / f"{safe}.ckpt.npz"
+    return Path(directory) / f"{safe}.ckpt"
 
 
 # ----------------------------------------------------------------------
@@ -306,30 +304,13 @@ class CheckpointState:
         return split_group(self.arrays, prefix)
 
 
-def _checksum(arrays: Mapping[str, np.ndarray], meta: Mapping) -> int:
-    """CRC32 over every array (key, dtype, shape, bytes) and the metadata.
-
-    The zip container has per-entry CRCs already; this one additionally
-    binds the entries *together* (a truncated archive that still parses,
-    or entries spliced from two checkpoints, fails here).
-    """
-    crc = zlib.crc32(json.dumps(meta, sort_keys=True).encode("utf-8"))
-    for key in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[key])
-        crc = zlib.crc32(key.encode("utf-8"), crc)
-        crc = zlib.crc32(str(arr.dtype).encode("utf-8"), crc)
-        crc = zlib.crc32(str(arr.shape).encode("utf-8"), crc)
-        crc = zlib.crc32(arr.tobytes(), crc)
-    return crc
-
-
 class TrainerCheckpoint:
     """Rolling epoch-boundary checkpoint at a fixed path.
 
     Parameters
     ----------
     path:
-        Archive location; each save atomically replaces the previous one
+        File location; each save atomically replaces the previous one
         (a checkpoint is a cursor, not a history).
     every:
         Save cadence in epochs: ``due(e)`` is True when ``e % every == 0``.
@@ -361,17 +342,11 @@ class TrainerCheckpoint:
         return int(global_epoch) % self.every == 0
 
     def save(self, arrays: Mapping[str, np.ndarray], meta: Mapping) -> None:
-        """Atomically persist one epoch-boundary snapshot.
-
-        ``meta`` must be JSON-serializable; it is normalized through a
-        JSON round-trip before checksumming so the digest computed here
-        matches the one recomputed over the parsed metadata at load time.
-        """
-        meta = json.loads(json.dumps(meta))
-        meta["format"] = FORMAT_VERSION
-        meta["dtype"] = np.dtype(get_default_dtype()).name
-        meta["checksum"] = _checksum(arrays, meta)
-        save_state(dict(arrays), self.path, metadata=meta)
+        """Atomically persist one epoch-boundary snapshot (``meta`` must
+        be JSON-serializable)."""
+        meta = {**meta, "format": FORMAT_VERSION,
+                "dtype": np.dtype(get_default_dtype()).name}
+        save_state(arrays, self.path, metadata=meta)
         faults.corrupt_checkpoint_file(str(self.path))
 
     def load(self) -> Optional[CheckpointState]:
@@ -380,24 +355,20 @@ class TrainerCheckpoint:
         restarts from scratch)."""
         if not self.resume:
             return None
+        legacy = self.path.with_name(self.path.name + ".npz")  # format 3
+        if legacy.exists():
+            quarantine_file(legacy, f"checkpoint {str(legacy)!r} rejected "
+                                    "(unsupported format 3)")
         try:
             arrays, meta = load_state(self.path, quarantine=True)
-        except FileNotFoundError:
+        except (FileNotFoundError, CheckpointError):
+            # Absent, or damaged and already quarantined with a warning by
+            # load_state: resume degrades to a fresh start.
             return None
-        except CheckpointError:
-            # Torn or garbage archive: load_state already quarantined it
-            # and warned; resume degrades to a fresh start.
-            return None
-        if not isinstance(meta, dict):
-            self._quarantine("no metadata")
-            return None
-        if meta.get("format") != FORMAT_VERSION:
-            self._quarantine(f"unsupported format {meta.get('format')!r}")
-            return None
-        expected = dict(meta)
-        claimed = expected.pop("checksum", None)
-        if claimed != _checksum(arrays, expected):
-            self._quarantine("checksum mismatch")
+        version = meta.get("format") if isinstance(meta, dict) else None
+        if version != FORMAT_VERSION:
+            quarantine_file(self.path, f"checkpoint {str(self.path)!r} "
+                            f"rejected (unsupported format {version!r})")
             return None
         dtype = np.dtype(get_default_dtype()).name
         if meta.get("dtype") != dtype:
@@ -409,7 +380,3 @@ class TrainerCheckpoint:
                           f"{dtype}; starting fresh", stacklevel=2)
             return None
         return CheckpointState(arrays=arrays, meta=meta)
-
-    def _quarantine(self, reason: str) -> None:
-        quarantine_file(self.path, f"checkpoint {str(self.path)!r} "
-                                   f"rejected ({reason})", stacklevel=3)

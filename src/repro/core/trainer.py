@@ -74,7 +74,7 @@ def train_plain(model: Module, loss_fn: LossFn, train_loader, val_loader,
 
     With ``checkpoint_dir`` set, the complete training state (model,
     Adam moments/counters, RNG streams, early-stop state) is snapshotted
-    every ``checkpoint_every`` epochs under ``<dir>/<tag>.ckpt.npz``; a
+    every ``checkpoint_every`` epochs under ``<dir>/<tag>.ckpt``; a
     run killed at an epoch boundary and restarted resumes from there
     bit-identically (see :mod:`repro.core.checkpoint`).
     """
@@ -174,7 +174,7 @@ class PITTrainer:
         With ``checkpoint_dir`` set, :meth:`fit` snapshots the complete
         training state every ``checkpoint_every`` epochs (counting
         globally across all three phases) to
-        ``<dir>/<tag>.ckpt.npz`` and — unless ``checkpoint_resume`` is
+        ``<dir>/<tag>.ckpt`` and — unless ``checkpoint_resume`` is
         False — resumes from that file when it exists, bit-identically
         to the uninterrupted run (see :mod:`repro.core.checkpoint`).
     """

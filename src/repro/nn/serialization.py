@@ -1,30 +1,31 @@
-"""Model checkpointing: save/load state dicts to ``.npz`` archives.
+"""Array files: state dicts and checkpoints as one flat, checksummed file.
 
-The library's models are plain numpy underneath, so an npz of the
-``state_dict`` is a complete, dependency-free checkpoint.  It is written
-uncompressed: float weights do not compress, so zlib only cost time.
-Metadata (arbitrary JSON-serializable dict) travels alongside, which the
-DSE driver uses to record the λ / warmup / dilations that produced a
-model.
+Saved models and trainer checkpoints are arrays plus JSON metadata (for
+example the λ / warmup / dilations that produced a model), laid out as
+``MAGIC``, the header length (little-endian uint64), a JSON header
+``{"meta": ..., "arrays": {key: {"dtype", "shape", "offset"}}}``, each
+array's raw C-order bytes (64-aligned, offsets counted from the header's
+end) and a little-endian CRC32 of every byte before it.  That one CRC
+covers the metadata and every array.
 
-Writes are torn-write-proof: :func:`atomic_write` assembles the file in a
-tempfile in the target directory and moves it into place with
-``os.replace`` (:class:`repro.evaluation.DSECache` flushes through it
-too), so a crash mid-write can never leave a half-written file under the
-final name; :func:`directory_lock` serializes read-merge-write updates
-of one file across processes.  Reads raise a typed
-:class:`CheckpointError` on truncated/corrupt archives instead of a raw
-``zipfile.BadZipFile``; callers with a recovery story (the trainer
-checkpoint layer) can additionally ask for the corrupt file to be moved
-aside by :func:`quarantine_file` to ``<path>.corrupt`` for post-mortems.
+Writes are torn-write-proof: :func:`atomic_write` stages the file in the
+target directory and moves it into place with ``os.replace``
+(:class:`repro.evaluation.DSECache` flushes through it too), and
+:func:`directory_lock` serializes read-merge-write updates of one file
+across processes.  A read that fails the magic, the CRC, the header or
+the offsets raises :class:`CheckpointError`; callers with a recovery
+story (the trainer checkpoint layer) can ask for the damaged file to be
+moved aside by :func:`quarantine_file` to ``<path>.corrupt``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-import tempfile
+import struct
 import warnings
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, IO, Optional, Tuple, Union
@@ -42,31 +43,37 @@ __all__ = ["save_model", "load_model", "save_state", "load_state",
            "CheckpointError", "atomic_write", "directory_lock",
            "quarantine_file"]
 
-_META_KEY = "__repro_metadata__"
+#: first line of every array file
+MAGIC = b"REPRO ARRAYS\n"
+_LENGTH = struct.Struct("<Q")
+_CRC = struct.Struct("<I")
+_ALIGN = 64
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint archive could not be read (truncated, corrupt, or
-    carrying unreadable metadata).
+    """An array file could not be read (truncated, corrupt, or carrying
+    an unreadable header).
 
     Typed so callers can tell a damaged file — recoverable by retraining
     or by falling back to an older checkpoint — from programming errors.
-    The original low-level exception (``zipfile.BadZipFile``, ``OSError``,
-    ``json.JSONDecodeError``, …) rides along as ``__cause__``.
+    The original low-level exception (``ValueError`` for a failed check,
+    ``OSError``, ``json.JSONDecodeError``, …) rides along as ``__cause__``.
     """
 
 
 @contextmanager
 def atomic_write(path: Union[str, Path], mode: str = "wb") -> Iterator[IO]:
-    """Write ``path`` all at once: yield a handle on a tempfile in its
-    directory, then ``os.replace`` it over ``path``.
+    """Write ``path`` all at once: yield a handle on a uniquely named
+    ``.tmp`` file in its directory, then ``os.replace`` it over ``path``.
 
-    If the body raises, the tempfile is removed and ``path`` is untouched,
-    so readers only ever see a complete file.
+    If the body raises, the temporary file is removed and ``path`` is
+    untouched, so readers only ever see a complete file.  The file is
+    created with mode 0o666 less the umask, as ``open`` would.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, mode) as handle:
             yield handle
@@ -115,45 +122,70 @@ def quarantine_file(path: Union[str, Path], problem: str, suffix: str = "",
 
 def save_state(state: Dict[str, np.ndarray], path: Union[str, Path],
                metadata: Optional[dict] = None) -> None:
-    """Atomically write a state dict (+ optional metadata) to an npz.
+    """Atomically write a state dict (+ optional metadata) as an array file.
 
-    The payload is staged in a tempfile in the target directory and
-    renamed over ``path``, so readers only ever see a complete archive.
+    The file is staged next to ``path`` and renamed over it, so readers
+    only ever see a complete file.
     """
-    path = Path(path)
-    payload = dict(state)
-    if _META_KEY in payload:
-        raise ValueError(f"state may not contain the reserved key {_META_KEY!r}")
-    if metadata is not None:
-        payload[_META_KEY] = np.frombuffer(
-            json.dumps(metadata).encode("utf-8"), dtype=np.uint8)
+    index, chunks, end = {}, [], 0
+    for key, value in state.items():
+        # asarray, not ascontiguousarray: that one turns 0-d into (1,).
+        array = np.asarray(value, order="C")
+        if array.dtype.hasobject:
+            raise TypeError(f"array {key!r} holds Python objects, "
+                            "not raw bytes")
+        offset = end + -end % _ALIGN
+        index[key] = {"dtype": array.dtype.str, "shape": list(array.shape),
+                      "offset": offset}
+        chunks += [bytes(offset - end), array.data]
+        end = offset + array.nbytes
+    header = json.dumps({"meta": metadata, "arrays": index}).encode("utf-8")
+    header += b" " * (-(len(MAGIC) + _LENGTH.size + len(header)) % _ALIGN)
+    chunks.insert(0, MAGIC + _LENGTH.pack(len(header)) + header)
     with atomic_write(path) as handle:
-        np.savez(handle, **payload)
+        crc = 0
+        for chunk in chunks:
+            handle.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        handle.write(_CRC.pack(crc))
 
 
 def load_state(path: Union[str, Path], *, quarantine: bool = False
                ) -> Tuple[Dict[str, np.ndarray], Optional[dict]]:
-    """Read back a state dict and its metadata (None if absent).
+    """Read back a state dict (writable views of one buffer) and its
+    metadata (None if absent).
 
-    A file that cannot be parsed — truncated by a crash mid-write, garbage
-    bytes, unreadable embedded metadata — raises :class:`CheckpointError`.
-    With ``quarantine=True`` the damaged file is first moved to
-    ``<path>.corrupt`` (overwriting any previous quarantine) with a
-    warning, so the broken state is preserved for post-mortems but can
-    never be re-read as a live checkpoint.  A missing file stays a plain
+    A damaged file — truncated by a crash mid-write, bit-flipped, garbage
+    — raises :class:`CheckpointError`.  With ``quarantine=True`` it is
+    first moved to ``<path>.corrupt`` (overwriting any previous
+    quarantine) with a warning, so it is kept for post-mortems but never
+    re-read as a live checkpoint.  A missing file stays a plain
     ``FileNotFoundError`` — absence is not corruption.
     """
     path = Path(path)
     try:
-        with np.load(path) as archive:
-            state = {}
-            metadata = None
-            for key in archive.files:
-                if key == _META_KEY:
-                    metadata = json.loads(bytes(archive[key]).decode("utf-8"))
-                else:
-                    state[key] = archive[key]
-        return state, metadata
+        with open(path, "rb") as handle:
+            buf = bytearray(handle.read())
+        if not buf.startswith(MAGIC):
+            raise ValueError("not an array file (bad magic)")
+        head, body = len(MAGIC) + _LENGTH.size, len(buf) - _CRC.size
+        if body < head:
+            raise ValueError("truncated")
+        if zlib.crc32(buf[:body]) != _CRC.unpack_from(buf, body)[0]:
+            raise ValueError("checksum mismatch")
+        start = head + _LENGTH.unpack_from(buf, len(MAGIC))[0]
+        header = json.loads(buf[head:start])
+        state, end = {}, start
+        for key, entry in header["arrays"].items():
+            dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+            offset, count = start + entry["offset"], math.prod(shape)
+            if not end <= offset <= offset + count * dtype.itemsize <= body:
+                raise ValueError(f"array {key!r} lies outside the data")
+            array = np.frombuffer(buf, dtype, count, offset)
+            state[key], end = array.reshape(shape), offset + array.nbytes
+        if end != body:
+            raise ValueError(f"{body - end} bytes after the last array")
+        return state, header["meta"]
     except FileNotFoundError:
         raise
     except Exception as exc:
@@ -175,7 +207,7 @@ def load_model(model: Module, path: Union[str, Path]) -> Optional[dict]:
 
     The model must have the same architecture (strict key/shape matching,
     enforced by :meth:`Module.load_state_dict`).  Returns the metadata.
-    Raises :class:`CheckpointError` when the archive is damaged.
+    Raises :class:`CheckpointError` when the file is damaged.
     """
     state, metadata = load_state(path)
     model.load_state_dict(state)

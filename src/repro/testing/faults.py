@@ -56,8 +56,8 @@ Fault kinds and their sites:
   retryable :class:`InjectedWorkerCrash` in-process), so resume-from-
   checkpoint tests can kill training at any exact epoch.
 * ``ckpt_corrupt`` — truncates a trainer checkpoint file right after it
-  is written, exercising the checkpoint checksum/quarantine path on the
-  next resume.
+  is written, exercising the checkpoint CRC/quarantine path on the next
+  resume.
 """
 
 from __future__ import annotations
@@ -335,7 +335,8 @@ def crash_at_epoch(epoch: int) -> None:
 
 
 def corrupt_checkpoint_file(path) -> bool:
-    """Checkpoint-save site: truncate the just-written archive mid-zip."""
+    """Checkpoint-save site: truncate the just-written file to half its
+    length, so its CRC no longer matches."""
     if fire("ckpt_corrupt") is None:
         return False
     try:

@@ -211,12 +211,12 @@ class TestStackedResume:
     def test_one_slice_file_per_grid_point(self, tmp_path):
         assert _fit_stacked(str(tmp_path), crash_at=1) is None
         files = sorted(f.name for f in tmp_path.iterdir())
-        assert files == ["stack0.ckpt.npz", "stack1.ckpt.npz"]
+        assert files == ["stack0.ckpt", "stack1.ckpt"]
 
     def test_torn_slice_set_degrades_to_fresh_start(self, tmp_path):
         ref = _stacked_fingerprint(*_fit_stacked())
         assert _fit_stacked(str(tmp_path), crash_at=2) is None
-        (tmp_path / "stack1.ckpt.npz").unlink()  # half the set is gone
+        (tmp_path / "stack1.ckpt").unlink()  # half the set is gone
         results, trainer = _fit_stacked(str(tmp_path))
         assert all(r.resumed_epochs == 0 for r in results)
         assert _stacked_fingerprint(results, trainer)[0] == ref[0]
@@ -282,31 +282,29 @@ class TestCorruption:
             result, model = _fit(str(tmp_path))
         assert result.resumed_epochs == 0  # fresh start, not a bad resume
         assert os.path.exists(checkpoint_file(tmp_path, "pit").with_suffix(
-            ".npz.corrupt"))
+            ".ckpt.corrupt"))
         _assert_same(_fingerprint(result, model), ref)
 
     def test_checksum_mismatch_rejected(self, tmp_path):
-        ckpt = TrainerCheckpoint(tmp_path / "t.ckpt.npz")
-        ckpt.save({"model/w": np.arange(4.0)}, {"trainer": "pit"})
-        arrays, meta = __import__("repro.nn.serialization",
-                                  fromlist=["load_state"]).load_state(
-                                      ckpt.path)
-        arrays["model/w"][0] += 1.0  # tampered bytes, stale checksum
-        from repro.nn.serialization import save_state
-        save_state(arrays, ckpt.path, metadata=meta)
+        ckpt = TrainerCheckpoint(tmp_path / "t.ckpt")
+        weights = np.arange(4.0)
+        ckpt.save({"model/w": weights}, {"trainer": "pit"})
+        raw = bytearray(ckpt.path.read_bytes())
+        raw[raw.index(weights.tobytes()) + 9] ^= 0xFF  # one array byte
+        ckpt.path.write_bytes(bytes(raw))
         with pytest.warns(UserWarning, match="checksum mismatch"):
             assert ckpt.load() is None
         assert not ckpt.path.exists()  # quarantined
 
     def test_garbage_archive_rejected(self, tmp_path):
-        ckpt = TrainerCheckpoint(tmp_path / "t.ckpt.npz")
+        ckpt = TrainerCheckpoint(tmp_path / "t.ckpt")
         ckpt.path.write_bytes(b"not a zip archive at all")
         with pytest.warns(UserWarning, match="corrupt"):
             assert ckpt.load() is None
-        assert (tmp_path / "t.ckpt.npz.corrupt").exists()
+        assert (tmp_path / "t.ckpt.corrupt").exists()
 
     def test_unknown_format_rejected(self, tmp_path):
-        ckpt = TrainerCheckpoint(tmp_path / "t.ckpt.npz")
+        ckpt = TrainerCheckpoint(tmp_path / "t.ckpt")
         from repro.nn.serialization import save_state
         save_state({"model/w": np.zeros(1)}, ckpt.path,
                    metadata={"format": 99, "checksum": 0})
@@ -329,16 +327,16 @@ class TestCorruption:
         assert state.meta["dtype"] == "float32"   # the fresh run's saves
 
     def test_missing_file_is_silent_fresh_start(self, tmp_path):
-        assert TrainerCheckpoint(tmp_path / "absent.ckpt.npz").load() is None
+        assert TrainerCheckpoint(tmp_path / "absent.ckpt").load() is None
 
     def test_save_is_atomic_over_previous(self, tmp_path):
-        ckpt = TrainerCheckpoint(tmp_path / "t.ckpt.npz")
+        ckpt = TrainerCheckpoint(tmp_path / "t.ckpt")
         ckpt.save({"model/w": np.arange(4.0)}, {"trainer": "pit", "n": 1})
         ckpt.save({"model/w": np.arange(4.0) * 2}, {"trainer": "pit", "n": 2})
         state = ckpt.load()
         assert state.meta["n"] == 2
         assert np.array_equal(state.arrays["model/w"], np.arange(4.0) * 2)
-        assert [f.name for f in tmp_path.iterdir()] == ["t.ckpt.npz"]
+        assert [f.name for f in tmp_path.iterdir()] == ["t.ckpt"]
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +353,7 @@ class TestHelpers:
 
     def test_checkpoint_file_sanitizes(self, tmp_path):
         path = checkpoint_file(tmp_path, "a/b|c d")
-        assert path.name == "a_b_c_d.ckpt.npz"
+        assert path.name == "a_b_c_d.ckpt"
         assert path.parent == tmp_path
 
     @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937,
@@ -380,7 +378,7 @@ class TestHelpers:
         assert TrainerCheckpoint.create("/tmp", "t").every == 1
 
     def test_due_cadence(self):
-        ckpt = TrainerCheckpoint("/tmp/x.npz", every=3)
+        ckpt = TrainerCheckpoint("/tmp/x.ckpt", every=3)
         assert [e for e in range(1, 10) if ckpt.due(e)] == [3, 6, 9]
         with pytest.raises(ValueError, match="cadence"):
-            TrainerCheckpoint("/tmp/x.npz", every=0)
+            TrainerCheckpoint("/tmp/x.ckpt", every=0)

@@ -174,6 +174,19 @@ class TestDeploy:
             assert ("the file holds dilations 2 2 1 4 4 8 8: run "
                     "`deploy --dilations 2 2 1 4 4 8 8 --load FILE`") in err
 
+    @pytest.mark.parametrize("command", ["deploy", "serve"])
+    def test_old_npz_model_file_is_a_one_line_error(self, command, tmp_path,
+                                                    capsys):
+        """A model file saved before the array-file format is an npz zip:
+        `--load` names it as such and says how to re-save it."""
+        path = tmp_path / "old.npz"
+        np.savez(path, w=np.zeros(3))
+        assert main([command, "--benchmark", "ppg", "--width", "0.125",
+                     "--load", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro {command}: error: {str(path)!r} is an old npz model "
+            "file; re-save it with `train --save`\n")
+
 
 class TestSearch:
     def test_search_runs_and_reports(self, capsys):
@@ -233,7 +246,7 @@ class TestSearch:
         assert main(argv + ckpt + ["--resume"]) == 0
         resumed = log_lines()
         assert len(resumed) == 3
-        assert re.fullmatch(r"\[PIT\] resumed from .*search\.ckpt\.npz at "
+        assert re.fullmatch(r"\[PIT\] resumed from .*search\.ckpt at "
                             r"phase 'prune', global epoch 2", resumed[0])
         assert resumed[1:] == fresh[1:]
 

@@ -136,9 +136,7 @@ class TestTrainerOnCombinedModel:
         renamed = {key.replace(".mask.", ".time_mask."): value
                    for key, value in state.arrays.items()}
         assert renamed.keys() != state.arrays.keys()
-        meta = dict(state.meta)
-        meta.pop("checksum")
-        ckpt.save(renamed, meta)
+        ckpt.save(renamed, state.meta)
         with pytest.warns(UserWarning, match="another network"):
             resumed = fit(checkpoint_dir=str(tmp_path))
         assert (resumed.best_val, resumed.history, resumed.dilations) == (
