@@ -23,6 +23,7 @@ from .ops_conv import (
     conv1d_causal,
     conv1d_causal_path,
     conv1d_causal_masked,
+    conv1d_causal_masked_stacked,
     conv1d_causal_stacked,
     avg_pool1d,
     global_avg_pool1d,
@@ -63,6 +64,7 @@ __all__ = [
     "conv1d_causal",
     "conv1d_causal_path",
     "conv1d_causal_masked",
+    "conv1d_causal_masked_stacked",
     "conv1d_causal_stacked",
     "avg_pool1d",
     "global_avg_pool1d",

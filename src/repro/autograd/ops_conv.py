@@ -34,7 +34,8 @@ from .ops_nn import _softmax_bwd
 from .tensor import OpDef, Tensor, _unbroadcast, apply_op
 
 __all__ = ["conv1d_causal", "conv1d_causal_path", "conv1d_causal_masked",
-           "conv1d_causal_stacked", "avg_pool1d", "global_avg_pool1d"]
+           "conv1d_causal_masked_stacked", "conv1d_causal_stacked",
+           "avg_pool1d", "global_avg_pool1d"]
 
 
 def _padded(x, pad):
@@ -304,6 +305,21 @@ def conv1d_causal_masked(x: Tensor, w: Tensor, tap_mask: Tensor,
 # Stacked-model convolution (vmap-style leading model axis)
 # ----------------------------------------------------------------------
 
+def _check_stacked_shapes(x: Tensor, w: Tensor) -> None:
+    if x.ndim != 4:
+        raise ValueError(f"expected input (M, N, C_in, T), got shape {x.shape}")
+    if w.ndim != 4:
+        raise ValueError(
+            f"expected weight (M, C_out, C_in, K), got shape {w.shape}")
+    if x.shape[0] != w.shape[0]:
+        raise ValueError(f"input stack {x.shape[0]} does not match "
+                         f"weight stack {w.shape[0]}")
+    if x.shape[2] != w.shape[2]:
+        raise ValueError(
+            f"input channels {x.shape[2]} do not match weight channels "
+            f"{w.shape[2]}")
+
+
 def _conv_stacked_fwd(ins, attrs):
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
@@ -356,24 +372,73 @@ def conv1d_causal_stacked(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     ``m`` is bit-identical to :func:`conv1d_causal` on model ``m``'s
     slice.
     """
-    if x.ndim != 4:
-        raise ValueError(f"expected input (M, N, C_in, T), got shape {x.shape}")
-    if w.ndim != 4:
-        raise ValueError(
-            f"expected weight (M, C_out, C_in, K), got shape {w.shape}")
-    if x.shape[0] != w.shape[0]:
-        raise ValueError(f"input stack {x.shape[0]} does not match "
-                         f"weight stack {w.shape[0]}")
-    if x.shape[2] != w.shape[2]:
-        raise ValueError(
-            f"input channels {x.shape[2]} do not match weight channels "
-            f"{w.shape[2]}")
+    _check_stacked_shapes(x, w)
     if dilation < 1 or stride < 1:
         raise ValueError("dilation and stride must be >= 1")
 
     attrs = {"dilation": dilation, "stride": stride}
     inputs = (x, w) if b is None else (x, w, b)
     return apply_op(_CONV1D_STACKED, inputs, attrs)
+
+
+def _into_stack(out, m, value, m_total):
+    """Write slice ``m`` of a stacked result, allocating it on slice 0."""
+    if value is None:
+        return None
+    if out is None:
+        out = np.empty((m_total,) + value.shape, value.dtype)
+    out[m] = value
+    return out
+
+
+def _masked_stacked_fwd(ins, attrs):
+    """Forward of :func:`conv1d_causal_masked_stacked`: the 2-D masked
+    forward per model slice, each on its own live-tap pattern."""
+    m_total = ins[0].shape[0]
+    out, ctxs = None, []
+    for m in range(m_total):
+        slice_out, ctx = _masked_fwd(tuple(a[m] for a in ins), attrs)
+        out = _into_stack(out, m, slice_out, m_total)
+        ctxs.append(ctx)
+    return out, ctxs
+
+
+def _masked_stacked_bwd(g, ins, out, ctxs, attrs, needs):
+    m_total = ins[0].shape[0]
+    grads = [None] * len(ins)
+    for m in range(m_total):
+        slice_grads = _masked_bwd(g[m], tuple(a[m] for a in ins), out[m],
+                                  ctxs[m], attrs, needs)
+        grads = [_into_stack(acc, m, value, m_total)
+                 for acc, value in zip(grads, slice_grads)]
+    return tuple(grads)
+
+
+_CONV1D_MASKED_STACKED = OpDef("conv1d_causal_masked_stacked",
+                               _masked_stacked_fwd, _masked_stacked_bwd)
+
+
+def conv1d_causal_masked_stacked(x: Tensor, w: Tensor, tap_mask: Tensor,
+                                 b: Optional[Tensor] = None,
+                                 stride: int = 1) -> Tensor:
+    """:func:`conv1d_causal_masked` over a stack of M models.
+
+    ``x`` is ``(M, N, C_in, T)``, ``w`` ``(M, C_out, C_in, K)``,
+    ``tap_mask`` ``(M, K)`` in kernel order and ``b`` ``(M, C_out)`` or
+    None.  Each model slice runs the 2-D masked op's forward and adjoints
+    on its own mask, so it computes only its own live taps and is
+    bit-identical to :func:`conv1d_causal_masked` on that slice.
+    """
+    _check_stacked_shapes(x, w)
+    if tap_mask.shape != (w.shape[0], w.shape[3]):
+        raise ValueError(f"expected tap mask ({w.shape[0]}, {w.shape[3]}), "
+                         f"got shape {tap_mask.shape}")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+
+    attrs = {"stride": stride}
+    inputs = (x, w, tap_mask) if b is None else (x, w, tap_mask, b)
+    return apply_op(_CONV1D_MASKED_STACKED, inputs, attrs)
 
 
 def _avg_pool_fwd(ins, attrs):

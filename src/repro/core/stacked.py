@@ -14,9 +14,10 @@ w.r.t. slice ``m`` equals the gradient the sequential trainer would
 compute for that grid point; the stack just executes all M of them per op
 dispatch.  The schedule itself is the sequential trainer's phase list run
 by :func:`repro.core.driver.run_phases` over M lanes (:class:`StackLanes`)
-instead of one, which reproduces sequential *semantics* exactly (up to
-floating-point reduction order — see ``tests/test_dse_stacked.py`` for the
-locked tolerance): per-lane early stopping masks a converged model out of
+instead of one, and every stacked op runs the 2-D kernels slice by slice,
+so each grid point's result is bit-identical to its sequential run
+(``tests/test_dse_stacked.py`` compares best losses, histories and sweep
+points with ``==``): per-lane early stopping masks a converged model out of
 the loss (``active_m = 0``) and freezes its dropout streams; each model
 consumes its *own* epoch sequence of the loaders (via
 :class:`repro.data.EpochReplayLoader`), so a model entering fine-tuning
@@ -41,7 +42,7 @@ from ..autograd import (
     Tensor,
     binarize_ste,
     concatenate,
-    conv1d_causal_stacked,
+    conv1d_causal_masked_stacked,
     get_default_dtype,
     no_grad,
 )
@@ -180,10 +181,8 @@ class StackedPITConv1d(Module):
     def forward(self, x: Tensor) -> Tensor:
         mask_lags = self.mask()                        # (M, rf_max), lag order
         mask_kernel = mask_lags[:, self._flip_index]   # kernel order
-        masked_weight = self.weight * mask_kernel.reshape(
-            self.m, 1, 1, self.rf_max)
-        out = conv1d_causal_stacked(x, masked_weight, self.bias, dilation=1,
-                                    stride=self.stride)
+        out = conv1d_causal_masked_stacked(x, self.weight, mask_kernel,
+                                           self.bias, stride=self.stride)
         self._last_t_out = out.shape[-1]
         return out
 
@@ -338,10 +337,9 @@ class StackedPITTrainer:
 
     Mirrors :class:`repro.core.PITTrainer`'s parameters with ``lams`` (a
     sequence) replacing ``lam``; :meth:`fit` returns one
-    :class:`PITResult` per λ, index-aligned, semantically equivalent to M
-    sequential ``PITTrainer(model_i, lam=lams[i], ...)`` runs (up to
-    floating-point reduction order — batched kernels sum in different
-    orders than per-model ones).
+    :class:`PITResult` per λ, index-aligned, bit-identical in every loss
+    and history entry to M sequential ``PITTrainer(model_i, lam=lams[i],
+    ...)`` runs (``TestTrainerParity`` in ``tests/test_dse_stacked.py``).
 
     Phase seconds in the results are the *stack's* wall clock (all models
     share it); per-model epoch counts, histories and early-stop points are
@@ -502,7 +500,7 @@ class StackedPITTrainer:
         complete, consistent set is resumed bit-identically to the
         uninterrupted stacked run.  Slice files use the same format the
         sequential trainer writes, so a sequential run adopts a slice's
-        file (within the established stacked-vs-sequential tolerance).
+        file and continues bit-identically to its own uninterrupted run.
         """
         out = run_phases(
             StackLanes(self, train_loader, val_loader), pit_phases(self),

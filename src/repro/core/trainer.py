@@ -239,10 +239,10 @@ class PITTrainer:
         training state is snapshotted at (global) epoch boundaries and an
         existing snapshot is resumed: the remaining epochs replay
         bit-identically — losses, params, full Adam state — to the run
-        that was never interrupted.  A stacked lane's file is adopted too
-        (a stopped lane's file holds its stop-epoch state), within the
-        stacked-vs-sequential tolerance.  Resume assumes the same trainer
-        configuration and data as the run that wrote the snapshot.
+        that was never interrupted.  A stacked lane's file is adopted too,
+        bit for bit (a stopped lane's file holds its stop-epoch state).
+        Resume assumes the same trainer configuration and data as the run
+        that wrote the snapshot.
         """
         lanes = SingleLane(self.model, self.loss_fn, train_loader,
                            val_loader, self._regularizer_term, pit_layers(self.model))

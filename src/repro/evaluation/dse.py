@@ -870,9 +870,9 @@ class DSEEngine:
         stacked convs loop over the models, per-model λ and early
         stopping.  ``1`` (the default) is the exact sequential path; None
         defers to ``REPRO_DSE_STACK``.  This is an execution-speed knob
-        kept *out* of cache keys: stacked results match sequential within
-        floating-point reduction-order tolerance, so stacked and
-        sequential sweeps resume from and write to the same entries.
+        kept *out* of cache keys: stacked results are bit-identical to
+        sequential ones, so stacked and sequential sweeps resume from and
+        write to the same entries.
         Models or loaders without a stacked path fall back to sequential
         training automatically (per chunk).
     point_evaluators:

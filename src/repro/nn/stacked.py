@@ -8,13 +8,14 @@ template network M times into parameters with a leading **model axis**
 
 * activations carry the model axis too — ``(M, N, C, T)`` instead of
   ``(N, C, T)`` — so one dispatch covers the whole stack;
-* convolutions run through :func:`repro.autograd.conv1d_causal_stacked`,
+* convolutions run through :func:`repro.autograd.conv1d_causal_stacked`
+  (PIT convs through :func:`repro.autograd.conv1d_causal_masked_stacked`),
   one dispatch whose kernels run the M GEMMs model by model;
 * elementwise ops, pooling (via an M·N batch merge) and losses are
   shape-generic and need no new kernels;
 * model slices never mix: slice ``m`` of every activation, gradient and
   optimizer update depends only on model ``m``'s parameters and data, so
-  stacked training is mathematically M independent trainings in lockstep.
+  stacked training is M independent trainings in lockstep, bit for bit.
 
 The transform walks the template's module tree and replaces each known
 leaf layer with its stacked counterpart (registered via

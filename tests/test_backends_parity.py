@@ -23,6 +23,7 @@ from repro.autograd import (
     check_gradients,
     conv1d_causal,
     conv1d_causal_masked,
+    conv1d_causal_masked_stacked,
     conv1d_causal_stacked,
 )
 from repro.autograd.backends import (
@@ -195,6 +196,55 @@ class TestStackedKernelParity:
             assert np.array_equal(out.data[m], ref.data), m
             assert np.array_equal(x.grad[m], xm.grad), m
             assert np.array_equal(w.grad[m], wm.grad), m
+
+    # Kernel-order masks, one per slice: every tap, a dilated tail, one
+    # live tap, and an irregular pattern that computes every tap.
+    SLICE_MASKS = np.array([[1., 1, 1, 1, 1, 1, 1, 1, 1],
+                            [0., 0, 1, 0, 0, 1, 0, 0, 1],
+                            [0., 0, 0, 0, 0, 0, 0, 0, 1],
+                            [1., 0, 0, 1, 1, 0, 1, 0, 1]])
+
+    @pytest.mark.parametrize("mask_grad", [True, False],
+                             ids=["gamma-training", "frozen"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_masked_stacked_slice_bit_identical_to_2d(self, stride,
+                                                      mask_grad):
+        """Slice ``m`` of the stacked masked conv is the 2-D masked conv
+        on slice ``m``: output and every gradient, on each slice's own
+        live taps, with the mask trained (γ) or frozen."""
+        masks = self.SLICE_MASKS
+        rng = np.random.default_rng(7)
+        m_total, k = masks.shape
+        x = Tensor(rng.standard_normal((m_total, N, C_IN, T)),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((m_total, C_OUT, C_IN, k)),
+                   requires_grad=True)
+        b = Tensor(rng.standard_normal((m_total, C_OUT)), requires_grad=True)
+        mask = Tensor(masks.copy(), requires_grad=mask_grad)
+        out = conv1d_causal_masked_stacked(x, w, mask, b, stride=stride)
+        upstream = rng.standard_normal(out.shape)
+        out.backward(upstream)
+        assert (mask.grad is None) != mask_grad
+        for m in range(m_total):
+            xm, wm, bm = (Tensor(a.data[m], requires_grad=True)
+                          for a in (x, w, b))
+            maskm = Tensor(masks[m].copy(), requires_grad=mask_grad)
+            ref = conv1d_causal_masked(xm, wm, maskm, bm, stride=stride)
+            ref.backward(upstream[m])
+            assert np.array_equal(out.data[m], ref.data), m
+            for got, want in ((x, xm), (w, wm), (b, bm)):
+                assert np.array_equal(got.grad[m], want.grad), m
+            if mask_grad:
+                assert np.array_equal(mask.grad[m], maskm.grad), m
+
+    def test_masked_stacked_validates_mask_shape(self):
+        x, w, _ = self._stacked_inputs(3)
+        with pytest.raises(ValueError, match="tap mask"):
+            conv1d_causal_masked_stacked(x, w, Tensor(np.ones(3)))
+        with pytest.raises(ValueError, match="stack"):
+            conv1d_causal_masked_stacked(
+                x, Tensor(np.zeros((self.M + 1, C_OUT, C_IN, 3))),
+                Tensor(np.ones((self.M + 1, 3))))
 
     def test_base_class_loop_covers_unbatched_backends(self):
         """The stacked kernels are a per-model loop of the 2-D lowering:

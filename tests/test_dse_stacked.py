@@ -4,15 +4,14 @@ The stacked executor trains M (λ, warmup) grid points as one weight-stacked
 program; this suite locks it to the sequential path:
 
 * **Trajectory parity** — per-point final losses, dilations, effective
-  parameters and full validation histories match a sequential
-  :class:`repro.core.PITTrainer` run within ``TOL`` (documented below),
-  with dropout + BatchNorm in the
+  parameters and full validation histories equal a sequential
+  :class:`repro.core.PITTrainer` run bit for bit (``==``, at float32 and
+  under ``REPRO_DTYPE=float64``), with dropout + BatchNorm in the
   model and *divergent* per-model early stopping (the hard case: a model
   that stops pruning at epoch 3 rides along masked while another prunes
   for 20+, then both fine-tune on their own loader-epoch streams).
 * **Bookkeeping exactness** — warmup/prune/finetune epoch counts, history
-  lengths and early-stop epochs are compared *exactly*: stacking may only
-  perturb floating point, never control flow, at these tolerances.
+  lengths and early-stop epochs are compared exactly too.
 * **Engine semantics** — ``stack=1`` is bit-identical to the pre-stacking
   engine; stacked sweeps share :class:`DSECache` entries with sequential
   ones (half-sequential → finish-stacked resumes without retraining);
@@ -23,15 +22,12 @@ program; this suite locks it to the sequential path:
   clones of the template loaders, so parallel + stacked sweeps see
   bit-identical batch order.
 
-Documented tolerance
---------------------
-Stacked kernels batch M per-model contractions into single einsum/GEMM/FFT
-calls whose floating-point reduction order differs from the per-model
-kernels.  Over the short trainings here the accumulated divergence stays
-below ``1e-8`` absolute under ``REPRO_DTYPE=float64``; at the float32
-default everything computes in single precision and the bound loosens to
-``5e-3`` absolute / relative on O(1) losses.  Integer outcomes
-(dilations, params, epoch counts) must not move at all.
+No tolerance
+------------
+Every stacked op computes model slice ``m`` with the 2-D kernels on that
+slice's arrays — the PIT convs through
+:func:`repro.autograd.conv1d_causal_masked_stacked`, each slice on its own
+live taps — so nothing here is compared within a tolerance.
 """
 
 import json
@@ -40,7 +36,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, get_default_dtype
+from repro.autograd import Tensor
 from repro.core import PITConv1d, PITTrainer, StackedPITTrainer
 from repro.core.stacked import per_model_loss
 from repro.data import ArrayDataset, DataLoader, EpochReplayLoader, clone_loader
@@ -57,11 +53,6 @@ from repro.nn import (
     StackingUnsupported,
     mse_loss,
 )
-
-if np.dtype(get_default_dtype()) == np.float64:
-    TOL = dict(atol=1e-8, rtol=1e-8)
-else:
-    TOL = dict(atol=5e-3, rtol=5e-3)
 
 LAMS = [0.0, 0.05, 0.5, 5.0]
 # lr=1e-2 makes the λ=0 point prune for ~24 epochs while the heavily
@@ -140,11 +131,11 @@ def _assert_result_parity(sequential, stacked):
         assert seq.warmup_epochs == stk.warmup_epochs
         assert seq.prune_epochs == stk.prune_epochs
         assert seq.finetune_epochs == stk.finetune_epochs
-        # Float outcomes within the documented tolerance.
-        assert np.allclose(seq.best_val, stk.best_val, **TOL)
+        # Float outcomes bit for bit.
+        assert seq.best_val == stk.best_val
         for key in seq.history:
             assert len(seq.history[key]) == len(stk.history[key]), key
-            assert np.allclose(seq.history[key], stk.history[key], **TOL), key
+            assert seq.history[key] == stk.history[key], key
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +171,17 @@ class TestTrainerParity:
                                              lams=LAMS[:3])
             stacked = _stacked_results(schedule=schedule, lams=LAMS[:3])
         _assert_result_parity(sequential, stacked)
+
+    def test_flops_regularizer_parity(self):
+        """The flops regularizer scales each layer's term by its recorded
+        output length; the λ grid here moves the dilations."""
+        schedule = dict(SCHEDULE, regularizer="flops", max_prune_epochs=6,
+                        finetune_epochs=3)
+        lams = [0.0, 1e-3, 1e-2, 1e-1]
+        sequential = _sequential_results(schedule=schedule, lams=lams)
+        stacked = _stacked_results(schedule=schedule, lams=lams)
+        _assert_result_parity(sequential, stacked)
+        assert len({r.dilations for r in stacked}) > 1
 
     def test_warmup_zero_and_no_finetune(self):
         schedule = dict(SCHEDULE, warmup_epochs=0, max_prune_epochs=3,
@@ -228,7 +230,7 @@ class TestPerModelPrimitives:
         assert fast.shape == (3,)
         for m in range(3):
             ref = mse_loss(Tensor(pred.data[m]), Tensor(y.data[m]))
-            assert np.allclose(fast.data[m], ref.data, **TOL)
+            assert np.array_equal(fast.data[m], ref.data)
 
     def test_unregistered_loss_falls_back_to_slices(self):
         def odd_loss(pred, target):
@@ -242,7 +244,7 @@ class TestPerModelPrimitives:
         assert vec.shape == (2,)
         for m in range(2):
             ref = odd_loss(Tensor(pred.data[m]), Tensor(y.data[m]))
-            assert np.allclose(vec.data[m], ref.data, **TOL)
+            assert np.array_equal(vec.data[m], ref.data)
 
     def test_stacked_dropout_streams_match_sequential(self):
         from repro.autograd import dropout, dropout_stacked
@@ -254,7 +256,7 @@ class TestPerModelPrimitives:
         out = dropout_stacked(Tensor(stacked_x), 0.4, True, clones)
         ref = dropout(Tensor(x), 0.4, True, rng=base)
         for m in range(3):
-            assert np.allclose(out.data[m], ref.data, **TOL)
+            assert np.array_equal(out.data[m], ref.data)
 
     def test_inactive_models_skip_dropout_draws(self):
         from repro.autograd import dropout_stacked
@@ -307,7 +309,7 @@ def _points_close(a, b):
         assert (pa.lam, pa.warmup_epochs) == (pb.lam, pb.warmup_epochs)
         assert pa.dilations == pb.dilations
         assert pa.params == pb.params
-        assert np.allclose(pa.loss, pb.loss, **TOL)
+        assert pa.loss == pb.loss
 
 
 class TestEngineStacking:
@@ -319,7 +321,7 @@ class TestEngineStacking:
             assert pa.loss == pb.loss          # bit-identical, not allclose
             assert pa.dilations == pb.dilations
 
-    def test_stacked_sweep_matches_sequential_within_tol(self):
+    def test_stacked_sweep_matches_sequential_exactly(self):
         sequential = _engine(stack=1).run(LAMS, warmups=[1])
         stacked = _engine(stack=4).run(LAMS, warmups=[1])
         parallel = _engine(stack=2, workers=2).run(LAMS, warmups=[1])
@@ -388,8 +390,7 @@ class TestEngineStacking:
         stacked = _engine(stack=2, point_evaluators=[Probe()]
                           ).run(LAMS[:2], warmups=[1])
         for pa, pb in zip(sequential.points, stacked.points):
-            assert np.allclose(pa.metrics["probe"], pb.metrics["probe"],
-                               **TOL)
+            assert pa.metrics["probe"] == pb.metrics["probe"]
 
 
 class TestStackedTimeout:
@@ -554,7 +555,7 @@ class TestStackedModelUnit:
         out = stacked(Tensor(x))
         for m in range(3):
             ref = model(Tensor(x[m]))
-            assert np.allclose(out.data[m], ref.data, **TOL)
+            assert np.array_equal(out.data[m], ref.data)
 
     def test_slice_state_round_trip(self):
         stacked = StackedModel(StackSeed(), 2)

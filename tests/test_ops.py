@@ -42,6 +42,7 @@ from repro.autograd import (
     concatenate,
     conv1d_causal,
     conv1d_causal_masked,
+    conv1d_causal_masked_stacked,
     conv1d_causal_path,
     conv1d_causal_stacked,
     default_dtype_scope,
@@ -475,6 +476,33 @@ def _masked_conv_samples():
             sample("dead-prefix-bias-stride2", [0.0, 0.0, 1.0, 1.0, 1.0],
                    bias=True, stride=2),
             sample("irregular", [1.0, 1.0, 0.0, 1.0, 1.0])]
+
+
+@op("conv1d_causal_masked_stacked")
+def _masked_stacked_conv_samples():
+    # One mask per slice: every tap live, a dilated tail, a single live
+    # tap, and an irregular pattern that computes every tap.
+    masks = [[1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 0.0, 1.0],
+             [0.0, 0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 1.0, 1.0]]
+
+    def sample(name, bias=False, stride=1):
+        shapes = [(4, 2, 3, 11), (4, 4, 3, 5)] + ([(4, 4)] if bias else [])
+
+        def make(rng):
+            x, w, *b = randn(*shapes)(rng)
+            return (x, w, np.array(masks), *b)
+
+        def ref(x, w, m, *b):
+            return np.stack([conv_ref(x[i], w[i] * m[i],
+                                      *(c[i] for c in b), stride=stride)
+                             for i in range(len(masks))])
+        return Sample(
+            name, make,
+            lambda x, w, m, *b: conv1d_causal_masked_stacked(
+                x, w, m, *b, stride=stride),
+            ref)
+    return [sample("per-slice-masks"),
+            sample("per-slice-masks-bias-stride2", bias=True, stride=2)]
 
 
 @op("conv1d_causal_stacked")
