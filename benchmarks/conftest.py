@@ -19,8 +19,9 @@ numbers further:
 
 * ``REPRO_DSE_WORKERS``  — worker processes for the λ sweeps (default 0 =
   serial; the engine reads it);
-* ``REPRO_DSE_CACHE_DIR`` — directory for JSON sweep caches; completed
-  (λ, warmup) points are skipped when a bench session is re-run.
+* ``REPRO_DSE_CACHE_DIR`` — directory holding one sweep cache directory
+  per λ sweep; completed (λ, warmup) points are skipped when a bench
+  session is re-run.
 
 Every conv runs the one im2col kernel set (``repro.autograd.backends``);
 there is no kernel knob.
@@ -63,7 +64,7 @@ DSE_CACHE_DIR = os.environ.get("REPRO_DSE_CACHE_DIR")
 def _sweep_cache(name: str):
     if not DSE_CACHE_DIR:
         return None
-    return os.path.join(DSE_CACHE_DIR, f"dse_{name}.json")
+    return os.path.join(DSE_CACHE_DIR, f"dse_{name}")
 
 
 def _loaders(dataset, batch, seed=0):

@@ -37,31 +37,12 @@ from typing import Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["Im2colKernels", "conv_out_length", "einsum_cached"]
+__all__ = ["Im2colKernels", "conv_out_length"]
 
 
 def conv_out_length(t: int, stride: int) -> int:
     """Output length of the causal conv: ``ceil(t / stride)``."""
     return (t + stride - 1) // stride
-
-
-_EINSUM_PATHS: dict = {}
-
-
-def einsum_cached(subscripts: str, *operands: np.ndarray):
-    """``np.einsum`` with the contraction path memoized per operand shape.
-
-    ``optimize=True`` re-runs the path search on every call — measurable
-    pure overhead once shapes are fixed, which for a training loop is
-    always.  The search is deterministic, so caching the path per
-    ``(subscripts, shapes)`` is bit-identical to ``optimize=True``.
-    """
-    key = (subscripts, tuple(op.shape for op in operands))
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = _EINSUM_PATHS[key] = np.einsum_path(
-            subscripts, *operands, optimize=True)[0]
-    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def _patch_view(xp: np.ndarray, k: int, dilation: int, stride: int,
@@ -117,10 +98,12 @@ def _grad_weight(grad: np.ndarray, xp: np.ndarray,
                  dilation: int, stride: int, t: int) -> np.ndarray:
     patches = _patch_view(xp, w_shape[2], dilation, stride, t)
     # One contraction over the strided view (gw[o,c,i] = Σ_{n,t}
-    # grad[n,o,t] * patches[n,c,i,t]); einsum materializes at most one
-    # im2col buffer internally, where an explicit reshape+transpose GEMM
-    # would copy it twice.
-    return einsum_cached("not,ncit->oci", grad, patches)
+    # grad[n,o,t] * patches[n,c,i,t]); tensordot materializes at most one
+    # im2col buffer, where an explicit reshape+transpose GEMM would copy
+    # it twice.  np.einsum takes this same BLAS route, but re-validates
+    # its contraction path on every call.
+    return np.tensordot(patches, grad, axes=((0, 3), (0, 2))).transpose(
+        2, 0, 1)
 
 
 def _per_model(kernel, a: np.ndarray, b: np.ndarray, *static) -> np.ndarray:

@@ -14,9 +14,27 @@ from typing import Tuple
 
 import numpy as np
 
-from .im2col import conv_out_length, einsum_cached
+from .im2col import conv_out_length
 
 __all__ = ["EinsumReference"]
+
+_EINSUM_PATHS: dict = {}
+
+
+def einsum_cached(subscripts: str, *operands: np.ndarray):
+    """``np.einsum`` with the contraction path memoized per operand shape.
+
+    ``optimize=True`` re-runs the path search on every call — measurable
+    pure overhead once shapes are fixed, which for a training loop is
+    always.  The search is deterministic, so caching the path per
+    ``(subscripts, shapes)`` is bit-identical to ``optimize=True``.
+    """
+    key = (subscripts, tuple(op.shape for op in operands))
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = _EINSUM_PATHS[key] = np.einsum_path(
+            subscripts, *operands, optimize=True)[0]
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 class EinsumReference:

@@ -42,10 +42,12 @@ share of the cores), ``--stack N`` trains up to N
 same-warmup grid points as one weight-stacked model (one op graph for
 the stack, whose convs loop over the models; ``REPRO_DSE_STACK`` is the
 environment equivalent), and
-``--cache`` memoizes completed (λ, warmup) points — including ``--hw``
-deployment metrics (cache format v3) — to a JSON file so interrupted
-sweeps resume where they left off.  Stack width never enters cache keys:
-stacked and sequential sweeps share entries.
+``--cache DIR`` memoizes completed (λ, warmup) points — including
+``--hw`` deployment metrics — to a directory, one array file per point,
+so interrupted sweeps resume where they left off; an existing regular
+file there (a cache from the single-JSON-file format) is a one-line
+error with exit code 2.  Stack width never enters cache keys: stacked
+and sequential sweeps share entries.
 
 The training commands also accept ``--checkpoint-dir PATH`` and
 ``--checkpoint-every N``: mid-run trainer checkpoints snapshot the complete
@@ -64,6 +66,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -207,6 +210,11 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .evaluation import DSEEngine
+    if args.cache is not None and os.path.isfile(args.cache):
+        print(f"repro sweep: error: --cache {args.cache!r} is a file; the "
+              "sweep cache is now a directory of per-point files, so pass "
+              "a directory", file=sys.stderr)
+        return 2
     train_loader, val_loader, test_loader = _loaders(args.benchmark, args.seed)
 
     # functools.partial of a module-level function (not a closure) so the
@@ -493,15 +501,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "capped at cpu_count/N threads (0/1 = serial; "
                               "default: REPRO_DSE_WORKERS or 0)")
     p_sweep.add_argument("--cache", type=str, default=None,
-                         help="JSON results cache; completed (lambda, warmup) "
+                         metavar="DIR",
+                         help="results cache directory, one file per "
+                              "completed (lambda, warmup) point; those "
                               "points are skipped on re-runs")
     p_sweep.add_argument("--stack", type=_AT_LEAST_ONE, default=None,
                          help="stacked-model execution: train up to N "
                               "same-warmup grid points as one weight-stacked "
                               "model (1 = sequential; default: "
                               "REPRO_DSE_STACK or 1).  A speed knob: "
-                              "results match sequential within "
-                              "fp tolerance and cache entries are shared")
+                              "results are bit-identical to --stack 1 "
+                              "and cache entries are shared")
     p_sweep.add_argument("--hw", action="store_true",
                          help="hardware-in-the-loop: after each grid point "
                               "trains, export + int8-quantize it and "

@@ -70,11 +70,11 @@ FORMAT_VERSION = 4
 def key_tag(key: str) -> str:
     """Filesystem-safe tag for a checkpoint derived from a cache key.
 
-    The DSE engine names each point's checkpoint after its ``DSECache``
-    key, so every execution path that trains the same configuration —
-    sequential, stacked, a retry after a worker crash, a resubmit after a
-    pool death — resolves to the *same* file and resumes each other's
-    progress.
+    The DSE engine names each point's checkpoint (and ``DSECache`` its
+    point file) after the point's cache key, so every execution path that
+    trains the same configuration — sequential, stacked, a retry after a
+    worker crash, a resubmit after a pool death — resolves to the *same*
+    file and resumes each other's progress.
     """
     return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
 

@@ -26,9 +26,10 @@ model).  Stack width is an execution knob: it stays out of cache keys,
 and unsupported models/loaders fall back to the sequential path per
 group.
 
-Completed points can be memoized to a JSON cache file (see
-:class:`DSECache`), making long sweeps resumable: a re-run with the same
-grid and trainer settings skips finished points and only trains the rest.
+Completed points can be memoized to a cache directory, one array file
+per point (see :class:`DSECache`), making long sweeps resumable: a re-run
+with the same grid and trainer settings skips finished points and only
+trains the rest.
 
 Sweeps are *fault tolerant*: a failing grid point becomes a
 ``status="failed"`` :class:`DSEPoint` carrying the error instead of an
@@ -38,7 +39,7 @@ fails with :class:`repro.core.PointTimeout` at its next step, and
 non-finite losses surface as :class:`repro.core.DivergedError` with a
 diagnosis.  Process-pool sweeps survive worker death: on
 ``BrokenProcessPool`` the engine rebuilds the pool and resubmits only
-unfinished points (shrunk by whatever the dying worker already flushed to
+unfinished points (shrunk by whatever the dying worker already wrote to
 the cache), a poison point that kills workers twice is quarantined, and
 after repeated pool deaths the loop carries on with the inline executor,
 with a warning.  Every recovery path is exercised deterministically by
@@ -64,7 +65,6 @@ import json
 import os
 import pickle
 import random
-import threading
 import time
 import warnings
 from collections import OrderedDict, deque
@@ -88,7 +88,8 @@ from ..core.stacked import StackedPITTrainer
 from ..core.trainer import DivergedError, PITResult, PITTrainer, PointTimeout
 from ..data import clone_loader
 from ..nn import Module
-from ..nn.serialization import atomic_write, directory_lock, quarantine_file
+from ..nn.serialization import (CheckpointError, load_state,
+                                 quarantine_file, save_state)
 from ..nn.stacked import StackingUnsupported
 from ..testing import faults
 from .pareto import pareto_front
@@ -269,97 +270,68 @@ class DSEResult:
 # ----------------------------------------------------------------------
 
 class DSECache:
-    """JSON memo of completed DSE points, for resumable sweeps.
+    """Directory memo of completed DSE points, for resumable sweeps.
 
-    File format (version 3)::
+    Every finished grid point is one :mod:`repro.nn.serialization` array
+    file, ``<path>/<key_tag(key)>.point``, that holds no arrays.  Its
+    metadata is the point's entry plus its full cache key::
 
         {
-          "version": 3,
-          "points": {
-            "<key>": {
-              "lam": 0.02, "warmup_epochs": 5,
-              "dilations": [1, 2, 4], "params": 1234, "loss": 0.567,
-              "metrics": {"latency_ms": 112.6, "energy_mj": 29.5, ...},
-              "result": { ... PITResult fields ... },
-              "status": "ok", "error": null, "attempts": 1
-            }, ...
-          }
+          "key": "tag=...|lam=0.02|warmup=5|trainer={...}|dtype=float32",
+          "lam": 0.02, "warmup_epochs": 5,
+          "dilations": [1, 2, 4], "params": 1234, "loss": 0.567,
+          "metrics": {"latency_ms": 112.6, "energy_mj": 29.5, ...},
+          "result": { ... PITResult fields ... },
+          "status": "ok", "error": null, "attempts": 1
         }
 
     ``metrics`` holds post-training evaluator annotations (deployment
     latency/energy, quantized loss, …); the failure fields (``status`` /
     ``error`` / ``attempts``) keep an interrupted fault-tolerant sweep's
-    failure provenance on disk.  Any other version raises.  Failed entries
-    are *persisted but never served*: :meth:`get` treats them as missing,
-    so a resumed sweep retries the failed grid points instead of trusting
-    a placeholder.
+    failure provenance on disk.  Failed entries are *persisted but never
+    served*: :meth:`get` treats them as missing, so a resumed sweep
+    retries the failed grid points instead of trusting a placeholder.
 
-    A cache file that no longer parses (truncated by a crash mid-write,
-    garbage bytes) is never fatal and never silently ignored: the corrupt
-    file is quarantined to ``<path>.corrupt`` (for post-mortems; an
-    existing quarantine file is overwritten), a warning names both paths,
-    and the cache starts fresh.
+    Each file is written once, atomically, by whoever finished the point:
+    the task that trained it (in a pool worker, through its own unpickled
+    copy of this handle, which holds only the path) or the engine for the
+    failures only it assigns.  No process rewrites another's record, so
+    workers and the parent share the directory without a lock.  Reads go
+    to disk every time; a handle caches nothing.
+
+    A point file that fails its checksum or header (truncated by a crash
+    mid-write, garbage bytes), or whose metadata is not a point record,
+    is never fatal and never silently ignored: it is quarantined to
+    ``<file>.corrupt`` with a warning and reads as missing, so only that
+    point retrains.  A file whose stored key differs from the lookup key
+    is not served.
 
     Keys encode (tag, λ, warmup, trainer settings, the default dtype, and
-    the point evaluators that annotated the entry), so a cache file is
-    never allowed to return a point trained under different
-    hyper-parameters or at another precision.  Keys written without a
-    ``dtype`` field, or when the conv kernels were selectable (a
-    ``backend`` field), no longer match any lookup, so those points retrain
-    (another precision or other kernels' rounding could have led training
-    elsewhere), while the entries themselves stay in the file.  λ and
-    warmup are normalized to native ``float``/``int`` first: a
-    ``np.linspace`` grid (numpy scalars) must key identically to the same
-    values spelled as Python floats, or resumed sweeps would silently
-    retrain everything.
+    the point evaluators that annotated the entry), so the cache is never
+    allowed to return a point trained under different hyper-parameters or
+    at another precision.  λ and warmup are normalized to native
+    ``float``/``int`` first: a ``np.linspace`` grid (numpy scalars) must
+    key identically to the same values spelled as Python floats, or
+    resumed sweeps would silently retrain everything.
     The *tag* is the caller's name for the model/data
     identity (seed factory, dataset, width, …), which the engine cannot
-    see into — callers sharing one cache file across different seeds or
-    benchmarks must pass distinct ``cache_tag`` values (the CLI and the
-    benchmark conftest do).  Writes are atomic (tempfile + rename); a lock
-    serializes flushes within one process and a lock on the file's
-    directory across processes, and each flush merges what other
-    processes (pool workers sharing the file) recorded since.
+    see into — callers sharing one cache directory across different seeds
+    or benchmarks must pass distinct ``cache_tag`` values (the CLI and the
+    benchmark conftest do).
+
+    ``path`` names a directory, created on the first write.  A regular
+    file there (such as a cache from the single-JSON-file format) raises
+    ``ValueError``: it is not read.
     """
 
-    VERSION = 3
+    SUFFIX = ".point"
 
     def __init__(self, path: str):
-        self.path = path
-        self._lock = threading.Lock()
-        self._points: Dict[str, dict] = {}
-        payload = self._load_payload(path)
-        if payload is not None:
-            self._points = dict(payload.get("points", {}))
-
-    @classmethod
-    def _load_payload(cls, path: str) -> Optional[dict]:
-        """Read and validate the cache file; None when absent or corrupt.
-
-        Corrupt files (unparseable JSON, non-dict payload) are quarantined
-        to ``<path>.corrupt`` with a warning — a half-written file from a
-        killed sweep must cost a retrain, not the whole run.  A *valid*
-        file with an unsupported version still raises: that is a real
-        format mismatch (e.g. a newer writer), not corruption, and
-        silently discarding it would throw away good points.
-        """
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise json.JSONDecodeError("payload is not an object", "", 0)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            quarantine_file(path, f"DSE cache file {path!r} is corrupt "
-                                  f"({exc})", suffix=" and starting fresh",
-                            stacklevel=3)
-            return None
-        if payload.get("version") != cls.VERSION:
+        if os.path.exists(path) and not os.path.isdir(path):
             raise ValueError(
-                f"unsupported DSE cache version in {path!r}: "
-                f"{payload.get('version')!r}")
-        return payload
+                f"DSE cache {path!r} is a file; the cache is now a "
+                "directory of per-point files, so pass a directory")
+        self.path = path
 
     @staticmethod
     def key(lam: float, warmup: int, trainer_kwargs: Dict,
@@ -392,8 +364,35 @@ class DSECache:
             key += f"|evaluators={json.dumps(list(evaluators))}"
         return key
 
+    def _file(self, key: str) -> str:
+        return os.path.join(self.path, key_tag(key) + self.SUFFIX)
+
+    def _files(self) -> List[str]:
+        """Every point file in the directory, in name order."""
+        try:
+            names = os.listdir(self.path)
+        except FileNotFoundError:
+            return []
+        return [os.path.join(self.path, name) for name in sorted(names)
+                if name.endswith(self.SUFFIX)]
+
+    @staticmethod
+    def _read(file: str) -> Optional[dict]:
+        """The entry in point file ``file``; None when there is none or it
+        is damaged (then quarantined, with a warning)."""
+        try:
+            _, entry = load_state(file, quarantine=True)
+        except (FileNotFoundError, CheckpointError):
+            return None
+        if not isinstance(entry, dict) or not isinstance(entry.get("key"),
+                                                          str):
+            quarantine_file(file, f"DSE cache point file {file!r} holds no "
+                                  "point record", stacklevel=3)
+            return None
+        return entry
+
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._files())
 
     def get(self, key: str) -> Optional[DSEPoint]:
         """The ok point recorded under ``key``, else None.
@@ -401,8 +400,8 @@ class DSECache:
         Failed entries are persisted provenance, not reusable results —
         they read as missing so a resumed sweep retries the point.
         """
-        entry = self._points.get(key)
-        if entry is None or entry["status"] != "ok":
+        entry = self._read(self._file(key))
+        if entry is None or entry["key"] != key or entry["status"] != "ok":
             return None
         return _point_from_dict(entry)
 
@@ -419,47 +418,18 @@ class DSECache:
         evaluator stacks recorded the point (lexicographically first key).
         """
         prefix = base_key + "|evaluators="
-        for key in sorted(self._points):
-            if (key.startswith(prefix)
-                    and self._points[key]["status"] == "ok"):
-                return _point_from_dict(self._points[key])
-        return None
+        found = [entry for entry in map(self._read, self._files())
+                 if entry is not None and entry["key"].startswith(prefix)
+                 and entry["status"] == "ok"]
+        if not found:
+            return None
+        return _point_from_dict(min(found, key=lambda entry: entry["key"]))
 
-    def put(self, key: str, point: DSEPoint, flush: bool = True) -> None:
-        """Record ``point`` under ``key`` and write the file; ``flush=False``
-        records it in memory only, for a point already in the file."""
-        with self._lock:
-            self._points[key] = _point_to_dict(point)
-            if flush:
-                self._flush()
-        if flush:
-            faults.corrupt_cache_file(self.path)
-
-    def restore_lost(self) -> None:
-        """Write the file again if it lacks a point this handle holds:
-        another handle (a pool worker, holding only its own points) found
-        it corrupt, quarantined it and started fresh."""
-        with self._lock:
-            payload = self._load_payload(self.path)
-            if self._points.keys() - (payload or {}).get("points", {}).keys():
-                self._flush()
-
-    def _flush(self) -> None:
-        # Merge points other *processes* recorded since our load — a
-        # whole-file rewrite from just this process's map would erase them
-        # (pool workers flush concurrently, hence the directory lock).  A
-        # corrupt on-disk file takes the same quarantine-and-warn path as
-        # the constructor: our own map still flushes, the garbage moves to
-        # <path>.corrupt.
-        with directory_lock(self.path):
-            payload = self._load_payload(self.path)
-            if payload is not None:
-                merged = dict(payload.get("points", {}))
-                merged.update(self._points)
-                self._points = merged
-            with atomic_write(os.path.abspath(self.path), "w") as handle:
-                json.dump({"version": self.VERSION, "points": self._points},
-                          handle, indent=1, sort_keys=True)
+    def put(self, key: str, point: DSEPoint) -> None:
+        """Write ``point``'s file, replacing an earlier record of ``key``."""
+        file = self._file(key)
+        save_state({}, file, metadata=dict(_point_to_dict(point), key=key))
+        faults.corrupt_cache_file(file)
 
 
 def _to_native(value):
@@ -682,9 +652,9 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
     Singleton chunks take the exact sequential ``_train_grid_point`` path —
     which is why ``stack=1`` is bit-identical to the pre-stacking engine.
     Module-level so a ``ProcessPoolExecutor`` can pickle it.  Each point
-    is flushed to ``cache`` under, and checkpoints to a file named after,
-    its entry in ``keys``; ``cache`` is the engine's :class:`DSECache`
-    in-process, or its path, on which a pool worker opens its own handle.
+    is written to ``cache`` (the engine's :class:`DSECache`, which holds
+    only its path and so pickles to pool workers) under, and checkpoints
+    to a file named after, its entry in ``keys``, as soon as it finishes.
 
     Failures never escape as exceptions (except ``BaseException``): each
     point trains through :func:`_train_point_isolated`.  A multi-point
@@ -696,10 +666,7 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
     they share one ``point_timeout`` budget, and a :class:`PointTimeout`
     fails them all: per-point retraining would pay the budget again.
     """
-    if cache is not None and not isinstance(cache, DSECache):
-        cache = DSECache(cache)
-
-    def flush(index: int, point: DSEPoint) -> None:
+    def store(index: int, point: DSEPoint) -> None:
         if cache is not None and keys:
             cache.put(keys[index], point)
 
@@ -724,7 +691,7 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
                            # per point below
         if points is not None:
             for (index, _, _), point in zip(chunk, points):
-                flush(index, point)
+                store(index, point)
             return points
 
     out: List[DSEPoint] = []
@@ -733,7 +700,7 @@ def _train_grid_chunk(seed_factory: Callable[[], Module], loss_fn: Callable,
             seed_factory, loss_fn, train_loader, val_loader, index, warmup,
             lam, trainer_kwargs, point_evaluators, retries, retry_backoff,
             point_timeout, ckpt_dir, ckpt_every, tag_of(index))
-        flush(index, point)
+        store(index, point)
         out.append(point)
     return out
 
@@ -851,12 +818,14 @@ class DSEEngine:
         workers: one that does not pickle (a lambda, a closure) raises a
         ``ValueError`` naming it here, not a failure per grid point.
     cache_path:
-        Optional JSON results cache (see :class:`DSECache`); completed
-        points found there are returned without retraining.
+        Optional results cache directory (see :class:`DSECache`), one file
+        per finished point; completed points found there are returned
+        without retraining.  An existing regular file there raises
+        ``ValueError``.
     cache_tag:
         Identity string mixed into every cache key, naming what the engine
         cannot introspect: the seed factory and data (benchmark, width,
-        seed, …).  Required discipline whenever one cache file serves
+        seed, …).  Required discipline whenever one cache directory serves
         sweeps over different models or datasets.
     trainer_kwargs:
         Extra :class:`PITTrainer` arguments shared by every grid point.
@@ -1009,12 +978,10 @@ class DSEEngine:
         if self.verbose:
             print(f"[DSE] {message}")
 
-    def _chunk_args(self, chunk: Sequence[Tuple[int, int, float]],
-                    cache) -> tuple:
+    def _chunk_args(self, chunk: Sequence[Tuple[int, int, float]]) -> tuple:
         """Positional arguments of the :func:`_train_grid_chunk` task for
-        ``chunk``; ``cache`` is what it flushes completed points through.
-        Keys are computed without a results cache too: checkpoint files
-        are named after them."""
+        ``chunk``.  Keys are computed without a results cache too:
+        checkpoint files are named after them."""
         try:
             keys = {index: self._key(lam, warmup)
                     for index, warmup, lam in chunk}
@@ -1025,7 +992,7 @@ class DSEEngine:
         return (self.seed_factory, self.loss_fn, self.train_loader,
                 self.val_loader, list(chunk), self.trainer_kwargs,
                 self.point_evaluators, self.retries, self.retry_backoff,
-                self.point_timeout, cache, keys, self.checkpoint_dir,
+                self.point_timeout, self.cache, keys, self.checkpoint_dir,
                 self.checkpoint_every)
 
     def _chunk_pending(self, pending: Sequence[Tuple[int, int, float]]
@@ -1093,8 +1060,6 @@ class DSEEngine:
         self._unlogged = deque(index for index, _, _ in pending)
         if pending:
             self._execute(self._chunk_pending(pending), points, stats)
-            if self.cache is not None:
-                self.cache.restore_lost()
 
         expired = (None if self.point_timeout is None
                    else str(PointTimeout(self.point_timeout)))
@@ -1124,8 +1089,7 @@ class DSEEngine:
         times is a poison point and is quarantined as failed; after
         ``MAX_POOL_DEATHS`` the loop swaps in the inline executor, with a
         warning.  Recovery never re-trains what a dying worker already
-        flushed: suspects found on the cache file are claimed, not
-        resubmitted.
+        wrote: suspects found in the cache are claimed, not resubmitted.
         """
         queue = deque(chunks)        # unsubmitted chunks, grid order
         probing = deque()            # post-death suspects, probed solo
@@ -1135,19 +1099,15 @@ class DSEEngine:
                     else _InlineExecutor())
 
         def submit(chunk) -> None:
-            # Tasks flush each point as it finishes, pool workers through
-            # their own handle on the cache path: a crash then costs only
+            # Tasks write each point as it finishes, so a crash costs only
             # the in-flight point, and recovery resubmits only what is
             # missing on disk.
-            cache = self.cache
-            if cache is not None and not isinstance(executor, _InlineExecutor):
-                cache = cache.path
             backstop = None
             if self.point_timeout is not None:
                 backstop = (time.monotonic() + BACKSTOP_GRACE
                             + len(chunk) * self.point_timeout)
             future = executor.submit(_train_grid_chunk,
-                                     *self._chunk_args(chunk, cache))
+                                     *self._chunk_args(chunk))
             inflight[future] = (list(chunk), backstop)
 
         def fail(entries, error) -> None:
@@ -1184,12 +1144,10 @@ class DSEEngine:
                         f"DSE grid point lam={lam:g} warmup={warmup} killed "
                         f"{kills} pool workers; quarantined as failed")
                     dead = []
-            # Shrink by what dying workers already flushed to the cache:
-            # our in-memory cache view predates the crash, so re-read disk.
-            if self.cache is not None and dead:
-                disk = DSECache(self.cache.path)
+            # Shrink by what dying workers already wrote to the cache.
+            if self.cache is not None:
                 for index, warmup, lam in dead:
-                    found = disk.get(self._key(lam, warmup))
+                    found = self.cache.get(self._key(lam, warmup))
                     if found is not None:
                         self._finish(points, index, found)
             probing.extend(e for e in dead if points[e[0]] is None)
@@ -1260,7 +1218,7 @@ class DSEEngine:
                     fail(entries, PointTimeout(self.point_timeout))
         finally:
             # On KeyboardInterrupt & co.: cancel what never started and
-            # abandon the rest.  Completed points were flushed to the
+            # abandon the rest.  Completed points were written to the
             # cache as they finished, so the interrupted sweep resumes.
             for future in inflight:
                 future.cancel()
@@ -1275,14 +1233,13 @@ class DSEEngine:
     def _finish(self, points: List[Optional[DSEPoint]], index: int,
                 point: DSEPoint, write: bool = False) -> None:
         """Record ``point`` as grid point ``index``.  A task already wrote
-        the points it returned to the cache file, so the cache handle only
-        learns them; ``write`` points (ones no task returned) are written
-        here.  Then log every point that is now finished in grid order, so
-        the log reads the same at any worker count."""
+        the points it returned to the cache; ``write`` points (failures no
+        task returned) are written here.  Then log every point that is now
+        finished in grid order, so the log reads the same at any worker
+        count."""
         points[index] = point
-        if self.cache is not None:
-            self.cache.put(self._key(point.lam, point.warmup_epochs), point,
-                           flush=write)
+        if write and self.cache is not None:
+            self.cache.put(self._key(point.lam, point.warmup_epochs), point)
         resumed = getattr(point.result, "resumed_epochs", 0) or 0
         if resumed:
             # Epochs this point recovered from a mid-run checkpoint instead

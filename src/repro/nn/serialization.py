@@ -1,20 +1,19 @@
 """Array files: state dicts and checkpoints as one flat, checksummed file.
 
-Saved models and trainer checkpoints are arrays plus JSON metadata (for
-example the λ / warmup / dilations that produced a model), laid out as
-``MAGIC``, the header length (little-endian uint64), a JSON header
-``{"meta": ..., "arrays": {key: {"dtype", "shape", "offset"}}}``, each
-array's raw C-order bytes (64-aligned, offsets counted from the header's
-end) and a little-endian CRC32 of every byte before it.  That one CRC
-covers the metadata and every array.
+Saved models, trainer checkpoints and the points of a DSE cache
+(:class:`repro.evaluation.DSECache`, metadata only) are arrays plus JSON
+metadata (for example the λ / warmup / dilations that produced a model),
+laid out as ``MAGIC``, the header length (little-endian uint64), a JSON
+header ``{"meta": ..., "arrays": {key: {"dtype", "shape", "offset"}}}``,
+each array's raw C-order bytes (64-aligned, offsets counted from the
+header's end) and a little-endian CRC32 of every byte before it.  That
+one CRC covers the metadata and every array.
 
 Writes are torn-write-proof: :func:`atomic_write` stages the file in the
-target directory and moves it into place with ``os.replace``
-(:class:`repro.evaluation.DSECache` flushes through it too), and
-:func:`directory_lock` serializes read-merge-write updates of one file
-across processes.  A read that fails the magic, the CRC, the header or
-the offsets raises :class:`CheckpointError`; callers with a recovery
-story (the trainer checkpoint layer) can ask for the damaged file to be
+target directory and moves it into place with ``os.replace``.  A read
+that fails the magic, the CRC, the header or the offsets raises
+:class:`CheckpointError`; callers with a recovery story (the trainer
+checkpoint layer, the DSE cache) can ask for the damaged file to be
 moved aside by :func:`quarantine_file` to ``<path>.corrupt``.
 """
 
@@ -34,14 +33,8 @@ import numpy as np
 
 from .module import Module
 
-try:
-    import fcntl
-except ImportError:  # non-POSIX
-    fcntl = None
-
 __all__ = ["save_model", "load_model", "save_state", "load_state",
-           "CheckpointError", "atomic_write", "directory_lock",
-           "quarantine_file"]
+           "CheckpointError", "atomic_write", "quarantine_file"]
 
 #: first line of every array file
 MAGIC = b"REPRO ARRAYS\n"
@@ -82,25 +75,6 @@ def atomic_write(path: Union[str, Path], mode: str = "wb") -> Iterator[IO]:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-@contextmanager
-def directory_lock(path: Union[str, Path]) -> Iterator[None]:
-    """Hold an exclusive ``flock`` on the directory of ``path`` (created if
-    missing), so processes that read, merge and rewrite ``path`` do it
-    one at a time.  The lock is released when the block exits; where
-    ``fcntl`` does not exist (non-POSIX) nothing is locked."""
-    if fcntl is None:
-        yield
-        return
-    directory = Path(path).absolute().parent
-    directory.mkdir(parents=True, exist_ok=True)
-    fd = os.open(str(directory), os.O_RDONLY)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)
 
 
 def quarantine_file(path: Union[str, Path], problem: str, suffix: str = "",

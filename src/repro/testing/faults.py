@@ -1,7 +1,7 @@
 """Deterministic fault injection for the reliability test suite.
 
 Production code calls tiny hook functions at well-defined *fault sites*
-(grid-point training start, trainer epoch loss, cache flush, server tick).
+(grid-point training start, trainer epoch loss, cache write, server tick).
 Each hook consults the ``REPRO_FAULTS`` environment variable and fires at
 most a bounded number of times, so a test can script an exact failure —
 "kill the worker training grid point 3", "make point 5's loss go NaN
@@ -40,8 +40,9 @@ Fault kinds and their sites:
   :class:`InjectedWorkerCrash`, a retryable :class:`TransientFault`.
 * ``nan_loss`` — poisons the trainer's epoch loss to NaN so the real
   non-finite guard raises :class:`repro.core.DivergedError`.
-* ``cache_corrupt`` — truncates the DSE cache file right after a flush,
-  exercising the corrupt-cache quarantine path on the next load.
+* ``cache_corrupt`` — truncates a DSE cache point file right after
+  ``DSECache.put`` writes it, so the next read of that point quarantines
+  the file and the point retrains.
 * ``conn_drop`` — aborts a live serving connection after the block of
   ticks that includes tick ``tick``.
 * ``hang`` — sleeps ``seconds`` (default 30) at grid-point training
@@ -305,7 +306,8 @@ def inject_point_faults() -> None:
 
 
 def corrupt_cache_file(path: str) -> bool:
-    """Cache-flush site: truncate the just-written file mid-JSON."""
+    """Cache-write site: truncate the just-written point file ``path``
+    mid-header."""
     if fire("cache_corrupt") is None:
         return False
     try:

@@ -23,9 +23,13 @@ says otherwise.
 reference the compiled replay is held to.  Trainers build their steps as
 :class:`repro.autograd.CompiledStep`; inside the scope they build
 :class:`repro.autograd.EagerStep`, which has the same call contract.
+
+``cache_entries(path)`` reads a DSE cache directory as the engine wrote
+it: ``{key: entry}`` for every point file, each entry the file's metadata.
 """
 
 import contextlib
+import os
 from unittest import mock
 
 import numpy as np
@@ -35,6 +39,8 @@ from hypothesis import settings
 from repro.autograd import EagerStep
 from repro.autograd.backends import EinsumReference, get_backend
 from repro.core import driver, stacked
+from repro.evaluation import DSECache
+from repro.nn.serialization import load_state
 
 settings.register_profile("repro", max_examples=30, deadline=None,
                           derandomize=True)
@@ -137,3 +143,17 @@ def eager_training():
 @pytest.fixture
 def eager_steps():
     return eager_training
+
+
+def read_cache_entries(path):
+    entries = {}
+    for name in sorted(os.listdir(path)):
+        if name.endswith(DSECache.SUFFIX):
+            _, entry = load_state(os.path.join(path, name))
+            entries[entry["key"]] = entry
+    return entries
+
+
+@pytest.fixture
+def cache_entries():
+    return read_cache_entries

@@ -280,6 +280,30 @@ class TestSearch:
 
 
 class TestSweep:
+    def test_old_cache_file_is_a_one_line_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        """A cache file of the single-JSON-file format is not read: one
+        error line naming the file and saying the cache is a directory
+        now, exit 2 before any training, and the file stays as it was."""
+        from repro.evaluation import DSEEngine
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the sweep built an engine")
+
+        monkeypatch.setattr(DSEEngine, "__init__", no_engine)
+        path = tmp_path / "dse.json"
+        path.write_text('{"version": 3, "points": {}}')
+        assert main(["sweep", "--benchmark", "ppg", "--width", "0.1",
+                     "--lambdas", "0", "--epochs", "1", "--quiet",
+                     "--cache", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro sweep: error: ")
+        assert repr(str(path)) in captured.err
+        assert "directory" in captured.err
+        assert path.read_text() == '{"version": 3, "points": {}}'
+
     def test_sweep_prints_front(self, capsys):
         code = main(["sweep", "--benchmark", "ppg", "--width", "0.1",
                      "--lambdas", "0", "1.0", "--gamma-lr", "0.1",
@@ -299,8 +323,9 @@ class TestSweep:
         assert code == 0
         assert "pareto front" in capsys.readouterr().out
 
-    def test_sweep_hw_annotates_and_prints_3d_front(self, capsys, tmp_path):
-        cache = tmp_path / "dse.json"
+    def test_sweep_hw_annotates_and_prints_3d_front(self, capsys, tmp_path,
+                                                    cache_entries):
+        cache = tmp_path / "dse"
         argv = ["sweep", "--benchmark", "ppg", "--width", "0.1",
                 "--lambdas", "0", "--gamma-lr", "0.1", "--warmup", "0",
                 "--epochs", "1", "--finetune", "0", "--quiet", "--hw",
@@ -312,11 +337,7 @@ class TestSweep:
         assert "hw pareto front (params, latency_ms, loss)" in out
 
         # The cache recorded the deployment metrics...
-        import json
-        from repro.evaluation import DSECache
-        payload = json.loads(cache.read_text())
-        assert payload["version"] == DSECache.VERSION
-        entry = next(iter(payload["points"].values()))
+        entry, = cache_entries(cache).values()
         assert entry["metrics"]["latency_ms"] > 0
         # ...and a re-run resumes from it (same printed result, no retrain).
         assert main(argv) == 0

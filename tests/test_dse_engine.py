@@ -2,11 +2,12 @@
 
 The engine's contract: a sweep dispatched to a worker pool returns
 *bit-identical* points, in the same grid order, as the serial path — and a
-sweep resumed from a cache file skips the completed (λ, warmup) points
-entirely while reproducing the same :class:`DSEResult`.
+sweep resumed from a cache directory skips the completed (λ, warmup)
+points entirely while reproducing the same :class:`DSEResult`.
 """
 
 import ctypes
+import inspect
 import json
 import os
 import re
@@ -27,7 +28,9 @@ from repro.evaluation import (
 )
 from repro.evaluation import dse
 from repro.evaluation.dse import DSEResult
+from repro.core.checkpoint import key_tag
 from repro.nn import CausalConv1d, Module, ReLU, mse_loss
+from repro.nn.serialization import load_state, save_state
 from repro.testing import faults
 
 LAMBDAS = [0.0, 2.0]
@@ -59,10 +62,29 @@ class Tiny(Module):
 
 
 def _backend_keyed(key):
-    """``key`` as a v3 file written while the conv kernels were selectable
-    spelled it: a backend field right after the tag."""
+    """``key`` as it was spelled while the conv kernels were selectable: a
+    backend field right after the tag."""
     tag, rest = key.split("|", 1)
     return "|".join([tag, "=".join(["backend", "einsum"]), rest])
+
+
+def _respell_cache(cache, spelling):
+    """Rewrite every point file in ``cache`` in place as an older writer
+    spelled its record: ``spelling(key, entry) -> (key, entry)``.  The file
+    names stay those of the current keys.  Returns the rewritten keys."""
+    respelled = []
+    for name in os.listdir(cache):
+        path = os.path.join(cache, name)
+        _, entry = load_state(path)
+        key, entry = spelling(entry.pop("key"), entry)
+        save_state({}, path, metadata=dict(entry, key=key))
+        respelled.append(key)
+    return respelled
+
+
+def _old_cache_file(path, version):
+    """A cache file of the single-JSON-file format at ``path``."""
+    path.write_text(json.dumps({"version": version, "points": {}}))
 
 
 class CountingFactory:
@@ -162,7 +184,7 @@ class TestParallelDeterminism:
                                                     eager_steps):
         """Cache keys name no execution path: a sweep resumes from
         entries an eager-trained sweep wrote."""
-        cache = str(tmp_path / "cache.json")
+        cache = str(tmp_path / "dse")
         with eager_steps():
             first = _sweep(workers=0, cache_path=cache)
         factory = CountingFactory()
@@ -226,7 +248,7 @@ class TestParallelDeterminism:
             ("point_evaluators[0]", (Tiny, mse_loss, train, val),
              dict(point_evaluators=[local_probe])),
         ]
-        cache = tmp_path / "dse.json"
+        cache = tmp_path / "dse"
         for name, args, kwargs in cases:
             with pytest.raises(ValueError, match="does not pickle") as info:
                 DSEEngine(*args, workers=2, cache_path=str(cache), **kwargs)
@@ -254,7 +276,7 @@ class TestParallelDeterminism:
 
 class TestCache:
     def test_resume_skips_completed_points(self, tmp_path):
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         factory = CountingFactory()
         first = _sweep(workers=0, cache_path=cache, factory=factory)
         builds = _expected_builds(LAMBDAS, WARMUPS)
@@ -267,7 +289,7 @@ class TestCache:
     def test_parallel_resume_from_serial_cache(self, tmp_path, monkeypatch):
         """Every point is cached, so the pooled resume never builds a
         pool: nothing trains."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         serial = _sweep(workers=0, cache_path=cache)
 
         def no_pool(engine):
@@ -278,7 +300,7 @@ class TestCache:
         _assert_identical(serial, parallel)
 
     def test_partial_cache_trains_only_missing_points(self, tmp_path):
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         train, val = _loaders()
         engine = DSEEngine(Tiny, mse_loss, train, val, cache_path=cache,
                            trainer_kwargs=dict(SCHEDULE))
@@ -294,7 +316,7 @@ class TestCache:
 
     def test_cache_keyed_by_tag(self, tmp_path):
         """Different model/data identities never share cache entries."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         train, val = _loaders()
         DSEEngine(Tiny, mse_loss, train, val, cache_path=cache,
                   cache_tag="width=0.25",
@@ -312,17 +334,13 @@ class TestCache:
         carries a backend field) is not returned for the same point now;
         the retrained point is keyed without the field and served on the
         next run."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         train, val = _loaders()
         DSEEngine(Tiny, mse_loss, train, val, cache_path=cache,
                   trainer_kwargs=dict(SCHEDULE)).run([0.0], warmups=[0])
-        with open(cache) as handle:
-            payload = json.load(handle)
-        payload["points"] = {_backend_keyed(key): entry
-                             for key, entry in payload["points"].items()}
-        assert len(payload["points"]) == 1
-        with open(cache, "w") as handle:
-            json.dump(payload, handle)
+        respelled = _respell_cache(
+            cache, lambda key, entry: (_backend_keyed(key), entry))
+        assert len(respelled) == 1
         for expected_builds in (1, 0):
             factory = CountingFactory()
             DSEEngine(factory, mse_loss, train, val, workers=0,
@@ -340,7 +358,7 @@ class TestCache:
         assert key.startswith("tag=|lam=0.0|warmup=0|trainer=")
 
     def test_cache_keyed_by_trainer_settings(self, tmp_path):
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         train, val = _loaders()
         DSEEngine(Tiny, mse_loss, train, val, cache_path=cache,
                   trainer_kwargs=dict(SCHEDULE)).run([0.0], warmups=[0])
@@ -353,10 +371,11 @@ class TestCache:
         assert factory.calls == 1  # different settings -> cache miss
 
     def test_completed_points_survive_a_failing_grid_point(self, tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          cache_entries):
         """A crashing point is isolated: the sweep completes, the healthy
         point is cached, and a resume retrains only the failed one."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         train, val = _loaders()
         # stack=1 pins the per-point schedule this test's failure
         # accounting assumes (a stacked chunk falls back point-by-point).
@@ -369,10 +388,9 @@ class TestCache:
         assert failed.lam == LAMBDAS[0] and "TransientFault" in failed.error
         assert len(result.ok_points) == 1
 
-        with open(cache) as handle:
-            recorded = json.load(handle)["points"]
+        recorded = cache_entries(cache)
         # Both outcomes are persisted; only one is a servable result.
-        statuses = sorted(e.get("status", "ok") for e in recorded.values())
+        statuses = sorted(e["status"] for e in recorded.values())
         assert statuses == ["failed", "ok"]
 
         # Resuming retrains only the failed point (failed cache entries
@@ -401,19 +419,24 @@ class TestCache:
         assert len(result.ok_points) == len(grid) - 1
         assert engine.last_run_stats["failed"] == 1
 
-    def test_cache_file_format(self, tmp_path):
-        cache = str(tmp_path / "dse.json")
+    def test_cache_file_format(self, tmp_path, cache_entries):
+        """One array file per point, named by its key's tag, holding no
+        arrays and the point's entry plus its full key."""
+        cache = str(tmp_path / "dse")
         result = _sweep(workers=0, cache_path=cache)
-        with open(cache) as handle:
-            payload = json.load(handle)
-        assert payload["version"] == DSECache.VERSION
-        assert len(payload["points"]) == len(result.points)
-        entry = next(iter(payload["points"].values()))
-        assert {"lam", "warmup_epochs", "dilations", "params",
-                "loss", "result"} <= set(entry)
+        recorded = cache_entries(cache)
+        assert len(recorded) == len(result.points)
+        assert sorted(os.listdir(cache)) == sorted(
+            key_tag(key) + ".point" for key in recorded)
+        for key, entry in recorded.items():
+            arrays, _ = load_state(os.path.join(cache,
+                                                key_tag(key) + ".point"))
+            assert arrays == {}
+            assert {"key", "lam", "warmup_epochs", "dilations", "params",
+                    "loss", "result"} <= set(entry)
 
     def test_round_trip_restores_full_result(self, tmp_path):
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         original = _sweep(workers=0, cache_path=cache)
         restored = _sweep(workers=0, cache_path=cache)
         for pa, pb in zip(original.points, restored.points):
@@ -422,76 +445,105 @@ class TestCache:
             assert pb.result.total_seconds == pa.result.total_seconds
             assert pb.dilations == pa.dilations
 
-    def test_concurrent_cache_instances_merge_on_flush(self, tmp_path):
-        """Two processes sharing one cache file must not erase each
-        other's completed points on flush (simulated with two instances)."""
-        path = str(tmp_path / "shared.json")
+    def test_concurrent_cache_instances_keep_each_others_points(
+            self, tmp_path):
+        """Two processes sharing one cache directory never erase each
+        other's completed points, and each reads the other's (simulated
+        with two handles)."""
+        path = str(tmp_path / "shared")
         point = DSEPoint(lam=0.0, warmup_epochs=0, dilations=(1,),
                          params=1, loss=0.5)
         a = DSECache(path)
-        b = DSECache(path)  # loaded before `a` records anything
+        b = DSECache(path)  # opened before `a` records anything
         a.put("ka", point)
-        b.put("kb", point)  # must merge ka from disk, not overwrite it
-        with open(path) as handle:
-            recorded = json.load(handle)["points"]
-        assert set(recorded) == {"ka", "kb"}
+        b.put("kb", point)
+        assert len(a) == len(b) == 2
+        assert a.get("kb") is not None and b.get("ka") is not None
 
     @staticmethod
-    def _count_flushes(monkeypatch, tmp_path, workers):
+    def _count_writes(monkeypatch, tmp_path, workers):
         """Sweep with a cache at ``workers``: the result, the cache path and
-        the paths this process flushed (pool workers count in theirs)."""
-        flushes = []
-        real = DSECache._flush
+        the point files this process wrote (pool workers count in theirs)."""
+        writes = []
+        real = dse.save_state
 
-        def counting(cache):
-            flushes.append(cache.path)
-            real(cache)
+        def counting(state, path, metadata=None):
+            writes.append(path)
+            real(state, path, metadata)
 
-        monkeypatch.setattr(DSECache, "_flush", counting)
-        cache = str(tmp_path / "dse.json")
-        return _sweep(workers=workers, cache_path=cache), cache, flushes
+        monkeypatch.setattr(dse, "save_state", counting)
+        cache = str(tmp_path / "dse")
+        return _sweep(workers=workers, cache_path=cache), cache, writes
 
     def test_in_process_sweep_writes_each_point_once(self, tmp_path,
                                                      monkeypatch):
-        """Each flush re-reads and rewrites the whole file, so an
-        in-process sweep writes every grid point exactly once."""
-        result, cache, flushes = self._count_flushes(monkeypatch, tmp_path, 0)
-        assert flushes == [cache] * len(result.points)
+        """An in-process sweep writes every grid point's file exactly
+        once."""
+        result, cache, writes = self._count_writes(monkeypatch, tmp_path, 0)
+        assert len(writes) == len(set(writes)) == len(result.points)
+        assert all(os.path.dirname(w) == cache for w in writes)
         assert len(DSECache(cache)) == len(result.points)
 
     def test_pooled_sweep_writes_each_point_once(self, tmp_path,
                                                  monkeypatch):
         """Pool workers write the points they train; the parent writes
-        none of them again, and the file still holds every point."""
-        result, cache, flushes = self._count_flushes(monkeypatch, tmp_path, 2)
+        none of them again, and the directory still holds every point."""
+        result, cache, writes = self._count_writes(monkeypatch, tmp_path, 2)
         assert all(p.ok for p in result.points)
-        assert flushes == []
+        assert writes == []
         assert len(DSECache(cache)) == len(result.points)
+
+    def test_oversubscribed_pool_loses_no_point(self, tmp_path,
+                                                 cache_entries):
+        """More workers than cores (up to 8) write into one directory at
+        once: every returned point has its file, served back equal."""
+        workers = min((os.cpu_count() or 1) + 1, 8)
+        lambdas = [0.5 * i for i in range(workers)]
+        cache = str(tmp_path / "dse")
+        train, val = _loaders()
+        result = DSEEngine(Tiny, mse_loss, train, val, workers=workers,
+                           cache_path=cache, stack=1,
+                           trainer_kwargs=dict(SCHEDULE)).run(
+                               lambdas, warmups=WARMUPS)
+        keys = [DSECache.key(p.lam, p.warmup_epochs, dict(SCHEDULE))
+                for p in result.points]
+        assert set(cache_entries(cache)) == set(keys)
+        for key, point in zip(keys, result.points):
+            served = DSECache(cache).get(key)
+            assert (served.loss, served.result) == (point.loss, point.result)
 
     def test_pooled_chunks_flush_from_the_first_point(self, tmp_path,
                                                       monkeypatch):
-        """Every pooled chunk carries the cache path, including those
-        submitted while a fresh cache is still empty, so workers flush
-        each finished point and a pool death cannot retrain it."""
+        """Every pooled chunk carries the cache, including those submitted
+        while a fresh cache is still empty, so workers write each
+        finished point and a pool death cannot retrain it."""
         real = DSEEngine._chunk_args
         carried = []
+        signature = inspect.signature(dse._train_grid_chunk)
 
-        def spy(engine, chunk, cache):
-            carried.append(cache)
-            return real(engine, chunk, cache)
+        def spy(engine, chunk):
+            args = real(engine, chunk)
+            carried.append(signature.bind(*args).arguments["cache"])
+            return args
 
         monkeypatch.setattr(DSEEngine, "_chunk_args", spy)
-        cache = str(tmp_path / "fresh.json")
+        cache = str(tmp_path / "dse")
         train, val = _loaders()
         DSEEngine(Tiny, mse_loss, train, val, workers=2, cache_path=cache,
                   trainer_kwargs=dict(SCHEDULE)).run(LAMBDAS, warmups=WARMUPS)
-        assert carried and carried == [cache] * len(carried)
+        assert carried and all(isinstance(c, DSECache) and c.path == cache
+                               for c in carried)
 
     def test_rejects_unknown_cache_version(self, tmp_path):
+        """A cache file of the single-JSON-file format, of any version, is
+        not read: the cache is a directory now."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "points": {}}))
-        with pytest.raises(ValueError, match="cache version"):
+        _old_cache_file(path, 99)
+        with pytest.raises(ValueError, match="is a file"):
             DSECache(str(path))
+        train, val = _loaders()
+        with pytest.raises(ValueError, match="is a file"):
+            DSEEngine(Tiny, mse_loss, train, val, cache_path=str(path))
 
 
 class StubEvaluator:
@@ -520,7 +572,7 @@ class TestCacheBugfixes:
     def test_numpy_grid_resumes_python_float_cache(self, tmp_path):
         """End-to-end: a cache written with Python-float λs satisfies a
         resume whose grid comes from np.linspace/np.arange."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         train, val = _loaders()
         DSEEngine(Tiny, mse_loss, train, val, cache_path=cache,
                   trainer_kwargs=dict(SCHEDULE)).run(LAMBDAS, warmups=WARMUPS)
@@ -535,10 +587,10 @@ class TestCacheBugfixes:
         assert factory.calls == 0  # every numpy-keyed point hit
         assert len(resumed.points) == len(LAMBDAS) * len(WARMUPS)
 
-    def test_put_accepts_numpy_typed_point(self, tmp_path):
+    def test_put_accepts_numpy_typed_point(self, tmp_path, cache_entries):
         """`put` used to crash with `TypeError: Object of type int64 is
         not JSON serializable` when dilations/params were numpy ints."""
-        path = str(tmp_path / "np.json")
+        path = str(tmp_path / "np")
         point = DSEPoint(
             lam=np.float64(0.5), warmup_epochs=np.int64(1),
             dilations=(np.int64(1), np.int64(4)), params=np.int64(123),
@@ -547,8 +599,7 @@ class TestCacheBugfixes:
         cache = DSECache(path)
         cache.put("k", point)  # must not raise
 
-        with open(path) as handle:
-            entry = json.load(handle)["points"]["k"]
+        entry = cache_entries(path)["k"]
         assert entry["params"] == 123 and isinstance(entry["params"], int)
         assert entry["dilations"] == [1, 4]
         assert entry["metrics"] == {"latency_ms": 7.5, "macs": 80}
@@ -560,83 +611,79 @@ class TestCacheBugfixes:
 
 
 class TestCacheVersions:
-    def test_file_format_is_current_with_metrics_and_status(self, tmp_path):
-        cache = str(tmp_path / "dse.json")
+    def test_file_format_is_current_with_metrics_and_status(
+            self, tmp_path, cache_entries):
+        cache = str(tmp_path / "dse")
         _sweep(workers=0, cache_path=cache)
-        with open(cache) as handle:
-            payload = json.load(handle)
-        assert payload["version"] == DSECache.VERSION
-        for entry in payload["points"].values():
+        for entry in cache_entries(cache).values():
             assert entry["metrics"] == {}  # no evaluators ran
             assert entry["status"] == "ok"
             assert entry["error"] is None
 
     @staticmethod
     def _assert_version_rejected(tmp_path, version):
-        path = tmp_path / "dse.json"
-        path.write_text(json.dumps({"version": version, "points": {}}))
-        with pytest.raises(ValueError, match="cache version"):
+        """A file of the single-JSON-file format raises, untouched."""
+        path = tmp_path / "dse"
+        _old_cache_file(path, version)
+        with pytest.raises(ValueError, match="is a file"):
             DSECache(str(path))
+        assert json.loads(path.read_text())["version"] == version
 
     def test_v1_file_rejected(self, tmp_path):
-        """Only the current format is read: a file from the v1 writer (no
-        metrics) raises the version error."""
+        """A file from the v1 writer (no metrics) is not read."""
         self._assert_version_rejected(tmp_path, 1)
 
     def test_v2_file_rejected(self, tmp_path):
-        """Only the current format is read: a file from the v2 writer (no
-        failure fields) raises the version error."""
+        """A file from the v2 writer (no failure fields) is not read."""
         self._assert_version_rejected(tmp_path, 2)
 
     @staticmethod
-    def _assert_legacy_entries_not_served(tmp_path, legacy_spelling):
-        """Rewrite a fresh cache file's entries as an older writer spelled
-        them (``legacy_spelling(key, entry) -> (key, entry)``).  The file
-        loads without error; its entries are not served, so the sweep
-        retrains; and the new entries merge into the file without dropping
-        the old ones."""
-        cache = str(tmp_path / "dse.json")
+    def _assert_legacy_entries_not_served(tmp_path, cache_entries,
+                                          legacy_spelling):
+        """Rewrite a fresh cache's point files as an older writer spelled
+        their records (``legacy_spelling(key, entry) -> (key, entry)``),
+        under the current keys' file names.  The files read without
+        error; their stored keys differ from the lookup keys, so they are
+        not served and the sweep retrains; the retrained points replace
+        them under the current keys."""
+        cache = str(tmp_path / "dse")
         _sweep(workers=0, cache_path=cache)
-        with open(cache) as handle:
-            payload = json.load(handle)
-        legacy = dict(legacy_spelling(key, entry)
-                      for key, entry in payload["points"].items())
-        payload["points"] = legacy
-        with open(cache, "w") as handle:
-            json.dump(payload, handle)
+        current = set(cache_entries(cache))
+        legacy = _respell_cache(cache, legacy_spelling)
+        assert set(cache_entries(cache)) == set(legacy)
+        assert not current & set(legacy)
 
-        assert len(DSECache(cache)) == len(legacy)
         factory = CountingFactory()
         resumed = _sweep(workers=0, cache_path=cache, factory=factory)
         assert factory.calls == _expected_builds(LAMBDAS, WARMUPS)
         assert all(p.ok for p in resumed.points)
-        with open(cache) as handle:
-            merged = json.load(handle)["points"]
-        assert len(merged) == 2 * len(legacy)
-        assert {k: merged[k] for k in legacy} == legacy
+        assert set(cache_entries(cache)) == current
 
-    def test_backend_keyed_v3_entries_load_but_are_not_served(self,
-                                                              tmp_path):
-        """A v3 file written while the conv kernels were selectable keys
-        every entry with a backend field after the tag (other kernels
-        trained those points)."""
+    def test_backend_keyed_v3_entries_load_but_are_not_served(
+            self, tmp_path, cache_entries):
+        """Records keyed while the conv kernels were selectable carry a
+        backend field after the tag (other kernels trained those
+        points)."""
         self._assert_legacy_entries_not_served(
-            tmp_path, lambda key, entry: (_backend_keyed(key), entry))
+            tmp_path, cache_entries,
+            lambda key, entry: (_backend_keyed(key), entry))
 
-    def test_dtype_less_v3_entries_load_but_are_not_served(self, tmp_path):
-        """A v3 file written before the dtype entered the key; its results
+    def test_dtype_less_v3_entries_load_but_are_not_served(
+            self, tmp_path, cache_entries):
+        """Records keyed before the dtype entered the key; their results
         also carry the since-deleted ``compile_stats`` field, which must
         never reach ``PITResult``."""
         def legacy_spelling(key, entry):
             entry["result"]["compile_stats"] = {}
             return re.sub(r"\|dtype=[^|]*", "", key), entry
-        self._assert_legacy_entries_not_served(tmp_path, legacy_spelling)
+        self._assert_legacy_entries_not_served(tmp_path, cache_entries,
+                                               legacy_spelling)
 
     def test_cache_keyed_by_dtype(self, tmp_path):
         """A point trained at one precision is never served to a sweep at
         the other: each precision retrains once, then resumes from its
         own entries."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         other = ("float32" if np.dtype(get_default_dtype()) == np.float64
                  else "float64")
         _sweep(workers=0, cache_path=cache)
@@ -669,7 +716,7 @@ class TestPointEvaluators:
                                      "energy_mj": 2.5}
 
     def test_metrics_survive_cache_resume(self, tmp_path):
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         first = self._sweep(cache_path=cache, evaluators=[StubEvaluator()])
         factory = CountingFactory()
         resumed = self._sweep(cache_path=cache, factory=factory,
@@ -682,7 +729,7 @@ class TestPointEvaluators:
         """A point cached without hw metrics cannot satisfy an
         evaluator-carrying resume (the weights needed to compute the
         missing metrics are gone), so the key must differ."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         self._sweep(cache_path=cache)  # no evaluators
         factory = CountingFactory()
         result = self._sweep(cache_path=cache, factory=factory,
@@ -695,7 +742,7 @@ class TestPointEvaluators:
         """The reverse direction is free: entries an evaluator-carrying
         sweep recorded are a superset of what an evaluator-less resume
         needs, so it must not retrain."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         annotated = self._sweep(cache_path=cache,
                                 evaluators=[StubEvaluator()])
         factory = CountingFactory()
@@ -740,7 +787,7 @@ class TestRunDseWrapper:
         """The one entry point, DSEEngine(...).run(...), takes every knob."""
         train, val = _loaders()
         result = DSEEngine(Tiny, mse_loss, train, val, workers=2,
-                           cache_path=str(tmp_path / "c.json"),
+                           cache_path=str(tmp_path / "c"),
                            trainer_kwargs=dict(SCHEDULE)).run(LAMBDAS,
                                                               warmups=[0])
         assert len(result.points) == len(LAMBDAS)

@@ -30,7 +30,6 @@ slice's arrays — the PIT convs through
 live taps — so nothing here is compared within a tolerance.
 """
 
-import json
 import threading
 
 import numpy as np
@@ -412,7 +411,7 @@ class TestCacheInterop:
     DSECache entries as sequential sweeps."""
 
     def test_half_sequential_finish_stacked_no_retraining(self, tmp_path):
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         # Train half the grid sequentially...
         _engine(stack=1, cache_path=cache).run(LAMS[:2], warmups=[1])
         # ...finish the grid stacked: cached points must not retrain, so
@@ -424,7 +423,7 @@ class TestCacheInterop:
         assert [p.lam for p in result.points] == LAMS
 
     def test_stacked_entries_satisfy_sequential_resume(self, tmp_path):
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         stacked = _engine(stack=4, cache_path=cache).run(LAMS, warmups=[1])
         factory = CountingFactory()
         resumed = _engine(factory=factory, stack=1, cache_path=cache
@@ -432,18 +431,16 @@ class TestCacheInterop:
         assert factory.calls == 0
         _points_close(stacked, resumed)
 
-    def test_stack_width_not_in_cache_key(self, tmp_path):
+    def test_stack_width_not_in_cache_key(self, tmp_path, cache_entries):
         """Same grid at widths 1, 2, 4 shares one cache entry per point."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         _engine(stack=2, cache_path=cache).run(LAMS[:2], warmups=[1])
-        with open(cache) as handle:
-            first = json.load(handle)["points"]
+        first = cache_entries(cache)
         factory = CountingFactory()
         _engine(factory=factory, stack=4, cache_path=cache
                 ).run(LAMS[:2], warmups=[1])
         assert factory.calls == 0
-        with open(cache) as handle:
-            assert set(json.load(handle)["points"]) == set(first)
+        assert set(cache_entries(cache)) == set(first)
 
 
 # ----------------------------------------------------------------------

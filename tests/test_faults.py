@@ -5,12 +5,12 @@ The contract under test: a failing grid point becomes a
 ``status="failed"`` :class:`DSEPoint` instead of an exception, transient
 failures retry with backoff, hung points time out, dying process-pool
 workers are survived (with poison points quarantined), corrupt cache
-files are quarantined — and after any amount of injected chaos, a
+point files are quarantined — and after any amount of injected chaos, a
 cache-backed faultless re-run is bit-identical to a sweep that never saw
 a fault.
 """
 
-import json
+import glob
 import os
 import threading
 
@@ -27,8 +27,10 @@ from repro.evaluation import (
     pareto_front,
     select_small_medium_large,
 )
+from repro.core.checkpoint import key_tag
 from repro.evaluation.dse import DSEResult, _failed_point
 from repro.nn import CausalConv1d, Module, ReLU, mse_loss
+from repro.nn.serialization import save_state
 from repro.testing import faults
 
 LAMBDAS = [0.0, 2.0]
@@ -253,13 +255,13 @@ class TestFailureIsolation:
         assert result.points[0].attempts == 2
 
     def test_failed_cache_entries_are_retried_on_resume(self, monkeypatch,
-                                                        tmp_path):
-        cache = str(tmp_path / "dse.json")
+                                                        tmp_path,
+                                                        cache_entries):
+        cache = str(tmp_path / "dse")
         monkeypatch.setenv(faults.ENV_FAULTS, "transient@point=0")
         faulted = _serial_engine(cache_path=cache).run(LAMBDAS, warmups=[0])
         assert len(faulted.failed_points) == 1
-        with open(cache) as handle:
-            recorded = json.load(handle)["points"]
+        recorded = cache_entries(cache)
         assert sorted(e["status"] for e in recorded.values()) \
             == ["failed", "ok"]  # the failure is persisted provenance
 
@@ -333,13 +335,11 @@ class TestTimeouts:
 class TestInterrupts:
     def test_interrupt_propagates_and_sweep_resumes(self, monkeypatch,
                                                     tmp_path):
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         monkeypatch.setenv(faults.ENV_FAULTS, "interrupt@point=1")
         with pytest.raises(KeyboardInterrupt):
             _serial_engine(cache_path=cache).run(LAMBDAS, warmups=[0])
-        with open(cache) as handle:
-            recorded = json.load(handle)["points"]
-        assert len(recorded) == 1  # the completed point survived
+        assert len(DSECache(cache)) == 1  # the completed point survived
 
         monkeypatch.delenv(faults.ENV_FAULTS)
         factory = CountingFactory()
@@ -385,6 +385,21 @@ class TestWorkerCrashRecovery:
         assert survivor.ok
         assert (LAMBDAS[0], 0) in engine.last_run_stats["quarantined"]
 
+    def test_parent_stores_the_quarantined_point(self, monkeypatch,
+                                                  tmp_path, cache_entries):
+        """No task returns a quarantined point, so the parent writes its
+        failed record; the survivor's file is its worker's."""
+        monkeypatch.setenv(faults.ENV_FAULTS, "worker_crash@point=0&times=99")
+        monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
+        os.makedirs(tmp_path / "state")
+        cache = str(tmp_path / "dse")
+        with pytest.warns(UserWarning):
+            result = _engine(workers=2, cache_path=cache).run(LAMBDAS,
+                                                              warmups=[0])
+        _assert_cache_holds(cache, result.points, cache_entries)
+        assert "quarantined" in cache_entries(cache)[DSECache.key(
+            LAMBDAS[0], 0, dict(SCHEDULE))]["error"]
+
     def test_repeated_deaths_degrade_to_sequential(self, monkeypatch,
                                                    tmp_path):
         """Past the pool-death budget the engine stops trusting pools and
@@ -401,17 +416,16 @@ class TestWorkerCrashRecovery:
 
     def test_recovery_claims_worker_flushed_points(self, monkeypatch,
                                                    tmp_path):
-        """Workers flush each completed point to the cache; pool-death
+        """Workers write each completed point to the cache; pool-death
         recovery claims those from disk instead of retraining them."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         monkeypatch.setenv(faults.ENV_FAULTS, "worker_crash")
         monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
         os.makedirs(tmp_path / "state")
         engine = _engine(workers=2, cache_path=cache)
         result = engine.run(LAMBDAS, warmups=WARMUPS)
         assert all(p.ok for p in result.points)
-        with open(cache) as handle:
-            assert len(json.load(handle)["points"]) == len(result.points)
+        assert len(DSECache(cache)) == len(result.points)
 
 
 # ----------------------------------------------------------------------
@@ -419,116 +433,138 @@ class TestWorkerCrashRecovery:
 # ----------------------------------------------------------------------
 
 class TestCacheCorruption:
-    def _seed_cache(self, path):
-        cache = DSECache(path)
-        cache.put("k", DSEPoint(lam=0.0, warmup_epochs=0, dilations=(1,),
-                                params=1, loss=0.5))
+    @staticmethod
+    def _seed_cache(path):
+        """A cache at ``path`` holding point ``"k"``; its file's path."""
+        DSECache(path).put("k", DSEPoint(lam=0.0, warmup_epochs=0,
+                                         dilations=(1,), params=1, loss=0.5))
+        return os.path.join(path, key_tag("k") + DSECache.SUFFIX)
 
     def test_truncated_file_quarantined(self, tmp_path):
-        path = str(tmp_path / "dse.json")
-        self._seed_cache(path)
-        raw = open(path, "rb").read()
-        with open(path, "wb") as handle:
+        path = str(tmp_path / "dse")
+        file = self._seed_cache(path)
+        raw = open(file, "rb").read()
+        with open(file, "wb") as handle:
             handle.write(raw[: len(raw) // 2])  # killed mid-write
+        cache = DSECache(path)
         with pytest.warns(UserWarning, match="corrupt"):
-            cache = DSECache(path)
-        assert len(cache) == 0  # fresh start
-        assert os.path.exists(path + ".corrupt")
-        assert not os.path.exists(path)  # moved, not copied
-        cache.put("k2", DSEPoint(lam=1.0, warmup_epochs=0, dilations=(1,),
-                                 params=1, loss=0.5))
-        assert DSECache(path).get("k2") is not None  # healthy again
+            assert cache.get("k") is None  # reads as missing
+        assert os.path.exists(file + ".corrupt")
+        assert not os.path.exists(file)  # moved, not copied
+        assert len(cache) == 0
+        cache.put("k", DSEPoint(lam=0.0, warmup_epochs=0, dilations=(1,),
+                                params=1, loss=0.5))
+        assert DSECache(path).get("k") is not None  # healthy again
 
     def test_garbage_bytes_quarantined(self, tmp_path):
-        path = str(tmp_path / "dse.json")
-        with open(path, "wb") as handle:
+        path = str(tmp_path / "dse")
+        file = self._seed_cache(path)
+        with open(file, "wb") as handle:
             handle.write(b"\x89PNG\x0d\x0a\x1a\x0a not json \xff\xfe")
         with pytest.warns(UserWarning, match="corrupt"):
-            cache = DSECache(path)
-        assert len(cache) == 0
-        assert os.path.exists(path + ".corrupt")
+            assert DSECache(path).get("k") is None
+        assert os.path.exists(file + ".corrupt")
 
     def test_non_object_payload_quarantined(self, tmp_path):
-        path = str(tmp_path / "dse.json")
-        with open(path, "w") as handle:
-            handle.write("[1, 2, 3]")
+        """A point file that passes its checksum but holds no point
+        record is quarantined too."""
+        path = str(tmp_path / "dse")
+        file = self._seed_cache(path)
+        save_state({}, file, metadata=[1, 2, 3])
         with pytest.warns(UserWarning, match="corrupt"):
-            assert len(DSECache(path)) == 0
-
-    def test_flush_merge_quarantines_corrupt_disk_state(self, tmp_path):
-        """The merge-on-flush path hits the same quarantine (it used to
-        swallow corrupt files silently); our own points still flush."""
-        path = str(tmp_path / "dse.json")
-        cache = DSECache(path)
-        with open(path, "w") as handle:
-            handle.write('{"version": 3, "poin')  # corrupted under us
-        with pytest.warns(UserWarning, match="corrupt"):
-            cache.put("k", DSEPoint(lam=0.0, warmup_epochs=0,
-                                    dilations=(1,), params=1, loss=0.5))
-        assert os.path.exists(path + ".corrupt")
-        assert DSECache(path).get("k") is not None
+            assert DSECache(path).get("k") is None
+        assert os.path.exists(file + ".corrupt")
 
     def test_unsupported_version_still_raises(self, tmp_path):
-        """A *valid* file from a newer writer is a format mismatch, not
-        corruption; quarantining it would discard good points."""
-        path = str(tmp_path / "dse.json")
-        with open(path, "w") as handle:
-            json.dump({"version": 99, "points": {}}, handle)
-        with pytest.raises(ValueError, match="cache version"):
-            DSECache(path)
-        assert os.path.exists(path)  # untouched
+        """A *valid* cache file of the single-JSON-file format is a format
+        mismatch, not corruption: it raises, and stays where it is."""
+        path = tmp_path / "dse.json"
+        path.write_text('{"version": 3, "points": {}}')
+        with pytest.raises(ValueError, match="is a file"):
+            DSECache(str(path))
+        assert path.read_text() == '{"version": 3, "points": {}}'
+
+    @staticmethod
+    def _resume_costs_corrupted_points(cache, first, warmups):
+        """Resume ``first``'s sweep from ``cache`` after it ran with
+        cache_corrupt armed: each corrupted point file is quarantined with
+        a warning, exactly those points retrain, and the resumed result
+        is bit-identical to ``first``.  Returns how many were corrupted."""
+        factory = CountingFactory()
+        with pytest.warns(UserWarning, match="corrupt") as caught:
+            resumed = _serial_engine(factory, cache_path=cache).run(
+                LAMBDAS, warmups=warmups)
+        corrupted = len(glob.glob(os.path.join(cache, "*.corrupt")))
+        assert sum("corrupt" in str(w.message) for w in caught) == corrupted
+        assert factory.calls == corrupted
+        _assert_identical(first, resumed)
+        return corrupted
 
     def test_cache_corrupt_fault_end_to_end(self, monkeypatch, tmp_path):
-        """Injected mid-sweep corruption: the next flush quarantines and
-        rewrites from memory, so the finished sweep still resumes fully."""
-        cache = str(tmp_path / "dse.json")
+        """Injected corruption of one point file costs that point alone:
+        the resume quarantines the file and retrains only its point."""
+        cache = str(tmp_path / "dse")
         monkeypatch.setenv(faults.ENV_FAULTS, "cache_corrupt")
-        with pytest.warns(UserWarning, match="corrupt"):
-            first = _serial_engine(cache_path=cache).run(LAMBDAS, warmups=[0])
+        first = _serial_engine(cache_path=cache).run(LAMBDAS, warmups=[0])
         assert all(p.ok for p in first.points)
-        assert os.path.exists(cache + ".corrupt")
-        with open(cache) as handle:
-            json.load(handle)  # final file is valid again
 
         monkeypatch.delenv(faults.ENV_FAULTS)
-        factory = CountingFactory()
-        resumed = _serial_engine(factory, cache_path=cache).run(LAMBDAS,
-                                                                warmups=[0])
-        assert factory.calls == 0  # nothing was lost to the corruption
-        _assert_identical(first, resumed)
+        assert self._resume_costs_corrupted_points(cache, first, [0]) == 1
 
-    def test_pooled_cache_corrupt_fault_loses_no_point(self, monkeypatch,
-                                                       tmp_path):
-        """A worker that finds the file corrupt quarantines it and writes
-        only the points it holds; the parent, which holds them all, puts
-        back what the file lost, so the sweep still resumes fully."""
-        cache = str(tmp_path / "dse.json")
+    def test_pooled_cache_corrupt_fault_retrains_only_corrupted_points(
+            self, monkeypatch, tmp_path):
+        """Without ``REPRO_FAULTS_STATE`` the fault fires once in every
+        pool worker, on the first point file that worker writes; the
+        resume retrains exactly the points whose files were corrupted."""
+        cache = str(tmp_path / "dse")
         monkeypatch.setenv(faults.ENV_FAULTS, "cache_corrupt")
         first = _engine(workers=2, cache_path=cache).run(LAMBDAS,
                                                          warmups=WARMUPS)
         assert all(p.ok for p in first.points)
 
         monkeypatch.delenv(faults.ENV_FAULTS)
-        factory = CountingFactory()
-        resumed = _serial_engine(factory, cache_path=cache).run(
-            LAMBDAS, warmups=WARMUPS)
-        assert factory.calls == 0
-        _assert_identical(first, resumed)
+        corrupted = self._resume_costs_corrupted_points(cache, first,
+                                                        WARMUPS)
+        assert 1 <= corrupted <= 2
 
 
 # ----------------------------------------------------------------------
 # Chaos parity: the acceptance scenario
 # ----------------------------------------------------------------------
 
+def _assert_cache_holds(cache, points, cache_entries, same_run=True):
+    """``cache`` holds exactly one file per point of ``points`` and no
+    other: an ok point is served back equal to ``points``' in dilations,
+    params, loss and metrics (and ``result``, timings included, when the
+    cache was written by the run that returned ``points``); a failed
+    point is stored but not served."""
+    keys = [DSECache.key(p.lam, p.warmup_epochs, dict(SCHEDULE))
+            for p in points]
+    assert sorted(os.listdir(cache)) == sorted(
+        key_tag(key) + DSECache.SUFFIX for key in keys)
+    stored = cache_entries(cache)
+    for key, point in zip(keys, points):
+        served = DSECache(cache).get(key)
+        assert stored[key]["status"] == point.status
+        if not point.ok:
+            assert served is None
+            continue
+        assert (served.dilations, served.params, served.loss,
+                served.metrics) == (point.dilations, point.params,
+                                    point.loss, point.metrics)
+        if same_run:
+            assert served.result == point.result
+
+
 class TestChaosParity:
     def test_chaos_sweep_then_faultless_resume_is_bit_identical(
-            self, monkeypatch, tmp_path):
+            self, monkeypatch, tmp_path, cache_entries):
         """worker_crash + nan_loss injected into a pooled process sweep:
         run() completes, only the poisoned point fails, and a cache-backed
         faultless re-run is bit-identical to a never-faulted sweep."""
         baseline = _serial_engine().run(LAMBDAS, warmups=WARMUPS)
 
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         monkeypatch.setenv(faults.ENV_FAULTS,
                            "worker_crash@point=0,nan_loss@point=3")
         monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
@@ -540,6 +576,7 @@ class TestChaosParity:
         assert (failed.lam, failed.warmup_epochs) == (LAMBDAS[1], WARMUPS[1])
         assert "DivergedError" in failed.error
         assert len(chaos.ok_points) == 3
+        _assert_cache_holds(cache, chaos.points, cache_entries)
 
         monkeypatch.delenv(faults.ENV_FAULTS)
         monkeypatch.delenv(faults.ENV_STATE)
@@ -549,6 +586,18 @@ class TestChaosParity:
         assert factory.calls == 1  # only the poisoned point retrained
         _assert_identical(baseline, resumed)
 
+    def test_interrupted_sweep_caches_exactly_its_finished_points(
+            self, monkeypatch, tmp_path, cache_entries):
+        """An in-process sweep stopped by an interrupt returns nothing; the
+        points finished before it each have their file, the others none."""
+        baseline = _serial_engine().run(LAMBDAS, warmups=WARMUPS)
+        cache = str(tmp_path / "dse")
+        monkeypatch.setenv(faults.ENV_FAULTS, "interrupt@point=2")
+        with pytest.raises(KeyboardInterrupt):
+            _serial_engine(cache_path=cache).run(LAMBDAS, warmups=WARMUPS)
+        _assert_cache_holds(cache, baseline.points[:2], cache_entries,
+                            same_run=False)
+
     def test_resume_parity_composes_with_stack_and_compile(self, monkeypatch,
                                                            tmp_path):
         """Satellite: a fault-killed sweep resumed through the cache stays
@@ -556,7 +605,7 @@ class TestChaosParity:
         baseline = _serial_engine(stack=2).run(
             LAMBDAS, warmups=WARMUPS)
 
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         monkeypatch.setenv(faults.ENV_FAULTS, "interrupt@point=2")
         with pytest.raises(KeyboardInterrupt):
             _serial_engine(stack=2, cache_path=cache).run(
@@ -609,7 +658,7 @@ class TestCrashResumeChaos:
         os.makedirs(tmp_path / "state")
         engine = _engine(workers=2,
                          checkpoint_dir=str(tmp_path / "ckpt"),
-                         cache_path=str(tmp_path / "dse.json"))
+                         cache_path=str(tmp_path / "dse"))
         chaos = engine.run(LAMBDAS, warmups=WARMUPS)
         assert engine.last_run_stats["pool_deaths"] >= 1
         assert engine.last_run_stats["resumed_epochs"] > 0
@@ -633,19 +682,18 @@ class TestCrashResumeChaos:
         ``workers > 1``); a KeyboardInterrupt mid-sweep must still leave
         completed points in the cache so the next run only trains what
         is missing."""
-        cache = str(tmp_path / "dse.json")
+        cache = str(tmp_path / "dse")
         monkeypatch.setenv(faults.ENV_FAULTS, "interrupt@point=1")
         with pytest.raises(KeyboardInterrupt):
             _engine(workers=1, cache_path=cache).run(LAMBDAS, warmups=[0])
 
         monkeypatch.delenv(faults.ENV_FAULTS)
-        with open(cache) as handle:
-            recorded = json.load(handle)["points"]
-        assert len(recorded) >= 1  # finished work survived the interrupt
+        recorded = len(DSECache(cache))
+        assert recorded >= 1  # finished work survived the interrupt
         factory = CountingFactory()
         resumed = _engine(factory, workers=1,
                           cache_path=cache).run(LAMBDAS, warmups=[0])
-        assert factory.calls == 2 - len(recorded)
+        assert factory.calls == 2 - recorded
         _assert_identical(_serial_engine().run(LAMBDAS, warmups=[0]), resumed)
 
     def test_stacked_divergence_isolated_to_culprit(self, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.autograd import Tensor, default_dtype_scope
 from repro.core import TrainerCheckpoint
+from repro.core.checkpoint import key_tag
 from repro.evaluation import DSECache, DSEPoint
 from repro.models import temponet_fixed, temponet_seed
 from repro.nn import BatchNorm1d, CausalConv1d, Linear, ReLU, Sequential
@@ -278,11 +279,12 @@ class TestFileMode:
         previous = os.umask(0o022)
         try:
             save_state({"w": np.zeros(2)}, tmp_path / "model.bin")
-            DSECache(str(tmp_path / "cache.json")).put("k", point)
+            DSECache(str(tmp_path / "cache")).put("k", point)
             TrainerCheckpoint(tmp_path / "t.ckpt").save(
                 {"model/w": np.zeros(2)}, {"trainer": "pit"})
         finally:
             os.umask(previous)
-        for name in ("model.bin", "cache.json", "t.ckpt"):
+        point_file = f"cache/{key_tag('k')}{DSECache.SUFFIX}"
+        for name in ("model.bin", point_file, "t.ckpt"):
             mode = stat.S_IMODE(os.stat(tmp_path / name).st_mode)
             assert mode == 0o644, (name, oct(mode))
