@@ -2,30 +2,32 @@
 
 The autograd ops in ``ops_conv.py`` own validation, causal padding, bias
 and tape wiring; these kernels only answer "given the padded input, what
-are the outputs / adjoints?".  Every kernel receives the *left-padded*
-input ``xp`` of shape ``(N, C_in, T + (K-1)*dilation)`` together with the
-original temporal length ``t``; the output length is ``ceil(t / stride)``.
-Tap ``i`` of the kernel reads ``xp[..., i*dilation + j*stride]`` for output
-position ``j`` (paper Eq. 1 in kernel order).
+are the outputs / adjoints?".  The forward and the weight gradient
+receive the *left-padded* input ``xp`` of shape
+``(N, C_in, T + (K-1)*dilation)`` together with the original temporal
+length ``t``; the output length is ``ceil(t / stride)``.  Tap ``i`` of the
+kernel reads ``xp[..., i*dilation + j*stride]`` for output position ``j``
+(paper Eq. 1 in kernel order).  The input gradient needs no padded input:
+it returns the adjoint with respect to the *unpadded* input,
+``(N, C_in, t)``.
 
-Instead of one contraction per kernel tap, the convolution is lowered to a
-*single* GEMM:
+Every kernel is one GEMM over one im2col matrix, batch included:
+:func:`_im2col` copies a zero-copy ``as_strided`` patch view
+``patches[n, c, i, j] = src[n, c, i*dilation + j*stride]`` into the
+``(C*K, N*T_out)`` matrix whose row ``c*K + i`` holds tap ``i`` of channel
+``c`` and whose column ``n*T_out + j`` holds output ``j`` of sample ``n``.
 
-1. ``as_strided`` builds a zero-copy patch view of the padded input with
-   shape ``(N, C_in, K, T_out)`` where
-   ``patches[n, c, i, j] = xp[n, c, i*dilation + j*stride]``;
-2. the kernel is flattened to ``(C_out, C_in*K)`` and multiplied against
-   the ``(N, C_in*K, T_out)`` patch matrix in one ``matmul``.
+* forward: ``w.reshape(C_out, C_in*K) @ im2col(xp)``;
+* weight gradient: ``im2col(xp) @ grad`` with the output gradient laid
+  out as ``(N*T_out, C_out)``;
+* input gradient: a correlation of the stride-upsampled output gradient
+  with the tap-flipped kernel, ``wflip @ im2col(ĝ)`` over the ``t``
+  unpadded columns only.
 
-The backward passes are the transposed GEMMs of the same lowering: the
-weight gradient contracts the output gradient with the patch matrix, and
-the input gradient is a correlation of the stride-upsampled output
-gradient with the tap-flipped kernel — the same patch-view GEMM again.
-
-The patch view never materializes until a GEMM consumes it, so peak extra
-memory is the ``(N, C_in*K, T_out)`` im2col buffer — the classic
-space-for-speed trade of im2col convolutions.  Every kernel returns the
-dtype of its inputs.  The per-tap einsum kernels in
+Folding the batch into the GEMM's columns makes one BLAS call per conv,
+whatever the batch size.  Peak extra memory is the one im2col matrix —
+the classic space-for-speed trade of im2col convolutions.  Every kernel
+returns the dtype of its inputs.  The per-tap einsum kernels in
 :mod:`repro.autograd.backends.reference` are the oracle the parity tests
 hold these kernels to.
 """
@@ -45,65 +47,57 @@ def conv_out_length(t: int, stride: int) -> int:
     return (t + stride - 1) // stride
 
 
-def _patch_view(xp: np.ndarray, k: int, dilation: int, stride: int,
-                t: int) -> np.ndarray:
-    """Zero-copy ``(N, C_in, K, T_out)`` sliding-window view of ``xp``."""
-    n, c_in, _ = xp.shape
-    t_out = conv_out_length(t, stride)
-    s_n, s_c, s_t = xp.strides
-    return as_strided(
-        xp,
-        shape=(n, c_in, k, t_out),
-        strides=(s_n, s_c, s_t * dilation, s_t * stride),
-        writeable=False,
-    )
+def _im2col(src: np.ndarray, k: int, dilation: int, stride: int,
+            t_out: int) -> np.ndarray:
+    """The ``(C*K, N*t_out)`` im2col matrix of ``src`` ``(N, C, L)``:
+    element ``[c*K + i, n*t_out + j]`` is ``src[n, c, i*dilation +
+    j*stride]``.  One copy, out of a zero-copy sliding-window view."""
+    n, c, _ = src.shape
+    s_n, s_c, s_t = src.strides
+    patches = as_strided(src, shape=(n, c, k, t_out),
+                         strides=(s_n, s_c, s_t * dilation, s_t * stride),
+                         writeable=False)
+    return patches.transpose(1, 2, 0, 3).reshape(c * k, n * t_out)
 
 
 def _forward(xp: np.ndarray, w: np.ndarray,
              dilation: int, stride: int, t: int) -> np.ndarray:
-    n, c_in, _ = xp.shape
-    c_out, _, k = w.shape
-    patches = _patch_view(xp, k, dilation, stride, t)
-    t_out = patches.shape[-1]
-    # (C_out, C_in*K) @ (N, C_in*K, T_out) -> (N, C_out, T_out)
-    wmat = w.reshape(c_out, c_in * k)
-    pmat = patches.reshape(n, c_in * k, t_out)
-    return np.matmul(wmat, pmat)
+    n = xp.shape[0]
+    c_out, c_in, k = w.shape
+    t_out = conv_out_length(t, stride)
+    out = w.reshape(c_out, c_in * k) @ _im2col(xp, k, dilation, stride, t_out)
+    return np.ascontiguousarray(
+        out.reshape(c_out, n, t_out).transpose(1, 0, 2))
 
 
 def _grad_input(grad: np.ndarray, w: np.ndarray,
-                xp_shape: Tuple[int, int, int],
                 dilation: int, stride: int, t: int) -> np.ndarray:
-    n, c_in, length = xp_shape
-    c_out, _, k = w.shape
-    pad = (k - 1) * dilation
-    # The adjoint of a correlation is a *convolution*: every padded input
-    # position p accumulates Σ_{o,i} w[o,c,i]·ĝ[n,o,p - i·d], where ĝ is
-    # the stride-upsampled output gradient.  Substituting i → K-1-i turns
-    # that into a correlation of the (both-sides zero-padded) ĝ with the
-    # tap-flipped kernel — the exact same patch-view + single-GEMM
-    # lowering as the forward pass, instead of a K-pass overlapping col2im
-    # fold.
-    dtype = np.result_type(w, grad)
-    gpad = np.zeros((n, c_out, t + 2 * pad), dtype)
-    gpad[:, :, pad: pad + t: stride] = grad
-    patches = _patch_view(gpad, k, dilation, 1, length)
+    n, c_out, _ = grad.shape
+    _, c_in, k = w.shape
+    # The adjoint of a correlation is a *convolution*: unpadded input
+    # position u accumulates Σ_{o,i} w[o,c,i]·ĝ[n,o,u + (K-1-i)·d], where ĝ
+    # is the stride-upsampled output gradient (zero past t).  Substituting
+    # i → K-1-i turns that into a correlation of the right-padded ĝ with
+    # the tap-flipped kernel over the t unpadded columns: the forward's
+    # lowering again.
+    gpad = np.zeros((n, c_out, t + (k - 1) * dilation),
+                    np.result_type(w, grad))
+    gpad[:, :, 0:t:stride] = grad
     wflip = w[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * k)
-    pmat = patches.reshape(n, c_out * k, length)
-    return np.matmul(wflip, pmat)
+    gx = wflip @ _im2col(gpad, k, dilation, 1, t)
+    return np.ascontiguousarray(gx.reshape(c_in, n, t).transpose(1, 0, 2))
 
 
 def _grad_weight(grad: np.ndarray, xp: np.ndarray,
                  w_shape: Tuple[int, int, int],
                  dilation: int, stride: int, t: int) -> np.ndarray:
-    patches = _patch_view(xp, w_shape[2], dilation, stride, t)
-    # One contraction over the strided view (gw[o,c,i] = Σ_{n,t}
-    # grad[n,o,t] * patches[n,c,i,t]); tensordot materializes at most one
-    # im2col buffer, where an explicit reshape+transpose GEMM would copy
-    # it twice.  np.einsum takes this same BLAS route, but re-validates
-    # its contraction path on every call.
-    return np.tensordot(patches, grad, axes=((0, 3), (0, 2))).transpose(
-        2, 0, 1)
+    n, c_out, t_out = grad.shape
+    _, c_in, k = w_shape
+    # gw[o,c,i] = Σ_{n,j} grad[n,o,j]·xp[n,c,i·d + j·s], contracted over
+    # the folded (n, j) columns.
+    gmat = grad.transpose(0, 2, 1).reshape(n * t_out, c_out)
+    gw = np.dot(_im2col(xp, k, dilation, stride, t_out), gmat)
+    return gw.reshape(c_in, k, c_out).transpose(2, 0, 1)
 
 
 def _per_model(kernel, a: np.ndarray, b: np.ndarray, *static) -> np.ndarray:
@@ -141,10 +135,10 @@ class Im2colKernels:
         return _forward(xp, w, dilation, stride, t)
 
     def grad_input(self, grad: np.ndarray, w: np.ndarray,
-                   xp_shape: Tuple[int, int, int],
                    dilation: int, stride: int, t: int) -> np.ndarray:
-        """Adjoint w.r.t. the *padded* input; shape ``xp_shape``."""
-        return _grad_input(grad, w, xp_shape, dilation, stride, t)
+        """Adjoint w.r.t. the *unpadded* input: ``(N, C_out, ceil(t /
+        stride)) x (C_out, C_in, K) -> (N, C_in, t)``; a fresh array."""
+        return _grad_input(grad, w, dilation, stride, t)
 
     def grad_weight(self, grad: np.ndarray, xp: np.ndarray,
                     w_shape: Tuple[int, int, int],
@@ -185,11 +179,10 @@ class Im2colKernels:
         return _per_model(_forward, xp, w, dilation, stride, t)
 
     def grad_input_stacked(self, grad: np.ndarray, w: np.ndarray,
-                           xp_shape: Tuple[int, int, int, int],
                            dilation: int, stride: int, t: int) -> np.ndarray:
-        """Stacked adjoint w.r.t. the padded input; shape ``xp_shape``."""
-        return _per_model(_grad_input, grad, w, tuple(xp_shape[1:]),
-                          dilation, stride, t)
+        """Stacked adjoint w.r.t. the unpadded inputs: ``(M, N, C_in,
+        t)``."""
+        return _per_model(_grad_input, grad, w, dilation, stride, t)
 
     def grad_weight_stacked(self, grad: np.ndarray, xp: np.ndarray,
                             w_shape: Tuple[int, int, int, int],

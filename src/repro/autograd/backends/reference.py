@@ -54,14 +54,17 @@ class EinsumReference:
         return out
 
     def grad_input(self, grad: np.ndarray, w: np.ndarray,
-                   xp_shape: Tuple[int, int, int],
                    dilation: int, stride: int, t: int) -> np.ndarray:
-        k = w.shape[2]
-        gxp = np.zeros(xp_shape, np.result_type(grad, w))
+        """Adjoint w.r.t. the unpadded input ``(N, C_in, t)``: scattered
+        into the padded length, which is then dropped."""
+        _, c_in, k = w.shape
+        pad = (k - 1) * dilation
+        gxp = np.zeros((grad.shape[0], c_in, t + pad),
+                       np.result_type(grad, w))
         for tap in range(k):
             gxp[:, :, tap * dilation: tap * dilation + t: stride] += einsum_cached(
                 "oc,not->nct", w[:, :, tap], grad)
-        return gxp
+        return gxp[:, :, pad:]
 
     def grad_weight(self, grad: np.ndarray, xp: np.ndarray,
                     w_shape: Tuple[int, int, int],

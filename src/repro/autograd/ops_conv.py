@@ -62,8 +62,7 @@ def _conv_bwd(g, ins, out, xp, attrs, needs):
     t = x.shape[2]
     gx = gw = gb = None
     if needs[0]:
-        gxp = KERNELS.grad_input(g, w, xp.shape, dilation, stride, t)
-        gx = gxp[:, :, (w.shape[2] - 1) * dilation:]
+        gx = KERNELS.grad_input(g, w, dilation, stride, t)
     if needs[1]:
         gw = KERNELS.grad_weight(g, xp, w.shape, dilation, stride, t)
     if len(ins) == 3 and needs[2]:
@@ -253,8 +252,7 @@ def _masked_bwd(g, ins, out, ctx, attrs, needs):
     live = wm[:, :, off::d]
     gx = gw = gmask = gb = None
     if needs[0]:
-        gxp = KERNELS.grad_input(g, live, xp[:, :, off:].shape, d, stride, t)
-        gx = gxp[:, :, w.shape[2] - 1 - off:]
+        gx = KERNELS.grad_input(g, live, d, stride, t)
     if needs[2]:
         gwm = KERNELS.grad_weight(g, xp, w.shape, 1, stride, t)
         if needs[1]:
@@ -336,11 +334,9 @@ def _conv_stacked_bwd(g, ins, out, xp, attrs, needs):
     x, w = ins[0], ins[1]
     dilation, stride = attrs["dilation"], attrs["stride"]
     t = x.shape[3]
-    pad = (w.shape[3] - 1) * dilation
     gx = gw = gb = None
     if needs[0]:
-        gxp = KERNELS.grad_input_stacked(g, w, xp.shape, dilation, stride, t)
-        gx = gxp[:, :, :, pad:]
+        gx = KERNELS.grad_input_stacked(g, w, dilation, stride, t)
     if needs[1]:
         gw = KERNELS.grad_weight_stacked(g, xp, w.shape, dilation, stride, t)
     if len(ins) == 3 and needs[2]:

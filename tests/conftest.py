@@ -77,7 +77,7 @@ ORACLE_METHODS = {
     "grad_input": ORACLE.grad_input,
     "grad_weight": ORACLE.grad_weight,
     "forward_stacked": _stacked(ORACLE.forward, False),
-    "grad_input_stacked": _stacked(ORACLE.grad_input, True),
+    "grad_input_stacked": _stacked(ORACLE.grad_input, False),
     "grad_weight_stacked": _stacked(ORACLE.grad_weight, True),
     "forward_step": _forward_step,
 }

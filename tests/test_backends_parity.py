@@ -68,7 +68,7 @@ def _reference(x, w, b=None, dilation=1, stride=1, upstream=None):
     if b is not None:
         out += b[:, None]
     g = np.ones_like(out) if upstream is None else upstream.astype(out.dtype)
-    gx = ORACLE.grad_input(g, w, xp.shape, dilation, stride, t)[:, :, pad:]
+    gx = ORACLE.grad_input(g, w, dilation, stride, t)
     gw = ORACLE.grad_weight(g, xp, w.shape, dilation, stride, t)
     return out, gx, gw, None if b is None else g.sum(axis=(0, 2))
 
@@ -141,6 +141,91 @@ class TestGradientParity:
             lambda x, w, b: conv1d_causal(x, w, b, dilation=dilation,
                                           stride=stride),
             [x, w, b])
+
+
+# Kernel-level shapes (N, C_in, C_out, T, K, dilation, stride): a stride,
+# dilation and kernel-size grid, receptive fields longer than the input
+# ((K-1)*d >= T) and the ResTCN music shape.
+KERNEL_CASES = (
+    [(2, 3, 4, 19, k, d, s) for k in (1, 2, 5, 17, 33) for d in (1, 2, 4, 16)
+     for s in (1, 2, 3)]
+    + [(2, 3, 4, 8, 17, 1, s) for s in (1, 2, 3)]
+    + [(2, 3, 4, 8, 17, 2, 1), (1, 2, 2, 1, 3, 1, 1)]
+    + [(4, 38, 38, 47, 33, 1, 1), (4, 38, 38, 47, 17, 2, 1)])
+KERNEL_IDS = ["n{}-c{}x{}-t{}-k{}-d{}-s{}".format(*case)
+              for case in KERNEL_CASES]
+DTYPES = [np.float32, np.float64]
+
+
+def _kernel_arrays(case, dtype):
+    n, c_in, c_out, t, k, d, s = case
+    rng = np.random.default_rng(sum(case))
+    xp = rng.standard_normal((n, c_in, t + (k - 1) * d)).astype(dtype)
+    xp[:, :, :(k - 1) * d] = 0          # the causal zero padding
+    w = rng.standard_normal((c_out, c_in, k)).astype(dtype)
+    g = rng.standard_normal((n, c_out, -(-t // s))).astype(dtype)
+    return xp, w, g
+
+
+class TestKernelContract:
+    """The 2-D kernels called directly, at both precisions: the input
+    gradient is the adjoint w.r.t. the *unpadded* input, and the weight
+    gradient is bit-identical to the ``np.tensordot`` contraction of the
+    patch view it replaced."""
+
+    @staticmethod
+    def _close(got, ref):
+        """Within a few ulps of the dtype, relative to the largest value:
+        BLAS and the oracle sum the C_out*K products in other orders."""
+        eps = np.finfo(got.dtype).eps
+        scale = max(float(np.abs(ref).max()), 1.0)
+        assert np.allclose(got, ref, rtol=0, atol=64 * eps * scale)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_grad_input_is_the_unpadded_adjoint(self, case, dtype):
+        n, c_in, _, t, _, d, s = case
+        xp, w, g = _kernel_arrays(case, dtype)
+        got = get_backend().grad_input(g, w, d, s, t)
+        ref = ORACLE.grad_input(g, w, d, s, t)
+        assert got.shape == ref.shape == (n, c_in, t)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        self._close(got, ref)
+        # The adjoint identity <conv(x), g> == <x, grad_input(g)>, with the
+        # forward on the oracle: no shared code with the kernel under test.
+        x = xp[:, :, xp.shape[2] - t:].astype(np.float64)
+        lhs = np.vdot(ORACLE.forward(xp.astype(np.float64),
+                                     w.astype(np.float64), d, s, t), g)
+        assert np.isclose(lhs, np.vdot(x, got), rtol=1e-4 if dtype ==
+                          np.float32 else 1e-10, atol=1e-3)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_forward_and_grad_weight_match_oracle(self, case, dtype):
+        _, _, _, t, _, d, s = case
+        xp, w, g = _kernel_arrays(case, dtype)
+        kernels = get_backend()
+        out = kernels.forward(xp, w, d, s, t)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        self._close(out, ORACLE.forward(xp, w, d, s, t))
+        self._close(kernels.grad_weight(g, xp, w.shape, d, s, t),
+                    ORACLE.grad_weight(g, xp, w.shape, d, s, t))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_grad_weight_equals_tensordot(self, case, dtype):
+        from numpy.lib.stride_tricks import as_strided
+        _, c_in, _, t, k, d, s = case
+        xp, w, g = _kernel_arrays(case, dtype)
+        s_n, s_c, s_t = xp.strides
+        patches = as_strided(xp, shape=(xp.shape[0], c_in, k, g.shape[2]),
+                             strides=(s_n, s_c, s_t * d, s_t * s),
+                             writeable=False)
+        former = np.tensordot(patches, g, axes=((0, 3), (0, 2))).transpose(
+            2, 0, 1)
+        got = get_backend().grad_weight(g, xp, w.shape, d, s, t)
+        assert got.dtype == dtype
+        assert np.array_equal(got, former)
 
 
 class TestStackedKernelParity:
@@ -258,14 +343,14 @@ class TestStackedKernelParity:
         w = rng.standard_normal((self.M, C_OUT, C_IN, k))
         out = kernels.forward_stacked(xp, w, d, stride, t)
         g = rng.standard_normal(out.shape)
-        gx = kernels.grad_input_stacked(g, w, xp.shape, d, stride, t)
+        gx = kernels.grad_input_stacked(g, w, d, stride, t)
         gw = kernels.grad_weight_stacked(g, xp, w.shape, d, stride, t)
-        assert gx.shape == xp.shape and gw.shape == w.shape
+        assert gx.shape == xp.shape[:3] + (t,) and gw.shape == w.shape
         for m in range(self.M):
             assert np.array_equal(
                 out[m], kernels.forward(xp[m], w[m], d, stride, t)), m
             assert np.array_equal(gx[m], kernels.grad_input(
-                g[m], w[m], xp.shape[1:], d, stride, t)), m
+                g[m], w[m], d, stride, t)), m
             assert np.array_equal(gw[m], kernels.grad_weight(
                 g[m], xp[m], w.shape[1:], d, stride, t)), m
 
@@ -294,7 +379,7 @@ class TestBackendSelection:
             w = rng.standard_normal((C_OUT, C_IN, 3)).astype(dtype)
             out = kernels.forward(xp, w, 2, 1, T)
             assert out.dtype == dtype
-            assert kernels.grad_input(out, w, xp.shape, 2, 1, T).dtype \
+            assert kernels.grad_input(out, w, 2, 1, T).dtype \
                 == dtype
             assert kernels.grad_weight(out, xp, w.shape, 2, 1, T).dtype \
                 == dtype

@@ -343,6 +343,52 @@ class TestSweep:
         assert main(argv) == 0
         assert "hw pareto front" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("network,schedule,float_rel", [
+        ("ppg", ["--epochs", "3", "--finetune", "1"], 0.0),
+        ("music", [], 1e-5)])
+    def test_pooled_hw_sweep_matches_serial(self, network, schedule,
+                                            float_rel, capsys, tmp_path,
+                                            cache_entries):
+        """What a pooled ``--hw`` sweep shares with a serial one.
+
+        Pool workers pin OpenBLAS to ``cpu_count // workers`` threads, and
+        a GEMM whose reduction (C_in*K) is long rounds differently with
+        the thread count.  On PPG (TEMPONet) training and the float test
+        loss are equal and only the int8 loss may move (relative 1e-3).
+        On music (ResTCN, K = 33) training and evaluation both round with
+        the thread count: dilations, params and epoch counts are equal,
+        every float within a relative 1e-5 (the int8 loss: 13.5149 serial,
+        13.5152 pooled on 2 cores for the λ=1e-3 point)."""
+        def compare(serial, pooled, name):
+            if isinstance(serial, dict):
+                assert serial.keys() == pooled.keys(), name
+                for key in serial:
+                    if not key.endswith("_seconds"):
+                        compare(serial[key], pooled[key], key)
+            elif isinstance(serial, list):
+                assert len(serial) == len(pooled), name
+                for a, b in zip(serial, pooled):
+                    compare(a, b, name)
+            elif isinstance(serial, float):
+                rel = 1e-3 if name == "quantized_loss" else float_rel
+                assert pooled == pytest.approx(serial, rel=rel, abs=0), name
+            else:
+                assert serial == pooled, name
+
+        records = []
+        for workers in ("0", "2"):
+            cache = tmp_path / f"workers{workers}"
+            assert main(["sweep", "--benchmark", network, "--width", "0.25",
+                         *schedule, "--seed", "1", "--lambdas", "0", "1e-3",
+                         "--warmups", "1", "--hw", "--workers", workers,
+                         "--quiet", "--cache", str(cache)]) == 0
+            records.append(cache_entries(cache))
+        capsys.readouterr()
+        serial, pooled = records
+        assert len(serial) == 2
+        assert all(entry["status"] == "ok" for entry in serial.values())
+        compare(serial, pooled, "points")
+
 
 class TestFrontFormat:
     def test_tied_networks_print_once_with_their_lambdas(self):

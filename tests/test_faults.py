@@ -79,6 +79,21 @@ class CountingFactory:
         return Tiny()
 
 
+class TrainedPointLog:
+    """Point evaluator that appends each evaluated point's λ to a file:
+    one line per point that finished training, in any process."""
+
+    cache_name = "trained-point-log"
+
+    def __init__(self, path):
+        self.path = path
+
+    def __call__(self, model, point):
+        with open(self.path, "a") as handle:
+            handle.write(f"{point.lam}\n")
+        return {}
+
+
 def _loaders(seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((12, 1, 10))
@@ -417,14 +432,26 @@ class TestWorkerCrashRecovery:
     def test_recovery_claims_worker_flushed_points(self, monkeypatch,
                                                    tmp_path):
         """Workers write each completed point to the cache; pool-death
-        recovery claims those from disk instead of retraining them."""
+        recovery claims those from disk instead of retraining them.
+
+        One two-point chunk: its stacked attempt diverges (``nan_loss``),
+        so the task trains point 0 and writes it, then dies in point 1.
+        The death takes the unreturned task with it; point 0 is on disk
+        and must be claimed, so each point finishes training exactly once
+        (:class:`TrainedPointLog` counts them across processes)."""
         cache = str(tmp_path / "dse")
-        monkeypatch.setenv(faults.ENV_FAULTS, "worker_crash")
+        log = str(tmp_path / "trained.log")
+        monkeypatch.setenv(faults.ENV_FAULTS,
+                           "nan_loss@point=0,crash@epoch=1&point=1")
         monkeypatch.setenv(faults.ENV_STATE, str(tmp_path / "state"))
         os.makedirs(tmp_path / "state")
-        engine = _engine(workers=2, cache_path=cache)
-        result = engine.run(LAMBDAS, warmups=WARMUPS)
+        engine = _engine(workers=2, stack=2, cache_path=cache,
+                         point_evaluators=[TrainedPointLog(log)])
+        result = engine.run(LAMBDAS, warmups=[0])
         assert all(p.ok for p in result.points)
+        assert engine.last_run_stats["pool_deaths"] == 1
+        with open(log) as handle:
+            assert sorted(handle.read().split()) == sorted(map(str, LAMBDAS))
         assert len(DSECache(cache)) == len(result.points)
 
 
